@@ -29,7 +29,7 @@
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Instant;
 
-use vmem::{Addr, AddrSpace, Layout, MemError, PageIdx, Segment, PAGE_SIZE, WORD_SIZE};
+use vmem::{Addr, AddrSpace, Layout, MemError, PageIdx, PageRange, Segment, PAGE_SIZE, WORD_SIZE};
 
 use crate::filter::CandidateFilter;
 use crate::forensics::EdgeRecorder;
@@ -52,27 +52,14 @@ impl SweepPlan {
     /// cannot hold pointers); heap extents are taken as-is, with protected
     /// or unbacked pages skipped during marking.
     pub fn build(space: &AddrSpace, heap_ranges: &[(Addr, u64)]) -> Self {
-        let mut ranges: Vec<(Addr, u64)> = Vec::new();
-        for seg in [Segment::Globals, Segment::Stack] {
-            let base = space.layout().segment_base(seg);
-            let pages = space.layout().segment_pages(seg);
-            let mut run_start: Option<PageIdx> = None;
-            let flush = |start: Option<PageIdx>, end: PageIdx, out: &mut Vec<_>| {
-                if let Some(s) = start {
-                    out.push((s.base(), (end.raw() - s.raw()) * PAGE_SIZE as u64));
-                }
-            };
-            let first = base.page();
-            for i in 0..pages {
-                let p = PageIdx::new(first.raw() + i);
-                if space.is_committed(p.base()) {
-                    run_start.get_or_insert(p);
-                } else {
-                    flush(run_start.take(), p, &mut ranges);
-                }
-            }
-            flush(run_start.take(), PageIdx::new(first.raw() + pages), &mut ranges);
-        }
+        let layout = space.layout();
+        let mut ranges: Vec<(Addr, u64)> = [Segment::Globals, Segment::Stack]
+            .into_iter()
+            .flat_map(|seg| {
+                let first = layout.segment_base(seg).page();
+                space.committed_runs(PageRange::new(first, layout.segment_pages(seg)))
+            })
+            .collect();
         ranges.extend(heap_ranges.iter().copied());
         let total_bytes = ranges.iter().map(|&(_, l)| l).sum();
         SweepPlan { ranges, total_bytes }
@@ -1261,6 +1248,86 @@ mod tests {
                 (stack + 3 * PAGE_SIZE as u64, PAGE_SIZE as u64)
             ]
         );
+    }
+
+    /// The per-page root walk `SweepPlan::build` used before
+    /// `AddrSpace::committed_runs`: the oracle its root ranges must equal.
+    fn per_page_root_runs(space: &AddrSpace) -> Vec<(Addr, u64)> {
+        let mut ranges = Vec::new();
+        for seg in [Segment::Globals, Segment::Stack] {
+            let first = space.layout().segment_base(seg).page().raw();
+            let end = first + space.layout().segment_pages(seg);
+            let mut run_start: Option<u64> = None;
+            for p in first..=end {
+                if p < end && space.is_committed(PageIdx::new(p).base()) {
+                    run_start.get_or_insert(p);
+                } else if let Some(s) = run_start.take() {
+                    ranges.push((PageIdx::new(s).base(), (p - s) * PAGE_SIZE as u64));
+                }
+            }
+        }
+        ranges
+    }
+
+    /// Commits `count` pages starting `first` pages into `seg`.
+    fn commit_root(space: &mut AddrSpace, seg: Segment, first: u64, count: u64) -> Addr {
+        let a = space.layout().segment_base(seg).add_bytes(first * PAGE_SIZE as u64);
+        space.commit(vmem::PageRange::spanning(a, count * PAGE_SIZE as u64)).unwrap();
+        a
+    }
+
+    /// Page-table leaves hold 512 pages; both root segments start on a
+    /// leaf boundary in the default layout.
+    const LEAF: u64 = 512;
+
+    #[test]
+    fn plan_root_run_crosses_a_leaf_boundary() {
+        let mut space = AddrSpace::new();
+        let a = commit_root(&mut space, Segment::Globals, LEAF - 2, 5);
+        let plan = SweepPlan::build(&space, &[]);
+        assert_eq!(plan.ranges(), &[(a, 5 * PAGE_SIZE as u64)]);
+        assert_eq!(plan.ranges(), per_page_root_runs(&space).as_slice());
+    }
+
+    #[test]
+    fn plan_root_run_ends_at_the_globals_segment_end() {
+        let mut space = AddrSpace::new();
+        let pages = space.layout().segment_pages(Segment::Globals);
+        let a = commit_root(&mut space, Segment::Globals, pages - 3, 3);
+        let stack = commit_root(&mut space, Segment::Stack, 0, 1);
+        let plan = SweepPlan::build(&space, &[]);
+        // The globals run closes at the segment end; it must not merge
+        // with (or swallow) anything beyond it.
+        assert_eq!(
+            plan.ranges(),
+            &[(a, 3 * PAGE_SIZE as u64), (stack, PAGE_SIZE as u64)]
+        );
+        assert_eq!(plan.ranges(), per_page_root_runs(&space).as_slice());
+    }
+
+    #[test]
+    fn plan_finds_a_leafs_only_committed_page_in_its_last_slot() {
+        let mut space = AddrSpace::new();
+        let a = commit_root(&mut space, Segment::Globals, 2 * LEAF - 1, 1);
+        let b = commit_root(&mut space, Segment::Stack, LEAF - 1, 1);
+        let plan = SweepPlan::build(&space, &[]);
+        assert_eq!(plan.ranges(), &[(a, PAGE_SIZE as u64), (b, PAGE_SIZE as u64)]);
+        assert_eq!(plan.ranges(), per_page_root_runs(&space).as_slice());
+    }
+
+    #[test]
+    fn plan_roots_match_the_per_page_walk_on_scattered_commits() {
+        let mut space = AddrSpace::new();
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        for _ in 0..200 {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            let seg = if x >> 63 == 0 { Segment::Globals } else { Segment::Stack };
+            let pages = space.layout().segment_pages(seg);
+            let first = (x >> 20) % pages;
+            commit_root(&mut space, seg, first, ((x >> 8) % 4 + 1).min(pages - first));
+        }
+        let plan = SweepPlan::build(&space, &[]);
+        assert_eq!(plan.ranges(), per_page_root_runs(&space).as_slice());
     }
 
     #[test]

@@ -51,6 +51,7 @@ mod layout;
 mod page;
 mod space;
 mod stats;
+mod table;
 
 pub use addr::{Addr, PageIdx, PageRange, GRANULE_SIZE, PAGE_SIZE, WORD_SIZE};
 pub use error::MemError;

@@ -1,12 +1,11 @@
 //! The simulated address space: mapping, commit, protection, access.
 
-use std::collections::HashMap;
-
 use crate::addr::{Addr, PageIdx, PageRange, PAGE_SIZE, WORD_SIZE};
 use crate::error::MemError;
 use crate::layout::{Layout, Segment};
 use crate::page::{PageSlot, Protection};
 use crate::stats::MemStats;
+use crate::table::PageTable;
 
 /// A simulated 64-bit virtual address space.
 ///
@@ -42,7 +41,7 @@ use crate::stats::MemStats;
 #[derive(Debug)]
 pub struct AddrSpace {
     layout: Layout,
-    pages: HashMap<u64, PageSlot>,
+    pages: PageTable,
     heap_cursor: Addr,
     stats: MemStats,
 }
@@ -59,7 +58,7 @@ impl AddrSpace {
     pub fn with_layout(layout: Layout) -> Self {
         let mut space = AddrSpace {
             layout,
-            pages: HashMap::new(),
+            pages: PageTable::default(),
             heap_cursor: layout.segment_base(Segment::Heap),
             stats: MemStats::default(),
         };
@@ -126,7 +125,7 @@ impl AddrSpace {
         }
         let range = PageRange::new(addr.page(), pages);
         for p in range.iter() {
-            if self.pages.contains_key(&p.raw()) {
+            if self.pages.contains(p.raw()) {
                 return Err(MemError::AlreadyMapped(p.base()));
             }
         }
@@ -146,12 +145,12 @@ impl AddrSpace {
     /// (the range is left untouched in that case).
     pub fn unmap(&mut self, range: PageRange) -> Result<(), MemError> {
         for p in range.iter() {
-            if !self.pages.contains_key(&p.raw()) {
+            if !self.pages.contains(p.raw()) {
                 return Err(MemError::Unmapped(p.base()));
             }
         }
         for p in range.iter() {
-            let slot = self.pages.remove(&p.raw()).expect("checked above");
+            let slot = self.pages.remove(p.raw()).expect("checked above");
             if slot.is_committed() {
                 self.stats.on_decommit();
             }
@@ -170,9 +169,8 @@ impl AddrSpace {
     /// before the faulting one remain committed.
     pub fn commit(&mut self, range: PageRange) -> Result<(), MemError> {
         for p in range.iter() {
-            let slot =
-                self.pages.get_mut(&p.raw()).ok_or(MemError::Unmapped(p.base()))?;
-            if slot.commit() {
+            let (_, fresh) = self.pages.commit(p.raw()).ok_or(MemError::Unmapped(p.base()))?;
+            if fresh {
                 self.stats.on_commit(false);
             }
         }
@@ -192,9 +190,9 @@ impl AddrSpace {
     /// [`MemError::Unmapped`] if any page in the range is not mapped.
     pub fn decommit(&mut self, range: PageRange) -> Result<(), MemError> {
         for p in range.iter() {
-            let slot =
-                self.pages.get_mut(&p.raw()).ok_or(MemError::Unmapped(p.base()))?;
-            if slot.decommit() {
+            let (slot, was_committed) =
+                self.pages.decommit(p.raw()).ok_or(MemError::Unmapped(p.base()))?;
+            if was_committed {
                 slot.soft_dirty = true;
                 self.stats.on_decommit();
             }
@@ -214,12 +212,12 @@ impl AddrSpace {
     /// [`MemError::Unmapped`] if any page in the range is not mapped.
     pub fn protect(&mut self, range: PageRange, prot: Protection) -> Result<(), MemError> {
         for p in range.iter() {
-            if !self.pages.contains_key(&p.raw()) {
+            if !self.pages.contains(p.raw()) {
                 return Err(MemError::Unmapped(p.base()));
             }
         }
         for p in range.iter() {
-            let slot = self.pages.get_mut(&p.raw()).expect("checked above");
+            let slot = self.pages.get_mut(p.raw()).expect("checked above");
             if slot.prot != prot {
                 slot.soft_dirty = true;
             }
@@ -244,10 +242,10 @@ impl AddrSpace {
         if !va.is_aligned(PAGE_SIZE as u64) {
             return Err(MemError::Misaligned(va));
         }
-        if self.pages.contains_key(&va.page().raw()) {
+        if self.pages.contains(va.page().raw()) {
             return Err(MemError::AlreadyMapped(va));
         }
-        let target = self.pages.get(&frame.raw()).ok_or(MemError::Unmapped(frame.base()))?;
+        let target = self.pages.get(frame.raw()).ok_or(MemError::Unmapped(frame.base()))?;
         if target.alias_of.is_some() {
             return Err(MemError::Unmapped(frame.base()));
         }
@@ -259,20 +257,20 @@ impl AddrSpace {
 
     /// The frame an alias page resolves to, if `addr` lies on an alias.
     pub fn alias_target(&self, addr: Addr) -> Option<PageIdx> {
-        self.pages.get(&addr.page().raw())?.alias_of.map(PageIdx::new)
+        self.pages.get(addr.page().raw())?.alias_of.map(PageIdx::new)
     }
 
     /// Resolves `page` to its storage page, honouring (one level of)
     /// aliasing and the *addressed* page's protection.
     fn resolve_storage(&self, page: u64, fault_at: Addr) -> Result<u64, MemError> {
-        let slot = self.pages.get(&page).ok_or(MemError::Unmapped(fault_at))?;
+        let slot = self.pages.get(page).ok_or(MemError::Unmapped(fault_at))?;
         if slot.prot == Protection::None {
             return Err(MemError::Protected(fault_at));
         }
         match slot.alias_of {
             None => Ok(page),
             Some(frame) => {
-                if self.pages.contains_key(&frame) {
+                if self.pages.contains(frame) {
                     Ok(frame)
                 } else {
                     Err(MemError::Unmapped(fault_at))
@@ -283,17 +281,17 @@ impl AddrSpace {
 
     /// Whether the page containing `addr` is mapped.
     pub fn is_mapped(&self, addr: Addr) -> bool {
-        self.pages.contains_key(&addr.page().raw())
+        self.pages.contains(addr.page().raw())
     }
 
     /// Whether the page containing `addr` is committed (physically backed).
     pub fn is_committed(&self, addr: Addr) -> bool {
-        self.pages.get(&addr.page().raw()).is_some_and(PageSlot::is_committed)
+        self.pages.get(addr.page().raw()).is_some_and(PageSlot::is_committed)
     }
 
     /// Protection of the page containing `addr`, if mapped.
     pub fn protection(&self, addr: Addr) -> Option<Protection> {
-        self.pages.get(&addr.page().raw()).map(|s| s.prot)
+        self.pages.get(addr.page().raw()).map(|s| s.prot)
     }
 
     /// Reads the aligned word at `addr`, demand-committing the page if it is
@@ -309,8 +307,8 @@ impl AddrSpace {
             return Err(MemError::Misaligned(addr));
         }
         let storage = self.resolve_storage(addr.page().raw(), addr)?;
-        let slot = self.pages.get_mut(&storage).expect("resolved");
-        if slot.commit() {
+        let (slot, fresh) = self.pages.commit(storage).expect("resolved");
+        if fresh {
             self.stats.on_commit(true);
         }
         Ok(slot.data.as_ref().expect("just committed")[addr.word_in_page()])
@@ -333,7 +331,7 @@ impl AddrSpace {
             return Err(MemError::Misaligned(addr));
         }
         let storage = self.resolve_storage(addr.page().raw(), addr)?;
-        let slot = self.pages.get(&storage).expect("resolved");
+        let slot = self.pages.get(storage).expect("resolved");
         Ok(slot.data.as_ref().map_or(0, |d| d[addr.word_in_page()]))
     }
 
@@ -349,8 +347,8 @@ impl AddrSpace {
             return Err(MemError::Misaligned(addr));
         }
         let storage = self.resolve_storage(addr.page().raw(), addr)?;
-        let slot = self.pages.get_mut(&storage).expect("resolved");
-        if slot.commit() {
+        let (slot, fresh) = self.pages.commit(storage).expect("resolved");
+        if fresh {
             self.stats.on_commit(true);
         }
         slot.data.as_mut().expect("just committed")[addr.word_in_page()] = value;
@@ -379,7 +377,7 @@ impl AddrSpace {
             let page_end = cur.page().next().base();
             let chunk_end = if page_end < end { page_end } else { end };
             let storage = self.resolve_storage(cur.page().raw(), cur)?;
-            let slot = self.pages.get_mut(&storage).expect("resolved");
+            let slot = self.pages.get_mut(storage).expect("resolved");
             if let Some(data) = slot.data.as_mut() {
                 let w0 = cur.word_in_page();
                 let w1 = w0 + ((chunk_end - cur) / WORD_SIZE as u64) as usize;
@@ -403,19 +401,16 @@ impl AddrSpace {
     /// index. These are the pages the mostly-concurrent stop-the-world pass
     /// re-checks (§4.3).
     pub fn soft_dirty_pages(&self) -> Vec<PageIdx> {
-        let mut dirty: Vec<PageIdx> = self
-            .pages
-            .iter()
-            .filter(|(_, s)| s.soft_dirty && s.is_committed())
-            .map(|(&idx, _)| PageIdx::new(idx))
-            .collect();
-        dirty.sort_unstable();
-        dirty
+        self.pages
+            .iter_committed()
+            .filter(|(_, s)| s.soft_dirty)
+            .map(|(idx, _)| PageIdx::new(idx))
+            .collect()
     }
 
     /// Whether the page containing `addr` has its soft-dirty bit set.
     pub fn is_soft_dirty(&self, addr: Addr) -> bool {
-        self.pages.get(&addr.page().raw()).is_some_and(|s| s.soft_dirty)
+        self.pages.get(addr.page().raw()).is_some_and(|s| s.soft_dirty)
     }
 
     /// Bulk soft-dirty snapshot over `range`, one `pagemap`-style read per
@@ -432,7 +427,7 @@ impl AddrSpace {
         range
             .iter()
             .filter(|p| {
-                !self.pages.get(&p.raw()).is_some_and(|s| {
+                !self.pages.get(p.raw()).is_some_and(|s| {
                     s.is_committed()
                         && s.prot == Protection::ReadWrite
                         && s.alias_of.is_none()
@@ -449,7 +444,7 @@ impl AddrSpace {
     /// pages in the range are skipped.
     pub fn clear_soft_dirty_range(&mut self, range: PageRange) {
         for p in range.iter() {
-            if let Some(slot) = self.pages.get_mut(&p.raw()) {
+            if let Some(slot) = self.pages.get_mut(p.raw()) {
                 slot.soft_dirty = false;
             }
         }
@@ -467,16 +462,16 @@ impl AddrSpace {
     ///
     /// [`MemError::Unmapped`] or [`MemError::Protected`].
     pub fn scan_page(&self, page: PageIdx) -> Result<Option<&[u64; 512]>, MemError> {
-        // One hash lookup for directly-backed pages (the overwhelmingly
-        // common case on the sweep's hot path); only aliases chase the
-        // frame with a second lookup.
-        let slot = self.pages.get(&page.raw()).ok_or(MemError::Unmapped(page.base()))?;
+        // One lookup for directly-backed pages (the overwhelmingly common
+        // case on the sweep's hot path); only aliases chase the frame with
+        // a second lookup.
+        let slot = self.pages.get(page.raw()).ok_or(MemError::Unmapped(page.base()))?;
         if slot.prot == Protection::None {
             return Err(MemError::Protected(page.base()));
         }
         match slot.alias_of {
             None => Ok(slot.data.as_deref()),
-            Some(frame) => match self.pages.get(&frame) {
+            Some(frame) => match self.pages.get(frame) {
                 Some(s) => Ok(s.data.as_deref()),
                 None => Err(MemError::Unmapped(page.base())),
             },
@@ -492,8 +487,7 @@ impl AddrSpace {
     /// [`MemError::Unmapped`] or [`MemError::Protected`].
     pub fn touch_page(&mut self, page: PageIdx) -> Result<(), MemError> {
         let storage = self.resolve_storage(page.raw(), page.base())?;
-        let slot = self.pages.get_mut(&storage).expect("resolved");
-        if slot.commit() {
+        if self.pages.commit(storage).expect("resolved").1 {
             self.stats.on_commit(true);
         }
         Ok(())
@@ -503,10 +497,25 @@ impl AddrSpace {
     /// for committed pages only — unbacked pages are skipped via the extent
     /// shadow bitmap (§4.5).
     pub fn committed_pages_in(&self, range: PageRange) -> u64 {
-        range
-            .iter()
-            .filter(|p| self.pages.get(&p.raw()).is_some_and(PageSlot::is_committed))
-            .count() as u64
+        self.pages.committed_in(range.start().raw(), range.end().raw())
+    }
+
+    /// Maximal runs of committed pages in `range`, in address order, as
+    /// `(base, length in bytes)` — the shape of a sweep plan's ranges.
+    /// The sweep's root walk: only committed pages can hold pointers, and
+    /// whole 2 MiB stretches with nothing committed are skipped at once.
+    pub fn committed_runs(&self, range: PageRange) -> Vec<(Addr, u64)> {
+        self.pages
+            .committed_runs(range.start().raw(), range.end().raw())
+            .into_iter()
+            .map(|(first, pages)| (PageIdx::new(first).base(), pages * PAGE_SIZE as u64))
+            .collect()
+    }
+
+    /// Allocated page-table leaves.
+    #[cfg(test)]
+    pub(crate) fn resident_leaves(&self) -> usize {
+        self.pages.resident_leaves()
     }
 }
 
@@ -880,6 +889,52 @@ mod tests {
         space.unmap(PageRange::spanning(va, PAGE_SIZE as u64)).unwrap();
         assert_eq!(space.read_word(frame).unwrap(), 7);
         assert_eq!(space.read_word(va), Err(MemError::Unmapped(va)));
+    }
+
+    #[test]
+    fn monotone_va_churn_frees_every_heap_leaf() {
+        // FFmalloc-style one-time allocation: map fresh VA, use it, unmap
+        // it, never reuse it. Every leaf must be freed with its last page,
+        // or the table would grow with the VA ever handed out.
+        let mut space = AddrSpace::new();
+        let roots = space.resident_leaves();
+        let step = 64 * 1024 / PAGE_SIZE as u64;
+        let mut peak = 0;
+        for _ in 0..(1u64 << 30) / (step * PAGE_SIZE as u64) {
+            let a = space.reserve_heap(step);
+            space.map(a, step).unwrap();
+            space.write_word(a, 1).unwrap();
+            peak = peak.max(space.resident_leaves() - roots);
+            space.unmap(PageRange::spanning(a, step * PAGE_SIZE as u64)).unwrap();
+        }
+        assert_eq!(peak, 1, "64 KiB mappings never straddle a 2 MiB leaf");
+        assert_eq!(space.resident_leaves(), roots, "no heap leaf survives");
+        assert_eq!(space.pages.committed_counter_sum(), 0);
+    }
+
+    #[test]
+    fn committed_runs_skip_empty_leaves_and_split_at_gaps() {
+        let mut space = AddrSpace::new();
+        let a = space.reserve_heap(2048);
+        space.map(a, 2048).unwrap();
+        let page = |i: u64| a + i * PAGE_SIZE as u64;
+        for i in [0, 1, 510, 511, 512, 513, 2047] {
+            space.touch_page(page(i).page()).unwrap();
+        }
+        let all = PageRange::spanning(a, 2048 * PAGE_SIZE as u64);
+        assert_eq!(
+            space.committed_runs(all),
+            vec![
+                (page(0), 2 * PAGE_SIZE as u64),
+                (page(510), 4 * PAGE_SIZE as u64),
+                (page(2047), PAGE_SIZE as u64)
+            ]
+        );
+        // A range starting mid-run clips the run.
+        let tail = PageRange::spanning(page(512), 1536 * PAGE_SIZE as u64);
+        assert_eq!(space.committed_runs(tail)[0], (page(512), 2 * PAGE_SIZE as u64));
+        assert_eq!(space.committed_pages_in(all), 7);
+        assert_eq!(space.pages.committed_counter_sum(), 7);
     }
 
     #[test]

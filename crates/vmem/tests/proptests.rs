@@ -9,11 +9,16 @@
 //! * Decommit + re-access always yields zero (demand-zero paging).
 //! * Soft-dirty tracking is a superset of the pages actually written since
 //!   the last clear.
+//! * The radix page table behaves exactly like a `BTreeMap` of pages, across
+//!   a 512-page leaf boundary and a far leaf, for every operation and query
+//!   (`table_matches_btreemap_model`).
 
 use proptest::prelude::*;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
-use vmem::{AddrSpace, PageRange, Protection, PAGE_SIZE, WORD_SIZE};
+use vmem::{
+    Addr, AddrSpace, MemError, MemStats, PageIdx, PageRange, Protection, PAGE_SIZE, WORD_SIZE,
+};
 
 /// Operations the state machine may apply to a small heap region.
 #[derive(Clone, Debug)]
@@ -172,5 +177,361 @@ proptest! {
                 "word {} differs", w
             );
         }
+    }
+}
+
+/// Pages per page-table leaf.
+const LEAF: u64 = 512;
+
+/// Candidate pages, as offsets from the heap base (which is leaf aligned):
+/// sixteen straddling the boundary between leaves 0 and 1, and the last
+/// four slots of leaf 5. Multi-page ops starting near the end of the far
+/// leaf spill into leaf 6.
+fn cand(i: u8) -> u64 {
+    match i {
+        0..16 => LEAF - 8 + i as u64,
+        _ => 6 * LEAF - 4 + (i - 16) as u64,
+    }
+}
+const CANDS: u8 = 20;
+/// Pages reserved for the test window: leaves 0 through 6.
+const WINDOW: u64 = 7 * LEAF;
+
+/// One operation of the page-table differential test. `at` indexes
+/// [`cand`]; `count` pages run upwards from there.
+#[derive(Clone, Debug)]
+enum TOp {
+    Map { at: u8, count: u8 },
+    Unmap { at: u8, count: u8 },
+    Commit { at: u8, count: u8 },
+    Decommit { at: u8, count: u8 },
+    Protect { at: u8, count: u8, none: bool },
+    Alias { va: u8, frame: u8 },
+    Write { at: u8, word: u16, value: u64 },
+    Read { at: u8, word: u16 },
+    Peek { at: u8, word: u16 },
+    Touch { at: u8 },
+    ClearAll,
+    ClearRange { at: u8, count: u8 },
+}
+
+fn top_strategy() -> impl Strategy<Value = TOp> {
+    let run = || (0u8..CANDS, 1u8..4);
+    prop_oneof![
+        4 => run().prop_map(|(at, count)| TOp::Map { at, count }),
+        2 => run().prop_map(|(at, count)| TOp::Unmap { at, count }),
+        2 => run().prop_map(|(at, count)| TOp::Commit { at, count }),
+        2 => run().prop_map(|(at, count)| TOp::Decommit { at, count }),
+        2 => (0u8..CANDS, 1u8..4, any::<bool>())
+            .prop_map(|(at, count, none)| TOp::Protect { at, count, none }),
+        2 => (0u8..CANDS, 0u8..CANDS).prop_map(|(va, frame)| TOp::Alias { va, frame }),
+        4 => (0u8..CANDS, 0u16..4, any::<u64>())
+            .prop_map(|(at, word, value)| TOp::Write { at, word, value }),
+        2 => (0u8..CANDS, 0u16..4).prop_map(|(at, word)| TOp::Read { at, word }),
+        2 => (0u8..CANDS, 0u16..4).prop_map(|(at, word)| TOp::Peek { at, word }),
+        1 => (0u8..CANDS).prop_map(|at| TOp::Touch { at }),
+        1 => Just(TOp::ClearAll),
+        1 => run().prop_map(|(at, count)| TOp::ClearRange { at, count }),
+    ]
+}
+
+/// Reference page: the state [`AddrSpace`] keeps per page.
+#[derive(Clone, Debug, Default)]
+struct MPage {
+    /// Committed contents (absent words are zero).
+    data: Option<BTreeMap<u64, u64>>,
+    prot_none: bool,
+    dirty: bool,
+    alias_of: Option<u64>,
+}
+
+/// The executable spec: pages in a `BTreeMap`, statistics by hand.
+struct Model {
+    pages: BTreeMap<u64, MPage>,
+    stats: MemStats,
+}
+
+impl Model {
+    fn commit(&mut self, page: u64, on_demand: bool) {
+        let p = self.pages.get_mut(&page).expect("mapped");
+        if p.data.is_none() {
+            p.data = Some(BTreeMap::new());
+            p.dirty = true;
+            self.stats.committed_pages += 1;
+            if on_demand {
+                self.stats.demand_commits += 1;
+            } else {
+                self.stats.explicit_commits += 1;
+            }
+            self.stats.peak_committed_pages = self
+                .stats
+                .peak_committed_pages
+                .max(self.stats.committed_pages);
+        }
+    }
+
+    fn drop_backing(&mut self, had: bool) {
+        if had {
+            self.stats.committed_pages -= 1;
+            self.stats.decommits += 1;
+        }
+    }
+
+    /// Storage page for an access to `addr`, as `resolve_storage` defines.
+    fn resolve(&self, addr: Addr) -> Result<u64, MemError> {
+        let p = self
+            .pages
+            .get(&addr.page().raw())
+            .ok_or(MemError::Unmapped(addr))?;
+        if p.prot_none {
+            return Err(MemError::Protected(addr));
+        }
+        match p.alias_of {
+            None => Ok(addr.page().raw()),
+            Some(f) if self.pages.contains_key(&f) => Ok(f),
+            Some(_) => Err(MemError::Unmapped(addr)),
+        }
+    }
+
+    fn first_unmapped(&self, pages: &[u64]) -> Option<u64> {
+        pages.iter().copied().find(|p| !self.pages.contains_key(p))
+    }
+
+    fn apply(&mut self, op: &TOp, base: u64) -> Result<u64, MemError> {
+        let addr = |page: u64| PageIdx::new(page).base();
+        let run = |at: u8, count: u8| -> Vec<u64> {
+            (0..count as u64).map(|k| base + cand(at) + k).collect()
+        };
+        let word_addr = |at: u8, word: u16| addr(base + cand(at)).add_bytes(word as u64 * 8);
+        match *op {
+            TOp::Map { at, count } => {
+                let pages = run(at, count);
+                if let Some(&p) = pages.iter().find(|p| self.pages.contains_key(p)) {
+                    return Err(MemError::AlreadyMapped(addr(p)));
+                }
+                for p in pages {
+                    self.pages.insert(p, MPage::default());
+                }
+                self.stats.mapped_pages += count as u64;
+                self.stats.maps += 1;
+            }
+            TOp::Unmap { at, count } => {
+                let pages = run(at, count);
+                if let Some(p) = self.first_unmapped(&pages) {
+                    return Err(MemError::Unmapped(addr(p)));
+                }
+                for p in pages {
+                    let had = self.pages.remove(&p).unwrap().data.is_some();
+                    self.drop_backing(had);
+                }
+                self.stats.mapped_pages -= count as u64;
+                self.stats.unmaps += 1;
+            }
+            TOp::Commit { at, count } => {
+                for p in run(at, count) {
+                    if !self.pages.contains_key(&p) {
+                        return Err(MemError::Unmapped(addr(p)));
+                    }
+                    self.commit(p, false);
+                }
+            }
+            TOp::Decommit { at, count } => {
+                for p in run(at, count) {
+                    let page = self.pages.get_mut(&p).ok_or(MemError::Unmapped(addr(p)))?;
+                    let had = page.data.take().is_some();
+                    page.dirty |= had;
+                    self.drop_backing(had);
+                }
+            }
+            TOp::Protect { at, count, none } => {
+                let pages = run(at, count);
+                if let Some(p) = self.first_unmapped(&pages) {
+                    return Err(MemError::Unmapped(addr(p)));
+                }
+                for p in pages {
+                    let page = self.pages.get_mut(&p).unwrap();
+                    page.dirty |= page.prot_none != none;
+                    page.prot_none = none;
+                }
+                self.stats.protects += 1;
+            }
+            TOp::Alias { va, frame } => {
+                let (va, frame) = (base + cand(va), base + cand(frame));
+                if self.pages.contains_key(&va) {
+                    return Err(MemError::AlreadyMapped(addr(va)));
+                }
+                match self.pages.get(&frame) {
+                    Some(f) if f.alias_of.is_none() => {}
+                    _ => return Err(MemError::Unmapped(addr(frame))),
+                }
+                self.pages.insert(
+                    va,
+                    MPage {
+                        alias_of: Some(frame),
+                        ..MPage::default()
+                    },
+                );
+                self.stats.mapped_pages += 1;
+                self.stats.maps += 1;
+            }
+            TOp::Write { at, word, value } => {
+                let a = word_addr(at, word);
+                let storage = self.resolve(a)?;
+                self.commit(storage, true);
+                let page = self.pages.get_mut(&storage).unwrap();
+                page.data.as_mut().unwrap().insert(word as u64, value);
+                page.dirty = true;
+            }
+            TOp::Read { at, word } => {
+                let storage = self.resolve(word_addr(at, word))?;
+                self.commit(storage, true);
+                let data = self.pages[&storage].data.as_ref().unwrap();
+                return Ok(data.get(&(word as u64)).copied().unwrap_or(0));
+            }
+            TOp::Peek { at, word } => {
+                let storage = self.resolve(word_addr(at, word))?;
+                let data = self.pages[&storage].data.as_ref();
+                return Ok(data
+                    .and_then(|d| d.get(&(word as u64)).copied())
+                    .unwrap_or(0));
+            }
+            TOp::Touch { at } => {
+                let storage = self.resolve(addr(base + cand(at)))?;
+                self.commit(storage, true);
+            }
+            TOp::ClearAll => self.pages.values_mut().for_each(|p| p.dirty = false),
+            TOp::ClearRange { at, count } => {
+                for p in run(at, count) {
+                    if let Some(page) = self.pages.get_mut(&p) {
+                        page.dirty = false;
+                    }
+                }
+            }
+        }
+        Ok(0)
+    }
+
+    fn committed(&self, page: u64) -> bool {
+        self.pages.get(&page).is_some_and(|p| p.data.is_some())
+    }
+}
+
+/// Applies `op` to the real space, in the same shape as [`Model::apply`].
+fn apply_space(space: &mut AddrSpace, op: &TOp, base: u64) -> Result<u64, MemError> {
+    let addr = |page: u64| PageIdx::new(page).base();
+    let range = |at: u8, count: u8| PageRange::new(PageIdx::new(base + cand(at)), count as u64);
+    let word_addr = |at: u8, word: u16| addr(base + cand(at)).add_bytes(word as u64 * 8);
+    match *op {
+        TOp::Map { at, count } => space.map(addr(base + cand(at)), count as u64).map(|_| 0),
+        TOp::Unmap { at, count } => space.unmap(range(at, count)).map(|_| 0),
+        TOp::Commit { at, count } => space.commit(range(at, count)).map(|_| 0),
+        TOp::Decommit { at, count } => space.decommit(range(at, count)).map(|_| 0),
+        TOp::Protect { at, count, none } => {
+            let prot = if none {
+                Protection::None
+            } else {
+                Protection::ReadWrite
+            };
+            space.protect(range(at, count), prot).map(|_| 0)
+        }
+        TOp::Alias { va, frame } => space
+            .map_alias(addr(base + cand(va)), PageIdx::new(base + cand(frame)))
+            .map(|_| 0),
+        TOp::Write { at, word, value } => space.write_word(word_addr(at, word), value).map(|_| 0),
+        TOp::Read { at, word } => space.read_word(word_addr(at, word)),
+        TOp::Peek { at, word } => space.peek_word(word_addr(at, word)),
+        TOp::Touch { at } => space.touch_page(PageIdx::new(base + cand(at))).map(|_| 0),
+        TOp::ClearAll => {
+            space.clear_soft_dirty();
+            Ok(0)
+        }
+        TOp::ClearRange { at, count } => {
+            space.clear_soft_dirty_range(range(at, count));
+            Ok(0)
+        }
+    }
+}
+
+/// Committed runs of `[start, end)` by brute force, one page at a time.
+fn runs_by_page(model: &Model, start: u64, end: u64) -> Vec<(Addr, u64)> {
+    let mut runs = Vec::new();
+    let mut open = None;
+    for p in start..=end {
+        if p < end && model.committed(p) {
+            open.get_or_insert(p);
+        } else if let Some(first) = open.take() {
+            runs.push((PageIdx::new(first).base(), (p - first) * PAGE_SIZE as u64));
+        }
+    }
+    runs
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn table_matches_btreemap_model(ops in proptest::collection::vec(top_strategy(), 1..120)) {
+        let mut space = AddrSpace::new();
+        let base = space.reserve_heap(WINDOW).page().raw();
+        let mut model = Model { pages: BTreeMap::new(), stats: *space.stats() };
+        // Windows the per-op queries cover: the leaf-0/1 straddle, the far
+        // leaf's tail spilling into leaf 6, and all seven leaves.
+        let near = (base + LEAF - 16, base + LEAF + 16);
+        let far = (base + 6 * LEAF - 8, base + 6 * LEAF + 8);
+        let all = (base, base + WINDOW);
+        let page_range = |(s, e): (u64, u64)| PageRange::new(PageIdx::new(s), e - s);
+
+        for op in &ops {
+            prop_assert_eq!(apply_space(&mut space, op, base), model.apply(op, base), "{:?}", op);
+            prop_assert_eq!(space.stats(), &model.stats, "{:?}", op);
+
+            let dirty: Vec<PageIdx> = model
+                .pages
+                .iter()
+                .filter(|(_, p)| p.dirty && p.data.is_some())
+                .map(|(&i, _)| PageIdx::new(i))
+                .collect();
+            prop_assert_eq!(space.soft_dirty_pages(), dirty);
+
+            for w in [near, far] {
+                let snapshot: Vec<PageIdx> = (w.0..w.1)
+                    .filter(|p| !model.pages.get(p).is_some_and(|m| {
+                        m.data.is_some() && !m.prot_none && m.alias_of.is_none() && !m.dirty
+                    }))
+                    .map(PageIdx::new)
+                    .collect();
+                prop_assert_eq!(space.snapshot_soft_dirty(page_range(w)), snapshot);
+                prop_assert_eq!(
+                    space.committed_runs(page_range(w)),
+                    runs_by_page(&model, w.0, w.1)
+                );
+                let committed = (w.0..w.1).filter(|&p| model.committed(p)).count() as u64;
+                prop_assert_eq!(space.committed_pages_in(page_range(w)), committed);
+            }
+            for i in 0..CANDS {
+                let a = PageIdx::new(base + cand(i)).base();
+                let m = model.pages.get(&a.page().raw());
+                prop_assert_eq!(space.is_mapped(a), m.is_some());
+                prop_assert_eq!(space.is_committed(a), m.is_some_and(|p| p.data.is_some()));
+                prop_assert_eq!(space.is_soft_dirty(a), m.is_some_and(|p| p.dirty));
+                prop_assert_eq!(
+                    space.protection(a),
+                    m.map(|p| if p.prot_none { Protection::None } else { Protection::ReadWrite })
+                );
+                prop_assert_eq!(
+                    space.alias_target(a),
+                    m.and_then(|p| p.alias_of).map(PageIdx::new)
+                );
+            }
+            // `committed_pages_in` takes a leaf the range covers whole from
+            // the leaf's `committed` counter alone, so over these seven
+            // aligned leaves (the only committed memory) it is the
+            // counters' sum.
+            prop_assert_eq!(
+                space.committed_pages_in(page_range(all)),
+                space.stats().committed_pages
+            );
+        }
+        prop_assert_eq!(space.committed_runs(page_range(all)), runs_by_page(&model, all.0, all.1));
     }
 }

@@ -160,6 +160,16 @@ stage_bench_smoke() {
     test -s "$smoke_dir/bench_metrics.json" || { echo "empty bench metrics"; exit 1; }
 }
 
+# desc: end-to-end benchmark quick run passes its own checks
+stage_e2e_bench_smoke() {
+    # All five BENCHMARK.json workloads, one stream and one rep each: the
+    # benchmark builds from this checkout, replays every workload and
+    # exits non-zero if any rep fails a digest, span or schema check.
+    # Explicitly NOT a perf gate.
+    cargo run --release --offline --manifest-path benchmark/Cargo.toml -- \
+        run --quick --out "$smoke_dir/bench" > /dev/null
+}
+
 # desc: profiler on/off bench pair within noise; appends trajectory
 stage_profiler_pair() {
     # Off-vs-on bench pair over the same fixture: enabling the profiler
@@ -378,6 +388,7 @@ STAGES=(
     forensics-smoke
     golden-traces
     bench-smoke
+    e2e-bench-smoke
     profiler-pair
     bench-selftest
     bench-baseline
