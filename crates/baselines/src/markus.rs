@@ -1,8 +1,7 @@
 //! MarkUs: quarantine + transitive conservative marking (S&P 2020).
 
-use std::collections::HashSet;
-
 use jalloc::{JAlloc, JallocConfig};
+use minesweeper::telemetry::IdSet;
 use minesweeper::ShadowMap;
 use vmem::{Addr, AddrSpace, PageIdx, PageRange, Segment, WORD_SIZE};
 
@@ -109,7 +108,7 @@ pub struct MarkUs {
     cfg: MarkUsConfig,
     heap: JAlloc,
     quarantine: Vec<QEntry>,
-    quarantined_bases: HashSet<u64>,
+    quarantined_bases: IdSet<u64>,
     quarantine_bytes: u64,
     retained_bytes: u64,
     stats: MarkUsStats,
@@ -122,7 +121,7 @@ impl MarkUs {
             cfg,
             heap: JAlloc::with_config(JallocConfig::stock()),
             quarantine: Vec::new(),
-            quarantined_bases: HashSet::new(),
+            quarantined_bases: IdSet::default(),
             quarantine_bytes: 0,
             retained_bytes: 0,
             stats: MarkUsStats::default(),

@@ -6,8 +6,7 @@
 //! de-duplicates double frees, making `free()` idempotent while a dangling
 //! pointer exists (§3).
 
-use std::collections::HashSet;
-
+use telemetry::IdSet;
 use vmem::{Addr, PAGE_SIZE};
 
 use crate::arena::ArenaId;
@@ -79,7 +78,7 @@ pub struct Quarantine {
     tl_buffer: Vec<QEntry>,
     tl_capacity: usize,
     global: Vec<QEntry>,
-    dedup: HashSet<u64>,
+    dedup: IdSet<u64>,
     tracked_bytes: u64,
     failed_bytes: u64,
     unmapped_bytes: u64,
@@ -101,7 +100,7 @@ impl Quarantine {
             tl_buffer: Vec::with_capacity(tl_capacity.max(1)),
             tl_capacity: tl_capacity.max(1),
             global: Vec::new(),
-            dedup: HashSet::new(),
+            dedup: IdSet::default(),
             tracked_bytes: 0,
             failed_bytes: 0,
             unmapped_bytes: 0,

@@ -5,8 +5,6 @@
 //! dangling pointers), charging cycle costs, and interleaving concurrent
 //! sweep progress with mutator progress in virtual time.
 
-use std::collections::HashMap;
-
 use baselines::{
     CrCount, CrFreeOutcome, DangSan, DsFreeOutcome, FfConfig, FfMalloc, MarkUs,
     MarkUsFreeOutcome, Oscar, PSweeper, PsFreeOutcome,
@@ -15,7 +13,7 @@ use jalloc::{JAlloc, JallocConfig};
 use minesweeper::{FreeOutcome, HeapBackend, MineSweeper, LAYER_SUBSYSTEM};
 use scudo::Scudo;
 use telemetry::{
-    CostKind, CostRecorder, Histogram, Registry, Sink, SloPolicy, Watchdog,
+    CostKind, CostRecorder, Histogram, IdMap, Registry, Sink, SloPolicy, Watchdog,
 };
 use vmem::{Addr, AddrSpace, Segment, PAGE_SIZE, WORD_SIZE};
 use workloads::{Op, Profile, Rng, TraceGen};
@@ -35,6 +33,10 @@ struct Obj {
     site: u32,
     /// Outgoing pointer slots: (byte offset, target id).
     out: Vec<(u64, u64)>,
+    /// Slots holding a pointer to this object.
+    incoming: Vec<Slot>,
+    /// Index of this object's id in `Engine::live_ids`.
+    live_idx: usize,
 }
 
 /// A memory slot holding a pointer to some object.
@@ -123,12 +125,12 @@ pub struct Engine {
     /// Mutator-visible virtual time.
     now: u64,
     background: u64,
-    objects: HashMap<u64, Obj>,
+    /// Live objects by op id. Ids are any unique `u64` (recorded traces
+    /// choose them), so this stays a map rather than an id-indexed `Vec`.
+    objects: IdMap<u64, Obj>,
     live_ids: Vec<u64>,
-    live_pos: HashMap<u64, usize>,
-    incoming: HashMap<u64, Vec<Slot>>,
     root_owner: Vec<Option<(u64, Addr)>>,
-    freed_at: HashMap<u64, u64>,
+    freed_at: IdMap<u64, u64>,
     sweep_active: bool,
     teardown: bool,
     /// Next pSweeper background-sweep time (scaled "1 s" period).
@@ -233,12 +235,10 @@ impl Engine {
             profile: profile.clone(),
             now: 0,
             background: 0,
-            objects: HashMap::new(),
+            objects: IdMap::default(),
             live_ids: Vec::new(),
-            live_pos: HashMap::new(),
-            incoming: HashMap::new(),
             root_owner: vec![None; profile.root_slots as usize],
-            freed_at: HashMap::new(),
+            freed_at: IdMap::default(),
             sweep_active: false,
             teardown: false,
             next_psweep: (run_cycles / 32).max(100_000),
@@ -575,7 +575,14 @@ impl Engine {
             page = page.add_bytes(PAGE_SIZE as u64);
         }
 
-        let mut obj = Obj { base, req: size, site, out: Vec::new() };
+        let mut obj = Obj {
+            base,
+            req: size,
+            site,
+            out: Vec::new(),
+            incoming: Vec::new(),
+            live_idx: self.live_ids.len(),
+        };
         // Pointer wiring per the profile's density.
         let slots_f = self.profile.ptr_density * size as f64 / 64.0;
         let mut k = slots_f as u64;
@@ -586,7 +593,7 @@ impl Engine {
         let mut instr_writes = 0u64;
         for _ in 0..k.min(size / WORD_SIZE as u64) {
             let Some(&target) = pick(&mut self.rng, &self.live_ids) else { break };
-            let t_obj = &self.objects[&target];
+            let t_obj = self.objects.get_mut(&target).expect("live ids are live");
             let t_base = t_obj.base;
             let off = self.rng.below((size / 8).max(1)) * 8;
             let interior = if self.rng.chance(0.2) && t_obj.req > 16 {
@@ -597,7 +604,7 @@ impl Engine {
             let value = t_base.add_bytes(interior);
             if self.space.write_word(base.add_bytes(off), value.raw()).is_ok() {
                 obj.out.push((off, target));
-                self.incoming.entry(target).or_default().push(Slot::InObj { id, off });
+                t_obj.incoming.push(Slot::InObj { id, off });
                 let slot_addr = base.add_bytes(off);
                 match &mut self.sys {
                     Sys::Cr(cr) => {
@@ -633,7 +640,7 @@ impl Engine {
             self.clear_root(r);
             let slot_addr = self.root_addr(r);
             self.space.write_word(slot_addr, base.raw()).expect("stack is mapped");
-            self.incoming.entry(id).or_default().push(Slot::Root(r));
+            obj.incoming.push(Slot::Root(r));
             self.root_owner[r as usize] = Some((id, base));
             match &mut self.sys {
                 Sys::Cr(cr) => {
@@ -664,7 +671,6 @@ impl Engine {
         }
 
         self.objects.insert(id, obj);
-        self.live_pos.insert(id, self.live_ids.len());
         self.live_ids.push(id);
     }
 
@@ -674,8 +680,8 @@ impl Engine {
 
     fn clear_root(&mut self, r: u32) {
         if let Some((old, old_base)) = self.root_owner[r as usize].take() {
-            if let Some(list) = self.incoming.get_mut(&old) {
-                list.retain(|s| *s != Slot::Root(r));
+            if let Some(o) = self.objects.get_mut(&old) {
+                o.incoming.retain(|s| *s != Slot::Root(r));
             }
             // Overwriting a pointer is an instrumented store under CRCount
             // (this is how dangling-root references eventually drain).
@@ -694,34 +700,30 @@ impl Engine {
         let obj = self.objects.remove(&id).expect("trace frees live ids once");
         // Program behaviour: erase (most) references to the dying object.
         let mut cr_writes = 0u64;
-        if let Some(slots) = self.incoming.remove(&id) {
-            for slot in slots {
-                let dangle = self.rng.chance(self.profile.dangling_rate);
-                if !dangle {
-                    // Erasing a reference is an instrumented store.
-                    if let Sys::Cr(cr) = &mut self.sys {
-                        cr.dec_ref(&mut self.space, obj.base);
-                        cr_writes += 1;
-                    }
+        for &slot in &obj.incoming {
+            let dangle = self.rng.chance(self.profile.dangling_rate);
+            if !dangle {
+                // Erasing a reference is an instrumented store.
+                if let Sys::Cr(cr) = &mut self.sys {
+                    cr.dec_ref(&mut self.space, obj.base);
+                    cr_writes += 1;
                 }
-                match slot {
-                    Slot::Root(r) => {
-                        if !dangle {
-                            self.space.write_word(self.root_addr(r), 0).expect("stack");
-                            self.root_owner[r as usize] = None;
-                        }
-                        // If dangling: the stale root pointer stays until
-                        // the slot is recycled — a genuine dangling pointer
-                        // the sweep must find.
+            }
+            match slot {
+                Slot::Root(r) => {
+                    if !dangle {
+                        self.space.write_word(self.root_addr(r), 0).expect("stack");
+                        self.root_owner[r as usize] = None;
                     }
-                    Slot::InObj { id: holder, off } => {
-                        if !dangle {
-                            if let Some(h) = self.objects.get_mut(&holder) {
-                                self.space
-                                    .write_word(h.base.add_bytes(off), 0)
-                                    .ok();
-                                h.out.retain(|&(o, t)| !(o == off && t == id));
-                            }
+                    // If dangling: the stale root pointer stays until
+                    // the slot is recycled — a genuine dangling pointer
+                    // the sweep must find.
+                }
+                Slot::InObj { id: holder, off } => {
+                    if !dangle {
+                        if let Some(h) = self.objects.get_mut(&holder) {
+                            self.space.write_word(h.base.add_bytes(off), 0).ok();
+                            h.out.retain(|&(o, t)| !(o == off && t == id));
                         }
                     }
                 }
@@ -734,9 +736,11 @@ impl Engine {
         // MineSweeper-without-zeroing) pin whatever later occupies the
         // pointed-to addresses, cascading retention far beyond reality.
         for (off, target) in &obj.out {
-            if let Some(list) = self.incoming.get_mut(target) {
-                list.retain(|s| *s != Slot::InObj { id, off: *off });
-            }
+            // A target freed earlier reads `None`: its slots left with it.
+            let target_base = self.objects.get_mut(target).map(|t| {
+                t.incoming.retain(|s| *s != Slot::InObj { id, off: *off });
+                t.base
+            });
             if self.rng.chance(0.85) {
                 self.space.write_word(obj.base.add_bytes(*off), 0).ok();
             }
@@ -745,8 +749,8 @@ impl Engine {
             // pSweeper's table drops the dead holder's slots.
             match &mut self.sys {
                 Sys::Cr(cr) => {
-                    if let Some(t) = self.objects.get(target) {
-                        cr.dec_ref(&mut self.space, t.base);
+                    if let Some(t_base) = target_base {
+                        cr.dec_ref(&mut self.space, t_base);
                         cr_writes += 1;
                     }
                 }
@@ -755,11 +759,10 @@ impl Engine {
             }
         }
         // Live-list swap-remove.
-        let pos = self.live_pos.remove(&id).expect("live");
         let last = self.live_ids.pop().expect("non-empty");
         if last != id {
-            self.live_ids[pos] = last;
-            self.live_pos.insert(last, pos);
+            self.live_ids[obj.live_idx] = last;
+            self.objects.get_mut(&last).expect("live").live_idx = obj.live_idx;
         }
         self.freed_at.insert(obj.base.raw(), self.now);
 
@@ -861,11 +864,6 @@ impl Engine {
                         + nullified * 10,
                 );
             }
-        }
-        if cr_writes > 0 && !matches!(self.sys, Sys::Cr(_)) {
-            // cr_writes stays zero for every other system; keep the
-            // compiler honest about the accumulator.
-            debug_assert_eq!(cr_writes, 0);
         }
     }
 

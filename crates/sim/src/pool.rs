@@ -22,7 +22,7 @@
 //! the sums diverge.
 
 use minesweeper::{ArenaPool, MsConfig};
-use telemetry::{CostKind, CostRecorder, Histogram, Registry};
+use telemetry::{CostKind, CostRecorder, Histogram, IdMap, Registry};
 use vmem::{Addr, Segment};
 use workloads::{Op, Profile, TraceGen};
 
@@ -36,7 +36,7 @@ pub const ARENA_SUBSYSTEM: &str = "arena";
 struct Tenant {
     ops: std::vec::IntoIter<Op>,
     /// id -> base for live allocations of this tenant.
-    objects: std::collections::HashMap<u64, Addr>,
+    objects: IdMap<u64, Addr>,
     /// Next stack root slot a dangling free parks its stale pointer in.
     next_root: u64,
     /// Histograms for this arena on the shared registry.
@@ -80,7 +80,7 @@ pub fn run_arenas(profile: &Profile, n: u32, seed: u64, cfg: MsConfig) -> RunMet
                 TraceGen::new(profile, seed.wrapping_add(k as u64)).collect();
             Tenant {
                 ops: ops.into_iter(),
-                objects: std::collections::HashMap::new(),
+                objects: IdMap::default(),
                 next_root: 0,
                 pause_cycles: registry
                     .histogram(ARENA_SUBSYSTEM, &format!("a{k}_pause_cycles")),

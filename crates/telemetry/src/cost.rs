@@ -23,6 +23,7 @@
 
 use std::collections::HashMap;
 
+use crate::idhash::IdMap;
 use crate::registry::{Counter, Histogram, Registry, Snapshot};
 
 /// Subsystem label for all ledger metrics.
@@ -106,8 +107,10 @@ pub struct CostRecorder {
     kinds: Vec<Counter>,
     kind_hists: Vec<Histogram>,
     per_sweep: Histogram,
-    sites: HashMap<Option<u32>, Counter>,
-    arenas: HashMap<Option<String>, Counter>,
+    sites: IdMap<Option<u32>, Counter>,
+    /// `arena_none_cycles`, registered on the first unlabelled charge.
+    arena_none: Option<Counter>,
+    arenas: HashMap<String, Counter>,
     registry: Registry,
     dropped: Option<CostKind>,
 }
@@ -129,7 +132,8 @@ impl CostRecorder {
             kinds,
             kind_hists,
             per_sweep: registry.histogram(COST_SUBSYSTEM, "per_sweep_cycles"),
-            sites: HashMap::new(),
+            sites: IdMap::default(),
+            arena_none: None,
             arenas: HashMap::new(),
             registry: registry.clone(),
             dropped: None,
@@ -172,16 +176,21 @@ impl CostRecorder {
                 registry.counter(COST_SUBSYSTEM, &name)
             })
             .add(cycles);
-        self.arenas
-            .entry(arena.map(String::from))
-            .or_insert_with(|| {
-                let name = match arena {
-                    Some(label) => format!("arena_{label}_cycles"),
-                    None => "arena_none_cycles".into(),
-                };
-                registry.counter(COST_SUBSYSTEM, &name)
-            })
-            .add(cycles);
+        match arena {
+            None => self
+                .arena_none
+                .get_or_insert_with(|| registry.counter(COST_SUBSYSTEM, "arena_none_cycles"))
+                .add(cycles),
+            Some(label) => match self.arenas.get(label) {
+                Some(counter) => counter.add(cycles),
+                None => {
+                    let name = format!("arena_{label}_cycles");
+                    let counter = registry.counter(COST_SUBSYSTEM, &name);
+                    counter.add(cycles);
+                    self.arenas.insert(label.to_string(), counter);
+                }
+            },
+        }
     }
 
     /// Total defence cycles recorded so far.

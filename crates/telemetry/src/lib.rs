@@ -22,12 +22,16 @@
 //! [`EventKind::SloViolation`] events for breaches, and
 //! [`compare::compare`] computes noise-aware per-config deltas between
 //! two bench metrics snapshots (the `ms-report --compare` gate).
+//!
+//! [`IdMap`] and [`IdSet`] (the [`idhash`] module) are the integer-keyed
+//! maps every crate on the simulator's per-op path shares.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod compare;
 pub mod cost;
+pub mod idhash;
 pub mod json;
 pub mod registry;
 pub mod timeline;
@@ -36,6 +40,7 @@ pub mod watchdog;
 
 pub use compare::{compare, CompareReport, ConfigDelta, DEFAULT_THRESHOLD_PCT};
 pub use cost::{CostKind, CostLedger, CostRecorder, COST_SUBSYSTEM};
+pub use idhash::{IdHasher, IdMap, IdSet};
 pub use json::{Json, JsonError};
 pub use registry::{
     Counter, CounterSample, Histogram, HistogramSample, Registry, Snapshot,

@@ -368,6 +368,42 @@ stage_costs() {
     [ "$rc" -eq 1 ] || { echo "bad costs input must exit 1 (got $rc)"; exit 1; }
 }
 
+# desc: every module DESIGN.md section 7 names exists in its crate
+stage_doc_modules() {
+    # One "dir<TAB>token" line per backticked all-lowercase identifier of
+    # each numbered crate entry; "**name (dir)**" maps to crates/dir.
+    local dir tok missing=0
+    while IFS=$'\t' read -r dir tok; do
+        [ -f "crates/$dir/src/$tok.rs" ] || [ -f "crates/$dir/src/$tok/mod.rs" ] || {
+            echo "DESIGN.md section 7, $dir: no module \`$tok\` in crates/$dir/src"
+            missing=1
+        }
+    done < <(awk '
+        function flush(  rest, tok) {
+            rest = text
+            while (match(rest, /`[^`]*`/)) {
+                tok = substr(rest, RSTART + 1, RLENGTH - 2)
+                rest = substr(rest, RSTART + RLENGTH)
+                if (tok ~ /^[a-z0-9_]+$/) print dir "\t" tok
+            }
+            text = ""
+        }
+        /^## / { flush(); dir = ""; on = ($0 ~ /^## 7\./); next }
+        !on { next }
+        /^[0-9]+\. \*\*[^*]+\*\*/ {
+            flush()
+            dir = $0
+            sub(/^[0-9]+\. \*\*/, "", dir)
+            sub(/\*\*.*/, "", dir)
+            if (match(dir, /\([a-z0-9_]+\)/)) dir = substr(dir, RSTART + 1, RLENGTH - 2)
+        }
+        dir != "" { text = text " " $0 }
+        END { flush() }
+    ' DESIGN.md)
+    [ "$missing" -eq 0 ] || exit 1
+    echo "DESIGN.md section 7 module names all exist"
+}
+
 # desc: clippy with warnings denied
 stage_clippy() {
     cargo clippy -p ms-telemetry --all-targets -- -D warnings
@@ -396,6 +432,7 @@ STAGES=(
     security
     security-selftest
     costs
+    doc-modules
     clippy
 )
 
