@@ -9,7 +9,10 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use std::hint::black_box;
 
 use jalloc::JAlloc;
-use minesweeper::{parallel_mark, Marker, MineSweeper, MsConfig, ShadowMap, SweepPlan};
+use minesweeper::{
+    parallel_mark_pool, MarkAccel, Marker, MineSweeper, MsConfig, PoolMarkJob, PoolMarkOpts,
+    ShadowMap, SweepPlan,
+};
 use sim::{run, System};
 use vmem::{Addr, AddrSpace, PAGE_SIZE};
 use workloads::Profile;
@@ -33,11 +36,10 @@ fn bench_sweep(c: &mut Criterion) {
     group.throughput(Throughput::Bytes(pages * PAGE_SIZE as u64));
     group.sample_size(20);
     group.bench_function("serial_marker", |b| {
-        let layout = *space.layout();
         b.iter(|| {
             let mut shadow = ShadowMap::new();
             let mut marker = Marker::new(plan.clone());
-            marker.run_to_end(&mut space, &layout, &mut shadow);
+            marker.step(&mut space, &mut shadow, u64::MAX, &mut MarkAccel::default());
             black_box(shadow.marked_count())
         })
     });
@@ -46,8 +48,20 @@ fn bench_sweep(c: &mut Criterion) {
             BenchmarkId::new("parallel_mark_helpers", helpers),
             &helpers,
             |b, &h| {
-                let layout = *space.layout();
-                b.iter(|| black_box(parallel_mark(&space, &plan, &layout, h).marked_count()))
+                let opts = PoolMarkOpts { helper_threads: h, ..PoolMarkOpts::default() };
+                b.iter(|| {
+                    let shadow = ShadowMap::new();
+                    let job = PoolMarkJob {
+                        space: &space,
+                        plan: &plan,
+                        shadow: &shadow,
+                        filter: None,
+                        cache: None,
+                        forensics: None,
+                    };
+                    parallel_mark_pool(&[job], &opts);
+                    black_box(shadow.marked_count())
+                })
             },
         );
     }

@@ -1,30 +1,24 @@
-//! Raw sweep-bandwidth measurement: serial and parallel marking, naive
-//! (seed) shadow map vs the atomic radix shadow map, scalar vs SIMD
-//! kernels, static shares vs work stealing — in words/second.
+//! Raw sweep-bandwidth measurement: serial and parallel marking, scalar
+//! vs SIMD kernels, one arena vs many — in words/second.
 //!
 //! Configurations over the same default fixture — a zero-on-free
 //! steady-state heap: contiguous freed-and-zeroed 512 B blocks (just
 //! under half the heap) interleaved with live blocks holding LCG-placed
 //! pointers (1 word in 7) amid nonzero junk:
 //!
-//! * `naive_serial` — the seed's `HashMap`-of-chunks map
-//!   ([`NaiveShadowMap`]), one thread;
-//! * `naive_parallel_hN` — the seed's §4.4 scheme: N+1 threads each
-//!   marking into a **private** naive map, then a serial union merge;
 //! * `atomic_serial` — the pre-SIMD production loop, preserved here as
 //!   the scalar reference: one `scan_page` probe per page slice, then a
-//!   per-word `!= 0` + `heap_contains` test into a [`ShadowWriter`];
+//!   per-word `!= 0` + `heap_contains` test into a
+//!   [`ShadowWriter`](minesweeper::ShadowWriter);
 //! * `simd_serial` — the production [`Marker`] path with the chunked
 //!   SIMD kernel at its auto-dispatched tier (AVX2 where available);
 //! * `swar_serial` — the same path forced to the portable SWAR tier,
 //!   what non-x86 (or pre-SSE2) hosts would run;
 //! * `simd_serial_nullsink` — `simd_serial` with the sweep tracer
 //!   engaged on a null sink: the per-phase emission cost;
-//! * `steal_parallel_hN` — [`parallel_mark_opts`]: N+1 threads claiming
-//!   64-page chunks off one atomic work queue into one shared map;
-//! * `share_parallel_hN` — the same machinery with the chunk size blown
-//!   up to one contiguous share per thread: the old static split, kept
-//!   as the stealing-off comparison point;
+//! * `steal_parallel_hN` — a one-job [`parallel_mark_pool`]: N+1 threads
+//!   claiming 64-page chunks off one atomic work queue into one shared
+//!   map;
 //! * `incremental_dP` — the incremental sweep: a [`PageCache`] primed by
 //!   a cold sweep, then each rep retires a P%-dirty page set and replays
 //!   the digests of the clean remainder instead of re-reading it;
@@ -45,8 +39,8 @@
 //! * `arenas_nK_{serial,barrier_h6,sched_h6}` — the default fixture cut
 //!   into K tenant mini-heaps (each its own address space and plan, the
 //!   sharded-quarantine shape). `serial` marks them one after another on
-//!   one thread; `barrier_h6` gives each arena its own 6-helper
-//!   [`parallel_mark_opts`] round, paying K join barriers; `sched_h6`
+//!   one thread; `barrier_h6` gives each arena its own 6-helper one-job
+//!   [`parallel_mark_pool`] round, paying K join barriers; `sched_h6`
 //!   batches all K plans through **one** [`parallel_mark_pool`] round —
 //!   one work-stealing cursor, one join — which is exactly what the
 //!   sweep scheduler's coalesced rounds run.
@@ -69,9 +63,9 @@ use minesweeper::telemetry::{
     EventKind, Histogram, NullSink, Registry, Tracer, SNAPSHOT_SCHEMA_VERSION,
 };
 use minesweeper::{
-    effective_helper_count, parallel_mark_opts, parallel_mark_pool, CandidateFilter,
-    EdgeRecorder, ForensicsMode, MarkAccel, Marker, NaiveShadowMap, PageCache, ParallelMarkOpts,
-    PoolMarkJob, PoolMarkOpts, QEntry, ScanTier, ShadowMap, SweepPlan, SweepProf,
+    effective_helper_count, parallel_mark_pool, CandidateFilter, EdgeRecorder, ForensicsMode,
+    MarkAccel, Marker, PageCache, PoolMarkJob, PoolMarkOpts, QEntry, ScanTier, ShadowMap,
+    SweepPlan, SweepProf,
 };
 use vmem::{Addr, AddrSpace, Layout, PageIdx, PAGE_SIZE, WORD_SIZE};
 
@@ -190,66 +184,11 @@ fn sparse_fixture(pages: u64) -> (AddrSpace, SweepPlan) {
     (space, SweepPlan::from_ranges(vec![(base, pages * PAGE_SIZE as u64)]))
 }
 
-/// Splits the plan into `threads` contiguous word-aligned byte shares
-/// (the seed's naive-parallel split).
-fn split_shares(plan: &SweepPlan, threads: usize) -> Vec<Vec<(Addr, u64)>> {
-    let share = plan
-        .total_bytes()
-        .div_ceil(threads as u64)
-        .next_multiple_of(WORD_SIZE as u64)
-        .max(WORD_SIZE as u64);
-    let mut shares: Vec<Vec<(Addr, u64)>> = vec![Vec::new(); threads];
-    let mut t = 0;
-    let mut filled = 0u64;
-    for &(base, len) in plan.ranges() {
-        let (mut base, mut len) = (base, len);
-        while len > 0 {
-            let room = share.saturating_sub(filled);
-            if room == 0 {
-                t = (t + 1).min(threads - 1);
-                filled = 0;
-                continue;
-            }
-            let take = len.min(room);
-            shares[t].push((base, take));
-            base = base.add_bytes(take);
-            len -= take;
-            filled += take;
-        }
-    }
-    shares
-}
-
-/// The seed's marking loop over one share into a naive map.
-fn naive_mark_share(
-    space: &AddrSpace,
-    layout: &Layout,
-    share: &[(Addr, u64)],
-    shadow: &mut NaiveShadowMap,
-) {
-    for &(base, len) in share {
-        let mut off = 0;
-        while off < len {
-            let addr = base.add_bytes(off);
-            let page_end = addr.page().next().base().offset_from(base).min(len);
-            if let Ok(Some(page)) = space.scan_page(addr.page()) {
-                let w0 = addr.word_in_page();
-                let w1 = w0 + ((page_end - off) / WORD_SIZE as u64) as usize;
-                for &value in &page[w0..w1] {
-                    if layout.heap_contains(Addr::new(value)) {
-                        shadow.mark(Addr::new(value));
-                    }
-                }
-            }
-            off = page_end;
-        }
-    }
-}
-
 /// The pre-SIMD production loop: the scalar baseline every SIMD row is
 /// judged against (ISSUE 6 acceptance: `simd_serial` ≥ 2× this). Same
-/// `scan_page` slices and [`ShadowWriter`] as the production path; only
-/// the per-word zero test + `heap_contains` differ from the kernel.
+/// `scan_page` slices and [`ShadowWriter`](minesweeper::ShadowWriter) as
+/// the production path; only the per-word zero test + `heap_contains`
+/// differ from the kernel.
 fn scalar_mark(space: &AddrSpace, layout: &Layout, plan: &SweepPlan, shadow: &ShadowMap) -> u64 {
     let mut writer = shadow.writer();
     for &(base, len) in plan.ranges() {
@@ -274,6 +213,24 @@ fn scalar_mark(space: &AddrSpace, layout: &Layout, plan: &SweepPlan, shadow: &Sh
         }
     }
     drop(writer);
+    shadow.marked_count()
+}
+
+/// Drains a fresh [`Marker`] over `plan` into a fresh map in one step and
+/// returns the marked granule count.
+fn serial_mark(space: &mut AddrSpace, plan: &SweepPlan, accel: &mut MarkAccel<'_>) -> u64 {
+    let mut shadow = ShadowMap::new();
+    Marker::new(plan.clone()).step(space, &mut shadow, u64::MAX, accel);
+    shadow.marked_count()
+}
+
+/// Marks `plan` into a fresh map through a one-job pool — the
+/// single-arena parallel mark — and returns the marked granule count.
+fn pool_mark(space: &AddrSpace, plan: &SweepPlan, opts: &PoolMarkOpts<'_>) -> u64 {
+    let shadow = ShadowMap::new();
+    let job =
+        PoolMarkJob { space, plan, shadow: &shadow, filter: None, cache: None, forensics: None };
+    parallel_mark_pool(&[job], opts);
     shadow.marked_count()
 }
 
@@ -397,42 +354,6 @@ fn main() {
     let helper_counts = [1usize, 3, 6];
     let mut samples: Vec<Sample> = Vec::new();
 
-    // Seed scheme, serial: naive map, direct scan loop.
-    samples.push(measure("naive_serial", 0, total_words, reps, &registry, || {
-        let mut shadow = NaiveShadowMap::new();
-        naive_mark_share(&space, &layout, plan.ranges(), &mut shadow);
-        shadow.marked_count()
-    }));
-
-    // Seed scheme, parallel: per-thread naive maps + union merge.
-    for &h in &helper_counts {
-        let shares = split_shares(&plan, h + 1);
-        let space_ref = &space;
-        let layout_ref = &layout;
-        samples.push(measure(&format!("naive_parallel_h{h}"), h, total_words, reps, &registry, || {
-            let maps: Vec<NaiveShadowMap> = std::thread::scope(|scope| {
-                shares
-                    .iter()
-                    .map(|share| {
-                        scope.spawn(move || {
-                            let mut shadow = NaiveShadowMap::new();
-                            naive_mark_share(space_ref, layout_ref, share, &mut shadow);
-                            shadow
-                        })
-                    })
-                    .collect::<Vec<_>>()
-                    .into_iter()
-                    .map(|hnd| hnd.join().expect("marker thread"))
-                    .collect()
-            });
-            let mut merged = NaiveShadowMap::new();
-            for m in &maps {
-                merged.union(m);
-            }
-            merged.marked_count()
-        }));
-    }
-
     // Scalar reference: the pre-SIMD production loop (atomic radix map,
     // per-word test). The SIMD acceptance ratio is measured against this.
     samples.push(measure("atomic_serial", 0, total_words, reps, &registry, || {
@@ -442,24 +363,12 @@ fn main() {
 
     // Production Marker path: the chunked SIMD kernel at its
     // auto-dispatched tier, and forced down to the portable SWAR tier.
+    let swar = || MarkAccel { tier: Some(ScanTier::Swar), ..MarkAccel::default() };
     samples.push(measure("simd_serial", 0, total_words, reps, &registry, || {
-        let mut shadow = ShadowMap::new();
-        let mut accel = MarkAccel { prof, ..MarkAccel::default() };
-        Marker::new(plan.clone()).run_to_end_accel(&mut space, &layout, &mut shadow, &mut accel);
-        shadow.marked_count()
+        serial_mark(&mut space, &plan, &mut MarkAccel { prof, ..MarkAccel::default() })
     }));
     samples.push(measure("swar_serial", 0, total_words, reps, &registry, || {
-        let mut shadow = ShadowMap::new();
-        let mut accel = MarkAccel {
-            filter: None,
-            cache: None,
-            qgen: 0,
-            forensics: None,
-            tier: Some(ScanTier::Swar),
-            prof: None,
-        };
-        Marker::new(plan.clone()).run_to_end_accel(&mut space, &layout, &mut shadow, &mut accel);
-        shadow.marked_count()
+        serial_mark(&mut space, &plan, &mut swar())
     }));
 
     // SIMD serial again, but with the sweep tracer engaged on a null
@@ -469,10 +378,8 @@ fn main() {
     let mut tracer = Tracer::disabled();
     tracer.set_sink(Box::new(NullSink));
     samples.push(measure("simd_serial_nullsink", 0, total_words, reps, &registry, || {
-        let mut shadow = ShadowMap::new();
         let sw = tracer.stopwatch();
-        Marker::new(plan.clone()).run_to_end(&mut space, &layout, &mut shadow);
-        let marked = shadow.marked_count();
+        let marked = serial_mark(&mut space, &plan, &mut MarkAccel::default());
         tracer.emit(|| EventKind::MarkPhase {
             sweep: 0,
             bytes: total_words * WORD_SIZE as u64,
@@ -486,26 +393,12 @@ fn main() {
         marked
     }));
 
-    // Work-stealing parallel mark: one shared atomic map, 64-page chunks
-    // off an atomic cursor. `share_parallel` runs the same machinery with
-    // one giant chunk per thread — the old static contiguous split — as
-    // the stealing-off comparison point.
+    // Work-stealing parallel mark: a one-job pool, one shared atomic
+    // map, 64-page chunks off an atomic cursor.
     for &h in &helper_counts {
         samples.push(measure(&format!("steal_parallel_h{h}"), h, total_words, reps, &registry, || {
-            let opts =
-                ParallelMarkOpts { helper_threads: h, prof, ..ParallelMarkOpts::default() };
-            parallel_mark_opts(&space, &plan, &layout, &opts).0.marked_count()
-        }));
-    }
-    for &h in &helper_counts {
-        let share_pages = pages.div_ceil(h as u64 + 1).max(1);
-        samples.push(measure(&format!("share_parallel_h{h}"), h, total_words, reps, &registry, || {
-            let opts = ParallelMarkOpts {
-                helper_threads: h,
-                chunk_pages: Some(share_pages),
-                ..ParallelMarkOpts::default()
-            };
-            parallel_mark_opts(&space, &plan, &layout, &opts).0.marked_count()
+            let opts = PoolMarkOpts { helper_threads: h, prof, ..PoolMarkOpts::default() };
+            pool_mark(&space, &plan, &opts)
         }));
     }
 
@@ -526,12 +419,8 @@ fn main() {
         let mut cache = PageCache::new();
         epoch += 1;
         cache.begin_sweep(&plan, &[], epoch);
-        {
-            let mut shadow = ShadowMap::new();
-            let mut accel =
-                MarkAccel { filter: None, cache: Some(&mut cache), qgen: 0, forensics: None, tier, prof: None };
-            Marker::new(plan.clone()).run_to_end_accel(&mut space, &layout, &mut shadow, &mut accel);
-        }
+        let mut accel = MarkAccel { cache: Some(&mut cache), tier, ..MarkAccel::default() };
+        serial_mark(&mut space, &plan, &mut accel);
         let name = match tier {
             None => format!("incremental_d{pct}"),
             Some(t) => format!("incremental_d{pct}_{}", t.as_str()),
@@ -539,11 +428,8 @@ fn main() {
         let mut s = measure(&name, 0, total_words, reps, &registry, || {
             epoch += 1;
             cache.begin_sweep(&plan, &dirty, epoch);
-            let mut shadow = ShadowMap::new();
-            let mut accel =
-                MarkAccel { filter: None, cache: Some(&mut cache), qgen: 0, forensics: None, tier, prof: None };
-            Marker::new(plan.clone()).run_to_end_accel(&mut space, &layout, &mut shadow, &mut accel);
-            shadow.marked_count()
+            let mut accel = MarkAccel { cache: Some(&mut cache), tier, ..MarkAccel::default() };
+            serial_mark(&mut space, &plan, &mut accel)
         });
         s.dirty_pct = Some(pct);
         samples.push(s);
@@ -557,19 +443,8 @@ fn main() {
             .filter(|i| i % 8 == 0)
             .map(|i| (heap_base.add_bytes(i * PAGE_SIZE as u64), PAGE_SIZE as u64)),
     );
-    let expect_filtered = {
-        let mut shadow = ShadowMap::new();
-        let mut accel = MarkAccel {
-            filter: Some(&filter),
-            cache: None,
-            qgen: 0,
-            forensics: None,
-            tier: None,
-            prof: None,
-        };
-        Marker::new(plan.clone()).run_to_end_accel(&mut space, &layout, &mut shadow, &mut accel);
-        shadow.marked_count()
-    };
+    let mut accel = MarkAccel { filter: Some(&filter), ..MarkAccel::default() };
+    let expect_filtered = serial_mark(&mut space, &plan, &mut accel);
     {
         let stride = 20u64; // 5% dirty
         let dirty: Vec<PageIdx> = (0..pages)
@@ -579,32 +454,18 @@ fn main() {
         let mut cache = PageCache::new();
         epoch += 1;
         cache.begin_sweep(&plan, &[], epoch);
-        {
-            let mut shadow = ShadowMap::new();
-            let mut accel = MarkAccel {
-                filter: Some(&filter),
-                cache: Some(&mut cache),
-                qgen: 0,
-                forensics: None,
-                tier: None,
-                prof: None,
-            };
-            Marker::new(plan.clone()).run_to_end_accel(&mut space, &layout, &mut shadow, &mut accel);
-        }
+        let mut accel =
+            MarkAccel { filter: Some(&filter), cache: Some(&mut cache), ..MarkAccel::default() };
+        serial_mark(&mut space, &plan, &mut accel);
         let mut s = measure("incremental_filtered_d5", 0, total_words, reps, &registry, || {
             epoch += 1;
             cache.begin_sweep(&plan, &dirty, epoch);
-            let mut shadow = ShadowMap::new();
             let mut accel = MarkAccel {
                 filter: Some(&filter),
                 cache: Some(&mut cache),
-                qgen: 0,
-                forensics: None,
-                tier: None,
-                prof: None,
+                ..MarkAccel::default()
             };
-            Marker::new(plan.clone()).run_to_end_accel(&mut space, &layout, &mut shadow, &mut accel);
-            shadow.marked_count()
+            serial_mark(&mut space, &plan, &mut accel)
         });
         s.dirty_pct = Some(5);
         samples.push(s);
@@ -627,17 +488,8 @@ fn main() {
     ] {
         let recorder = EdgeRecorder::new(&candidates, mode);
         samples.push(measure(name, 0, total_words, reps, &registry, || {
-            let mut shadow = ShadowMap::new();
-            let mut accel = MarkAccel {
-                filter: None,
-                cache: None,
-                qgen: 0,
-                forensics: recorder.as_ref(),
-                tier: None,
-                prof: None,
-            };
-            Marker::new(plan.clone()).run_to_end_accel(&mut space, &layout, &mut shadow, &mut accel);
-            shadow.marked_count()
+            let mut accel = MarkAccel { forensics: recorder.as_ref(), ..MarkAccel::default() };
+            serial_mark(&mut space, &plan, &mut accel)
         }));
         if mode == ForensicsMode::Full {
             let rec = recorder.as_ref().expect("full mode builds a recorder");
@@ -658,27 +510,10 @@ fn main() {
         scalar_mark(&sparse_space, &layout, &sparse_plan, &shadow)
     }));
     samples.push(measure("simd_serial_sparse", 0, total_words, reps, &registry, || {
-        let mut shadow = ShadowMap::new();
-        Marker::new(sparse_plan.clone()).run_to_end(&mut sparse_space, &layout, &mut shadow);
-        shadow.marked_count()
+        serial_mark(&mut sparse_space, &sparse_plan, &mut MarkAccel::default())
     }));
     samples.push(measure("swar_serial_sparse", 0, total_words, reps, &registry, || {
-        let mut shadow = ShadowMap::new();
-        let mut accel = MarkAccel {
-            filter: None,
-            cache: None,
-            qgen: 0,
-            forensics: None,
-            tier: Some(ScanTier::Swar),
-            prof: None,
-        };
-        Marker::new(sparse_plan.clone()).run_to_end_accel(
-            &mut sparse_space,
-            &layout,
-            &mut shadow,
-            &mut accel,
-        );
-        shadow.marked_count()
+        serial_mark(&mut sparse_space, &sparse_plan, &mut swar())
     }));
 
     // All-nonzero fixture: the kernel's worst case and the scalar loop's
@@ -693,9 +528,7 @@ fn main() {
         scalar_mark(&dense_space, &layout, &dense_plan, &shadow)
     }));
     samples.push(measure("simd_serial_dense", 0, total_words, reps, &registry, || {
-        let mut shadow = ShadowMap::new();
-        Marker::new(dense_plan.clone()).run_to_end(&mut dense_space, &layout, &mut shadow);
-        shadow.marked_count()
+        serial_mark(&mut dense_space, &dense_plan, &mut MarkAccel::default())
     }));
 
     // Multi-tenant shape: the fixture budget cut into K mini-heaps, each
@@ -730,13 +563,7 @@ fn main() {
             reps,
             &registry,
             || {
-                fixtures
-                    .iter()
-                    .map(|(sp, pl)| {
-                        let opts = ParallelMarkOpts::default();
-                        parallel_mark_opts(sp, pl, sp.layout(), &opts).0.marked_count()
-                    })
-                    .sum()
+                fixtures.iter().map(|(sp, pl)| pool_mark(sp, pl, &PoolMarkOpts::default())).sum()
             },
         ));
         samples.push(measure(
@@ -746,16 +573,8 @@ fn main() {
             reps,
             &registry,
             || {
-                fixtures
-                    .iter()
-                    .map(|(sp, pl)| {
-                        let opts = ParallelMarkOpts {
-                            helper_threads: 6,
-                            ..ParallelMarkOpts::default()
-                        };
-                        parallel_mark_opts(sp, pl, sp.layout(), &opts).0.marked_count()
-                    })
-                    .sum()
+                let opts = PoolMarkOpts { helper_threads: 6, ..PoolMarkOpts::default() };
+                fixtures.iter().map(|(sp, pl)| pool_mark(sp, pl, &opts)).sum()
             },
         ));
         // Shadows live across reps and are cleared in place, as the
@@ -791,9 +610,10 @@ fn main() {
         ));
     }
 
-    // Every full configuration must find the same mark set; filtered,
-    // sparse, dense and multi-arena configurations check against their
-    // own serial references.
+    // Every full configuration must find the same mark set as the scalar
+    // reference (`atomic_serial`, the first row); filtered, sparse, dense
+    // and multi-arena configurations check against their own serial
+    // references.
     let expect = samples[0].marked;
     for s in &samples {
         let want = if s.name.contains("filtered") {
@@ -831,13 +651,12 @@ fn main() {
             assert_eq!(marked, expect);
 
             let t0 = Instant::now();
-            let mut shadow = ShadowMap::new();
-            let mut accel = MarkAccel { prof, ..MarkAccel::default() };
-            Marker::new(plan.clone()).run_to_end_accel(&mut space, &layout, &mut shadow, &mut accel);
+            let marked =
+                serial_mark(&mut space, &plan, &mut MarkAccel { prof, ..MarkAccel::default() });
             let secs = t0.elapsed().as_secs_f64() * handicap_for("simd_serial");
             simd_us.record((secs * 1e6) as u64);
             best_simd = best_simd.min(secs);
-            assert_eq!(shadow.marked_count(), expect);
+            assert_eq!(marked, expect);
         }
         for (name, best) in [("atomic_serial", best_scalar), ("simd_serial", best_simd)] {
             let s = samples.iter_mut().find(|s| s.name == name).expect("measured above");
@@ -874,16 +693,14 @@ fn main() {
         "{:<24} {:>9} {:>6} {:>12} {:>14}",
         "config", "help r/e", "dirty", "ms", "Mwords/s"
     );
-    let baseline = samples[0].words_per_sec;
     for s in &samples {
         println!(
-            "{:<24} {:>9} {:>6} {:>12.3} {:>14.1}   ({:.2}x naive serial){}",
+            "{:<24} {:>9} {:>6} {:>12.3} {:>14.1}{}",
             s.name,
             format!("{}/{}", s.helpers, s.effective_helpers),
             s.dirty_pct.map_or("-".to_string(), |p| format!("{p}%")),
             s.best_secs * 1e3,
             s.words_per_sec / 1e6,
-            s.words_per_sec / baseline,
             if s.degraded { "  [degraded: 0 helpers]" } else { "" },
         );
     }
@@ -948,14 +765,13 @@ fn main() {
         let dirty = s.dirty_pct.map_or("null".to_string(), |p| p.to_string());
         let _ = writeln!(
             json,
-            "    {{ \"name\": \"{}\", \"requested_helpers\": {}, \"effective_helpers\": {}, \"degraded\": {}, \"dirty_pct\": {dirty}, \"best_ms\": {:.3}, \"words_per_sec\": {:.0}, \"vs_naive_serial\": {:.3} }}{comma}",
+            "    {{ \"name\": \"{}\", \"requested_helpers\": {}, \"effective_helpers\": {}, \"degraded\": {}, \"dirty_pct\": {dirty}, \"best_ms\": {:.3}, \"words_per_sec\": {:.0} }}{comma}",
             s.name,
             s.helpers,
             s.effective_helpers,
             s.degraded,
             s.best_secs * 1e3,
-            s.words_per_sec,
-            s.words_per_sec / baseline
+            s.words_per_sec
         );
     }
     let _ = writeln!(json, "  ]");

@@ -9,7 +9,7 @@
 //!   the recorder attributes a *provenance edge* (source address → target
 //!   entry) to the entry, keeping a hit count and one example source per
 //!   entry. All state is atomic, so serial stepping and
-//!   [`crate::parallel_mark_accel`] share one recorder without locks.
+//!   [`crate::parallel_mark_pool`] share one recorder without locks.
 //!   Sampled mode records roughly 1-in-N edges through a shared tick.
 //! * [`FailedFreeLedger`] — survives across sweeps in the layer. Every
 //!   failed-free decision lands here (first-failed generation, survival

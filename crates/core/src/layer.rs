@@ -80,7 +80,9 @@ pub struct SweepReport {
 ///   [`MineSweeper::finish_sweep`] — incrementally, for callers that
 ///   interleave mutator work with sweep progress (the discrete-event
 ///   engine uses this to model concurrency in virtual time);
-/// * [`crate::parallel_mark`] — one-shot marking on real OS threads.
+/// * [`MineSweeper::pooled_mark_job`] / [`crate::parallel_mark_pool`] /
+///   [`MineSweeper::finish_sweep_premarked`] — marking on real OS
+///   threads, batched across arenas (a single arena is a one-job pool).
 #[derive(Debug)]
 pub struct MineSweeper<B: HeapBackend = JAlloc> {
     cfg: MsConfig,
@@ -625,7 +627,6 @@ impl<B: HeapBackend> MineSweeper<B> {
     pub fn sweep_step(&mut self, space: &mut AddrSpace, word_budget: u64) -> StepResult {
         let sw = self.tracer.stopwatch();
         let active = self.active.as_mut().expect("no sweep in flight");
-        let layout = *space.layout();
         let cache = (self.cfg.marking && self.cfg.page_cache)
             .then_some(&mut self.page_cache);
         let mut accel = MarkAccel {
@@ -636,8 +637,7 @@ impl<B: HeapBackend> MineSweeper<B> {
             tier: None,
             prof: self.prof.as_ref(),
         };
-        let r =
-            active.marker.step_accel(space, &layout, &mut self.shadow, word_budget, &mut accel);
+        let r = active.marker.step(space, &mut self.shadow, word_budget, &mut accel);
         active.mark_bytes += r.bytes;
         active.mark_words += r.words;
         active.mark_skipped_bytes += r.skipped_bytes;
@@ -668,7 +668,6 @@ impl<B: HeapBackend> MineSweeper<B> {
     /// Panics if no sweep is in flight.
     pub fn finish_sweep(&mut self, space: &mut AddrSpace) -> SweepReport {
         let mut active = self.active.take().expect("no sweep in flight");
-        let layout = *space.layout();
         let mut report = SweepReport::default();
 
         // Drain any marking the caller did not step through.
@@ -684,7 +683,7 @@ impl<B: HeapBackend> MineSweeper<B> {
                 tier: None,
                 prof: self.prof.as_ref(),
             };
-            active.marker.run_to_end_accel(space, &layout, &mut self.shadow, &mut accel)
+            active.marker.step(space, &mut self.shadow, u64::MAX, &mut accel)
         };
         report.marked_words += drained.words;
         active.mark_bytes += drained.bytes;
@@ -784,7 +783,6 @@ impl<B: HeapBackend> MineSweeper<B> {
         mut report: SweepReport,
     ) -> SweepReport {
         let id = active.id;
-        let layout = *space.layout();
         report.skipped_bytes = active.mark_skipped_bytes;
         let marked_granules = self.shadow.marked_count();
         // Profiler attribution for this sweep: deltas of the cumulative
@@ -821,7 +819,7 @@ impl<B: HeapBackend> MineSweeper<B> {
         if self.cfg.mode == SweepMode::MostlyConcurrent && self.cfg.marking {
             let mut stw_words = 0;
             for page in space.soft_dirty_pages() {
-                stw_words += mark_page(space, &layout, &mut self.shadow, page);
+                stw_words += mark_page(space, &mut self.shadow, page);
                 report.stw_pages += 1;
             }
             report.marked_words += stw_words;

@@ -84,9 +84,9 @@ pub use shadow::{NaiveShadowMap, ShadowMap, ShadowWriter, WriterProf, MAX_SHADOW
 pub use stats::MsStats;
 pub use simd::ScanTier;
 pub use sweep::{
-    effective_helper_count, parallel_mark, parallel_mark_accel, parallel_mark_opts,
-    parallel_mark_pool, MarkAccel, MarkProfile, Marker, ParallelMarkOpts, ParallelMarkStats,
-    PoolMarkJob, PoolMarkOpts, PoolMarkResult, StepResult, SweepPlan, PARALLEL_CHUNK_PAGES,
+    effective_helper_count, parallel_mark_pool, MarkAccel, MarkProfile, Marker,
+    ParallelMarkStats, PoolMarkJob, PoolMarkOpts, PoolMarkResult, StepResult, SweepPlan,
+    PARALLEL_CHUNK_PAGES,
 };
 pub use telem::{MsCounters, SweepProf, LAYER_SUBSYSTEM, SWEEP_SUBSYSTEM};
 

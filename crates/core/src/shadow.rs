@@ -329,9 +329,10 @@ impl ShadowMap {
     /// accumulate locally (one `fetch_add` at drop instead of one per
     /// flush). On the serial mark path the locked flush is the single
     /// largest per-survivor cost — roughly 20 cycles each time the sweep
-    /// cursor leaves a 1 KiB address window — so the serial [`Marker`]
-    /// and the stop-the-world re-mark run through this writer. The
-    /// parallel helpers keep the shared [`ShadowMap::writer`].
+    /// cursor leaves a 1 KiB address window — so the serial
+    /// [`Marker`](crate::Marker) and the stop-the-world re-mark run
+    /// through this writer. The parallel helpers keep the shared
+    /// [`ShadowMap::writer`].
     pub fn writer_mut(&mut self) -> ShadowWriter<'_> {
         ShadowWriter {
             map: self,
@@ -755,10 +756,8 @@ impl Drop for ShadowWriter<'_> {
 }
 
 /// The seed's `HashMap`-of-chunks shadow map, kept as the reference
-/// implementation: differential tests check the radix map against it, and
-/// the sweep-bandwidth bench measures the atomic map's speedup over it
-/// (including the per-thread-map + union merge the parallel phase used to
-/// pay).
+/// implementation: differential tests check the radix map and the mark
+/// paths against it.
 #[derive(Clone, Debug, Default)]
 pub struct NaiveShadowMap {
     chunks: HashMap<u64, Box<[u64; CHUNK_WORDS]>>,
@@ -818,20 +817,6 @@ impl NaiveShadowMap {
     /// Whether nothing is marked.
     pub fn is_empty(&self) -> bool {
         self.marked == 0
-    }
-
-    /// Unions another map into this one (the per-thread-map merge the
-    /// seed's parallel marking phase performed, kept for the bench's
-    /// before/after comparison).
-    pub fn union(&mut self, other: &NaiveShadowMap) {
-        for (&chunk, other_words) in &other.chunks {
-            let words = self.chunks.entry(chunk).or_insert_with(|| Box::new([0; CHUNK_WORDS]));
-            for (w, &ow) in other_words.iter().enumerate() {
-                let newly = ow & !words[w];
-                self.marked += newly.count_ones() as u64;
-                words[w] |= ow;
-            }
-        }
     }
 
     /// Approximate resident size in bytes.

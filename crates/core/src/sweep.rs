@@ -13,14 +13,15 @@
 //! and erased behind it* during the sweep is missed — §4.3 footnote 5) and
 //! the mostly-concurrent mode's soft-dirty stop-the-world fix.
 //!
-//! The shadow map is atomic (see [`crate::shadow`]), so [`parallel_mark`]
-//! threads share **one** map with no per-thread maps and no union barrier
-//! (§4.4). Parallel marking schedules by **work stealing**: an atomic
-//! cursor over fixed page-range chunks, so helpers never idle behind an
-//! unlucky static share. The *serial* paths ([`Marker`], [`mark_page`])
-//! instead take `&mut ShadowMap` and mark through the exclusive
-//! store-only [`ShadowWriter`](crate::shadow::ShadowMap::writer_mut) —
-//! no locked RMW per 1 KiB window.
+//! The shadow map is atomic (see [`crate::shadow`]), so
+//! [`parallel_mark_pool`] threads share **one** map per arena with no
+//! per-thread maps and no union barrier (§4.4). Parallel marking
+//! schedules by **work stealing**: an atomic cursor over fixed page-range
+//! chunks, so helpers never idle behind an unlucky static share. The
+//! *serial* paths ([`Marker`], [`mark_page`]) instead take
+//! `&mut ShadowMap` and mark through the exclusive store-only
+//! [`ShadowWriter`](crate::shadow::ShadowMap::writer_mut) — no locked RMW
+//! per 1 KiB window.
 //!
 //! Every scanned word — serial, parallel, STW re-mark or forensic — goes
 //! through the single [`scan_words`] inner loop, whose classify pass is
@@ -115,22 +116,6 @@ pub struct StepResult {
     pub pin_edges: u64,
     /// Whether the marking phase is complete.
     pub finished: bool,
-}
-
-impl StepResult {
-    /// Folds another step's counters into this one (`finished` takes the
-    /// later step's value).
-    fn absorb(&mut self, r: StepResult) {
-        self.words += r.words;
-        self.bytes += r.bytes;
-        self.skipped_bytes += r.skipped_bytes;
-        self.heap_words += r.heap_words;
-        self.pages_skipped += r.pages_skipped;
-        self.pages_replayed += r.pages_replayed;
-        self.filter_rejects += r.filter_rejects;
-        self.pin_edges += r.pin_edges;
-        self.finished = r.finished;
-    }
 }
 
 /// Acceleration context for a sweep: the optional candidate filter and
@@ -234,7 +219,8 @@ impl Marker {
     }
 
     /// Advances the cursor by up to `word_budget` words, marking pointer
-    /// targets in `shadow`.
+    /// targets in `shadow`. A budget of `u64::MAX` drains the plan in one
+    /// call.
     ///
     /// Pages are processed in slices — one `scan_page` lookup per page,
     /// with the marks issued while the page borrow is live and the
@@ -244,17 +230,9 @@ impl Marker {
     /// faithfully reproducing the §4.5 failure mode that the
     /// commit/decommit extent hooks exist to prevent; protected pages are
     /// skipped.
-    pub fn step(
-        &mut self,
-        space: &mut AddrSpace,
-        layout: &Layout,
-        shadow: &mut ShadowMap,
-        word_budget: u64,
-    ) -> StepResult {
-        self.step_accel(space, layout, shadow, word_budget, &mut MarkAccel::default())
-    }
-
-    /// [`Marker::step`] with the incremental-sweep accelerations engaged:
+    ///
+    /// `accel` engages the incremental-sweep accelerations (a default
+    /// [`MarkAccel`] engages none):
     ///
     /// * **cache replay** — a fully-covered page with a valid
     ///   [`PageCache`] entry skips its 512-word re-read; the digest is
@@ -267,14 +245,14 @@ impl Marker {
     ///   value after zero-on-free, §4.1) falls through in one compare;
     /// * **digest recording** — every fully scanned page records its
     ///   pre-filter digest for the next sweep.
-    pub fn step_accel(
+    pub fn step(
         &mut self,
         space: &mut AddrSpace,
-        layout: &Layout,
         shadow: &mut ShadowMap,
         word_budget: u64,
         accel: &mut MarkAccel<'_>,
     ) -> StepResult {
+        let layout = *space.layout();
         // The serial cursor owns its map for the duration of the step, so
         // it gets the exclusive writer's store-only flush.
         let mut writer = shadow.writer_mut();
@@ -367,7 +345,7 @@ impl Marker {
                         tier,
                         slice,
                         addr,
-                        layout,
+                        &layout,
                         &mut writer,
                         accel.filter,
                         digest,
@@ -425,42 +403,6 @@ impl Marker {
             prof.fold_writer(&writer.take_prof());
         }
         r
-    }
-
-    /// Runs the cursor to completion, returning total words examined.
-    pub fn run_to_end(
-        &mut self,
-        space: &mut AddrSpace,
-        layout: &Layout,
-        shadow: &mut ShadowMap,
-    ) -> u64 {
-        let mut total = 0;
-        loop {
-            let r = self.step(space, layout, shadow, u64::MAX);
-            total += r.words;
-            if r.finished {
-                return total;
-            }
-        }
-    }
-
-    /// Runs the cursor to completion with accelerations, returning the
-    /// aggregated [`StepResult`].
-    pub fn run_to_end_accel(
-        &mut self,
-        space: &mut AddrSpace,
-        layout: &Layout,
-        shadow: &mut ShadowMap,
-        accel: &mut MarkAccel<'_>,
-    ) -> StepResult {
-        let mut total = StepResult::default();
-        loop {
-            let r = self.step_accel(space, layout, shadow, u64::MAX, accel);
-            total.absorb(r);
-            if total.finished {
-                return total;
-            }
-        }
     }
 }
 
@@ -532,12 +474,7 @@ fn scan_words(
 /// soft-dirty page that was freed-and-zeroed since the snapshot costs one
 /// lane-OR per cache line, not 512 range tests. Returns words examined;
 /// protected/unmapped pages contribute zero.
-pub fn mark_page(
-    space: &mut AddrSpace,
-    layout: &Layout,
-    shadow: &mut ShadowMap,
-    page: PageIdx,
-) -> u64 {
+pub fn mark_page(space: &AddrSpace, shadow: &mut ShadowMap, page: PageIdx) -> u64 {
     match space.scan_page(page) {
         Ok(Some(words)) => {
             let mut writer = shadow.writer_mut();
@@ -546,7 +483,7 @@ pub fn mark_page(
                 simd::active_tier(),
                 words,
                 page.base(),
-                layout,
+                space.layout(),
                 &mut writer,
                 None,
                 None,
@@ -560,38 +497,18 @@ pub fn mark_page(
     }
 }
 
-/// Default work-queue chunk size for [`parallel_mark_opts`], in pages.
+/// Default work-queue chunk size for [`parallel_mark_pool`], in pages.
 /// 64 pages (256 KiB) is small enough that a straggler finishing its last
 /// chunk idles the other threads for at most ~a quarter-millisecond of
 /// scanning, and large enough that the atomic cursor claim (one
 /// `fetch_add` per chunk) is amortised over 32 K words.
 pub const PARALLEL_CHUNK_PAGES: u64 = 64;
 
-/// One-shot parallel marking with real OS threads (§4.4: "a main sweeper
-/// thread and some helpers"). Work-stealing wrapper over
-/// [`parallel_mark_opts`] — see there for the scheduling story.
-///
-/// This is the library-facing sweep used when no discrete-event engine is
-/// orchestrating virtual time (examples, tests, raw-bandwidth benches).
-///
-/// The helper count is clamped via [`effective_helper_count`]: asking for
-/// more helpers than the machine has spare cores only adds scheduling
-/// churn to what is a bandwidth-bound loop.
-pub fn parallel_mark(
-    space: &AddrSpace,
-    plan: &SweepPlan,
-    layout: &Layout,
-    helper_threads: usize,
-) -> ShadowMap {
-    parallel_mark_accel(space, plan, layout, helper_threads, None, None, None).0
-}
-
 /// Wall-clock and scheduling attribution from one profiled parallel
-/// mark. Unlike the rest of [`ParallelMarkStats`] these fields are
+/// mark. Unlike [`ParallelMarkStats`] these fields are
 /// **nondeterministic** (clock reads and claim-order dependent), which is
-/// why they live behind [`ParallelMarkOpts::prof`]: with the profiler
-/// off every field stays zero and whole-struct stats comparisons remain
-/// exact.
+/// why they live behind [`PoolMarkOpts::prof`] and apart from the
+/// per-job stats: with the profiler off every field stays zero.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct MarkProfile {
     /// Chunks claimed from the shared cursor (all threads).
@@ -605,13 +522,11 @@ pub struct MarkProfile {
     pub wall_ns: u64,
 }
 
-/// Aggregated counters from one parallel mark. Every field is
+/// One job's aggregated counters from a pooled mark. Every field is
 /// **deterministic** — each chunk of the work queue is claimed exactly
 /// once and every word is classified exactly once, so the totals are
 /// independent of helper count, chunk size and claim order (the
-/// work-stealing determinism proptests pin this down) — except the
-/// diagnostic [`MarkProfile`], which stays all-zero unless
-/// [`ParallelMarkOpts::prof`] is set.
+/// work-stealing determinism proptests pin this down).
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct ParallelMarkStats {
     /// Words read and classified (excludes cache-replayed pages).
@@ -630,190 +545,11 @@ pub struct ParallelMarkStats {
     pub chunks: u64,
     /// Helper threads actually spawned after the hardware clamp.
     pub effective_helpers: usize,
-    /// Profiler attribution; all-zero when [`ParallelMarkOpts::prof`] is
-    /// `None`.
-    pub prof: MarkProfile,
-}
-
-/// Options for [`parallel_mark_opts`]. `Default` reproduces
-/// [`parallel_mark`]: no filter, no cache, no forensics, auto-dispatched
-/// scan tier, [`PARALLEL_CHUNK_PAGES`]-page chunks, zero helpers.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ParallelMarkOpts<'a> {
-    /// Helper threads requested (clamped via [`effective_helper_count`]).
-    pub helper_threads: usize,
-    /// Candidate filter gating shadow writes.
-    pub filter: Option<&'a CandidateFilter>,
-    /// Read-only page-summary cache; clean fully-covered pages replay
-    /// their digest instead of being re-read. Helper threads never record
-    /// fresh digests (recording needs `&mut` and a coherent full-page
-    /// scan; the incremental [`Marker`] owns that path).
-    pub cache: Option<&'a PageCache>,
-    /// Forensics recorder shared by all threads (its counters are
-    /// atomic).
-    pub forensics: Option<&'a EdgeRecorder>,
-    /// Scan-kernel tier override; `None` uses [`simd::active_tier`].
-    pub tier: Option<ScanTier>,
-    /// Work-queue chunk size in pages; `None` uses
-    /// [`PARALLEL_CHUNK_PAGES`]. Exposed so the determinism tests can
-    /// vary claim granularity; results are identical for every value.
-    pub chunk_pages: Option<u64>,
-    /// Sweep profiler: when present, per-chunk scan times, per-helper
-    /// utilisation and the writers' write-combine / chunk-cache counters
-    /// are recorded into the shared `sweep.*` cells and the returned
-    /// [`MarkProfile`]. `None` (default) costs one branch per thread —
-    /// no clock reads inside the claim loop.
-    pub prof: Option<&'a SweepProf>,
-}
-
-/// [`parallel_mark`] with every knob exposed — the full work-stealing
-/// marker.
-///
-/// The plan is cut into fixed page-range chunks (~[`PARALLEL_CHUNK_PAGES`]
-/// pages) at chunk-aligned absolute addresses, queued behind one atomic
-/// cursor. Every thread — the main sweeper and each helper — claims the
-/// next chunk with a relaxed `fetch_add` and routes it through the same
-/// [`scan_words`] SIMD kernel as the serial path. Compared to the static
-/// contiguous byte shares this replaced, no thread can idle behind an
-/// unlucky share: a thread that drew dense, cache-cold or demand-paged
-/// chunks simply claims fewer of them, and the queue drains when the last
-/// chunk does.
-///
-/// All threads mark **directly into one shared atomic shadow map** via
-/// side-effect-free reads ([`AddrSpace::scan_page`], with unbacked pages
-/// skipped — they read as zero, never a heap pointer). There are no
-/// per-thread maps and no union barrier; each thread's
-/// [`ShadowWriter`] keeps the hot loop off the radix walk. Per-thread
-/// counters are folded into the returned [`ParallelMarkStats`] with one
-/// atomic add per thread at join time.
-pub fn parallel_mark_opts(
-    space: &AddrSpace,
-    plan: &SweepPlan,
-    layout: &Layout,
-    opts: &ParallelMarkOpts<'_>,
-) -> (ShadowMap, ParallelMarkStats) {
-    let helpers = effective_helper_count(opts.helper_threads);
-    let threads = helpers + 1;
-    let tier = opts.tier.unwrap_or_else(simd::active_tier);
-    let chunk_bytes =
-        opts.chunk_pages.unwrap_or(PARALLEL_CHUNK_PAGES).max(1) * PAGE_SIZE as u64;
-    // Cut at chunk-aligned *absolute* addresses: steady-state chunk
-    // boundaries are then page boundaries regardless of where a range
-    // starts, so the clean-page replay fast path keeps seeing whole
-    // pages and the chunk list for a given plan is identical for every
-    // thread count.
-    let mut chunks: Vec<(Addr, u64)> = Vec::new();
-    for &(base, len) in plan.ranges() {
-        let mut off = 0;
-        while off < len {
-            let addr = base.add_bytes(off);
-            let next = (addr.raw() / chunk_bytes + 1) * chunk_bytes;
-            let take = (next - addr.raw()).min(len - off);
-            chunks.push((addr, take));
-            off += take;
-        }
-    }
-
-    let shadow = ShadowMap::new();
-    let cursor = AtomicUsize::new(0);
-    let words = AtomicU64::new(0);
-    let heap_words = AtomicU64::new(0);
-    let filter_rejects = AtomicU64::new(0);
-    let pages_skipped = AtomicU64::new(0);
-    let pages_replayed = AtomicU64::new(0);
-    let prof_busy_ns = AtomicU64::new(0);
-    let prof_claimed = AtomicU64::new(0);
-    let prof_stolen = AtomicU64::new(0);
-    // Profiler gate: one branch per thread with `prof` unset — no clock
-    // reads in or around the claim loop.
-    let mark_t0 = opts.prof.map(|_| Instant::now());
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|thread_idx| {
-                let (shadow, chunks, cursor) = (&shadow, &chunks, &cursor);
-                let (words, heap_words) = (&words, &heap_words);
-                let (filter_rejects, pages_skipped, pages_replayed) =
-                    (&filter_rejects, &pages_skipped, &pages_replayed);
-                let (prof_busy_ns, prof_claimed, prof_stolen) =
-                    (&prof_busy_ns, &prof_claimed, &prof_stolen);
-                let opts = *opts;
-                scope.spawn(move || {
-                    let thread_t0 = opts.prof.map(|_| Instant::now());
-                    let mut writer = shadow.writer();
-                    let mut local = ParallelMarkStats::default();
-                    let (mut busy_ns, mut claimed) = (0u64, 0u64);
-                    loop {
-                        let k = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(&(base, len)) = chunks.get(k) else { break };
-                        let chunk_t0 = opts.prof.map(|_| Instant::now());
-                        mark_chunk(
-                            space,
-                            layout,
-                            tier,
-                            opts.filter,
-                            opts.cache,
-                            opts.forensics,
-                            base,
-                            len,
-                            &mut writer,
-                            &mut local,
-                        );
-                        if let (Some(p), Some(t0)) = (opts.prof, chunk_t0) {
-                            let ns = t0.elapsed().as_nanos() as u64;
-                            p.chunk_scan_ns.record(ns);
-                            busy_ns += ns;
-                            claimed += 1;
-                        }
-                    }
-                    if let (Some(p), Some(t0)) = (opts.prof, thread_t0) {
-                        p.fold_writer(&writer.take_prof());
-                        let wall = t0.elapsed().as_nanos() as u64;
-                        p.helper_chunks.record(claimed);
-                        p.helper_busy_pct.record(
-                            (busy_ns * 100).checked_div(wall).map_or(100, |pct| pct.min(100)),
-                        );
-                        prof_busy_ns.fetch_add(busy_ns, Ordering::Relaxed);
-                        prof_claimed.fetch_add(claimed, Ordering::Relaxed);
-                        p.chunks_claimed.add(claimed);
-                        if thread_idx > 0 {
-                            prof_stolen.fetch_add(claimed, Ordering::Relaxed);
-                            p.chunks_stolen.add(claimed);
-                        }
-                    }
-                    drop(writer);
-                    words.fetch_add(local.words, Ordering::Relaxed);
-                    heap_words.fetch_add(local.heap_words, Ordering::Relaxed);
-                    filter_rejects.fetch_add(local.filter_rejects, Ordering::Relaxed);
-                    pages_skipped.fetch_add(local.pages_skipped, Ordering::Relaxed);
-                    pages_replayed.fetch_add(local.pages_replayed, Ordering::Relaxed);
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().expect("marker thread panicked");
-        }
-    });
-    let stats = ParallelMarkStats {
-        words: words.into_inner(),
-        heap_words: heap_words.into_inner(),
-        filter_rejects: filter_rejects.into_inner(),
-        pages_skipped: pages_skipped.into_inner(),
-        pages_replayed: pages_replayed.into_inner(),
-        chunks: chunks.len() as u64,
-        effective_helpers: helpers,
-        prof: MarkProfile {
-            chunks_claimed: prof_claimed.into_inner(),
-            chunks_stolen: prof_stolen.into_inner(),
-            busy_ns: prof_busy_ns.into_inner(),
-            wall_ns: mark_t0.map_or(0, |t0| t0.elapsed().as_nanos() as u64),
-        },
-    };
-    (shadow, stats)
 }
 
 /// Marks one work-queue chunk: per-page slices through the shared
 /// [`scan_words`] kernel, with the clean-page digest replay fast path for
-/// fully-covered cached pages. Mirrors the serial [`Marker::step_accel`]
+/// fully-covered cached pages. Mirrors the serial [`Marker::step`]
 /// accounting (replay rejects count, `pages_replayed` means "replay
 /// marked something").
 #[allow(clippy::too_many_arguments)]
@@ -904,8 +640,8 @@ pub struct PoolMarkJob<'a> {
 }
 
 /// Options for [`parallel_mark_pool`]. `Default`: zero helpers, auto
-/// tier, default chunking, shared roots on, no profiler.
-#[derive(Clone, Copy, Debug)]
+/// tier, default chunking, no profiler.
+#[derive(Clone, Copy, Debug, Default)]
 pub struct PoolMarkOpts<'a> {
     /// Helper threads requested (clamped via [`effective_helper_count`]).
     pub helper_threads: usize,
@@ -914,27 +650,8 @@ pub struct PoolMarkOpts<'a> {
     /// Work-queue chunk size in pages; `None` uses
     /// [`PARALLEL_CHUNK_PAGES`].
     pub chunk_pages: Option<u64>,
-    /// Treat root-segment (stack/globals) chunks as *shared process
-    /// state*: each root chunk is scanned once per scheduled arena and
-    /// marked into every arena's shadow through that arena's own filter,
-    /// so a dangling root pointer in one arena pins quarantined blocks in
-    /// another. Heap chunks always mark only their owning arena (tenant
-    /// heaps are disjoint). Off reproduces N independent marks exactly.
-    pub shared_roots: bool,
     /// Sweep profiler cells shared by all threads.
     pub prof: Option<&'a SweepProf>,
-}
-
-impl Default for PoolMarkOpts<'_> {
-    fn default() -> Self {
-        PoolMarkOpts {
-            helper_threads: 0,
-            tier: None,
-            chunk_pages: None,
-            shared_roots: true,
-            prof: None,
-        }
-    }
 }
 
 /// Result of one pooled mark: per-job deterministic stats (index-aligned
@@ -971,21 +688,35 @@ struct JobTotals {
     pages_replayed: AtomicU64,
 }
 
-/// The cross-arena generalisation of [`parallel_mark_opts`]: **one**
-/// work-stealing cursor drains the chunk queues of every scheduled
-/// arena's plan, so a helper pool that finishes one tenant's dense heap
-/// immediately steals chunks from the next instead of idling at a
-/// per-arena join barrier — that barrier is exactly what naive per-arena
-/// serial sweeping pays N times.
+/// Parallel marking with real OS threads (§4.4: "a main sweeper thread
+/// and some helpers"), over one or more arenas' plans. A single-arena
+/// sweep is a one-job pool.
 ///
-/// Chunks are cut per job exactly as [`parallel_mark_opts`] cuts them
-/// (chunk-aligned absolute addresses), then interleaved round-robin
-/// across jobs so early-claimed work spreads over all arenas. Each
-/// thread keeps one [`ShadowWriter`] per job; heap chunks mark only
-/// their owner's shadow, root chunks follow
-/// [`PoolMarkOpts::shared_roots`]. All deterministic guarantees of the
-/// single-arena marker carry over per job: the mark set and counters are
-/// independent of helper count, chunk size and claim order.
+/// Each job's plan is cut into fixed page-range chunks
+/// (~[`PARALLEL_CHUNK_PAGES`] pages) at chunk-aligned *absolute*
+/// addresses, so steady-state chunk boundaries are page boundaries and
+/// the chunk list is identical for every thread count. The per-job lists
+/// are interleaved round-robin behind **one** atomic cursor: every
+/// thread claims the next chunk with a relaxed `fetch_add` and routes it
+/// through the same `scan_words` SIMD kernel as the serial path. No
+/// thread idles behind an unlucky static share, and a pool that finishes
+/// one tenant's dense heap steals the next tenant's chunks instead of
+/// waiting at a per-arena join barrier.
+///
+/// All threads mark **directly into the jobs' shared atomic shadow
+/// maps** via side-effect-free reads ([`AddrSpace::scan_page`]; unbacked
+/// pages read as zero and never commit). There are no per-thread maps
+/// and no union barrier; each thread keeps one [`ShadowWriter`] per job.
+/// Heap chunks mark only their owner's shadow (tenant heaps are
+/// disjoint). Root-segment (stack/globals) chunks are *shared process
+/// state*: each is scanned from its owner's space into every job's
+/// shadow through that job's own filter, so a dangling root pointer in
+/// one arena pins quarantined blocks in another. Only the owner's pass
+/// replays its page cache and is charged to its stats.
+///
+/// Per-thread counters fold into the per-job [`ParallelMarkStats`] with
+/// one atomic add per thread at join time. The mark sets and counters
+/// are independent of helper count, chunk size and claim order.
 pub fn parallel_mark_pool(
     jobs: &[PoolMarkJob<'_>],
     opts: &PoolMarkOpts<'_>,
@@ -1064,43 +795,30 @@ pub fn parallel_mark_pool(
                         };
                         let job = &jobs[owner];
                         let chunk_t0 = opts.prof.map(|_| Instant::now());
-                        if shared && opts.shared_roots {
-                            // Shared process roots: scan the owner's
-                            // words into every arena's shadow. Only the
-                            // owner's pass counts (words are read once
-                            // per target map but *charged* once).
-                            let mut scratch = ParallelMarkStats::default();
-                            for (j, target) in jobs.iter().enumerate() {
-                                let local = if j == owner {
-                                    &mut locals[owner]
-                                } else {
-                                    &mut scratch
-                                };
-                                mark_chunk(
-                                    job.space,
-                                    target.space.layout(),
-                                    tier,
-                                    target.filter,
-                                    None,
-                                    target.forensics,
-                                    base,
-                                    len,
-                                    &mut writers[j],
-                                    local,
-                                );
-                            }
-                        } else {
+                        // A heap chunk marks its owner only; a shared
+                        // root chunk marks every job. Only the owner's
+                        // pass reads its cache and counts (a root word
+                        // is read once per target map, charged once).
+                        let targets = if shared { 0..jobs.len() } else { owner..owner + 1 };
+                        let mut scratch = ParallelMarkStats::default();
+                        for j in targets {
+                            let target = &jobs[j];
+                            let (cache, local) = if j == owner {
+                                (job.cache, &mut locals[owner])
+                            } else {
+                                (None, &mut scratch)
+                            };
                             mark_chunk(
                                 job.space,
-                                job.space.layout(),
+                                target.space.layout(),
                                 tier,
-                                job.filter,
-                                job.cache,
-                                job.forensics,
+                                target.filter,
+                                cache,
+                                target.forensics,
                                 base,
                                 len,
-                                &mut writers[owner],
-                                &mut locals[owner],
+                                &mut writers[j],
+                                local,
                             );
                         }
                         if let (Some(p), Some(t0)) = (opts.prof, chunk_t0) {
@@ -1161,7 +879,6 @@ pub fn parallel_mark_pool(
             pages_replayed: t.pages_replayed.into_inner(),
             chunks,
             effective_helpers: helpers,
-            prof: MarkProfile::default(),
         })
         .collect();
     PoolMarkResult {
@@ -1182,31 +899,6 @@ pub fn parallel_mark_pool(
 pub fn effective_helper_count(requested: usize) -> usize {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     requested.min(cores.saturating_sub(1))
-}
-
-/// [`parallel_mark`] with the incremental-sweep accelerations: an optional
-/// candidate `filter` gating shadow-map writes and an optional read-only
-/// page `cache` whose digests are replayed (through the current filter)
-/// for clean, fully-chunk-covered pages instead of re-reading them.
-/// Convenience shape of [`parallel_mark_opts`] with auto tier and default
-/// chunking; the returned [`ParallelMarkStats`] carries the atomically
-/// aggregated per-thread counters (notably `filter_rejects`, which the
-/// telemetry reconcile checks against the trace).
-pub fn parallel_mark_accel(
-    space: &AddrSpace,
-    plan: &SweepPlan,
-    layout: &Layout,
-    helper_threads: usize,
-    filter: Option<&CandidateFilter>,
-    cache: Option<&PageCache>,
-    forensics: Option<&EdgeRecorder>,
-) -> (ShadowMap, ParallelMarkStats) {
-    parallel_mark_opts(
-        space,
-        plan,
-        layout,
-        &ParallelMarkOpts { helper_threads, filter, cache, forensics, ..Default::default() },
-    )
 }
 
 #[cfg(test)]
@@ -1333,7 +1025,6 @@ mod tests {
     #[test]
     fn marker_finds_pointers_and_ignores_data() {
         let mut space = AddrSpace::new();
-        let layout = *space.layout();
         let target = heap(&mut space, 1);
         let src = heap(&mut space, 1);
         space.write_word(src, target.raw()).unwrap(); // a real pointer
@@ -1341,7 +1032,7 @@ mod tests {
         let mut shadow = ShadowMap::new();
         let mut marker =
             Marker::new(SweepPlan::from_ranges(vec![(src, PAGE_SIZE as u64)]));
-        marker.run_to_end(&mut space, &layout, &mut shadow);
+        marker.step(&mut space, &mut shadow, u64::MAX, &mut MarkAccel::default());
         assert!(shadow.is_marked(target));
         assert_eq!(shadow.marked_count(), 1, "42 is not a heap pointer");
     }
@@ -1349,13 +1040,12 @@ mod tests {
     #[test]
     fn marker_respects_word_budget() {
         let mut space = AddrSpace::new();
-        let layout = *space.layout();
         let src = heap(&mut space, 1);
         space.commit(vmem::PageRange::spanning(src, PAGE_SIZE as u64)).unwrap();
         let mut shadow = ShadowMap::new();
         let mut marker =
             Marker::new(SweepPlan::from_ranges(vec![(src, PAGE_SIZE as u64)]));
-        let r = marker.step(&mut space, &layout, &mut shadow, 100);
+        let r = marker.step(&mut space, &mut shadow, 100, &mut MarkAccel::default());
         assert_eq!(r.words, 100);
         assert!(!r.finished);
         assert_eq!(marker.remaining_bytes(), PAGE_SIZE as u64 - 800);
@@ -1369,7 +1059,6 @@ mod tests {
         // "passed" must follow plan position, which the base-sorted index
         // has to map back to.
         let mut space = AddrSpace::new();
-        let layout = *space.layout();
         let lo = heap(&mut space, 1);
         let hi = heap(&mut space, 1);
         space.commit(vmem::PageRange::spanning(lo, PAGE_SIZE as u64)).unwrap();
@@ -1386,13 +1075,13 @@ mod tests {
         assert!(!marker.has_passed(Addr::new(lo.raw() - 8)), "below every range");
         assert!(!marker.has_passed(hi + PAGE_SIZE as u64), "above every range");
         // Step through `hi` plus 10 words of `lo`.
-        marker.step(&mut space, &layout, &mut shadow, 512 + 10);
+        marker.step(&mut space, &mut shadow, 512 + 10, &mut MarkAccel::default());
         assert!(marker.has_passed(hi));
         assert!(marker.has_passed(hi + 8 * 511));
         assert!(marker.has_passed(lo + 72));
         assert!(!marker.has_passed(lo + 80));
         // Finish: everything in-plan is passed, out-of-plan never is.
-        marker.step(&mut space, &layout, &mut shadow, u64::MAX);
+        marker.step(&mut space, &mut shadow, u64::MAX, &mut MarkAccel::default());
         assert!(marker.has_passed(lo + (PAGE_SIZE as u64 - 8)));
         assert!(!marker.has_passed(hi + PAGE_SIZE as u64));
     }
@@ -1400,7 +1089,6 @@ mod tests {
     #[test]
     fn marker_skips_protected_pages() {
         let mut space = AddrSpace::new();
-        let layout = *space.layout();
         let a = heap(&mut space, 2);
         space.commit(vmem::PageRange::spanning(a, 2 * PAGE_SIZE as u64)).unwrap();
         space
@@ -1410,34 +1098,32 @@ mod tests {
         let mut shadow = ShadowMap::new();
         let mut marker =
             Marker::new(SweepPlan::from_ranges(vec![(a, 2 * PAGE_SIZE as u64)]));
-        let words = marker.run_to_end(&mut space, &layout, &mut shadow);
-        assert_eq!(words, 512, "only the unprotected page is read");
+        let r = marker.step(&mut space, &mut shadow, u64::MAX, &mut MarkAccel::default());
+        assert_eq!(r.words, 512, "only the unprotected page is read");
     }
 
     #[test]
     fn sweeping_madvise_purged_page_demand_commits() {
         // The §4.5 failure mode: a naive sweep re-inflates purged memory.
         let mut space = AddrSpace::new();
-        let layout = *space.layout();
         let a = heap(&mut space, 1);
         space.write_word(a, 1).unwrap();
         space.decommit(vmem::PageRange::spanning(a, PAGE_SIZE as u64)).unwrap();
         assert_eq!(space.rss_bytes(), 0);
         let mut shadow = ShadowMap::new();
         let mut marker = Marker::new(SweepPlan::from_ranges(vec![(a, PAGE_SIZE as u64)]));
-        marker.run_to_end(&mut space, &layout, &mut shadow);
+        marker.step(&mut space, &mut shadow, u64::MAX, &mut MarkAccel::default());
         assert_eq!(space.rss_bytes(), PAGE_SIZE as u64, "sweep faulted the page back");
     }
 
     #[test]
     fn mark_page_rechecks_dirty_page() {
         let mut space = AddrSpace::new();
-        let layout = *space.layout();
         let target = heap(&mut space, 1);
         let src = heap(&mut space, 1);
         space.write_word(src + 64, target.raw()).unwrap();
         let mut shadow = ShadowMap::new();
-        let words = mark_page(&mut space, &layout, &mut shadow, src.page());
+        let words = mark_page(&space, &mut shadow, src.page());
         assert_eq!(words, 512);
         assert!(shadow.is_marked(target));
     }
@@ -1456,6 +1142,28 @@ mod tests {
         (targets, SweepPlan::from_ranges(vec![(src, 4 * PAGE_SIZE as u64)]))
     }
 
+    /// Marks `plan` into a fresh map through a one-job pool — the
+    /// single-arena parallel mark.
+    fn pool_mark(
+        space: &AddrSpace,
+        plan: &SweepPlan,
+        filter: Option<&CandidateFilter>,
+        cache: Option<&PageCache>,
+        forensics: Option<&EdgeRecorder>,
+        opts: &PoolMarkOpts<'_>,
+    ) -> (ShadowMap, ParallelMarkStats, MarkProfile) {
+        let shadow = ShadowMap::new();
+        let job = PoolMarkJob { space, plan, shadow: &shadow, filter, cache, forensics };
+        let mut result = parallel_mark_pool(&[job], opts);
+        let stats = result.per_job.pop().expect("one job");
+        (shadow, stats, result.profile)
+    }
+
+    /// Pool options requesting `n` helper threads.
+    fn helpers(n: usize) -> PoolMarkOpts<'static> {
+        PoolMarkOpts { helper_threads: n, ..PoolMarkOpts::default() }
+    }
+
     #[test]
     fn parallel_mark_agrees_with_serial() {
         let mut space = AddrSpace::new();
@@ -1464,7 +1172,7 @@ mod tests {
 
         let mut serial = ShadowMap::new();
         let mut marker = Marker::new(plan.clone());
-        marker.run_to_end(&mut space, &layout, &mut serial);
+        marker.step(&mut space, &mut serial, u64::MAX, &mut MarkAccel::default());
 
         // The seed's naive map, driven by the same plan via direct page
         // reads, is the oracle both implementations must agree with.
@@ -1482,7 +1190,7 @@ mod tests {
         assert_eq!(serial.marked_count(), naive.marked_count());
 
         for threads in [0, 1, 3, 6] {
-            let parallel = parallel_mark(&space, &plan, &layout, threads);
+            let (parallel, _, _) = pool_mark(&space, &plan, None, None, None, &helpers(threads));
             assert_eq!(
                 parallel.marked_count(),
                 serial.marked_count(),
@@ -1502,7 +1210,6 @@ mod tests {
         // not lose or invent marks under contention. Pointers repeat
         // across thread shares so distinct threads race on the same bits.
         let mut space = AddrSpace::new();
-        let layout = *space.layout();
         let targets: Vec<Addr> = (0..8).map(|_| heap(&mut space, 1)).collect();
         let src = heap(&mut space, 8);
         for w in 0..(8 * 512u64) {
@@ -1515,9 +1222,10 @@ mod tests {
         }
         let plan = SweepPlan::from_ranges(vec![(src, 8 * PAGE_SIZE as u64)]);
         let mut serial = ShadowMap::new();
-        Marker::new(plan.clone()).run_to_end(&mut space, &layout, &mut serial);
+        let mut marker = Marker::new(plan.clone());
+        marker.step(&mut space, &mut serial, u64::MAX, &mut MarkAccel::default());
         for threads in [0, 1, 3, 6] {
-            let parallel = parallel_mark(&space, &plan, &layout, threads);
+            let (parallel, _, _) = pool_mark(&space, &plan, None, None, None, &helpers(threads));
             assert_eq!(parallel.marked_count(), serial.marked_count());
             for t in &targets {
                 for off in (0..64).step_by(16) {
@@ -1534,10 +1242,9 @@ mod tests {
     #[test]
     fn parallel_mark_skips_unbacked_pages_without_committing() {
         let mut space = AddrSpace::new();
-        let layout = *space.layout();
         let a = heap(&mut space, 4); // never touched: unbacked
         let plan = SweepPlan::from_ranges(vec![(a, 4 * PAGE_SIZE as u64)]);
-        let shadow = parallel_mark(&space, &plan, &layout, 3);
+        let (shadow, _, _) = pool_mark(&space, &plan, None, None, None, &helpers(3));
         assert!(shadow.is_empty());
         assert_eq!(space.rss_bytes(), 0, "peek-based marking must not commit");
     }
@@ -1557,7 +1264,6 @@ mod tests {
     #[test]
     fn cache_skip_replays_identical_marks() {
         let mut space = AddrSpace::new();
-        let layout = *space.layout();
         let (src, t0, t1, plan) = two_page_fixture(&mut space);
 
         // Sweep 1: cold cache — every page scanned, digests recorded.
@@ -1569,10 +1275,10 @@ mod tests {
         cache.begin_sweep(&plan, &dirty, 1);
         space.clear_soft_dirty();
         let mut full = ShadowMap::new();
-        let r1 = Marker::new(plan.clone()).run_to_end_accel(
+        let r1 = Marker::new(plan.clone()).step(
             &mut space,
-            &layout,
             &mut full,
+            u64::MAX,
             &mut MarkAccel { cache: Some(&mut cache), ..MarkAccel::default() },
         );
         assert_eq!(r1.pages_skipped, 0, "cold cache skips nothing");
@@ -1588,10 +1294,10 @@ mod tests {
         assert!(dirty.is_empty(), "nothing written since the clear");
         cache.begin_sweep(&plan, &dirty, 2);
         let mut inc = ShadowMap::new();
-        let r2 = Marker::new(plan.clone()).run_to_end_accel(
+        let r2 = Marker::new(plan.clone()).step(
             &mut space,
-            &layout,
             &mut inc,
+            u64::MAX,
             &mut MarkAccel { cache: Some(&mut cache), ..MarkAccel::default() },
         );
         assert_eq!(r2.pages_skipped, 2);
@@ -1612,10 +1318,10 @@ mod tests {
         cache.begin_sweep(&plan, &dirty, 3);
         space.clear_soft_dirty();
         let mut inc2 = ShadowMap::new();
-        let r3 = Marker::new(plan).run_to_end_accel(
+        let r3 = Marker::new(plan).step(
             &mut space,
-            &layout,
             &mut inc2,
+            u64::MAX,
             &mut MarkAccel { cache: Some(&mut cache), ..MarkAccel::default() },
         );
         assert_eq!(r3.pages_skipped, 1, "only the clean page skips");
@@ -1628,7 +1334,6 @@ mod tests {
         // A page scanned across several budget-limited steps must still
         // record one complete digest — and replay it next sweep.
         let mut space = AddrSpace::new();
-        let layout = *space.layout();
         let (src, _, _, plan) = two_page_fixture(&mut space);
         let mut cache = PageCache::new();
         cache.begin_sweep(&plan, &[], 1);
@@ -1637,7 +1342,7 @@ mod tests {
         let mut marker = Marker::new(plan.clone());
         let mut accel = MarkAccel { cache: Some(&mut cache), ..MarkAccel::default() };
         loop {
-            if marker.step_accel(&mut space, &layout, &mut full, 100, &mut accel).finished {
+            if marker.step(&mut space, &mut full, 100, &mut accel).finished {
                 break;
             }
         }
@@ -1649,10 +1354,10 @@ mod tests {
         ));
         cache.begin_sweep(&plan, &dirty, 2);
         let mut inc = ShadowMap::new();
-        let r = Marker::new(plan).run_to_end_accel(
+        let r = Marker::new(plan).step(
             &mut space,
-            &layout,
             &mut inc,
+            u64::MAX,
             &mut MarkAccel { cache: Some(&mut cache), ..MarkAccel::default() },
         );
         assert_eq!(r.pages_skipped, 2);
@@ -1662,16 +1367,15 @@ mod tests {
     #[test]
     fn filter_preserves_candidate_marks_and_rejects_the_rest() {
         let mut space = AddrSpace::new();
-        let layout = *space.layout();
         let (_, t0, t1, plan) = two_page_fixture(&mut space);
 
         // Only t1's page is a quarantine candidate.
         let filter = CandidateFilter::build([(t1, 64)]);
         let mut shadow = ShadowMap::new();
-        let r = Marker::new(plan).run_to_end_accel(
+        let r = Marker::new(plan).step(
             &mut space,
-            &layout,
             &mut shadow,
+            u64::MAX,
             &mut MarkAccel { filter: Some(&filter), ..MarkAccel::default() },
         );
         assert!(shadow.is_marked(t1), "candidate marks preserved");
@@ -1684,17 +1388,16 @@ mod tests {
         // Digests are pre-filter: a page cached under one candidate set
         // must replay correctly under a different one.
         let mut space = AddrSpace::new();
-        let layout = *space.layout();
         let (src, t0, t1, plan) = two_page_fixture(&mut space);
         let mut cache = PageCache::new();
         cache.begin_sweep(&plan, &[], 1);
         space.clear_soft_dirty();
         let f1 = CandidateFilter::build([(t1, 64)]);
         let mut s1 = ShadowMap::new();
-        Marker::new(plan.clone()).run_to_end_accel(
+        Marker::new(plan.clone()).step(
             &mut space,
-            &layout,
             &mut s1,
+            u64::MAX,
             &mut MarkAccel {
                 filter: Some(&f1),
                 cache: Some(&mut cache),
@@ -1713,10 +1416,10 @@ mod tests {
         cache.begin_sweep(&plan, &dirty, 2);
         let f2 = CandidateFilter::build([(t0, 64)]);
         let mut s2 = ShadowMap::new();
-        let r = Marker::new(plan).run_to_end_accel(
+        let r = Marker::new(plan).step(
             &mut space,
-            &layout,
             &mut s2,
+            u64::MAX,
             &mut MarkAccel {
                 filter: Some(&f2),
                 cache: Some(&mut cache),
@@ -1733,7 +1436,6 @@ mod tests {
     #[test]
     fn protected_skips_count_as_skipped_bytes() {
         let mut space = AddrSpace::new();
-        let layout = *space.layout();
         let a = heap(&mut space, 2);
         space.commit(vmem::PageRange::spanning(a, 2 * PAGE_SIZE as u64)).unwrap();
         space
@@ -1742,10 +1444,10 @@ mod tests {
         let mut shadow = ShadowMap::new();
         let mut marker =
             Marker::new(SweepPlan::from_ranges(vec![(a, 2 * PAGE_SIZE as u64)]));
-        let r = marker.run_to_end_accel(
+        let r = marker.step(
             &mut space,
-            &layout,
             &mut shadow,
+            u64::MAX,
             &mut MarkAccel::default(),
         );
         assert_eq!(r.words, 512);
@@ -1764,9 +1466,8 @@ mod tests {
     }
 
     #[test]
-    fn parallel_mark_accel_agrees_with_serial_accel() {
+    fn pooled_mark_with_filter_and_cache_agrees_with_serial() {
         let mut space = AddrSpace::new();
-        let layout = *space.layout();
         let (targets, plan) = scatter_fixture(&mut space);
         let filter =
             CandidateFilter::build(targets.iter().map(|&t| (t, PAGE_SIZE as u64)));
@@ -1776,10 +1477,10 @@ mod tests {
         cache.begin_sweep(&plan, &[], 1);
         space.clear_soft_dirty();
         let mut serial = ShadowMap::new();
-        Marker::new(plan.clone()).run_to_end_accel(
+        Marker::new(plan.clone()).step(
             &mut space,
-            &layout,
             &mut serial,
+            u64::MAX,
             &mut MarkAccel {
                 filter: Some(&filter),
                 cache: Some(&mut cache),
@@ -1793,15 +1494,8 @@ mod tests {
         ));
         cache.begin_sweep(&plan, &dirty, 2);
         for threads in [0, 1, 3] {
-            let (parallel, _) = parallel_mark_accel(
-                &space,
-                &plan,
-                &layout,
-                threads,
-                Some(&filter),
-                Some(&cache),
-                None,
-            );
+            let (parallel, _, _) =
+                pool_mark(&space, &plan, Some(&filter), Some(&cache), None, &helpers(threads));
             assert_eq!(parallel.marked_count(), serial.marked_count());
             for t in &targets {
                 assert_eq!(parallel.is_marked(*t), serial.is_marked(*t));
@@ -1818,7 +1512,6 @@ mod tests {
         use crate::config::ForensicsMode;
         use crate::quarantine::QEntry;
         let mut space = AddrSpace::new();
-        let layout = *space.layout();
         let (targets, plan) = scatter_fixture(&mut space);
         let entries: Vec<QEntry> = targets
             .iter()
@@ -1832,19 +1525,19 @@ mod tests {
             .collect();
 
         let mut plain = ShadowMap::new();
-        let r_plain = Marker::new(plan.clone()).run_to_end_accel(
+        let r_plain = Marker::new(plan.clone()).step(
             &mut space,
-            &layout,
             &mut plain,
+            u64::MAX,
             &mut MarkAccel::default(),
         );
 
         let rec = EdgeRecorder::new(&entries, ForensicsMode::Full).unwrap();
         let mut forensic = ShadowMap::new();
-        let r_forensic = Marker::new(plan.clone()).run_to_end_accel(
+        let r_forensic = Marker::new(plan.clone()).step(
             &mut space,
-            &layout,
             &mut forensic,
+            u64::MAX,
             &mut MarkAccel { forensics: Some(&rec), ..MarkAccel::default() },
         );
 
@@ -1863,8 +1556,7 @@ mod tests {
 
         // The parallel marker shares the same recorder semantics.
         let rec_par = EdgeRecorder::new(&entries, ForensicsMode::Full).unwrap();
-        let (parallel, _) =
-            parallel_mark_accel(&space, &plan, &layout, 3, None, None, Some(&rec_par));
+        let (parallel, _, _) = pool_mark(&space, &plan, None, None, Some(&rec_par), &helpers(3));
         assert_eq!(parallel.marked_count(), plain.marked_count());
         assert_eq!(rec_par.recorded(), rec.recorded());
     }
@@ -1876,33 +1568,24 @@ mod tests {
         // scanned words — that is what lets the layer's reconcile treat
         // the two paths interchangeably.
         let mut space = AddrSpace::new();
-        let layout = *space.layout();
         let (targets, plan) = scatter_fixture(&mut space);
         let filter =
             CandidateFilter::build(targets.iter().take(3).map(|&t| (t, PAGE_SIZE as u64)));
         let mut serial = ShadowMap::new();
-        let r = Marker::new(plan.clone()).run_to_end_accel(
+        let r = Marker::new(plan.clone()).step(
             &mut space,
-            &layout,
             &mut serial,
+            u64::MAX,
             &mut MarkAccel { filter: Some(&filter), ..MarkAccel::default() },
         );
         assert!(r.filter_rejects > 0 && r.heap_words > r.filter_rejects);
-        for helpers in [0, 2, 5] {
-            let (map, stats) = parallel_mark_accel(
-                &space,
-                &plan,
-                &layout,
-                helpers,
-                Some(&filter),
-                None,
-                None,
-            );
+        for n in [0, 2, 5] {
+            let (map, stats, _) = pool_mark(&space, &plan, Some(&filter), None, None, &helpers(n));
             assert_eq!(map.marked_count(), serial.marked_count());
-            assert_eq!(stats.filter_rejects, r.filter_rejects, "helpers={helpers}");
+            assert_eq!(stats.filter_rejects, r.filter_rejects, "helpers={n}");
             assert_eq!(stats.heap_words, r.heap_words);
             assert_eq!(stats.words, r.words);
-            assert_eq!(stats.effective_helpers, effective_helper_count(helpers));
+            assert_eq!(stats.effective_helpers, effective_helper_count(n));
         }
     }
 
@@ -1913,36 +1596,25 @@ mod tests {
         // aggregated counters. An unaligned range start exercises the
         // mid-page chunk head.
         let mut space = AddrSpace::new();
-        let layout = *space.layout();
         let (targets, plan) = scatter_fixture(&mut space);
         let (base, len) = plan.ranges()[0];
         let ragged =
             SweepPlan::from_ranges(vec![(base.add_bytes(24), len - 24 - 64), (base, 24)]);
         let filter =
             CandidateFilter::build(targets.iter().map(|&t| (t, PAGE_SIZE as u64)));
-        let reference = parallel_mark_opts(
-            &space,
-            &ragged,
-            &layout,
-            &ParallelMarkOpts { filter: Some(&filter), ..Default::default() },
-        );
+        let reference = pool_mark(&space, &ragged, Some(&filter), None, None, &helpers(0));
         for chunk_pages in [1, 2, 64, 1 << 20] {
-            for helpers in [0, 1, 3, 7] {
-                let (map, stats) = parallel_mark_opts(
-                    &space,
-                    &ragged,
-                    &layout,
-                    &ParallelMarkOpts {
-                        helper_threads: helpers,
-                        filter: Some(&filter),
-                        chunk_pages: Some(chunk_pages),
-                        ..Default::default()
-                    },
-                );
+            for n in [0, 1, 3, 7] {
+                let opts = PoolMarkOpts {
+                    helper_threads: n,
+                    chunk_pages: Some(chunk_pages),
+                    ..Default::default()
+                };
+                let (map, stats, _) = pool_mark(&space, &ragged, Some(&filter), None, None, &opts);
                 assert_eq!(
                     map.marked_count(),
                     reference.0.marked_count(),
-                    "chunk_pages={chunk_pages} helpers={helpers}"
+                    "chunk_pages={chunk_pages} helpers={n}"
                 );
                 for t in &targets {
                     assert_eq!(map.is_marked(*t), reference.0.is_marked(*t));
@@ -1955,40 +1627,81 @@ mod tests {
     }
 
     #[test]
+    fn one_job_pool_replays_its_cached_root_pages() {
+        // A one-job pool is the single-arena parallel mark: its owner's
+        // pass over a root chunk must replay the arena's own page cache
+        // exactly as the serial cursor does, not re-read the page.
+        let mut space = AddrSpace::new();
+        let candidate = heap(&mut space, 1);
+        let live = heap(&mut space, 1);
+        let stack = space.layout().segment_base(Segment::Stack);
+        space.write_word(stack + 64, candidate.raw()).unwrap();
+        space.write_word(stack + 128, live.raw()).unwrap();
+        let src = heap(&mut space, 1);
+        space.write_word(src + 8, candidate.raw()).unwrap();
+        let plan = SweepPlan::build(&space, &[(src, PAGE_SIZE as u64)]);
+        assert_eq!(plan.ranges()[0], (stack, PAGE_SIZE as u64), "one committed stack page");
+        let filter = CandidateFilter::build([(candidate, 64)]);
+
+        // Prime the cache with one serial sweep, then replay it serially.
+        let mut cache = PageCache::new();
+        cache.begin_sweep(&plan, &[], 1);
+        space.clear_soft_dirty();
+        let mut accel = MarkAccel { cache: Some(&mut cache), qgen: 1, ..MarkAccel::default() };
+        Marker::new(plan.clone()).step(&mut space, &mut ShadowMap::new(), u64::MAX, &mut accel);
+        cache.begin_sweep(&plan, &[], 2);
+        let mut serial = ShadowMap::new();
+        let r = Marker::new(plan.clone()).step(
+            &mut space,
+            &mut serial,
+            u64::MAX,
+            &mut MarkAccel {
+                filter: Some(&filter),
+                cache: Some(&mut cache),
+                qgen: 2,
+                ..MarkAccel::default()
+            },
+        );
+        assert_eq!((r.words, r.pages_skipped), (0, 2), "both pages replay");
+        assert_eq!(r.filter_rejects, 1, "the root pointer to `live`");
+
+        for n in [0, 3] {
+            let (map, stats, _) =
+                pool_mark(&space, &plan, Some(&filter), Some(&cache), None, &helpers(n));
+            assert_eq!(map.marked_count(), serial.marked_count(), "helpers={n}");
+            assert!(map.is_marked(candidate) && !map.is_marked(live));
+            assert_eq!(stats.words, r.words, "helpers={n}");
+            assert_eq!(stats.heap_words, r.heap_words);
+            assert_eq!(stats.pages_skipped, r.pages_skipped);
+            assert_eq!(stats.pages_replayed, r.pages_replayed);
+            assert_eq!(stats.filter_rejects, r.filter_rejects);
+        }
+    }
+
+    #[test]
     fn profiler_attributes_without_changing_marks() {
         use crate::telem::{SweepProf, SWEEP_SUBSYSTEM};
         use telemetry::Registry;
 
         let mut space = AddrSpace::new();
-        let layout = *space.layout();
         let (targets, plan) = scatter_fixture(&mut space);
 
-        // Profiler off: the MarkProfile stays all-zero, so whole-struct
-        // stats comparisons (the determinism tests) remain exact.
-        let (plain, base) = parallel_mark_opts(
-            &space,
-            &plan,
-            &layout,
-            &ParallelMarkOpts::default(),
-        );
-        assert_eq!(base.prof, MarkProfile::default(), "off-mode profile must stay zero");
+        // Profiler off: the returned MarkProfile stays all-zero.
+        let (plain, base, base_prof) = pool_mark(&space, &plan, None, None, None, &helpers(0));
+        assert_eq!(base_prof, MarkProfile::default(), "off-mode profile must stay zero");
 
         // Profiler on: same marks and deterministic counters, plus
         // attribution in both the returned profile and the registry.
         let reg = Registry::new();
         let prof = SweepProf::register(&reg);
-        let (profiled, stats) = parallel_mark_opts(
-            &space,
-            &plan,
-            &layout,
-            &ParallelMarkOpts { helper_threads: 2, prof: Some(&prof), ..Default::default() },
-        );
+        let opts = PoolMarkOpts { helper_threads: 2, prof: Some(&prof), ..Default::default() };
+        let (profiled, stats, profile) = pool_mark(&space, &plan, None, None, None, &opts);
         assert_eq!(profiled.marked_count(), plain.marked_count());
         assert_eq!(stats.words, base.words);
         assert_eq!(stats.heap_words, base.heap_words);
-        assert_eq!(stats.prof.chunks_claimed, stats.chunks, "every chunk claimed once");
-        assert!(stats.prof.chunks_stolen <= stats.prof.chunks_claimed);
-        assert!(stats.prof.wall_ns > 0 && stats.prof.busy_ns > 0);
+        assert_eq!(profile.chunks_claimed, stats.chunks, "every chunk claimed once");
+        assert!(profile.chunks_stolen <= profile.chunks_claimed);
+        assert!(profile.wall_ns > 0 && profile.busy_ns > 0);
         let snap = reg.snapshot();
         assert_eq!(
             snap.counter(SWEEP_SUBSYSTEM, "chunks_claimed"),
@@ -2011,10 +1724,10 @@ mod tests {
         let reg2 = Registry::new();
         let prof2 = SweepProf::register(&reg2);
         let mut shadow = ShadowMap::new();
-        Marker::new(plan.clone()).run_to_end_accel(
+        Marker::new(plan.clone()).step(
             &mut space,
-            &layout,
             &mut shadow,
+            u64::MAX,
             &mut MarkAccel { prof: Some(&prof2), ..MarkAccel::default() },
         );
         assert_eq!(shadow.marked_count(), plain.marked_count());
@@ -2031,17 +1744,16 @@ mod tests {
     #[test]
     fn every_tier_produces_identical_step_results() {
         let mut space = AddrSpace::new();
-        let layout = *space.layout();
         let (targets, plan) = scatter_fixture(&mut space);
         let filter =
             CandidateFilter::build(targets.iter().take(2).map(|&t| (t, PAGE_SIZE as u64)));
         let mut results = Vec::new();
         for &tier in crate::simd::available_tiers() {
             let mut shadow = ShadowMap::new();
-            let r = Marker::new(plan.clone()).run_to_end_accel(
+            let r = Marker::new(plan.clone()).step(
                 &mut space,
-                &layout,
                 &mut shadow,
+                u64::MAX,
                 &mut MarkAccel {
                     filter: Some(&filter),
                     tier: Some(tier),
@@ -2062,13 +1774,12 @@ mod tests {
         // Figure 4's purple case: integer data that equals an allocation
         // address prevents deallocation.
         let mut space = AddrSpace::new();
-        let layout = *space.layout();
         let victim = heap(&mut space, 1);
         let src = heap(&mut space, 1);
         space.write_word(src, victim.raw()).unwrap(); // "just an integer"
         let mut shadow = ShadowMap::new();
         let mut marker = Marker::new(SweepPlan::from_ranges(vec![(src, PAGE_SIZE as u64)]));
-        marker.run_to_end(&mut space, &layout, &mut shadow);
+        marker.step(&mut space, &mut shadow, u64::MAX, &mut MarkAccel::default());
         assert!(shadow.range_marked(victim, 64), "false pointers retain allocations");
     }
 }

@@ -1,6 +1,6 @@
 //! Cross-plane reconcile for the parallel marking path.
 //!
-//! The work-stealing [`parallel_mark_accel`] folds per-thread counters —
+//! The work-stealing [`parallel_mark_pool`] folds per-thread counters —
 //! notably `filter_rejects` — into one [`ParallelMarkStats`] with a
 //! single atomic add per thread at join time. This test drives those
 //! aggregated stats through both telemetry planes (the `layer` counter
@@ -12,7 +12,8 @@
 
 use minesweeper::telemetry::{Event, EventKind, Registry, RunReport, Trigger};
 use minesweeper::{
-    parallel_mark_accel, CandidateFilter, MarkAccel, Marker, MsCounters, ShadowMap, SweepPlan,
+    parallel_mark_pool, CandidateFilter, MarkAccel, Marker, MsCounters, ParallelMarkStats,
+    PoolMarkJob, PoolMarkOpts, ShadowMap, SweepPlan,
 };
 use vmem::{Addr, AddrSpace, PAGE_SIZE};
 
@@ -45,17 +46,37 @@ fn fixture(space: &mut AddrSpace) -> (Addr, Addr, SweepPlan) {
     (candidate, live, SweepPlan::from_ranges(vec![(src, 4 * page)]))
 }
 
+/// Marks `plan` through `filter` into a fresh map with a one-job pool of
+/// `helpers` requested helper threads.
+fn pool_mark(
+    space: &AddrSpace,
+    plan: &SweepPlan,
+    filter: &CandidateFilter,
+    helpers: usize,
+) -> (ShadowMap, ParallelMarkStats) {
+    let shadow = ShadowMap::new();
+    let job = PoolMarkJob {
+        space,
+        plan,
+        shadow: &shadow,
+        filter: Some(filter),
+        cache: None,
+        forensics: None,
+    };
+    let opts = PoolMarkOpts { helper_threads: helpers, ..PoolMarkOpts::default() };
+    let stats = parallel_mark_pool(&[job], &opts).per_job[0];
+    (shadow, stats)
+}
+
 #[test]
 fn parallel_rejects_reconcile_across_both_telemetry_planes() {
     let mut space = AddrSpace::new();
-    let layout = *space.layout();
     let (candidate, live, plan) = fixture(&mut space);
     let filter = CandidateFilter::build([(candidate, CANDIDATE_PTRS * 8)]);
 
     // Parallel mark with the candidate filter: rejects are counted by
     // every worker and atomically folded at join.
-    let (shadow, stats) =
-        parallel_mark_accel(&space, &plan, &layout, 3, Some(&filter), None, None);
+    let (shadow, stats) = pool_mark(&space, &plan, &filter, 3);
     assert_eq!(stats.filter_rejects, REJECTED_PTRS, "every live-pointer word rejected");
     assert_eq!(stats.heap_words, CANDIDATE_PTRS + REJECTED_PTRS);
     assert!(shadow.is_marked(candidate), "candidate marks survive the filter");
@@ -64,10 +85,10 @@ fn parallel_rejects_reconcile_across_both_telemetry_planes() {
     // The serial marker over the same plan and filter is the ground
     // truth the parallel aggregation must reproduce.
     let mut serial = ShadowMap::new();
-    let r = Marker::new(plan.clone()).run_to_end_accel(
+    let r = Marker::new(plan.clone()).step(
         &mut space,
-        &layout,
         &mut serial,
+        u64::MAX,
         &mut MarkAccel { filter: Some(&filter), ..MarkAccel::default() },
     );
     assert_eq!(stats.filter_rejects, r.filter_rejects);
@@ -132,12 +153,10 @@ fn parallel_reject_totals_are_thread_count_invariant() {
     // requested helper count (including counts the hardware clamps away)
     // and chunk granularity.
     let mut space = AddrSpace::new();
-    let layout = *space.layout();
     let (candidate, _, plan) = fixture(&mut space);
     let filter = CandidateFilter::build([(candidate, CANDIDATE_PTRS * 8)]);
     for helpers in [0, 1, 3, 7] {
-        let (_, stats) =
-            parallel_mark_accel(&space, &plan, &layout, helpers, Some(&filter), None, None);
+        let (_, stats) = pool_mark(&space, &plan, &filter, helpers);
         assert_eq!(stats.filter_rejects, REJECTED_PTRS, "helpers={helpers}");
         assert_eq!(stats.heap_words, CANDIDATE_PTRS + REJECTED_PTRS, "helpers={helpers}");
     }

@@ -12,9 +12,9 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use minesweeper::telemetry::{RingSink, RunReport};
 use minesweeper::{
-    parallel_mark_opts, CandidateFilter, EdgeRecorder, ForensicsMode, FreeOutcome, MarkAccel,
-    Marker, MineSweeper, MsConfig, NaiveShadowMap, PageCache, ParallelMarkOpts, QEntry, ShadowMap,
-    SweepPlan,
+    parallel_mark_pool, CandidateFilter, EdgeRecorder, ForensicsMode, FreeOutcome, MarkAccel,
+    Marker, MineSweeper, MsConfig, NaiveShadowMap, PageCache, PoolMarkJob, PoolMarkOpts, QEntry,
+    ShadowMap, SweepPlan,
 };
 use vmem::{Addr, AddrSpace, Segment, PAGE_SIZE};
 
@@ -653,7 +653,6 @@ fn run_tier(
     entries: Option<&[QEntry]>,
     tbase: Addr,
 ) -> ((u64, u64, u64, u64, u64, u64), u64, Vec<bool>, Vec<Option<Vec<u64>>>, u64, Vec<(u64, u64, u64)>) {
-    let layout = *space.layout();
     let mut shadow = ShadowMap::new();
     let mut cache = PageCache::new();
     cache.begin_sweep(plan, &[], 1);
@@ -669,7 +668,7 @@ fn run_tier(
             tier: Some(tier),
             prof: None,
         };
-        let r = marker.step_accel(space, &layout, &mut shadow, budget, &mut accel);
+        let r = marker.step(space, &mut shadow, budget, &mut accel);
         totals.0 += r.words;
         totals.1 += r.bytes;
         totals.2 += r.heap_words;
@@ -763,29 +762,32 @@ proptest! {
         // map equal the serial marker's, claim order notwithstanding.
         let mut space = AddrSpace::new();
         let (plan, tbase) = scan_fixture(&mut space, seed, pages, 0, 0, zero_pct, ptr_pct);
-        let layout = *space.layout();
         let filter = CandidateFilter::build([(tbase, PAGE_SIZE as u64)]);
         let filter = filter_on.then_some(&filter);
 
         let mut serial_map = ShadowMap::new();
-        let serial = Marker::new(plan.clone()).run_to_end_accel(
+        let serial = Marker::new(plan.clone()).step(
             &mut space,
-            &layout,
             &mut serial_map,
+            u64::MAX,
             &mut MarkAccel { filter, ..MarkAccel::default() },
         );
 
-        let (map, stats) = parallel_mark_opts(
-            &space,
-            &plan,
-            &layout,
-            &ParallelMarkOpts {
-                helper_threads: helpers,
-                filter,
-                chunk_pages: Some(chunk_pages),
-                ..ParallelMarkOpts::default()
-            },
-        );
+        let map = ShadowMap::new();
+        let job = PoolMarkJob {
+            space: &space,
+            plan: &plan,
+            shadow: &map,
+            filter,
+            cache: None,
+            forensics: None,
+        };
+        let opts = PoolMarkOpts {
+            helper_threads: helpers,
+            chunk_pages: Some(chunk_pages),
+            ..PoolMarkOpts::default()
+        };
+        let stats = parallel_mark_pool(&[job], &opts).per_job[0];
         prop_assert_eq!(stats.words, serial.words);
         prop_assert_eq!(stats.heap_words, serial.heap_words);
         prop_assert_eq!(stats.filter_rejects, serial.filter_rejects);

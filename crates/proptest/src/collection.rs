@@ -6,7 +6,7 @@ use std::ops::Range;
 use crate::strategy::Strategy;
 use crate::test_runner::TestRng;
 
-/// The strategy returned by [`vec`].
+/// The strategy returned by [`vec()`].
 #[derive(Clone, Debug)]
 pub struct VecStrategy<S> {
     element: S,

@@ -143,7 +143,7 @@ stage_bench_smoke() {
     for key in requested_helpers effective_helpers degraded dirty_pct \
         incremental_d5 incremental_filtered_d5 words_per_sec forensics_off \
         forensics_sampled_s8 forensics_full simd_serial swar_serial \
-        steal_parallel share_parallel simd_vs_scalar \
+        steal_parallel simd_vs_scalar \
         arenas_n4_serial arenas_n16_barrier_h6 arenas_n64_sched_h6 \
         n16_sched_vs_serial; do
         grep -q "$key" "$smoke_dir/bench.json" \
@@ -368,7 +368,12 @@ stage_costs() {
     [ "$rc" -eq 1 ] || { echo "bad costs input must exit 1 (got $rc)"; exit 1; }
 }
 
-# desc: every module DESIGN.md section 7 names exists in its crate
+# desc: rustdoc builds with no broken intra-doc links
+stage_rustdoc() {
+    RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --workspace --no-deps -q
+}
+
+# desc: DESIGN.md section 7 modules and backticked doc paths resolve
 stage_doc_modules() {
     # One "dir<TAB>token" line per backticked all-lowercase identifier of
     # each numbered crate entry; "**name (dir)**" maps to crates/dir.
@@ -400,8 +405,37 @@ stage_doc_modules() {
         dir != "" { text = text " " $0 }
         END { flush() }
     ' DESIGN.md)
+    # Backticked Rust paths (`a::b`, `a::b::c`) in DESIGN.md and README.md
+    # whose first segment is a workspace crate, or a type defined in
+    # crates/*/src, must end in a module file or in a pub fn, const,
+    # static, type, field or enum variant of that crate (of the crate
+    # defining the type). Other paths (`thread::scope`, `Instant::now`)
+    # belong to std and are skipped.
+    local loc path first last dirs d
+    while IFS=$'\t' read -r loc path; do
+        first=${path%%::*}
+        last=${path##*::}
+        case "$first" in
+            core | minesweeper) dirs=crates/core/src ;;
+            sim | vmem | jalloc | baselines | workloads | telemetry | scudo) dirs=crates/$first/src ;;
+            *) dirs=$(grep -rlE "^\s*(pub(\([a-z]+\))? )?(struct|enum|trait|type) $first\b" \
+                   crates/*/src | cut -d/ -f1-3 | sort -u || true) ;;
+        esac
+        [ -n "$dirs" ] || continue
+        for d in $dirs; do
+            [ -f "$d/$last.rs" ] || [ -f "$d/$last/mod.rs" ] && continue 2
+        done
+        # $dirs is a word list of directories: split it on purpose.
+        grep -rqE "\bpub(\([a-z]+\))? +(((const |unsafe |async )*fn|const|static|struct|enum|trait|type|mod) +$last\b|$last *:)" \
+            $dirs && continue
+        # Enum variants carry no `pub`: a capitalised line head will do.
+        [[ "$last" =~ ^[A-Z] ]] && grep -rqE "^\s*$last\s*([,({]|$)" $dirs && continue
+        echo "$loc: \`$path\` names no module or pub item in crates/*/src"
+        missing=1
+    done < <(grep -onE '`[A-Za-z_][A-Za-z0-9_]*(::[A-Za-z_][A-Za-z0-9_]*)+`' DESIGN.md README.md \
+        | sed -E 's/^([^:]+:[0-9]+):`(.*)`$/\1\t\2/')
     [ "$missing" -eq 0 ] || exit 1
-    echo "DESIGN.md section 7 module names all exist"
+    echo "DESIGN.md section 7 module names and doc paths all resolve"
 }
 
 # desc: clippy with warnings denied
@@ -432,6 +466,7 @@ STAGES=(
     security
     security-selftest
     costs
+    rustdoc
     doc-modules
     clippy
 )
