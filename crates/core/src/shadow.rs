@@ -58,6 +58,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::ptr;
 use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
+use std::sync::Mutex;
 
 use vmem::{Addr, GRANULE_SIZE};
 
@@ -152,8 +153,11 @@ impl Drop for Level2 {
 pub struct ShadowMap {
     l1: Box<[AtomicPtr<Level2>]>,
     marked: AtomicU64,
-    /// Resident chunks, for O(1) [`ShadowMap::resident_bytes`].
-    chunk_count: AtomicU64,
+    /// Indices of the resident chunks in publication order, so
+    /// [`ShadowMap::clear`] visits only those instead of every slot of
+    /// every level-2 table. Pushed once per chunk by the thread whose CAS
+    /// published it.
+    resident: Mutex<Vec<u64>>,
     /// Resident level-2 tables, for O(1) [`ShadowMap::directory_bytes`].
     l2_count: AtomicU64,
     /// Arena shard this map belongs to (root for single-tenant). Set at
@@ -181,7 +185,7 @@ impl ShadowMap {
         ShadowMap {
             l1: l1.into_boxed_slice(),
             marked: AtomicU64::new(0),
-            chunk_count: AtomicU64::new(0),
+            resident: Mutex::new(Vec::new()),
             l2_count: AtomicU64::new(0),
             arena,
         }
@@ -259,7 +263,7 @@ impl ShadowMap {
                 Ordering::Acquire,
             ) {
                 Ok(_) => {
-                    self.chunk_count.fetch_add(1, Ordering::Relaxed);
+                    self.resident.lock().expect("resident-chunk list poisoned").push(chunk_idx);
                     c = fresh;
                 }
                 Err(winner) => {
@@ -430,7 +434,7 @@ impl ShadowMap {
     /// radix (the layer's per-epoch reset; `&mut self` guarantees no
     /// marker is concurrently writing).
     pub fn clear(&mut self) {
-        self.for_each_chunk(|chunk| {
+        self.for_each_resident(|_, chunk| {
             for w in &chunk.words {
                 w.store(0, Ordering::Relaxed);
             }
@@ -460,7 +464,8 @@ impl ShadowMap {
     /// overhead figure; directory overhead is reported separately by
     /// [`ShadowMap::directory_bytes`]).
     pub fn resident_bytes(&self) -> u64 {
-        self.chunk_count.load(Ordering::Relaxed) * (CHUNK_WORDS * 8) as u64
+        let chunks = self.resident.lock().expect("resident-chunk list poisoned").len();
+        chunks as u64 * (CHUNK_WORDS * 8) as u64
     }
 
     /// Resident size of the radix directory (root + level-2 tables).
@@ -469,25 +474,13 @@ impl ShadowMap {
             + self.l2_count.load(Ordering::Relaxed) * (L2_ENTRIES * 8) as u64
     }
 
-    /// Visits every resident chunk with its chunk index.
+    /// Visits every resident chunk with its chunk index, in publication
+    /// order. Holds the list's lock, so `f` must not publish a new chunk
+    /// into this map.
     fn for_each_resident(&self, mut f: impl FnMut(u64, &Chunk)) {
-        for (i1, slot) in self.l1.iter().enumerate() {
-            let l2 = slot.load(Ordering::Acquire);
-            if l2.is_null() {
-                continue;
-            }
-            for (i2, cslot) in unsafe { &*l2 }.chunks.iter().enumerate() {
-                let c = cslot.load(Ordering::Acquire);
-                if !c.is_null() {
-                    f(((i1 << L2_SHIFT) | i2) as u64, unsafe { &*c });
-                }
-            }
+        for &chunk_idx in self.resident.lock().expect("resident-chunk list poisoned").iter() {
+            f(chunk_idx, self.chunk(chunk_idx).expect("resident chunks are published"));
         }
-    }
-
-    /// Visits every resident chunk (no index needed).
-    fn for_each_chunk(&self, mut f: impl FnMut(&Chunk)) {
-        self.for_each_resident(|_, chunk| f(chunk));
     }
 }
 
@@ -985,11 +978,25 @@ mod tests {
         let mut s = ShadowMap::new();
         s.mark(Addr::new(0x1_0000_0000));
         s.mark(Addr::new(1 << 33));
+        // Level-2 tables 1 and 2, marked directly and through a writer
+        // (a buffered combine window and a scattered direct mark).
+        s.mark(Addr::new((1 << 34) + 0x40));
+        let mut w = s.writer();
+        for i in 0..16u64 {
+            w.mark(Addr::new((1 << 35) + i * GRANULE_SIZE as u64));
+        }
+        w.mark(Addr::new((1 << 34) + (1 << 20)));
+        drop(w);
+        let chunk_bytes = CHUNK_GRANULES * GRANULE_SIZE as u64;
+        let chunks = [0x1_0000_0000, 1 << 33, 1 << 34, (1 << 34) + (1 << 20), 1 << 35];
+        assert_eq!(s.marked_count(), 20);
+        assert_eq!(s.resident_bytes(), chunks.len() as u64 * 4096);
         let resident = s.resident_bytes();
         s.clear();
         assert!(s.is_empty());
-        assert!(!s.is_marked(Addr::new(0x1_0000_0000)));
-        assert!(!s.range_marked(Addr::new(1 << 33), 4096));
+        for base in chunks {
+            assert!(!s.range_marked(Addr::new(base), chunk_bytes), "{base:#x} survived");
+        }
         assert_eq!(s.resident_bytes(), resident, "chunks are reused, not freed");
         // The next epoch marks into the recycled chunks.
         assert!(s.mark(Addr::new(0x1_0000_0000)));
@@ -1058,19 +1065,24 @@ mod tests {
     #[test]
     fn concurrent_publication_of_one_chunk_is_safe() {
         // All threads race to create the same chunk: exactly one wins,
-        // losers adopt it, and every mark lands.
-        for _ in 0..16 {
+        // losers adopt it, and every mark lands. The level-2 table exists
+        // beforehand and a barrier lines the threads up, so they collide
+        // on the chunk's CAS and the losing path runs.
+        for _ in 0..256 {
             let s = ShadowMap::new();
+            s.mark(Addr::new(0));
+            let start = std::sync::Barrier::new(8);
             std::thread::scope(|scope| {
                 for t in 0..8u64 {
-                    let s = &s;
+                    let (s, start) = (&s, &start);
                     scope.spawn(move || {
+                        start.wait();
                         s.mark(Addr::new(0x1_0000_0000 + t * GRANULE_SIZE as u64));
                     });
                 }
             });
-            assert_eq!(s.marked_count(), 8);
-            assert_eq!(s.resident_bytes(), 4096, "one chunk, no leak/dup");
+            assert_eq!(s.marked_count(), 9);
+            assert_eq!(s.resident_bytes(), 2 * 4096, "one new chunk, no leak/dup");
         }
     }
 

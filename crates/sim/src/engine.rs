@@ -31,16 +31,16 @@ struct Obj {
     /// Allocation-site id from the trace (0 = unknown). Forwarded into
     /// the quarantine so forensics can attribute failed frees.
     site: u32,
-    /// Outgoing pointer slots: (byte offset, target id).
-    out: Vec<(u64, u64)>,
-    /// Slots holding a pointer to this object.
-    incoming: Vec<Slot>,
+    /// Outgoing pointer slots, in wiring order.
+    out: EdgeList<OUT>,
+    /// Slots holding a pointer to this object, in wiring order.
+    incoming: EdgeList<IN>,
     /// Index of this object's id in `Engine::live_ids`.
     live_idx: usize,
 }
 
 /// A memory slot holding a pointer to some object.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, Debug)]
 enum Slot {
     /// Root slot index on the stack.
     Root(u32),
@@ -51,6 +51,136 @@ enum Slot {
         /// Byte offset of the slot.
         off: u64,
     },
+}
+
+/// "No edge" in a list link.
+const NIL: u32 = u32::MAX;
+/// `Edge::links` index of the holder's `out` list.
+const OUT: usize = 0;
+/// `Edge::links` index of the target's `incoming` list.
+const IN: usize = 1;
+
+/// One pointer slot of the graph: where the pointer lives and which
+/// object it points to.
+#[derive(Clone, Copy, Debug)]
+struct Edge {
+    slot: Slot,
+    target: u64,
+    /// `[prev, next]` in the holder's `out` list (`links[OUT]`; in-object
+    /// slots only) and in the target's `incoming` list (`links[IN]`).
+    links: [[u32; 2]; 2],
+    /// The target was freed while this slot kept pointing at it. The edge
+    /// has left the target's `incoming` list but stays with its holder (or
+    /// root); its target id names no live object and is never looked up.
+    dangling: bool,
+}
+
+/// Every edge of the pointer graph in one slab; released edges are reused.
+#[derive(Debug, Default)]
+struct Edges {
+    slab: Vec<Edge>,
+    free: Vec<u32>,
+}
+
+impl Edges {
+    fn add(&mut self, slot: Slot, target: u64) -> u32 {
+        let edge = Edge { slot, target, links: [[NIL; 2]; 2], dangling: false };
+        match self.free.pop() {
+            Some(e) => {
+                self.slab[e as usize] = edge;
+                e
+            }
+            None => {
+                self.slab.push(edge);
+                (self.slab.len() - 1) as u32
+            }
+        }
+    }
+
+    /// Returns `e` to the free list. Its fields stay readable until the
+    /// next [`Edges::add`].
+    fn release(&mut self, e: u32) {
+        self.free.push(e);
+    }
+
+    /// The edge after `e` in its list `DIR`.
+    fn next<const DIR: usize>(&self, e: u32) -> Option<u32> {
+        Some(self[e].links[DIR][1]).filter(|&n| n != NIL)
+    }
+
+    /// Whether another copy of in-object slot `e` (same holder, same
+    /// offset) in the same `incoming` list was erased. A holder wires all
+    /// its slots into one target during its own allocation, so the copies
+    /// sit in one run of that holder's edges, walked here both ways
+    /// (`step` 0 follows prev links, 1 next links).
+    fn erased_copy(&self, e: u32) -> bool {
+        let Slot::InObj { id: holder, off } = self[e].slot else { return false };
+        (0..2).any(|step| {
+            let mut x = self[e].links[IN][step];
+            while x != NIL {
+                match self[x].slot {
+                    Slot::InObj { id, off: o } if id == holder => {
+                        if o == off && !self[x].dangling {
+                            return true;
+                        }
+                    }
+                    _ => return false,
+                }
+                x = self[x].links[IN][step];
+            }
+            false
+        })
+    }
+}
+
+impl std::ops::Index<u32> for Edges {
+    type Output = Edge;
+    fn index(&self, e: u32) -> &Edge {
+        &self.slab[e as usize]
+    }
+}
+
+impl std::ops::IndexMut<u32> for Edges {
+    fn index_mut(&mut self, e: u32) -> &mut Edge {
+        &mut self.slab[e as usize]
+    }
+}
+
+/// One object's edges in one direction, in insertion order: an intrusive
+/// doubly linked list threaded through `Edge::links[DIR]`.
+#[derive(Clone, Copy, Debug)]
+struct EdgeList<const DIR: usize> {
+    head: u32,
+    tail: u32,
+}
+
+impl<const DIR: usize> EdgeList<DIR> {
+    const EMPTY: Self = EdgeList { head: NIL, tail: NIL };
+
+    fn first(&self) -> Option<u32> {
+        Some(self.head).filter(|&e| e != NIL)
+    }
+
+    fn push(&mut self, edges: &mut Edges, e: u32) {
+        edges[e].links[DIR] = [self.tail, NIL];
+        match self.tail {
+            NIL => self.head = e,
+            t => edges[t].links[DIR][1] = e,
+        }
+        self.tail = e;
+    }
+
+    fn unlink(&mut self, edges: &mut Edges, e: u32) {
+        let [prev, next] = edges[e].links[DIR];
+        match prev {
+            NIL => self.head = next,
+            p => edges[p].links[DIR][1] = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            n => edges[n].links[DIR][0] = prev,
+        }
+    }
 }
 
 /// The system under test, instantiated. The baseline variant is unboxed
@@ -128,8 +258,12 @@ pub struct Engine {
     /// Live objects by op id. Ids are any unique `u64` (recorded traces
     /// choose them), so this stays a map rather than an id-indexed `Vec`.
     objects: IdMap<u64, Obj>,
+    /// The pointer graph's edges, linked into the objects' lists.
+    edges: Edges,
     live_ids: Vec<u64>,
-    root_owner: Vec<Option<(u64, Addr)>>,
+    /// Per root slot: the base it points at and its edge. The edge is
+    /// dangling once that object has been freed.
+    root_owner: Vec<Option<(Addr, u32)>>,
     freed_at: IdMap<u64, u64>,
     sweep_active: bool,
     teardown: bool,
@@ -236,6 +370,7 @@ impl Engine {
             now: 0,
             background: 0,
             objects: IdMap::default(),
+            edges: Edges::default(),
             live_ids: Vec::new(),
             root_owner: vec![None; profile.root_slots as usize],
             freed_at: IdMap::default(),
@@ -462,7 +597,8 @@ impl Engine {
     }
 
     /// Mitigation metadata resident alongside the heap (quarantine lists,
-    /// dedup sets; the shadow map is transient per sweep).
+    /// dedup sets). The layer keeps its shadow map across sweeps, but the
+    /// model leaves shadow bytes out of RSS.
     fn metadata_bytes(&self) -> u64 {
         match &self.sys {
             Sys::Base(_) => 0,
@@ -579,8 +715,8 @@ impl Engine {
             base,
             req: size,
             site,
-            out: Vec::new(),
-            incoming: Vec::new(),
+            out: EdgeList::EMPTY,
+            incoming: EdgeList::EMPTY,
             live_idx: self.live_ids.len(),
         };
         // Pointer wiring per the profile's density.
@@ -603,8 +739,9 @@ impl Engine {
             };
             let value = t_base.add_bytes(interior);
             if self.space.write_word(base.add_bytes(off), value.raw()).is_ok() {
-                obj.out.push((off, target));
-                t_obj.incoming.push(Slot::InObj { id, off });
+                let e = self.edges.add(Slot::InObj { id, off }, target);
+                obj.out.push(&mut self.edges, e);
+                t_obj.incoming.push(&mut self.edges, e);
                 let slot_addr = base.add_bytes(off);
                 match &mut self.sys {
                     Sys::Cr(cr) => {
@@ -640,8 +777,9 @@ impl Engine {
             self.clear_root(r);
             let slot_addr = self.root_addr(r);
             self.space.write_word(slot_addr, base.raw()).expect("stack is mapped");
-            obj.incoming.push(Slot::Root(r));
-            self.root_owner[r as usize] = Some((id, base));
+            let e = self.edges.add(Slot::Root(r), id);
+            obj.incoming.push(&mut self.edges, e);
+            self.root_owner[r as usize] = Some((base, e));
             match &mut self.sys {
                 Sys::Cr(cr) => {
                     cr.inc_ref(base);
@@ -679,10 +817,13 @@ impl Engine {
     }
 
     fn clear_root(&mut self, r: u32) {
-        if let Some((old, old_base)) = self.root_owner[r as usize].take() {
-            if let Some(o) = self.objects.get_mut(&old) {
-                o.incoming.retain(|s| *s != Slot::Root(r));
+        if let Some((old_base, e)) = self.root_owner[r as usize].take() {
+            if !self.edges[e].dangling {
+                let old = self.edges[e].target;
+                let o = self.objects.get_mut(&old).expect("a slot's target is live");
+                o.incoming.unlink(&mut self.edges, e);
             }
+            self.edges.release(e);
             // Overwriting a pointer is an instrumented store under CRCount
             // (this is how dangling-root references eventually drain).
             if let Sys::Cr(cr) = &mut self.sys {
@@ -700,33 +841,50 @@ impl Engine {
         let obj = self.objects.remove(&id).expect("trace frees live ids once");
         // Program behaviour: erase (most) references to the dying object.
         let mut cr_writes = 0u64;
-        for &slot in &obj.incoming {
+        let mut cur = obj.incoming.first();
+        while let Some(e) = cur {
+            cur = self.edges.next::<IN>(e);
             let dangle = self.rng.chance(self.profile.dangling_rate);
-            if !dangle {
-                // Erasing a reference is an instrumented store.
-                if let Sys::Cr(cr) = &mut self.sys {
-                    cr.dec_ref(&mut self.space, obj.base);
-                    cr_writes += 1;
-                }
+            self.edges[e].dangling = dangle;
+            if dangle {
+                // The stale pointer stays until its slot is recycled — a
+                // genuine dangling pointer the sweep must find.
+                continue;
             }
-            match slot {
+            // Erasing a reference is an instrumented store.
+            if let Sys::Cr(cr) = &mut self.sys {
+                cr.dec_ref(&mut self.space, obj.base);
+                cr_writes += 1;
+            }
+            match self.edges[e].slot {
                 Slot::Root(r) => {
-                    if !dangle {
-                        self.space.write_word(self.root_addr(r), 0).expect("stack");
-                        self.root_owner[r as usize] = None;
-                    }
-                    // If dangling: the stale root pointer stays until
-                    // the slot is recycled — a genuine dangling pointer
-                    // the sweep must find.
+                    self.space.write_word(self.root_addr(r), 0).expect("stack");
+                    self.root_owner[r as usize] = None;
                 }
                 Slot::InObj { id: holder, off } => {
-                    if !dangle {
-                        if let Some(h) = self.objects.get_mut(&holder) {
-                            self.space.write_word(h.base.add_bytes(off), 0).ok();
-                            h.out.retain(|&(o, t)| !(o == off && t == id));
-                        }
-                    }
+                    let h_base = self.objects[&holder].base;
+                    self.space.write_word(h_base.add_bytes(off), 0).ok();
                 }
+            }
+        }
+        // Erased slots leave their holders. Erasing an in-object slot
+        // clears every copy of it, so a dangling copy of an erased slot
+        // goes too. A dangling slot stays with its holder (or root).
+        // `erased_copy` may read edges released earlier in this loop; they
+        // stay intact because nothing is added until it ends.
+        let mut cur = obj.incoming.first();
+        while let Some(e) = cur {
+            cur = self.edges.next::<IN>(e);
+            match self.edges[e].slot {
+                Slot::InObj { id: holder, .. }
+                    if !self.edges[e].dangling || self.edges.erased_copy(e) =>
+                {
+                    let h = self.objects.get_mut(&holder).expect("a slot's holder is live");
+                    h.out.unlink(&mut self.edges, e);
+                    self.edges.release(e);
+                }
+                Slot::Root(_) if !self.edges[e].dangling => self.edges.release(e),
+                _ => {}
             }
         }
         // The dying object's own outgoing slots stop being app references,
@@ -735,14 +893,22 @@ impl Engine {
         // stale pointers inside non-zeroed quarantined objects (MarkUs,
         // MineSweeper-without-zeroing) pin whatever later occupies the
         // pointed-to addresses, cascading retention far beyond reality.
-        for (off, target) in &obj.out {
-            // A target freed earlier reads `None`: its slots left with it.
-            let target_base = self.objects.get_mut(target).map(|t| {
-                t.incoming.retain(|s| *s != Slot::InObj { id, off: *off });
+        let mut cur = obj.out.first();
+        while let Some(e) = cur {
+            cur = self.edges.next::<OUT>(e);
+            let Edge { slot: Slot::InObj { off, .. }, target, dangling, .. } = self.edges[e]
+            else {
+                unreachable!("out lists hold in-object slots");
+            };
+            // A slot left dangling by an earlier free has no live target.
+            let target_base = (!dangling).then(|| {
+                let t = self.objects.get_mut(&target).expect("a slot's target is live");
+                t.incoming.unlink(&mut self.edges, e);
                 t.base
             });
+            self.edges.release(e);
             if self.rng.chance(0.85) {
-                self.space.write_word(obj.base.add_bytes(*off), 0).ok();
+                self.space.write_word(obj.base.add_bytes(off), 0).ok();
             }
             // CRCount's zero-fill on free invalidates every outgoing
             // reference exactly once, whatever the destructors did;
@@ -754,7 +920,7 @@ impl Engine {
                         cr_writes += 1;
                     }
                 }
-                Sys::Ps(ps) => ps.unregister_ptr(obj.base.add_bytes(*off)),
+                Sys::Ps(ps) => ps.unregister_ptr(obj.base.add_bytes(off)),
                 _ => {}
             }
         }

@@ -56,6 +56,23 @@ fn dense_profile() -> Profile {
     }
 }
 
+/// A tiny live set where every word of a holder is a pointer and half the
+/// references are left dangling: one holder often carries the same
+/// `(offset, target)` slot twice, and a dangling draw on one copy meets an
+/// erasure of the other. Erasing a slot clears every copy of it from the
+/// holder, so this pins that batch semantics under a sweeping system and
+/// under reference counting.
+fn duplicate_slot_profile() -> Profile {
+    Profile {
+        total_allocs: 2_000,
+        size_dist: SizeDist::Uniform(64, 512),
+        lifetime: LifetimeDist::Exp(4.0),
+        ptr_density: 8.0,
+        dangling_rate: 0.5,
+        ..fast_profile()
+    }
+}
+
 fn systems() -> [System; 10] {
     [
         System::Baseline,
@@ -71,10 +88,15 @@ fn systems() -> [System; 10] {
     ]
 }
 
-fn check(profile: &Profile, seed: u64, expected: &[(&str, Digest)]) {
+fn check(
+    profile: &Profile,
+    seed: u64,
+    systems: impl IntoIterator<Item = System>,
+    expected: &[(&str, Digest)],
+) {
     let mut mismatches = Vec::new();
-    for (system, &(label, want)) in systems().into_iter().zip(expected) {
-        assert_eq!(system.label(), label, "table order follows systems()");
+    for (system, &(label, want)) in systems.into_iter().zip(expected) {
+        assert_eq!(system.label(), label, "table order follows the system list");
         let got = digest(&run(profile, system, seed));
         if got != want {
             mismatches.push(format!("(\"{label}\", {got:?}),"));
@@ -92,6 +114,7 @@ fn fast_profile_digest_is_pinned() {
     check(
         &fast_profile(),
         7,
+        systems(),
         &[
             ("baseline", (1486779, 0, 0, 0, 81920, 4000, 4000)),
             ("minesweeper", (1877484, 290207, 6, 0, 225024, 4000, 4000)),
@@ -112,6 +135,7 @@ fn dense_profile_digest_is_pinned() {
     check(
         &dense_profile(),
         11,
+        systems(),
         &[
             ("baseline", (1559564, 0, 0, 0, 122880, 4000, 4000)),
             ("minesweeper", (1881497, 306999, 6, 67, 244736, 4000, 4000)),
@@ -123,6 +147,19 @@ fn dense_profile_digest_is_pinned() {
             ("oscar", (5926580, 0, 0, 0, 226216, 4000, 4000)),
             ("psweeper", (1753884, 338364, 16, 0, 175736, 4000, 4000)),
             ("dangsan", (2395367, 0, 0, 0, 163520, 4000, 4000)),
+        ],
+    );
+}
+
+#[test]
+fn duplicate_slot_digest_is_pinned() {
+    check(
+        &duplicate_slot_profile(),
+        3,
+        [System::minesweeper_default(), System::CrCount],
+        &[
+            ("minesweeper", (874447, 177298, 9, 283, 142016, 2000, 2000)),
+            ("crcount", (2900597, 0, 0, 0, 749680, 2000, 2000)),
         ],
     );
 }
@@ -162,6 +199,53 @@ fn sparse_ids_replay_like_dense_ids() {
             (b.pause_cycles, b.stw_cycles, b.sweep_demand_commits),
             "{label}: pause/STW/demand commits"
         );
+        assert_eq!(a.telemetry, b.telemetry, "{label}: telemetry snapshot");
+    }
+}
+
+/// `Engine::run_ops` takes any op stream, so a freed id may come back as a
+/// new object while slots that dangled at the old one still hold it. Those
+/// slots must never be resolved to the new object. Relabelling the trace so
+/// every allocation reuses the most recently freed id of its root-slot
+/// class (`id % root_slots`) must replay exactly like the fresh ids.
+#[test]
+fn reused_ids_replay_like_fresh_ids() {
+    let profile = dense_profile();
+    let seed = 5;
+    let fresh: Vec<Op> = TraceGen::new(&profile, seed).collect();
+    let classes = profile.root_slots as u64;
+    let mut freed: Vec<Vec<u64>> = vec![Vec::new(); classes as usize];
+    let mut label = std::collections::HashMap::new();
+    let mut reused = 0;
+    let relabelled: Vec<Op> = fresh
+        .iter()
+        .map(|op| match *op {
+            Op::Alloc { id, size, site } => {
+                let new = freed[(id % classes) as usize].pop().unwrap_or(id);
+                reused += u64::from(new != id);
+                label.insert(id, new);
+                Op::Alloc { id: new, size, site }
+            }
+            Op::Free { id } => {
+                let new = label.remove(&id).expect("trace frees live ids");
+                freed[(id % classes) as usize].push(new);
+                Op::Free { id: new }
+            }
+            other => other,
+        })
+        .collect();
+    assert!(reused > 1_000, "the relabelled trace must reuse ids: {reused}");
+    for system in [
+        System::Baseline,
+        System::minesweeper_default(),
+        System::markus_default(),
+        System::CrCount,
+    ] {
+        let a = run_trace(&profile, system, seed, fresh.iter().copied());
+        let b = run_trace(&profile, system, seed, relabelled.iter().copied());
+        let label = system.label();
+        assert_eq!(digest(&a), digest(&b), "{label}: headline metrics");
+        assert_eq!(a.rss_series, b.rss_series, "{label}: RSS series");
         assert_eq!(a.telemetry, b.telemetry, "{label}: telemetry snapshot");
     }
 }

@@ -14,6 +14,7 @@
 # Baseline refresh knobs (intentional, reviewed updates only):
 #   UPDATE_GOLDEN=1            scripts/ci.sh --stage golden-traces
 #   UPDATE_SECURITY_BASELINE=1 scripts/ci.sh --stage security
+#   UPDATE_MODEL_LOCK=1        scripts/ci.sh --stage model-lock
 set -euo pipefail
 SELF="$(cd "$(dirname "$0")" && pwd)/$(basename "$0")"
 cd "$(dirname "$0")/.."
@@ -131,6 +132,32 @@ stage_forensics_smoke() {
 stage_golden_traces() {
     cargo test -q -p minesweeper --test golden_trace > /dev/null \
         || { echo "golden trace fixtures drifted"; exit 1; }
+}
+
+# desc: sim run outputs match pinned sha256 sums (UPDATE_MODEL_LOCK=1)
+stage_model_lock() {
+    # Every system on two SPEC profiles, printed by the CLI: a change meant
+    # to be behaviour-neutral must leave every byte alone. The scan-tier
+    # counter names the host's SIMD level, so it is left out of the sum.
+    local fixture=crates/sim/tests/fixtures/model_lock.sha256
+    local sums="$smoke_dir/model_lock.sha256" bench system
+    : > "$sums"
+    for bench in gcc omnetpp; do
+        for system in baseline minesweeper minesweeper-mostly markus ffmalloc \
+            scudo minesweeper-scudo crcount oscar psweeper dangsan; do
+            cargo run -q --release -p ms-cli --bin minesweeper-sim -- \
+                run "$bench" --system "$system" \
+                | grep -v '^engine/scan_tier_' | sha256sum \
+                | sed "s/-\$/$bench $system/" >> "$sums"
+        done
+    done
+    if [ "${UPDATE_MODEL_LOCK:-0}" = "1" ]; then
+        cp "$sums" "$fixture"
+        echo "model lock regenerated — review and commit the diff"
+    fi
+    diff "$fixture" "$sums" \
+        || { echo "sim run output drifted from $fixture" \
+             "(regenerate with UPDATE_MODEL_LOCK=1)"; exit 1; }
 }
 
 # desc: bench schema keys present and degraded rows honest
@@ -457,6 +484,7 @@ STAGES=(
     arena-smoke
     forensics-smoke
     golden-traces
+    model-lock
     bench-smoke
     e2e-bench-smoke
     profiler-pair
