@@ -343,18 +343,9 @@ pub fn forensics_by_label(label: &str) -> Result<minesweeper::ForensicsMode, Cli
 /// [`CliError`] when the system has no sweep (and hence no forensics).
 fn apply_forensics(sys: System, label: &str) -> Result<System, CliError> {
     let mode = forensics_by_label(label)?;
-    match sys {
-        System::MineSweeper(cfg) => {
-            Ok(System::MineSweeper(minesweeper::MsConfig { forensics: mode, ..cfg }))
-        }
-        System::MineSweeperScudo(cfg) => {
-            Ok(System::MineSweeperScudo(minesweeper::MsConfig { forensics: mode, ..cfg }))
-        }
-        other => Err(CliError(format!(
-            "--forensics needs a minesweeper-layered system, not {}",
-            other.label()
-        ))),
-    }
+    sys.map_ms_config(|cfg| minesweeper::MsConfig { forensics: mode, ..cfg }).ok_or_else(|| {
+        CliError(format!("--forensics needs a minesweeper-layered system, not {}", sys.label()))
+    })
 }
 
 /// Finds a benchmark profile across all suites.

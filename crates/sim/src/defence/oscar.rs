@@ -1,0 +1,27 @@
+//! Oscar: page-permission revocation through shadow virtual pages.
+
+use super::*;
+
+impl Defence for Oscar {
+    fn malloc_word(&mut self, space: &mut AddrSpace, size: u64, cost: &CostModel) -> (u64, u64) {
+        (self.malloc(space, size).raw(), cost.oscar_malloc_syscall)
+    }
+
+    fn free_word(&mut self, space: &mut AddrSpace, word: u64, cx: FreeCtx) -> (FreeAck, u64) {
+        let ack = match self.free(space, Addr::new(word)) {
+            Ok(()) => {
+                // Revoking the shadow alias is the scheme's free cost.
+                cx.bill.charge(CostKind::Quarantine, cx.cost.oscar_free_syscall);
+                FreeAck::Done
+            }
+            Err(_) => FreeAck::Rejected,
+        };
+        (ack, cx.cost.oscar_free_syscall)
+    }
+
+    /// Page tables only ever grow: one PTE per alias ever created, plus
+    /// the out-of-line object map.
+    fn metadata_bytes(&self) -> u64 {
+        self.stats().aliases_created * 8 + self.live_allocations() as u64 * 40
+    }
+}

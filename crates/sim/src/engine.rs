@@ -5,13 +5,7 @@
 //! dangling pointers), charging cycle costs, and interleaving concurrent
 //! sweep progress with mutator progress in virtual time.
 
-use baselines::{
-    CrCount, CrFreeOutcome, DangSan, DsFreeOutcome, FfConfig, FfMalloc, MarkUs,
-    MarkUsFreeOutcome, Oscar, PSweeper, PsFreeOutcome,
-};
-use jalloc::{JAlloc, JallocConfig};
-use minesweeper::{FreeOutcome, HeapBackend, MineSweeper, LAYER_SUBSYSTEM};
-use scudo::Scudo;
+use minesweeper::LAYER_SUBSYSTEM;
 use telemetry::{
     CostKind, CostRecorder, Histogram, IdMap, Registry, Sink, SloPolicy, Watchdog,
 };
@@ -19,6 +13,8 @@ use vmem::{Addr, AddrSpace, Segment, PAGE_SIZE, WORD_SIZE};
 use workloads::{Op, Profile, Rng, TraceGen};
 
 use crate::cost::CostModel;
+use crate::defence::{self, Defence, FreeAck, FreeCtx};
+use crate::exploit::DefenceCost;
 use crate::metrics::RunMetrics;
 use crate::system::System;
 
@@ -183,23 +179,6 @@ impl<const DIR: usize> EdgeList<DIR> {
     }
 }
 
-/// The system under test, instantiated. The baseline variant is unboxed
-/// intentionally: it is the hot path and `JAlloc` is a few hundred bytes.
-#[derive(Debug)]
-#[allow(clippy::large_enum_variant)]
-enum Sys {
-    Base(JAlloc),
-    Ms(Box<MineSweeper>),
-    Mu(Box<MarkUs>),
-    Ff(Box<FfMalloc>),
-    ScudoBase(Box<Scudo>),
-    MsScudo(Box<MineSweeper<Scudo>>),
-    Cr(Box<CrCount>),
-    Os(Box<Oscar>),
-    Ps(Box<PSweeper>),
-    Ds(Box<DangSan>),
-}
-
 /// Subsystem label the engine registers its instruments under, alongside
 /// the layer's [`minesweeper::LAYER_SUBSYSTEM`] counters in the same
 /// registry.
@@ -230,25 +209,126 @@ impl EngineTelem {
             sweep_start: 0,
         }
     }
-
-    /// Stamps the run's helper-thread demand vs. supply and the active
-    /// scan-kernel tier into the registry, so a trace from a degraded run
-    /// (1 spare core, SWAR fallback) is distinguishable from a genuinely
-    /// parallel one without out-of-band context.
-    fn stamp_environment(registry: &Registry, requested: u64, effective: u64) {
-        registry.counter(ENGINE_SUBSYSTEM, "requested_helpers").add(requested);
-        registry.counter(ENGINE_SUBSYSTEM, "effective_helpers").add(effective);
-        let tier = minesweeper::simd::active_tier().as_str();
-        registry.counter(ENGINE_SUBSYSTEM, &format!("scan_tier_{tier}")).inc();
-    }
 }
 
 /// Replays one `(profile, system, seed)` run. See the
 /// [crate docs](crate) and [`crate::run`].
 #[derive(Debug)]
 pub struct Engine {
+    sys: Box<dyn Defence>,
+    setup: Setup,
+}
+
+/// What [`Engine`] fixes before the run; [`Sim::new`] takes it over.
+#[derive(Debug)]
+pub(crate) struct Setup {
+    profile: Profile,
+    label: &'static str,
+    seed: u64,
+    threads: u64,
+    telem: Option<EngineTelem>,
+    cost_rec: Option<CostRecorder>,
+    slo: Option<SloPolicy>,
+}
+
+impl Engine {
+    /// Builds an engine for `profile` under `system` with the given trace
+    /// seed.
+    pub fn new(profile: &Profile, system: System, seed: u64) -> Self {
+        // Scale the allocator's 10 s decay window to the (scaled-down)
+        // run length so background purging fires a realistic number of
+        // times per run.
+        let run_cycles = profile.total_allocs.max(1) * profile.cycles_per_alloc.max(1);
+        let decay = (run_cycles / 30).clamp(1_000_000, 500_000_000);
+        let sys = defence::build(system, decay);
+        let cores = CostModel::desktop().cores as u64;
+        let spare = cores.saturating_sub(profile.threads as u64).max(1);
+        let threads = sys.sweeper_threads().min(spare).max(1);
+        let telem = sys.registry().map(EngineTelem::register);
+        let cost_rec = sys.registry().map(CostRecorder::new);
+        // Stamp helper-thread demand vs. supply and the scan-kernel tier,
+        // so a trace from a degraded run (1 spare core, SWAR fallback) is
+        // distinguishable from a genuinely parallel one.
+        if let Some(registry) = sys.registry() {
+            registry.counter(ENGINE_SUBSYSTEM, "requested_helpers").add(sys.sweeper_threads());
+            registry.counter(ENGINE_SUBSYSTEM, "effective_helpers").add(threads);
+            let tier = minesweeper::simd::active_tier().as_str();
+            registry.counter(ENGINE_SUBSYSTEM, &format!("scan_tier_{tier}")).inc();
+        }
+        let (label, slo) = (system.label(), None);
+        let setup = Setup { profile: profile.clone(), label, seed, threads, telem, cost_rec, slo };
+        Engine { sys, setup }
+    }
+
+    /// Turns the cost-attribution ledger on or off. It is on by default
+    /// for layered systems; turning it off stops all `cost/*` counter
+    /// traffic (the run is otherwise bit-identical — the ledger only
+    /// observes charges, it never changes them). No-op for baselines.
+    pub fn set_cost_ledger(&mut self, on: bool) {
+        if !on {
+            self.setup.cost_rec = None;
+        } else if self.setup.cost_rec.is_none() {
+            self.setup.cost_rec = self.sys.registry().map(CostRecorder::new);
+        }
+    }
+
+    /// Self-test leak injection: skip `kind`'s per-kind counter on every
+    /// future charge (histogram and total still accumulate), so
+    /// `ms-report --costs --check` must fail naming exactly that kind.
+    pub fn set_cost_drop(&mut self, kind: CostKind) {
+        if let Some(rec) = &mut self.setup.cost_rec {
+            rec.set_drop(Some(kind));
+        }
+    }
+
+    /// Arms the SLO watchdog: at finalize the run's registry snapshot is
+    /// evaluated against `policy` and every breached objective emits a
+    /// typed [`telemetry::EventKind::SloViolation`] through the attached
+    /// trace sink. No-op for systems without a registry (baselines).
+    pub fn set_slo_policy(&mut self, policy: SloPolicy) {
+        self.setup.slo = Some(policy);
+    }
+
+    /// Attaches `sink` to the layered system's sweep tracer, so the run
+    /// emits lifecycle events ([`telemetry::EventKind`]) stamped with the
+    /// engine's virtual clock. With `deterministic` set, wall-clock
+    /// durations in events are zeroed so identically seeded runs produce
+    /// byte-identical traces.
+    ///
+    /// Returns `false` (and drops the sink) when the system under test has
+    /// no tracer (baselines).
+    pub fn set_trace_sink(&mut self, sink: Box<dyn Sink>, deterministic: bool) -> bool {
+        let Some(tracer) = self.sys.tracer_mut() else { return false };
+        tracer.set_sink(sink);
+        tracer.set_deterministic(deterministic);
+        true
+    }
+
+    /// Runs the profile's generated trace to completion and returns the
+    /// metrics.
+    pub fn run(self) -> RunMetrics {
+        let trace = TraceGen::new(&self.setup.profile, self.setup.seed);
+        self.run_ops(trace)
+    }
+
+    /// Replays an explicit op stream (e.g. a recorded trace,
+    /// [`workloads::recorded`]) instead of the generated one. The profile
+    /// still supplies the pointer-graph knobs (density, dangling rate,
+    /// roots) and the cost-model scaling.
+    pub fn run_ops(self, ops: impl IntoIterator<Item = Op>) -> RunMetrics {
+        self.sys.replay(self.setup, &mut ops.into_iter())
+    }
+}
+
+/// The engine over one concrete system type `D`, so the op loop calls
+/// the system without dynamic dispatch.
+#[derive(Debug)]
+pub(crate) struct Sim<D: ?Sized> {
     space: AddrSpace,
-    sys: Sys,
+    sys: Box<D>,
+    /// Effective sweeper threads: the system's request, capped by the
+    /// cores the mutator spares.
+    threads: u64,
     cost: CostModel,
     rng: Rng,
     profile: Profile,
@@ -273,7 +353,6 @@ pub struct Engine {
     metrics: RunMetrics,
     sample_interval: u64,
     next_sample: u64,
-    seed: u64,
     /// Present for MineSweeper-layered systems (they own the registry).
     telem: Option<EngineTelem>,
     /// Cost-attribution ledger ([`telemetry::CostRecorder`]) on the same
@@ -289,90 +368,30 @@ pub struct Engine {
     slo: Option<SloPolicy>,
 }
 
-impl Engine {
-    /// Builds an engine for `profile` under `system` with the given trace
-    /// seed.
-    pub fn new(profile: &Profile, system: System, seed: u64) -> Self {
-        let cost = CostModel::desktop();
-        // Scale the allocator's 10 s decay window to the (scaled-down)
-        // run length so background purging fires a realistic number of
-        // times per run.
+impl<D: Defence + ?Sized> Sim<D> {
+    pub(crate) fn new(sys: Box<D>, setup: Setup) -> Self {
+        let Setup { profile, label, seed, threads, telem, cost_rec, slo } = setup;
         let run_cycles = profile.total_allocs.max(1) * profile.cycles_per_alloc.max(1);
-        let decay = (run_cycles / 30).clamp(1_000_000, 500_000_000);
-        let sys = match system {
-            System::Baseline => Sys::Base(JAlloc::with_config(JallocConfig {
-                decay_cycles: decay,
-                ..JallocConfig::stock()
-            })),
-            System::MineSweeper(cfg) => {
-                let jcfg = if cfg.purge_after_sweep {
-                    JallocConfig { decay_cycles: decay, ..JallocConfig::minesweeper() }
-                } else {
-                    JallocConfig {
-                        decay_cycles: decay,
-                        end_padding: true,
-                        ..JallocConfig::stock()
-                    }
-                };
-                Sys::Ms(Box::new(MineSweeper::with_heap_config(cfg, jcfg)))
-            }
-            System::MarkUs(cfg) => Sys::Mu(Box::new(MarkUs::new(cfg))),
-            System::FfMalloc => Sys::Ff(Box::new(FfMalloc::new(FfConfig::standard()))),
-            System::ScudoBaseline => Sys::ScudoBase(Box::new(Scudo::new())),
-            System::MineSweeperScudo(cfg) => {
-                Sys::MsScudo(Box::new(MineSweeper::with_backend(cfg, Scudo::new())))
-            }
-            System::CrCount => Sys::Cr(Box::new(CrCount::new())),
-            System::Oscar => Sys::Os(Box::new(Oscar::new())),
-            System::PSweeper => Sys::Ps(Box::new(PSweeper::new())),
-            System::DangSan => Sys::Ds(Box::new(DangSan::new())),
-        };
-        let telem = match &sys {
-            Sys::Ms(ms) => Some(EngineTelem::register(ms.registry())),
-            Sys::MsScudo(ms) => Some(EngineTelem::register(ms.registry())),
-            _ => None,
-        };
-        let cost_rec = match &sys {
-            Sys::Ms(ms) => Some(CostRecorder::new(ms.registry())),
-            Sys::MsScudo(ms) => Some(CostRecorder::new(ms.registry())),
-            _ => None,
-        };
-        // Mirror `sweeper_threads()`: requested = config helpers + main
-        // sweeper; effective = clamped by cores spared by the mutator.
-        if let Some(requested) = match &sys {
-            Sys::Ms(ms) => Some(ms.config().helper_threads as u64 + 1),
-            Sys::MsScudo(ms) => Some(ms.config().helper_threads as u64 + 1),
-            _ => None,
-        } {
-            let spare =
-                (cost.cores as u64).saturating_sub(profile.threads as u64).max(1);
-            let effective = requested.min(spare).max(1);
-            let registry = match &sys {
-                Sys::Ms(ms) => ms.registry(),
-                Sys::MsScudo(ms) => ms.registry(),
-                _ => unreachable!(),
-            };
-            EngineTelem::stamp_environment(registry, requested, effective);
-        }
         let sample_interval = (run_cycles / 256).max(10_000);
-        let mut metrics = RunMetrics {
+        let metrics = RunMetrics {
             benchmark: profile.name.to_string(),
-            system: system.label().to_string(),
+            system: label.to_string(),
+            rss_series: vec![(0, 0)],
             ..RunMetrics::default()
         };
-        metrics.rss_series.push((0, 0));
-        Engine {
+        Sim {
             space: AddrSpace::new(),
             sys,
-            cost,
+            threads,
+            cost: CostModel::desktop(),
             rng: Rng::new(seed ^ 0x9aa9_0000),
-            profile: profile.clone(),
             now: 0,
             background: 0,
             objects: IdMap::default(),
             edges: Edges::default(),
             live_ids: Vec::new(),
             root_owner: vec![None; profile.root_slots as usize],
+            profile,
             freed_at: IdMap::default(),
             sweep_active: false,
             teardown: false,
@@ -381,84 +400,20 @@ impl Engine {
             metrics,
             sample_interval,
             next_sample: sample_interval,
-            seed,
             telem,
             cost_rec,
             cost_sweep_start: 0,
-            slo: None,
+            slo,
         }
     }
 
-    /// Turns the cost-attribution ledger on or off. It is on by default
-    /// for layered systems; turning it off stops all `cost/*` counter
-    /// traffic (the run is otherwise bit-identical — the ledger only
-    /// observes charges, it never changes them). No-op for baselines.
-    pub fn set_cost_ledger(&mut self, on: bool) {
-        if !on {
-            self.cost_rec = None;
-        } else if self.cost_rec.is_none() {
-            self.cost_rec = match &self.sys {
-                Sys::Ms(ms) => Some(CostRecorder::new(ms.registry())),
-                Sys::MsScudo(ms) => Some(CostRecorder::new(ms.registry())),
-                _ => None,
-            };
-        }
-    }
-
-    /// Self-test leak injection: skip `kind`'s per-kind counter on every
-    /// future charge (histogram and total still accumulate), so
-    /// `ms-report --costs --check` must fail naming exactly that kind.
-    pub fn set_cost_drop(&mut self, kind: CostKind) {
+    fn record_cost(&mut self, kind: CostKind, cycles: u64) {
         if let Some(rec) = &mut self.cost_rec {
-            rec.set_drop(Some(kind));
+            rec.charge(kind, cycles, None, None);
         }
     }
 
-    fn record_cost(&mut self, kind: CostKind, cycles: u64, site: Option<u32>) {
-        if let Some(rec) = &mut self.cost_rec {
-            rec.charge(kind, cycles, site, None);
-        }
-    }
-
-    /// Arms the SLO watchdog: at finalize the run's registry snapshot is
-    /// evaluated against `policy` and every breached objective emits a
-    /// typed [`telemetry::EventKind::SloViolation`] through the attached
-    /// trace sink. No-op for systems without a registry (baselines).
-    pub fn set_slo_policy(&mut self, policy: SloPolicy) {
-        self.slo = Some(policy);
-    }
-
-    /// Attaches `sink` to the layered system's sweep tracer, so the run
-    /// emits lifecycle events ([`telemetry::EventKind`]) stamped with the
-    /// engine's virtual clock. With `deterministic` set, wall-clock
-    /// durations in events are zeroed so identically seeded runs produce
-    /// byte-identical traces.
-    ///
-    /// Returns `false` (and drops the sink) when the system under test has
-    /// no tracer (baselines).
-    pub fn set_trace_sink(&mut self, sink: Box<dyn Sink>, deterministic: bool) -> bool {
-        let tracer = match &mut self.sys {
-            Sys::Ms(ms) => ms.tracer_mut(),
-            Sys::MsScudo(ms) => ms.tracer_mut(),
-            _ => return false,
-        };
-        tracer.set_sink(sink);
-        tracer.set_deterministic(deterministic);
-        true
-    }
-
-    /// Runs the profile's generated trace to completion and returns the
-    /// metrics.
-    pub fn run(self) -> RunMetrics {
-        let trace = TraceGen::new(&self.profile, self.seed);
-        self.run_ops(trace)
-    }
-
-    /// Replays an explicit op stream (e.g. a recorded trace,
-    /// [`workloads::recorded`]) instead of the generated one. The profile
-    /// still supplies the pointer-graph knobs (density, dangling rate,
-    /// roots) and the cost-model scaling.
-    pub fn run_ops(mut self, ops: impl IntoIterator<Item = Op>) -> RunMetrics {
+    pub(crate) fn run_ops(mut self, ops: impl IntoIterator<Item = Op>) -> RunMetrics {
         for op in ops {
             match op {
                 Op::Work(c) => {
@@ -467,11 +422,7 @@ impl Engine {
                     // stores, so the steady-state instrumented stores are
                     // charged proportionally to the profile's pointer
                     // density (§6.6's mcf/povray effect).
-                    let tax = match self.sys {
-                        Sys::Cr(_) => self.cost.crcount_work_tax,
-                        Sys::Ds(_) => self.cost.dangsan_work_tax,
-                        _ => 0.0,
-                    };
+                    let tax = self.sys.work_tax(&self.cost);
                     let c = c + (c as f64 * tax * self.profile.ptr_density.min(1.0)) as u64;
                     self.charge_mutator(c)
                 }
@@ -483,39 +434,20 @@ impl Engine {
                 self.housekeep();
             }
         }
-        self.finish_run()
-    }
-
-    fn finish_run(mut self) -> RunMetrics {
         // If a sweep is still in flight at exit, let it land (the process
         // would normally just exit; finishing keeps accounting closed).
-        if self.sweep_active {
-            self.fast_forward_sweep(false);
-        }
+        self.fast_forward_sweep(false);
         self.finalize()
     }
 
     // ---- time accounting -------------------------------------------------
-
-    /// Effective concurrent sweeper threads: capped by spare cores.
-    fn sweeper_threads(&self) -> u64 {
-        let helpers = match &self.sys {
-            Sys::Ms(ms) => ms.config().helper_threads as u64 + 1,
-            Sys::MsScudo(ms) => ms.config().helper_threads as u64 + 1,
-            Sys::Mu(_) => 2,
-            _ => 0,
-        };
-        let spare =
-            (self.cost.cores as u64).saturating_sub(self.profile.threads as u64).max(1);
-        helpers.min(spare).max(1)
-    }
 
     /// Contention factor on mutator work while sweepers are running.
     fn contention(&self) -> f64 {
         if !self.sweep_active {
             return 1.0;
         }
-        let demand = self.profile.threads as u64 + self.sweeper_threads();
+        let demand = self.profile.threads as u64 + self.threads;
         if demand <= self.cost.cores as u64 {
             1.0
         } else {
@@ -534,88 +466,34 @@ impl Engine {
         self.sample();
     }
 
-    /// Charges cycles to background threads.
-    fn charge_background(&mut self, cycles: u64) {
-        self.background += cycles;
-    }
-
     fn sample(&mut self) {
         while self.now >= self.next_sample {
-            let rss = self.space.rss_bytes() + self.metadata_bytes();
+            let rss = self.rss();
             self.metrics.peak_rss = self.metrics.peak_rss.max(rss);
             self.metrics.rss_series.push((self.next_sample, rss));
             self.next_sample += self.sample_interval;
             // Allocator decay purging rides the sample clock.
-            match &mut self.sys {
-                Sys::Base(heap) => {
-                    heap.advance_clock(self.now);
-                    heap.purge_aged(&mut self.space);
-                }
-                Sys::Ms(ms) => {
-                    ms.advance_clock(self.now);
-                    ms.decay_purge(&mut self.space);
-                }
-                Sys::Mu(mu) => mu.advance_clock(self.now),
-                Sys::Ff(_) => {}
-                Sys::ScudoBase(heap) => {
-                    heap.advance_clock(self.now);
-                    // Scudo releases free pages opportunistically.
-                    heap.release_to_os(&mut self.space);
-                }
-                Sys::MsScudo(ms) => ms.advance_clock(self.now),
-                Sys::Cr(cr) => {
-                    cr.advance_clock(self.now);
-                    cr.purge_aged(&mut self.space);
-                }
-                Sys::Os(_) => {}
-                Sys::Ps(ps) => {
-                    ps.advance_clock(self.now);
-                    ps.purge_aged(&mut self.space);
-                }
-                Sys::Ds(ds) => {
-                    ds.advance_clock(self.now);
-                    ds.purge_aged(&mut self.space);
-                }
-            }
+            self.sys.tick(&mut self.space, self.now);
             // pSweeper's background thread wakes on its fixed period.
             if self.now >= self.next_psweep {
                 self.next_psweep = self.now + self.psweep_period;
-                if let Sys::Ps(ps) = &mut self.sys {
-                    if !self.teardown {
-                        let report = ps.sweep(&mut self.space);
-                        let scan = report.slots_scanned * self.cost.psweeper_slot_scan
-                            + report.released * self.cost.release_entry;
-                        // Concurrent thread; a thin slice of interference
-                        // reaches the mutator (nullification stores).
-                        self.now += report.nullified * 20;
-                        self.background += scan;
-                        self.metrics.sweeps += 1;
-                    }
+                if self.teardown {
+                    continue;
+                }
+                if let Some((mutator, background)) =
+                    self.sys.periodic_sweep(&mut self.space, &self.cost)
+                {
+                    self.now += mutator;
+                    self.background += background;
+                    self.metrics.sweeps += 1;
                 }
             }
         }
     }
 
-    /// Mitigation metadata resident alongside the heap (quarantine lists,
-    /// dedup sets). The layer keeps its shadow map across sweeps, but the
-    /// model leaves shadow bytes out of RSS.
-    fn metadata_bytes(&self) -> u64 {
-        match &self.sys {
-            Sys::Base(_) => 0,
-            Sys::Ms(ms) => ms.quarantine().len() as u64 * 64,
-            Sys::Mu(mu) => mu.quarantine_len() as u64 * 64,
-            Sys::Ff(ff) => ff.live_allocations() as u64 * 48,
-            Sys::ScudoBase(_) => 0,
-            Sys::MsScudo(ms) => ms.quarantine().len() as u64 * 64,
-            Sys::Cr(cr) => cr.pending() as u64 * 48,
-            // Oscar's page tables only ever grow: one PTE per alias ever
-            // created, plus the out-of-line object map.
-            Sys::Os(os) => {
-                os.stats().aliases_created * 8 + os.live_allocations() as u64 * 40
-            }
-            Sys::Ps(ps) => ps.tracked_ptrs() as u64 * 8 + ps.pending() as u64 * 16,
-            Sys::Ds(ds) => ds.stats().log_bytes,
-        }
+    /// Resident bytes: the address space plus the system's metadata.
+    fn rss(&self) -> u64 {
+        self.space.rss_bytes() + self.sys.metadata_bytes()
     }
 
     // ---- allocation ------------------------------------------------------
@@ -623,63 +501,11 @@ impl Engine {
     fn do_alloc(&mut self, id: u64, size: u64, site: u32) {
         self.metrics.allocs += 1;
         // Pause valve: an overloaded sweep blocks new allocations (§5.7).
-        let pause = match &self.sys {
-            Sys::Ms(ms) => ms.pause_needed(),
-            Sys::MsScudo(ms) => ms.pause_needed(),
-            _ => false,
-        };
-        if pause {
+        if self.sys.pause_needed() {
             self.fast_forward_sweep(true);
         }
-        let cost = self.cost;
-        let (base, alloc_cost) = match &mut self.sys {
-            Sys::Base(heap) => {
-                let s0 = *heap.stats();
-                let base = heap.malloc(&mut self.space, size);
-                (base, malloc_cost(&cost, &s0, heap.stats()))
-            }
-            Sys::Ms(ms) => {
-                let s0 = *ms.heap().stats();
-                let base = ms.malloc(&mut self.space, size);
-                (base, malloc_cost(&cost, &s0, ms.heap().stats()))
-            }
-            Sys::Mu(mu) => {
-                let s0 = *mu.heap().stats();
-                let base = mu.malloc(&mut self.space, size);
-                (base, malloc_cost(&cost, &s0, mu.heap().stats()) + cost.markus_malloc_extra)
-            }
-            Sys::Ff(ff) => {
-                let base = ff.malloc(&mut self.space, size);
-                (base, cost.ff_malloc)
-            }
-            Sys::ScudoBase(heap) => {
-                let base = heap.allocate(&mut self.space, size);
-                (base, cost.scudo_malloc)
-            }
-            Sys::MsScudo(ms) => {
-                let base = ms.malloc(&mut self.space, size);
-                (base, cost.scudo_malloc)
-            }
-            Sys::Cr(cr) => {
-                let s0 = *cr.heap().stats();
-                let base = cr.malloc(&mut self.space, size);
-                (base, malloc_cost(&cost, &s0, cr.heap().stats()))
-            }
-            Sys::Os(os) => {
-                let base = os.malloc(&mut self.space, size);
-                (base, cost.oscar_malloc_syscall)
-            }
-            Sys::Ps(ps) => {
-                let s0 = *ps.heap().stats();
-                let base = ps.malloc(&mut self.space, size);
-                (base, malloc_cost(&cost, &s0, ps.heap().stats()))
-            }
-            Sys::Ds(ds) => {
-                let s0 = *ds.heap().stats();
-                let base = ds.malloc(&mut self.space, size);
-                (base, malloc_cost(&cost, &s0, ds.heap().stats()))
-            }
-        };
+        let (word, alloc_cost) = self.sys.malloc_word(&mut self.space, size, &self.cost);
+        let base = Addr::new(word);
         // Delay-of-reuse cache penalty, scaled by how much the benchmark
         // depends on hot reuse. Three cases:
         //  * warm — the base was freed moments ago (tcache-style LIFO
@@ -725,8 +551,7 @@ impl Engine {
         if self.rng.chance(slots_f.fract()) {
             k += 1;
         }
-        let mut cr_writes = 0u64;
-        let mut instr_writes = 0u64;
+        let mut store_cycles = 0;
         for _ in 0..k.min(size / WORD_SIZE as u64) {
             let Some(&target) = pick(&mut self.rng, &self.live_ids) else { break };
             let t_obj = self.objects.get_mut(&target).expect("live ids are live");
@@ -742,22 +567,7 @@ impl Engine {
                 let e = self.edges.add(Slot::InObj { id, off }, target);
                 obj.out.push(&mut self.edges, e);
                 t_obj.incoming.push(&mut self.edges, e);
-                let slot_addr = base.add_bytes(off);
-                match &mut self.sys {
-                    Sys::Cr(cr) => {
-                        cr.inc_ref(t_base);
-                        cr_writes += 1;
-                    }
-                    Sys::Ps(ps) => {
-                        ps.register_ptr(slot_addr);
-                        instr_writes += 1;
-                    }
-                    Sys::Ds(ds) => {
-                        ds.note_ptr_store(t_base, slot_addr);
-                        instr_writes += 1;
-                    }
-                    _ => {}
-                }
+                store_cycles += self.sys.store_ptr(t_base, base.add_bytes(off), &self.cost);
             }
         }
         // A "false pointer": plain data that happens to equal a heap
@@ -780,32 +590,10 @@ impl Engine {
             let e = self.edges.add(Slot::Root(r), id);
             obj.incoming.push(&mut self.edges, e);
             self.root_owner[r as usize] = Some((base, e));
-            match &mut self.sys {
-                Sys::Cr(cr) => {
-                    cr.inc_ref(base);
-                    cr_writes += 1;
-                }
-                Sys::Ps(ps) => {
-                    ps.register_ptr(slot_addr);
-                    instr_writes += 1;
-                }
-                Sys::Ds(ds) => {
-                    ds.note_ptr_store(base, slot_addr);
-                    instr_writes += 1;
-                }
-                _ => {}
-            }
+            store_cycles += self.sys.store_ptr(base, slot_addr, &self.cost);
         }
-        if cr_writes > 0 {
-            self.charge_mutator(cr_writes * self.cost.crcount_ptr_write);
-        }
-        if instr_writes > 0 {
-            let per = match &self.sys {
-                Sys::Ps(_) => self.cost.psweeper_register,
-                Sys::Ds(_) => self.cost.dangsan_log_append,
-                _ => 0,
-            };
-            self.charge_mutator(instr_writes * per);
+        if store_cycles > 0 {
+            self.charge_mutator(store_cycles);
         }
 
         self.objects.insert(id, obj);
@@ -824,11 +612,10 @@ impl Engine {
                 o.incoming.unlink(&mut self.edges, e);
             }
             self.edges.release(e);
-            // Overwriting a pointer is an instrumented store under CRCount
-            // (this is how dangling-root references eventually drain).
-            if let Sys::Cr(cr) = &mut self.sys {
-                cr.dec_ref(&mut self.space, old_base);
-            }
+            // Overwriting a pointer is an instrumented store (under
+            // CRCount this is how dangling-root references eventually
+            // drain). The engine leaves it uncharged.
+            self.sys.drop_ref(&mut self.space, old_base, &self.cost);
         }
         // The slot itself is overwritten by the caller (or zeroed here).
         self.space.write_word(self.root_addr(r), 0).expect("stack is mapped");
@@ -840,7 +627,9 @@ impl Engine {
         self.metrics.frees += 1;
         let obj = self.objects.remove(&id).expect("trace frees live ids once");
         // Program behaviour: erase (most) references to the dying object.
-        let mut cr_writes = 0u64;
+        // Erasing a reference is an instrumented store, charged with the
+        // free.
+        let mut drop_cycles = 0;
         let mut cur = obj.incoming.first();
         while let Some(e) = cur {
             cur = self.edges.next::<IN>(e);
@@ -851,11 +640,7 @@ impl Engine {
                 // genuine dangling pointer the sweep must find.
                 continue;
             }
-            // Erasing a reference is an instrumented store.
-            if let Sys::Cr(cr) = &mut self.sys {
-                cr.dec_ref(&mut self.space, obj.base);
-                cr_writes += 1;
-            }
+            drop_cycles += self.sys.drop_ref(&mut self.space, obj.base, &self.cost);
             match self.edges[e].slot {
                 Slot::Root(r) => {
                     self.space.write_word(self.root_addr(r), 0).expect("stack");
@@ -912,17 +697,11 @@ impl Engine {
             }
             // CRCount's zero-fill on free invalidates every outgoing
             // reference exactly once, whatever the destructors did;
-            // pSweeper's table drops the dead holder's slots.
-            match &mut self.sys {
-                Sys::Cr(cr) => {
-                    if let Some(t_base) = target_base {
-                        cr.dec_ref(&mut self.space, t_base);
-                        cr_writes += 1;
-                    }
-                }
-                Sys::Ps(ps) => ps.unregister_ptr(obj.base.add_bytes(off)),
-                _ => {}
+            // pSweeper's table drops the dead holder's slots, uncharged.
+            if let Some(t_base) = target_base {
+                drop_cycles += self.sys.drop_ref(&mut self.space, t_base, &self.cost);
             }
+            self.sys.drop_slot(obj.base.add_bytes(off), &self.cost);
         }
         // Live-list swap-remove.
         let last = self.live_ids.pop().expect("non-empty");
@@ -933,188 +712,79 @@ impl Engine {
         self.freed_at.insert(obj.base.raw(), self.now);
 
         // Hand the allocation to the system under test, charging costs.
-        match &mut self.sys {
-            Sys::Base(heap) => {
-                heap.free(&mut self.space, obj.base).expect("live allocation");
-                self.charge_mutator(self.cost.free_fast);
-            }
-            Sys::Ms(ms) => {
-                ms.tracer_mut().set_virtual_now(self.now);
-                let st0 = ms.stats();
-                let outcome = ms.free_sited(&mut self.space, obj.base, obj.site);
-                debug_assert_eq!(outcome, FreeOutcome::Quarantined);
-                let st = ms.stats();
-                let zeroing = self.cost.zero_cost(st.zeroed_bytes - st0.zeroed_bytes);
-                let mut quarantine = self.cost.quarantine_insert;
-                if st.unmapped_pages > st0.unmapped_pages {
-                    quarantine += self.cost.unmap_syscall;
-                }
-                if st.tl_flushes > st0.tl_flushes {
-                    quarantine += ms.config().tl_buffer_capacity as u64
-                        * self.cost.quarantine_flush_per_entry;
-                }
-                self.record_cost(CostKind::Zeroing, zeroing, Some(obj.site));
-                self.record_cost(CostKind::Quarantine, quarantine, Some(obj.site));
-                self.charge_mutator(zeroing + quarantine);
-            }
-            Sys::Mu(mu) => {
-                let p0 = mu.stats().unmapped_pages;
-                let outcome = mu.free(&mut self.space, obj.base);
-                debug_assert_eq!(outcome, MarkUsFreeOutcome::Quarantined);
-                let mut c = self.cost.quarantine_insert + self.cost.markus_free_extra;
-                if mu.stats().unmapped_pages > p0 {
-                    c += self.cost.unmap_syscall;
-                }
-                self.charge_mutator(c);
-            }
-            Sys::Ff(ff) => {
-                let report = ff.free(&mut self.space, obj.base).expect("live");
-                let mut c = self.cost.ff_free;
-                if report.pages_released > 0 {
-                    c += self.cost.unmap_syscall;
-                }
-                self.charge_mutator(c);
-            }
-            Sys::ScudoBase(heap) => {
-                heap.deallocate(&mut self.space, obj.base).expect("live allocation");
-                self.charge_mutator(self.cost.scudo_free);
-            }
-            Sys::MsScudo(ms) => {
-                ms.tracer_mut().set_virtual_now(self.now);
-                let st0 = ms.stats();
-                let outcome = ms.free_sited(&mut self.space, obj.base, obj.site);
-                debug_assert_eq!(outcome, FreeOutcome::Quarantined);
-                let st = ms.stats();
-                let zeroing = self.cost.zero_cost(st.zeroed_bytes - st0.zeroed_bytes);
-                let mut quarantine = self.cost.quarantine_insert;
-                if st.unmapped_pages > st0.unmapped_pages {
-                    quarantine += self.cost.unmap_syscall;
-                }
-                if st.tl_flushes > st0.tl_flushes {
-                    quarantine += ms.config().tl_buffer_capacity as u64
-                        * self.cost.quarantine_flush_per_entry;
-                }
-                // The Scudo substrate's own free-path share is allocator
-                // cost, not defence cost: charged, never attributed.
-                self.record_cost(CostKind::Zeroing, zeroing, Some(obj.site));
-                self.record_cost(CostKind::Quarantine, quarantine, Some(obj.site));
-                self.charge_mutator(zeroing + quarantine + self.cost.scudo_free / 4);
-            }
-            Sys::Cr(cr) => {
-                let usable = cr.usable_size(obj.base).expect("live allocation");
-                let outcome = cr.free(&mut self.space, obj.base);
-                debug_assert_ne!(outcome, CrFreeOutcome::Invalid);
-                self.charge_mutator(
-                    self.cost.free_fast
-                        + self.cost.zero_cost(usable)
-                        + cr_writes * self.cost.crcount_ptr_write,
-                );
-            }
-            Sys::Os(os) => {
-                os.free(&mut self.space, obj.base).expect("live allocation");
-                self.charge_mutator(self.cost.oscar_free_syscall);
-            }
-            Sys::Ps(ps) => {
-                let outcome = ps.free(&mut self.space, obj.base);
-                debug_assert_eq!(outcome, PsFreeOutcome::Deferred);
-                self.charge_mutator(self.cost.free_fast);
-            }
-            Sys::Ds(ds) => {
-                let outcome = ds.free(&mut self.space, obj.base);
-                let DsFreeOutcome::Released { log_entries, nullified } = outcome else {
-                    unreachable!("engine frees live ids once");
-                };
-                self.charge_mutator(
-                    self.cost.free_fast
-                        + log_entries * self.cost.dangsan_log_walk
-                        + nullified * 10,
-                );
-            }
+        self.stamp_now();
+        let cx = FreeCtx {
+            cost: &self.cost,
+            site: obj.site,
+            ledger: self.cost_rec.as_mut(),
+            bill: &mut DefenceCost::default(),
+        };
+        let (ack, cycles) = self.sys.free_word(&mut self.space, obj.base.raw(), cx);
+        debug_assert_eq!(ack, FreeAck::Done, "engine frees live ids once");
+        self.charge_mutator(cycles + drop_cycles);
+    }
+
+    /// Stamps the engine's clock into the layered system's tracer.
+    fn stamp_now(&mut self) {
+        if let Some(tracer) = self.sys.tracer_mut() {
+            tracer.set_virtual_now(self.now);
         }
     }
 
     // ---- sweep orchestration ----------------------------------------------
 
     fn housekeep(&mut self) {
-        match &mut self.sys {
-            Sys::Ms(ms)
-                if !self.sweep_active && ms.sweep_needed(&self.space) => {
-                    ms.tracer_mut().set_virtual_now(self.now);
-                    ms.start_sweep(&mut self.space);
-                    self.sweep_active = true;
-                    if let Some(t) = &mut self.telem {
-                        t.sweep_start = self.now;
-                    }
-                    self.cost_sweep_start =
-                        self.cost_rec.as_ref().map_or(0, CostRecorder::total);
-                    if !ms.config().concurrent {
-                        // Sequential version: the whole sweep runs in the
-                        // mutator (§5.4).
-                        self.fast_forward_sweep(true);
-                    }
-                }
-            Sys::MsScudo(ms)
-                if !self.sweep_active && ms.sweep_needed(&self.space) => {
-                    ms.tracer_mut().set_virtual_now(self.now);
-                    ms.start_sweep(&mut self.space);
-                    self.sweep_active = true;
-                    if let Some(t) = &mut self.telem {
-                        t.sweep_start = self.now;
-                    }
-                    self.cost_sweep_start =
-                        self.cost_rec.as_ref().map_or(0, CostRecorder::total);
-                    if !ms.config().concurrent {
-                        self.fast_forward_sweep(true);
-                    }
-                }
-            Sys::Mu(mu)
-                if mu.gc_needed() => {
-                    let dc0 = self.space.stats().demand_commits;
-                    let report = mu.collect(&mut self.space);
-                    let dcs = self.space.stats().demand_commits - dc0;
-                    // Bytes stream near linear-sweep speed; the transitive
-                    // pass pays its pointer-chase penalty per visited node.
-                    let scan_cycles = report.scanned_words * WORD_SIZE as u64
-                        / self.cost.sweep_bytes_per_cycle
-                        + report.marked_objects * self.cost.mark_object_visit
-                        + dcs * self.cost.demand_commit;
-                    // MarkUs marking is mostly parallel with stop-the-world
-                    // phases and allocation stalls: roughly half the scan
-                    // lands on the application's critical path, the rest on
-                    // background threads.
-                    let stw = scan_cycles / 2 / self.sweeper_threads();
-                    self.now += stw;
-                    self.metrics.stw_cycles += stw;
-                    self.charge_background(
-                        scan_cycles / 2 + report.released * self.cost.release_entry,
-                    );
-                    self.metrics.sweeps += 1;
-                    self.metrics.failed_frees += report.retained;
-                    self.sample();
-                }
-            _ => {}
+        if self.sweep_active {
+            return;
+        }
+        if self.sys.sweep_needed(&self.space) {
+            self.stamp_now();
+            self.sys.start_sweep(&mut self.space);
+            self.sweep_active = true;
+            if let Some(t) = &mut self.telem {
+                t.sweep_start = self.now;
+            }
+            self.cost_sweep_start = self.cost_rec.as_ref().map_or(0, CostRecorder::total);
+            if !self.sys.concurrent() {
+                // Sequential version: the whole sweep runs in the mutator
+                // (§5.4).
+                self.fast_forward_sweep(true);
+            }
+        } else if let Some((pause, background, retained)) =
+            self.sys.collect(&mut self.space, &self.cost)
+        {
+            let stw = pause / self.threads;
+            self.now += stw;
+            self.metrics.stw_cycles += stw;
+            self.background += background;
+            self.metrics.sweeps += 1;
+            self.metrics.failed_frees += retained;
+            self.sample();
         }
     }
 
     /// Advances an in-flight sweep by `wall` cycles of real time.
     fn progress_sweep(&mut self, wall: u64) {
-        let cost = self.cost;
-        let cores = self.cost.cores as u64;
-        let mut_threads = self.profile.threads as u64;
-        let space = &mut self.space;
-        let metrics = &mut self.metrics;
-        let background = &mut self.background;
-        let rec = self.cost_rec.as_mut();
-        let finished = match &mut self.sys {
-            Sys::Ms(ms) => progress_one(
-                ms, space, metrics, background, rec, &cost, cores, mut_threads, wall,
-            ),
-            Sys::MsScudo(ms) => progress_one(
-                ms, space, metrics, background, rec, &cost, cores, mut_threads, wall,
-            ),
-            _ => return,
-        };
-        if finished {
+        let budget_words = wall * self.cost.sweep_words_per_cycle() * self.threads;
+        if budget_words == 0 {
+            return;
+        }
+        let dc0 = self.space.stats().demand_commits;
+        let r = self.sys.sweep_step(&mut self.space, budget_words);
+        let dcs = self.space.stats().demand_commits - dc0;
+        self.metrics.sweep_demand_commits += dcs;
+        // Skipped pages (incremental sweep) advance the cursor without the
+        // word-by-word re-read; they cost a flat per-page lookup instead.
+        let (scan, skip) =
+            self.cost.mark_cost_parts(r.bytes - r.skipped_bytes, r.skipped_bytes, r.heap_words);
+        let forensics = r.pin_edges * self.cost.forensics_edge;
+        let commit = dcs * self.cost.demand_commit;
+        self.record_cost(CostKind::MarkScan, scan);
+        self.record_cost(CostKind::SkipReplay, skip);
+        self.record_cost(CostKind::Forensics, forensics);
+        self.record_cost(CostKind::Commit, commit);
+        self.background += scan + skip + forensics + commit;
+        if r.finished {
             self.finish_sweep();
         }
     }
@@ -1122,33 +792,32 @@ impl Engine {
     /// Runs the in-flight sweep to completion immediately. When `blocking`
     /// the mutator waits for it (allocation pause / sequential mode).
     fn fast_forward_sweep(&mut self, blocking: bool) {
-        let cost = self.cost;
-        let cores = self.cost.cores as u64;
-        let mut_threads = self.profile.threads as u64;
         if !self.sweep_active {
             return;
         }
-        let (wall, dcs) = match &mut self.sys {
-            Sys::Ms(ms) => {
-                fast_forward_one(ms, &mut self.space, &cost, cores, mut_threads)
-            }
-            Sys::MsScudo(ms) => {
-                fast_forward_one(ms, &mut self.space, &cost, cores, mut_threads)
-            }
-            _ => return,
-        };
+        let threads = if self.sys.concurrent() { self.threads } else { 1 };
+        let dc0 = self.space.stats().demand_commits;
+        let r = self.sys.sweep_step(&mut self.space, u64::MAX);
+        debug_assert!(r.finished);
+        let dcs = self.space.stats().demand_commits - dc0;
+        // Derive the wall time from what the drain actually did: skipped
+        // pages (incremental sweep) cost a flat per-page lookup, not the
+        // streaming re-read.
+        let wall = (self.cost.mark_cost(r.bytes - r.skipped_bytes, r.skipped_bytes, r.heap_words)
+            + r.pin_edges * self.cost.forensics_edge)
+            / threads;
         self.metrics.sweep_demand_commits += dcs;
         // Attribution: the drained mark bill (background) lands on
         // MarkScan wholesale — fast-forward collapses the skip/forensics
         // detail into one wall figure — the blocking stall on Stw, and
         // demand commits on Commit. The amounts recorded are exactly the
         // amounts charged below.
-        let mark_bill = wall * self.sweeper_threads();
+        let mark_bill = wall * self.threads;
         let commit = dcs * self.cost.demand_commit;
-        self.record_cost(CostKind::MarkScan, mark_bill, None);
-        self.record_cost(CostKind::Commit, commit, None);
+        self.record_cost(CostKind::MarkScan, mark_bill);
+        self.record_cost(CostKind::Commit, commit);
         if blocking {
-            self.record_cost(CostKind::Stw, wall, None);
+            self.record_cost(CostKind::Stw, wall);
             self.now += wall + commit;
             self.metrics.pause_cycles += wall;
             if let Some(t) = &self.telem {
@@ -1162,26 +831,11 @@ impl Engine {
     }
 
     fn finish_sweep(&mut self) {
-        let (report, purged, concurrent) = match &mut self.sys {
-            Sys::Ms(ms) => {
-                ms.tracer_mut().set_virtual_now(self.now);
-                let purged0 = ms.heap().stats().purged_pages;
-                let concurrent = ms.config().concurrent;
-                let report = ms.finish_sweep(&mut self.space);
-                (report, ms.heap().stats().purged_pages - purged0, concurrent)
-            }
-            Sys::MsScudo(ms) => {
-                ms.tracer_mut().set_virtual_now(self.now);
-                let purged0 = ms.heap().stats().released_pages;
-                let concurrent = ms.config().concurrent;
-                let report = ms.finish_sweep(&mut self.space);
-                (report, ms.heap().stats().released_pages - purged0, concurrent)
-            }
-            _ => return,
-        };
+        self.stamp_now();
+        let (report, purged) = self.sys.finish_sweep(&mut self.space);
         // Stop-the-world re-check hits the mutator.
         let stw = report.stw_pages * self.cost.stw_page;
-        self.record_cost(CostKind::Stw, stw, None);
+        self.record_cost(CostKind::Stw, stw);
         self.now += stw;
         self.metrics.stw_cycles += stw;
         if let Some(t) = &self.telem {
@@ -1193,8 +847,8 @@ impl Engine {
         // Release + purge work.
         let finish_cost =
             report.released * self.cost.release_entry + purged * self.cost.purge_page;
-        self.record_cost(CostKind::Release, finish_cost, None);
-        if concurrent {
+        self.record_cost(CostKind::Release, finish_cost);
+        if self.sys.concurrent() {
             self.background += finish_cost;
         } else {
             self.now += finish_cost;
@@ -1211,7 +865,7 @@ impl Engine {
 
     fn finalize(mut self) -> RunMetrics {
         // Close the RSS series at the final time.
-        let rss = self.space.rss_bytes() + self.metadata_bytes();
+        let rss = self.rss();
         self.metrics.peak_rss = self.metrics.peak_rss.max(rss);
         self.metrics.rss_series.push((self.now.max(1), rss));
         self.metrics.mutator_cycles = self.now.max(1);
@@ -1222,26 +876,15 @@ impl Engine {
         // SLO watchdog: evaluate the final snapshot before the flush so
         // violation events land in the same trace as the sweeps they
         // indict.
-        let watchdog = self.slo.take().map(Watchdog::new);
-        let snap = match &mut self.sys {
-            Sys::Ms(ms) => {
-                if let Some(w) = &watchdog {
-                    let checks = w.evaluate(&ms.registry().snapshot());
-                    Watchdog::emit_violations(ms.tracer_mut(), &checks);
-                }
-                ms.tracer_mut().flush();
-                Some(ms.registry().snapshot())
+        let snap = self.sys.registry().cloned().map(|registry| {
+            let tracer = self.sys.tracer_mut().expect("layered systems trace");
+            if let Some(policy) = self.slo.take() {
+                let checks = Watchdog::new(policy).evaluate(&registry.snapshot());
+                Watchdog::emit_violations(tracer, &checks);
             }
-            Sys::MsScudo(ms) => {
-                if let Some(w) = &watchdog {
-                    let checks = w.evaluate(&ms.registry().snapshot());
-                    Watchdog::emit_violations(ms.tracer_mut(), &checks);
-                }
-                ms.tracer_mut().flush();
-                Some(ms.registry().snapshot())
-            }
-            _ => None,
-        };
+            tracer.flush();
+            registry.snapshot()
+        });
         if let Some(snap) = snap {
             self.metrics.sweeps = snap.counter(LAYER_SUBSYSTEM, "sweeps").unwrap_or(0);
             self.metrics.failed_frees =
@@ -1249,93 +892,6 @@ impl Engine {
             self.metrics.telemetry = Some(snap);
         }
         self.metrics
-    }
-}
-
-/// Advances one layered system's in-flight sweep by `wall` cycles.
-/// Returns whether marking finished.
-#[allow(clippy::too_many_arguments)]
-fn progress_one<B: HeapBackend>(
-    ms: &mut MineSweeper<B>,
-    space: &mut AddrSpace,
-    metrics: &mut RunMetrics,
-    background: &mut u64,
-    cost_rec: Option<&mut CostRecorder>,
-    cost: &CostModel,
-    cores: u64,
-    mutator_threads: u64,
-    wall: u64,
-) -> bool {
-    let helpers = ms.config().helper_threads as u64 + 1;
-    let spare = cores.saturating_sub(mutator_threads).max(1);
-    let threads = helpers.min(spare).max(1);
-    let budget_words = wall * cost.sweep_words_per_cycle() * threads;
-    if budget_words == 0 {
-        return false;
-    }
-    let dc0 = space.stats().demand_commits;
-    let r = ms.sweep_step(space, budget_words);
-    let dcs = space.stats().demand_commits - dc0;
-    metrics.sweep_demand_commits += dcs;
-    // Skipped pages (incremental sweep) advance the cursor without the
-    // word-by-word re-read; they cost a flat per-page lookup instead.
-    let (scan, skip) =
-        cost.mark_cost_parts(r.bytes - r.skipped_bytes, r.skipped_bytes, r.heap_words);
-    let forensics = r.pin_edges * cost.forensics_edge;
-    let commit = dcs * cost.demand_commit;
-    if let Some(rec) = cost_rec {
-        rec.charge(CostKind::MarkScan, scan, None, None);
-        rec.charge(CostKind::SkipReplay, skip, None, None);
-        rec.charge(CostKind::Forensics, forensics, None, None);
-        rec.charge(CostKind::Commit, commit, None, None);
-    }
-    *background += scan + skip + forensics + commit;
-    r.finished
-}
-
-/// Drains one layered system's in-flight marking completely. Returns the
-/// wall time the drain would have taken and the demand commits incurred.
-fn fast_forward_one<B: HeapBackend>(
-    ms: &mut MineSweeper<B>,
-    space: &mut AddrSpace,
-    cost: &CostModel,
-    cores: u64,
-    mutator_threads: u64,
-) -> (u64, u64) {
-    let threads = if ms.config().concurrent {
-        let helpers = ms.config().helper_threads as u64 + 1;
-        let spare = cores.saturating_sub(mutator_threads).max(1);
-        helpers.min(spare).max(1)
-    } else {
-        1
-    };
-    let dc0 = space.stats().demand_commits;
-    let r = ms.sweep_step(space, u64::MAX);
-    debug_assert!(r.finished);
-    // Derive the wall time from what the drain actually did: skipped
-    // pages (incremental sweep) cost a flat per-page lookup, not the
-    // streaming re-read.
-    let wall = (cost.mark_cost(r.bytes - r.skipped_bytes, r.skipped_bytes, r.heap_words)
-        + r.pin_edges * cost.forensics_edge)
-        / threads.max(1);
-    (wall, space.stats().demand_commits - dc0)
-}
-
-/// Classifies a malloc call (tcache hit / arena / fresh mapping) from
-/// allocator stats deltas and returns its cycle cost.
-fn malloc_cost(
-    cost: &CostModel,
-    before: &jalloc::AllocStats,
-    after: &jalloc::AllocStats,
-) -> u64 {
-    if after.tcache_hits > before.tcache_hits {
-        cost.malloc_fast
-    } else if after.fresh_maps > before.fresh_maps
-        || after.slabs_created > before.slabs_created
-    {
-        cost.malloc_fresh
-    } else {
-        cost.malloc_slow
     }
 }
 

@@ -6,8 +6,9 @@
 //! The paper measures wall-clock slowdown, RSS over time and CPU
 //! utilisation of real benchmarks. This crate replaces the hardware with a
 //! virtual clock: a mutator replays a [`workloads::TraceGen`] stream
-//! against one of four systems under test (baseline JeMalloc, MineSweeper,
-//! MarkUs, FFmalloc), every operation is charged cycles from a
+//! against one of ten systems under test ([`System`]: the JeMalloc and
+//! Scudo baselines, MineSweeper over each, MarkUs, FFmalloc, CRCount,
+//! Oscar, pSweeper and DangSan), every operation is charged cycles from a
 //! [`CostModel`], and sweeps advance *in virtual time interleaved with the
 //! mutator* — so concurrency, stop-the-world pauses, allocation pauses and
 //! the delay-of-reuse cache penalty all emerge from the event stream
@@ -31,6 +32,7 @@
 //! ```
 
 mod cost;
+mod defence;
 mod engine;
 mod exploit;
 mod metrics;
@@ -43,7 +45,7 @@ pub use cost::CostModel;
 pub use engine::{Engine, ENGINE_SUBSYSTEM};
 pub use exploit::{
     run_cross_arena_pin, run_exploit, run_scenario, CrossArenaReport, DefenceCost,
-    ExploitReport, ScenarioRun, SecSystem, Weaken,
+    ScenarioRun, SecSystem, Weaken,
 };
 pub use metrics::{geomean, RunMetrics};
 pub use pool::{run_arenas, ARENA_SUBSYSTEM};

@@ -65,6 +65,16 @@ impl System {
         }
     }
 
+    /// The same system with its MineSweeper layer configuration rewritten
+    /// by `f`, for the systems that carry one.
+    pub fn map_ms_config(&self, f: impl FnOnce(MsConfig) -> MsConfig) -> Option<System> {
+        match *self {
+            System::MineSweeper(cfg) => Some(System::MineSweeper(f(cfg))),
+            System::MineSweeperScudo(cfg) => Some(System::MineSweeperScudo(f(cfg))),
+            _ => None,
+        }
+    }
+
     /// Short label used in tables and metric records.
     pub fn label(&self) -> &'static str {
         match self {

@@ -467,7 +467,6 @@ stage_doc_modules() {
 
 # desc: clippy with warnings denied
 stage_clippy() {
-    cargo clippy -p ms-telemetry --all-targets -- -D warnings
     cargo clippy --workspace --all-targets -- -D warnings
 }
 
