@@ -1,5 +1,6 @@
 //! Raw sweep-bandwidth measurement: serial and parallel marking, scalar
-//! vs SIMD kernels, one arena vs many — in words/second.
+//! vs SIMD kernels, one arena vs many — in words/second — plus the two
+//! kernel gates CI holds the mark path to.
 //!
 //! Configurations over the same default fixture — a zero-on-free
 //! steady-state heap: contiguous freed-and-zeroed 512 B blocks (just
@@ -12,6 +13,7 @@
 //!   [`ShadowWriter`](minesweeper::ShadowWriter);
 //! * `simd_serial` — the production [`Marker`] path with the chunked
 //!   SIMD kernel at its auto-dispatched tier (AVX2 where available);
+//! * `simd_serial_profiled` — `simd_serial` with the sweep profiler on;
 //! * `swar_serial` — the same path forced to the portable SWAR tier,
 //!   what non-x86 (or pre-SSE2) hosts would run;
 //! * `simd_serial_nullsink` — `simd_serial` with the sweep tracer
@@ -37,9 +39,10 @@
 //!   perfectly predictable branches (the scalar loop's best case), so
 //!   this row isolates the vectorised range test alone;
 //! * `arenas_nK_{serial,barrier_h6,sched_h6}` — the default fixture cut
-//!   into K tenant mini-heaps (each its own address space and plan, the
-//!   sharded-quarantine shape). `serial` marks them one after another on
-//!   one thread; `barrier_h6` gives each arena its own 6-helper one-job
+//!   into K tenant mini-heaps (each its own address space, plan and
+//!   shadow map, cleared in place every rep as the arena pool keeps
+//!   them). `serial` marks them one after another on one thread;
+//!   `barrier_h6` gives each arena its own 6-helper one-job
 //!   [`parallel_mark_pool`] round, paying K join barriers; `sched_h6`
 //!   batches all K plans through **one** [`parallel_mark_pool`] round —
 //!   one work-stealing cursor, one join — which is exactly what the
@@ -54,14 +57,27 @@
 //! of `--reps` runs is reported, which is the right statistic for a
 //! bandwidth measurement on a shared machine. Results are printed as a
 //! table and written as JSON (default `BENCH_sweep.json`, `--out PATH`).
+//!
+//! **Gates.** Two ratios are measured within the run, each as the median
+//! of `2 × reps` interleaved pairs, so host speed drift lands on both
+//! sides of every pair (see [`failed_gates`]):
+//!
+//! * `tier-ratio` — `atomic_serial` time over `simd_serial` time, the
+//!   SIMD kernel's speed-up, must not fall below [`TIER_RATIO_FLOOR`];
+//! * `profiler-cost` — `simd_serial_profiled` time over `simd_serial`
+//!   time must not exceed [`PROFILER_COST_CEILING`].
+//!
+//! Exit codes follow `ms-report`: 0 when both gates pass, 1 on bad input
+//! (the usage is printed), 2 when a gate fails (each failed gate is
+//! named). `--handicap NAME:FACTOR` multiplies every measured rep of row
+//! NAME, so CI can inject a 2× slowdown and see each gate fire.
 
 use std::fmt::Write as _;
+use std::process::ExitCode;
 use std::sync::OnceLock;
-use std::time::{Instant, SystemTime};
+use std::time::Instant;
 
-use minesweeper::telemetry::{
-    EventKind, Histogram, NullSink, Registry, Tracer, SNAPSHOT_SCHEMA_VERSION,
-};
+use minesweeper::telemetry::{EventKind, NullSink, Registry, Tracer};
 use minesweeper::{
     effective_helper_count, parallel_mark_pool, CandidateFilter, EdgeRecorder, ForensicsMode,
     MarkAccel, Marker, PageCache, PoolMarkJob, PoolMarkOpts, QEntry, ScanTier, ShadowMap,
@@ -69,56 +85,101 @@ use minesweeper::{
 };
 use vmem::{Addr, AddrSpace, Layout, PageIdx, PAGE_SIZE, WORD_SIZE};
 
-/// Subsystem label for the bench's own instruments.
-const BENCH_SUBSYSTEM: &str = "bench";
+const USAGE: &str = "usage: sweep_bandwidth [--pages N] [--reps N] [--out PATH] \
+                     [--handicap NAME:FACTOR]... [--quick]";
 
-/// Schema version of `BENCH_trajectory.jsonl` lines.
-const TRAJECTORY_SCHEMA: u32 = 1;
+/// Lowest `atomic_serial`/`simd_serial` time ratio (the SIMD speed-up)
+/// the `tier-ratio` gate accepts.
+const TIER_RATIO_FLOOR: f64 = 1.2;
+
+/// Highest `simd_serial_profiled`/`simd_serial` time ratio (the cost of
+/// turning the sweep profiler on) the `profiler-cost` gate accepts.
+const PROFILER_COST_CEILING: f64 = 1.25;
+
+/// Names of the gates the two paired ratios fail; empty when both pass.
+/// A NaN ratio fails its gate.
+fn failed_gates(tier_ratio: f64, profiler_cost: f64) -> Vec<&'static str> {
+    let mut failed = Vec::new();
+    if tier_ratio.is_nan() || tier_ratio < TIER_RATIO_FLOOR {
+        failed.push("tier-ratio");
+    }
+    if profiler_cost.is_nan() || profiler_cost > PROFILER_COST_CEILING {
+        failed.push("profiler-cost");
+    }
+    failed
+}
 
 /// `--handicap NAME:FACTOR` multipliers, applied to each measured rep of
-/// the matching config. Exists so CI can inject a synthetic regression
-/// and prove the `ms-report --compare` gate actually rejects it.
+/// the matching config.
 static HANDICAPS: OnceLock<Vec<(String, f64)>> = OnceLock::new();
 
 fn handicap_for(name: &str) -> f64 {
-    HANDICAPS
-        .get()
-        .and_then(|h| h.iter().find(|(n, _)| n == name))
-        .map_or(1.0, |&(_, f)| f)
+    HANDICAPS.get().and_then(|h| h.iter().find(|(n, _)| n == name)).map_or(1.0, |&(_, f)| f)
 }
 
-/// Short git revision of the working tree, or `"unknown"` outside a
-/// checkout (the trajectory line must never fail the bench).
-fn git_rev() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
+/// Parsed command line.
+#[derive(Debug, PartialEq)]
+struct Opts {
+    pages: u64,
+    reps: u32,
+    out: String,
+    handicaps: Vec<(String, f64)>,
+}
+
+/// Parses the arguments after the program name.
+fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Opts, String> {
+    fn count<T: std::str::FromStr + PartialOrd + From<u8>>(
+        flag: &str,
+        v: &str,
+    ) -> Result<T, String> {
+        v.parse()
+            .ok()
+            .filter(|n| *n >= T::from(1))
+            .ok_or(format!("{flag} needs a positive integer, got {v:?}"))
+    }
+    let mut opts =
+        Opts { pages: 2048, reps: 5, out: "BENCH_sweep.json".to_string(), handicaps: Vec::new() };
+    let mut args = args.into_iter();
+    while let Some(flag) = args.next() {
+        let mut value = || args.next().ok_or(format!("{flag} needs a value"));
+        match flag.as_str() {
+            "--pages" => opts.pages = count(&flag, &value()?)?,
+            "--reps" => opts.reps = count(&flag, &value()?)?,
+            "--out" => opts.out = value()?,
+            "--handicap" => {
+                let spec = value()?;
+                let parsed = spec
+                    .split_once(':')
+                    .and_then(|(name, f)| Some((name, f.parse::<f64>().ok()?)))
+                    .filter(|&(name, f)| !name.is_empty() && f >= 1.0 && f.is_finite());
+                let Some((name, factor)) = parsed else {
+                    return Err(format!(
+                        "--handicap needs NAME:FACTOR with FACTOR >= 1, got {spec:?}"
+                    ));
+                };
+                opts.handicaps.push((name.to_string(), factor));
+            }
+            "--quick" => {
+                opts.pages = 256;
+                opts.reps = 2;
+            }
+            other => return Err(format!("unknown argument {other:?}")),
+        }
+    }
+    Ok(opts)
+}
+
+/// The CPU model named by `/proc/cpuinfo`, or `"unknown"` without one.
+fn cpu_model() -> String {
+    std::fs::read_to_string("/proc/cpuinfo")
         .ok()
-        .filter(|o| o.status.success())
-        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
-        .filter(|s| !s.is_empty())
+        .and_then(|info| {
+            info.lines().find_map(|l| {
+                let (key, model) = l.split_once(':')?;
+                (key.trim() == "model name").then(|| model.trim().to_string())
+            })
+        })
         .unwrap_or_else(|| "unknown".to_string())
-}
-
-/// UTC timestamp (`YYYY-MM-DDTHH:MM:SSZ`) from the system clock — no
-/// chrono dependency; civil-from-days per Howard Hinnant's algorithm.
-fn utc_now() -> String {
-    let secs = SystemTime::now()
-        .duration_since(SystemTime::UNIX_EPOCH)
-        .map_or(0, |d| d.as_secs());
-    let (days, rem) = (secs / 86_400, secs % 86_400);
-    let (h, m, s) = (rem / 3600, rem % 3600 / 60, rem % 60);
-    let z = days as i64 + 719_468;
-    let era = z.div_euclid(146_097);
-    let doe = z.rem_euclid(146_097);
-    let yoe = (doe - doe / 1460 + doe / 36_524 - doe / 146_096) / 365;
-    let y = yoe + era * 400;
-    let doy = doe - (365 * yoe + yoe / 4 - yoe / 100);
-    let mp = (5 * doy + 2) / 153;
-    let d = doy - (153 * mp + 2) / 5 + 1;
-    let mo = if mp < 10 { mp + 3 } else { mp - 9 };
-    let y = if mo <= 2 { y + 1 } else { y };
-    format!("{y:04}-{mo:02}-{d:02}T{h:02}:{m:02}:{s:02}Z")
 }
 
 /// The default fixture: a heap in the zero-on-free steady state the
@@ -185,7 +246,7 @@ fn sparse_fixture(pages: u64) -> (AddrSpace, SweepPlan) {
 }
 
 /// The pre-SIMD production loop: the scalar baseline every SIMD row is
-/// judged against (ISSUE 6 acceptance: `simd_serial` ≥ 2× this). Same
+/// judged against, and the `tier-ratio` gate's reference. Same
 /// `scan_page` slices and [`ShadowWriter`](minesweeper::ShadowWriter) as
 /// the production path; only the per-word zero test + `heap_contains`
 /// differ from the kernel.
@@ -234,6 +295,42 @@ fn pool_mark(space: &AddrSpace, plan: &SweepPlan, opts: &PoolMarkOpts<'_>) -> u6
     shadow.marked_count()
 }
 
+/// Marks every arena into its own map, cleared in place first as the
+/// arena pool keeps maps between epochs, and returns the total marked
+/// granule count. `batched` runs all arenas through one pool round;
+/// otherwise each arena gets a round of its own.
+fn arenas_mark(
+    fixtures: &[(AddrSpace, SweepPlan)],
+    shadows: &mut [ShadowMap],
+    helper_threads: usize,
+    batched: bool,
+) -> u64 {
+    for shadow in shadows.iter_mut() {
+        shadow.clear();
+    }
+    let jobs: Vec<PoolMarkJob> = fixtures
+        .iter()
+        .zip(shadows.iter())
+        .map(|((space, plan), shadow)| PoolMarkJob {
+            space,
+            plan,
+            shadow,
+            filter: None,
+            cache: None,
+            forensics: None,
+        })
+        .collect();
+    let opts = PoolMarkOpts { helper_threads, ..PoolMarkOpts::default() };
+    if batched {
+        parallel_mark_pool(&jobs, &opts);
+    } else {
+        for job in jobs.chunks(1) {
+            parallel_mark_pool(job, &opts);
+        }
+    }
+    shadows.iter().map(ShadowMap::marked_count).sum()
+}
+
 /// One measured configuration.
 struct Sample {
     name: String,
@@ -251,95 +348,93 @@ struct Sample {
     marked: u64,
 }
 
+impl Sample {
+    fn new(name: &str, helpers: usize, total_words: u64, best_secs: f64, marked: u64) -> Self {
+        let effective = effective_helper_count(helpers);
+        Sample {
+            name: name.to_string(),
+            helpers,
+            effective_helpers: effective,
+            dirty_pct: None,
+            degraded: helpers > 0 && effective == 0,
+            best_secs,
+            words_per_sec: total_words as f64 / best_secs,
+            marked,
+        }
+    }
+}
+
+/// Times one rep of config `name`, scaled by its `--handicap` factor;
+/// returns the seconds and the marked granule count.
+fn timed(name: &str, run: impl FnOnce() -> u64) -> (f64, u64) {
+    let t0 = Instant::now();
+    let marked = run();
+    (t0.elapsed().as_secs_f64() * handicap_for(name), marked)
+}
+
 fn measure(
     name: &str,
     helpers: usize,
     total_words: u64,
     reps: u32,
-    registry: &Registry,
     mut run: impl FnMut() -> u64,
 ) -> Sample {
-    // Per-rep durations land in a log2 histogram, so the exported metrics
-    // carry the whole distribution, not just the best-of statistic.
-    let rep_us: Histogram = registry.histogram(BENCH_SUBSYSTEM, &format!("{name}_us"));
-    let handicap = handicap_for(name);
     let mut best = f64::INFINITY;
     let mut marked = 0;
     for _ in 0..reps {
-        let t0 = Instant::now();
-        marked = run();
-        let secs = t0.elapsed().as_secs_f64() * handicap;
-        rep_us.record((secs * 1e6) as u64);
+        let (secs, m) = timed(name, &mut run);
         best = best.min(secs);
+        marked = m;
     }
-    let effective = effective_helper_count(helpers);
-    Sample {
-        name: name.to_string(),
-        helpers,
-        effective_helpers: effective,
-        dirty_pct: None,
-        degraded: helpers > 0 && effective == 0,
-        best_secs: best,
-        words_per_sec: total_words as f64 / best,
-        marked,
-    }
+    Sample::new(name, helpers, total_words, best, marked)
 }
 
-fn main() {
-    let mut pages = 2048u64; // 8 MiB, matching the micro benches
-    let mut reps = 5u32;
-    let mut out_path = "BENCH_sweep.json".to_string();
-    let mut metrics_path = "BENCH_sweep_metrics.json".to_string();
-    let mut trajectory_path: Option<String> = None;
-    let mut trajectory_configs: Option<Vec<String>> = None;
-    let mut profiler = false;
-    let mut handicaps: Vec<(String, f64)> = Vec::new();
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--pages" => pages = args.next().expect("--pages N").parse().expect("number"),
-            "--reps" => reps = args.next().expect("--reps N").parse().expect("number"),
-            "--out" => out_path = args.next().expect("--out PATH"),
-            "--metrics-out" => metrics_path = args.next().expect("--metrics-out PATH"),
-            "--trajectory" => trajectory_path = Some(args.next().expect("--trajectory PATH")),
-            "--trajectory-configs" => {
-                let spec = args.next().expect("--trajectory-configs NAME[,NAME...]");
-                let names: Vec<String> =
-                    spec.split(',').filter(|s| !s.is_empty()).map(String::from).collect();
-                assert!(!names.is_empty(), "--trajectory-configs needs at least one name");
-                trajectory_configs = Some(names);
-            }
-            "--profiler" => profiler = true,
-            "--handicap" => {
-                let spec = args.next().expect("--handicap NAME:FACTOR");
-                let (name, factor) = spec.split_once(':').expect("--handicap NAME:FACTOR");
-                let factor: f64 = factor.parse().expect("handicap factor");
-                assert!(factor >= 1.0, "handicap must slow down, not speed up");
-                handicaps.push((name.to_string(), factor));
-            }
-            "--quick" => {
-                pages = 256;
-                reps = 2;
-            }
-            other => {
-                eprintln!(
-                    "usage: sweep_bandwidth [--pages N] [--reps N] [--out PATH] \
-                     [--metrics-out PATH] [--trajectory PATH] \
-                     [--trajectory-configs NAME[,NAME...]] [--profiler] \
-                     [--handicap NAME:FACTOR] [--quick]"
-                );
-                panic!("unknown argument {other:?}");
-            }
-        }
+/// Runs configs `a` and `b` alternately, `pairs` times each, over the same
+/// space. Returns both rows (best-of) and the median over pairs of `a`'s
+/// time over `b`'s: interleaving lands host speed drift on both sides of
+/// every pair, and the median drops a pair that one contention spike hit.
+fn paired(
+    space: &mut AddrSpace,
+    total_words: u64,
+    pairs: u32,
+    (name_a, mut run_a): (&str, impl FnMut(&mut AddrSpace) -> u64),
+    (name_b, mut run_b): (&str, impl FnMut(&mut AddrSpace) -> u64),
+) -> (Sample, Sample, f64) {
+    let (mut best_a, mut best_b) = (f64::INFINITY, f64::INFINITY);
+    let (mut marked_a, mut marked_b) = (0, 0);
+    let mut ratios = Vec::with_capacity(pairs as usize);
+    for _ in 0..pairs {
+        let (a, m) = timed(name_a, || run_a(space));
+        marked_a = m;
+        let (b, m) = timed(name_b, || run_b(space));
+        marked_b = m;
+        best_a = best_a.min(a);
+        best_b = best_b.min(b);
+        ratios.push(a / b);
     }
+    ratios.sort_by(f64::total_cmp);
+    let mid = ratios.len() / 2;
+    let median =
+        if ratios.len() % 2 == 0 { (ratios[mid - 1] + ratios[mid]) / 2.0 } else { ratios[mid] };
+    (
+        Sample::new(name_a, 0, total_words, best_a, marked_a),
+        Sample::new(name_b, 0, total_words, best_b, marked_b),
+        median,
+    )
+}
+
+fn main() -> ExitCode {
+    let opts = match parse_args(std::env::args().skip(1)) {
+        Ok(opts) => opts,
+        Err(e) => {
+            eprintln!("error: {e}\n{USAGE}");
+            return ExitCode::FAILURE;
+        }
+    };
+    let Opts { pages, reps, out: out_path, handicaps } = opts;
     HANDICAPS.set(handicaps).expect("set once");
     let registry = Registry::new();
-    // `--profiler`: attribute the production rows (simd_serial and the
-    // work-stealing parallel marks) through the sweep profiler. The off
-    // default leaves `prof: None` — the exact single-branch production
-    // path — so an off-vs-on run pair measures the enabled overhead.
-    let sweep_prof = profiler.then(|| SweepProf::register(&registry));
-    let prof = sweep_prof.as_ref();
+    let sweep_prof = SweepProf::register(&registry);
     let cpus = std::thread::available_parallelism().map_or(0, |n| n.get());
     if cpus <= 1 {
         eprintln!(
@@ -354,30 +449,47 @@ fn main() {
     let helper_counts = [1usize, 3, 6];
     let mut samples: Vec<Sample> = Vec::new();
 
-    // Scalar reference: the pre-SIMD production loop (atomic radix map,
-    // per-word test). The SIMD acceptance ratio is measured against this.
-    samples.push(measure("atomic_serial", 0, total_words, reps, &registry, || {
-        let shadow = ShadowMap::new();
-        scalar_mark(&space, &layout, &plan, &shadow)
-    }));
+    // The gated rows, measured as interleaved pairs: the scalar reference
+    // against the SIMD production path (the tier ratio), then the
+    // profiler-on path against the same row off (the profiler's cost).
+    // The best time of either pair's `simd_serial` side is its row.
+    let pairs = reps * 2;
+    let (atomic, simd, tier_ratio) = paired(
+        &mut space,
+        total_words,
+        pairs,
+        ("atomic_serial", |sp: &mut AddrSpace| scalar_mark(sp, &layout, &plan, &ShadowMap::new())),
+        ("simd_serial", |sp: &mut AddrSpace| serial_mark(sp, &plan, &mut MarkAccel::default())),
+    );
+    let (profiled, simd_off, profiler_cost) = paired(
+        &mut space,
+        total_words,
+        pairs,
+        ("simd_serial_profiled", |sp: &mut AddrSpace| {
+            serial_mark(
+                sp,
+                &plan,
+                &mut MarkAccel { prof: Some(&sweep_prof), ..MarkAccel::default() },
+            )
+        }),
+        ("simd_serial", |sp: &mut AddrSpace| serial_mark(sp, &plan, &mut MarkAccel::default())),
+    );
+    samples.push(atomic);
+    samples.push(if simd_off.best_secs < simd.best_secs { simd_off } else { simd });
+    samples.push(profiled);
 
-    // Production Marker path: the chunked SIMD kernel at its
-    // auto-dispatched tier, and forced down to the portable SWAR tier.
+    // The portable SWAR tier through the same production path.
     let swar = || MarkAccel { tier: Some(ScanTier::Swar), ..MarkAccel::default() };
-    samples.push(measure("simd_serial", 0, total_words, reps, &registry, || {
-        serial_mark(&mut space, &plan, &mut MarkAccel { prof, ..MarkAccel::default() })
-    }));
-    samples.push(measure("swar_serial", 0, total_words, reps, &registry, || {
+    samples.push(measure("swar_serial", 0, total_words, reps, || {
         serial_mark(&mut space, &plan, &mut swar())
     }));
 
     // SIMD serial again, but with the sweep tracer engaged on a null
     // sink — the production layer's per-phase emission cost (a stopwatch
-    // and one event per mark phase, never per word). The acceptance bar:
-    // within 2% of the untraced run.
+    // and one event per mark phase, never per word).
     let mut tracer = Tracer::disabled();
     tracer.set_sink(Box::new(NullSink));
-    samples.push(measure("simd_serial_nullsink", 0, total_words, reps, &registry, || {
+    samples.push(measure("simd_serial_nullsink", 0, total_words, reps, || {
         let sw = tracer.stopwatch();
         let marked = serial_mark(&mut space, &plan, &mut MarkAccel::default());
         tracer.emit(|| EventKind::MarkPhase {
@@ -396,8 +508,8 @@ fn main() {
     // Work-stealing parallel mark: a one-job pool, one shared atomic
     // map, 64-page chunks off an atomic cursor.
     for &h in &helper_counts {
-        samples.push(measure(&format!("steal_parallel_h{h}"), h, total_words, reps, &registry, || {
-            let opts = PoolMarkOpts { helper_threads: h, prof, ..PoolMarkOpts::default() };
+        samples.push(measure(&format!("steal_parallel_h{h}"), h, total_words, reps, || {
+            let opts = PoolMarkOpts { helper_threads: h, ..PoolMarkOpts::default() };
             pool_mark(&space, &plan, &opts)
         }));
     }
@@ -425,7 +537,7 @@ fn main() {
             None => format!("incremental_d{pct}"),
             Some(t) => format!("incremental_d{pct}_{}", t.as_str()),
         };
-        let mut s = measure(&name, 0, total_words, reps, &registry, || {
+        let mut s = measure(&name, 0, total_words, reps, || {
             epoch += 1;
             cache.begin_sweep(&plan, &dirty, epoch);
             let mut accel = MarkAccel { cache: Some(&mut cache), tier, ..MarkAccel::default() };
@@ -457,7 +569,7 @@ fn main() {
         let mut accel =
             MarkAccel { filter: Some(&filter), cache: Some(&mut cache), ..MarkAccel::default() };
         serial_mark(&mut space, &plan, &mut accel);
-        let mut s = measure("incremental_filtered_d5", 0, total_words, reps, &registry, || {
+        let mut s = measure("incremental_filtered_d5", 0, total_words, reps, || {
             epoch += 1;
             cache.begin_sweep(&plan, &dirty, epoch);
             let mut accel = MarkAccel {
@@ -487,7 +599,7 @@ fn main() {
         ("forensics_full", ForensicsMode::Full),
     ] {
         let recorder = EdgeRecorder::new(&candidates, mode);
-        samples.push(measure(name, 0, total_words, reps, &registry, || {
+        samples.push(measure(name, 0, total_words, reps, || {
             let mut accel = MarkAccel { forensics: recorder.as_ref(), ..MarkAccel::default() };
             serial_mark(&mut space, &plan, &mut accel)
         }));
@@ -505,14 +617,14 @@ fn main() {
         let shadow = ShadowMap::new();
         scalar_mark(&sparse_space, &layout, &sparse_plan, &shadow)
     };
-    samples.push(measure("atomic_serial_sparse", 0, total_words, reps, &registry, || {
+    samples.push(measure("atomic_serial_sparse", 0, total_words, reps, || {
         let shadow = ShadowMap::new();
         scalar_mark(&sparse_space, &layout, &sparse_plan, &shadow)
     }));
-    samples.push(measure("simd_serial_sparse", 0, total_words, reps, &registry, || {
+    samples.push(measure("simd_serial_sparse", 0, total_words, reps, || {
         serial_mark(&mut sparse_space, &sparse_plan, &mut MarkAccel::default())
     }));
-    samples.push(measure("swar_serial_sparse", 0, total_words, reps, &registry, || {
+    samples.push(measure("swar_serial_sparse", 0, total_words, reps, || {
         serial_mark(&mut sparse_space, &sparse_plan, &mut swar())
     }));
 
@@ -523,17 +635,20 @@ fn main() {
         let shadow = ShadowMap::new();
         scalar_mark(&dense_space, &layout, &dense_plan, &shadow)
     };
-    samples.push(measure("atomic_serial_dense", 0, total_words, reps, &registry, || {
+    samples.push(measure("atomic_serial_dense", 0, total_words, reps, || {
         let shadow = ShadowMap::new();
         scalar_mark(&dense_space, &layout, &dense_plan, &shadow)
     }));
-    samples.push(measure("simd_serial_dense", 0, total_words, reps, &registry, || {
+    samples.push(measure("simd_serial_dense", 0, total_words, reps, || {
         serial_mark(&mut dense_space, &dense_plan, &mut MarkAccel::default())
     }));
 
     // Multi-tenant shape: the fixture budget cut into K mini-heaps, each
-    // its own address space and plan (disjoint tenant heaps, like the
-    // sharded quarantine). Three ways to mark all K:
+    // its own address space, plan and shadow map (disjoint tenant heaps,
+    // like the sharded quarantine). The maps live across reps and are
+    // cleared in place, as the arena pool keeps them between epochs —
+    // fresh radix maps every rep would measure allocator churn, not
+    // marking. Three ways to mark all K:
     //  * `serial`   — one thread, one arena after another: the naive
     //                 baseline the scheduler replaces;
     //  * `barrier_h6` — a 6-helper parallel round *per arena*, paying K
@@ -547,67 +662,24 @@ fn main() {
         let mini_pages = (pages / k).max(1);
         let fixtures: Vec<(AddrSpace, SweepPlan)> =
             (0..k).map(|_| sweep_fixture(mini_pages)).collect();
+        let mut shadows: Vec<ShadowMap> = (0..k).map(|_| ShadowMap::new()).collect();
         let arena_words = mini_pages * (PAGE_SIZE / WORD_SIZE) as u64 * k;
         let expect_k: u64 = fixtures
             .iter()
-            .map(|(sp, pl)| {
-                let shadow = ShadowMap::new();
-                scalar_mark(sp, sp.layout(), pl, &shadow)
-            })
+            .map(|(sp, pl)| scalar_mark(sp, sp.layout(), pl, &ShadowMap::new()))
             .sum();
         expect_arenas.push((k, expect_k));
-        samples.push(measure(
-            &format!("arenas_n{k}_serial"),
-            0,
-            arena_words,
-            reps,
-            &registry,
-            || {
-                fixtures.iter().map(|(sp, pl)| pool_mark(sp, pl, &PoolMarkOpts::default())).sum()
-            },
-        ));
-        samples.push(measure(
-            &format!("arenas_n{k}_barrier_h6"),
-            6,
-            arena_words,
-            reps,
-            &registry,
-            || {
-                let opts = PoolMarkOpts { helper_threads: 6, ..PoolMarkOpts::default() };
-                fixtures.iter().map(|(sp, pl)| pool_mark(sp, pl, &opts)).sum()
-            },
-        ));
-        // Shadows live across reps and are cleared in place, as the
-        // arena pool keeps them between epochs — allocating 64 fresh
-        // radix maps per rep would measure allocator churn, not marking.
-        let mut pool_shadows: Vec<ShadowMap> = (0..k).map(|_| ShadowMap::new()).collect();
-        samples.push(measure(
-            &format!("arenas_n{k}_sched_h6"),
-            6,
-            arena_words,
-            reps,
-            &registry,
-            || {
-                for sh in &mut pool_shadows {
-                    sh.clear();
-                }
-                let jobs: Vec<PoolMarkJob> = fixtures
-                    .iter()
-                    .zip(&pool_shadows)
-                    .map(|((sp, pl), sh)| PoolMarkJob {
-                        space: sp,
-                        plan: pl,
-                        shadow: sh,
-                        filter: None,
-                        cache: None,
-                        forensics: None,
-                    })
-                    .collect();
-                let opts = PoolMarkOpts { helper_threads: 6, ..PoolMarkOpts::default() };
-                parallel_mark_pool(&jobs, &opts);
-                pool_shadows.iter().map(ShadowMap::marked_count).sum()
-            },
-        ));
+        for (row, helpers, batched) in
+            [("serial", 0, false), ("barrier_h6", 6, false), ("sched_h6", 6, true)]
+        {
+            samples.push(measure(
+                &format!("arenas_n{k}_{row}"),
+                helpers,
+                arena_words,
+                reps,
+                || arenas_mark(&fixtures, &mut shadows, helpers, batched),
+            ));
+        }
     }
 
     // Every full configuration must find the same mark set as the scalar
@@ -631,57 +703,6 @@ fn main() {
         assert_eq!(s.marked, want, "{} disagrees on the mark set", s.name);
     }
 
-    // Paired interleaved re-measure for the headline ratio: the scalar
-    // reference and the SIMD path alternate rep by rep, so frequency
-    // drift on a shared machine lands evenly on both sides instead of on
-    // whichever config happened to run while the box was slow. Best-of
-    // folds into the same rows the table and JSON report.
-    {
-        let scalar_us: Histogram = registry.histogram(BENCH_SUBSYSTEM, "atomic_serial_us");
-        let simd_us: Histogram = registry.histogram(BENCH_SUBSYSTEM, "simd_serial_us");
-        let mut best_scalar = f64::INFINITY;
-        let mut best_simd = f64::INFINITY;
-        for _ in 0..reps * 2 {
-            let t0 = Instant::now();
-            let shadow = ShadowMap::new();
-            let marked = scalar_mark(&space, &layout, &plan, &shadow);
-            let secs = t0.elapsed().as_secs_f64() * handicap_for("atomic_serial");
-            scalar_us.record((secs * 1e6) as u64);
-            best_scalar = best_scalar.min(secs);
-            assert_eq!(marked, expect);
-
-            let t0 = Instant::now();
-            let marked =
-                serial_mark(&mut space, &plan, &mut MarkAccel { prof, ..MarkAccel::default() });
-            let secs = t0.elapsed().as_secs_f64() * handicap_for("simd_serial");
-            simd_us.record((secs * 1e6) as u64);
-            best_simd = best_simd.min(secs);
-            assert_eq!(marked, expect);
-        }
-        for (name, best) in [("atomic_serial", best_scalar), ("simd_serial", best_simd)] {
-            let s = samples.iter_mut().find(|s| s.name == name).expect("measured above");
-            if best < s.best_secs {
-                s.best_secs = best;
-                s.words_per_sec = total_words as f64 / best;
-            }
-        }
-    }
-
-    // Trajectory facts, registered once the best-of times are final
-    // (counters are monotonic, so these cannot be folded mid-measure).
-    // `ms-report --compare` keys on exactly these names.
-    let active_tier = minesweeper::simd::active_tier().as_str();
-    registry.counter(BENCH_SUBSYSTEM, "host_cpus").add(cpus as u64);
-    registry.counter(BENCH_SUBSYSTEM, &format!("scan_tier_{active_tier}")).inc();
-    for s in &samples {
-        registry
-            .counter(BENCH_SUBSYSTEM, &format!("{}_best_us", s.name))
-            .add((s.best_secs * 1e6) as u64);
-        if s.degraded {
-            registry.counter(BENCH_SUBSYSTEM, &format!("{}_degraded", s.name)).inc();
-        }
-    }
-
     println!(
         "== sweep bandwidth: {} MiB fixture, {} marked granules, best of {}, {} cpus ==\n",
         (pages * PAGE_SIZE as u64) >> 20,
@@ -689,10 +710,7 @@ fn main() {
         reps,
         cpus
     );
-    println!(
-        "{:<24} {:>9} {:>6} {:>12} {:>14}",
-        "config", "help r/e", "dirty", "ms", "Mwords/s"
-    );
+    println!("{:<24} {:>9} {:>6} {:>12} {:>14}", "config", "help r/e", "dirty", "ms", "Mwords/s");
     for s in &samples {
         println!(
             "{:<24} {:>9} {:>6} {:>12.3} {:>14.1}{}",
@@ -705,15 +723,12 @@ fn main() {
         );
     }
 
-    // The tentpole ratio: SIMD kernel vs the pre-SIMD scalar loop on the
-    // steady-state fixture (ISSUE 6 acceptance: ≥ 2× on 1 CPU). The dense
-    // worst-case ratio rides along for transparency.
+    // The dense worst-case ratio rides along with the gated tier ratio
+    // for transparency.
     let by_name = |n: &str| samples.iter().find(|s| s.name == n).unwrap();
-    let simd_ratio = by_name("simd_serial").words_per_sec / by_name("atomic_serial").words_per_sec;
     let dense_ratio =
         by_name("simd_serial_dense").words_per_sec / by_name("atomic_serial_dense").words_per_sec;
-    println!("\nsimd_serial vs atomic_serial (scalar reference): {simd_ratio:.2}x");
-    println!("simd_serial_dense vs atomic_serial_dense (no-zero worst case): {dense_ratio:.2}x");
+    println!("\nsimd_serial_dense vs atomic_serial_dense (no-zero worst case): {dense_ratio:.2}x");
 
     // The sharding headline: one scheduler-coalesced pooled round vs the
     // naive one-arena-after-another serial loop (and vs per-arena
@@ -741,23 +756,46 @@ fn main() {
     let null_sink_ratio =
         by_name("simd_serial_nullsink").words_per_sec / by_name("simd_serial").words_per_sec;
 
-    let rev = git_rev();
-    let utc = utc_now();
+    let failed = failed_gates(tier_ratio, profiler_cost);
+    let verdict = |gate: &str| {
+        if failed.contains(&gate) {
+            "FAIL"
+        } else {
+            "PASS"
+        }
+    };
+    println!(
+        "\ngate tier-ratio: atomic_serial/simd_serial {tier_ratio:.3}x, floor \
+         {TIER_RATIO_FLOOR:.2}x: {}",
+        verdict("tier-ratio")
+    );
+    println!(
+        "gate profiler-cost: simd_serial_profiled/simd_serial {profiler_cost:.3}x, ceiling \
+         {PROFILER_COST_CEILING:.2}x: {}",
+        verdict("profiler-cost")
+    );
+
+    let active_tier = minesweeper::simd::active_tier().as_str();
     let tier_env = std::env::var(minesweeper::simd::TIER_ENV).unwrap_or_default();
+    let failed_json: Vec<String> = failed.iter().map(|g| format!("\"{g}\"")).collect();
     let mut json = String::from("{\n");
     let _ = writeln!(json, "  \"fixture\": {{ \"pages\": {pages}, \"total_words\": {total_words}, \"marked_granules\": {expect}, \"sparse_marked_granules\": {expect_sparse}, \"reps\": {reps}, \"cpus\": {cpus} }},");
     let _ = writeln!(
         json,
-        "  \"host\": {{ \"cpus\": {cpus}, \"scan_tier\": \"{active_tier}\", \"scan_tier_env\": \"{tier_env}\", \"git_rev\": \"{rev}\", \"utc\": \"{utc}\", \"profiler\": {profiler} }},"
+        "  \"host\": {{ \"cpus\": {cpus}, \"model\": \"{}\", \"scan_tier\": \"{active_tier}\", \"scan_tier_env\": \"{tier_env}\" }},",
+        cpu_model()
     );
     let _ = writeln!(
         json,
-        "  \"kernel\": {{ \"active_tier\": \"{active_tier}\", \"simd_vs_scalar\": {simd_ratio:.3}, \"simd_vs_scalar_dense\": {dense_ratio:.3} }},"
+        "  \"kernel\": {{ \"active_tier\": \"{active_tier}\", \"simd_vs_scalar\": {tier_ratio:.3}, \"simd_vs_scalar_dense\": {dense_ratio:.3} }},"
     );
     let _ = writeln!(
         json,
-        "  \"telemetry\": {{ \"schema_version\": {SNAPSHOT_SCHEMA_VERSION}, \"null_sink_vs_untraced\": {null_sink_ratio:.3}, \"metrics_out\": \"{metrics_path}\" }},"
+        "  \"gates\": {{ \"tier_ratio\": {tier_ratio:.3}, \"tier_ratio_floor\": {TIER_RATIO_FLOOR}, \"profiler_cost\": {profiler_cost:.3}, \"profiler_cost_ceiling\": {PROFILER_COST_CEILING}, \"pairs\": {pairs}, \"failed\": [{}] }},",
+        failed_json.join(", ")
     );
+    let _ =
+        writeln!(json, "  \"telemetry\": {{ \"null_sink_vs_untraced\": {null_sink_ratio:.3} }},");
     let _ = writeln!(json, "  \"arenas\": {{ {arena_ratio_json} }},");
     let _ = writeln!(json, "  \"results\": [");
     for (i, s) in samples.iter().enumerate() {
@@ -776,64 +814,83 @@ fn main() {
     }
     let _ = writeln!(json, "  ]");
     json.push_str("}\n");
-    std::fs::write(&out_path, json).expect("write JSON results");
-    std::fs::write(&metrics_path, registry.snapshot().to_json())
-        .expect("write metrics snapshot");
-    println!("\nwrote {out_path} and {metrics_path}");
+    if let Err(e) = std::fs::write(&out_path, json) {
+        eprintln!("error: cannot write {out_path}: {e}");
+        return ExitCode::FAILURE;
+    }
+    println!("\nwrote {out_path}");
 
-    // Trajectory: one append-only JSONL line per run, so the repo keeps a
-    // history `ms-report --compare` can gate against.
-    if let Some(path) = trajectory_path {
-        use std::io::Write as _;
-        // With `--trajectory-configs`, only the named configs enter the
-        // history, and degraded samples (fewer effective helpers than
-        // requested) are dropped — CI gates on this file, and a degraded
-        // row would poison every later drift comparison against it.
-        let gating: Vec<&Sample> = samples
-            .iter()
-            .filter(|s| match &trajectory_configs {
-                None => true,
-                Some(names) => names.contains(&s.name) && !s.degraded,
-            })
-            .collect();
-        let skipped = samples.len() - gating.len();
-        if gating.is_empty() {
-            println!(
-                "trajectory: no rows left after --trajectory-configs filter \
-                 ({skipped} skipped) — nothing appended to {path}"
-            );
-        } else {
-            let mut line = format!(
-                "{{ \"schema\": {TRAJECTORY_SCHEMA}, \"utc\": \"{utc}\", \"git_rev\": \"{rev}\", \
-                 \"host_cpus\": {cpus}, \"scan_tier\": \"{active_tier}\", \"pages\": {pages}, \
-                 \"reps\": {reps}, \"profiler\": {profiler}, \"rows\": ["
-            );
-            for (i, s) in gating.iter().enumerate() {
-                let comma = if i + 1 < gating.len() { ", " } else { "" };
-                let _ = write!(
-                    line,
-                    "{{ \"name\": \"{}\", \"best_us\": {:.1}, \"words_per_sec\": {:.0}, \"degraded\": {} }}{comma}",
-                    s.name,
-                    s.best_secs * 1e6,
-                    s.words_per_sec,
-                    s.degraded
-                );
+    if failed.is_empty() {
+        ExitCode::SUCCESS
+    } else {
+        println!("kernel gate failed: {}", failed.join(", "));
+        ExitCode::from(2)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(line: &str) -> Result<Opts, String> {
+        parse_args(line.split_whitespace().map(String::from))
+    }
+
+    #[test]
+    fn gates_pass_just_inside_and_fail_just_outside_each_bound() {
+        let (floor, ceiling) = (TIER_RATIO_FLOOR, PROFILER_COST_CEILING);
+        assert!(failed_gates(floor, ceiling).is_empty());
+        assert!(failed_gates(floor * 1.001, ceiling * 0.999).is_empty());
+        assert_eq!(failed_gates(floor * 0.999, ceiling), ["tier-ratio"]);
+        assert_eq!(failed_gates(floor, ceiling * 1.001), ["profiler-cost"]);
+        assert_eq!(failed_gates(floor * 0.5, ceiling * 2.0), ["tier-ratio", "profiler-cost"]);
+        assert_eq!(failed_gates(f64::NAN, f64::NAN), ["tier-ratio", "profiler-cost"]);
+    }
+
+    #[test]
+    fn clean_extremes_pass_and_their_2x_handicaps_fail() {
+        // The extremes of the clean runs the bounds were set from
+        // (`--pages 256 --reps 8`). A 2x handicap halves the tier ratio
+        // or doubles the profiler cost.
+        let (tier_min, tier_max, cost_min, cost_max) = (1.608, 1.763, 0.978, 1.034);
+        assert!(failed_gates(tier_min, cost_max).is_empty());
+        assert_eq!(failed_gates(tier_max / 2.0, cost_min), ["tier-ratio"]);
+        assert_eq!(failed_gates(tier_min, cost_min * 2.0), ["profiler-cost"]);
+    }
+
+    #[test]
+    fn parse_accepts_the_five_flags() {
+        let o = args("--quick --reps 8 --out x.json --handicap simd_serial:2.0").unwrap();
+        assert_eq!(
+            o,
+            Opts {
+                pages: 256,
+                reps: 8,
+                out: "x.json".into(),
+                handicaps: vec![("simd_serial".into(), 2.0)]
             }
-            line.push_str("] }\n");
-            std::fs::OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(&path)
-                .and_then(|mut f| f.write_all(line.as_bytes()))
-                .expect("append trajectory line");
-            if trajectory_configs.is_some() {
-                println!(
-                    "appended trajectory line to {path} ({} gating rows, {skipped} filtered)",
-                    gating.len()
-                );
-            } else {
-                println!("appended trajectory line to {path}");
-            }
+        );
+        assert_eq!(args("--pages 64").unwrap().pages, 64);
+    }
+
+    #[test]
+    fn parse_rejects_bad_input() {
+        for bad in [
+            "--bogus",
+            "--help",
+            "--pages",
+            "--pages x",
+            "--pages 0",
+            "--reps -1",
+            "--reps 99999999999",
+            "--out",
+            "--handicap simd_serial",
+            "--handicap simd_serial:fast",
+            "--handicap simd_serial:0.5",
+            "--handicap :2.0",
+            "--handicap simd_serial:inf",
+        ] {
+            assert!(args(bad).is_err(), "{bad:?} must be rejected");
         }
     }
 }

@@ -1,7 +1,7 @@
 //! `ms-report`: summarise a sweep-lifecycle trace (and optional metrics
 //! snapshot) produced by `minesweeper-sim run --trace-out/--metrics-out`,
-//! check a metrics snapshot against an SLO policy, or compare two bench
-//! metrics snapshots for regressions.
+//! check a metrics snapshot against an SLO policy, gate a security matrix
+//! against its baseline, or account a run's defence costs.
 
 use std::process::ExitCode;
 
@@ -15,10 +15,8 @@ USAGE:
               [--pinners] [--failed-frees]
     ms-report --metrics <metrics.json> [--check]
     ms-report --slo <spec> --metrics <metrics.json>
-    ms-report --compare <old.json> <new.json> [--threshold <pct>]
     ms-report --security <matrix.json> [--baseline <matrix.json>] [--check]
     ms-report --costs <metrics.json> [<run.jsonl>] [--check]
-    ms-report --trajectory <trajectory.jsonl>
 
 Prints a per-sweep timeline plus failed-free and quarantine tables from
 the JSONL event stream; with --metrics also the engine's pause/STW/sweep
@@ -39,11 +37,6 @@ independently accumulated arena/total_* globals.
 (stw=CYCLES,sweep=CYCLES,qratio=PERMILLE,util=PCT), prints a pass/fail
 table and exits 2 on any violation.
 
---compare diffs two bench metrics snapshots (sweep_bandwidth
---metrics-out) config by config, prints per-config best/mean deltas with
-the runs' measured noise, and exits 2 when a non-degraded config slowed
-beyond both --threshold (default 5%) and the noise on a same-host pair.
-
 --security renders the scenario x backend verdict matrix from a
 SECURITY_matrix.json (minesweeper-sim exploit --corpus --out); --check
 reconciles its embedded security/* counters against the cells — including
@@ -61,20 +54,15 @@ verifies the ledger's conservation invariants — every dimension must sum
 to the total and each kind's counter must match its histogram — and
 exits 2 naming the leaking kind otherwise.
 
---trajectory renders the per-config trend table from an append-only
-BENCH_trajectory.jsonl history (sweep_bandwidth --trajectory): best_us
-at the oldest and newest revision per config, with degraded samples
-marked.
-
 EXIT CODES:
     0  success — report printed, every requested gate passed
     1  bad input — unreadable file, malformed document, unknown flag
-    2  gate failure — SLO breach, bench regression, security verdict
-       regression, or a cost-ledger conservation leak
+    2  gate failure — SLO breach, security verdict regression, or a
+       cost-ledger conservation leak
 ";
 
-/// Exit code for a failed gate (SLO breach or bench regression) —
-/// distinct from 1, which means bad input.
+/// Exit code for a failed gate (SLO breach, security regression or cost
+/// leak) — distinct from 1, which means bad input.
 const GATE_FAILED: u8 = 2;
 
 fn main() -> ExitCode {
@@ -102,9 +90,6 @@ fn run(args: &[String]) -> Result<(String, bool), CliError> {
     let mut security = None;
     let mut baseline = None;
     let mut costs = None;
-    let mut trajectory = None;
-    let mut compare: Option<(String, String)> = None;
-    let mut threshold = telemetry::DEFAULT_THRESHOLD_PCT;
     let mut opts = ReportOpts::default();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -143,31 +128,6 @@ fn run(args: &[String]) -> Result<(String, bool), CliError> {
                         .clone(),
                 );
             }
-            "--trajectory" => {
-                trajectory = Some(
-                    it.next()
-                        .ok_or_else(|| {
-                            CliError("--trajectory needs a history file".into())
-                        })?
-                        .clone(),
-                );
-            }
-            "--compare" => {
-                let old = it
-                    .next()
-                    .ok_or_else(|| CliError("--compare needs <old.json> <new.json>".into()))?;
-                let new = it
-                    .next()
-                    .ok_or_else(|| CliError("--compare needs <old.json> <new.json>".into()))?;
-                compare = Some((old.clone(), new.clone()));
-            }
-            "--threshold" => {
-                threshold = it
-                    .next()
-                    .ok_or_else(|| CliError("--threshold needs a percentage".into()))?
-                    .parse()
-                    .map_err(|_| CliError("--threshold must be a number".into()))?;
-            }
             "--check" => opts.check = true,
             "--pinners" => opts.pinners = true,
             "--failed-frees" => opts.failed_frees = true,
@@ -184,9 +144,6 @@ fn run(args: &[String]) -> Result<(String, bool), CliError> {
 
     if baseline.is_some() && security.is_none() {
         return Err(CliError("--baseline needs --security <matrix.json>".into()));
-    }
-    if let Some(path) = trajectory {
-        return Ok((ms_cli::render_trajectory(&read(&path)?)?, true));
     }
     if let Some(path) = costs {
         // The positional trace file, when given, joins pinned bytes into
@@ -208,12 +165,6 @@ fn run(args: &[String]) -> Result<(String, bool), CliError> {
                 Ok((out, !failed))
             }
         };
-    }
-    if let Some((old, new)) = compare {
-        let old_text = read(&old)?;
-        let new_text = read(&new)?;
-        let (out, regressed) = ms_cli::render_compare(&old_text, &new_text, threshold)?;
-        return Ok((out, !regressed));
     }
     if let Some(spec) = slo {
         let metrics =

@@ -867,34 +867,6 @@ pub fn render_slo(metrics_text: &str, spec: &str) -> Result<(String, bool), CliE
     Ok((telemetry::slo_table(&checks), breached))
 }
 
-/// Compares two bench metrics snapshots (`ms-report --compare`). Returns
-/// the rendered delta table and whether the regression gate should fail:
-/// at least one non-degraded config slowed beyond both the threshold and
-/// the runs' measured noise, on a like-for-like pair. Cross-host pairs
-/// (different CPU count or scan tier) downgrade regressions to warnings —
-/// those deltas are not actionable.
-///
-/// # Errors
-///
-/// [`CliError`] when either snapshot fails to parse.
-pub fn render_compare(
-    old_text: &str,
-    new_text: &str,
-    threshold_pct: f64,
-) -> Result<(String, bool), CliError> {
-    let old = Snapshot::from_json(old_text)
-        .map_err(|e| CliError(format!("bad old metrics: {e}")))?;
-    let new = Snapshot::from_json(new_text)
-        .map_err(|e| CliError(format!("bad new metrics: {e}")))?;
-    let report = telemetry::compare(&old, &new, threshold_pct);
-    let mut out = report.render();
-    let regressed = !report.regressions().is_empty();
-    if regressed && report.cross_host() {
-        out.push_str("warning: regressions found across different hosts — not gating\n");
-    }
-    Ok((out, regressed && !report.cross_host()))
-}
-
 /// One parsed `SECURITY_matrix.json` cell: a scenario × backend verdict
 /// with its baseline attack-window latency and — schema 2 — the defence
 /// cycles that backend spent earning the verdict, broken down by
@@ -1382,119 +1354,6 @@ pub fn render_costs(
     Ok((out, true))
 }
 
-/// Schema of `BENCH_trajectory.jsonl` lines this renderer understands
-/// (written by `sweep_bandwidth --trajectory`).
-const TRAJECTORY_SCHEMA: u64 = 1;
-
-/// Renders the `ms-report --trajectory` per-config trend table from an
-/// append-only `BENCH_trajectory.jsonl` history: one row per bench
-/// config with its best time at the oldest and newest recorded revision,
-/// the drift between them, and how many of its samples ran degraded
-/// (fewer effective helpers than requested — those samples are real but
-/// not comparable, so CI filters them out before appending gating rows).
-///
-/// # Errors
-///
-/// [`CliError`] on an empty history, a malformed line (named by number),
-/// or an unsupported line schema.
-pub fn render_trajectory(text: &str) -> Result<String, CliError> {
-    use telemetry::json::Json;
-    /// One config sample in file order: (git_rev, best_us, degraded).
-    type Sample = (String, f64, bool);
-    let mut configs: Vec<(String, Vec<Sample>)> = Vec::new();
-    let mut lines = 0u64;
-    let mut first_rev = String::new();
-    let mut last_rev = String::new();
-    for (i, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let bad = |what: &str| CliError(format!("bad trajectory line {}: {what}", i + 1));
-        let doc = Json::parse(line)
-            .map_err(|e| CliError(format!("bad trajectory line {}: {e}", i + 1)))?;
-        let schema = doc.get("schema").and_then(Json::as_u64);
-        if schema != Some(TRAJECTORY_SCHEMA) {
-            return Err(bad(&format!(
-                "unsupported schema {schema:?} (want {TRAJECTORY_SCHEMA})"
-            )));
-        }
-        let rev = doc
-            .get("git_rev")
-            .and_then(Json::as_str)
-            .ok_or_else(|| bad("missing git_rev"))?
-            .to_string();
-        if lines == 0 {
-            first_rev.clone_from(&rev);
-        }
-        last_rev.clone_from(&rev);
-        lines += 1;
-        for row in doc
-            .get("rows")
-            .and_then(Json::as_array)
-            .ok_or_else(|| bad("missing rows"))?
-        {
-            let name = row
-                .get("name")
-                .and_then(Json::as_str)
-                .ok_or_else(|| bad("row missing name"))?;
-            let best_us = row
-                .get("best_us")
-                .and_then(Json::as_f64)
-                .ok_or_else(|| bad("row missing best_us"))?;
-            let degraded = matches!(row.get("degraded"), Some(Json::Bool(true)));
-            let sample = (rev.clone(), best_us, degraded);
-            match configs.iter_mut().find(|(n, _)| n == name) {
-                Some((_, samples)) => samples.push(sample),
-                None => configs.push((name.to_string(), vec![sample])),
-            }
-        }
-    }
-    if lines == 0 {
-        return Err(CliError("trajectory is empty".into()));
-    }
-    let mut out = format!(
-        "bench trajectory: {lines} runs, {} configs, revs {first_rev}..{last_rev}\n",
-        configs.len()
-    );
-    let mut rows = vec![vec![
-        "config".to_string(),
-        "runs".into(),
-        "first us".into(),
-        "last us".into(),
-        "drift".into(),
-        "degraded".into(),
-    ]];
-    for (name, samples) in &configs {
-        let (first, last) = (&samples[0], &samples[samples.len() - 1]);
-        let drift = if first.1 > 0.0 {
-            format!("{:+.1}%", (last.1 / first.1 - 1.0) * 100.0)
-        } else {
-            "-".into()
-        };
-        let degraded = samples.iter().filter(|(_, _, d)| *d).count();
-        let mark = if last.2 {
-            format!("{degraded} [latest]")
-        } else {
-            degraded.to_string()
-        };
-        rows.push(vec![
-            name.clone(),
-            samples.len().to_string(),
-            format!("{:.1}", first.1),
-            format!("{:.1}", last.1),
-            drift,
-            mark,
-        ]);
-    }
-    out.push_str(&table(&rows));
-    out.push_str(
-        "drift: latest best_us vs oldest; degraded samples ran with fewer helpers \
-         than requested\n",
-    );
-    Ok(out)
-}
-
 /// Usage text.
 pub const USAGE: &str = "\
 minesweeper-sim — MineSweeper (ASPLOS'22) reproduction driver
@@ -1967,45 +1826,6 @@ mod tests {
         assert!(render_slo("not json", "stw=1").is_err());
     }
 
-    /// Bench-shaped metrics JSON: one config with the given rep times.
-    fn bench_metrics(reps: &[u64], cpus: u64) -> String {
-        let reg = telemetry::Registry::new();
-        reg.counter("bench", "host_cpus").add(cpus);
-        reg.counter("bench", "scan_tier_avx2").inc();
-        let h = reg.histogram("bench", "simd_serial_us");
-        for &r in reps {
-            h.record(r);
-        }
-        reg.counter("bench", "simd_serial_best_us")
-            .add(reps.iter().copied().min().unwrap_or(0));
-        reg.snapshot().to_json()
-    }
-
-    #[test]
-    fn compare_renderer_gates_same_host_regressions_only() {
-        let old = bench_metrics(&[1000, 1004], 4);
-
-        // A clean 20% slowdown on the same host: the gate fires.
-        let new = bench_metrics(&[1200, 1205], 4);
-        let (table, regressed) = render_compare(&old, &new, 5.0).unwrap();
-        assert!(regressed, "{table}");
-        assert!(table.contains("REGRESSED"), "{table}");
-
-        // The same slowdown across hosts: warning, no gate.
-        let new = bench_metrics(&[1200, 1205], 16);
-        let (table, regressed) = render_compare(&old, &new, 5.0).unwrap();
-        assert!(!regressed, "{table}");
-        assert!(table.contains("host mismatch"), "{table}");
-        assert!(table.contains("not gating"), "{table}");
-
-        // No movement: no gate, row rendered ok.
-        let (table, regressed) = render_compare(&old, &old, 5.0).unwrap();
-        assert!(!regressed);
-        assert!(table.contains("ok"), "{table}");
-
-        assert!(render_compare("junk", &old, 5.0).is_err());
-    }
-
     #[test]
     fn parse_arenas_flag() {
         let cmd = parse(&argv("run demo --arenas 4")).unwrap();
@@ -2250,30 +2070,5 @@ mod tests {
         let err = render_security(&bad, true).unwrap_err();
         assert!(err.0.contains("defence"), "{err}");
         assert!(render_security(&bad, false).is_ok());
-    }
-
-    #[test]
-    fn trajectory_renders_per_config_trends() {
-        let lines = concat!(
-            "{ \"schema\": 1, \"utc\": \"t0\", \"git_rev\": \"aaaa111\", \"host_cpus\": 8, ",
-            "\"scan_tier\": \"avx2\", \"pages\": 2048, \"reps\": 5, \"profiler\": false, ",
-            "\"rows\": [{ \"name\": \"simd_serial\", \"best_us\": 100.0, \"words_per_sec\": 10, \"degraded\": false }, ",
-            "{ \"name\": \"ws_h6\", \"best_us\": 50.0, \"words_per_sec\": 20, \"degraded\": true }] }\n",
-            "{ \"schema\": 1, \"utc\": \"t1\", \"git_rev\": \"bbbb222\", \"host_cpus\": 8, ",
-            "\"scan_tier\": \"avx2\", \"pages\": 2048, \"reps\": 5, \"profiler\": false, ",
-            "\"rows\": [{ \"name\": \"simd_serial\", \"best_us\": 110.0, \"words_per_sec\": 9, \"degraded\": false }] }\n",
-        );
-        let out = render_trajectory(lines).unwrap();
-        assert!(out.contains("2 runs"), "{out}");
-        assert!(out.contains("aaaa111..bbbb222"), "{out}");
-        assert!(out.contains("simd_serial"), "{out}");
-        assert!(out.contains("+10.0%"), "{out}");
-        assert!(out.contains("[latest]"), "degraded latest sample marked: {out}");
-
-        assert!(render_trajectory("").is_err());
-        let err = render_trajectory("{ \"schema\": 7, \"git_rev\": \"x\", \"rows\": [] }")
-            .unwrap_err();
-        assert!(err.0.contains("unsupported"), "{err}");
-        assert!(render_trajectory("not json").is_err());
     }
 }

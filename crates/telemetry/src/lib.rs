@@ -17,11 +17,9 @@
 //!   [`RunReport::reconcile`]s event-derived totals against the metric
 //!   counters so the two planes can never silently drift apart.
 //!
-//! On top of the three planes sit two evaluators: the [`Watchdog`]
+//! On top of the three planes sits one evaluator: the [`Watchdog`]
 //! checks a snapshot (usually a delta) against SLO objectives and emits
-//! [`EventKind::SloViolation`] events for breaches, and
-//! [`compare::compare`] computes noise-aware per-config deltas between
-//! two bench metrics snapshots (the `ms-report --compare` gate).
+//! [`EventKind::SloViolation`] events for breaches.
 //!
 //! [`IdMap`] and [`IdSet`] (the [`idhash`] module) are the integer-keyed
 //! maps every crate on the simulator's per-op path shares.
@@ -29,7 +27,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod compare;
 pub mod cost;
 pub mod idhash;
 pub mod json;
@@ -38,7 +35,6 @@ pub mod timeline;
 pub mod trace;
 pub mod watchdog;
 
-pub use compare::{compare, CompareReport, ConfigDelta, DEFAULT_THRESHOLD_PCT};
 pub use cost::{CostKind, CostLedger, CostRecorder, COST_SUBSYSTEM};
 pub use idhash::{IdHasher, IdMap, IdSet};
 pub use json::{Json, JsonError};

@@ -7,7 +7,8 @@
 #
 # Every stage runs in its own subshell under `set -euo pipefail`; the
 # driver keeps going after a failure so one run reports every broken
-# stage, then exits 1 if any failed. No network access required —
+# stage, then exits 1 if any failed. A full run must also leave
+# `git status --porcelain` as it found it. No network access required —
 # proptest/criterion resolve to the in-tree shim crates (crates/proptest,
 # crates/criterion).
 #
@@ -34,13 +35,6 @@ ensure_demo_metrics() {
     cargo run -q --release -p ms-cli --bin minesweeper-sim -- run demo \
         --system ms --trace-out "$smoke_dir/run.jsonl" \
         --metrics-out "$smoke_dir/metrics.json" > /dev/null
-}
-
-ensure_off_metrics() {
-    [ -s "$smoke_dir/off_metrics.json" ] && return 0
-    cargo run -q --release -p ms-bench --bin sweep_bandwidth -- \
-        --pages 256 --reps 8 --out "$smoke_dir/off.json" \
-        --metrics-out "$smoke_dir/off_metrics.json" > /dev/null
 }
 
 ensure_security_matrix() {
@@ -160,19 +154,23 @@ stage_model_lock() {
              "(regenerate with UPDATE_MODEL_LOCK=1)"; exit 1; }
 }
 
-# desc: bench schema keys present and degraded rows honest
-stage_bench_smoke() {
-    # One rep on the small fixture: asserts the bench runs end to end and
-    # the JSON carries the expected schema. Explicitly NOT a perf gate.
-    cargo run -q --release -p ms-bench --bin sweep_bandwidth -- \
-        --quick --reps 1 --out "$smoke_dir/bench.json" \
-        --metrics-out "$smoke_dir/bench_metrics.json" > /dev/null
+# desc: sweep kernel gates pass clean, fire on a 2x slowdown (exit 2)
+stage_kernel_gate() {
+    # sweep_bandwidth gates its own run: the SIMD tier's speed-up over the
+    # scalar loop and the profiler's cost, each a median of interleaved
+    # pairs within the run. A clean run must pass both; an injected 2x
+    # slowdown of one row must fail exactly its gate with exit 2 (1 would
+    # mean bad input).
+    local bench=(cargo run -q --release -p ms-bench --bin sweep_bandwidth --)
+    "${bench[@]}" --pages 256 --reps 8 --out "$smoke_dir/bench.json" \
+        > "$smoke_dir/bench.txt" \
+        || { cat "$smoke_dir/bench.txt"; echo "clean run must pass both gates"; exit 1; }
     for key in requested_helpers effective_helpers degraded dirty_pct \
         incremental_d5 incremental_filtered_d5 words_per_sec forensics_off \
         forensics_sampled_s8 forensics_full simd_serial swar_serial \
-        steal_parallel simd_vs_scalar \
-        arenas_n4_serial arenas_n16_barrier_h6 arenas_n64_sched_h6 \
-        n16_sched_vs_serial; do
+        simd_serial_profiled steal_parallel simd_vs_scalar tier_ratio_floor \
+        profiler_cost_ceiling arenas_n4_serial arenas_n16_barrier_h6 \
+        arenas_n64_sched_h6 n16_sched_vs_serial; do
         grep -q "$key" "$smoke_dir/bench.json" \
             || { echo "bench JSON missing $key"; exit 1; }
     done
@@ -184,7 +182,24 @@ stage_bench_smoke() {
         echo "bench rows with zero effective helpers must be flagged degraded"
         exit 1
     fi
-    test -s "$smoke_dir/bench_metrics.json" || { echo "empty bench metrics"; exit 1; }
+    local row gate rc
+    for row in simd_serial:tier-ratio simd_serial_profiled:profiler-cost; do
+        gate=${row#*:}
+        rc=0
+        "${bench[@]}" --pages 256 --reps 8 --handicap "${row%:*}:2.0" \
+            --out "$smoke_dir/slow.json" > "$smoke_dir/slow.txt" || rc=$?
+        [ "$rc" -eq 2 ] \
+            || { echo "2x ${row%:*} must fail the $gate gate with exit 2 (got $rc)"; exit 1; }
+        grep -q "^kernel gate failed: $gate\$" "$smoke_dir/slow.txt" \
+            || { echo "2x ${row%:*} must fail exactly the $gate gate"; exit 1; }
+    done
+    # Exit-code contract: an unknown flag or a malformed value is 1.
+    for bad in --bogus "--reps x" "--handicap simd_serial"; do
+        rc=0
+        # $bad is a word list of arguments: split it on purpose.
+        "${bench[@]}" $bad > /dev/null 2>&1 || rc=$?
+        [ "$rc" -eq 1 ] || { echo "sweep_bandwidth $bad must exit 1 (got $rc)"; exit 1; }
+    done
 }
 
 # desc: end-to-end benchmark quick run passes its own checks
@@ -195,97 +210,6 @@ stage_e2e_bench_smoke() {
     # Explicitly NOT a perf gate.
     cargo run --release --offline --manifest-path benchmark/Cargo.toml -- \
         run --quick --out "$smoke_dir/bench" > /dev/null
-}
-
-# desc: profiler on/off bench pair within noise; appends trajectory
-stage_profiler_pair() {
-    # Off-vs-on bench pair over the same fixture: enabling the profiler
-    # must not slow any non-degraded row beyond threshold + the pair's
-    # measured noise (the disabled path is a single branch). The off run
-    # also appends this CI run to the append-only bench trajectory.
-    # Only the serial configs enter the gating history: parallel rows on
-    # this shared host can run degraded (zero helpers), and degraded
-    # samples would poison every later drift comparison.
-    cargo run -q --release -p ms-bench --bin sweep_bandwidth -- \
-        --pages 256 --reps 8 --out "$smoke_dir/off.json" \
-        --metrics-out "$smoke_dir/off_metrics.json" \
-        --trajectory BENCH_trajectory.jsonl \
-        --trajectory-configs simd_serial,swar_serial > /dev/null
-    grep -q '"git_rev"' BENCH_trajectory.jsonl \
-        || { echo "trajectory line missing host metadata"; exit 1; }
-    tail -n 1 BENCH_trajectory.jsonl | grep -q '"name": "simd_serial"' \
-        || { echo "trajectory gating row simd_serial missing"; exit 1; }
-    if tail -n 1 BENCH_trajectory.jsonl | grep -q '"degraded": true'; then
-        echo "filtered trajectory line must not carry degraded rows"; exit 1
-    fi
-    # The whole history (old unfiltered lines included) must still render.
-    cargo run -q --release -p ms-cli --bin ms-report -- \
-        --trajectory BENCH_trajectory.jsonl > /dev/null \
-        || { echo "trajectory history failed to render"; exit 1; }
-    cargo run -q --release -p ms-bench --bin sweep_bandwidth -- \
-        --pages 256 --reps 8 --profiler --out "$smoke_dir/on.json" \
-        --metrics-out "$smoke_dir/on_metrics.json" > /dev/null
-    grep -q '"profiler": true' "$smoke_dir/on.json" \
-        || { echo "bench JSON missing profiler host field"; exit 1; }
-    # The off and on runs are minutes apart on a shared 1-CPU host, so a
-    # multi-second contention window can swallow a whole block of configs
-    # in one run only. One retry with a fresh pair tells drift from real
-    # overhead: genuine profiler cost regresses both pairs.
-    if ! cargo run -q --release -p ms-cli --bin ms-report -- \
-        --compare "$smoke_dir/off_metrics.json" "$smoke_dir/on_metrics.json" \
-        --threshold 10 > /dev/null; then
-        echo "profiler pair regressed once — retrying with a fresh pair"
-        cargo run -q --release -p ms-bench --bin sweep_bandwidth -- \
-            --pages 256 --reps 8 --out "$smoke_dir/off.json" \
-            --metrics-out "$smoke_dir/off_metrics.json" > /dev/null
-        cargo run -q --release -p ms-bench --bin sweep_bandwidth -- \
-            --pages 256 --reps 8 --profiler --out "$smoke_dir/on.json" \
-            --metrics-out "$smoke_dir/on_metrics.json" > /dev/null
-        cargo run -q --release -p ms-cli --bin ms-report -- \
-            --compare "$smoke_dir/off_metrics.json" "$smoke_dir/on_metrics.json" \
-            --threshold 10 > /dev/null \
-            || { echo "profiler-on bench regressed beyond noise vs profiler-off"; exit 1; }
-    fi
-}
-
-# desc: compare gate rejects an injected 2x slowdown (exit 2)
-stage_bench_selftest() {
-    ensure_off_metrics
-    cargo run -q --release -p ms-bench --bin sweep_bandwidth -- \
-        --pages 256 --reps 8 --handicap simd_serial:2.0 \
-        --out "$smoke_dir/slow.json" \
-        --metrics-out "$smoke_dir/slow_metrics.json" > /dev/null
-    local rc=0
-    cargo run -q --release -p ms-cli --bin ms-report -- \
-        --compare "$smoke_dir/off_metrics.json" "$smoke_dir/slow_metrics.json" \
-        > "$smoke_dir/gate.txt" || rc=$?
-    [ "$rc" -eq 2 ] \
-        || { echo "compare gate must exit 2 on an injected 2x regression (got $rc)"; exit 1; }
-    grep -q "REGRESSED" "$smoke_dir/gate.txt" \
-        || { echo "gate output missing the REGRESSED verdict"; exit 1; }
-}
-
-# desc: noise-aware compare against the committed bench baseline
-stage_bench_baseline() {
-    # Same-host regressions beyond 25% + noise gate the build; cross-host
-    # pairs (different CPU count or scan tier) downgrade to warnings. The
-    # baseline was recorded minutes-to-months before this run on a shared
-    # 1-CPU host, so one contention window can fake a regression in a
-    # single rep block — a retry with a fresh measurement tells drift
-    # from real cost, exactly like the profiler pair above.
-    ensure_off_metrics
-    if ! cargo run -q --release -p ms-cli --bin ms-report -- \
-        --compare BENCH_baseline_metrics.json "$smoke_dir/off_metrics.json" \
-        --threshold 25; then
-        echo "baseline compare regressed once — retrying with a fresh run"
-        cargo run -q --release -p ms-bench --bin sweep_bandwidth -- \
-            --pages 256 --reps 8 --out "$smoke_dir/off.json" \
-            --metrics-out "$smoke_dir/off_metrics.json" > /dev/null
-        cargo run -q --release -p ms-cli --bin ms-report -- \
-            --compare BENCH_baseline_metrics.json "$smoke_dir/off_metrics.json" \
-            --threshold 25 \
-            || { echo "bench regressed against the committed baseline"; exit 1; }
-    fi
 }
 
 # desc: generous SLO passes, impossible SLO breaches (exit 2)
@@ -484,11 +408,8 @@ STAGES=(
     forensics-smoke
     golden-traces
     model-lock
-    bench-smoke
+    kernel-gate
     e2e-bench-smoke
-    profiler-pair
-    bench-selftest
-    bench-baseline
     slo-smoke
     security
     security-selftest
@@ -511,6 +432,8 @@ list_stages() {
 run_stages() {
     local names=("$@") failed=0
     local results=()
+    local tree_before
+    tree_before=$(git status --porcelain)
     for s in "${names[@]}"; do
         echo "== $s: $(desc_of "$s") =="
         local t0 t1 rc=0
@@ -524,6 +447,15 @@ run_stages() {
             failed=1
         fi
     done
+    # A full run must leave the work tree as it found it: no stage may
+    # write a tracked file or leave an untracked one behind. (Single
+    # stages may: the UPDATE_* knobs refresh fixtures on purpose.)
+    if [ "$full_run" -eq 1 ] && [ "$(git status --porcelain)" != "$tree_before" ]; then
+        echo "work tree changed during the run:"
+        diff <(echo "$tree_before") <(git status --porcelain) || true
+        results+=("$(printf '%-20s %-6s' work-tree FAIL)")
+        failed=1
+    fi
     echo
     echo "stage                status  wall"
     echo "-----------------------------------"
@@ -562,7 +494,9 @@ while [ $# -gt 0 ]; do
 done
 
 if [ ${#selected[@]} -gt 0 ]; then
+    full_run=0
     run_stages "${selected[@]}"
 else
+    full_run=1
     run_stages "${STAGES[@]}"
 fi
