@@ -1,11 +1,12 @@
 //! The allocator facade: arenas, bins, extent recycling, purging.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use vmem::{Addr, AddrSpace, PageRange, Protection, PAGE_SIZE};
 
 use crate::classes::SizeClasses;
 use crate::config::{JallocConfig, PurgePolicy};
+use crate::emap::{ExtentId, ExtentMap};
 use crate::error::FreeError;
 use crate::extent::{Extent, ExtentKind, FreeExtents};
 use crate::stats::AllocStats;
@@ -22,8 +23,8 @@ use crate::tcache::Tcache;
 pub struct JAlloc {
     cfg: JallocConfig,
     classes: SizeClasses,
-    /// Active extents by base address.
-    active: BTreeMap<u64, Extent>,
+    /// Active extents, found by any address inside them.
+    active: ExtentMap,
     /// Per class: bases of slabs with at least one free region.
     bins: Vec<BTreeSet<u64>>,
     free_extents: FreeExtents,
@@ -47,7 +48,7 @@ impl JAlloc {
             bins: vec![BTreeSet::new(); sizes.len()],
             tcache: Tcache::new(&sizes),
             classes,
-            active: BTreeMap::new(),
+            active: ExtentMap::default(),
             free_extents: FreeExtents::new(),
             clock: 0,
             stats: AllocStats::default(),
@@ -111,7 +112,8 @@ impl JAlloc {
     fn malloc_small_arena(&mut self, space: &mut AddrSpace, class: usize) -> Addr {
         let class_size = self.classes.size_of(class);
         if let Some(&slab_base) = self.bins[class].first() {
-            let ext = self.active.get_mut(&slab_base).expect("binned slab is active");
+            let slab = self.active.containing(Addr::new(slab_base));
+            let ext = self.active.get_mut(slab.expect("binned slab is active"));
             let idx = ext.slab_alloc().expect("binned slab has a free region");
             if ext.slab_is_full() {
                 self.bins[class].remove(&slab_base);
@@ -126,7 +128,7 @@ impl JAlloc {
         let idx = ext.slab_alloc().expect("fresh slab has free regions");
         self.stats.slabs_created += 1;
         self.stats.active_extent_bytes += ext.byte_len();
-        self.active.insert(base.raw(), ext);
+        self.active.insert(ext);
         self.bins[class].insert(base.raw());
         base + idx * class_size
     }
@@ -137,7 +139,7 @@ impl JAlloc {
         let ext = Extent::new_large(base, pages);
         self.stats.allocated_bytes += ext.byte_len();
         self.stats.active_extent_bytes += ext.byte_len();
-        self.active.insert(base.raw(), ext);
+        self.active.insert(ext);
         base
     }
 
@@ -178,20 +180,17 @@ impl JAlloc {
     /// (including regions parked in the tcache). These are the
     /// undefined-behaviour events a quarantine layer must never forward.
     pub fn free(&mut self, space: &mut AddrSpace, addr: Addr) -> Result<(), FreeError> {
-        let (base, ext) = self
+        let id = self
             .active
-            .range(..=addr.raw())
-            .next_back()
-            .filter(|(_, e)| e.contains(addr))
-            .map(|(&b, e)| (b, e))
+            .containing(addr)
             .ok_or(FreeError::InvalidPointer(addr))?;
-
+        let ext = self.active.get(id);
         match ext.kind {
             ExtentKind::Large => {
-                if addr.raw() != base {
+                if addr != ext.base {
                     return Err(FreeError::InvalidPointer(addr));
                 }
-                let ext = self.active.remove(&base).expect("present");
+                let ext = self.active.remove(id);
                 self.stats.allocated_bytes -= ext.byte_len();
                 self.stats.active_extent_bytes -= ext.byte_len();
                 self.stats.frees += 1;
@@ -201,13 +200,11 @@ impl JAlloc {
             }
             ExtentKind::Slab { class, .. } => {
                 let class_size = self.classes.size_of(class);
-                let offset = addr.raw() - base;
+                let offset = addr - ext.base;
                 if !offset.is_multiple_of(class_size) {
                     return Err(FreeError::InvalidPointer(addr));
                 }
-                let idx = offset / class_size;
-                let ext = self.active.get(&base).expect("present");
-                if !ext.slab_region_live(idx) {
+                if !ext.slab_region_live(offset / class_size) {
                     return Err(FreeError::DoubleFree(addr));
                 }
                 if self.cfg.tcache {
@@ -218,7 +215,9 @@ impl JAlloc {
                     self.stats.frees += 1;
                     if !self.tcache.push(class, addr) {
                         for old in self.tcache.flush_half(class) {
-                            self.release_region(old, base_of(&self.active, old), class);
+                            let slab = self.active.containing(old);
+                            let slab = slab.expect("tcache region is in a slab");
+                            self.release_region(old, slab, class);
                         }
                         assert!(self.tcache.push(class, addr), "bin just flushed");
                     }
@@ -226,7 +225,7 @@ impl JAlloc {
                 } else {
                     self.stats.allocated_bytes -= class_size;
                     self.stats.frees += 1;
-                    self.release_region(addr, base, class);
+                    self.release_region(addr, id, class);
                     Ok(())
                 }
             }
@@ -238,17 +237,17 @@ impl JAlloc {
     }
 
     /// Returns a region to its slab; retires the slab when it empties.
-    fn release_region(&mut self, addr: Addr, slab_base: u64, class: usize) {
-        let ext = self.active.get_mut(&slab_base).expect("slab is active");
-        let class_size = self.classes.size_of(class);
-        let idx = (addr.raw() - slab_base) / class_size;
+    fn release_region(&mut self, addr: Addr, slab: ExtentId, class: usize) {
+        let ext = self.active.get_mut(slab);
+        let slab_base = ext.base.raw();
+        let idx = (addr - ext.base) / self.classes.size_of(class);
         let was_full = ext.slab_is_full();
         ext.slab_free(idx).expect("region was live");
         if was_full {
             self.bins[class].insert(slab_base);
         }
         if ext.slab_used() == 0 {
-            let ext = self.active.remove(&slab_base).expect("present");
+            let ext = self.active.remove(slab);
             self.bins[class].remove(&slab_base);
             self.stats.active_extent_bytes -= ext.byte_len();
             self.release_extent(ext.base, ext.pages);
@@ -271,18 +270,14 @@ impl JAlloc {
     /// Regions parked in the tcache still count as arena-live here (their
     /// slab bits are set), matching what a sweep of allocator state sees.
     pub fn allocation_range(&self, addr: Addr) -> Option<(Addr, u64)> {
-        let (&base, ext) = self
-            .active
-            .range(..=addr.raw())
-            .next_back()
-            .filter(|(_, e)| e.contains(addr))?;
+        let ext = self.active.get(self.active.containing(addr)?);
         match ext.kind {
-            ExtentKind::Large => Some((Addr::new(base), ext.byte_len())),
+            ExtentKind::Large => Some((ext.base, ext.byte_len())),
             ExtentKind::Slab { class, .. } => {
                 let class_size = self.classes.size_of(class);
-                let idx = (addr.raw() - base) / class_size;
+                let idx = (addr - ext.base) / class_size;
                 ext.slab_region_live(idx)
-                    .then(|| (Addr::new(base) + idx * class_size, class_size))
+                    .then(|| (ext.base + idx * class_size, class_size))
             }
         }
     }
@@ -293,7 +288,10 @@ impl JAlloc {
     /// ranges" and "exclude allocator metadata structures"; metadata here
     /// is out-of-line Rust state, so exclusion is inherent).
     pub fn active_ranges(&self) -> Vec<(Addr, u64)> {
-        self.active.values().map(|e| (e.base, e.byte_len())).collect()
+        let mut ranges: Vec<(Addr, u64)> =
+            self.active.iter().map(|e| (e.base, e.byte_len())).collect();
+        ranges.sort_unstable_by_key(|&(base, _)| base);
+        ranges
     }
 
     /// Address-ordered list of free (recyclable) extents as
@@ -354,20 +352,10 @@ impl JAlloc {
     /// enhanced cleanup MineSweeper performs with sweeps).
     pub fn flush_tcache(&mut self) {
         for (class, addr) in self.tcache.flush_all() {
-            let slab_base = base_of(&self.active, addr);
-            self.release_region(addr, slab_base, class);
+            let slab = self.active.containing(addr).expect("tcache region is in a slab");
+            self.release_region(addr, slab, class);
         }
     }
-}
-
-/// Base address of the active extent containing `addr`.
-fn base_of(active: &BTreeMap<u64, Extent>, addr: Addr) -> u64 {
-    active
-        .range(..=addr.raw())
-        .next_back()
-        .filter(|(_, e)| e.contains(addr))
-        .map(|(&b, _)| b)
-        .expect("tcache region belongs to an active slab")
 }
 
 impl Default for JAlloc {
@@ -583,6 +571,43 @@ mod tests {
         assert!(covered(small));
         assert!(covered(large));
         assert!(covered(large.add_bytes(5 * PAGE_SIZE as u64 - 8)));
+    }
+
+    #[test]
+    fn churn_frees_every_extent_map_leaf() {
+        // Like vmem's monotone-VA churn test: once every allocation is
+        // freed, no leaf of the page -> extent map survives, and the slot
+        // store is exactly as long as the peak number of active extents.
+        let (mut space, mut heap) = setup();
+        let (mut peak_extents, mut peak_leaves) = (0, 0);
+        let mut live = Vec::new();
+        for round in 0..64u64 {
+            for i in 0..40 {
+                live.push(heap.malloc(&mut space, (round * 131 + i * 37) % 3000 + 1));
+            }
+            live.push(heap.malloc(&mut space, (round % 9 + 1) * 100 * PAGE_SIZE as u64));
+            peak_extents = peak_extents.max(heap.active.iter().count());
+            peak_leaves = peak_leaves.max(heap.active.resident_leaves());
+            // Keep every third allocation for a while, so extents of
+            // different ages interleave across leaves.
+            let mut keep = Vec::new();
+            for (i, a) in live.drain(..).enumerate() {
+                if i % 3 == 0 && round % 4 != 3 {
+                    keep.push(a);
+                } else {
+                    heap.free(&mut space, a).unwrap();
+                }
+            }
+            live = keep;
+        }
+        for a in live {
+            heap.free(&mut space, a).unwrap();
+        }
+        heap.flush_tcache();
+        assert!(peak_leaves > 1, "churn spanned {peak_leaves} leaf");
+        assert_eq!(heap.active_ranges(), vec![]);
+        assert_eq!(heap.active.resident_leaves(), 0, "no leaf survives");
+        assert_eq!(heap.active.slot_capacity(), peak_extents);
     }
 
     #[test]

@@ -15,6 +15,11 @@
 //! * **Size classes** follow jemalloc's spacing: a linear region up to 128 B
 //!   then four classes per size doubling, small up to 14 KiB, larger
 //!   requests served from page-granular extents.
+//! * **Extent lookup** is jemalloc's emap (its page-keyed rtree): a
+//!   two-level radix map sends every page of an active extent to the
+//!   extent's slot, so [`JAlloc::free`], [`JAlloc::usable_size`] and
+//!   [`JAlloc::allocation_range`] find the extent holding any address in
+//!   constant time, whatever the number of live extents.
 //! * **Metadata is out of line** (Rust structures, not heap headers), like
 //!   JeMalloc and unlike GNU malloc — the property footnote 2 of the paper
 //!   relies on, and §6.6 highlights versus MarkUs.
@@ -44,6 +49,7 @@
 mod alloc;
 mod classes;
 mod config;
+mod emap;
 mod error;
 mod extent;
 mod stats;

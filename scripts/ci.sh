@@ -202,7 +202,7 @@ stage_kernel_gate() {
     done
 }
 
-# desc: end-to-end benchmark quick run passes its own checks
+# desc: end-to-end benchmark quick run passes its own checks; sampler smoke
 stage_e2e_bench_smoke() {
     # All five BENCHMARK.json workloads, one stream and one rep each: the
     # benchmark builds from this checkout, replays every workload and
@@ -210,6 +210,26 @@ stage_e2e_bench_smoke() {
     # Explicitly NOT a perf gate.
     cargo run --release --offline --manifest-path benchmark/Cargo.toml -- \
         run --quick --out "$smoke_dir/bench" > /dev/null
+    # The SIGPROF sampler (x86-64 Linux only): a 1 s run must exit 0 with
+    # at least one sampled leaf inside the executable's text mapping, and
+    # a bad flag must exit 1.
+    [ "$(uname -m)" = x86_64 ] || { echo "sampler smoke skipped: not x86-64"; return 0; }
+    local sampler=(cargo run -q --release -p ms-bench --bin sample_profile --)
+    "${sampler[@]}" --profile glibc-simple --system minesweeper --seconds 1 \
+        > "$smoke_dir/samples.txt" 2> "$smoke_dir/samples.err" \
+        || { cat "$smoke_dir/samples.err"; echo "sampler run must exit 0"; exit 1; }
+    local text lo hi leaf rest in_text=0 rc=0
+    text=$(sed -n 's/.*; text 0x\([0-9a-f]*\)-0x\([0-9a-f]*\);.*/\1 \2/p' "$smoke_dir/samples.err")
+    [ -n "$text" ] || { cat "$smoke_dir/samples.err"; echo "sampler must name its text range"; exit 1; }
+    read -r lo hi <<< "$text"
+    while read -r leaf rest; do
+        [ "$leaf" != "?" ] && (( 16#$leaf >= 16#$lo && 16#$leaf < 16#$hi )) \
+            && { in_text=1; break; }
+    done < "$smoke_dir/samples.txt"
+    [ "$in_text" -eq 1 ] || { echo "no sampled leaf inside the text mapping"; exit 1; }
+    "${sampler[@]}" --profile glibc-simple --system minesweeper --bogus 1 \
+        > /dev/null 2>&1 || rc=$?
+    [ "$rc" -eq 1 ] || { echo "sample_profile --bogus must exit 1 (got $rc)"; exit 1; }
 }
 
 # desc: generous SLO passes, impossible SLO breaches (exit 2)
