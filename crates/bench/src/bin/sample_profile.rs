@@ -4,13 +4,13 @@
 //! millisecond of process CPU time.
 //!
 //! ```text
-//! sample_profile --profile NAME --system LABEL [--seconds S] [--seed N]
+//! sample_profile --profile NAME --system LABEL [--seconds S]
 //! ```
 //!
-//! `NAME` is a spec2006, spec2017 or mimalloc-bench profile (`omnetpp`,
-//! `glibc-simple`, ...); `LABEL` is a system label as tables print it
-//! (`baseline`, `minesweeper`, `markus`, ...). Defaults: 5 s, seed 5;
-//! at most 60 s.
+//! `NAME` and `LABEL` are what `minesweeper-sim run` accepts: a profile
+//! (`omnetpp`, `glibc-simple`, ...) and a system label or alias
+//! (`baseline`, `minesweeper`, `markus`, ...). The op stream uses seed 5.
+//! Default 5 s, at most 60 s.
 //!
 //! The signal handler records the interrupted PC, then walks the frame
 //! pointer chain while it stays inside the main thread's stack (bounded by
@@ -29,9 +29,12 @@
 use std::process::ExitCode;
 
 use sim::System;
-use workloads::{mimalloc_bench, spec2006, spec2017, Profile};
+use workloads::Profile;
 
-const USAGE: &str = "usage: sample_profile --profile NAME --system LABEL [--seconds S] [--seed N]";
+const USAGE: &str = "usage: sample_profile --profile NAME --system LABEL [--seconds S]";
+
+/// Seed of the replayed op stream.
+const SEED: u64 = 5;
 
 /// Longest run `--seconds` accepts; it sizes the sample buffer (about
 /// 40 MB at the limit).
@@ -42,42 +45,20 @@ struct Opts {
     profile: Profile,
     system: System,
     seconds: f64,
-    seed: u64,
-}
-
-fn system_by_label(label: &str) -> Option<System> {
-    [
-        System::Baseline,
-        System::minesweeper_default(),
-        System::minesweeper_mostly(),
-        System::markus_default(),
-        System::FfMalloc,
-        System::ScudoBaseline,
-        System::minesweeper_scudo(),
-        System::CrCount,
-        System::Oscar,
-        System::PSweeper,
-        System::DangSan,
-    ]
-    .into_iter()
-    .find(|s| s.label() == label)
 }
 
 /// Parses the arguments after the program name.
 fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Opts, String> {
-    let (mut profile, mut system, mut seconds, mut seed) = (None, None, 5.0, 5);
+    let (mut profile, mut system, mut seconds) = (None, None, 5.0);
     let mut args = args.into_iter();
     while let Some(flag) = args.next() {
         let value = args.next().ok_or(format!("{flag} needs a value"))?;
         match flag.as_str() {
             "--profile" => {
-                let found = spec2006::by_name(&value)
-                    .or_else(|| spec2017::by_name(&value))
-                    .or_else(|| mimalloc_bench::by_name(&value));
-                profile = Some(found.ok_or(format!("unknown profile {value:?}"))?);
+                profile = Some(ms_cli::profile_by_name(&value).map_err(|e| e.to_string())?);
             }
             "--system" => {
-                system = Some(system_by_label(&value).ok_or(format!("unknown system {value:?}"))?);
+                system = Some(ms_cli::system_by_label(&value).map_err(|e| e.to_string())?);
             }
             "--seconds" => {
                 seconds = value
@@ -88,11 +69,6 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Opts, String> {
                         "--seconds needs a number in (0, {MAX_SECONDS}], got {value:?}"
                     ))?;
             }
-            "--seed" => {
-                seed = value
-                    .parse()
-                    .map_err(|_| format!("--seed needs an integer, got {value:?}"))?;
-            }
             _ => return Err(format!("unknown argument {flag:?}")),
         }
     }
@@ -100,7 +76,6 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Opts, String> {
         profile: profile.ok_or("--profile is required")?,
         system: system.ok_or("--system is required")?,
         seconds,
-        seed,
     })
 }
 
@@ -130,15 +105,14 @@ fn run(opts: Opts) -> ExitCode {
         profile,
         system,
         seconds,
-        seed,
     } = opts;
-    let ops: Vec<workloads::Op> = workloads::TraceGen::new(&profile, seed).collect();
+    let ops: Vec<workloads::Op> = workloads::TraceGen::new(&profile, SEED).collect();
     // Room for 1.25 samples per wall millisecond: the 1 kHz timer plus some
     // helper-thread CPU. Samples past it are counted as dropped.
     sampler::start((seconds * 1250.0) as usize + 1024);
     let (t, mut reps) = (Instant::now(), 0);
     while reps == 0 || t.elapsed() < Duration::from_secs_f64(seconds) {
-        sim::run_trace(&profile, system, seed, ops.iter().copied());
+        sim::run_trace(&profile, system, SEED, ops.iter().copied());
         reps += 1;
     }
     let samples = sampler::stop();

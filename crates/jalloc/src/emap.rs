@@ -8,8 +8,11 @@
 //! loads, however many extents are live. Like `vmem`'s page table, the
 //! directory is indexed by `page >> 9` and holds 512-entry leaves; a leaf
 //! is freed when its last page goes. The directory starts at the leaf of
-//! the lowest extent ever inserted, so a heap segment far above address
-//! zero pays nothing for the directory entries below it.
+//! the first extent inserted, so a heap segment far above address zero
+//! pays nothing for the directory entries below it. No later extent lies
+//! below that one: a heap's first extent comes from the heap cursor, and
+//! every later one is either recycled or comes from the cursor, which only
+//! moves up.
 
 use std::fmt;
 
@@ -130,17 +133,16 @@ impl ExtentMap {
         ext
     }
 
-    /// The leaf numbered `leaf`, allocated (and the directory grown, at
-    /// either end) if needed.
+    /// The leaf numbered `leaf`, allocated (and the directory grown) if
+    /// needed.
     fn leaf_for_insert(&mut self, leaf: u64) -> &mut Leaf {
         if self.dir.is_empty() {
             self.dir_base = leaf;
-        } else if leaf < self.dir_base {
-            let grow = (self.dir_base - leaf) as usize;
-            self.dir
-                .splice(0..0, std::iter::repeat_with(|| None).take(grow));
-            self.dir_base = leaf;
         }
+        assert!(
+            leaf >= self.dir_base,
+            "extent below the heap's first extent"
+        );
         let idx = (leaf - self.dir_base) as usize;
         if idx >= self.dir.len() {
             self.dir.resize_with(idx + 1, || None);
@@ -221,14 +223,11 @@ mod tests {
     }
 
     #[test]
-    fn directory_starts_at_the_first_extent_and_grows_down() {
+    fn directory_starts_at_the_first_extent() {
         let mut map = ExtentMap::default();
         map.insert(large(1 << 20, 1));
         assert_eq!(map.dir.len(), 1, "no entries below the heap");
-        let low = map.insert(large(5 * LEAF_PAGES, 1));
-        assert_eq!(map.dir_base, 5);
-        assert_eq!(map.containing(Addr::new(5 * LEAF_PAGES * P)), Some(low));
-        assert!(map.containing(Addr::new((1 << 20) * P)).is_some());
+        assert_eq!(map.containing(Addr::new(5 * LEAF_PAGES * P)), None);
     }
 
     #[test]
