@@ -12,6 +12,8 @@
 //! ```
 
 use sim::report::{bytes, fx, table, telemetry_tables};
+use std::path::Path;
+
 use sim::{run, run_arenas, run_exploit, run_trace, Engine, System, ARENA_SUBSYSTEM, ENGINE_SUBSYSTEM};
 use telemetry::{pause_table, JsonlSink, RunReport, Snapshot};
 use workloads::exploit::figure2_attack;
@@ -30,10 +32,10 @@ pub enum Command {
         system: String,
         /// Trace seed.
         seed: u64,
-        /// Write sweep-lifecycle events as JSONL here.
-        trace_out: Option<String>,
-        /// Write the end-of-run metrics snapshot as JSON here.
-        metrics_out: Option<String>,
+        /// Write the run directory here: [`METRICS_FILE`] always, and
+        /// [`TRACE_FILE`] unless the run is sharded with `arenas`. Needs a
+        /// minesweeper-layered system.
+        out: Option<String>,
         /// Sweep-forensics mode label (`off`, `full`, `sampled:N`); only
         /// meaningful for minesweeper-layered systems.
         forensics: Option<String>,
@@ -41,10 +43,6 @@ pub enum Command {
         /// sharded [`minesweeper::ArenaPool`]; needs a minesweeper-layered
         /// system.
         arenas: Option<u32>,
-        /// Deliberately drop one cost kind's per-kind counter — the leak
-        /// self-test for the `ms-report --costs --check` gate. Needs a
-        /// minesweeper-layered system.
-        cost_drop: Option<String>,
     },
     /// Run one benchmark under every system and print the overhead table.
     Compare {
@@ -124,11 +122,8 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
             let mut seed = 42u64;
             let mut out = None;
             let mut knobs = "demo".to_string();
-            let mut trace_out = None;
-            let mut metrics_out = None;
             let mut forensics = None;
             let mut arenas = None;
-            let mut cost_drop = None;
             let mut corpus = false;
             let mut fuzz = 3u32;
             let mut weaken = None;
@@ -177,24 +172,6 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                             .ok_or_else(|| CliError("--knobs needs a value".into()))?
                             .clone();
                     }
-                    "--trace-out" => {
-                        trace_out = Some(
-                            it.next()
-                                .ok_or_else(|| {
-                                    CliError("--trace-out needs a value".into())
-                                })?
-                                .clone(),
-                        );
-                    }
-                    "--metrics-out" => {
-                        metrics_out = Some(
-                            it.next()
-                                .ok_or_else(|| {
-                                    CliError("--metrics-out needs a value".into())
-                                })?
-                                .clone(),
-                        );
-                    }
                     "--forensics" => {
                         forensics = Some(
                             it.next()
@@ -216,15 +193,6 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                         }
                         arenas = Some(n);
                     }
-                    "--cost-drop" => {
-                        cost_drop = Some(
-                            it.next()
-                                .ok_or_else(|| {
-                                    CliError("--cost-drop needs a cost kind".into())
-                                })?
-                                .clone(),
-                        );
-                    }
                     flag if flag.starts_with('-') => {
                         return Err(CliError(format!("unknown flag: {flag}")));
                     }
@@ -238,18 +206,8 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
             let positional = |what: &str| {
                 benchmark.clone().ok_or_else(|| CliError(format!("{what} needed")))
             };
-            if cmd != "run"
-                && (trace_out.is_some()
-                    || metrics_out.is_some()
-                    || forensics.is_some()
-                    || arenas.is_some()
-                    || cost_drop.is_some())
-            {
-                return Err(CliError(
-                    "--trace-out/--metrics-out/--forensics/--arenas/--cost-drop are \
-                     only valid with `run`"
-                        .into(),
-                ));
+            if cmd != "run" && (forensics.is_some() || arenas.is_some()) {
+                return Err(CliError("--forensics/--arenas are only valid with `run`".into()));
             }
             if cmd != "exploit" && (corpus || fuzz != 3 || weaken.is_some()) {
                 return Err(CliError(
@@ -261,11 +219,9 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                     benchmark: positional("run needs a benchmark name")?,
                     system,
                     seed,
-                    trace_out,
-                    metrics_out,
+                    out,
                     forensics,
                     arenas,
-                    cost_drop,
                 }),
                 "compare" => Ok(Command::Compare {
                     benchmark: positional("compare needs a benchmark name")?,
@@ -389,118 +345,56 @@ pub fn execute(cmd: &Command) -> Result<String, CliError> {
             out.push_str("  demo           (synthetic quick-run profile)\n");
             Ok(out)
         }
-        Command::Run {
-            benchmark,
-            system,
-            seed,
-            trace_out,
-            metrics_out,
-            forensics,
-            arenas,
-            cost_drop,
-        } => {
+        Command::Run { benchmark, system, seed, out, forensics, arenas } => {
             let profile = profile_by_name(benchmark)?;
             let mut sys = system_by_label(system)?;
             if let Some(label) = forensics {
                 sys = apply_forensics(sys, label)?;
             }
-            let drop_kind = match cost_drop {
+            let layered = |flag: &str| {
+                sys.ms_config().ok_or_else(|| {
+                    CliError(format!("{flag} needs a minesweeper-layered system, not {system}"))
+                })
+            };
+            let dir = match out {
                 None => None,
-                Some(label) => {
-                    let kind = sim::CostKind::from_label(label).ok_or_else(|| {
-                        CliError(format!(
-                            "unknown cost kind: {label} (try one of {})",
-                            sim::CostKind::ALL.map(|k| k.label()).join(", ")
-                        ))
-                    })?;
-                    if sys.ms_config().is_none() {
-                        return Err(CliError(format!(
-                            "--cost-drop needs a minesweeper-layered system, not {system}"
-                        )));
-                    }
-                    Some(kind)
+                Some(dir) => {
+                    layered("--out")?;
+                    std::fs::create_dir_all(dir)
+                        .map_err(|e| CliError(format!("cannot create {dir}: {e}")))?;
+                    Some(Path::new(dir))
                 }
             };
-            if let Some(n) = arenas {
-                if drop_kind.is_some() {
-                    return Err(CliError(
-                        "--cost-drop is not supported with --arenas (the pooled \
-                         runner's shared recorder has no leak-injection hook)"
-                            .into(),
-                    ));
+            let m = match (arenas, dir) {
+                (Some(n), _) => run_arenas(&profile, *n, *seed, layered("--arenas")?),
+                (None, None) => run(&profile, sys, *seed),
+                (None, Some(dir)) => {
+                    let path = dir.join(TRACE_FILE);
+                    let file = std::fs::File::create(&path).map_err(|e| {
+                        CliError(format!("cannot create {}: {e}", path.display()))
+                    })?;
+                    let mut eng = Engine::new(&profile, sys, *seed);
+                    let traced = eng.set_trace_sink(
+                        Box::new(JsonlSink::new(std::io::BufWriter::new(file))),
+                        false,
+                    );
+                    assert!(traced, "layered systems trace");
+                    eng.run()
                 }
-                if trace_out.is_some() {
-                    return Err(CliError(
-                        "--trace-out is not supported with --arenas (the pooled \
-                         runner has no per-arena trace sink yet)"
-                            .into(),
-                    ));
-                }
-                let cfg = sys.ms_config().ok_or_else(|| {
-                    CliError(format!(
-                        "--arenas needs a minesweeper-layered system, not {system}"
-                    ))
-                })?;
-                let m = run_arenas(&profile, *n, *seed, cfg);
-                if let Some(path) = metrics_out {
-                    let snap =
-                        m.telemetry.as_ref().expect("pooled runs always export telemetry");
-                    std::fs::write(path, snap.to_json())
-                        .map_err(|e| CliError(format!("cannot write {path}: {e}")))?;
-                }
-                let rows = vec![
-                    vec!["metric".to_string(), "value".into()],
-                    vec!["benchmark".into(), m.benchmark.clone()],
-                    vec!["system".into(), m.system.clone()],
-                    vec!["arenas".into(), n.to_string()],
-                    vec!["virtual cycles".into(), m.mutator_cycles.to_string()],
-                    vec!["background cycles".into(), m.background_cycles.to_string()],
-                    vec!["avg RSS".into(), bytes(m.avg_rss() as u64)],
-                    vec!["peak RSS".into(), bytes(m.peak_rss)],
-                    vec!["sweeps".into(), m.sweeps.to_string()],
-                    vec!["failed frees".into(), m.failed_frees.to_string()],
-                    vec!["cpu utilisation".into(), fx(m.cpu_utilisation())],
-                ];
-                let mut out = table(&rows);
-                let snap = m.telemetry.as_ref().expect("pooled runs always export telemetry");
-                out.push('\n');
-                out.push_str(&arena_table(snap)?);
-                return Ok(out);
+            };
+            if let Some(dir) = dir {
+                let snap = m.telemetry.as_ref().expect("layered runs export telemetry");
+                write_file(dir.join(METRICS_FILE), &snap.to_json())?;
             }
-            let m = if trace_out.is_some() || metrics_out.is_some() || drop_kind.is_some()
-            {
-                let mut eng = Engine::new(&profile, sys, *seed);
-                if let Some(kind) = drop_kind {
-                    eng.set_cost_drop(kind);
-                }
-                if let Some(path) = trace_out {
-                    let file = std::fs::File::create(path)
-                        .map_err(|e| CliError(format!("cannot create {path}: {e}")))?;
-                    let sink = JsonlSink::new(std::io::BufWriter::new(file));
-                    if !eng.set_trace_sink(Box::new(sink), false) {
-                        return Err(CliError(format!(
-                            "--trace-out needs a minesweeper-layered system, not {system}"
-                        )));
-                    }
-                }
-                let m = eng.run();
-                if let Some(path) = metrics_out {
-                    let snap = m.telemetry.as_ref().ok_or_else(|| {
-                        CliError(format!(
-                            "--metrics-out needs a minesweeper-layered system, not {system}"
-                        ))
-                    })?;
-                    std::fs::write(path, snap.to_json())
-                        .map_err(|e| CliError(format!("cannot write {path}: {e}")))?;
-                }
-                m
-            } else {
-                run(&profile, sys, *seed)
-            };
-            let rows = vec![
+            let mut rows = vec![
                 vec!["metric".to_string(), "value".into()],
                 vec!["benchmark".into(), m.benchmark.clone()],
                 vec!["system".into(), m.system.clone()],
+            ];
+            if let Some(n) = arenas {
+                rows.push(vec!["arenas".into(), n.to_string()]);
+            }
+            rows.extend([
                 vec!["virtual cycles".into(), m.mutator_cycles.to_string()],
                 vec!["background cycles".into(), m.background_cycles.to_string()],
                 vec!["avg RSS".into(), bytes(m.avg_rss() as u64)],
@@ -508,11 +402,18 @@ pub fn execute(cmd: &Command) -> Result<String, CliError> {
                 vec!["sweeps".into(), m.sweeps.to_string()],
                 vec!["failed frees".into(), m.failed_frees.to_string()],
                 vec!["cpu utilisation".into(), fx(m.cpu_utilisation())],
-            ];
+            ]);
             let mut out = table(&rows);
-            if let Some(snap) = &m.telemetry {
-                out.push_str("\ntelemetry:\n");
-                out.push_str(&telemetry_tables(snap));
+            match (arenas, &m.telemetry) {
+                (Some(n), Some(snap)) => {
+                    out.push('\n');
+                    out.push_str(&arena_table(snap, u64::from(*n)));
+                }
+                (None, Some(snap)) => {
+                    out.push_str("\ntelemetry:\n");
+                    out.push_str(&telemetry_tables(snap));
+                }
+                (_, None) => {}
             }
             Ok(out)
         }
@@ -556,10 +457,9 @@ pub fn execute(cmd: &Command) -> Result<String, CliError> {
                 };
                 let matrix = sim::run_corpus(*seed, *fuzz, weaken);
                 let json = matrix.to_json();
-                let mut text = render_security(&json, false)?;
+                let (mut text, _) = render_security(&json, false)?;
                 if let Some(path) = out {
-                    std::fs::write(path, &json)
-                        .map_err(|e| CliError(format!("cannot write {path}: {e}")))?;
+                    write_file(path, &json)?;
                     text.push_str(&format!("wrote security matrix to {path}\n"));
                 }
                 Ok(text)
@@ -580,13 +480,11 @@ pub fn execute(cmd: &Command) -> Result<String, CliError> {
         Command::Record { benchmark, out, seed } => {
             let profile = profile_by_name(benchmark)?;
             let text = recorded::write_trace(TraceGen::new(&profile, *seed));
-            std::fs::write(out, &text)
-                .map_err(|e| CliError(format!("cannot write {out}: {e}")))?;
+            write_file(out, &text)?;
             Ok(format!("wrote {} lines to {out}\n", text.lines().count()))
         }
         Command::Replay { file, system, knobs, seed } => {
-            let text = std::fs::read_to_string(file)
-                .map_err(|e| CliError(format!("cannot read {file}: {e}")))?;
+            let text = read_file(file)?;
             let ops = recorded::read_trace(&text).map_err(|e| CliError(e.to_string()))?;
             let ops = recorded::close_trace(ops);
             let profile = profile_by_name(knobs)?;
@@ -604,37 +502,51 @@ pub fn execute(cmd: &Command) -> Result<String, CliError> {
     }
 }
 
-/// The counter keys every arena shard exports and the run re-accumulates
-/// globally — the reconciliation surface between the two paths.
-const ARENA_KEYS: [&str; 4] =
-    ["quarantined_bytes", "released_bytes", "failed_frees", "sweeps"];
+/// File name of the sweep trace inside a run directory.
+pub const TRACE_FILE: &str = "trace.jsonl";
 
-/// Renders the per-arena shard table (one row per tenant, a totals row
-/// from the independently accumulated `arena/total_*` counters) plus a
-/// scheduler summary line, from a multi-arena metrics snapshot. When the
-/// snapshot carries a cost ledger, each shard also shows its share of
-/// `cost/total_cycles` next to the SLO-facing counters, so a tenant whose
-/// quarantine ratio looks healthy but who is eating the sweep budget is
-/// visible in the same table.
+/// File name of the metrics snapshot inside a run directory.
+pub const METRICS_FILE: &str = "metrics.json";
+
+/// Reads a whole file as text.
 ///
 /// # Errors
 ///
-/// [`CliError`] when the snapshot has no `arena/arenas` counter (i.e. it
-/// did not come from a `run --arenas` / `run_arenas` invocation).
-fn arena_table(snap: &Snapshot) -> Result<String, CliError> {
-    let n = snap.counter(ARENA_SUBSYSTEM, "arenas").ok_or_else(|| {
-        CliError(
-            "metrics carry no arena shard counters (produced without --arenas?)".into(),
-        )
-    })?;
+/// [`CliError`] naming the path when it cannot be read.
+pub fn read_file(path: impl AsRef<Path>) -> Result<String, CliError> {
+    let path = path.as_ref();
+    std::fs::read_to_string(path)
+        .map_err(|e| CliError(format!("cannot read {}: {e}", path.display())))
+}
+
+fn write_file(path: impl AsRef<Path>, contents: &str) -> Result<(), CliError> {
+    let path = path.as_ref();
+    std::fs::write(path, contents)
+        .map_err(|e| CliError(format!("cannot write {}: {e}", path.display())))
+}
+
+/// `part` as a percentage of `total`, or `-` when there is no total.
+fn share(part: u64, total: u64) -> String {
+    if total == 0 {
+        "-".to_string()
+    } else {
+        format!("{:.1}%", part as f64 * 100.0 / total as f64)
+    }
+}
+
+/// The counter keys every arena shard exports, one table column each.
+const ARENA_KEYS: [&str; 4] =
+    ["quarantined_bytes", "released_bytes", "failed_frees", "sweeps"];
+
+/// Renders the per-arena shard table (one row per tenant and a total row
+/// summing them) plus a scheduler summary line, from a snapshot of `n`
+/// arenas. Each shard also shows its share of `cost/total_cycles`, so a
+/// tenant whose quarantine ratio looks healthy but who is eating the
+/// sweep budget is visible in the same table.
+fn arena_table(snap: &Snapshot, n: u64) -> String {
+    let counter = |name: &str| snap.counter(ARENA_SUBSYSTEM, name).unwrap_or(0);
     let cost_total = snap.counter(sim::COST_SUBSYSTEM, "total_cycles").unwrap_or(0);
-    let cost_share = |cycles: u64| {
-        if cost_total == 0 {
-            "-".to_string()
-        } else {
-            format!("{:.1}%", cycles as f64 * 100.0 / cost_total as f64)
-        }
-    };
+    let cell = |key: &str, v: u64| if key.ends_with("bytes") { bytes(v) } else { v.to_string() };
     let mut rows = vec![vec![
         "arena".to_string(),
         "quar bytes".into(),
@@ -643,124 +555,184 @@ fn arena_table(snap: &Snapshot) -> Result<String, CliError> {
         "sweeps".into(),
         "cost share".into(),
     ]];
-    let fmt = |key: &str, v: u64| {
-        if key.ends_with("bytes") {
-            bytes(v)
-        } else {
-            v.to_string()
-        }
-    };
+    let mut totals = [0u64; ARENA_KEYS.len()];
     let mut attributed = 0u64;
     for k in 0..n {
-        let label = format!("a{k}");
-        let mut row = vec![label.clone()];
-        for key in ARENA_KEYS {
-            let v = snap.counter(ARENA_SUBSYSTEM, &format!("{label}_{key}")).unwrap_or(0);
-            row.push(fmt(key, v));
+        let mut row = vec![format!("a{k}")];
+        for (key, total) in ARENA_KEYS.iter().zip(&mut totals) {
+            let v = counter(&format!("a{k}_{key}"));
+            *total += v;
+            row.push(cell(key, v));
         }
         let cycles =
-            snap.counter(sim::COST_SUBSYSTEM, &format!("arena_{label}_cycles")).unwrap_or(0);
+            snap.counter(sim::COST_SUBSYSTEM, &format!("arena_a{k}_cycles")).unwrap_or(0);
         attributed += cycles;
-        row.push(cost_share(cycles));
+        row.push(share(cycles, cost_total));
         rows.push(row);
     }
     let mut total_row = vec!["total".to_string()];
-    for key in ARENA_KEYS {
-        let v = snap.counter(ARENA_SUBSYSTEM, &format!("total_{key}")).unwrap_or(0);
-        total_row.push(fmt(key, v));
-    }
-    total_row.push(cost_share(attributed));
+    total_row.extend(ARENA_KEYS.iter().zip(totals).map(|(key, v)| cell(key, v)));
+    total_row.push(share(attributed, cost_total));
     rows.push(total_row);
     let mut out = table(&rows);
     out.push_str(&format!(
         "scheduler: {} rounds, {} arenas swept, {} coalesced\n",
-        snap.counter(ARENA_SUBSYSTEM, "sched_rounds").unwrap_or(0),
-        snap.counter(ARENA_SUBSYSTEM, "sched_scheduled").unwrap_or(0),
-        snap.counter(ARENA_SUBSYSTEM, "sched_coalesced").unwrap_or(0),
+        counter("sched_rounds"),
+        counter("sched_scheduled"),
+        counter("sched_coalesced"),
     ));
-    Ok(out)
+    out
 }
 
-/// Renders an `ms-report` summary from a multi-arena metrics snapshot
-/// alone (no sweep trace): the per-arena shard table, the scheduler
-/// summary, and each arena's pause/STW/sweep histograms. With `check`,
-/// the sum of every shard's counters must equal the independently
-/// accumulated `arena/total_*` globals — a lost update in either
-/// accounting path is an error.
+/// A rendered run dossier ([`render_dossier`]).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Dossier {
+    /// The report: every section the run directory supports, then a
+    /// `checks` section when any gate ran.
+    pub text: String,
+    /// One `gate: reason` line per failure; empty when every gate that
+    /// ran passed.
+    pub failed: Vec<String>,
+}
+
+/// Renders the `ms-report` dossier of a run directory written by
+/// `minesweeper-sim run --out DIR`: `DIR/metrics.json` (required) and
+/// `DIR/trace.jsonl` (when present). Sections come in a fixed order, each
+/// only when the files support it:
+///
+/// 1. `timeline`, `failed frees`, `quarantine` — from the trace;
+/// 2. `pinners`, `failed-free detail` — when the trace is forensic;
+/// 3. `pauses` — the engine's pause/STW/sweep histograms;
+/// 4. `arenas` — the shard table and per-arena histograms;
+/// 5. `cost ledger` — joined with pinned bytes from a forensic trace;
+/// 6. `slo` — when `slo` is given.
+///
+/// With `check`, every gate the directory supports runs:
+/// `trace-reconcile` (trace totals and the forensic ledger against the
+/// layer counters), `mark-accounting` (per sweep, scanned words plus
+/// skipped bytes equal the plan bytes), `arena-shards` (per shard, the
+/// `a{k}_sweeps` counter equals the `a{k}_sweep_cycles` count) and
+/// `cost-conservation` ([`sim::CostLedger::reconcile`]). An `slo` spec
+/// adds the `slo` gate with or without `check`.
 ///
 /// # Errors
 ///
-/// [`CliError`] on malformed metrics, a snapshot without arena counters,
-/// or a reconciliation mismatch.
-pub fn render_metrics_report(metrics_text: &str, check: bool) -> Result<String, CliError> {
-    let snap = Snapshot::from_json(metrics_text)
+/// [`CliError`] when the metrics file is missing or unreadable, a file is
+/// malformed, or the SLO spec is malformed or empty. A failed gate is not
+/// an error: it lands in [`Dossier::failed`].
+pub fn render_dossier(dir: &str, check: bool, slo: Option<&str>) -> Result<Dossier, CliError> {
+    let dir = Path::new(dir);
+    let snap = Snapshot::from_json(&read_file(dir.join(METRICS_FILE))?)
         .map_err(|e| CliError(format!("bad metrics: {e}")))?;
-    let mut out = arena_table(&snap)?;
-    let n = snap.counter(ARENA_SUBSYSTEM, "arenas").unwrap_or(0);
-    for k in 0..n {
-        for name in ["pause_cycles", "stw_cycles", "sweep_cycles"] {
-            if let Some(h) = snap.histogram(ARENA_SUBSYSTEM, &format!("a{k}_{name}")) {
-                if h.count() > 0 {
-                    out.push('\n');
-                    out.push_str(&format!("a{k} {name}:\n"));
-                    out.push_str(&pause_table(h, "cycles"));
+    let trace = dir.join(TRACE_FILE);
+    let report = if trace.exists() {
+        let text = read_file(&trace)?;
+        Some(RunReport::from_jsonl(&text).map_err(|e| CliError(format!("bad trace: {e}")))?)
+    } else {
+        None
+    };
+    let policy = slo.map(parse_slo).transpose()?;
+
+    let mut text = String::new();
+    let mut gates: Vec<(&str, Vec<String>)> = Vec::new();
+    if let Some(report) = &report {
+        push_section(&mut text, "timeline", &timeline_table(report));
+        push_section(&mut text, "failed frees", &report.failed_free_table());
+        push_section(&mut text, "quarantine", &report.quarantine_table());
+        if report.has_forensics() {
+            push_section(&mut text, "pinners", &report.pinner_table());
+            push_section(&mut text, "failed-free detail", &report.failed_free_detail_table());
+        }
+        if check {
+            gates.push(("trace-reconcile", report.reconcile(&snap).err().into_iter().collect()));
+            gates.push(("mark-accounting", mark_accounting(report)));
+        }
+    }
+    let pauses: Vec<String> = ["pause_cycles", "stw_cycles", "sweep_cycles"]
+        .iter()
+        .filter_map(|name| snap.histogram(ENGINE_SUBSYSTEM, name))
+        .filter(|h| h.count() > 0)
+        .map(|h| pause_table(h, "cycles"))
+        .collect();
+    if !pauses.is_empty() {
+        push_section(&mut text, "pauses", &pauses.join("\n"));
+    }
+    if let Some(n) = snap.counter(ARENA_SUBSYSTEM, "arenas") {
+        let mut body = arena_table(&snap, n);
+        for k in 0..n {
+            for name in ["pause_cycles", "stw_cycles", "sweep_cycles"] {
+                if let Some(h) = snap.histogram(ARENA_SUBSYSTEM, &format!("a{k}_{name}")) {
+                    if h.count() > 0 {
+                        body.push_str(&format!("\na{k} {name}:\n{}", pause_table(h, "cycles")));
+                    }
                 }
             }
         }
+        push_section(&mut text, "arenas", &body);
+        if check {
+            gates.push(("arena-shards", arena_shard_mismatches(&snap, n)));
+        }
     }
-    if check {
-        for key in ARENA_KEYS {
-            let sum: u64 = (0..n)
-                .map(|k| {
-                    snap.counter(ARENA_SUBSYSTEM, &format!("a{k}_{key}")).unwrap_or(0)
-                })
-                .sum();
-            let total =
-                snap.counter(ARENA_SUBSYSTEM, &format!("total_{key}")).unwrap_or(0);
-            if sum != total {
-                return Err(CliError(format!(
-                    "arena reconcile failed: shard {key} sums to {sum}, global total \
-                     counted {total}"
-                )));
+    if let Some(ledger) = sim::CostLedger::from_snapshot(&snap) {
+        let forensic = report.as_ref().filter(|r| r.has_forensics());
+        push_section(&mut text, "cost ledger", &cost_ledger(&snap, &ledger, forensic));
+        if check {
+            gates.push(("cost-conservation", ledger.reconcile()));
+        }
+    }
+    if let Some(policy) = policy {
+        let checks = telemetry::Watchdog::new(policy).evaluate(&snap);
+        push_section(&mut text, "slo", &telemetry::slo_table(&checks));
+        let breaches = checks
+            .iter()
+            .filter(|c| !c.pass)
+            .map(|c| {
+                let shard = c.shard.map_or_else(String::new, |s| format!("[a{s}]"));
+                let observed = c.observed.map_or_else(|| "-".into(), |o| o.to_string());
+                format!("{}{shard} observed {observed}, limit {}", c.kind.as_str(), c.limit)
+            })
+            .collect();
+        gates.push(("slo", breaches));
+    }
+
+    let mut failed = Vec::new();
+    if !gates.is_empty() {
+        let mut body = String::new();
+        for (gate, problems) in gates {
+            if problems.is_empty() {
+                body.push_str(&format!("{gate}: ok\n"));
+            }
+            for p in problems {
+                body.push_str(&format!("{gate}: FAILED: {p}\n"));
+                failed.push(format!("{gate}: {p}"));
             }
         }
-        out.push_str("\nreconcile: arena shard counters match global totals\n");
+        push_section(&mut text, "checks", &body);
     }
-    Ok(out)
+    Ok(Dossier { text, failed })
 }
 
-/// What an `ms-report` rendering should include beyond the base timeline.
-#[derive(Clone, Copy, Default, Debug, PartialEq, Eq)]
-pub struct ReportOpts {
-    /// Reconcile trace totals against the metrics snapshot's counters.
-    pub check: bool,
-    /// Append the forensics pinner table (sites ranked by pinned bytes).
-    pub pinners: bool,
-    /// Append the per-entry failed-free ledger detail table.
-    pub failed_frees: bool,
+fn push_section(text: &mut String, title: &str, body: &str) {
+    if !text.is_empty() {
+        text.push('\n');
+    }
+    text.push_str(&format!("== {title} ==\n{body}"));
 }
 
-/// Renders an `ms-report` summary: a per-sweep timeline plus failed-free
-/// and quarantine tables (the paper's Fig. 13/14 shapes) from a JSONL
-/// sweep trace, and — when a metrics snapshot is supplied — the engine's
-/// pause/STW/sweep duration histograms. `opts.pinners` /
-/// `opts.failed_frees` append the forensics views (which need a trace
-/// recorded with the `forensics` knob on). With `opts.check`, the trace's
-/// aggregated totals are reconciled against the snapshot's layer counters
-/// and any mismatch is an error.
-///
-/// # Errors
-///
-/// [`CliError`] on malformed/truncated inputs, `check` without metrics,
-/// or a reconciliation mismatch.
-pub fn render_report_with(
-    trace_text: &str,
-    metrics_text: Option<&str>,
-    opts: &ReportOpts,
-) -> Result<String, CliError> {
-    let check = opts.check;
-    let report = RunReport::from_jsonl(trace_text)
-        .map_err(|e| CliError(format!("bad trace: {e}")))?;
+/// Parses an `--slo` spec; an empty policy would vacuously pass, so it is
+/// bad input.
+fn parse_slo(spec: &str) -> Result<telemetry::SloPolicy, CliError> {
+    let policy = telemetry::SloPolicy::parse(spec).map_err(CliError)?;
+    if policy.is_empty() {
+        return Err(CliError(
+            "--slo needs at least one objective (stw=N,sweep=N,qratio=N,util=N)".into(),
+        ));
+    }
+    Ok(policy)
+}
+
+/// The per-sweep timeline (the paper's Fig. 13/14 shapes).
+fn timeline_table(report: &RunReport) -> String {
     let mut rows = vec![vec![
         "sweep".to_string(),
         "trigger".into(),
@@ -787,84 +759,118 @@ pub fn render_report_with(
             r.wall_ns.to_string(),
         ]);
     }
-    let mut out = table(&rows);
-    out.push('\n');
-    out.push_str(&report.failed_free_table());
-    out.push('\n');
-    out.push_str(&report.quarantine_table());
-    if opts.pinners {
-        out.push('\n');
-        out.push_str(&report.pinner_table());
-    }
-    if opts.failed_frees {
-        out.push('\n');
-        out.push_str(&report.failed_free_detail_table());
-    }
-    if let Some(text) = metrics_text {
-        let snap = Snapshot::from_json(text)
-            .map_err(|e| CliError(format!("bad metrics: {e}")))?;
-        for name in ["pause_cycles", "stw_cycles", "sweep_cycles"] {
-            if let Some(h) = snap.histogram(ENGINE_SUBSYSTEM, name) {
-                if h.count() > 0 {
-                    out.push('\n');
-                    out.push_str(&pause_table(h, "cycles"));
-                }
-            }
-        }
-        if check {
-            report.reconcile(&snap).map_err(CliError)?;
-            // Per-sweep mark accounting: every byte the plan advanced
-            // through was either read word-by-word or skipped wholesale.
-            for r in &report.sweeps {
-                if r.mark_words * 8 + r.mark_skipped_bytes != r.mark_bytes {
-                    return Err(CliError(format!(
-                        "sweep {}: scanned {} words + skipped {} bytes != {} plan bytes",
-                        r.sweep, r.mark_words, r.mark_skipped_bytes, r.mark_bytes
-                    )));
-                }
-            }
-            out.push_str("\nreconcile: trace totals match metrics counters\n");
-        }
-    } else if check {
-        return Err(CliError("--check needs --metrics <file>".into()));
-    }
-    Ok(out)
+    table(&rows)
 }
 
-/// [`render_report_with`] without the forensics views — the pre-forensics
-/// signature, kept for callers that only need the timeline and `--check`.
-///
-/// # Errors
-///
-/// As [`render_report_with`].
-pub fn render_report(
-    trace_text: &str,
-    metrics_text: Option<&str>,
-    check: bool,
-) -> Result<String, CliError> {
-    render_report_with(trace_text, metrics_text, &ReportOpts { check, ..ReportOpts::default() })
+/// Per-sweep mark accounting: every byte the plan advanced through was
+/// either read word by word or skipped wholesale.
+fn mark_accounting(report: &RunReport) -> Vec<String> {
+    report
+        .sweeps
+        .iter()
+        .filter(|r| r.mark_words * 8 + r.mark_skipped_bytes != r.mark_bytes)
+        .map(|r| {
+            format!(
+                "sweep {}: scanned {} words + skipped {} bytes != {} plan bytes",
+                r.sweep, r.mark_words, r.mark_skipped_bytes, r.mark_bytes
+            )
+        })
+        .collect()
 }
 
-/// Evaluates an `ms-report --slo` policy spec against a metrics snapshot.
-/// Returns the pass/fail table and whether any objective was violated
-/// (the CLI exits nonzero on a breach).
-///
-/// # Errors
-///
-/// [`CliError`] on malformed metrics, a malformed spec, or an empty spec
-/// (a policy with nothing to check would vacuously pass).
-pub fn render_slo(metrics_text: &str, spec: &str) -> Result<(String, bool), CliError> {
-    let snap = Snapshot::from_json(metrics_text)
-        .map_err(|e| CliError(format!("bad metrics: {e}")))?;
-    let policy = telemetry::SloPolicy::parse(spec).map_err(CliError)?;
-    if policy.is_empty() {
-        return Err(CliError(
-            "--slo needs at least one objective (stw=N,sweep=N,qratio=N,util=N)".into(),
-        ));
+/// Per shard, the sweeps the layer counted (`a{k}_sweeps`) must equal the
+/// round reports the pooled runner billed (`a{k}_sweep_cycles` count).
+fn arena_shard_mismatches(snap: &Snapshot, n: u64) -> Vec<String> {
+    (0..n)
+        .filter_map(|k| {
+            let counted = snap.counter(ARENA_SUBSYSTEM, &format!("a{k}_sweeps")).unwrap_or(0);
+            let billed = snap
+                .histogram(ARENA_SUBSYSTEM, &format!("a{k}_sweep_cycles"))
+                .map_or(0, |h| h.count());
+            (counted != billed).then(|| {
+                format!("a{k}: a{k}_sweeps counter {counted} != a{k}_sweep_cycles count {billed}")
+            })
+        })
+        .collect()
+}
+
+/// The defence-cost tables: per-kind, per-site (top 10) and per-arena
+/// cycles with each entry's share of `cost/total_cycles`, plus the
+/// per-sweep cost distribution. Given a forensic trace, the site table
+/// joins the bytes each site's failed frees pin in quarantine — sites that
+/// are both expensive to defend and pin memory are the tuning targets.
+fn cost_ledger(snap: &Snapshot, ledger: &sim::CostLedger, forensic: Option<&RunReport>) -> String {
+    let mut out = format!("defence cost ledger: {} total cycles\n\n", ledger.total);
+    let mut kinds: Vec<_> = ledger.kinds.iter().filter(|(_, c, _)| *c > 0).collect();
+    kinds.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+    let mut rows =
+        vec![vec!["kind".to_string(), "cycles".into(), "share".into(), "charges".into()]];
+    for (label, cycles, charges) in kinds {
+        rows.push(vec![
+            label.clone(),
+            cycles.to_string(),
+            share(*cycles, ledger.total),
+            charges.to_string(),
+        ]);
     }
-    let checks = telemetry::Watchdog::new(policy).evaluate(&snap);
-    let breached = checks.iter().any(|c| !c.pass);
-    Ok((telemetry::slo_table(&checks), breached))
+    out.push_str(&table(&rows));
+
+    let mut pinned_by_site: Vec<(String, u64)> = Vec::new();
+    for a in forensic.map(RunReport::pinned_now).unwrap_or_default() {
+        let key = a.site.to_string();
+        match pinned_by_site.iter_mut().find(|(k, _)| *k == key) {
+            Some(e) => e.1 += a.bytes,
+            None => pinned_by_site.push((key, a.bytes)),
+        }
+    }
+    const TOP_SITES: usize = 10;
+    out.push('\n');
+    let mut header = vec!["site".to_string(), "cycles".into(), "share".into()];
+    if forensic.is_some() {
+        header.push("pinned bytes".into());
+    }
+    let mut rows = vec![header];
+    for (key, cycles) in ledger.sites.iter().take(TOP_SITES) {
+        let mut row = vec![key.clone(), cycles.to_string(), share(*cycles, ledger.total)];
+        if forensic.is_some() {
+            let pinned = pinned_by_site
+                .iter()
+                .find(|(k, _)| k == key)
+                .map_or_else(|| "-".into(), |(_, b)| bytes(*b));
+            row.push(pinned);
+        }
+        rows.push(row);
+    }
+    if ledger.sites.len() > TOP_SITES {
+        let rest: u64 = ledger.sites[TOP_SITES..].iter().map(|(_, v)| v).sum();
+        let mut row = vec![
+            format!("({} more)", ledger.sites.len() - TOP_SITES),
+            rest.to_string(),
+            share(rest, ledger.total),
+        ];
+        if forensic.is_some() {
+            row.push("-".into());
+        }
+        rows.push(row);
+    }
+    out.push_str(&table(&rows));
+
+    if !ledger.arenas.is_empty() {
+        out.push('\n');
+        let mut rows = vec![vec!["arena".to_string(), "cycles".into(), "share".into()]];
+        for (label, cycles) in &ledger.arenas {
+            rows.push(vec![label.clone(), cycles.to_string(), share(*cycles, ledger.total)]);
+        }
+        out.push_str(&table(&rows));
+    }
+
+    if let Some(h) = snap.histogram(sim::COST_SUBSYSTEM, "per_sweep_cycles") {
+        if h.count() > 0 {
+            out.push_str("\nper-sweep defence cost:\n");
+            out.push_str(&pause_table(h, "cycles"));
+        }
+    }
+    out
 }
 
 /// One parsed `SECURITY_matrix.json` cell: a scenario × backend verdict
@@ -1001,13 +1007,14 @@ fn verdict_rank(label: &str) -> u8 {
 /// `SECURITY_matrix.json` document (`ms-report --security`). With
 /// `check`, every `security/*` counter embedded in the document is
 /// recomputed from the cells and must match — a drifted counter means the
-/// exporter and the matrix disagree about what actually ran.
+/// exporter and the matrix disagree about what actually ran. Returns the
+/// report and whether that check failed (the report names each
+/// mismatch).
 ///
 /// # Errors
 ///
-/// [`CliError`] on a malformed document or (with `check`) a counter
-/// reconciliation mismatch.
-pub fn render_security(text: &str, check: bool) -> Result<String, CliError> {
+/// [`CliError`] on a malformed document.
+pub fn render_security(text: &str, check: bool) -> Result<(String, bool), CliError> {
     let doc = parse_security(text)?;
     let mut out = format!(
         "security matrix: {} scenarios x {} backends (seed {}, fuzz {})\n",
@@ -1129,14 +1136,15 @@ pub fn render_security(text: &str, check: bool) -> Result<String, CliError> {
             }
         }
         if !mismatches.is_empty() {
-            return Err(CliError(format!(
-                "security counter reconciliation failed:\n  {}",
+            out.push_str(&format!(
+                "check FAILED: security counter reconciliation:\n  {}\n",
                 mismatches.join("\n  ")
-            )));
+            ));
+            return Ok((out, true));
         }
         out.push_str("check: counters reconcile with cells\n");
     }
-    Ok(out)
+    Ok((out, false))
 }
 
 /// Diffs a fresh security matrix against the committed baseline
@@ -1216,154 +1224,14 @@ pub fn gate_security(baseline_text: &str, new_text: &str) -> Result<(String, boo
     }
 }
 
-/// Renders the `ms-report --costs` defence-cost attribution report from a
-/// metrics snapshot: per-kind, per-site (top 10) and per-arena cycle
-/// tables with each entry's share of `cost/total_cycles`, plus the
-/// per-sweep cost distribution. When a forensics trace is supplied, the
-/// site table is joined against the bytes each site's failed frees pin in
-/// quarantine — sites that are both expensive to defend and pin memory
-/// are the tuning targets. With `check`, the ledger's conservation
-/// invariants must hold: each kind's counter equals its histogram sum and
-/// the kind/site/arena dimensions each sum to the total. A violation
-/// names the leaking kind or dimension and gates (the second tuple field
-/// is `false`, so `ms-report` exits 2).
-///
-/// # Errors
-///
-/// [`CliError`] on malformed metrics, a snapshot without a cost ledger,
-/// or a malformed trace.
-pub fn render_costs(
-    metrics_text: &str,
-    trace_text: Option<&str>,
-    check: bool,
-) -> Result<(String, bool), CliError> {
-    let snap = Snapshot::from_json(metrics_text)
-        .map_err(|e| CliError(format!("bad metrics: {e}")))?;
-    let ledger = sim::CostLedger::from_snapshot(&snap).ok_or_else(|| {
-        CliError(
-            "metrics carry no cost ledger (cost/total_cycles missing — produced by \
-             a baseline, or with the ledger off?)"
-                .into(),
-        )
-    })?;
-    let share = |v: u64| {
-        if ledger.total == 0 {
-            "-".to_string()
-        } else {
-            format!("{:.1}%", v as f64 * 100.0 / ledger.total as f64)
-        }
-    };
-    let mut out = format!("defence cost ledger: {} total cycles\n\n", ledger.total);
-
-    let mut kinds: Vec<_> = ledger.kinds.iter().filter(|(_, c, _)| *c > 0).collect();
-    kinds.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-    let mut rows =
-        vec![vec!["kind".to_string(), "cycles".into(), "share".into(), "charges".into()]];
-    for (label, counted, _) in kinds {
-        let charges = snap
-            .histogram(sim::COST_SUBSYSTEM, &format!("kind_{label}_cycles_hist"))
-            .map_or(0, |h| h.count());
-        rows.push(vec![
-            label.clone(),
-            counted.to_string(),
-            share(*counted),
-            charges.to_string(),
-        ]);
-    }
-    out.push_str(&table(&rows));
-
-    // Optional forensics join: pinned bytes per site from the trace.
-    let pinned_by_site: Vec<(String, u64)> = match trace_text {
-        None => Vec::new(),
-        Some(text) => {
-            let report = RunReport::from_jsonl(text)
-                .map_err(|e| CliError(format!("bad trace: {e}")))?;
-            let mut agg: Vec<(String, u64)> = Vec::new();
-            for a in report.pinned_now() {
-                let key = a.site.to_string();
-                match agg.iter_mut().find(|(k, _)| *k == key) {
-                    Some(e) => e.1 += a.bytes,
-                    None => agg.push((key, a.bytes)),
-                }
-            }
-            agg
-        }
-    };
-    let joined = trace_text.is_some();
-    const TOP_SITES: usize = 10;
-    out.push('\n');
-    let mut header = vec!["site".to_string(), "cycles".into(), "share".into()];
-    if joined {
-        header.push("pinned bytes".into());
-    }
-    let mut rows = vec![header];
-    for (key, cycles) in ledger.sites.iter().take(TOP_SITES) {
-        let mut row = vec![key.clone(), cycles.to_string(), share(*cycles)];
-        if joined {
-            let pinned = pinned_by_site
-                .iter()
-                .find(|(k, _)| k == key)
-                .map_or_else(|| "-".into(), |(_, b)| bytes(*b));
-            row.push(pinned);
-        }
-        rows.push(row);
-    }
-    if ledger.sites.len() > TOP_SITES {
-        let rest: u64 = ledger.sites[TOP_SITES..].iter().map(|(_, v)| v).sum();
-        let mut row = vec![
-            format!("({} more)", ledger.sites.len() - TOP_SITES),
-            rest.to_string(),
-            share(rest),
-        ];
-        if joined {
-            row.push("-".into());
-        }
-        rows.push(row);
-    }
-    out.push_str(&table(&rows));
-
-    if !ledger.arenas.is_empty() {
-        out.push('\n');
-        let mut rows = vec![vec!["arena".to_string(), "cycles".into(), "share".into()]];
-        for (label, cycles) in &ledger.arenas {
-            rows.push(vec![label.clone(), cycles.to_string(), share(*cycles)]);
-        }
-        out.push_str(&table(&rows));
-    }
-
-    if let Some(h) = snap.histogram(sim::COST_SUBSYSTEM, "per_sweep_cycles") {
-        if h.count() > 0 {
-            out.push_str("\nper-sweep defence cost:\n");
-            out.push_str(&pause_table(h, "cycles"));
-        }
-    }
-
-    if check {
-        let leaks = ledger.reconcile();
-        if !leaks.is_empty() {
-            out.push_str("\ncost reconciliation FAILED:\n");
-            for l in &leaks {
-                out.push_str(&format!("  {l}\n"));
-            }
-            return Ok((out, false));
-        }
-        out.push_str(
-            "\nreconcile: kind/site/arena dimensions each sum to total_cycles\n",
-        );
-    }
-    Ok((out, true))
-}
-
 /// Usage text.
 pub const USAGE: &str = "\
 minesweeper-sim — MineSweeper (ASPLOS'22) reproduction driver
 
 USAGE:
     minesweeper-sim list
-    minesweeper-sim run <benchmark> [--system <label>] [--seed <n>]
-                        [--trace-out <run.jsonl>] [--metrics-out <metrics.json>]
+    minesweeper-sim run <benchmark> [--system <label>] [--seed <n>] [--out <dir>]
                         [--forensics <off|full|sampled:n>] [--arenas <n>]
-                        [--cost-drop <kind>]
     minesweeper-sim compare <benchmark> [--seed <n>]
     minesweeper-sim exploit [--system <label>]
     minesweeper-sim exploit --corpus [--out <matrix.json>] [--fuzz <n>]
@@ -1377,9 +1245,9 @@ SYSTEMS:
     ffmalloc (ff), scudo, minesweeper-scudo (ms-scudo), crcount (cr),
     oscar, psweeper (ps), dangsan
 
-COST KINDS (--cost-drop; see ms-report --costs):
-    zeroing, quarantine, mark_scan, skip_replay, forensics, stw,
-    sched_setup, release, commit
+run --out <dir> writes a run directory for `ms-report <dir>`: metrics.json,
+and trace.jsonl unless the run uses --arenas. --out, --forensics and
+--arenas need a minesweeper-layered system.
 ";
 
 #[cfg(test)]
@@ -1399,35 +1267,32 @@ mod tests {
                 benchmark: "xalancbmk".into(),
                 system: "markus".into(),
                 seed: 9,
-                trace_out: None,
-                metrics_out: None,
+                out: None,
                 forensics: None,
                 arenas: None,
-                cost_drop: None
             }
         );
     }
 
     #[test]
-    fn parse_telemetry_flags() {
-        let cmd =
-            parse(&argv("run demo --trace-out /tmp/t.jsonl --metrics-out /tmp/m.json"))
-                .unwrap();
+    fn parse_out_flag() {
+        let cmd = parse(&argv("run demo --out /tmp/run")).unwrap();
         assert_eq!(
             cmd,
             Command::Run {
                 benchmark: "demo".into(),
                 system: "minesweeper".into(),
                 seed: 42,
-                trace_out: Some("/tmp/t.jsonl".into()),
-                metrics_out: Some("/tmp/m.json".into()),
+                out: Some("/tmp/run".into()),
                 forensics: None,
                 arenas: None,
-                cost_drop: None
             }
         );
-        assert!(parse(&argv("compare demo --trace-out /tmp/t.jsonl")).is_err());
-        assert!(parse(&argv("run demo --trace-out")).is_err());
+        assert!(parse(&argv("run demo --out")).is_err());
+        // The per-file flags and the leak knob are gone.
+        for gone in ["--trace-out t.jsonl", "--metrics-out m.json", "--cost-drop zeroing"] {
+            assert!(parse(&argv(&format!("run demo {gone}"))).is_err(), "{gone}");
+        }
     }
 
     #[test]
@@ -1439,11 +1304,9 @@ mod tests {
                 benchmark: "demo".into(),
                 system: "minesweeper".into(),
                 seed: 42,
-                trace_out: None,
-                metrics_out: None,
+                out: None,
                 forensics: None,
                 arenas: None,
-                cost_drop: None
             }
         );
         assert_eq!(parse(&[]).unwrap(), Command::Help);
@@ -1537,7 +1400,8 @@ mod tests {
         let json = std::fs::read_to_string(&path).unwrap();
         std::fs::remove_file(&path).ok();
         // The written document round-trips through the reporting path.
-        let rendered = render_security(&json, true).unwrap();
+        let (rendered, failed) = render_security(&json, true).unwrap();
+        assert!(!failed, "{rendered}");
         assert!(rendered.contains("check: counters reconcile with cells"));
         // Unknown weaken knobs are a CLI error, not a panic.
         let bad = execute(&Command::Exploit {
@@ -1587,14 +1451,15 @@ mod tests {
     #[test]
     fn render_security_check_catches_counter_drift() {
         let good = sim::run_corpus(1, 0, sim::Weaken::None).to_json();
-        assert!(render_security(&good, true).is_ok());
+        assert!(!render_security(&good, true).unwrap().1);
         // Corrupt one verdict counter; --check must notice.
         let bad = good.replacen("\"security/verdict_benign\": ", "\"security/verdict_benign\": 9", 1);
         assert!(bad != good, "fixture must actually change");
-        let err = render_security(&bad, true).unwrap_err();
-        assert!(err.0.contains("reconciliation"), "{err}");
+        let (out, failed) = render_security(&bad, true).unwrap();
+        assert!(failed, "{out}");
+        assert!(out.contains("check FAILED: security counter reconciliation"), "{out}");
         // Without --check the drift is not fatal.
-        assert!(render_security(&bad, false).is_ok());
+        assert!(!render_security(&bad, false).unwrap().1);
     }
 
     #[test]
@@ -1639,76 +1504,135 @@ mod tests {
         );
     }
 
+    /// A fresh, empty scratch directory for one test.
+    fn scratch(name: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("ms_cli_{name}_{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        dir
+    }
+
+    fn run_cmd(
+        system: &str,
+        out: Option<&Path>,
+        forensics: Option<&str>,
+        arenas: Option<u32>,
+    ) -> Command {
+        Command::Run {
+            benchmark: "demo".into(),
+            system: system.into(),
+            seed: 5,
+            out: out.map(|p| p.to_string_lossy().into_owned()),
+            forensics: forensics.map(String::from),
+            arenas,
+        }
+    }
+
     #[test]
     fn run_demo_executes() {
-        let out = execute(&Command::Run {
-            benchmark: "demo".into(),
-            system: "ms".into(),
-            seed: 1,
-            trace_out: None,
-            metrics_out: None,
-            forensics: None,
-            arenas: None,
-            cost_drop: None,
-        })
-        .unwrap();
+        let out = execute(&run_cmd("ms", None, None, None)).unwrap();
         assert!(out.contains("sweeps"));
         assert!(out.contains("avg RSS"));
         assert!(out.contains("layer/released_bytes"), "telemetry table:\n{out}");
     }
 
     #[test]
-    fn trace_flags_need_a_layered_system() {
-        let dir = std::env::temp_dir().join("ms_cli_trace_reject.jsonl");
-        let err = execute(&Command::Run {
-            benchmark: "demo".into(),
-            system: "baseline".into(),
-            seed: 1,
-            trace_out: Some(dir.to_string_lossy().into_owned()),
-            metrics_out: None,
-            forensics: None,
-            arenas: None,
-            cost_drop: None,
-        })
-        .unwrap_err();
-        assert!(err.0.contains("layered"), "{err}");
-        std::fs::remove_file(dir).ok();
+    fn run_flags_need_a_layered_system() {
+        let dir = scratch("baseline_out");
+        for cmd in [
+            run_cmd("baseline", Some(&dir), None, None),
+            run_cmd("baseline", None, Some("full"), None),
+            run_cmd("baseline", None, None, Some(2)),
+        ] {
+            let err = execute(&cmd).unwrap_err();
+            assert!(err.0.contains("layered"), "{err}");
+        }
+        assert!(!dir.exists(), "a refused run writes no directory");
     }
 
     #[test]
-    fn run_trace_and_report_roundtrip() {
-        let trace = std::env::temp_dir().join("ms_cli_report_test.jsonl");
-        let metrics = std::env::temp_dir().join("ms_cli_report_test.json");
-        execute(&Command::Run {
-            benchmark: "demo".into(),
-            system: "ms".into(),
-            seed: 5,
-            trace_out: Some(trace.to_string_lossy().into_owned()),
-            metrics_out: Some(metrics.to_string_lossy().into_owned()),
-            forensics: None,
-            arenas: None,
-            cost_drop: None,
-        })
-        .unwrap();
-        let trace_text = std::fs::read_to_string(&trace).unwrap();
-        let metrics_text = std::fs::read_to_string(&metrics).unwrap();
-        assert!(trace_text.lines().any(|l| l.contains("\"sweep_start\"")));
-        // The reconciliation check is the acceptance gate: JSONL totals
-        // must match the exported counters exactly.
-        let report = render_report(&trace_text, Some(&metrics_text), true).unwrap();
-        assert!(report.contains("reconcile: trace totals match"), "{report}");
-        assert!(report.contains("proportional"), "{report}");
-        assert!(render_report(&trace_text, None, true).is_err());
+    fn run_out_writes_a_dossier_directory() {
+        let dir = scratch("plain_run");
+        let d = dir.to_string_lossy().into_owned();
+        let printed = execute(&run_cmd("ms", Some(&dir), None, None)).unwrap();
+        assert_eq!(printed, execute(&run_cmd("ms", None, None, None)).unwrap());
+        let trace = std::fs::read_to_string(dir.join(TRACE_FILE)).unwrap();
+        assert!(trace.lines().any(|l| l.contains("\"sweep_start\"")));
+        let report = render_dossier(&d, true, None).unwrap();
+        assert_eq!(report.failed, Vec::<String>::new(), "{}", report.text);
+        for header in ["timeline", "failed frees", "quarantine", "pauses", "cost ledger"] {
+            assert!(report.text.contains(&format!("== {header} ==")), "{header}");
+        }
+        // No forensics in the trace, no arena shards: those sections stay out.
+        for absent in ["== pinners", "== failed-free detail", "== arenas", "== slo"] {
+            assert!(!report.text.contains(absent), "{absent}:\n{}", report.text);
+        }
+        assert!(report.text.contains("trace-reconcile: ok"), "{}", report.text);
+        assert!(report.text.contains("proportional"), "{}", report.text);
+        // Without --check no gate runs.
+        let quiet = render_dossier(&d, false, None).unwrap();
+        assert!(!quiet.text.contains("== checks =="), "{}", quiet.text);
 
         // A torn final line (truncated mid-write) is a clear error, not a
         // panic, and names the offending line.
-        let torn = &trace_text[..trace_text.len() - trace_text.len() / 10];
+        let torn = &trace[..trace.len() - trace.len() / 10];
         assert!(!torn.ends_with('\n'), "truncation must tear the last line");
-        let err = render_report(torn, None, false).unwrap_err();
+        std::fs::write(dir.join(TRACE_FILE), torn).unwrap();
+        let err = render_dossier(&d, false, None).unwrap_err();
         assert!(err.0.contains("bad trace"), "{err}");
         assert!(err.0.contains("torn final line"), "{err}");
-        std::fs::remove_file(trace).ok();
-        std::fs::remove_file(metrics).ok();
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
+    fn arena_run_directory_holds_metrics_only() {
+        let dir = scratch("arena_run");
+        let printed = execute(&run_cmd("ms", Some(&dir), None, Some(3))).unwrap();
+        assert!(printed.contains("minesweeper-arenas3"), "{printed}");
+        assert!(printed.contains("scheduler:"), "{printed}");
+        assert!(printed.contains("cost share"), "per-arena cost shares:\n{printed}");
+        assert!(!dir.join(TRACE_FILE).exists(), "the pooled runner has no trace sink");
+        let report = render_dossier(&dir.to_string_lossy(), true, Some("qratio=1000")).unwrap();
+        assert_eq!(report.failed, Vec::<String>::new(), "{}", report.text);
+        // One run, one sweep count: each shard's layer counter and billed
+        // rounds agree (40 each here), and the total row is their sum.
+        let row = |name: &str| {
+            report.text.lines().find(|l| l.starts_with(name)).unwrap_or_default().to_string()
+        };
+        assert!(row("a1 ").contains(" 40 "), "{}", report.text);
+        assert!(row("total").contains(" 120 "), "{}", report.text);
+        for header in ["arenas", "cost ledger", "slo", "checks"] {
+            assert!(report.text.contains(&format!("== {header} ==")), "{header}");
+        }
+        assert!(!report.text.contains("== timeline =="), "{}", report.text);
+        assert!(report.text.contains("arena-shards: ok"), "{}", report.text);
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
+    fn slo_gate_flags_breaches_and_rejects_bad_specs() {
+        let dir = scratch("slo");
+        std::fs::create_dir_all(&dir).unwrap();
+        let reg = telemetry::Registry::new();
+        reg.histogram("engine", "stw_cycles").record(5000);
+        std::fs::write(dir.join(METRICS_FILE), reg.snapshot().to_json()).unwrap();
+        let d = dir.to_string_lossy().into_owned();
+
+        let breached = render_dossier(&d, false, Some("stw=100")).unwrap();
+        assert!(breached.text.contains("FAIL"), "{}", breached.text);
+        assert_eq!(breached.failed.len(), 1, "{:?}", breached.failed);
+        assert!(breached.failed[0].starts_with("slo: stw"), "{:?}", breached.failed);
+
+        let held = render_dossier(&d, false, Some("stw=1000000,util=10")).unwrap();
+        assert!(held.failed.is_empty(), "{}", held.text);
+        assert!(held.text.contains("PASS (unmeasured)"), "util never measured: {}", held.text);
+
+        assert!(render_dossier(&d, false, Some("")).is_err(), "empty spec would vacuously pass");
+        assert!(render_dossier(&d, false, Some("bogus=1")).is_err());
+        std::fs::write(dir.join(METRICS_FILE), "not json").unwrap();
+        assert!(render_dossier(&d, false, None).unwrap_err().0.contains("bad metrics"));
+        std::fs::remove_dir_all(&dir).ok();
+        let err = render_dossier(&d, false, None).unwrap_err();
+        assert!(err.0.contains("cannot read"), "{err}");
     }
 
     #[test]
@@ -1720,11 +1644,9 @@ mod tests {
                 benchmark: "demo".into(),
                 system: "minesweeper".into(),
                 seed: 42,
-                trace_out: None,
-                metrics_out: None,
+                out: None,
                 forensics: Some("sampled:8".into()),
                 arenas: None,
-                cost_drop: None
             }
         );
         assert!(parse(&argv("compare demo --forensics full")).is_err());
@@ -1746,87 +1668,6 @@ mod tests {
     }
 
     #[test]
-    fn forensics_needs_a_layered_system() {
-        let err = execute(&Command::Run {
-            benchmark: "demo".into(),
-            system: "baseline".into(),
-            seed: 1,
-            trace_out: None,
-            metrics_out: None,
-            forensics: Some("full".into()),
-            arenas: None,
-            cost_drop: None,
-        })
-        .unwrap_err();
-        assert!(err.0.contains("layered"), "{err}");
-    }
-
-    #[test]
-    fn forensic_run_report_shows_pinners_and_reconciles() {
-        let trace = std::env::temp_dir().join("ms_cli_forensic_test.jsonl");
-        let metrics = std::env::temp_dir().join("ms_cli_forensic_test.json");
-        execute(&Command::Run {
-            benchmark: "demo".into(),
-            system: "ms".into(),
-            seed: 5,
-            trace_out: Some(trace.to_string_lossy().into_owned()),
-            metrics_out: Some(metrics.to_string_lossy().into_owned()),
-            forensics: Some("full".into()),
-            arenas: None,
-            cost_drop: None,
-        })
-        .unwrap();
-        let trace_text = std::fs::read_to_string(&trace).unwrap();
-        let metrics_text = std::fs::read_to_string(&metrics).unwrap();
-        assert!(trace_text.lines().any(|l| l.contains("\"ledger_entries\"")));
-        let opts = ReportOpts { check: true, pinners: true, failed_frees: true };
-        let out = render_report_with(&trace_text, Some(&metrics_text), &opts).unwrap();
-        assert!(out.contains("pinned sites"), "{out}");
-        assert!(out.contains("reconcile: trace totals match"), "{out}");
-
-        // Without forensics in the trace, the views degrade gracefully.
-        let plain = execute(&Command::Run {
-            benchmark: "demo".into(),
-            system: "ms".into(),
-            seed: 5,
-            trace_out: Some(trace.to_string_lossy().into_owned()),
-            metrics_out: None,
-            forensics: None,
-            arenas: None,
-            cost_drop: None,
-        });
-        plain.unwrap();
-        let plain_text = std::fs::read_to_string(&trace).unwrap();
-        let out = render_report_with(&plain_text, None, &opts_no_check()).unwrap();
-        assert!(out.contains("no forensics data"), "{out}");
-        std::fs::remove_file(trace).ok();
-        std::fs::remove_file(metrics).ok();
-    }
-
-    fn opts_no_check() -> ReportOpts {
-        ReportOpts { check: false, pinners: true, failed_frees: true }
-    }
-
-    #[test]
-    fn slo_renderer_flags_breaches_and_rejects_empty_specs() {
-        let reg = telemetry::Registry::new();
-        reg.histogram("engine", "stw_cycles").record(5000);
-        let metrics = reg.snapshot().to_json();
-
-        let (table, breached) = render_slo(&metrics, "stw=100").unwrap();
-        assert!(breached);
-        assert!(table.contains("FAIL"), "{table}");
-
-        let (table, breached) = render_slo(&metrics, "stw=1000000,util=10").unwrap();
-        assert!(!breached, "{table}");
-        assert!(table.contains("PASS (unmeasured)"), "util never measured: {table}");
-
-        assert!(render_slo(&metrics, "").is_err(), "empty spec would vacuously pass");
-        assert!(render_slo(&metrics, "bogus=1").is_err());
-        assert!(render_slo("not json", "stw=1").is_err());
-    }
-
-    #[test]
     fn parse_arenas_flag() {
         let cmd = parse(&argv("run demo --arenas 4")).unwrap();
         assert_eq!(
@@ -1835,200 +1676,15 @@ mod tests {
                 benchmark: "demo".into(),
                 system: "minesweeper".into(),
                 seed: 42,
-                trace_out: None,
-                metrics_out: None,
+                out: None,
                 forensics: None,
                 arenas: Some(4),
-                cost_drop: None
             }
         );
         assert!(parse(&argv("run demo --arenas 0")).is_err());
         assert!(parse(&argv("run demo --arenas many")).is_err());
         assert!(parse(&argv("run demo --arenas")).is_err());
         assert!(parse(&argv("compare demo --arenas 2")).is_err());
-    }
-
-    #[test]
-    fn arenas_need_a_layered_system_and_no_trace_sink() {
-        let err = execute(&Command::Run {
-            benchmark: "demo".into(),
-            system: "baseline".into(),
-            seed: 1,
-            trace_out: None,
-            metrics_out: None,
-            forensics: None,
-            arenas: Some(2),
-            cost_drop: None,
-        })
-        .unwrap_err();
-        assert!(err.0.contains("layered"), "{err}");
-        let err = execute(&Command::Run {
-            benchmark: "demo".into(),
-            system: "ms".into(),
-            seed: 1,
-            trace_out: Some("/tmp/ms_cli_arena_trace.jsonl".into()),
-            metrics_out: None,
-            forensics: None,
-            arenas: Some(2),
-            cost_drop: None,
-        })
-        .unwrap_err();
-        assert!(err.0.contains("--trace-out"), "{err}");
-    }
-
-    #[test]
-    fn multi_arena_run_reports_shards_and_reconciles() {
-        let metrics = std::env::temp_dir().join("ms_cli_arena_test.json");
-        let out = execute(&Command::Run {
-            benchmark: "demo".into(),
-            system: "ms".into(),
-            seed: 7,
-            trace_out: None,
-            metrics_out: Some(metrics.to_string_lossy().into_owned()),
-            forensics: None,
-            arenas: Some(3),
-            cost_drop: None,
-        })
-        .unwrap();
-        assert!(out.contains("minesweeper-arenas3"), "{out}");
-        assert!(out.contains("a2"), "per-shard rows:\n{out}");
-        assert!(out.contains("scheduler:"), "{out}");
-        assert!(out.contains("cost share"), "per-arena cost shares:\n{out}");
-        assert!(out.contains('%'), "shares are percentages:\n{out}");
-
-        // The snapshot round-trips through the metrics-only ms-report path
-        // and its two accounting paths reconcile.
-        let metrics_text = std::fs::read_to_string(&metrics).unwrap();
-        let report = render_metrics_report(&metrics_text, true).unwrap();
-        assert!(
-            report.contains("reconcile: arena shard counters match global totals"),
-            "{report}"
-        );
-        std::fs::remove_file(metrics).ok();
-    }
-
-    #[test]
-    fn metrics_report_rejects_unsharded_or_tampered_snapshots() {
-        // A single-arena engine snapshot has no arena counters.
-        let reg = telemetry::Registry::new();
-        reg.counter("layer", "sweeps").inc();
-        let err = render_metrics_report(&reg.snapshot().to_json(), false).unwrap_err();
-        assert!(err.0.contains("no arena shard counters"), "{err}");
-
-        // A shard counter that lost an update fails --check by name.
-        let reg = telemetry::Registry::new();
-        reg.counter("arena", "arenas").add(2);
-        reg.counter("arena", "a0_sweeps").add(3);
-        reg.counter("arena", "a1_sweeps").add(1);
-        reg.counter("arena", "total_sweeps").add(5);
-        let text = reg.snapshot().to_json();
-        assert!(render_metrics_report(&text, false).is_ok(), "table renders anyway");
-        let err = render_metrics_report(&text, true).unwrap_err();
-        assert!(err.0.contains("sweeps sums to 4"), "{err}");
-        assert!(err.0.contains("counted 5"), "{err}");
-
-        assert!(render_metrics_report("not json", false).is_err());
-    }
-
-    #[test]
-    fn parse_cost_drop_flag() {
-        let cmd = parse(&argv("run demo --cost-drop zeroing")).unwrap();
-        match cmd {
-            Command::Run { cost_drop, .. } => {
-                assert_eq!(cost_drop.as_deref(), Some("zeroing"));
-            }
-            other => panic!("wrong command: {other:?}"),
-        }
-        assert!(parse(&argv("run demo --cost-drop")).is_err());
-        assert!(parse(&argv("compare demo --cost-drop zeroing")).is_err());
-    }
-
-    #[test]
-    fn cost_drop_needs_layered_system_and_known_kind() {
-        let run = |system: &str, kind: &str| {
-            execute(&Command::Run {
-                benchmark: "demo".into(),
-                system: system.into(),
-                seed: 1,
-                trace_out: None,
-                metrics_out: None,
-                forensics: None,
-                arenas: None,
-                cost_drop: Some(kind.into()),
-            })
-        };
-        let err = run("baseline", "zeroing").unwrap_err();
-        assert!(err.0.contains("layered"), "{err}");
-        let err = run("ms", "bogus").unwrap_err();
-        assert!(err.0.contains("unknown cost kind"), "{err}");
-    }
-
-    #[test]
-    fn costs_report_reconciles_and_catches_injected_leak() {
-        let metrics = std::env::temp_dir().join("ms_cli_costs_test.json");
-        let path = metrics.to_string_lossy().into_owned();
-        let run = |drop: Option<&str>| {
-            execute(&Command::Run {
-                benchmark: "demo".into(),
-                system: "ms".into(),
-                seed: 5,
-                trace_out: None,
-                metrics_out: Some(path.clone()),
-                forensics: None,
-                arenas: None,
-                cost_drop: drop.map(String::from),
-            })
-            .unwrap();
-            std::fs::read_to_string(&path).unwrap()
-        };
-        // Clean run: tables render and every dimension reconciles.
-        let clean = run(None);
-        let (out, ok) = render_costs(&clean, None, true).unwrap();
-        assert!(ok, "{out}");
-        assert!(out.contains("defence cost ledger:"), "{out}");
-        assert!(out.contains("zeroing"), "{out}");
-        assert!(out.contains("reconcile: kind/site/arena"), "{out}");
-        // Injected leak: the gate fails (ms-report exit 2) naming the kind.
-        let leaky = run(Some("zeroing"));
-        let (out, ok) = render_costs(&leaky, None, true).unwrap();
-        assert!(!ok, "{out}");
-        assert!(out.contains("FAILED"), "{out}");
-        assert!(out.contains("zeroing"), "{out}");
-        // Without --check the leaky report still renders and passes.
-        assert!(render_costs(&leaky, None, false).unwrap().1);
-        // A snapshot without the ledger is a clear input error.
-        let reg = telemetry::Registry::new();
-        reg.counter("layer", "sweeps").inc();
-        let err = render_costs(&reg.snapshot().to_json(), None, false).unwrap_err();
-        assert!(err.0.contains("no cost ledger"), "{err}");
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn costs_report_joins_pinned_bytes_from_a_forensic_trace() {
-        let trace = std::env::temp_dir().join("ms_cli_costs_join.jsonl");
-        let metrics = std::env::temp_dir().join("ms_cli_costs_join.json");
-        execute(&Command::Run {
-            benchmark: "demo".into(),
-            system: "ms".into(),
-            seed: 5,
-            trace_out: Some(trace.to_string_lossy().into_owned()),
-            metrics_out: Some(metrics.to_string_lossy().into_owned()),
-            forensics: Some("full".into()),
-            arenas: None,
-            cost_drop: None,
-        })
-        .unwrap();
-        let (out, ok) = render_costs(
-            &std::fs::read_to_string(&metrics).unwrap(),
-            Some(&std::fs::read_to_string(&trace).unwrap()),
-            true,
-        )
-        .unwrap();
-        assert!(ok, "{out}");
-        assert!(out.contains("pinned bytes"), "{out}");
-        std::fs::remove_file(trace).ok();
-        std::fs::remove_file(metrics).ok();
     }
 
     #[test]
@@ -2048,7 +1704,8 @@ mod tests {
 }"#;
         // Pre-ledger documents still render and reconcile; their cells
         // parse with zero defence cost and no totals line is shown.
-        let out = render_security(doc, true).unwrap();
+        let (out, failed) = render_security(doc, true).unwrap();
+        assert!(!failed, "{out}");
         assert!(out.contains("check: counters reconcile"), "{out}");
         assert!(!out.contains("defence cycles:"), "{out}");
         // Above the supported range stays rejected.
@@ -2060,15 +1717,17 @@ mod tests {
     #[test]
     fn security_defence_costs_render_and_reconcile() {
         let good = sim::run_corpus(1, 0, sim::Weaken::None).to_json();
-        let out = render_security(&good, true).unwrap();
+        let (out, failed) = render_security(&good, true).unwrap();
+        assert!(!failed, "{out}");
         assert!(out.contains("ms defence"), "{out}");
         assert!(out.contains("defence cycles:"), "{out}");
         // Corrupting one cell's total breaks both the exporter counter
         // and that cell's per-kind sum; --check catches it.
         let bad = good.replacen("\"defence_cycles\": ", "\"defence_cycles\": 9", 1);
         assert!(bad != good, "fixture must actually change");
-        let err = render_security(&bad, true).unwrap_err();
-        assert!(err.0.contains("defence"), "{err}");
-        assert!(render_security(&bad, false).is_ok());
+        let (out, failed) = render_security(&bad, true).unwrap();
+        assert!(failed, "{out}");
+        assert!(out.contains("defence kinds sum to"), "{out}");
+        assert!(!render_security(&bad, false).unwrap().1);
     }
 }

@@ -57,8 +57,7 @@ impl ArenaId {
     }
 
     /// The telemetry label for this arena's shard counters (`a0`, `a1`,
-    /// …) — the same names `ms-report` reconciles against the global
-    /// totals.
+    /// …) — the names `ms-report` prints and checks shard by shard.
     pub fn label(self) -> String {
         format!("a{}", self.0)
     }

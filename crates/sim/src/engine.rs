@@ -272,15 +272,6 @@ impl Engine {
         }
     }
 
-    /// Self-test leak injection: skip `kind`'s per-kind counter on every
-    /// future charge (histogram and total still accumulate), so
-    /// `ms-report --costs --check` must fail naming exactly that kind.
-    pub fn set_cost_drop(&mut self, kind: CostKind) {
-        if let Some(rec) = &mut self.setup.cost_rec {
-            rec.set_drop(Some(kind));
-        }
-    }
-
     /// Arms the SLO watchdog: at finalize the run's registry snapshot is
     /// evaluated against `policy` and every breached objective emits a
     /// typed [`telemetry::EventKind::SloViolation`] through the attached

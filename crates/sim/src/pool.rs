@@ -9,17 +9,15 @@
 //! into coalesced rounds, and one work-stealing helper pool marks every
 //! scheduled arena in a single pass.
 //!
-//! Telemetry goes to **one shared registry** with two independent views
-//! of the same work:
-//!
-//! * per-shard counters (`arena/a{k}_*`), copied from each layer's own
-//!   statistics at finalize, and
-//! * global totals (`arena/total_*`), accumulated *during the run* from
-//!   per-free deltas and per-round reports.
-//!
-//! `ms-report --check` reconciles the two — if sharding ever lost an
-//! update (a free attributed to the wrong shard, a round double-counted),
-//! the sums diverge.
+//! Telemetry goes to **one shared registry**. Per-shard counters
+//! (`arena/a{k}_*`) are copied from each layer's own statistics at
+//! finalize, and the run's headline sweep and failed-free counts are
+//! their sums. Each round report the runner bills also records one
+//! `arena/a{k}_sweep_cycles` sample, so a shard's `a{k}_sweeps` counter
+//! and that histogram's count are two independent sources for the same
+//! number: `ms-report --check` compares them per shard, and a round
+//! billed to the wrong shard (or a sweep the runner never billed) shows
+//! up as a mismatch naming the shard.
 
 use minesweeper::{ArenaPool, MsConfig};
 use telemetry::{CostKind, CostRecorder, Histogram, IdMap, Registry};
@@ -46,22 +44,11 @@ struct Tenant {
     done: bool,
 }
 
-/// Totals accumulated during the run, independently of the per-layer
-/// statistics the shard counters are copied from at finalize.
-#[derive(Default)]
-struct Totals {
-    quarantined_bytes: u64,
-    released_bytes: u64,
-    failed_frees: u64,
-    sweeps: u64,
-}
-
 /// Runs `profile` as `n` identically-shaped tenants (seeds `seed`,
 /// `seed+1`, …) over one [`ArenaPool`] under `cfg`, interleaving the
 /// mutator streams round-robin and letting the scheduler decide when each
 /// arena sweeps. Returns metrics whose telemetry snapshot carries the
-/// per-shard counters, the independently accumulated `arena/total_*`
-/// globals, and per-arena pause/STW/sweep histograms.
+/// per-shard counters and per-arena pause/STW/sweep histograms.
 ///
 /// # Panics
 ///
@@ -92,7 +79,6 @@ pub fn run_arenas(profile: &Profile, n: u32, seed: u64, cfg: MsConfig) -> RunMet
             }
         })
         .collect();
-    let mut totals = Totals::default();
     let mut metrics = RunMetrics {
         benchmark: profile.name.to_string(),
         system: format!("minesweeper-arenas{n}"),
@@ -142,8 +128,6 @@ pub fn run_arenas(profile: &Profile, n: u32, seed: u64, cfg: MsConfig) -> RunMet
                     let st0 = pool.arena(k).ms().stats();
                     pool.arena_mut(k).free(base);
                     let st = pool.arena(k).ms().stats();
-                    totals.quarantined_bytes +=
-                        st.quarantined_bytes - st0.quarantined_bytes;
                     let zeroing = cost.zero_cost(st.zeroed_bytes - st0.zeroed_bytes);
                     let mut quarantine = cost.quarantine_insert;
                     if st.unmapped_pages > st0.unmapped_pages {
@@ -170,8 +154,8 @@ pub fn run_arenas(profile: &Profile, n: u32, seed: u64, cfg: MsConfig) -> RunMet
                 Op::Teardown => {}
             }
             sweep_if_due(
-                &mut pool, &mut tenants, &cost, &mut cost_rec, &labels, &mut totals,
-                &mut metrics, &mut now, &mut background,
+                &mut pool, &mut tenants, &cost, &mut cost_rec, &labels, &mut metrics,
+                &mut now, &mut background,
             );
         }
         while now >= next_sample {
@@ -183,11 +167,10 @@ pub fn run_arenas(profile: &Profile, n: u32, seed: u64, cfg: MsConfig) -> RunMet
         }
     }
 
-    // Finalize: copy each shard's own statistics next to the globals the
-    // loop accumulated, stamp scheduler counters, snapshot once.
-    for k in 0..n as usize {
-        let st = pool.arena(k).ms().stats();
-        let label = pool.arena(k).id().label();
+    // Finalize: copy each shard's own statistics, stamp scheduler
+    // counters, snapshot once.
+    for (arena, label) in pool.iter().zip(&labels) {
+        let st = arena.ms().stats();
         registry
             .counter(ARENA_SUBSYSTEM, &format!("{label}_quarantined_bytes"))
             .add(st.quarantined_bytes);
@@ -198,14 +181,10 @@ pub fn run_arenas(profile: &Profile, n: u32, seed: u64, cfg: MsConfig) -> RunMet
             .counter(ARENA_SUBSYSTEM, &format!("{label}_failed_frees"))
             .add(st.failed_frees);
         registry.counter(ARENA_SUBSYSTEM, &format!("{label}_sweeps")).add(st.sweeps);
+        metrics.sweeps += st.sweeps;
+        metrics.failed_frees += st.failed_frees;
     }
     registry.counter(ARENA_SUBSYSTEM, "arenas").add(n as u64);
-    registry
-        .counter(ARENA_SUBSYSTEM, "total_quarantined_bytes")
-        .add(totals.quarantined_bytes);
-    registry.counter(ARENA_SUBSYSTEM, "total_released_bytes").add(totals.released_bytes);
-    registry.counter(ARENA_SUBSYSTEM, "total_failed_frees").add(totals.failed_frees);
-    registry.counter(ARENA_SUBSYSTEM, "total_sweeps").add(totals.sweeps);
     registry.counter(ARENA_SUBSYSTEM, "sched_rounds").add(pool.scheduler().rounds());
     registry
         .counter(ARENA_SUBSYSTEM, "sched_scheduled")
@@ -219,8 +198,6 @@ pub fn run_arenas(profile: &Profile, n: u32, seed: u64, cfg: MsConfig) -> RunMet
     metrics.rss_series.push((now.max(1), rss));
     metrics.mutator_cycles = now.max(1);
     metrics.background_cycles = background;
-    metrics.sweeps = totals.sweeps;
-    metrics.failed_frees = totals.failed_frees;
     metrics.telemetry = Some(registry.snapshot());
     metrics
 }
@@ -236,7 +213,6 @@ fn sweep_if_due(
     cost: &CostModel,
     cost_rec: &mut CostRecorder,
     labels: &[String],
-    totals: &mut Totals,
     metrics: &mut RunMetrics,
     now: &mut u64,
     background: &mut u64,
@@ -284,11 +260,6 @@ fn sweep_if_due(
         let release = report.released * cost.release_entry;
         cost_rec.charge(CostKind::Release, release, None, arena);
         *background += release;
-        totals.released_bytes += report.released_bytes;
-        totals.failed_frees += report.failed;
-        totals.sweeps += 1;
-        metrics.sweeps += 1;
-        metrics.failed_frees += report.failed;
     }
 }
 
@@ -316,23 +287,18 @@ mod tests {
         assert!(m.sweeps > 0, "churn across 4 tenants must trigger rounds");
         let snap = m.telemetry.as_ref().expect("pool runs carry telemetry");
         assert_eq!(snap.counter(ARENA_SUBSYSTEM, "arenas"), Some(4));
-        // The reconcile invariant ms-report --check gates on: shard sums
-        // must equal the independently accumulated globals.
-        for key in ["quarantined_bytes", "released_bytes", "failed_frees", "sweeps"] {
-            let shard_sum: u64 = (0..4)
-                .map(|k| {
-                    snap.counter(ARENA_SUBSYSTEM, &format!("a{k}_{key}")).unwrap_or(0)
-                })
-                .sum();
-            let total =
-                snap.counter(ARENA_SUBSYSTEM, &format!("total_{key}")).unwrap_or(0);
-            assert_eq!(shard_sum, total, "shard/global mismatch for {key}");
+        // The invariant ms-report --check gates on: each shard's layer
+        // sweep count equals the round reports billed to it.
+        let mut sweeps = 0;
+        for k in 0..4 {
+            let counted = snap.counter(ARENA_SUBSYSTEM, &format!("a{k}_sweeps")).unwrap_or(0);
+            let billed = snap
+                .histogram(ARENA_SUBSYSTEM, &format!("a{k}_sweep_cycles"))
+                .map_or(0, |h| h.count());
+            assert_eq!(counted, billed, "a{k}: layer sweeps vs billed rounds");
+            sweeps += counted;
         }
-        assert_eq!(
-            snap.counter(ARENA_SUBSYSTEM, "total_sweeps"),
-            Some(m.sweeps),
-            "headline sweeps come from the same totals"
-        );
+        assert_eq!(sweeps, m.sweeps, "headline sweeps are the shard sum");
     }
 
     #[test]

@@ -1,12 +1,11 @@
 //! Properties of the cost-attribution ledger: every dimension of the
-//! ledger conserves (kinds, sites and arenas each sum to
-//! `cost/total_cycles`, and each kind's counter matches its histogram),
-//! turning the ledger off leaves the run bit-identical, and the
-//! deliberate leak knob is caught *by name* by reconciliation.
+//! ledger conserves (kinds and sites each sum to `cost/total_cycles`;
+//! single-arena runs have no arena dimension), and turning the ledger
+//! off leaves the run bit-identical.
 
 use proptest::prelude::*;
 
-use sim::{run, CostKind, CostLedger, Engine, RunMetrics, System};
+use sim::{run, CostLedger, Engine, RunMetrics, System};
 use workloads::{LifetimeDist, Profile, SizeDist};
 
 fn ledger_of(m: &RunMetrics) -> CostLedger {
@@ -58,9 +57,8 @@ proptest! {
         prop_assert_eq!(ledger.reconcile(), Vec::<String>::new());
         prop_assert_eq!(ledger.kind_sum(), ledger.total);
         let site_sum: u64 = ledger.sites.iter().map(|(_, v)| v).sum();
-        let arena_sum: u64 = ledger.arenas.iter().map(|(_, v)| v).sum();
         prop_assert_eq!(site_sum, ledger.total);
-        prop_assert_eq!(arena_sum, ledger.total);
+        prop_assert!(ledger.arenas.is_empty(), "one engine bills no arena");
         // A quarantining run always pays for at least its inserts.
         prop_assert!(ledger.total > 0, "layered run must be billed");
     }
@@ -88,23 +86,6 @@ proptest! {
             snap.counter(sim::COST_SUBSYSTEM, "total_cycles").unwrap_or(0),
             0,
             "a disabled ledger must record nothing"
-        );
-    }
-}
-
-#[test]
-fn dropped_kind_is_caught_by_name() {
-    let profile = Profile::demo();
-    for kind in [CostKind::Zeroing, CostKind::Quarantine, CostKind::MarkScan] {
-        let mut engine = Engine::new(&profile, System::minesweeper_default(), 42);
-        engine.set_cost_drop(kind);
-        let m = engine.run();
-        let ledger = ledger_of(&m);
-        let leaks = ledger.reconcile();
-        assert!(
-            leaks.iter().any(|l| l.contains(kind.label())),
-            "dropping {} must be reported by name, got {leaks:?}",
-            kind.label()
         );
     }
 }

@@ -3,23 +3,18 @@
 //! accumulates them as ordinary `cost/*` registry metrics so the existing
 //! snapshot / delta / JSON machinery carries them for free.
 //!
-//! The design is *dual accumulation*: every charge lands in
+//! Every charge lands once in each dimension:
 //!
-//! * `cost/total_cycles` — the independent grand total,
-//! * a per-kind counter `cost/kind_<k>_cycles` **and** a per-kind
-//!   histogram `cost/kind_<k>_cycles_hist` (counter for the sum,
-//!   histogram for the per-charge distribution),
+//! * `cost/total_cycles` — the grand total,
+//! * a per-kind histogram `cost/kind_<k>_cycles_hist`, whose sum is the
+//!   kind's cycles and whose count is its number of charges,
 //! * a per-site counter `cost/site_<id>_cycles` (or `site_none_cycles`),
-//! * a per-arena counter `cost/arena_<label>_cycles` (or
-//!   `arena_none_cycles`).
+//! * for labelled arenas only, a per-arena counter
+//!   `cost/arena_<label>_cycles`.
 //!
-//! Each of the three attribution dimensions therefore sums to the total
-//! independently, and each kind's counter must equal its histogram's sum.
-//! [`CostLedger::reconcile`] checks all of these and **names the kind (or
-//! dimension) that leaked**, which is what `ms-report --costs --check`
-//! gates on. [`CostRecorder::set_drop`] deliberately skips one kind's
-//! counter (histogram and total still charged) so CI can prove the gate
-//! fires.
+//! The kind and site dimensions, and the arena dimension when present,
+//! must each sum to the total. [`CostLedger::reconcile`] checks them and
+//! names the dimension that leaked.
 
 use std::collections::HashMap;
 
@@ -92,8 +87,10 @@ impl CostKind {
 
     /// Position of this kind in [`CostKind::ALL`] — the canonical index
     /// for fixed-size per-kind arrays (e.g. `DefenceCost` in the sim).
+    /// `ALL` lists the variants in declaration order, so this is the
+    /// discriminant.
     pub fn index(self) -> usize {
-        CostKind::ALL.iter().position(|&k| k == self).expect("kind in ALL")
+        self as usize
     }
 }
 
@@ -104,51 +101,36 @@ impl CostKind {
 #[derive(Debug)]
 pub struct CostRecorder {
     total: Counter,
-    kinds: Vec<Counter>,
-    kind_hists: Vec<Histogram>,
+    /// One histogram per kind, in [`CostKind::ALL`] order.
+    kinds: Vec<Histogram>,
     per_sweep: Histogram,
     sites: IdMap<Option<u32>, Counter>,
-    /// `arena_none_cycles`, registered on the first unlabelled charge.
-    arena_none: Option<Counter>,
     arenas: HashMap<String, Counter>,
     registry: Registry,
-    dropped: Option<CostKind>,
 }
 
 impl CostRecorder {
     /// Creates a recorder and eagerly registers the total and per-kind
     /// metrics (so a zero-cost run still snapshots a complete ledger).
     pub fn new(registry: &Registry) -> CostRecorder {
-        let total = registry.counter(COST_SUBSYSTEM, "total_cycles");
-        let mut kinds = Vec::with_capacity(CostKind::ALL.len());
-        let mut kind_hists = Vec::with_capacity(CostKind::ALL.len());
-        for k in CostKind::ALL {
-            let name = format!("kind_{}_cycles", k.label());
-            kinds.push(registry.counter(COST_SUBSYSTEM, &name));
-            kind_hists.push(registry.histogram(COST_SUBSYSTEM, &format!("{name}_hist")));
-        }
         CostRecorder {
-            total,
-            kinds,
-            kind_hists,
+            total: registry.counter(COST_SUBSYSTEM, "total_cycles"),
+            kinds: CostKind::ALL
+                .iter()
+                .map(|k| {
+                    registry.histogram(COST_SUBSYSTEM, &format!("kind_{}_cycles_hist", k.label()))
+                })
+                .collect(),
             per_sweep: registry.histogram(COST_SUBSYSTEM, "per_sweep_cycles"),
             sites: IdMap::default(),
-            arena_none: None,
             arenas: HashMap::new(),
             registry: registry.clone(),
-            dropped: None,
         }
-    }
-
-    /// Self-test leak injection: skip `kind`'s *counter* on every future
-    /// charge while still feeding its histogram and the total, so
-    /// reconciliation fails and names exactly that kind.
-    pub fn set_drop(&mut self, kind: Option<CostKind>) {
-        self.dropped = kind;
     }
 
     /// Records one charge. Zero-cycle charges are ignored (they cannot
-    /// move any sum and would only pollute the histograms).
+    /// move any sum and would only pollute the histograms). An unlabelled
+    /// charge (`arena: None`) has no arena dimension to land in.
     pub fn charge(
         &mut self,
         kind: CostKind,
@@ -160,11 +142,7 @@ impl CostRecorder {
             return;
         }
         self.total.add(cycles);
-        let i = kind.index();
-        if self.dropped != Some(kind) {
-            self.kinds[i].add(cycles);
-        }
-        self.kind_hists[i].record(cycles);
+        self.kinds[kind.index()].record(cycles);
         let registry = &self.registry;
         self.sites
             .entry(site)
@@ -176,20 +154,16 @@ impl CostRecorder {
                 registry.counter(COST_SUBSYSTEM, &name)
             })
             .add(cycles);
-        match arena {
-            None => self
-                .arena_none
-                .get_or_insert_with(|| registry.counter(COST_SUBSYSTEM, "arena_none_cycles"))
-                .add(cycles),
-            Some(label) => match self.arenas.get(label) {
+        if let Some(label) = arena {
+            match self.arenas.get(label) {
                 Some(counter) => counter.add(cycles),
                 None => {
-                    let name = format!("arena_{label}_cycles");
-                    let counter = registry.counter(COST_SUBSYSTEM, &name);
+                    let counter =
+                        registry.counter(COST_SUBSYSTEM, &format!("arena_{label}_cycles"));
                     counter.add(cycles);
                     self.arenas.insert(label.to_string(), counter);
                 }
-            },
+            }
         }
     }
 
@@ -210,15 +184,16 @@ impl CostRecorder {
 /// it is built from plain counters and histograms).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct CostLedger {
-    /// Independently accumulated grand total (`cost/total_cycles`).
+    /// The grand total (`cost/total_cycles`).
     pub total: u64,
-    /// Per-kind `(label, counter_cycles, histogram_sum)` in
-    /// [`CostKind::ALL`] order.
+    /// Per-kind `(label, cycles, charges)` — the sum and count of the
+    /// kind's histogram — in [`CostKind::ALL`] order.
     pub kinds: Vec<(String, u64, u64)>,
     /// Per-site `(key, cycles)`; key is the numeric site id as text or
     /// `"none"` for unattributed charges. Sorted by cycles descending.
     pub sites: Vec<(String, u64)>,
-    /// Per-arena `(label, cycles)`, sorted by cycles descending.
+    /// Per-arena `(label, cycles)`, sorted by cycles descending; empty
+    /// unless the run labelled its charges with arenas.
     pub arenas: Vec<(String, u64)>,
 }
 
@@ -231,15 +206,15 @@ impl CostLedger {
     /// carries no `cost/total_cycles` counter (ledger was off).
     pub fn from_snapshot(snap: &Snapshot) -> Option<CostLedger> {
         let total = snap.counter(COST_SUBSYSTEM, "total_cycles")?;
-        let mut kinds = Vec::with_capacity(CostKind::ALL.len());
-        for k in CostKind::ALL {
-            let name = format!("kind_{}_cycles", k.label());
-            let counted = snap.counter(COST_SUBSYSTEM, &name).unwrap_or(0);
-            let summed = snap
-                .histogram(COST_SUBSYSTEM, &format!("{name}_hist"))
-                .map_or(0, |h| h.sum);
-            kinds.push((k.label().to_string(), counted, summed));
-        }
+        let kinds = CostKind::ALL
+            .iter()
+            .map(|k| {
+                let hist =
+                    snap.histogram(COST_SUBSYSTEM, &format!("kind_{}_cycles_hist", k.label()));
+                let (cycles, charges) = hist.map_or((0, 0), |h| (h.sum, h.count()));
+                (k.label().to_string(), cycles, charges)
+            })
+            .collect();
         let mut sites = Vec::new();
         let mut arenas = Vec::new();
         for c in &snap.counters {
@@ -257,38 +232,29 @@ impl CostLedger {
         Some(CostLedger { total, kinds, sites, arenas })
     }
 
-    /// Sum of the per-kind counters.
+    /// Sum of the per-kind cycles.
     pub fn kind_sum(&self) -> u64 {
         self.kinds.iter().map(|(_, c, _)| c).sum()
     }
 
     /// Checks the conservation invariants and returns every violation,
-    /// each naming the kind or dimension that leaked. Empty = clean.
+    /// each naming the dimension that leaked. Empty = clean.
     ///
-    /// Invariants: each kind's counter equals its histogram sum; the
-    /// kind, site and arena dimensions each sum to `total_cycles`.
+    /// Invariants: the kind and site dimensions each sum to
+    /// `total_cycles`, and so does the arena dimension when the run has
+    /// one.
     pub fn reconcile(&self) -> Vec<String> {
-        let mut leaks = Vec::new();
-        for (label, counted, summed) in &self.kinds {
-            if counted != summed {
-                leaks.push(format!(
-                    "kind {label}: counter {counted} != histogram sum {summed} \
-                     (charge leaked in {label})"
-                ));
-            }
+        let sum = |v: &[(String, u64)]| v.iter().map(|(_, c)| c).sum::<u64>();
+        let mut dims = vec![("kind", self.kind_sum()), ("site", sum(&self.sites))];
+        if !self.arenas.is_empty() {
+            dims.push(("arena", sum(&self.arenas)));
         }
-        let check_dim = |leaks: &mut Vec<String>, dim: &str, sum: u64| {
-            if sum != self.total {
-                leaks.push(format!(
-                    "{dim} dimension sums to {sum}, total_cycles is {}",
-                    self.total
-                ));
-            }
-        };
-        check_dim(&mut leaks, "kind", self.kind_sum());
-        check_dim(&mut leaks, "site", self.sites.iter().map(|(_, v)| v).sum());
-        check_dim(&mut leaks, "arena", self.arenas.iter().map(|(_, v)| v).sum());
-        leaks
+        dims.into_iter()
+            .filter(|&(_, s)| s != self.total)
+            .map(|(dim, s)| {
+                format!("{dim} dimension sums to {s}, total_cycles is {}", self.total)
+            })
+            .collect()
     }
 }
 
@@ -307,38 +273,55 @@ mod tests {
     }
 
     #[test]
-    fn recorder_conserves_across_all_dimensions() {
-        let reg = Registry::new();
-        let mut rec = CostRecorder::new(&reg);
-        rec.charge(CostKind::Zeroing, 100, Some(7), None);
-        rec.charge(CostKind::Quarantine, 40, Some(7), Some("a0"));
-        rec.charge(CostKind::MarkScan, 900, None, Some("a1"));
-        rec.charge(CostKind::Stw, 0, None, None); // ignored
-        assert_eq!(rec.total(), 1040);
-
-        let ledger = CostLedger::from_snapshot(&reg.snapshot()).unwrap();
-        assert_eq!(ledger.total, 1040);
-        assert_eq!(ledger.reconcile(), Vec::<String>::new());
-        assert_eq!(ledger.sites[0], ("none".to_string(), 900));
-        assert!(ledger.sites.contains(&("7".to_string(), 140)));
-        assert!(ledger.arenas.contains(&("a1".to_string(), 900)));
+    fn index_is_the_position_in_all() {
+        for (i, k) in CostKind::ALL.iter().enumerate() {
+            assert_eq!(k.index(), i, "{}", k.label());
+        }
     }
 
     #[test]
-    fn dropped_kind_is_named_by_reconcile() {
+    fn recorder_conserves_across_all_dimensions() {
         let reg = Registry::new();
         let mut rec = CostRecorder::new(&reg);
-        rec.charge(CostKind::Zeroing, 10, None, None);
-        rec.set_drop(Some(CostKind::Stw));
-        rec.charge(CostKind::Stw, 55, None, None);
+        rec.charge(CostKind::Zeroing, 100, Some(7), Some("a0"));
+        rec.charge(CostKind::Quarantine, 40, Some(7), Some("a0"));
+        rec.charge(CostKind::MarkScan, 900, None, Some("a1"));
+        rec.charge(CostKind::MarkScan, 50, None, Some("a1"));
+        rec.charge(CostKind::Stw, 0, None, Some("a1")); // ignored
+        assert_eq!(rec.total(), 1090);
 
         let ledger = CostLedger::from_snapshot(&reg.snapshot()).unwrap();
-        let leaks = ledger.reconcile();
-        assert!(!leaks.is_empty());
-        assert!(leaks.iter().any(|l| l.contains("kind stw")), "{leaks:?}");
-        // Sites and arenas still conserve: the drop only loses the kind
-        // counter, so exactly the kind checks fire.
-        assert!(leaks.iter().all(|l| !l.contains("site dimension")), "{leaks:?}");
+        assert_eq!(ledger.total, 1090);
+        assert_eq!(ledger.reconcile(), Vec::<String>::new());
+        assert_eq!(ledger.kinds[CostKind::MarkScan.index()], ("mark_scan".into(), 950, 2));
+        assert_eq!(ledger.kinds[CostKind::Stw.index()], ("stw".into(), 0, 0));
+        assert_eq!(ledger.sites[0], ("none".to_string(), 950));
+        assert!(ledger.sites.contains(&("7".to_string(), 140)));
+        assert!(ledger.arenas.contains(&("a1".to_string(), 950)));
+    }
+
+    #[test]
+    fn unlabelled_charges_form_no_arena_dimension() {
+        let reg = Registry::new();
+        let mut rec = CostRecorder::new(&reg);
+        rec.charge(CostKind::Zeroing, 10, Some(3), None);
+        rec.charge(CostKind::Stw, 55, None, None);
+        let snap = reg.snapshot();
+        assert!(snap.counters.iter().all(|c| !c.name.starts_with("arena_")));
+        let ledger = CostLedger::from_snapshot(&snap).unwrap();
+        assert!(ledger.arenas.is_empty());
+        assert_eq!(ledger.reconcile(), Vec::<String>::new());
+    }
+
+    #[test]
+    fn a_leaked_site_charge_is_named_by_dimension() {
+        let reg = Registry::new();
+        let mut rec = CostRecorder::new(&reg);
+        rec.charge(CostKind::Zeroing, 10, Some(3), None);
+        // A charge that bypassed the recorder's site counter.
+        reg.counter(COST_SUBSYSTEM, "site_3_cycles").add(1);
+        let leaks = CostLedger::from_snapshot(&reg.snapshot()).unwrap().reconcile();
+        assert_eq!(leaks, vec!["site dimension sums to 11, total_cycles is 10".to_string()]);
     }
 
     #[test]

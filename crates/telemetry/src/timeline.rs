@@ -529,7 +529,7 @@ impl RunReport {
         out
     }
 
-    /// Renders the `--pinners` table: allocation sites ranked by the
+    /// Renders the pinner table: allocation sites ranked by the
     /// bytes their failed frees currently pin in quarantine, with the
     /// provenance-edge hits recorded against them in the final sweep.
     pub fn pinner_table(&self) -> String {
@@ -579,7 +579,7 @@ impl RunReport {
         out
     }
 
-    /// Renders the `--failed-frees` table: every currently pinned entry
+    /// Renders the failed-free detail table: every currently pinned entry
     /// with its ledger history, oldest residents first.
     pub fn failed_free_detail_table(&self) -> String {
         if !self.has_forensics() {

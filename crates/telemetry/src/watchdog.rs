@@ -251,7 +251,7 @@ fn quarantine_permille(snap: &Snapshot) -> Option<u64> {
     Some(resident.saturating_mul(1000) / quarantined)
 }
 
-/// Renders the `ms-report --slo` pass/fail table.
+/// Renders the SLO pass/fail table (`ms-report DIR --slo SPEC`).
 pub fn slo_table(checks: &[SloCheck]) -> String {
     let mut out = String::from("objective  limit         observed      unit      verdict\n");
     for c in checks {

@@ -30,13 +30,6 @@ trap 'rm -rf "$smoke_dir"' EXIT
 # these so any stage also works standalone via --stage.
 # ---------------------------------------------------------------------------
 
-ensure_demo_metrics() {
-    [ -s "$smoke_dir/metrics.json" ] && return 0
-    cargo run -q --release -p ms-cli --bin minesweeper-sim -- run demo \
-        --system ms --trace-out "$smoke_dir/run.jsonl" \
-        --metrics-out "$smoke_dir/metrics.json" > /dev/null
-}
-
 ensure_security_matrix() {
     [ -s "$smoke_dir/SECURITY_matrix.json" ] && return 0
     cargo run -q --release -p ms-cli --bin minesweeper-sim -- \
@@ -73,53 +66,70 @@ stage_swar_tests() {
         || { echo "core tests fail under the SWAR scan tier"; exit 1; }
 }
 
-# desc: traced run JSONL parses and reconciles with metrics
-stage_telemetry_smoke() {
-    ensure_demo_metrics
-    test -s "$smoke_dir/run.jsonl" || { echo "empty trace"; exit 1; }
-    test -s "$smoke_dir/metrics.json" || { echo "empty metrics"; exit 1; }
-    cargo run -q --release -p ms-cli --bin ms-report -- "$smoke_dir/run.jsonl" \
-        --metrics "$smoke_dir/metrics.json" --check \
-        | grep -q "reconcile: trace totals match metrics counters" \
-        || { echo "trace/metrics reconciliation failed"; exit 1; }
-}
-
-# desc: sharded-arena metrics render and reconcile
-stage_arena_smoke() {
-    # N tenants over one sharded pool: the metrics-only ms-report mode must
-    # render the per-arena table, and --check must reconcile the per-shard
-    # counters (copied from each layer) exactly against the independently
-    # accumulated arena/total_* globals — a lost update on either path fails.
-    cargo run -q --release -p ms-cli --bin minesweeper-sim -- run demo \
-        --system ms --arenas 4 \
-        --metrics-out "$smoke_dir/arena_metrics.json" > /dev/null
-    cargo run -q --release -p ms-cli --bin ms-report -- \
-        --metrics "$smoke_dir/arena_metrics.json" --check \
-        | grep -q "reconcile: arena shard counters match global totals" \
-        || { echo "arena shard/global reconciliation failed"; exit 1; }
-    # The qratio objective judges each shard separately on sharded
-    # snapshots; a generous ceiling must still pass through that path.
-    cargo run -q --release -p ms-cli --bin ms-report -- \
-        --slo qratio=1000 --metrics "$smoke_dir/arena_metrics.json" > /dev/null \
-        || { echo "per-arena qratio SLO must pass a generous ceiling"; exit 1; }
-}
-
-# desc: forensic trace schema, pinner table and ledger reconcile
-stage_forensics_smoke() {
-    cargo run -q --release -p ms-cli --bin minesweeper-sim -- run demo \
-        --system ms --forensics full --trace-out "$smoke_dir/forensic.jsonl" \
-        --metrics-out "$smoke_dir/forensic_metrics.json" > /dev/null
-    grep -q '"ledger_entries"' "$smoke_dir/forensic.jsonl" \
+# desc: run dossiers pass every gate; doctored copies fail it (exit 2)
+stage_dossier() {
+    # One forensic run directory and one sharded one: ms-report renders
+    # every section their files support and every gate passes (exit 0).
+    # Each gate must then fail a doctored copy of a real run directory
+    # with exactly exit 2, naming the gate and what broke; an impossible
+    # SLO is a gate failure too, and a missing directory is bad input (1).
+    local sim=(cargo run -q --release -p ms-cli --bin minesweeper-sim --)
+    local report=(cargo run -q --release -p ms-cli --bin ms-report --)
+    local run="$smoke_dir/run" arenas="$smoke_dir/arenas" line rc
+    "${sim[@]}" run demo --system ms --forensics full --out "$run" > /dev/null
+    "${sim[@]}" run demo --system ms --arenas 4 --out "$arenas" > /dev/null
+    test -s "$run/trace.jsonl" || { echo "run dir has no trace"; exit 1; }
+    test -s "$run/metrics.json" || { echo "run dir has no metrics"; exit 1; }
+    test -s "$arenas/metrics.json" || { echo "arena run dir has no metrics"; exit 1; }
+    test ! -e "$arenas/trace.jsonl" || { echo "the pooled runner writes no trace"; exit 1; }
+    grep -q '"ledger_entries"' "$run/trace.jsonl" \
         || { echo "forensic trace missing ledger snapshots"; exit 1; }
-    cargo run -q --release -p ms-cli --bin ms-report -- "$smoke_dir/forensic.jsonl" \
-        --metrics "$smoke_dir/forensic_metrics.json" --pinners --failed-frees --check \
-        > "$smoke_dir/forensic_report.txt" \
-        || { echo "forensic report failed"; exit 1; }
-    grep -q "pinned sites" "$smoke_dir/forensic_report.txt" \
-        || { echo "forensic report missing pinner table"; exit 1; }
-    grep -q "reconcile: trace totals match metrics counters" \
-        "$smoke_dir/forensic_report.txt" \
-        || { echo "forensic reconciliation failed"; exit 1; }
+    "${report[@]}" "$run" --check --slo stw=999999999999,sweep=999999999999,qratio=1000 \
+        > "$smoke_dir/run.txt" \
+        || { cat "$smoke_dir/run.txt"; echo "clean run dossier must exit 0"; exit 1; }
+    for line in "== timeline ==" "== failed frees ==" "== quarantine ==" \
+        "== pinners ==" "== failed-free detail ==" "== pauses ==" "== cost ledger ==" \
+        "== slo ==" "pinned sites" "defence cost ledger:" "pinned bytes" \
+        "trace-reconcile: ok" "mark-accounting: ok" "cost-conservation: ok" "slo: ok"; do
+        grep -qF "$line" "$smoke_dir/run.txt" || { echo "run dossier missing: $line"; exit 1; }
+    done
+    # qratio judges each shard separately on a sharded snapshot; a
+    # generous ceiling must still pass through that path.
+    "${report[@]}" "$arenas" --check --slo qratio=1000 > "$smoke_dir/arenas.txt" \
+        || { cat "$smoke_dir/arenas.txt"; echo "clean arena dossier must exit 0"; exit 1; }
+    for line in "== arenas ==" "scheduler:" "arena-shards: ok" "cost-conservation: ok" \
+        "slo: ok"; do
+        grep -qF "$line" "$smoke_dir/arenas.txt" \
+            || { echo "arena dossier missing: $line"; exit 1; }
+    done
+    # doctor NAME SRC FILE SED GATE_LINE: copy run dir SRC, edit FILE with
+    # SED, and require --check to exit 2 printing GATE_LINE.
+    doctor() {
+        local bad="$smoke_dir/bad_$1" rc=0
+        rm -rf "$bad"
+        cp -r "$2" "$bad"
+        sed -i "$4" "$bad/$3"
+        ! cmp -s "$2/$3" "$bad/$3" || { echo "doctoring $1 changed nothing"; exit 1; }
+        "${report[@]}" "$bad" --check > "$bad.txt" 2>&1 || rc=$?
+        [ "$rc" -eq 2 ] || { cat "$bad.txt"; echo "doctored $1 must exit 2 (got $rc)"; exit 1; }
+        grep -qF "$5" "$bad.txt" || { cat "$bad.txt"; echo "doctored $1 must name: $5"; exit 1; }
+        ! grep -q USAGE "$bad.txt" || { echo "a failed gate prints no usage text"; exit 1; }
+    }
+    local counter='"subsystem": "%s", "name": "%s", "value": '
+    doctor released "$run" metrics.json "s/\($(printf "$counter" layer released)\)/\11/" \
+        "trace-reconcile: FAILED: released: events say"
+    doctor words "$run" trace.jsonl '0,/"words": /s//"words": 1/' \
+        "mark-accounting: FAILED: sweep 1:"
+    doctor site "$run" metrics.json "s/\($(printf "$counter" cost site_none_cycles)\)/\11/" \
+        "cost-conservation: FAILED: site dimension sums to"
+    doctor shard "$arenas" metrics.json "s/\($(printf "$counter" arena a1_sweeps)\)/\11/" \
+        "arena-shards: FAILED: a1: a1_sweeps counter"
+    rc=0
+    "${report[@]}" "$run" --slo sweep=1 > /dev/null 2>&1 || rc=$?
+    [ "$rc" -eq 2 ] || { echo "impossible SLO policy must breach with exit 2 (got $rc)"; exit 1; }
+    rc=0
+    "${report[@]}" "$smoke_dir/no_such_run" --check > /dev/null 2>&1 || rc=$?
+    [ "$rc" -eq 1 ] || { echo "a missing run dir must exit 1 (got $rc)"; exit 1; }
 }
 
 # desc: JSONL wire format matches committed fixtures (UPDATE_GOLDEN=1)
@@ -232,20 +242,6 @@ stage_e2e_bench_smoke() {
     [ "$rc" -eq 1 ] || { echo "sample_profile --bogus must exit 1 (got $rc)"; exit 1; }
 }
 
-# desc: generous SLO passes, impossible SLO breaches (exit 2)
-stage_slo_smoke() {
-    ensure_demo_metrics
-    cargo run -q --release -p ms-cli --bin ms-report -- \
-        --slo stw=999999999999,sweep=999999999999,qratio=1000 \
-        --metrics "$smoke_dir/metrics.json" > /dev/null \
-        || { echo "generous SLO policy must pass"; exit 1; }
-    local rc=0
-    cargo run -q --release -p ms-cli --bin ms-report -- \
-        --slo sweep=1 --metrics "$smoke_dir/metrics.json" > /dev/null || rc=$?
-    [ "$rc" -eq 2 ] \
-        || { echo "impossible SLO policy must breach with exit 2 (got $rc)"; exit 1; }
-}
-
 # desc: security matrix regenerates byte-identically and passes the gate
 stage_security() {
     # The adversarial corpus is deterministic: the same seed must
@@ -263,6 +259,11 @@ stage_security() {
     cmp -s SECURITY_matrix.json "$smoke_dir/SECURITY_matrix.json" \
         || { echo "SECURITY_matrix.json drifted from the committed copy" \
              "(regenerate with UPDATE_SECURITY_BASELINE=1)"; exit 1; }
+    # Schema 2: every cell carries its defence-cycle attribution.
+    grep -q '"schema": 2' "$smoke_dir/SECURITY_matrix.json" \
+        || { echo "security matrix must be schema 2"; exit 1; }
+    grep -q '"defence_cycles"' "$smoke_dir/SECURITY_matrix.json" \
+        || { echo "security matrix cells missing defence_cycles"; exit 1; }
     cargo run -q --release -p ms-cli --bin ms-report -- \
         --security "$smoke_dir/SECURITY_matrix.json" \
         --baseline SECURITY_baseline.json --check \
@@ -298,45 +299,6 @@ stage_security_selftest() {
         --security "$smoke_dir/SECURITY_matrix.json" \
         --baseline SECURITY_baseline.json > /dev/null \
         || { echo "clean matrix must pass with exit 0"; exit 1; }
-}
-
-# desc: cost ledger reconciles; injected leak fails the gate (exit 2)
-stage_costs() {
-    # The defence-cost observatory's acceptance gate: a clean run's
-    # ledger must reconcile across every attribution dimension, the
-    # regenerated security matrix must carry per-cell defence costs
-    # (schema 2), and deliberately dropping one kind's counter must make
-    # `--costs --check` fail with exactly exit 2, naming the kind.
-    ensure_demo_metrics
-    cargo run -q --release -p ms-cli --bin ms-report -- \
-        --costs "$smoke_dir/metrics.json" --check > "$smoke_dir/costs.txt" \
-        || { echo "clean cost ledger failed to reconcile"; exit 1; }
-    grep -q "defence cost ledger:" "$smoke_dir/costs.txt" \
-        || { echo "cost report missing the ledger header"; exit 1; }
-    grep -q "reconcile: kind/site/arena" "$smoke_dir/costs.txt" \
-        || { echo "cost report missing the reconcile line"; exit 1; }
-    ensure_security_matrix
-    grep -q '"schema": 2' "$smoke_dir/SECURITY_matrix.json" \
-        || { echo "security matrix must be schema 2"; exit 1; }
-    grep -q '"defence_cycles"' "$smoke_dir/SECURITY_matrix.json" \
-        || { echo "security matrix cells missing defence_cycles"; exit 1; }
-    # Leak self-test: drop the zeroing counter, the gate must fire.
-    cargo run -q --release -p ms-cli --bin minesweeper-sim -- run demo \
-        --system ms --cost-drop zeroing \
-        --metrics-out "$smoke_dir/leaky_metrics.json" > /dev/null
-    local rc=0
-    cargo run -q --release -p ms-cli --bin ms-report -- \
-        --costs "$smoke_dir/leaky_metrics.json" --check \
-        > "$smoke_dir/cost_leak.txt" || rc=$?
-    [ "$rc" -eq 2 ] \
-        || { echo "dropped-kind ledger must fail with exit 2 (got $rc)"; exit 1; }
-    grep -q "zeroing" "$smoke_dir/cost_leak.txt" \
-        || { echo "leak report must name the dropped kind"; exit 1; }
-    # Exit-code contract: unreadable input is 1, not a gate failure.
-    rc=0
-    cargo run -q --release -p ms-cli --bin ms-report -- \
-        --costs "$smoke_dir/does_not_exist.json" > /dev/null 2>&1 || rc=$?
-    [ "$rc" -eq 1 ] || { echo "bad costs input must exit 1 (got $rc)"; exit 1; }
 }
 
 # desc: rustdoc builds with no broken intra-doc links
@@ -423,17 +385,13 @@ STAGES=(
     root-tests
     workspace-tests
     swar-tests
-    telemetry-smoke
-    arena-smoke
-    forensics-smoke
+    dossier
     golden-traces
     model-lock
     kernel-gate
     e2e-bench-smoke
-    slo-smoke
     security
     security-selftest
-    costs
     rustdoc
     doc-modules
     clippy
