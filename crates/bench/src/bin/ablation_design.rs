@@ -32,7 +32,7 @@ fn main() {
     let base_x = run(&xalanc, System::Baseline, SEED);
     let base_o = run(&omnetpp, System::Baseline, SEED);
     for threshold in [0.05, 0.10, 0.15, 0.25, 0.50] {
-        let cfg = MsConfig::builder().sweep_threshold(threshold).build();
+        let cfg = MsConfig { sweep_threshold: threshold, ..MsConfig::default() };
         let x = run(&xalanc, System::MineSweeper(cfg), SEED);
         let o = run(&omnetpp, System::MineSweeper(cfg), SEED);
         rows.push(vec![
@@ -56,7 +56,7 @@ fn main() {
         "cpu util".into(),
     ]];
     for helpers in [0usize, 1, 3, 6, 7] {
-        let cfg = MsConfig::builder().helper_threads(helpers).build();
+        let cfg = MsConfig { helper_threads: helpers, ..MsConfig::default() };
         let m = run(&omnetpp, System::MineSweeper(cfg), SEED);
         rows.push(vec![
             (helpers + 1).to_string() + " threads",
@@ -78,7 +78,7 @@ fn main() {
         "pause cycles".into(),
     ]];
     for factor in [1.5, 2.0, 4.0, 8.0, 100.0] {
-        let cfg = MsConfig::builder().pause_factor(factor).build();
+        let cfg = MsConfig { pause_factor: factor, ..MsConfig::default() };
         let m = run(&stress, System::MineSweeper(cfg), SEED);
         rows.push(vec![
             format!("{factor}"),

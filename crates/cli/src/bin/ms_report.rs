@@ -1,6 +1,5 @@
 //! `ms-report`: render the dossier of a run directory written by
-//! `minesweeper-sim run --out DIR` and run its gates, or render and gate
-//! a security matrix.
+//! `minesweeper-sim run --out DIR` and run its gates.
 
 use std::process::ExitCode;
 
@@ -11,7 +10,6 @@ ms-report — one report per MineSweeper run
 
 USAGE:
     ms-report <run-dir> [--check] [--slo <spec>]
-    ms-report --security <matrix.json> [--baseline <matrix.json>] [--check]
 
 <run-dir> is what `minesweeper-sim run <benchmark> --out <run-dir>` writes:
 metrics.json always, trace.jsonl unless the run used --arenas. The report
@@ -38,18 +36,10 @@ renders every section those files support, in this order:
 --slo <spec> adds the slo table and gate; the spec is a comma list of
 stw=CYCLES, sweep=CYCLES, qratio=PERMILLE and util=PCT.
 
---security renders the scenario x backend verdict matrix from a
-SECURITY_matrix.json (minesweeper-sim exploit --corpus --out); --check
-reconciles its embedded security/* counters against the cells — including
-each cell's schema-2 defence-cycle attribution. With --baseline it diffs
-the matrix against a committed baseline and fails when a cell's verdict
-regressed, a baseline cell went missing, or any minesweeper cell is
-compromised (the hard floor).
-
 EXIT CODES:
     0  report printed, every gate that ran passed
     1  bad input — missing or unreadable directory or file, malformed
-       document or SLO spec, unknown flag
+       file or SLO spec, unknown flag
     2  a gate failed; the report and stderr name it
 ";
 
@@ -59,7 +49,6 @@ const GATE_FAILED: u8 = 2;
 enum Mode {
     Help,
     Dossier { dir: String, check: bool, slo: Option<String> },
-    Security { matrix: String, baseline: Option<String>, check: bool },
 }
 
 fn main() -> ExitCode {
@@ -93,22 +82,16 @@ fn main() -> ExitCode {
 fn parse(args: &[String]) -> Result<Mode, CliError> {
     let mut dir = None;
     let mut slo = None;
-    let mut security = None;
-    let mut baseline = None;
     let mut check = false;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
-        let mut value = |slot: &mut Option<String>| {
-            let v = it.next().ok_or_else(|| CliError(format!("{arg} needs a value")))?;
-            *slot = Some(v.clone());
-            Ok::<(), CliError>(())
-        };
         match arg.as_str() {
             "-h" | "--help" => return Ok(Mode::Help),
             "--check" => check = true,
-            "--slo" => value(&mut slo)?,
-            "--security" => value(&mut security)?,
-            "--baseline" => value(&mut baseline)?,
+            "--slo" => {
+                let v = it.next().ok_or_else(|| CliError("--slo needs a value".into()))?;
+                slo = Some(v.clone());
+            }
             flag if flag.starts_with('-') => {
                 return Err(CliError(format!("unknown flag: {flag}")));
             }
@@ -119,15 +102,8 @@ fn parse(args: &[String]) -> Result<Mode, CliError> {
             }
         }
     }
-    match (security, dir) {
-        (Some(matrix), None) if slo.is_none() => Ok(Mode::Security { matrix, baseline, check }),
-        (Some(_), _) => Err(CliError("--security takes no run directory or --slo".into())),
-        (None, _) if baseline.is_some() => {
-            Err(CliError("--baseline needs --security <matrix.json>".into()))
-        }
-        (None, Some(dir)) => Ok(Mode::Dossier { dir, check, slo }),
-        (None, None) => Err(CliError("ms-report needs a run directory".into())),
-    }
+    let dir = dir.ok_or_else(|| CliError("ms-report needs a run directory".into()))?;
+    Ok(Mode::Dossier { dir, check, slo })
 }
 
 /// Runs one mode: the text to print and every failed gate.
@@ -137,23 +113,6 @@ fn run(mode: Mode) -> Result<(String, Vec<String>), CliError> {
         Mode::Dossier { dir, check, slo } => {
             let d = ms_cli::render_dossier(&dir, check, slo.as_deref())?;
             Ok((d.text, d.failed))
-        }
-        Mode::Security { matrix, baseline, check } => {
-            let new_text = ms_cli::read_file(&matrix)?;
-            let (mut out, drifted) = ms_cli::render_security(&new_text, check)?;
-            let mut failed = Vec::new();
-            if drifted {
-                failed.push("security-counters: counters disagree with the cells".to_string());
-            }
-            if let Some(base) = baseline {
-                let (gate, regressed) =
-                    ms_cli::gate_security(&ms_cli::read_file(&base)?, &new_text)?;
-                out.push_str(&gate);
-                if regressed {
-                    failed.push("security-baseline: verdicts regressed".to_string());
-                }
-            }
-            Ok((out, failed))
         }
     }
 }

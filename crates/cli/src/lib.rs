@@ -60,11 +60,9 @@ pub enum Command {
         corpus: bool,
         /// Write the matrix as `SECURITY_matrix.json` here.
         out: Option<String>,
-        /// Number of fuzzed scenarios appended to the named corpus.
+        /// Number of fuzzed scenarios appended to the named corpus, at
+        /// most [`MAX_FUZZ`].
         fuzz: u32,
-        /// Protection-weakening knob (`quarantine-off`,
-        /// `ignore-failed-frees`) for the CI gate self-test.
-        weaken: Option<String>,
         /// Seed for the scenario fuzzer.
         seed: u64,
     },
@@ -126,7 +124,6 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
             let mut arenas = None;
             let mut corpus = false;
             let mut fuzz = 3u32;
-            let mut weaken = None;
             while let Some(arg) = it.next() {
                 match arg.as_str() {
                     "--corpus" => corpus = true,
@@ -136,14 +133,11 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                             .ok_or_else(|| CliError("--fuzz needs a value".into()))?;
                         fuzz = v
                             .parse()
-                            .map_err(|_| CliError(format!("bad fuzz count: {v}")))?;
-                    }
-                    "--weaken" => {
-                        weaken = Some(
-                            it.next()
-                                .ok_or_else(|| CliError("--weaken needs a value".into()))?
-                                .clone(),
-                        );
+                            .ok()
+                            .filter(|n| *n <= MAX_FUZZ)
+                            .ok_or_else(|| {
+                                CliError(format!("bad fuzz count: {v} (at most {MAX_FUZZ})"))
+                            })?;
                     }
                     "--system" => {
                         system = it
@@ -209,10 +203,8 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
             if cmd != "run" && (forensics.is_some() || arenas.is_some()) {
                 return Err(CliError("--forensics/--arenas are only valid with `run`".into()));
             }
-            if cmd != "exploit" && (corpus || fuzz != 3 || weaken.is_some()) {
-                return Err(CliError(
-                    "--corpus/--fuzz/--weaken are only valid with `exploit`".into(),
-                ));
+            if cmd != "exploit" && (corpus || fuzz != 3) {
+                return Err(CliError("--corpus/--fuzz are only valid with `exploit`".into()));
             }
             match cmd.as_str() {
                 "run" => Ok(Command::Run {
@@ -238,7 +230,7 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                     knobs,
                     seed,
                 }),
-                _ => Ok(Command::Exploit { system, corpus, out, fuzz, weaken, seed }),
+                _ => Ok(Command::Exploit { system, corpus, out, fuzz, seed }),
             }
         }
         other => Err(CliError(format!("unknown command: {other}"))),
@@ -448,25 +440,16 @@ pub fn execute(cmd: &Command) -> Result<String, CliError> {
             }
             Ok(table(&rows))
         }
-        Command::Exploit { system, corpus, out, fuzz, weaken, seed } => {
+        Command::Exploit { system, corpus, out, fuzz, seed } => {
             if *corpus {
-                let weaken = match weaken.as_deref() {
-                    None => sim::Weaken::None,
-                    Some(label) => sim::Weaken::parse(label)
-                        .ok_or_else(|| CliError(format!("unknown weaken knob: {label}")))?,
-                };
-                let matrix = sim::run_corpus(*seed, *fuzz, weaken);
-                let json = matrix.to_json();
-                let (mut text, _) = render_security(&json, false)?;
+                let matrix = sim::run_corpus(*seed, *fuzz, sim::Weaken::None);
+                let mut text = matrix_table(&matrix);
                 if let Some(path) = out {
-                    write_file(path, &json)?;
+                    write_file(path, &matrix.to_json())?;
                     text.push_str(&format!("wrote security matrix to {path}\n"));
                 }
                 Ok(text)
             } else {
-                if weaken.is_some() {
-                    return Err(CliError("--weaken needs --corpus".into()));
-                }
                 let sys = system_by_label(system)?;
                 let r = run_exploit(&figure2_attack(), sys);
                 Ok(format!(
@@ -502,6 +485,10 @@ pub fn execute(cmd: &Command) -> Result<String, CliError> {
     }
 }
 
+/// Largest `exploit --fuzz` count accepted: the corpus runner builds every
+/// scenario and reserves every cell up front, so the count bounds memory.
+pub const MAX_FUZZ: u32 = 1_000;
+
 /// File name of the sweep trace inside a run directory.
 pub const TRACE_FILE: &str = "trace.jsonl";
 
@@ -513,7 +500,7 @@ pub const METRICS_FILE: &str = "metrics.json";
 /// # Errors
 ///
 /// [`CliError`] naming the path when it cannot be read.
-pub fn read_file(path: impl AsRef<Path>) -> Result<String, CliError> {
+fn read_file(path: impl AsRef<Path>) -> Result<String, CliError> {
     let path = path.as_ref();
     std::fs::read_to_string(path)
         .map_err(|e| CliError(format!("cannot read {}: {e}", path.display())))
@@ -873,355 +860,58 @@ fn cost_ledger(snap: &Snapshot, ledger: &sim::CostLedger, forensic: Option<&RunR
     out
 }
 
-/// One parsed `SECURITY_matrix.json` cell: a scenario × backend verdict
-/// with its baseline attack-window latency and — schema 2 — the defence
-/// cycles that backend spent earning the verdict, broken down by
-/// [`sim::CostKind`]. Schema-1 documents predate the cost ledger; their
-/// cells parse with zero defence cost.
-struct SecCellView {
-    scenario: String,
-    backend: String,
-    verdict: String,
-    window: Option<u64>,
-    defence_cycles: u64,
-    defence_kinds: Vec<(String, u64)>,
-}
-
-/// A `(scenario, backend) -> verdict label` view of a parsed
-/// `SECURITY_matrix.json`, plus the run's provenance fields.
-struct SecDoc {
-    schema: u64,
-    weaken: String,
-    seed: u64,
-    fuzz: u64,
-    backends: Vec<String>,
-    scenarios: Vec<String>,
-    cells: Vec<SecCellView>,
-    counters: Vec<(String, u64)>,
-}
-
-fn parse_security(text: &str) -> Result<SecDoc, CliError> {
-    let doc = telemetry::json::Json::parse(text)
-        .map_err(|e| CliError(format!("bad security matrix: {e}")))?;
-    let schema = doc.get("schema").and_then(telemetry::json::Json::as_u64);
-    let min = u64::from(sim::SECURITY_MIN_SCHEMA);
-    let max = u64::from(sim::SECURITY_SCHEMA);
-    let schema = match schema {
-        Some(s) if (min..=max).contains(&s) => s,
-        _ => {
-            return Err(CliError(format!(
-                "unsupported security matrix schema {schema:?} (want {min}..={max})"
-            )))
-        }
-    };
-    let str_list = |key: &str, field: &str| -> Result<Vec<String>, CliError> {
-        doc.get(key)
-            .and_then(telemetry::json::Json::as_array)
-            .ok_or_else(|| CliError(format!("security matrix missing {key}")))?
-            .iter()
-            .map(|v| {
-                let s = if field.is_empty() {
-                    v.as_str()
-                } else {
-                    v.get(field).and_then(telemetry::json::Json::as_str)
-                };
-                s.map(String::from)
-                    .ok_or_else(|| CliError(format!("malformed {key} entry")))
-            })
-            .collect()
-    };
-    let backends = str_list("backends", "")?;
-    let scenarios = str_list("scenarios", "name")?;
-    let mut cells = Vec::new();
-    for cell in doc
-        .get("cells")
-        .and_then(telemetry::json::Json::as_array)
-        .ok_or_else(|| CliError("security matrix missing cells".into()))?
-    {
-        let field = |k: &str| {
-            cell.get(k)
-                .and_then(telemetry::json::Json::as_str)
-                .map(String::from)
-                .ok_or_else(|| CliError(format!("cell missing {k}")))
-        };
-        let window = cell.get("attack_window").and_then(telemetry::json::Json::as_u64);
-        let verdict = field("verdict")?;
-        if workloads::exploit::ExploitOutcome::from_label(&verdict).is_none() {
-            return Err(CliError(format!("unknown verdict label: {verdict}")));
-        }
-        // Schema 1 predates the cost ledger: no defence fields, cost 0.
-        let defence_cycles =
-            cell.get("defence_cycles").and_then(telemetry::json::Json::as_u64).unwrap_or(0);
-        let mut defence_kinds = Vec::new();
-        if let Some(telemetry::json::Json::Obj(pairs)) = cell.get("defence_kinds") {
-            for (k, v) in pairs {
-                if sim::CostKind::from_label(k).is_none() {
-                    return Err(CliError(format!("unknown defence cost kind: {k}")));
-                }
-                defence_kinds.push((
-                    k.clone(),
-                    v.as_u64()
-                        .ok_or_else(|| CliError(format!("bad defence kind {k}")))?,
-                ));
-            }
-        }
-        cells.push(SecCellView {
-            scenario: field("scenario")?,
-            backend: field("backend")?,
-            verdict,
-            window,
-            defence_cycles,
-            defence_kinds,
-        });
-    }
-    let mut counters = Vec::new();
-    if let Some(telemetry::json::Json::Obj(pairs)) = doc.get("counters") {
-        for (k, v) in pairs {
-            counters.push((
-                k.clone(),
-                v.as_u64().ok_or_else(|| CliError(format!("bad counter {k}")))?,
-            ));
-        }
-    }
-    Ok(SecDoc {
-        schema,
-        weaken: doc
-            .get("weaken")
-            .and_then(telemetry::json::Json::as_str)
-            .unwrap_or("none")
-            .to_string(),
-        seed: doc.get("seed").and_then(telemetry::json::Json::as_u64).unwrap_or(0),
-        fuzz: doc.get("fuzz").and_then(telemetry::json::Json::as_u64).unwrap_or(0),
-        backends,
-        scenarios,
-        cells,
-        counters,
-    })
-}
-
-fn verdict_rank(label: &str) -> u8 {
-    workloads::exploit::ExploitOutcome::from_label(label).map_or(0, |o| o.rank())
-}
-
-/// Renders the human-readable scenario × backend security matrix from a
-/// `SECURITY_matrix.json` document (`ms-report --security`). With
-/// `check`, every `security/*` counter embedded in the document is
-/// recomputed from the cells and must match — a drifted counter means the
-/// exporter and the matrix disagree about what actually ran. Returns the
-/// report and whether that check failed (the report names each
-/// mismatch).
-///
-/// # Errors
-///
-/// [`CliError`] on a malformed document.
-pub fn render_security(text: &str, check: bool) -> Result<(String, bool), CliError> {
-    let doc = parse_security(text)?;
+/// Renders the scenario × backend verdict table of a security matrix, with
+/// the unprotected baseline's attack window and minesweeper's defence
+/// cycles per scenario, then the verdict totals.
+fn matrix_table(m: &sim::SecurityMatrix) -> String {
+    use workloads::exploit::ExploitOutcome;
     let mut out = format!(
         "security matrix: {} scenarios x {} backends (seed {}, fuzz {})\n",
-        doc.scenarios.len(),
-        doc.backends.len(),
-        doc.seed,
-        doc.fuzz
+        m.scenarios.len(),
+        m.backends.len(),
+        m.seed,
+        m.fuzz
     );
-    if doc.weaken != "none" {
-        out.push_str(&format!(
-            "WARNING: protection weakened ({}) — self-test run, NOT a baseline\n",
-            doc.weaken
-        ));
-    }
-    let code_of = |scenario: &str, backend: &str| {
-        doc.cells
-            .iter()
-            .find(|c| c.scenario == scenario && c.backend == backend)
-            .map(|c| {
-                workloads::exploit::ExploitOutcome::from_label(&c.verdict)
-                    .map(|o| o.code().to_string())
-                    .unwrap_or_else(|| "?".into())
-            })
-            .unwrap_or_else(|| "-".into())
-    };
-    let mut rows = Vec::with_capacity(doc.scenarios.len() + 1);
     let mut header = vec!["scenario".to_string()];
-    header.extend(doc.backends.iter().cloned());
+    header.extend(m.backends.iter().map(|b| b.to_string()));
     header.push("window".into());
     header.push("ms defence".into());
-    rows.push(header);
-    for sc in &doc.scenarios {
-        let mut row = vec![sc.clone()];
-        for b in &doc.backends {
-            row.push(code_of(sc, b));
-        }
+    let mut rows = vec![header];
+    // Cells are row-major: one chunk of backend columns per scenario.
+    for ((name, _), row) in m.scenarios.iter().zip(m.cells.chunks(m.backends.len())) {
+        let cell = |backend: &str| row.iter().find(|c| c.backend == backend);
+        let mut line = vec![name.clone()];
+        line.extend(row.iter().map(|c| c.outcome.code().to_string()));
         // Attack-window latency on the unprotected baseline column: how
         // many frees an attacker needs before the victim slot recycles.
-        let window = doc
-            .cells
-            .iter()
-            .find(|c| c.scenario == *sc && c.backend == "baseline")
-            .and_then(|c| c.window)
-            .map_or_else(|| "-".into(), |w| w.to_string());
-        row.push(window);
+        line.push(
+            cell("baseline")
+                .and_then(|c| c.attack_window)
+                .map_or_else(|| "-".into(), |w| w.to_string()),
+        );
         // What the verdict cost: minesweeper's defence cycles for this
         // scenario, the price of the protection next to its outcome.
-        let defence = doc
-            .cells
-            .iter()
-            .find(|c| c.scenario == *sc && c.backend == "minesweeper")
-            .map_or_else(|| "-".into(), |c| c.defence_cycles.to_string());
-        row.push(defence);
-        rows.push(row);
+        line.push(
+            cell("minesweeper").map_or_else(|| "-".into(), |c| c.defence.total.to_string()),
+        );
+        rows.push(line);
     }
     out.push_str(&table(&rows));
     out.push_str("verdicts: C=compromised T=clean-termination B=benign D=detected\n");
-
-    let mut verdictcount = [0u64; 4];
-    let mut ms_compromised = 0u64;
-    let mut defence_total = 0u64;
-    for c in &doc.cells {
-        let o = workloads::exploit::ExploitOutcome::from_label(&c.verdict)
-            .expect("parse_security validated labels");
-        verdictcount[o.rank() as usize] += 1;
-        if c.backend == "minesweeper"
-            && o == workloads::exploit::ExploitOutcome::Compromised
-        {
-            ms_compromised += 1;
-        }
-        defence_total += c.defence_cycles;
-    }
+    let count = |o: ExploitOutcome| m.cells.iter().filter(|c| c.outcome == o).count();
     out.push_str(&format!(
         "totals: {} compromised, {} clean-termination, {} benign, {} detected\n",
-        verdictcount[0], verdictcount[1], verdictcount[2], verdictcount[3]
+        count(ExploitOutcome::Compromised),
+        count(ExploitOutcome::CleanTermination),
+        count(ExploitOutcome::Benign),
+        count(ExploitOutcome::Detected)
     ));
+    let ms_compromised =
+        m.column("minesweeper").filter(|c| c.outcome == ExploitOutcome::Compromised).count();
     out.push_str(&format!("minesweeper compromised cells: {ms_compromised}\n"));
-    if doc.schema >= 2 {
-        out.push_str(&format!(
-            "defence cycles: {defence_total} across all cells\n"
-        ));
-    }
-
-    if check {
-        let counter = |key: &str| {
-            doc.counters.iter().find(|(k, _)| k == key).map_or(0, |(_, v)| *v)
-        };
-        let mut mismatches = Vec::new();
-        let mut expect = |key: &str, want: u64| {
-            let got = counter(key);
-            if got != want {
-                mismatches.push(format!("{key}: counter {got} != cells {want}"));
-            }
-        };
-        expect("security/cells", doc.cells.len() as u64);
-        expect("security/verdict_compromised", verdictcount[0]);
-        expect("security/verdict_clean_termination", verdictcount[1]);
-        expect("security/verdict_benign", verdictcount[2]);
-        expect("security/verdict_detected", verdictcount[3]);
-        for sc in &doc.scenarios {
-            let want = doc
-                .cells
-                .iter()
-                .filter(|c| c.scenario == *sc && c.verdict == "compromised")
-                .count() as u64;
-            expect(&format!("security/s_{}_compromised", sc.replace('-', "_")), want);
-        }
-        // Schema 2: the exporter's defence_cycles counter is the sum of
-        // every cell's total, and each cell's per-kind breakdown must
-        // itself sum to that cell's total.
-        expect("security/defence_cycles", defence_total);
-        for c in &doc.cells {
-            let kind_sum: u64 = c.defence_kinds.iter().map(|(_, v)| v).sum();
-            if kind_sum != c.defence_cycles {
-                mismatches.push(format!(
-                    "{}/{}: defence kinds sum to {kind_sum}, defence_cycles is {}",
-                    c.scenario, c.backend, c.defence_cycles
-                ));
-            }
-        }
-        if !mismatches.is_empty() {
-            out.push_str(&format!(
-                "check FAILED: security counter reconciliation:\n  {}\n",
-                mismatches.join("\n  ")
-            ));
-            return Ok((out, true));
-        }
-        out.push_str("check: counters reconcile with cells\n");
-    }
-    Ok((out, false))
-}
-
-/// Diffs a fresh security matrix against the committed baseline
-/// (`ms-report --security NEW --baseline OLD --check`). Returns the
-/// report and whether the gate should fail.
-///
-/// The gate fails when (a) a baseline cell is missing from the new
-/// matrix, (b) any cell's verdict regresses to a strictly worse rank
-/// (named by scenario and backend), or (c) — the hard floor — any
-/// minesweeper cell in the new matrix is Compromised, even for cells the
-/// baseline never covered. New-only cells are otherwise informational,
-/// so growing the corpus never needs a baseline refresh to merge.
-///
-/// # Errors
-///
-/// [`CliError`] when either document is malformed.
-pub fn gate_security(baseline_text: &str, new_text: &str) -> Result<(String, bool), CliError> {
-    let old = parse_security(baseline_text)?;
-    let new = parse_security(new_text)?;
-    let mut out = String::new();
-    let mut failures = Vec::new();
-    if old.weaken != "none" {
-        failures.push("baseline was produced with a weaken knob — regenerate it".into());
-    }
-    if new.weaken != "none" {
-        out.push_str(&format!(
-            "WARNING: new matrix is protection-weakened ({})\n",
-            new.weaken
-        ));
-    }
-    let find = |doc: &SecDoc, s: &str, b: &str| -> Option<String> {
-        doc.cells
-            .iter()
-            .find(|c| c.scenario == s && c.backend == b)
-            .map(|c| c.verdict.clone())
-    };
-    let mut compared = 0u64;
-    for c in &old.cells {
-        let (s, b, old_verdict) = (&c.scenario, &c.backend, &c.verdict);
-        match find(&new, s, b) {
-            None => failures.push(format!("{s}/{b}: cell missing from new matrix")),
-            Some(new_verdict) => {
-                compared += 1;
-                if verdict_rank(&new_verdict) < verdict_rank(old_verdict) {
-                    failures.push(format!(
-                        "{s}/{b}: verdict regressed {old_verdict} -> {new_verdict}"
-                    ));
-                }
-            }
-        }
-    }
-    let mut new_only = 0u64;
-    for c in &new.cells {
-        let (s, b, verdict) = (&c.scenario, &c.backend, &c.verdict);
-        if find(&old, s, b).is_none() {
-            new_only += 1;
-            out.push_str(&format!("new cell (not in baseline): {s}/{b} = {verdict}\n"));
-        }
-        if b == "minesweeper" && verdict == "compromised" {
-            failures.push(format!("{s}/minesweeper: COMPROMISED (hard floor)"));
-        }
-    }
-    out.push_str(&format!(
-        "security gate: {compared} cells compared, {new_only} new-only\n"
-    ));
-    if failures.is_empty() {
-        out.push_str("security gate: PASS — no verdict regressions\n");
-        Ok((out, false))
-    } else {
-        failures.sort();
-        failures.dedup();
-        out.push_str("security gate: FAIL\n");
-        for f in &failures {
-            out.push_str(&format!("  {f}\n"));
-        }
-        Ok((out, true))
-    }
+    let defence: u64 = m.cells.iter().map(|c| c.defence.total).sum();
+    out.push_str(&format!("defence cycles: {defence} across all cells\n"));
+    out
 }
 
 /// Usage text.
@@ -1234,8 +924,7 @@ USAGE:
                         [--forensics <off|full|sampled:n>] [--arenas <n>]
     minesweeper-sim compare <benchmark> [--seed <n>]
     minesweeper-sim exploit [--system <label>]
-    minesweeper-sim exploit --corpus [--out <matrix.json>] [--fuzz <n>]
-                        [--weaken <quarantine-off|ignore-failed-frees>] [--seed <n>]
+    minesweeper-sim exploit --corpus [--out <matrix.json>] [--fuzz <n>] [--seed <n>]
     minesweeper-sim record <benchmark> --out <file> [--seed <n>]
     minesweeper-sim replay <file> [--system <label>] [--knobs <benchmark>] [--seed <n>]
     minesweeper-sim help
@@ -1248,6 +937,11 @@ SYSTEMS:
 run --out <dir> writes a run directory for `ms-report <dir>`: metrics.json,
 and trace.jsonl unless the run uses --arenas. --out, --forensics and
 --arenas need a minesweeper-layered system.
+
+exploit --corpus replays the named attack scenarios plus <n> seeded fuzzed
+ones (default 3, at most 1000) against every backend and prints the
+verdict table; --out writes the matrix JSON. `--seed 42 --fuzz 3` is the
+committed SECURITY_matrix.json.
 ";
 
 #[cfg(test)]
@@ -1351,7 +1045,6 @@ mod tests {
             corpus: false,
             out: None,
             fuzz: 3,
-            weaken: None,
             seed: 42,
         };
         let out = execute(&single("baseline")).unwrap();
@@ -1362,10 +1055,7 @@ mod tests {
 
     #[test]
     fn parse_corpus_flags() {
-        let cmd = parse(&argv(
-            "exploit --corpus --fuzz 2 --seed 7 --weaken quarantine-off --out /tmp/m.json",
-        ))
-        .unwrap();
+        let cmd = parse(&argv("exploit --corpus --fuzz 2 --seed 7 --out /tmp/m.json")).unwrap();
         assert_eq!(
             cmd,
             Command::Exploit {
@@ -1373,13 +1063,26 @@ mod tests {
                 corpus: true,
                 out: Some("/tmp/m.json".into()),
                 fuzz: 2,
-                weaken: Some("quarantine-off".into()),
                 seed: 7,
             }
         );
         assert!(parse(&argv("run demo --corpus")).is_err());
-        assert!(parse(&argv("compare demo --weaken quarantine-off")).is_err());
+        assert!(parse(&argv("compare demo --fuzz 2")).is_err());
         assert!(parse(&argv("exploit --fuzz nope")).is_err());
+    }
+
+    #[test]
+    fn parse_bounds_the_fuzz_count() {
+        let fuzz = |n: u32| match parse(&argv(&format!("exploit --corpus --fuzz {n}"))) {
+            Ok(Command::Exploit { fuzz, .. }) => Ok(fuzz),
+            Ok(other) => panic!("{other:?}"),
+            Err(e) => Err(e.0),
+        };
+        assert_eq!(fuzz(MAX_FUZZ), Ok(MAX_FUZZ));
+        for n in [MAX_FUZZ + 1, u32::MAX] {
+            let err = fuzz(n).unwrap_err();
+            assert!(err.starts_with("bad fuzz count"), "{err}");
+        }
     }
 
     #[test]
@@ -1391,75 +1094,16 @@ mod tests {
             corpus: true,
             out: Some(path.clone()),
             fuzz: 1,
-            weaken: None,
             seed: 42,
         })
         .unwrap();
-        assert!(out.contains("security matrix:"));
-        assert!(out.contains("minesweeper compromised cells: 0"));
+        assert!(out.contains("security matrix: 10 scenarios x 10 backends"), "{out}");
+        assert!(out.contains("ms defence"), "{out}");
+        assert!(out.contains("minesweeper compromised cells: 0"), "{out}");
+        assert!(out.contains("defence cycles:"), "{out}");
         let json = std::fs::read_to_string(&path).unwrap();
         std::fs::remove_file(&path).ok();
-        // The written document round-trips through the reporting path.
-        let (rendered, failed) = render_security(&json, true).unwrap();
-        assert!(!failed, "{rendered}");
-        assert!(rendered.contains("check: counters reconcile with cells"));
-        // Unknown weaken knobs are a CLI error, not a panic.
-        let bad = execute(&Command::Exploit {
-            system: "minesweeper".into(),
-            corpus: true,
-            out: None,
-            fuzz: 0,
-            weaken: Some("bogus".into()),
-            seed: 42,
-        });
-        assert!(bad.is_err());
-    }
-
-    #[test]
-    fn security_gate_passes_and_fails() {
-        let base = sim::run_corpus(42, 1, sim::Weaken::None).to_json();
-        // Identical run: pass.
-        let (report, fail) = gate_security(&base, &base).unwrap();
-        assert!(!fail, "{report}");
-        assert!(report.contains("PASS"));
-        // Weakened run flips minesweeper cells: fail, named by scenario.
-        let weakened = sim::run_corpus(42, 1, sim::Weaken::QuarantineOff).to_json();
-        let (report, fail) = gate_security(&base, &weakened).unwrap();
-        assert!(fail, "{report}");
-        assert!(report.contains("FAIL"));
-        assert!(report.contains("minesweeper"));
-        assert!(report.contains("hard floor"));
-        assert!(report.contains("regressed"));
-        // A weakened document can never serve as the baseline.
-        let (_, fail) = gate_security(&weakened, &weakened).unwrap();
-        assert!(fail);
-        // Shrinking the corpus (missing baseline cells) also fails.
-        let small = sim::run_corpus(42, 0, sim::Weaken::None).to_json();
-        let (report, fail) = gate_security(&base, &small).unwrap();
-        assert!(fail);
-        assert!(report.contains("missing"));
-        // Growing it does not: new-only cells are informational.
-        let grown = sim::run_corpus(42, 2, sim::Weaken::None).to_json();
-        let (report, fail) = gate_security(&base, &grown).unwrap();
-        assert!(!fail, "{report}");
-        assert!(report.contains("new cell"));
-        // Garbage input is an error, not a pass.
-        assert!(gate_security("junk", &base).is_err());
-        assert!(gate_security(&base, "junk").is_err());
-    }
-
-    #[test]
-    fn render_security_check_catches_counter_drift() {
-        let good = sim::run_corpus(1, 0, sim::Weaken::None).to_json();
-        assert!(!render_security(&good, true).unwrap().1);
-        // Corrupt one verdict counter; --check must notice.
-        let bad = good.replacen("\"security/verdict_benign\": ", "\"security/verdict_benign\": 9", 1);
-        assert!(bad != good, "fixture must actually change");
-        let (out, failed) = render_security(&bad, true).unwrap();
-        assert!(failed, "{out}");
-        assert!(out.contains("check FAILED: security counter reconciliation"), "{out}");
-        // Without --check the drift is not fatal.
-        assert!(!render_security(&bad, false).unwrap().1);
+        assert_eq!(json, sim::run_corpus(42, 1, sim::Weaken::None).to_json());
     }
 
     #[test]
@@ -1685,49 +1329,5 @@ mod tests {
         assert!(parse(&argv("run demo --arenas many")).is_err());
         assert!(parse(&argv("run demo --arenas")).is_err());
         assert!(parse(&argv("compare demo --arenas 2")).is_err());
-    }
-
-    #[test]
-    fn schema1_security_matrix_still_parses() {
-        let doc = r#"{
-  "schema": 1,
-  "weaken": "none",
-  "seed": 42,
-  "fuzz": 0,
-  "backends": ["baseline", "minesweeper"],
-  "scenarios": [ {"name": "uaf-basic"} ],
-  "cells": [
-    {"scenario": "uaf-basic", "backend": "baseline", "verdict": "compromised", "attack_window": 3},
-    {"scenario": "uaf-basic", "backend": "minesweeper", "verdict": "benign"}
-  ],
-  "counters": {"security/cells": 2, "security/verdict_compromised": 1, "security/verdict_clean_termination": 0, "security/verdict_benign": 1, "security/verdict_detected": 0, "security/s_uaf_basic_compromised": 1}
-}"#;
-        // Pre-ledger documents still render and reconcile; their cells
-        // parse with zero defence cost and no totals line is shown.
-        let (out, failed) = render_security(doc, true).unwrap();
-        assert!(!failed, "{out}");
-        assert!(out.contains("check: counters reconcile"), "{out}");
-        assert!(!out.contains("defence cycles:"), "{out}");
-        // Above the supported range stays rejected.
-        let future = doc.replacen("\"schema\": 1", "\"schema\": 99", 1);
-        let err = render_security(&future, false).unwrap_err();
-        assert!(err.0.contains("unsupported security matrix schema"), "{err}");
-    }
-
-    #[test]
-    fn security_defence_costs_render_and_reconcile() {
-        let good = sim::run_corpus(1, 0, sim::Weaken::None).to_json();
-        let (out, failed) = render_security(&good, true).unwrap();
-        assert!(!failed, "{out}");
-        assert!(out.contains("ms defence"), "{out}");
-        assert!(out.contains("defence cycles:"), "{out}");
-        // Corrupting one cell's total breaks both the exporter counter
-        // and that cell's per-kind sum; --check catches it.
-        let bad = good.replacen("\"defence_cycles\": ", "\"defence_cycles\": 9", 1);
-        assert!(bad != good, "fixture must actually change");
-        let (out, failed) = render_security(&bad, true).unwrap();
-        assert!(failed, "{out}");
-        assert!(out.contains("defence kinds sum to"), "{out}");
-        assert!(!render_security(&bad, false).unwrap().1);
     }
 }

@@ -46,7 +46,19 @@ impl ForensicsMode {
 ///
 /// Use the presets ([`MsConfig::fully_concurrent`],
 /// [`MsConfig::mostly_concurrent`], the `ablation_*` ladder of §5.4 and the
-/// `partial_*` ladder of §5.5) or [`MsConfig::builder`] for custom setups.
+/// `partial_*` ladder of §5.5), or override fields of one for custom
+/// setups:
+///
+/// ```
+/// use minesweeper::{MsConfig, SweepMode};
+/// let cfg = MsConfig {
+///     mode: SweepMode::MostlyConcurrent,
+///     sweep_threshold: 0.25,
+///     helper_threads: 2,
+///     ..MsConfig::default()
+/// };
+/// assert_eq!(cfg.sweep_threshold, 0.25);
+/// ```
 #[derive(Clone, Copy, PartialEq, Debug)]
 pub struct MsConfig {
     /// Operation mode.
@@ -153,11 +165,6 @@ impl MsConfig {
         MsConfig { mode: SweepMode::MostlyConcurrent, ..Self::fully_concurrent() }
     }
 
-    /// Starts a builder from the fully-concurrent preset.
-    pub fn builder() -> MsConfigBuilder {
-        MsConfigBuilder { cfg: Self::fully_concurrent() }
-    }
-
     // ---- §5.4 ablation ladder (Figures 15 & 16) -------------------------
 
     /// "Unoptimised": quarantine + synchronous in-mutator sweeps only.
@@ -256,121 +263,6 @@ impl Default for MsConfig {
     }
 }
 
-/// Builder for [`MsConfig`].
-///
-/// # Example
-///
-/// ```
-/// use minesweeper::{MsConfig, SweepMode};
-/// let cfg = MsConfig::builder()
-///     .mode(SweepMode::MostlyConcurrent)
-///     .sweep_threshold(0.25)
-///     .helper_threads(2)
-///     .build();
-/// assert_eq!(cfg.sweep_threshold, 0.25);
-/// ```
-#[derive(Clone, Debug)]
-pub struct MsConfigBuilder {
-    cfg: MsConfig,
-}
-
-impl MsConfigBuilder {
-    /// Sets the operation mode.
-    pub fn mode(mut self, mode: SweepMode) -> Self {
-        self.cfg.mode = mode;
-        self
-    }
-
-    /// Sets the quarantine-fraction sweep trigger.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0.0 < threshold`.
-    pub fn sweep_threshold(mut self, threshold: f64) -> Self {
-        assert!(threshold > 0.0, "sweep threshold must be positive");
-        self.cfg.sweep_threshold = threshold;
-        self
-    }
-
-    /// Sets the allocation-pause factor (§5.7).
-    pub fn pause_factor(mut self, factor: f64) -> Self {
-        assert!(factor > 1.0, "pause factor must exceed 1");
-        self.cfg.pause_factor = factor;
-        self
-    }
-
-    /// Enables or disables zeroing on free.
-    pub fn zeroing(mut self, on: bool) -> Self {
-        self.cfg.zeroing = on;
-        self
-    }
-
-    /// Enables or disables large-allocation unmapping.
-    pub fn unmapping(mut self, on: bool) -> Self {
-        self.cfg.unmapping = on;
-        self
-    }
-
-    /// Enables or disables concurrent sweeping.
-    pub fn concurrent(mut self, on: bool) -> Self {
-        self.cfg.concurrent = on;
-        self
-    }
-
-    /// Sets the number of helper threads for parallel marking.
-    pub fn helper_threads(mut self, n: usize) -> Self {
-        self.cfg.helper_threads = n;
-        self
-    }
-
-    /// Enables or disables the post-sweep allocator purge.
-    pub fn purge_after_sweep(mut self, on: bool) -> Self {
-        self.cfg.purge_after_sweep = on;
-        self
-    }
-
-    /// Sets the thread-local quarantine buffer capacity.
-    pub fn tl_buffer_capacity(mut self, cap: usize) -> Self {
-        self.cfg.tl_buffer_capacity = cap;
-        self
-    }
-
-    /// Enables double-free reporting (debug mode).
-    pub fn report_double_frees(mut self, on: bool) -> Self {
-        self.cfg.report_double_frees = on;
-        self
-    }
-
-    /// Enables or disables the soft-dirty page-summary cache.
-    pub fn page_cache(mut self, on: bool) -> Self {
-        self.cfg.page_cache = on;
-        self
-    }
-
-    /// Enables or disables the quarantine candidate filter.
-    pub fn candidate_filter(mut self, on: bool) -> Self {
-        self.cfg.candidate_filter = on;
-        self
-    }
-
-    /// Sets the sweep-forensics mode.
-    pub fn forensics(mut self, mode: ForensicsMode) -> Self {
-        self.cfg.forensics = mode;
-        self
-    }
-
-    /// Enables or disables the sweep profiler.
-    pub fn profiler(mut self, on: bool) -> Self {
-        self.cfg.profiler = on;
-        self
-    }
-
-    /// Finalises the configuration.
-    pub fn build(self) -> MsConfig {
-        self.cfg
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -415,26 +307,6 @@ mod tests {
     }
 
     #[test]
-    fn builder_roundtrip() {
-        let c = MsConfig::builder()
-            .mode(SweepMode::MostlyConcurrent)
-            .sweep_threshold(0.3)
-            .zeroing(false)
-            .helper_threads(1)
-            .build();
-        assert_eq!(c.mode, SweepMode::MostlyConcurrent);
-        assert!((c.sweep_threshold - 0.3).abs() < 1e-12);
-        assert!(!c.zeroing);
-        assert_eq!(c.helper_threads, 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn builder_rejects_zero_threshold() {
-        MsConfig::builder().sweep_threshold(0.0);
-    }
-
-    #[test]
     fn forensics_defaults_off_everywhere() {
         assert_eq!(MsConfig::fully_concurrent().forensics, ForensicsMode::Off);
         assert_eq!(MsConfig::mostly_concurrent().forensics, ForensicsMode::Off);
@@ -442,8 +314,6 @@ mod tests {
         assert!(!ForensicsMode::Off.enabled());
         assert!(ForensicsMode::Sampled(16).enabled());
         assert!(ForensicsMode::Full.enabled());
-        let c = MsConfig::builder().forensics(ForensicsMode::Sampled(8)).build();
-        assert_eq!(c.forensics, ForensicsMode::Sampled(8));
     }
 
     #[test]
@@ -451,7 +321,6 @@ mod tests {
         assert!(!MsConfig::fully_concurrent().profiler);
         assert!(!MsConfig::mostly_concurrent().profiler);
         assert!(!MsConfig::ablation_unoptimised().profiler);
-        assert!(MsConfig::builder().profiler(true).build().profiler);
     }
 
     #[test]
@@ -460,11 +329,5 @@ mod tests {
         assert!(MsConfig::fully_concurrent().candidate_filter);
         assert!(!MsConfig::ablation_unoptimised().page_cache);
         assert!(!MsConfig::ablation_unoptimised().candidate_filter);
-        let c = MsConfig::builder().page_cache(false).candidate_filter(true).build();
-        assert!(!c.page_cache);
-        assert!(c.candidate_filter);
-        let c = MsConfig::builder().page_cache(true).candidate_filter(false).build();
-        assert!(c.page_cache);
-        assert!(!c.candidate_filter);
     }
 }

@@ -1123,7 +1123,7 @@ mod tests {
 
     #[test]
     fn without_zeroing_cycles_fail_to_free() {
-        let cfg = MsConfig::builder().zeroing(false).build();
+        let cfg = MsConfig { zeroing: false, ..MsConfig::default() };
         let (mut space, mut ms) = setup(cfg);
         let a = ms.malloc(&mut space, 64);
         let b = ms.malloc(&mut space, 64);
@@ -1137,7 +1137,7 @@ mod tests {
 
     #[test]
     fn double_free_is_idempotent_and_reported() {
-        let cfg = MsConfig::builder().report_double_frees(true).build();
+        let cfg = MsConfig { report_double_frees: true, ..MsConfig::default() };
         let (mut space, mut ms) = setup(cfg);
         let a = ms.malloc(&mut space, 64);
         assert_eq!(ms.free(&mut space, a), FreeOutcome::Quarantined);
@@ -1242,7 +1242,7 @@ mod tests {
         for (mode, expect_failed) in
             [(SweepMode::FullyConcurrent, 0), (SweepMode::MostlyConcurrent, 1)]
         {
-            let cfg = MsConfig::builder().mode(mode).build();
+            let cfg = MsConfig { mode, ..MsConfig::default() };
             let (mut space, mut ms) = setup(cfg);
             let victim = ms.malloc(&mut space, 64);
             let slot_a = ms.malloc(&mut space, 64); // low address (swept first)
@@ -1329,7 +1329,7 @@ mod tests {
 
     #[test]
     fn pause_trigger_fires_under_quarantine_overrun() {
-        let cfg = MsConfig::builder().pause_factor(2.0).build();
+        let cfg = MsConfig { pause_factor: 2.0, ..MsConfig::default() };
         let (mut space, mut ms) = setup(cfg);
         let live: Vec<Addr> = (0..600).map(|_| ms.malloc(&mut space, 4096)).collect();
         ms.start_sweep(&mut space);

@@ -73,7 +73,7 @@ mod telem;
 
 pub use arena::{Arena, ArenaId, ArenaPool, RoundReport, SchedPolicy, SweepScheduler};
 pub use backend::{ArenaBackend, HeapBackend};
-pub use config::{ForensicsMode, MsConfig, MsConfigBuilder, SweepMode};
+pub use config::{ForensicsMode, MsConfig, SweepMode};
 pub use filter::CandidateFilter;
 pub use forensics::{EdgeAgg, EdgeRecorder, FailedFreeLedger, LedgerEntry};
 pub use layer::{FreeOutcome, MineSweeper, SweepReport};

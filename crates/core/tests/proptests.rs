@@ -291,9 +291,12 @@ proptest! {
         // `base` (the cache only replays provably-clean pages), and all
         // three must make identical release decisions (the filter drops
         // only marks no locked quarantine entry can observe).
-        let base_cfg = MsConfig::builder().page_cache(false).candidate_filter(false).build();
-        let inc_cfg = MsConfig::builder().page_cache(true).candidate_filter(false).build();
-        let incf_cfg = MsConfig::builder().page_cache(true).candidate_filter(true).build();
+        let cfg = |page_cache, candidate_filter| MsConfig {
+            page_cache,
+            candidate_filter,
+            ..MsConfig::default()
+        };
+        let (base_cfg, inc_cfg, incf_cfg) = (cfg(false, false), cfg(true, false), cfg(true, true));
         let mut layers: Vec<(AddrSpace, MineSweeper<_>)> = [base_cfg, inc_cfg, incf_cfg]
             .into_iter()
             .map(|cfg| (AddrSpace::new(), MineSweeper::new(cfg)))

@@ -49,10 +49,7 @@ pub use exploit::{
 };
 pub use metrics::{geomean, RunMetrics};
 pub use pool::{run_arenas, ARENA_SUBSYSTEM};
-pub use security::{
-    run_corpus, SecCell, SecurityMatrix, SECURITY_MIN_SCHEMA, SECURITY_SCHEMA,
-    SECURITY_SUBSYSTEM,
-};
+pub use security::{run_corpus, SecCell, SecurityMatrix, SECURITY_SCHEMA};
 pub use telemetry::{CostKind, CostLedger, CostRecorder, COST_SUBSYSTEM};
 pub use system::System;
 

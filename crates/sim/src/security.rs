@@ -1,30 +1,25 @@
 //! The differential security matrix: every corpus scenario replayed
 //! against every backend column, with verdicts, attack-window latency and
-//! telemetry counters, serialised to the stable `SECURITY_matrix.json`
-//! wire format the CI regression gate diffs.
+//! defence costs, serialised to the stable `SECURITY_matrix.json` wire
+//! format.
 //!
 //! The runner is fully deterministic: scenario scripts are fixed or
 //! seeded ([`workloads::exploit::fuzz_corpus`]), every backend's
 //! randomness is seeded (Scudo), and [`SecurityMatrix::to_json`] emits
-//! keys in a fixed order with counters sorted — so the same seed produces
-//! a byte-identical document, which is what lets CI treat any diff
-//! against the committed baseline as a real behaviour change.
+//! keys in a fixed order — so the same seed produces a byte-identical
+//! document, which is what lets the committed `SECURITY_matrix.json` be a
+//! golden fixture (`crates/sim/tests/security_corpus.rs`): any diff is a
+//! real behaviour change.
 
-use telemetry::{CostKind, Registry};
+use telemetry::CostKind;
 use workloads::exploit::{corpus, fuzz_corpus, validate, ExploitOutcome};
 
 use crate::exploit::{run_scenario, DefenceCost, SecSystem, Weaken};
 
-/// Registry subsystem for the corpus runner's counters.
-pub const SECURITY_SUBSYSTEM: &str = "security";
-
 /// Wire-format version of `SECURITY_matrix.json`. Schema 2 added the
-/// per-cell `defence_cycles` total and `defence_kinds` breakdown.
-pub const SECURITY_SCHEMA: u32 = 2;
-
-/// Oldest schema readers must still accept. Schema-1 documents carry no
-/// defence costs; they parse with all-zero bills.
-pub const SECURITY_MIN_SCHEMA: u32 = 1;
+/// per-cell `defence_cycles` total and `defence_kinds` breakdown; schema
+/// 3 dropped the `counters` block, which only recounted the cells.
+pub const SECURITY_SCHEMA: u32 = 3;
 
 /// One (scenario, backend) cell of the matrix.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -48,12 +43,11 @@ pub struct SecCell {
     pub judged: u64,
     /// MTE tag-mismatch detections raised.
     pub detections: u64,
-    /// What defending this cell cost the backend, in model cycles
-    /// (schema 2; zero for cells parsed from schema-1 documents).
+    /// What defending this cell cost the backend, in model cycles.
     pub defence: DefenceCost,
 }
 
-/// The full matrix plus the run's provenance and telemetry.
+/// The full matrix plus the run's provenance.
 #[derive(Clone, PartialEq, Debug)]
 pub struct SecurityMatrix {
     /// Seed that drove the scenario fuzzer.
@@ -62,7 +56,7 @@ pub struct SecurityMatrix {
     pub fuzz: u32,
     /// The weaken knob the run used (`"none"` for a real evaluation — a
     /// weakened run is permanently marked so it can never be mistaken for
-    /// a baseline).
+    /// the committed matrix).
     pub weaken: &'static str,
     /// Backend column labels, in matrix order.
     pub backends: Vec<&'static str>,
@@ -70,9 +64,6 @@ pub struct SecurityMatrix {
     pub scenarios: Vec<(String, String)>,
     /// Row-major cells (scenario-major, backend-minor).
     pub cells: Vec<SecCell>,
-    /// Sorted `security/*` counter snapshot, reconciled by
-    /// `ms-report --security --check`.
-    pub counters: Vec<(String, u64)>,
 }
 
 /// Runs the whole corpus — the named scenarios plus `fuzz` seeded random
@@ -91,47 +82,10 @@ pub fn run_corpus(seed: u64, fuzz: u32, weaken: Weaken) -> SecurityMatrix {
     }
     let backends = SecSystem::all();
 
-    let registry = Registry::new();
-    let c_cells = registry.counter(SECURITY_SUBSYSTEM, "cells");
-    let c_allocs = registry.counter(SECURITY_SUBSYSTEM, "allocs");
-    let c_frees = registry.counter(SECURITY_SUBSYSTEM, "frees");
-    let c_judged = registry.counter(SECURITY_SUBSYSTEM, "judged_accesses");
-    let c_detect = registry.counter(SECURITY_SUBSYSTEM, "detections");
-    let c_reuse = registry.counter(SECURITY_SUBSYSTEM, "reuses");
-    let c_defence = registry.counter(SECURITY_SUBSYSTEM, "defence_cycles");
-    let c_verdict = |o: ExploitOutcome| {
-        registry.counter(
-            SECURITY_SUBSYSTEM,
-            match o {
-                ExploitOutcome::Compromised => "verdict_compromised",
-                ExploitOutcome::CleanTermination => "verdict_clean_termination",
-                ExploitOutcome::Benign => "verdict_benign",
-                ExploitOutcome::Detected => "verdict_detected",
-            },
-        )
-    };
-
     let mut cells = Vec::with_capacity(scenarios.len() * backends.len());
     for sc in &scenarios {
-        let scenario_counter = registry.counter(
-            SECURITY_SUBSYSTEM,
-            &format!("s_{}_compromised", sc.name.replace('-', "_")),
-        );
         for sys in &backends {
             let run = run_scenario(sc, sys, weaken);
-            c_cells.inc();
-            c_allocs.add(run.allocs);
-            c_frees.add(run.frees);
-            c_judged.add(run.judged);
-            c_detect.add(run.detections);
-            c_defence.add(run.defence.total);
-            if run.victim_reallocated {
-                c_reuse.inc();
-            }
-            c_verdict(run.outcome).inc();
-            if run.outcome == ExploitOutcome::Compromised {
-                scenario_counter.inc();
-            }
             cells.push(SecCell {
                 scenario: sc.name.clone(),
                 backend: sys.label(),
@@ -147,14 +101,6 @@ pub fn run_corpus(seed: u64, fuzz: u32, weaken: Weaken) -> SecurityMatrix {
         }
     }
 
-    let mut counters: Vec<(String, u64)> = registry
-        .snapshot()
-        .counters
-        .iter()
-        .map(|c| (format!("{}/{}", c.subsystem, c.name), c.value))
-        .collect();
-    counters.sort();
-
     SecurityMatrix {
         seed,
         fuzz,
@@ -162,7 +108,6 @@ pub fn run_corpus(seed: u64, fuzz: u32, weaken: Weaken) -> SecurityMatrix {
         backends: backends.iter().map(|s| s.label()).collect(),
         scenarios: scenarios.into_iter().map(|s| (s.name, s.summary)).collect(),
         cells,
-        counters,
     }
 }
 
@@ -173,7 +118,7 @@ impl SecurityMatrix {
     }
 
     /// Serialises to the stable wire format: fixed key order, cells
-    /// row-major, counters sorted — byte-identical for identical runs.
+    /// row-major — byte-identical for identical runs.
     pub fn to_json(&self) -> String {
         use std::fmt::Write as _;
         let esc = telemetry::json::escape;
@@ -204,7 +149,7 @@ impl SecurityMatrix {
                 Some(w) => w.to_string(),
                 None => "null".to_string(),
             };
-            // Schema 2: the defence bill, nonzero kinds only (ALL order).
+            // The defence bill, nonzero kinds only (ALL order).
             let mut kinds = String::new();
             for k in CostKind::ALL {
                 let v = c.defence.kind(k);
@@ -232,13 +177,7 @@ impl SecurityMatrix {
                 c.defence.total,
             );
         }
-        out.push_str("  ],\n");
-        out.push_str("  \"counters\": {\n");
-        for (i, (key, value)) in self.counters.iter().enumerate() {
-            let comma = if i + 1 < self.counters.len() { "," } else { "" };
-            let _ = writeln!(out, "    \"{}\": {value}{comma}", esc(key));
-        }
-        out.push_str("  }\n}\n");
+        out.push_str("  ]\n}\n");
         out
     }
 }
@@ -253,12 +192,6 @@ mod tests {
         assert!(m.scenarios.len() >= 10, "8+ named + 2 fuzzed");
         assert_eq!(m.backends.len(), 10);
         assert_eq!(m.cells.len(), m.scenarios.len() * m.backends.len());
-        let cell_count = m
-            .counters
-            .iter()
-            .find(|(k, _)| k == "security/cells")
-            .map(|(_, v)| *v);
-        assert_eq!(cell_count, Some(m.cells.len() as u64));
     }
 
     #[test]
@@ -297,27 +230,6 @@ mod tests {
         assert!(
             m.column("minesweeper").any(|c| c.outcome == ExploitOutcome::Compromised),
             "quarantine-off must reopen at least one scenario"
-        );
-    }
-
-    #[test]
-    fn defence_cycles_reconcile_with_the_counter() {
-        let m = run_corpus(42, 0, Weaken::None);
-        let cell_sum: u64 = m.cells.iter().map(|c| c.defence.total).sum();
-        let counter = m
-            .counters
-            .iter()
-            .find(|(k, _)| k == "security/defence_cycles")
-            .map(|(_, v)| *v);
-        assert_eq!(counter, Some(cell_sum), "counter must equal the cell sum");
-        assert!(cell_sum > 0, "protected columns must have been billed");
-        assert!(
-            m.column("baseline").all(|c| c.defence.total == 0),
-            "the unprotected baseline defends for free"
-        );
-        assert!(
-            m.column("minesweeper").any(|c| c.defence.total > 0),
-            "minesweeper must pay for its quarantine somewhere"
         );
     }
 

@@ -1,18 +1,66 @@
-//! Property tests for the adversarial security corpus: the matrix the CI
-//! gate diffs must be deterministic, and every scenario the generators
-//! can emit must be well-formed and runnable on every backend column.
+//! The adversarial security corpus: the committed `SECURITY_matrix.json`
+//! regenerates byte for byte and holds the hard floor, the matrix is
+//! deterministic, and every scenario the generators can emit is
+//! well-formed and runnable on every backend column. After an intended
+//! verdict or format change, regenerate the fixture with:
+//!
+//! ```text
+//! UPDATE_GOLDEN=1 cargo test -p ms-sim --test security_corpus
+//! ```
 
 use proptest::prelude::*;
 
 use sim::{run_corpus, run_scenario, SecSystem, Weaken};
+use telemetry::json::Json;
 use workloads::exploit::{corpus, fuzz_corpus, validate, ExploitOutcome};
+
+const MATRIX: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../SECURITY_matrix.json");
+
+/// The committed matrix is exactly what `run_corpus(42, 3)` serialises
+/// (`minesweeper-sim exploit --corpus --seed 42 --fuzz 3`), and — the hard
+/// floor — no minesweeper cell in it is compromised.
+#[test]
+fn committed_matrix_regenerates() {
+    let fresh = run_corpus(42, 3, Weaken::None).to_json();
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        std::fs::write(MATRIX, &fresh).unwrap();
+    }
+    let committed = std::fs::read_to_string(MATRIX)
+        .expect("SECURITY_matrix.json missing; regenerate with UPDATE_GOLDEN=1");
+    let doc = Json::parse(&committed).expect("SECURITY_matrix.json is not JSON");
+    let cells = doc.get("cells").and_then(Json::as_array).expect("matrix has no cells");
+    let field = |cell: &Json, key: &str| cell.get(key).and_then(Json::as_str).map(String::from);
+    let compromised: Vec<String> = cells
+        .iter()
+        .filter(|c| {
+            field(c, "backend").as_deref() == Some("minesweeper")
+                && field(c, "verdict").as_deref() == Some("compromised")
+        })
+        .map(|c| field(c, "scenario").unwrap_or_default())
+        .collect();
+    assert!(compromised.is_empty(), "hard floor: minesweeper compromised by {compromised:?}");
+    if let Some((line, (want, got))) = committed
+        .lines()
+        .zip(fresh.lines())
+        .enumerate()
+        .find(|(_, (want, got))| want != got)
+    {
+        panic!(
+            "SECURITY_matrix.json drifted from run_corpus(42, 3) at line {}:\n  \
+             committed: {want}\n  fresh:     {got}\nreview the verdicts and \
+             regenerate with UPDATE_GOLDEN=1",
+            line + 1
+        );
+    }
+    assert_eq!(committed.len(), fresh.len(), "SECURITY_matrix.json drifted in length");
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Byte-identical serialisation for identical (seed, fuzz) inputs —
-    /// the invariant that lets CI treat any diff against the committed
-    /// baseline as a real behaviour change rather than noise.
+    /// the invariant that lets any diff against the committed matrix be a
+    /// real behaviour change rather than noise.
     #[test]
     fn corpus_is_deterministic(seed in any::<u64>(), fuzz in 0u32..4) {
         let a = run_corpus(seed, fuzz, Weaken::None);
@@ -47,7 +95,7 @@ proptest! {
 }
 
 /// The named corpus is fixed; pin its shape so a stray edit cannot
-/// silently shrink the matrix the baseline was computed over.
+/// silently shrink the committed matrix.
 #[test]
 fn named_corpus_shape_is_pinned() {
     let named = corpus();

@@ -1,7 +1,7 @@
 //! Cost-attribution ledger: tags every defence-cycle charge with a
 //! [`CostKind`] and an attribution key (allocation site, arena), and
 //! accumulates them as ordinary `cost/*` registry metrics so the existing
-//! snapshot / delta / JSON machinery carries them for free.
+//! snapshot / JSON machinery carries them for free.
 //!
 //! Every charge lands once in each dimension:
 //!
@@ -78,11 +78,6 @@ impl CostKind {
             CostKind::Release => "release",
             CostKind::Commit => "commit",
         }
-    }
-
-    /// Parses a [`CostKind::label`] back (`None` for unknown labels).
-    pub fn from_label(s: &str) -> Option<CostKind> {
-        CostKind::ALL.iter().copied().find(|k| k.label() == s)
     }
 
     /// Position of this kind in [`CostKind::ALL`] — the canonical index
@@ -179,9 +174,8 @@ impl CostRecorder {
     }
 }
 
-/// A typed view of the `cost/*` metrics in a [`Snapshot`] (or a snapshot
-/// *delta* — the ledger composes with the existing delta algebra because
-/// it is built from plain counters and histograms).
+/// A typed view of the `cost/*` metrics in a [`Snapshot`], built from
+/// plain counters and histograms.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct CostLedger {
     /// The grand total (`cost/total_cycles`).
@@ -263,13 +257,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn kind_labels_roundtrip_and_are_unique() {
+    fn kind_labels_are_unique() {
         let mut seen = std::collections::HashSet::new();
         for k in CostKind::ALL {
-            assert_eq!(CostKind::from_label(k.label()), Some(k));
             assert!(seen.insert(k.label()), "duplicate label {}", k.label());
         }
-        assert_eq!(CostKind::from_label("bogus"), None);
     }
 
     #[test]
@@ -325,16 +317,13 @@ mod tests {
     }
 
     #[test]
-    fn ledger_supports_delta_algebra() {
+    fn ledger_reads_an_arena_labelled_run() {
         let reg = Registry::new();
         let mut rec = CostRecorder::new(&reg);
-        rec.charge(CostKind::Release, 70, Some(1), Some("a0"));
-        let before = reg.snapshot();
         rec.charge(CostKind::Release, 30, Some(1), Some("a0"));
         rec.charge(CostKind::Commit, 2500, None, Some("a0"));
-        let after = reg.snapshot();
 
-        let ledger = CostLedger::from_snapshot(&after.delta(&before)).unwrap();
+        let ledger = CostLedger::from_snapshot(&reg.snapshot()).unwrap();
         assert_eq!(ledger.total, 2530);
         assert_eq!(ledger.reconcile(), Vec::<String>::new());
         assert_eq!(ledger.arenas, vec![("a0".to_string(), 2530)]);

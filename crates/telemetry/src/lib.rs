@@ -5,9 +5,8 @@
 //!
 //! * **Metrics** ([`Registry`], [`Counter`], [`Histogram`]) — always-on
 //!   atomic counters and log2 histograms, labelled by subsystem. A
-//!   [`Snapshot`] captures them at a point in time, supports `delta`
-//!   algebra for before/after measurements, and exports to JSON or
-//!   Prometheus text exposition.
+//!   [`Snapshot`] captures them at a point in time and round-trips
+//!   through schema-versioned JSON.
 //! * **Tracing** ([`Tracer`], [`Sink`], [`Event`]) — typed
 //!   sweep-lifecycle events routed through a pluggable sink (null, ring
 //!   buffer, JSONL writer). When disabled the hot path costs one branch
@@ -18,7 +17,7 @@
 //!   counters so the two planes can never silently drift apart.
 //!
 //! On top of the three planes sits one evaluator: the [`Watchdog`]
-//! checks a snapshot (usually a delta) against SLO objectives and emits
+//! checks a snapshot against SLO objectives and emits
 //! [`EventKind::SloViolation`] events for breaches.
 //!
 //! [`IdMap`] and [`IdSet`] (the [`idhash`] module) are the integer-keyed
@@ -40,7 +39,7 @@ pub use idhash::{IdHasher, IdMap, IdSet};
 pub use json::{Json, JsonError};
 pub use registry::{
     Counter, CounterSample, Histogram, HistogramSample, Registry, Snapshot,
-    HISTOGRAM_BUCKETS, SNAPSHOT_MIN_SCHEMA_VERSION, SNAPSHOT_SCHEMA_VERSION,
+    HISTOGRAM_BUCKETS, SNAPSHOT_SCHEMA_VERSION,
 };
 pub use timeline::{
     pause_table, AgedRecord, PinRecord, RunReport, SloRecord, SweepRecord,

@@ -21,12 +21,9 @@ pub const HISTOGRAM_BUCKETS: usize = 65;
 /// incompatible change so downstream tooling can compare runs safely.
 /// Version 2 added the forensics instruments (`pin_edges`,
 /// `ledger_bytes_in`/`ledger_bytes_out` counters and the
-/// `residency_sweeps` histogram); the container shape is unchanged, so
-/// version-1 snapshots still parse.
+/// `residency_sweeps` histogram). [`Snapshot::from_json`] reads this
+/// version only.
 pub const SNAPSHOT_SCHEMA_VERSION: u64 = 2;
-
-/// Oldest snapshot schema version [`Snapshot::from_json`] accepts.
-pub const SNAPSHOT_MIN_SCHEMA_VERSION: u64 = 1;
 
 /// A monotonically increasing atomic counter handle.
 #[derive(Clone, Debug, Default)]
@@ -304,45 +301,6 @@ impl Snapshot {
         self.histograms.iter().find(|h| h.subsystem == subsystem && h.name == name)
     }
 
-    /// The difference `self - before`, metric by metric (saturating, so a
-    /// restarted counter reads 0 rather than wrapping). Metrics absent
-    /// from `before` are passed through unchanged; metrics only in
-    /// `before` are dropped.
-    pub fn delta(&self, before: &Snapshot) -> Snapshot {
-        let counters = self
-            .counters
-            .iter()
-            .map(|c| CounterSample {
-                subsystem: c.subsystem.clone(),
-                name: c.name.clone(),
-                value: c
-                    .value
-                    .saturating_sub(before.counter(&c.subsystem, &c.name).unwrap_or(0)),
-            })
-            .collect();
-        let histograms = self
-            .histograms
-            .iter()
-            .map(|h| {
-                let prev = before.histogram(&h.subsystem, &h.name);
-                HistogramSample {
-                    subsystem: h.subsystem.clone(),
-                    name: h.name.clone(),
-                    buckets: h
-                        .buckets
-                        .iter()
-                        .map(|&(i, c)| {
-                            (i, c.saturating_sub(prev.map_or(0, |p| p.bucket(i))))
-                        })
-                        .filter(|&(_, c)| c > 0)
-                        .collect(),
-                    sum: h.sum.saturating_sub(prev.map_or(0, |p| p.sum)),
-                }
-            })
-            .collect();
-        Snapshot { counters, histograms }
-    }
-
     /// Serialises the snapshot as JSON (schema-versioned; round-trips via
     /// [`Snapshot::from_json`]).
     pub fn to_json(&self) -> String {
@@ -388,10 +346,9 @@ impl Snapshot {
             .get("schema_version")
             .and_then(Json::as_u64)
             .ok_or_else(|| JsonError::new("missing schema_version"))?;
-        if !(SNAPSHOT_MIN_SCHEMA_VERSION..=SNAPSHOT_SCHEMA_VERSION).contains(&version) {
+        if version != SNAPSHOT_SCHEMA_VERSION {
             return Err(JsonError::new(format!(
-                "unsupported schema_version {version} (expected \
-                 {SNAPSHOT_MIN_SCHEMA_VERSION}..={SNAPSHOT_SCHEMA_VERSION})"
+                "unsupported schema_version {version} (expected {SNAPSHOT_SCHEMA_VERSION})"
             )));
         }
         let mut snap = Snapshot::default();
@@ -426,77 +383,6 @@ impl Snapshot {
         }
         Ok(snap)
     }
-
-    /// Renders the snapshot in Prometheus text exposition format
-    /// (`ms_<subsystem>_<name>`; histograms as cumulative `_bucket{le=…}`
-    /// series).
-    pub fn to_prometheus(&self) -> String {
-        self.to_prometheus_labeled(&[])
-    }
-
-    /// [`Snapshot::to_prometheus`] with constant labels attached to every
-    /// series (e.g. `host`, `scan_tier`, `rev`). Label values are escaped
-    /// per the exposition format (`\` → `\\`, `"` → `\"`, newline →
-    /// `\n`); with no labels the output is byte-identical to
-    /// [`Snapshot::to_prometheus`].
-    pub fn to_prometheus_labeled(&self, labels: &[(&str, &str)]) -> String {
-        let base: String = labels
-            .iter()
-            .map(|(k, v)| format!("{k}=\"{}\"", escape_label_value(v)))
-            .collect::<Vec<_>>()
-            .join(",");
-        // Suffix for plain series ("{k="v"}" or "") and the prefix inside
-        // an already-open brace ("k="v"," or "").
-        let plain = if base.is_empty() { String::new() } else { format!("{{{base}}}") };
-        let inner = if base.is_empty() { String::new() } else { format!("{base},") };
-        let mut out = String::new();
-        for c in &self.counters {
-            let m = metric_name(&c.subsystem, &c.name);
-            out.push_str(&format!("# TYPE {m} counter\n{m}{plain} {}\n", c.value));
-        }
-        for h in &self.histograms {
-            let m = metric_name(&h.subsystem, &h.name);
-            out.push_str(&format!("# TYPE {m} histogram\n"));
-            let mut cumulative = 0;
-            for (i, count) in &h.buckets {
-                cumulative += count;
-                let bound = Histogram::bucket_bound(*i);
-                out.push_str(&format!(
-                    "{m}_bucket{{{inner}le=\"{bound}\"}} {cumulative}\n"
-                ));
-            }
-            out.push_str(&format!("{m}_bucket{{{inner}le=\"+Inf\"}} {cumulative}\n"));
-            out.push_str(&format!(
-                "{m}_sum{plain} {}\n{m}_count{plain} {cumulative}\n",
-                h.sum
-            ));
-        }
-        out
-    }
-}
-
-/// Escapes a Prometheus label value (the exposition format's three escape
-/// sequences; everything else passes through, including UTF-8).
-fn escape_label_value(v: &str) -> String {
-    let mut out = String::with_capacity(v.len());
-    for c in v.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            other => out.push(other),
-        }
-    }
-    out
-}
-
-fn metric_name(subsystem: &str, name: &str) -> String {
-    let sanitize = |s: &str| {
-        s.chars()
-            .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
-            .collect::<String>()
-    };
-    format!("ms_{}_{}", sanitize(subsystem), sanitize(name))
 }
 
 fn field_str(v: &Json, key: &str) -> Result<String, JsonError> {
@@ -577,94 +463,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_delta_algebra() {
-        let reg = Registry::new();
-        let c = reg.counter("layer", "released");
-        let h = reg.histogram("engine", "pause_cycles");
-        c.add(5);
-        h.record(100);
-        let before = reg.snapshot();
-        c.add(3);
-        h.record(100);
-        h.record(0);
-        let after = reg.snapshot();
-
-        let d = after.delta(&before);
-        assert_eq!(d.counter("layer", "released"), Some(3));
-        let dh = d.histogram("engine", "pause_cycles").unwrap();
-        assert_eq!(dh.count(), 2);
-        assert_eq!(dh.sum, 100);
-        assert_eq!(dh.bucket(0), 1);
-
-        // delta(self) is all-zero; delta(empty) is identity.
-        let zero = after.delta(&after);
-        assert!(zero.counters.iter().all(|c| c.value == 0));
-        assert!(zero.histograms.iter().all(|h| h.count() == 0 && h.sum == 0));
-        assert_eq!(after.delta(&Snapshot::default()), after);
-    }
-
-    #[test]
-    fn snapshot_delta_saturates_on_counter_reset() {
-        // A restarted process re-registers counters at 0; `after` then
-        // reads below `before` and the delta must clamp to 0 instead of
-        // wrapping to ~u64::MAX.
-        let mk = |sweeps: u64, pause: &[u64]| {
-            let reg = Registry::new();
-            reg.counter("layer", "sweeps").add(sweeps);
-            let h = reg.histogram("engine", "pause_cycles");
-            for &v in pause {
-                h.record(v);
-            }
-            reg.snapshot()
-        };
-        let before = mk(100, &[8, 8, 8]);
-        let after = mk(2, &[8]);
-        let d = after.delta(&before);
-        assert_eq!(d.counter("layer", "sweeps"), Some(0), "underflow saturates");
-        let dh = d.histogram("engine", "pause_cycles").unwrap();
-        assert_eq!(dh.count(), 0, "bucket underflow saturates");
-        assert_eq!(dh.sum, 0, "sum underflow saturates");
-
-        // Metrics absent from `before` pass through; metrics only in
-        // `before` are dropped.
-        let fresh = Registry::new();
-        fresh.counter("bench", "reps").add(7);
-        let d2 = fresh.snapshot().delta(&before);
-        assert_eq!(d2.counter("bench", "reps"), Some(7));
-        assert_eq!(d2.counter("layer", "sweeps"), None);
-    }
-
-    #[test]
-    fn snapshot_delta_partial_histogram_underflow() {
-        // Only some buckets ran backwards (torn/reset source): each bucket
-        // saturates independently and empty buckets are dropped.
-        let before = Snapshot {
-            counters: vec![],
-            histograms: vec![HistogramSample {
-                subsystem: "engine".into(),
-                name: "pause_cycles".into(),
-                buckets: vec![(3, 10), (5, 1)],
-                sum: 1000,
-            }],
-        };
-        let after = Snapshot {
-            counters: vec![],
-            histograms: vec![HistogramSample {
-                subsystem: "engine".into(),
-                name: "pause_cycles".into(),
-                buckets: vec![(3, 4), (5, 3)],
-                sum: 900,
-            }],
-        };
-        let d = after.delta(&before);
-        let dh = d.histogram("engine", "pause_cycles").unwrap();
-        assert_eq!(dh.bucket(3), 0);
-        assert_eq!(dh.bucket(5), 2);
-        assert_eq!(dh.buckets, vec![(5, 2)], "zeroed buckets drop out");
-        assert_eq!(dh.sum, 0);
-    }
-
-    #[test]
     fn snapshot_json_roundtrip() {
         let reg = Registry::new();
         reg.counter("layer", "sweeps").add(42);
@@ -681,69 +479,8 @@ mod tests {
     fn from_json_rejects_wrong_schema() {
         assert!(Snapshot::from_json("{\"schema_version\": 999}").is_err());
         assert!(Snapshot::from_json("{\"schema_version\": 0}").is_err());
+        assert!(Snapshot::from_json("{\"schema_version\": 1}").is_err());
         assert!(Snapshot::from_json("not json").is_err());
-    }
-
-    #[test]
-    fn version_1_snapshots_still_parse() {
-        // Snapshots written before the forensics bump (version 1) carry
-        // the same container shape and must keep loading.
-        let old = "{\n  \"schema_version\": 1,\n  \"counters\": [\n    \
-                   {\"subsystem\": \"layer\", \"name\": \"sweeps\", \"value\": 42}\n  ],\n  \
-                   \"histograms\": [\n    {\"subsystem\": \"engine\", \"name\": \"pause_cycles\", \
-                   \"sum\": 5, \"count\": 1, \"buckets\": [[3, 1]]}\n  ]\n}\n";
-        let snap = Snapshot::from_json(old).unwrap();
-        assert_eq!(snap.counter("layer", "sweeps"), Some(42));
-        assert_eq!(snap.histogram("engine", "pause_cycles").unwrap().count(), 1);
-    }
-
-    #[test]
-    fn prometheus_exposition_shape() {
-        let reg = Registry::new();
-        reg.counter("layer", "sweeps").add(2);
-        let h = reg.histogram("engine", "pause-cycles");
-        h.record(5);
-        let text = reg.snapshot().to_prometheus();
-        assert!(text.contains("# TYPE ms_layer_sweeps counter"));
-        assert!(text.contains("ms_layer_sweeps 2"));
-        assert!(text.contains("ms_engine_pause_cycles_bucket{le=\"7\"} 1"));
-        assert!(text.contains("ms_engine_pause_cycles_bucket{le=\"+Inf\"} 1"));
-        assert!(text.contains("ms_engine_pause_cycles_sum 5"));
-        assert!(text.contains("ms_engine_pause_cycles_count 1"));
-    }
-
-    #[test]
-    fn prometheus_labeled_exposition_escapes_values() {
-        let reg = Registry::new();
-        reg.counter("layer", "sweeps").add(2);
-        let h = reg.histogram("engine", "pause_cycles");
-        h.record(5);
-        let snap = reg.snapshot();
-
-        // No labels: byte-identical to the unlabeled exposition.
-        assert_eq!(snap.to_prometheus_labeled(&[]), snap.to_prometheus());
-
-        let hostile = "tier\"a\\b\nend";
-        let text = snap.to_prometheus_labeled(&[("host", "box1"), ("tier", hostile)]);
-        let escaped = "tier\\\"a\\\\b\\nend";
-        assert!(
-            text.contains(&format!("ms_layer_sweeps{{host=\"box1\",tier=\"{escaped}\"}} 2")),
-            "{text}"
-        );
-        assert!(
-            text.contains(&format!(
-                "ms_engine_pause_cycles_bucket{{host=\"box1\",tier=\"{escaped}\",le=\"7\"}} 1"
-            )),
-            "{text}"
-        );
-        assert!(
-            text.contains(&format!(
-                "ms_engine_pause_cycles_sum{{host=\"box1\",tier=\"{escaped}\"}} 5"
-            )),
-            "{text}"
-        );
-        // The raw (unescaped) backslash-quote sequence must not appear.
-        assert!(!text.contains(hostile), "label values must be escaped: {text}");
     }
 
     #[test]

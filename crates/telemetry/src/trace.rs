@@ -611,15 +611,6 @@ impl Tracer {
         self.sink = Some(sink);
     }
 
-    /// Detaches and returns the current sink, flushed.
-    pub fn take_sink(&mut self) -> Option<Box<dyn Sink>> {
-        let mut sink = self.sink.take();
-        if let Some(s) = sink.as_mut() {
-            s.flush();
-        }
-        sink
-    }
-
     /// In deterministic mode wall-clock durations are reported as 0, so
     /// identical runs produce byte-identical traces (golden tests, CI).
     pub fn set_deterministic(&mut self, on: bool) {

@@ -1,6 +1,5 @@
-//! SLO watchdog: evaluates a metrics [`Snapshot`] (typically a
-//! start-to-end delta) against configurable service-level objectives and
-//! reports pass/fail per objective.
+//! SLO watchdog: evaluates a metrics [`Snapshot`] against configurable
+//! service-level objectives and reports pass/fail per objective.
 //!
 //! Objectives cover the four quantities the paper's evaluation watches:
 //! the worst stop-the-world pause, the worst whole-sweep duration, how
@@ -134,9 +133,8 @@ impl Watchdog {
         &self.policy
     }
 
-    /// Evaluates every configured objective against `snap` (pass a
-    /// [`Snapshot::delta`] to scope the check to one run of a long-lived
-    /// registry). Checks come back in declaration order.
+    /// Evaluates every configured objective against `snap`. Checks come
+    /// back in declaration order.
     pub fn evaluate(&self, snap: &Snapshot) -> Vec<SloCheck> {
         let mut checks = Vec::new();
         if let Some(limit) = self.policy.max_stw_cycles {

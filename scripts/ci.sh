@@ -12,10 +12,10 @@
 # proptest/criterion resolve to the in-tree shim crates (crates/proptest,
 # crates/criterion).
 #
-# Baseline refresh knobs (intentional, reviewed updates only):
-#   UPDATE_GOLDEN=1            scripts/ci.sh --stage golden-traces
-#   UPDATE_SECURITY_BASELINE=1 scripts/ci.sh --stage security
-#   UPDATE_MODEL_LOCK=1        scripts/ci.sh --stage model-lock
+# Fixture refresh knobs (intentional, reviewed updates only):
+#   UPDATE_GOLDEN=1      cargo test --workspace    (golden traces and
+#                                                  SECURITY_matrix.json)
+#   UPDATE_MODEL_LOCK=1  scripts/ci.sh --stage model-lock
 set -euo pipefail
 SELF="$(cd "$(dirname "$0")" && pwd)/$(basename "$0")"
 cd "$(dirname "$0")/.."
@@ -24,18 +24,6 @@ export CARGO_NET_OFFLINE=true
 
 smoke_dir="$(mktemp -d)"
 trap 'rm -rf "$smoke_dir"' EXIT
-
-# ---------------------------------------------------------------------------
-# Shared artifact helpers: stages that consume another stage's output call
-# these so any stage also works standalone via --stage.
-# ---------------------------------------------------------------------------
-
-ensure_security_matrix() {
-    [ -s "$smoke_dir/SECURITY_matrix.json" ] && return 0
-    cargo run -q --release -p ms-cli --bin minesweeper-sim -- \
-        exploit --corpus --seed 42 --fuzz 3 \
-        --out "$smoke_dir/SECURITY_matrix.json" > /dev/null
-}
 
 # ---------------------------------------------------------------------------
 # Stages. Each is a function stage_<name> (hyphens become underscores) with
@@ -52,7 +40,7 @@ stage_root_tests() {
     cargo test -q
 }
 
-# desc: full workspace tests
+# desc: full workspace tests, golden traces and security matrix included (UPDATE_GOLDEN=1)
 stage_workspace_tests() {
     cargo test --workspace -q
 }
@@ -130,12 +118,6 @@ stage_dossier() {
     rc=0
     "${report[@]}" "$smoke_dir/no_such_run" --check > /dev/null 2>&1 || rc=$?
     [ "$rc" -eq 1 ] || { echo "a missing run dir must exit 1 (got $rc)"; exit 1; }
-}
-
-# desc: JSONL wire format matches committed fixtures (UPDATE_GOLDEN=1)
-stage_golden_traces() {
-    cargo test -q -p minesweeper --test golden_trace > /dev/null \
-        || { echo "golden trace fixtures drifted"; exit 1; }
 }
 
 # desc: sim run outputs match pinned sha256 sums (UPDATE_MODEL_LOCK=1)
@@ -242,65 +224,6 @@ stage_e2e_bench_smoke() {
     [ "$rc" -eq 1 ] || { echo "sample_profile --bogus must exit 1 (got $rc)"; exit 1; }
 }
 
-# desc: security matrix regenerates byte-identically and passes the gate
-stage_security() {
-    # The adversarial corpus is deterministic: the same seed must
-    # reproduce the committed SECURITY_matrix.json byte for byte, and the
-    # fresh matrix must show no verdict regression against the committed
-    # SECURITY_baseline.json (minesweeper cells must stay non-Compromised
-    # — the gate's hard floor). Refresh both intentionally with
-    # UPDATE_SECURITY_BASELINE=1 after reviewing the verdict diff.
-    ensure_security_matrix
-    if [ "${UPDATE_SECURITY_BASELINE:-0}" = "1" ]; then
-        cp "$smoke_dir/SECURITY_matrix.json" SECURITY_matrix.json
-        cp "$smoke_dir/SECURITY_matrix.json" SECURITY_baseline.json
-        echo "security baseline regenerated — review and commit the diff"
-    fi
-    cmp -s SECURITY_matrix.json "$smoke_dir/SECURITY_matrix.json" \
-        || { echo "SECURITY_matrix.json drifted from the committed copy" \
-             "(regenerate with UPDATE_SECURITY_BASELINE=1)"; exit 1; }
-    # Schema 2: every cell carries its defence-cycle attribution.
-    grep -q '"schema": 2' "$smoke_dir/SECURITY_matrix.json" \
-        || { echo "security matrix must be schema 2"; exit 1; }
-    grep -q '"defence_cycles"' "$smoke_dir/SECURITY_matrix.json" \
-        || { echo "security matrix cells missing defence_cycles"; exit 1; }
-    cargo run -q --release -p ms-cli --bin ms-report -- \
-        --security "$smoke_dir/SECURITY_matrix.json" \
-        --baseline SECURITY_baseline.json --check \
-        || { echo "security verdict regression against the baseline"; exit 1; }
-}
-
-# desc: gate self-test — weakened run exits 2, bad input exits 1
-stage_security_selftest() {
-    # Prove the gate can actually fail: a corpus run with the quarantine
-    # weakened must flip minesweeper cells to Compromised and the
-    # ms-report gate must reject it with exactly exit code 2 (the
-    # documented gate-failure code; 1 would mean bad input).
-    ensure_security_matrix
-    cargo run -q --release -p ms-cli --bin minesweeper-sim -- \
-        exploit --corpus --seed 42 --fuzz 3 --weaken quarantine-off \
-        --out "$smoke_dir/SECURITY_weak.json" > /dev/null
-    local rc=0
-    cargo run -q --release -p ms-cli --bin ms-report -- \
-        --security "$smoke_dir/SECURITY_weak.json" \
-        --baseline SECURITY_baseline.json > "$smoke_dir/sec_gate.txt" || rc=$?
-    [ "$rc" -eq 2 ] \
-        || { echo "weakened matrix must fail the gate with exit 2 (got $rc)"; exit 1; }
-    grep -q "COMPROMISED (hard floor)" "$smoke_dir/sec_gate.txt" \
-        || { echo "gate output must name the hard-floor violation"; exit 1; }
-    grep -q "verdict regressed" "$smoke_dir/sec_gate.txt" \
-        || { echo "gate output must name the regressed scenarios"; exit 1; }
-    # Exit-code contract: unreadable input is 1, a clean pass is 0.
-    rc=0
-    cargo run -q --release -p ms-cli --bin ms-report -- \
-        --security "$smoke_dir/does_not_exist.json" > /dev/null 2>&1 || rc=$?
-    [ "$rc" -eq 1 ] || { echo "bad input must exit 1 (got $rc)"; exit 1; }
-    cargo run -q --release -p ms-cli --bin ms-report -- \
-        --security "$smoke_dir/SECURITY_matrix.json" \
-        --baseline SECURITY_baseline.json > /dev/null \
-        || { echo "clean matrix must pass with exit 0"; exit 1; }
-}
-
 # desc: rustdoc builds with no broken intra-doc links
 stage_rustdoc() {
     RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --workspace --no-deps -q
@@ -386,12 +309,9 @@ STAGES=(
     workspace-tests
     swar-tests
     dossier
-    golden-traces
     model-lock
     kernel-gate
     e2e-bench-smoke
-    security
-    security-selftest
     rustdoc
     doc-modules
     clippy

@@ -91,7 +91,7 @@ fn demo_profile_runs_under_all_systems() {
 #[test]
 fn double_free_is_idempotent_through_the_stack() {
     let mut space = AddrSpace::new();
-    let mut ms = MineSweeper::new(MsConfig::builder().report_double_frees(true).build());
+    let mut ms = MineSweeper::new(MsConfig { report_double_frees: true, ..MsConfig::default() });
     let a = ms.malloc(&mut space, 128);
     assert_eq!(ms.free(&mut space, a), FreeOutcome::Quarantined);
     for _ in 0..10 {
