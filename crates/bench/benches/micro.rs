@@ -59,7 +59,7 @@ fn bench_sweep(c: &mut Criterion) {
                         cache: None,
                         forensics: None,
                     };
-                    parallel_mark_pool(&[job], &opts);
+                    parallel_mark_pool(&job, &opts);
                     black_box(shadow.marked_count())
                 })
             },

@@ -12,15 +12,14 @@ USAGE:
     ms-report <run-dir> [--check] [--slo <spec>]
 
 <run-dir> is what `minesweeper-sim run <benchmark> --out <run-dir>` writes:
-metrics.json always, trace.jsonl unless the run used --arenas. The report
-renders every section those files support, in this order:
+metrics.json and trace.jsonl. The report renders every section those
+files support, in this order:
 
     timeline, failed frees, quarantine  per-sweep tables (trace)
     pinners, failed-free detail         when the trace is forensic
     pauses                              engine pause/STW/sweep histograms
-    arenas                              shard table, per-arena histograms
-    cost ledger                         per-kind, per-site and per-arena
-                                        defence cycles; a forensic trace
+    cost ledger                         per-kind and per-site defence
+                                        cycles; a forensic trace
                                         adds each site's pinned bytes
     slo                                 with --slo
 
@@ -29,10 +28,8 @@ renders every section those files support, in this order:
                        layer counters
     mark-accounting    per sweep, scanned words + skipped bytes equal the
                        plan bytes
-    arena-shards       per shard, the a<k>_sweeps counter equals the
-                       a<k>_sweep_cycles count
-    cost-conservation  the kind and site dimensions, and the arena one
-                       when present, each sum to cost/total_cycles
+    cost-conservation  the kind and site dimensions each sum to
+                       cost/total_cycles
 --slo <spec> adds the slo table and gate; the spec is a comma list of
 stw=CYCLES, sweep=CYCLES, qratio=PERMILLE and util=PCT.
 

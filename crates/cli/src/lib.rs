@@ -14,7 +14,7 @@
 use sim::report::{bytes, fx, table, telemetry_tables};
 use std::path::Path;
 
-use sim::{run, run_arenas, run_exploit, run_trace, Engine, System, ARENA_SUBSYSTEM, ENGINE_SUBSYSTEM};
+use sim::{run, run_exploit, run_trace, Engine, System, ENGINE_SUBSYSTEM};
 use telemetry::{pause_table, JsonlSink, RunReport, Snapshot};
 use workloads::exploit::figure2_attack;
 use workloads::{mimalloc_bench, recorded, spec2006, spec2017, Profile, TraceGen};
@@ -32,17 +32,12 @@ pub enum Command {
         system: String,
         /// Trace seed.
         seed: u64,
-        /// Write the run directory here: [`METRICS_FILE`] always, and
-        /// [`TRACE_FILE`] unless the run is sharded with `arenas`. Needs a
-        /// minesweeper-layered system.
+        /// Write the run directory here: [`METRICS_FILE`] and
+        /// [`TRACE_FILE`]. Needs a minesweeper-layered system.
         out: Option<String>,
         /// Sweep-forensics mode label (`off`, `full`, `sampled:N`); only
         /// meaningful for minesweeper-layered systems.
         forensics: Option<String>,
-        /// Run the benchmark as N identically-shaped tenants over one
-        /// sharded [`minesweeper::ArenaPool`]; needs a minesweeper-layered
-        /// system.
-        arenas: Option<u32>,
     },
     /// Run one benchmark under every system and print the overhead table.
     Compare {
@@ -121,7 +116,6 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
             let mut out = None;
             let mut knobs = "demo".to_string();
             let mut forensics = None;
-            let mut arenas = None;
             let mut corpus = false;
             let mut fuzz = 3u32;
             while let Some(arg) = it.next() {
@@ -175,18 +169,6 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                                 .clone(),
                         );
                     }
-                    "--arenas" => {
-                        let v = it
-                            .next()
-                            .ok_or_else(|| CliError("--arenas needs a value".into()))?;
-                        let n: u32 = v
-                            .parse()
-                            .map_err(|_| CliError(format!("bad arena count: {v}")))?;
-                        if n == 0 {
-                            return Err(CliError("--arenas needs at least one".into()));
-                        }
-                        arenas = Some(n);
-                    }
                     flag if flag.starts_with('-') => {
                         return Err(CliError(format!("unknown flag: {flag}")));
                     }
@@ -200,8 +182,8 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
             let positional = |what: &str| {
                 benchmark.clone().ok_or_else(|| CliError(format!("{what} needed")))
             };
-            if cmd != "run" && (forensics.is_some() || arenas.is_some()) {
-                return Err(CliError("--forensics/--arenas are only valid with `run`".into()));
+            if cmd != "run" && forensics.is_some() {
+                return Err(CliError("--forensics is only valid with `run`".into()));
             }
             if cmd != "exploit" && (corpus || fuzz != 3) {
                 return Err(CliError("--corpus/--fuzz are only valid with `exploit`".into()));
@@ -213,7 +195,6 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                     seed,
                     out,
                     forensics,
-                    arenas,
                 }),
                 "compare" => Ok(Command::Compare {
                     benchmark: positional("compare needs a benchmark name")?,
@@ -337,30 +318,26 @@ pub fn execute(cmd: &Command) -> Result<String, CliError> {
             out.push_str("  demo           (synthetic quick-run profile)\n");
             Ok(out)
         }
-        Command::Run { benchmark, system, seed, out, forensics, arenas } => {
+        Command::Run { benchmark, system, seed, out, forensics } => {
             let profile = profile_by_name(benchmark)?;
             let mut sys = system_by_label(system)?;
             if let Some(label) = forensics {
                 sys = apply_forensics(sys, label)?;
             }
-            let layered = |flag: &str| {
-                sys.ms_config().ok_or_else(|| {
-                    CliError(format!("{flag} needs a minesweeper-layered system, not {system}"))
-                })
-            };
             let dir = match out {
                 None => None,
                 Some(dir) => {
-                    layered("--out")?;
+                    sys.ms_config().ok_or_else(|| {
+                        CliError(format!("--out needs a minesweeper-layered system, not {system}"))
+                    })?;
                     std::fs::create_dir_all(dir)
                         .map_err(|e| CliError(format!("cannot create {dir}: {e}")))?;
                     Some(Path::new(dir))
                 }
             };
-            let m = match (arenas, dir) {
-                (Some(n), _) => run_arenas(&profile, *n, *seed, layered("--arenas")?),
-                (None, None) => run(&profile, sys, *seed),
-                (None, Some(dir)) => {
+            let m = match dir {
+                None => run(&profile, sys, *seed),
+                Some(dir) => {
                     let path = dir.join(TRACE_FILE);
                     let file = std::fs::File::create(&path).map_err(|e| {
                         CliError(format!("cannot create {}: {e}", path.display()))
@@ -378,15 +355,10 @@ pub fn execute(cmd: &Command) -> Result<String, CliError> {
                 let snap = m.telemetry.as_ref().expect("layered runs export telemetry");
                 write_file(dir.join(METRICS_FILE), &snap.to_json())?;
             }
-            let mut rows = vec![
+            let rows = vec![
                 vec!["metric".to_string(), "value".into()],
                 vec!["benchmark".into(), m.benchmark.clone()],
                 vec!["system".into(), m.system.clone()],
-            ];
-            if let Some(n) = arenas {
-                rows.push(vec!["arenas".into(), n.to_string()]);
-            }
-            rows.extend([
                 vec!["virtual cycles".into(), m.mutator_cycles.to_string()],
                 vec!["background cycles".into(), m.background_cycles.to_string()],
                 vec!["avg RSS".into(), bytes(m.avg_rss() as u64)],
@@ -394,18 +366,11 @@ pub fn execute(cmd: &Command) -> Result<String, CliError> {
                 vec!["sweeps".into(), m.sweeps.to_string()],
                 vec!["failed frees".into(), m.failed_frees.to_string()],
                 vec!["cpu utilisation".into(), fx(m.cpu_utilisation())],
-            ]);
+            ];
             let mut out = table(&rows);
-            match (arenas, &m.telemetry) {
-                (Some(n), Some(snap)) => {
-                    out.push('\n');
-                    out.push_str(&arena_table(snap, u64::from(*n)));
-                }
-                (None, Some(snap)) => {
-                    out.push_str("\ntelemetry:\n");
-                    out.push_str(&telemetry_tables(snap));
-                }
-                (_, None) => {}
+            if let Some(snap) = &m.telemetry {
+                out.push_str("\ntelemetry:\n");
+                out.push_str(&telemetry_tables(snap));
             }
             Ok(out)
         }
@@ -521,56 +486,6 @@ fn share(part: u64, total: u64) -> String {
     }
 }
 
-/// The counter keys every arena shard exports, one table column each.
-const ARENA_KEYS: [&str; 4] =
-    ["quarantined_bytes", "released_bytes", "failed_frees", "sweeps"];
-
-/// Renders the per-arena shard table (one row per tenant and a total row
-/// summing them) plus a scheduler summary line, from a snapshot of `n`
-/// arenas. Each shard also shows its share of `cost/total_cycles`, so a
-/// tenant whose quarantine ratio looks healthy but who is eating the
-/// sweep budget is visible in the same table.
-fn arena_table(snap: &Snapshot, n: u64) -> String {
-    let counter = |name: &str| snap.counter(ARENA_SUBSYSTEM, name).unwrap_or(0);
-    let cost_total = snap.counter(sim::COST_SUBSYSTEM, "total_cycles").unwrap_or(0);
-    let cell = |key: &str, v: u64| if key.ends_with("bytes") { bytes(v) } else { v.to_string() };
-    let mut rows = vec![vec![
-        "arena".to_string(),
-        "quar bytes".into(),
-        "released".into(),
-        "failed".into(),
-        "sweeps".into(),
-        "cost share".into(),
-    ]];
-    let mut totals = [0u64; ARENA_KEYS.len()];
-    let mut attributed = 0u64;
-    for k in 0..n {
-        let mut row = vec![format!("a{k}")];
-        for (key, total) in ARENA_KEYS.iter().zip(&mut totals) {
-            let v = counter(&format!("a{k}_{key}"));
-            *total += v;
-            row.push(cell(key, v));
-        }
-        let cycles =
-            snap.counter(sim::COST_SUBSYSTEM, &format!("arena_a{k}_cycles")).unwrap_or(0);
-        attributed += cycles;
-        row.push(share(cycles, cost_total));
-        rows.push(row);
-    }
-    let mut total_row = vec!["total".to_string()];
-    total_row.extend(ARENA_KEYS.iter().zip(totals).map(|(key, v)| cell(key, v)));
-    total_row.push(share(attributed, cost_total));
-    rows.push(total_row);
-    let mut out = table(&rows);
-    out.push_str(&format!(
-        "scheduler: {} rounds, {} arenas swept, {} coalesced\n",
-        counter("sched_rounds"),
-        counter("sched_scheduled"),
-        counter("sched_coalesced"),
-    ));
-    out
-}
-
 /// A rendered run dossier ([`render_dossier`]).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Dossier {
@@ -590,17 +505,15 @@ pub struct Dossier {
 /// 1. `timeline`, `failed frees`, `quarantine` — from the trace;
 /// 2. `pinners`, `failed-free detail` — when the trace is forensic;
 /// 3. `pauses` — the engine's pause/STW/sweep histograms;
-/// 4. `arenas` — the shard table and per-arena histograms;
-/// 5. `cost ledger` — joined with pinned bytes from a forensic trace;
-/// 6. `slo` — when `slo` is given.
+/// 4. `cost ledger` — joined with pinned bytes from a forensic trace;
+/// 5. `slo` — when `slo` is given.
 ///
 /// With `check`, every gate the directory supports runs:
 /// `trace-reconcile` (trace totals and the forensic ledger against the
 /// layer counters), `mark-accounting` (per sweep, scanned words plus
-/// skipped bytes equal the plan bytes), `arena-shards` (per shard, the
-/// `a{k}_sweeps` counter equals the `a{k}_sweep_cycles` count) and
-/// `cost-conservation` ([`sim::CostLedger::reconcile`]). An `slo` spec
-/// adds the `slo` gate with or without `check`.
+/// skipped bytes equal the plan bytes) and `cost-conservation`
+/// ([`sim::CostLedger::reconcile`]). An `slo` spec adds the `slo` gate
+/// with or without `check`.
 ///
 /// # Errors
 ///
@@ -644,22 +557,6 @@ pub fn render_dossier(dir: &str, check: bool, slo: Option<&str>) -> Result<Dossi
     if !pauses.is_empty() {
         push_section(&mut text, "pauses", &pauses.join("\n"));
     }
-    if let Some(n) = snap.counter(ARENA_SUBSYSTEM, "arenas") {
-        let mut body = arena_table(&snap, n);
-        for k in 0..n {
-            for name in ["pause_cycles", "stw_cycles", "sweep_cycles"] {
-                if let Some(h) = snap.histogram(ARENA_SUBSYSTEM, &format!("a{k}_{name}")) {
-                    if h.count() > 0 {
-                        body.push_str(&format!("\na{k} {name}:\n{}", pause_table(h, "cycles")));
-                    }
-                }
-            }
-        }
-        push_section(&mut text, "arenas", &body);
-        if check {
-            gates.push(("arena-shards", arena_shard_mismatches(&snap, n)));
-        }
-    }
     if let Some(ledger) = sim::CostLedger::from_snapshot(&snap) {
         let forensic = report.as_ref().filter(|r| r.has_forensics());
         push_section(&mut text, "cost ledger", &cost_ledger(&snap, &ledger, forensic));
@@ -674,9 +571,8 @@ pub fn render_dossier(dir: &str, check: bool, slo: Option<&str>) -> Result<Dossi
             .iter()
             .filter(|c| !c.pass)
             .map(|c| {
-                let shard = c.shard.map_or_else(String::new, |s| format!("[a{s}]"));
                 let observed = c.observed.map_or_else(|| "-".into(), |o| o.to_string());
-                format!("{}{shard} observed {observed}, limit {}", c.kind.as_str(), c.limit)
+                format!("{} observed {observed}, limit {}", c.kind.as_str(), c.limit)
             })
             .collect();
         gates.push(("slo", breaches));
@@ -765,24 +661,8 @@ fn mark_accounting(report: &RunReport) -> Vec<String> {
         .collect()
 }
 
-/// Per shard, the sweeps the layer counted (`a{k}_sweeps`) must equal the
-/// round reports the pooled runner billed (`a{k}_sweep_cycles` count).
-fn arena_shard_mismatches(snap: &Snapshot, n: u64) -> Vec<String> {
-    (0..n)
-        .filter_map(|k| {
-            let counted = snap.counter(ARENA_SUBSYSTEM, &format!("a{k}_sweeps")).unwrap_or(0);
-            let billed = snap
-                .histogram(ARENA_SUBSYSTEM, &format!("a{k}_sweep_cycles"))
-                .map_or(0, |h| h.count());
-            (counted != billed).then(|| {
-                format!("a{k}: a{k}_sweeps counter {counted} != a{k}_sweep_cycles count {billed}")
-            })
-        })
-        .collect()
-}
-
-/// The defence-cost tables: per-kind, per-site (top 10) and per-arena
-/// cycles with each entry's share of `cost/total_cycles`, plus the
+/// The defence-cost tables: per-kind and per-site (top 10) cycles with
+/// each entry's share of `cost/total_cycles`, plus the
 /// per-sweep cost distribution. Given a forensic trace, the site table
 /// joins the bytes each site's failed frees pin in quarantine — sites that
 /// are both expensive to defend and pin memory are the tuning targets.
@@ -841,15 +721,6 @@ fn cost_ledger(snap: &Snapshot, ledger: &sim::CostLedger, forensic: Option<&RunR
         rows.push(row);
     }
     out.push_str(&table(&rows));
-
-    if !ledger.arenas.is_empty() {
-        out.push('\n');
-        let mut rows = vec![vec!["arena".to_string(), "cycles".into(), "share".into()]];
-        for (label, cycles) in &ledger.arenas {
-            rows.push(vec![label.clone(), cycles.to_string(), share(*cycles, ledger.total)]);
-        }
-        out.push_str(&table(&rows));
-    }
 
     if let Some(h) = snap.histogram(sim::COST_SUBSYSTEM, "per_sweep_cycles") {
         if h.count() > 0 {
@@ -921,7 +792,7 @@ minesweeper-sim — MineSweeper (ASPLOS'22) reproduction driver
 USAGE:
     minesweeper-sim list
     minesweeper-sim run <benchmark> [--system <label>] [--seed <n>] [--out <dir>]
-                        [--forensics <off|full|sampled:n>] [--arenas <n>]
+                        [--forensics <off|full|sampled:n>]
     minesweeper-sim compare <benchmark> [--seed <n>]
     minesweeper-sim exploit [--system <label>]
     minesweeper-sim exploit --corpus [--out <matrix.json>] [--fuzz <n>] [--seed <n>]
@@ -934,9 +805,8 @@ SYSTEMS:
     ffmalloc (ff), scudo, minesweeper-scudo (ms-scudo), crcount (cr),
     oscar, psweeper (ps), dangsan
 
-run --out <dir> writes a run directory for `ms-report <dir>`: metrics.json,
-and trace.jsonl unless the run uses --arenas. --out, --forensics and
---arenas need a minesweeper-layered system.
+run --out <dir> writes a run directory for `ms-report <dir>`: metrics.json
+and trace.jsonl. --out and --forensics need a minesweeper-layered system.
 
 exploit --corpus replays the named attack scenarios plus <n> seeded fuzzed
 ones (default 3, at most 1000) against every backend and prints the
@@ -963,7 +833,6 @@ mod tests {
                 seed: 9,
                 out: None,
                 forensics: None,
-                arenas: None,
             }
         );
     }
@@ -979,7 +848,6 @@ mod tests {
                 seed: 42,
                 out: Some("/tmp/run".into()),
                 forensics: None,
-                arenas: None,
             }
         );
         assert!(parse(&argv("run demo --out")).is_err());
@@ -1000,7 +868,6 @@ mod tests {
                 seed: 42,
                 out: None,
                 forensics: None,
-                arenas: None,
             }
         );
         assert_eq!(parse(&[]).unwrap(), Command::Help);
@@ -1097,7 +964,7 @@ mod tests {
             seed: 42,
         })
         .unwrap();
-        assert!(out.contains("security matrix: 10 scenarios x 10 backends"), "{out}");
+        assert!(out.contains("security matrix: 9 scenarios x 10 backends"), "{out}");
         assert!(out.contains("ms defence"), "{out}");
         assert!(out.contains("minesweeper compromised cells: 0"), "{out}");
         assert!(out.contains("defence cycles:"), "{out}");
@@ -1155,25 +1022,19 @@ mod tests {
         dir
     }
 
-    fn run_cmd(
-        system: &str,
-        out: Option<&Path>,
-        forensics: Option<&str>,
-        arenas: Option<u32>,
-    ) -> Command {
+    fn run_cmd(system: &str, out: Option<&Path>, forensics: Option<&str>) -> Command {
         Command::Run {
             benchmark: "demo".into(),
             system: system.into(),
             seed: 5,
             out: out.map(|p| p.to_string_lossy().into_owned()),
             forensics: forensics.map(String::from),
-            arenas,
         }
     }
 
     #[test]
     fn run_demo_executes() {
-        let out = execute(&run_cmd("ms", None, None, None)).unwrap();
+        let out = execute(&run_cmd("ms", None, None)).unwrap();
         assert!(out.contains("sweeps"));
         assert!(out.contains("avg RSS"));
         assert!(out.contains("layer/released_bytes"), "telemetry table:\n{out}");
@@ -1183,9 +1044,8 @@ mod tests {
     fn run_flags_need_a_layered_system() {
         let dir = scratch("baseline_out");
         for cmd in [
-            run_cmd("baseline", Some(&dir), None, None),
-            run_cmd("baseline", None, Some("full"), None),
-            run_cmd("baseline", None, None, Some(2)),
+            run_cmd("baseline", Some(&dir), None),
+            run_cmd("baseline", None, Some("full")),
         ] {
             let err = execute(&cmd).unwrap_err();
             assert!(err.0.contains("layered"), "{err}");
@@ -1197,8 +1057,8 @@ mod tests {
     fn run_out_writes_a_dossier_directory() {
         let dir = scratch("plain_run");
         let d = dir.to_string_lossy().into_owned();
-        let printed = execute(&run_cmd("ms", Some(&dir), None, None)).unwrap();
-        assert_eq!(printed, execute(&run_cmd("ms", None, None, None)).unwrap());
+        let printed = execute(&run_cmd("ms", Some(&dir), None)).unwrap();
+        assert_eq!(printed, execute(&run_cmd("ms", None, None)).unwrap());
         let trace = std::fs::read_to_string(dir.join(TRACE_FILE)).unwrap();
         assert!(trace.lines().any(|l| l.contains("\"sweep_start\"")));
         let report = render_dossier(&d, true, None).unwrap();
@@ -1206,8 +1066,8 @@ mod tests {
         for header in ["timeline", "failed frees", "quarantine", "pauses", "cost ledger"] {
             assert!(report.text.contains(&format!("== {header} ==")), "{header}");
         }
-        // No forensics in the trace, no arena shards: those sections stay out.
-        for absent in ["== pinners", "== failed-free detail", "== arenas", "== slo"] {
+        // No forensics in the trace, no SLO spec: those sections stay out.
+        for absent in ["== pinners", "== failed-free detail", "== slo"] {
             assert!(!report.text.contains(absent), "{absent}:\n{}", report.text);
         }
         assert!(report.text.contains("trace-reconcile: ok"), "{}", report.text);
@@ -1224,31 +1084,6 @@ mod tests {
         let err = render_dossier(&d, false, None).unwrap_err();
         assert!(err.0.contains("bad trace"), "{err}");
         assert!(err.0.contains("torn final line"), "{err}");
-        std::fs::remove_dir_all(dir).ok();
-    }
-
-    #[test]
-    fn arena_run_directory_holds_metrics_only() {
-        let dir = scratch("arena_run");
-        let printed = execute(&run_cmd("ms", Some(&dir), None, Some(3))).unwrap();
-        assert!(printed.contains("minesweeper-arenas3"), "{printed}");
-        assert!(printed.contains("scheduler:"), "{printed}");
-        assert!(printed.contains("cost share"), "per-arena cost shares:\n{printed}");
-        assert!(!dir.join(TRACE_FILE).exists(), "the pooled runner has no trace sink");
-        let report = render_dossier(&dir.to_string_lossy(), true, Some("qratio=1000")).unwrap();
-        assert_eq!(report.failed, Vec::<String>::new(), "{}", report.text);
-        // One run, one sweep count: each shard's layer counter and billed
-        // rounds agree (40 each here), and the total row is their sum.
-        let row = |name: &str| {
-            report.text.lines().find(|l| l.starts_with(name)).unwrap_or_default().to_string()
-        };
-        assert!(row("a1 ").contains(" 40 "), "{}", report.text);
-        assert!(row("total").contains(" 120 "), "{}", report.text);
-        for header in ["arenas", "cost ledger", "slo", "checks"] {
-            assert!(report.text.contains(&format!("== {header} ==")), "{header}");
-        }
-        assert!(!report.text.contains("== timeline =="), "{}", report.text);
-        assert!(report.text.contains("arena-shards: ok"), "{}", report.text);
         std::fs::remove_dir_all(dir).ok();
     }
 
@@ -1290,7 +1125,6 @@ mod tests {
                 seed: 42,
                 out: None,
                 forensics: Some("sampled:8".into()),
-                arenas: None,
             }
         );
         assert!(parse(&argv("compare demo --forensics full")).is_err());
@@ -1309,25 +1143,5 @@ mod tests {
         assert!(forensics_by_label("sampled:0").is_err());
         assert!(forensics_by_label("sampled:x").is_err());
         assert!(forensics_by_label("everything").is_err());
-    }
-
-    #[test]
-    fn parse_arenas_flag() {
-        let cmd = parse(&argv("run demo --arenas 4")).unwrap();
-        assert_eq!(
-            cmd,
-            Command::Run {
-                benchmark: "demo".into(),
-                system: "minesweeper".into(),
-                seed: 42,
-                out: None,
-                forensics: None,
-                arenas: Some(4),
-            }
-        );
-        assert!(parse(&argv("run demo --arenas 0")).is_err());
-        assert!(parse(&argv("run demo --arenas many")).is_err());
-        assert!(parse(&argv("run demo --arenas")).is_err());
-        assert!(parse(&argv("compare demo --arenas 2")).is_err());
     }
 }

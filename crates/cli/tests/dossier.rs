@@ -7,31 +7,23 @@ use std::path::{Path, PathBuf};
 use std::process::Output;
 use std::sync::OnceLock;
 
-/// Writes a `run demo --out` directory named `name` under the test
-/// scratch directory and returns its path.
-fn run_dir(name: &str, forensics: Option<&str>, arenas: Option<u32>) -> PathBuf {
-    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("dossier_{name}"));
-    std::fs::remove_dir_all(&dir).ok();
-    ms_cli::execute(&ms_cli::Command::Run {
-        benchmark: "demo".into(),
-        system: "ms".into(),
-        seed: 42,
-        out: Some(dir.to_string_lossy().into_owned()),
-        forensics: forensics.map(String::from),
-        arenas,
-    })
-    .expect("demo run");
-    dir
-}
-
+/// The `run demo --forensics full --out` directory under the test
+/// scratch directory, written once.
 fn forensic_dir() -> &'static Path {
     static DIR: OnceLock<PathBuf> = OnceLock::new();
-    DIR.get_or_init(|| run_dir("forensic", Some("full"), None))
-}
-
-fn arena_dir() -> &'static Path {
-    static DIR: OnceLock<PathBuf> = OnceLock::new();
-    DIR.get_or_init(|| run_dir("arenas", None, Some(3)))
+    DIR.get_or_init(|| {
+        let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("dossier_forensic");
+        std::fs::remove_dir_all(&dir).ok();
+        ms_cli::execute(&ms_cli::Command::Run {
+            benchmark: "demo".into(),
+            system: "ms".into(),
+            seed: 42,
+            out: Some(dir.to_string_lossy().into_owned()),
+            forensics: Some("full".into()),
+        })
+        .expect("demo run");
+        dir
+    })
 }
 
 fn ms_report(args: &[&str]) -> Output {
@@ -134,14 +126,6 @@ fn doctored_site_counter_fails_cost_conservation_by_dimension() {
         bump_counter(m, "cost", "site_7_cycles")
     });
     assert_gate_fails(&dir, "cost-conservation", "site dimension sums to");
-}
-
-#[test]
-fn doctored_shard_counter_fails_arena_shards_naming_the_shard() {
-    let dir = doctored(arena_dir(), "shard", "metrics.json", |m| {
-        bump_counter(m, "arena", "a1_sweeps")
-    });
-    assert_gate_fails(&dir, "arena-shards", "a1: a1_sweeps counter 41 != a1_sweep_cycles count 40");
 }
 
 #[test]

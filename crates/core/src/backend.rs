@@ -11,8 +11,6 @@
 use jalloc::FreeError;
 use vmem::{Addr, AddrSpace};
 
-use crate::arena::ArenaId;
-
 /// The allocator interface MineSweeper interposes on.
 ///
 /// Beyond `malloc`/`free`, the layer needs: usable sizes (to zero and to
@@ -57,83 +55,6 @@ pub trait HeapBackend {
     /// without purge accounting may keep the 0 default.
     fn purged_pages(&self) -> u64 {
         0
-    }
-
-    /// Which arena this backend serves. The layer reads it once at
-    /// construction and tags its quarantine and shadow map with it, so
-    /// every shard's telemetry and sweep bookkeeping names its tenant.
-    /// Single-tenant backends keep the [`ArenaId::ROOT`] default; wrap
-    /// in [`ArenaBackend`] to assign a real id.
-    fn arena_id(&self) -> ArenaId {
-        ArenaId::ROOT
-    }
-}
-
-/// Wraps any backend with an explicit [`ArenaId`] — the plumbing that
-/// turns a single-tenant backend into one shard of an
-/// [`ArenaPool`](crate::ArenaPool).
-#[derive(Debug)]
-pub struct ArenaBackend<B> {
-    id: ArenaId,
-    inner: B,
-}
-
-impl<B> ArenaBackend<B> {
-    /// Tags `inner` as serving arena `id`.
-    pub fn new(id: ArenaId, inner: B) -> Self {
-        ArenaBackend { id, inner }
-    }
-
-    /// The wrapped backend.
-    pub fn inner(&self) -> &B {
-        &self.inner
-    }
-
-    /// Unwraps the backend.
-    pub fn into_inner(self) -> B {
-        self.inner
-    }
-}
-
-impl<B: HeapBackend> HeapBackend for ArenaBackend<B> {
-    fn malloc(&mut self, space: &mut AddrSpace, size: u64) -> Addr {
-        self.inner.malloc(space, size)
-    }
-
-    fn free(&mut self, space: &mut AddrSpace, addr: Addr) -> Result<(), FreeError> {
-        self.inner.free(space, addr)
-    }
-
-    fn usable_size(&self, addr: Addr) -> Option<u64> {
-        self.inner.usable_size(addr)
-    }
-
-    fn active_ranges(&self) -> Vec<(Addr, u64)> {
-        self.inner.active_ranges()
-    }
-
-    fn allocated_bytes(&self) -> u64 {
-        self.inner.allocated_bytes()
-    }
-
-    fn purge_all(&mut self, space: &mut AddrSpace) {
-        self.inner.purge_all(space)
-    }
-
-    fn purge_aged(&mut self, space: &mut AddrSpace) {
-        self.inner.purge_aged(space)
-    }
-
-    fn advance_clock(&mut self, now: u64) {
-        self.inner.advance_clock(now)
-    }
-
-    fn purged_pages(&self) -> u64 {
-        self.inner.purged_pages()
-    }
-
-    fn arena_id(&self) -> ArenaId {
-        self.id
     }
 }
 

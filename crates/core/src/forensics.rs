@@ -8,7 +8,7 @@
 //!   feeds. When a scanned word points into a locked quarantine candidate,
 //!   the recorder attributes a *provenance edge* (source address → target
 //!   entry) to the entry, keeping a hit count and one example source per
-//!   entry. All state is atomic, so serial stepping and
+//!   entry. All state is atomic, so serial stepping and the helper threads of
 //!   [`crate::parallel_mark_pool`] share one recorder without locks.
 //!   Sampled mode records roughly 1-in-N edges through a shared tick.
 //! * [`FailedFreeLedger`] — survives across sweeps in the layer. Every

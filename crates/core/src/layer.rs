@@ -7,7 +7,6 @@ use jalloc::{JAlloc, JallocConfig};
 use telemetry::{EventKind, Histogram, Registry, Stopwatch, Tracer, Trigger};
 use vmem::{Addr, AddrSpace, PageIdx, PageRange, Protection, WORD_SIZE};
 
-use crate::arena::ArenaId;
 use crate::backend::HeapBackend;
 use crate::config::{MsConfig, SweepMode};
 use crate::filter::CandidateFilter;
@@ -16,9 +15,7 @@ use crate::pagecache::PageCache;
 use crate::quarantine::{InsertResult, QEntry, Quarantine};
 use crate::shadow::ShadowMap;
 use crate::stats::MsStats;
-use crate::sweep::{
-    mark_page, MarkAccel, Marker, ParallelMarkStats, PoolMarkJob, StepResult, SweepPlan,
-};
+use crate::sweep::{mark_page, MarkAccel, Marker, StepResult, SweepPlan};
 use crate::telem::MsCounters;
 
 /// Maximum double-free report entries retained in debug mode.
@@ -72,17 +69,14 @@ pub struct SweepReport {
 /// allocator API (`malloc`/`free`) plus sweep control. See the
 /// [crate docs](crate) for an end-to-end example.
 ///
-/// Sweeps can run three ways:
+/// Sweeps can run two ways:
 ///
 /// * [`MineSweeper::sweep_now`] — synchronously to completion (simple
 ///   library use; also how the non-concurrent ablation configs behave);
 /// * [`MineSweeper::start_sweep`] / [`MineSweeper::sweep_step`] /
 ///   [`MineSweeper::finish_sweep`] — incrementally, for callers that
 ///   interleave mutator work with sweep progress (the discrete-event
-///   engine uses this to model concurrency in virtual time);
-/// * [`MineSweeper::pooled_mark_job`] / [`crate::parallel_mark_pool`] /
-///   [`MineSweeper::finish_sweep_premarked`] — marking on real OS
-///   threads, batched across arenas (a single arena is a one-job pool).
+///   engine uses this to model concurrency in virtual time).
 #[derive(Debug)]
 pub struct MineSweeper<B: HeapBackend = JAlloc> {
     cfg: MsConfig,
@@ -184,15 +178,12 @@ impl<B: HeapBackend> MineSweeper<B> {
         let counters = MsCounters::register(&registry);
         let prof = cfg.profiler.then(|| crate::telem::SweepProf::register(&registry));
         let residency = registry.histogram(crate::telem::LAYER_SUBSYSTEM, "residency_sweeps");
-        // Every shard this layer builds carries the backend's arena id,
-        // so pooled sweeps and telemetry can attribute work per tenant.
-        let arena = backend.arena_id();
         MineSweeper {
-            quarantine: Quarantine::for_arena(cfg.tl_buffer_capacity, arena),
+            quarantine: Quarantine::new(cfg.tl_buffer_capacity),
             cfg,
             heap: backend,
             active: None,
-            shadow: ShadowMap::for_arena(arena),
+            shadow: ShadowMap::new(),
             registry,
             counters,
             prof,
@@ -208,13 +199,6 @@ impl<B: HeapBackend> MineSweeper<B> {
     /// The layer configuration.
     pub fn config(&self) -> &MsConfig {
         &self.cfg
-    }
-
-    /// The arena this layer serves ([`HeapBackend::arena_id`], read once
-    /// at construction; its quarantine and shadow shards carry the same
-    /// id).
-    pub fn arena_id(&self) -> ArenaId {
-        self.quarantine.arena()
     }
 
     /// The underlying heap (read-only; allocate through the layer).
@@ -459,37 +443,6 @@ impl<B: HeapBackend> MineSweeper<B> {
         (proportional, unmapped)
     }
 
-    /// Quarantine pressure as a permille of the proportional sweep
-    /// trigger: 1000 means the trigger is exactly met. The global sweep
-    /// scheduler ([`crate::SweepScheduler`]) orders and coalesces arenas
-    /// by this value. Below the [`MIN_SWEEP_BYTES`] floor the value is
-    /// clamped under 1000 (never "due"); an unmapped-trigger firing
-    /// reports at least 1000. Zero while a sweep is in flight (pressure
-    /// is released by finishing it, not by starting another).
-    pub fn sweep_pressure(&self, space: &AddrSpace) -> u64 {
-        if self.active.is_some() || !self.cfg.quarantine {
-            return 0;
-        }
-        let q = self.quarantine.tracked_bytes();
-        let f = self.quarantine.failed_bytes();
-        let heap_bytes = self
-            .heap
-            .allocated_bytes()
-            .saturating_sub(self.quarantine.unmapped_bytes());
-        let eligible = q.saturating_sub(f);
-        let denom =
-            (self.cfg.sweep_threshold * heap_bytes.saturating_sub(f) as f64).max(1.0);
-        let mut permille = (eligible as f64 * 1000.0 / denom) as u64;
-        if eligible < MIN_SWEEP_BYTES {
-            permille = permille.min(999);
-        }
-        let (proportional, unmapped) = self.trigger_state(space);
-        if proportional || unmapped {
-            permille = permille.max(1000);
-        }
-        permille
-    }
-
     /// Classifies what is firing the sweep that is about to start.
     fn trigger_kind(&self, space: &AddrSpace) -> Trigger {
         match self.trigger_state(space) {
@@ -692,96 +645,7 @@ impl<B: HeapBackend> MineSweeper<B> {
         active.mark_filter_rejects += drained.filter_rejects;
         active.mark_wall_ns += sw.elapsed_ns();
         self.absorb_mark_counters(&drained);
-        self.complete_sweep(space, active, report)
-    }
 
-    /// One arena's share of a pooled cross-arena mark: the in-flight
-    /// sweep's plan, shadow map and accelerators, borrowed immutably so
-    /// [`crate::parallel_mark_pool`] can drain many arenas' plans through
-    /// one work-stealing cursor. The caller passes the same `space` the
-    /// sweep was started on.
-    ///
-    /// The page cache is exposed read-only (replay only — pooled helpers
-    /// never record digests, so pooled sweeps let cached pages age out
-    /// instead of refreshing them; a correctness no-op).
-    ///
-    /// # Panics
-    ///
-    /// Panics if no sweep is in flight.
-    pub fn pooled_mark_job<'a>(&'a self, space: &'a AddrSpace) -> PoolMarkJob<'a> {
-        let active = self.active.as_ref().expect("no sweep in flight");
-        PoolMarkJob {
-            space,
-            plan: active.marker.plan(),
-            shadow: &self.shadow,
-            filter: active.filter.as_ref(),
-            cache: (self.cfg.marking && self.cfg.page_cache).then_some(&self.page_cache),
-            forensics: active.recorder.as_ref(),
-        }
-    }
-
-    /// Completes a sweep whose marking ran *externally* (a pooled
-    /// cross-arena mark wrote this arena's shadow map already): folds the
-    /// pooled stats into the layer's accounting, then runs the same
-    /// release path as [`MineSweeper::finish_sweep`].
-    ///
-    /// Accounting: the pooled mark covered the whole plan, so this sweep
-    /// advanced `plan bytes` with `stats.words` read and the remainder
-    /// skipped wholesale (unbacked/protected pages and cache replays) —
-    /// the `bytes == words*8 + skipped` identity `ms-report --check`
-    /// verifies holds exactly.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no sweep is in flight.
-    pub fn finish_sweep_premarked(
-        &mut self,
-        space: &mut AddrSpace,
-        stats: &ParallelMarkStats,
-        mark_wall_ns: u64,
-    ) -> SweepReport {
-        let mut active = self.active.take().expect("no sweep in flight");
-        let bytes = active.marker.plan().total_bytes();
-        let words = stats.words;
-        let skipped = bytes.saturating_sub(words * WORD_SIZE as u64);
-        let pin_edges = active
-            .recorder
-            .as_ref()
-            .map_or(0, |r| r.aggregates().values().map(|a| a.hits).sum());
-        active.mark_bytes += bytes;
-        active.mark_words += words;
-        active.mark_skipped_bytes += skipped;
-        active.mark_filter_rejects += stats.filter_rejects;
-        active.mark_wall_ns += mark_wall_ns;
-        let step = StepResult {
-            words,
-            bytes,
-            skipped_bytes: skipped,
-            heap_words: stats.heap_words,
-            pages_skipped: stats.pages_skipped,
-            pages_replayed: stats.pages_replayed,
-            filter_rejects: stats.filter_rejects,
-            pin_edges,
-            finished: true,
-        };
-        self.absorb_mark_counters(&step);
-        let report = SweepReport { marked_words: words, ..SweepReport::default() };
-        self.complete_sweep(space, active, report)
-    }
-
-    /// The shared sweep tail: `MarkPhase` event, optional stop-the-world
-    /// pass, the release walk over the locked quarantine generation,
-    /// post-sweep purge and the `SweepEnd` event. Both
-    /// [`MineSweeper::finish_sweep`] and
-    /// [`MineSweeper::finish_sweep_premarked`] come through here, so a
-    /// pooled arena's release semantics cannot drift from the
-    /// single-arena path.
-    fn complete_sweep(
-        &mut self,
-        space: &mut AddrSpace,
-        active: ActiveSweep,
-        mut report: SweepReport,
-    ) -> SweepReport {
         let id = active.id;
         report.skipped_bytes = active.mark_skipped_bytes;
         let marked_granules = self.shadow.marked_count();

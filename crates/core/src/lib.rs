@@ -56,7 +56,6 @@
 //! assert_eq!(report.released, 1);
 //! ```
 
-mod arena;
 mod backend;
 mod config;
 mod filter;
@@ -71,8 +70,7 @@ mod stats;
 mod sweep;
 mod telem;
 
-pub use arena::{Arena, ArenaId, ArenaPool, RoundReport, SchedPolicy, SweepScheduler};
-pub use backend::{ArenaBackend, HeapBackend};
+pub use backend::HeapBackend;
 pub use config::{ForensicsMode, MsConfig, SweepMode};
 pub use filter::CandidateFilter;
 pub use forensics::{EdgeAgg, EdgeRecorder, FailedFreeLedger, LedgerEntry};
@@ -85,7 +83,7 @@ pub use stats::MsStats;
 pub use simd::ScanTier;
 pub use sweep::{
     effective_helper_count, parallel_mark_pool, MarkAccel, MarkProfile, Marker,
-    ParallelMarkStats, PoolMarkJob, PoolMarkOpts, PoolMarkResult, StepResult, SweepPlan,
+    ParallelMarkStats, PoolMarkJob, PoolMarkOpts, StepResult, SweepPlan,
     PARALLEL_CHUNK_PAGES,
 };
 pub use telem::{MsCounters, SweepProf, LAYER_SUBSYSTEM, SWEEP_SUBSYSTEM};

@@ -9,8 +9,6 @@
 use telemetry::IdSet;
 use vmem::{Addr, PAGE_SIZE};
 
-use crate::arena::ArenaId;
-
 /// A quarantined allocation.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct QEntry {
@@ -83,19 +81,12 @@ pub struct Quarantine {
     failed_bytes: u64,
     unmapped_bytes: u64,
     generation: u64,
-    /// Arena shard this quarantine belongs to (root for single-tenant).
-    arena: ArenaId,
 }
 
 impl Quarantine {
     /// Creates an empty quarantine with the given thread-local buffer
-    /// capacity, owned by the root arena.
+    /// capacity.
     pub fn new(tl_capacity: usize) -> Self {
-        Self::for_arena(tl_capacity, ArenaId::ROOT)
-    }
-
-    /// Creates an empty quarantine shard for `arena`.
-    pub fn for_arena(tl_capacity: usize, arena: ArenaId) -> Self {
         Quarantine {
             tl_buffer: Vec::with_capacity(tl_capacity.max(1)),
             tl_capacity: tl_capacity.max(1),
@@ -105,13 +96,7 @@ impl Quarantine {
             failed_bytes: 0,
             unmapped_bytes: 0,
             generation: 0,
-            arena,
         }
-    }
-
-    /// The arena this quarantine shard serves.
-    pub fn arena(&self) -> ArenaId {
-        self.arena
     }
 
     /// Inserts a freed allocation, de-duplicating double frees.

@@ -160,9 +160,6 @@ pub struct ShadowMap {
     resident: Mutex<Vec<u64>>,
     /// Resident level-2 tables, for O(1) [`ShadowMap::directory_bytes`].
     l2_count: AtomicU64,
-    /// Arena shard this map belongs to (root for single-tenant). Set at
-    /// construction; [`ShadowMap::clear`] preserves it across epochs.
-    arena: crate::arena::ArenaId,
 }
 
 impl Default for ShadowMap {
@@ -173,13 +170,8 @@ impl Default for ShadowMap {
 
 impl ShadowMap {
     /// Creates an empty shadow map (one 32 KiB root directory; tables and
-    /// chunks are allocated on first mark), owned by the root arena.
+    /// chunks are allocated on first mark).
     pub fn new() -> Self {
-        Self::for_arena(crate::arena::ArenaId::ROOT)
-    }
-
-    /// Creates an empty shadow-map shard for `arena`.
-    pub fn for_arena(arena: crate::arena::ArenaId) -> Self {
         let l1: Vec<AtomicPtr<Level2>> =
             (0..L1_ENTRIES).map(|_| AtomicPtr::new(ptr::null_mut())).collect();
         ShadowMap {
@@ -187,13 +179,7 @@ impl ShadowMap {
             marked: AtomicU64::new(0),
             resident: Mutex::new(Vec::new()),
             l2_count: AtomicU64::new(0),
-            arena,
         }
-    }
-
-    /// The arena this shadow-map shard serves.
-    pub fn arena(&self) -> crate::arena::ArenaId {
-        self.arena
     }
 
     /// Splits a chunk index into (level-1, level-2) digits.

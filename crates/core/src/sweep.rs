@@ -14,7 +14,7 @@
 //! the mostly-concurrent mode's soft-dirty stop-the-world fix.
 //!
 //! The shadow map is atomic (see [`crate::shadow`]), so
-//! [`parallel_mark_pool`] threads share **one** map per arena with no
+//! [`parallel_mark_pool`] threads share **one** map with no
 //! per-thread maps and no union barrier (§4.4). Parallel marking
 //! schedules by **work stealing**: an atomic cursor over fixed page-range
 //! chunks, so helpers never idle behind an unlucky static share. The
@@ -27,7 +27,7 @@
 //! through the single [`scan_words`] inner loop, whose classify pass is
 //! the runtime-dispatched SIMD kernel in [`crate::simd`].
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 use vmem::{Addr, AddrSpace, Layout, MemError, PageIdx, PageRange, Segment, PAGE_SIZE, WORD_SIZE};
@@ -195,12 +195,6 @@ impl Marker {
     /// Bytes of plan not yet advanced through.
     pub fn remaining_bytes(&self) -> u64 {
         self.plan.total_bytes - self.done_bytes
-    }
-
-    /// The plan this cursor walks. Pooled sweeps borrow it to cut the
-    /// cross-arena chunk queue without consuming the marker.
-    pub fn plan(&self) -> &SweepPlan {
-        &self.plan
     }
 
     /// Whether the cursor has passed `addr` (used by tests to position
@@ -508,7 +502,7 @@ pub const PARALLEL_CHUNK_PAGES: u64 = 64;
 /// mark. Unlike [`ParallelMarkStats`] these fields are
 /// **nondeterministic** (clock reads and claim-order dependent), which is
 /// why they live behind [`PoolMarkOpts::prof`] and apart from the
-/// per-job stats: with the profiler off every field stays zero.
+/// stats: with the profiler off every field stays zero.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct MarkProfile {
     /// Chunks claimed from the shared cursor (all threads).
@@ -522,7 +516,7 @@ pub struct MarkProfile {
     pub wall_ns: u64,
 }
 
-/// One job's aggregated counters from a pooled mark. Every field is
+/// Aggregated counters from one parallel mark. Every field is
 /// **deterministic** — each chunk of the work queue is claimed exactly
 /// once and every word is classified exactly once, so the totals are
 /// independent of helper count, chunk size and claim order (the
@@ -618,24 +612,21 @@ fn mark_chunk(
     }
 }
 
-/// One arena's share of a pooled cross-arena mark: the arena's address
-/// space, its in-flight sweep plan, and the accelerators bound to that
-/// sweep. Borrow one per scheduled arena (see
-/// [`MineSweeper::pooled_mark_job`](crate::MineSweeper::pooled_mark_job))
-/// and hand the batch to [`parallel_mark_pool`].
+/// The inputs of one parallel mark: the address space, the locked-in
+/// sweep plan, and the accelerators bound to that sweep.
 #[derive(Clone, Copy, Debug)]
 pub struct PoolMarkJob<'a> {
-    /// The arena's address space (read-only during marking).
+    /// The address space (read-only during marking).
     pub space: &'a AddrSpace,
-    /// The arena's locked-in sweep plan.
+    /// The locked-in sweep plan.
     pub plan: &'a SweepPlan,
-    /// The arena's shadow map (shared, atomic marking).
+    /// The shadow map (shared, atomic marking).
     pub shadow: &'a ShadowMap,
-    /// Candidate filter over the arena's locked quarantine generation.
+    /// Candidate filter over the locked quarantine generation.
     pub filter: Option<&'a CandidateFilter>,
     /// Read-only page-summary cache (replay only, never records).
     pub cache: Option<&'a PageCache>,
-    /// Forensics recorder over the arena's locked entries.
+    /// Forensics recorder over the locked entries.
     pub forensics: Option<&'a EdgeRecorder>,
 }
 
@@ -654,173 +645,80 @@ pub struct PoolMarkOpts<'a> {
     pub prof: Option<&'a SweepProf>,
 }
 
-/// Result of one pooled mark: per-job deterministic stats (index-aligned
-/// with the job slice) plus the aggregate nondeterministic profile.
-#[derive(Clone, Debug, Default)]
-pub struct PoolMarkResult {
-    /// Per-job stats; `chunks` counts the chunks the job *owns* and the
-    /// word/reject counters come from the owner's scan pass only (a
-    /// shared root chunk's words are charged once, to its owner), so each
-    /// job's accounting identity `plan bytes == words*8 + skipped` holds
-    /// independent of how many arenas were batched.
-    pub per_job: Vec<ParallelMarkStats>,
-    /// Aggregate wall/busy/steal attribution (all-zero without
-    /// [`PoolMarkOpts::prof`]).
-    pub profile: MarkProfile,
-}
-
-/// Whether `addr` lies in a root segment (globals or stack) of `layout`.
-fn in_root_segment(layout: &Layout, addr: Addr) -> bool {
-    [Segment::Globals, Segment::Stack].iter().any(|&seg| {
-        let base = layout.segment_base(seg);
-        let len = layout.segment_pages(seg) * PAGE_SIZE as u64;
-        addr >= base && addr.raw() < base.raw() + len
-    })
-}
-
-/// Per-job atomic fold targets for the pooled mark.
-#[derive(Default)]
-struct JobTotals {
-    words: AtomicU64,
-    heap_words: AtomicU64,
-    filter_rejects: AtomicU64,
-    pages_skipped: AtomicU64,
-    pages_replayed: AtomicU64,
-}
-
 /// Parallel marking with real OS threads (§4.4: "a main sweeper thread
-/// and some helpers"), over one or more arenas' plans. A single-arena
-/// sweep is a one-job pool.
+/// and some helpers").
 ///
-/// Each job's plan is cut into fixed page-range chunks
+/// The plan is cut into fixed page-range chunks
 /// (~[`PARALLEL_CHUNK_PAGES`] pages) at chunk-aligned *absolute*
 /// addresses, so steady-state chunk boundaries are page boundaries and
-/// the chunk list is identical for every thread count. The per-job lists
-/// are interleaved round-robin behind **one** atomic cursor: every
-/// thread claims the next chunk with a relaxed `fetch_add` and routes it
-/// through the same `scan_words` SIMD kernel as the serial path. No
-/// thread idles behind an unlucky static share, and a pool that finishes
-/// one tenant's dense heap steals the next tenant's chunks instead of
-/// waiting at a per-arena join barrier.
+/// the chunk list is identical for every thread count. Every thread
+/// claims the next chunk from **one** atomic cursor with a relaxed
+/// `fetch_add` and routes it through the same `scan_words` SIMD kernel
+/// as the serial path, so no thread idles behind an unlucky static
+/// share.
 ///
-/// All threads mark **directly into the jobs' shared atomic shadow
-/// maps** via side-effect-free reads ([`AddrSpace::scan_page`]; unbacked
-/// pages read as zero and never commit). There are no per-thread maps
-/// and no union barrier; each thread keeps one [`ShadowWriter`] per job.
-/// Heap chunks mark only their owner's shadow (tenant heaps are
-/// disjoint). Root-segment (stack/globals) chunks are *shared process
-/// state*: each is scanned from its owner's space into every job's
-/// shadow through that job's own filter, so a dangling root pointer in
-/// one arena pins quarantined blocks in another. Only the owner's pass
-/// replays its page cache and is charged to its stats.
+/// All threads mark **directly into the job's shared atomic shadow map**
+/// via side-effect-free reads ([`AddrSpace::scan_page`]; unbacked pages
+/// read as zero and never commit). There are no per-thread maps and no
+/// union barrier; each thread keeps one [`ShadowWriter`]. Fully covered
+/// clean pages replay the job's page cache, exactly as the serial
+/// [`Marker::step`] does.
 ///
-/// Per-thread counters fold into the per-job [`ParallelMarkStats`] with
-/// one atomic add per thread at join time. The mark sets and counters
-/// are independent of helper count, chunk size and claim order.
+/// Returns the job's [`ParallelMarkStats`], folded from the per-thread
+/// counters at join time, and the [`MarkProfile`]. The mark set and the
+/// stats are independent of helper count, chunk size and claim order.
 pub fn parallel_mark_pool(
-    jobs: &[PoolMarkJob<'_>],
+    job: &PoolMarkJob<'_>,
     opts: &PoolMarkOpts<'_>,
-) -> PoolMarkResult {
+) -> (ParallelMarkStats, MarkProfile) {
     let helpers = effective_helper_count(opts.helper_threads);
-    let threads = helpers + 1;
     let tier = opts.tier.unwrap_or_else(simd::active_tier);
     let chunk_bytes =
         opts.chunk_pages.unwrap_or(PARALLEL_CHUNK_PAGES).max(1) * PAGE_SIZE as u64;
 
-    // Cut each job's plan into chunks, tagging root-segment chunks, then
-    // interleave the per-job lists so the shared cursor alternates
-    // between arenas from the first claim.
-    let mut per_job_chunks: Vec<Vec<(Addr, u64, bool)>> = jobs
-        .iter()
-        .map(|job| {
-            let layout = job.space.layout();
-            let mut out = Vec::new();
-            for &(base, len) in job.plan.ranges() {
-                let shared = in_root_segment(layout, base);
-                let mut off = 0;
-                while off < len {
-                    let addr = base.add_bytes(off);
-                    let next = (addr.raw() / chunk_bytes + 1) * chunk_bytes;
-                    let take = (next - addr.raw()).min(len - off);
-                    out.push((addr, take, shared));
-                    off += take;
-                }
-            }
-            out
-        })
-        .collect();
-    let mut chunks: Vec<(usize, Addr, u64, bool)> = Vec::new();
-    let mut round = 0;
-    loop {
-        let mut any = false;
-        for (j, list) in per_job_chunks.iter_mut().enumerate() {
-            if round < list.len() {
-                let (addr, len, shared) = list[round];
-                chunks.push((j, addr, len, shared));
-                any = true;
-            }
+    let mut chunks: Vec<(Addr, u64)> = Vec::new();
+    for &(base, len) in job.plan.ranges() {
+        let mut off = 0;
+        while off < len {
+            let addr = base.add_bytes(off);
+            let next = (addr.raw() / chunk_bytes + 1) * chunk_bytes;
+            let take = (next - addr.raw()).min(len - off);
+            chunks.push((addr, take));
+            off += take;
         }
-        if !any {
-            break;
-        }
-        round += 1;
     }
-    let owned_chunks: Vec<u64> =
-        per_job_chunks.iter().map(|l| l.len() as u64).collect();
 
-    let totals: Vec<JobTotals> = jobs.iter().map(|_| JobTotals::default()).collect();
+    let layout = job.space.layout();
     let cursor = AtomicUsize::new(0);
-    let prof_busy_ns = AtomicU64::new(0);
-    let prof_claimed = AtomicU64::new(0);
-    let prof_stolen = AtomicU64::new(0);
     let mark_t0 = opts.prof.map(|_| Instant::now());
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
+    let per_thread: Vec<(ParallelMarkStats, u64, u64)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..=helpers)
             .map(|thread_idx| {
-                let (chunks, cursor, totals) = (&chunks, &cursor, &totals);
-                let (prof_busy_ns, prof_claimed, prof_stolen) =
-                    (&prof_busy_ns, &prof_claimed, &prof_stolen);
+                let (chunks, cursor) = (&chunks, &cursor);
                 let opts = *opts;
                 scope.spawn(move || {
                     let thread_t0 = opts.prof.map(|_| Instant::now());
-                    let mut writers: Vec<ShadowWriter<'_>> =
-                        jobs.iter().map(|j| j.shadow.writer()).collect();
-                    let mut locals: Vec<ParallelMarkStats> =
-                        jobs.iter().map(|_| ParallelMarkStats::default()).collect();
+                    let mut writer = job.shadow.writer();
+                    let mut local = ParallelMarkStats::default();
                     let (mut busy_ns, mut claimed) = (0u64, 0u64);
                     loop {
                         let k = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(&(owner, base, len, shared)) = chunks.get(k) else {
+                        let Some(&(base, len)) = chunks.get(k) else {
                             break;
                         };
-                        let job = &jobs[owner];
                         let chunk_t0 = opts.prof.map(|_| Instant::now());
-                        // A heap chunk marks its owner only; a shared
-                        // root chunk marks every job. Only the owner's
-                        // pass reads its cache and counts (a root word
-                        // is read once per target map, charged once).
-                        let targets = if shared { 0..jobs.len() } else { owner..owner + 1 };
-                        let mut scratch = ParallelMarkStats::default();
-                        for j in targets {
-                            let target = &jobs[j];
-                            let (cache, local) = if j == owner {
-                                (job.cache, &mut locals[owner])
-                            } else {
-                                (None, &mut scratch)
-                            };
-                            mark_chunk(
-                                job.space,
-                                target.space.layout(),
-                                tier,
-                                target.filter,
-                                cache,
-                                target.forensics,
-                                base,
-                                len,
-                                &mut writers[j],
-                                local,
-                            );
-                        }
+                        mark_chunk(
+                            job.space,
+                            layout,
+                            tier,
+                            job.filter,
+                            job.cache,
+                            job.forensics,
+                            base,
+                            len,
+                            &mut writer,
+                            &mut local,
+                        );
                         if let (Some(p), Some(t0)) = (opts.prof, chunk_t0) {
                             let ns = t0.elapsed().as_nanos() as u64;
                             p.chunk_scan_ns.record(ns);
@@ -829,9 +727,7 @@ pub fn parallel_mark_pool(
                         }
                     }
                     if let (Some(p), Some(t0)) = (opts.prof, thread_t0) {
-                        for w in &mut writers {
-                            p.fold_writer(&w.take_prof());
-                        }
+                        p.fold_writer(&writer.take_prof());
                         let wall = t0.elapsed().as_nanos() as u64;
                         p.helper_chunks.record(claimed);
                         p.helper_busy_pct.record(
@@ -839,57 +735,40 @@ pub fn parallel_mark_pool(
                                 .checked_div(wall)
                                 .map_or(100, |pct| pct.min(100)),
                         );
-                        prof_busy_ns.fetch_add(busy_ns, Ordering::Relaxed);
-                        prof_claimed.fetch_add(claimed, Ordering::Relaxed);
                         p.chunks_claimed.add(claimed);
                         if thread_idx > 0 {
-                            prof_stolen.fetch_add(claimed, Ordering::Relaxed);
                             p.chunks_stolen.add(claimed);
                         }
                     }
-                    drop(writers);
-                    for (local, total) in locals.iter().zip(totals) {
-                        total.words.fetch_add(local.words, Ordering::Relaxed);
-                        total.heap_words.fetch_add(local.heap_words, Ordering::Relaxed);
-                        total
-                            .filter_rejects
-                            .fetch_add(local.filter_rejects, Ordering::Relaxed);
-                        total
-                            .pages_skipped
-                            .fetch_add(local.pages_skipped, Ordering::Relaxed);
-                        total
-                            .pages_replayed
-                            .fetch_add(local.pages_replayed, Ordering::Relaxed);
-                    }
+                    (local, busy_ns, claimed)
                 })
             })
             .collect();
-        for h in handles {
-            h.join().expect("pool marker thread panicked");
-        }
+        handles.into_iter().map(|h| h.join().expect("pool marker thread panicked")).collect()
     });
-    let per_job = totals
-        .into_iter()
-        .zip(owned_chunks)
-        .map(|(t, chunks)| ParallelMarkStats {
-            words: t.words.into_inner(),
-            heap_words: t.heap_words.into_inner(),
-            filter_rejects: t.filter_rejects.into_inner(),
-            pages_skipped: t.pages_skipped.into_inner(),
-            pages_replayed: t.pages_replayed.into_inner(),
-            chunks,
-            effective_helpers: helpers,
-        })
-        .collect();
-    PoolMarkResult {
-        per_job,
-        profile: MarkProfile {
-            chunks_claimed: prof_claimed.into_inner(),
-            chunks_stolen: prof_stolen.into_inner(),
-            busy_ns: prof_busy_ns.into_inner(),
-            wall_ns: mark_t0.map_or(0, |t0| t0.elapsed().as_nanos() as u64),
-        },
+
+    let mut stats = ParallelMarkStats {
+        chunks: chunks.len() as u64,
+        effective_helpers: helpers,
+        ..ParallelMarkStats::default()
+    };
+    let mut profile = MarkProfile {
+        wall_ns: mark_t0.map_or(0, |t0| t0.elapsed().as_nanos() as u64),
+        ..MarkProfile::default()
+    };
+    for (thread_idx, (local, busy_ns, claimed)) in per_thread.into_iter().enumerate() {
+        stats.words += local.words;
+        stats.heap_words += local.heap_words;
+        stats.filter_rejects += local.filter_rejects;
+        stats.pages_skipped += local.pages_skipped;
+        stats.pages_replayed += local.pages_replayed;
+        profile.busy_ns += busy_ns;
+        profile.chunks_claimed += claimed;
+        if thread_idx > 0 {
+            profile.chunks_stolen += claimed;
+        }
     }
+    (stats, profile)
 }
 
 /// Clamps a requested helper-thread count to the hardware: at most
@@ -1142,8 +1021,7 @@ mod tests {
         (targets, SweepPlan::from_ranges(vec![(src, 4 * PAGE_SIZE as u64)]))
     }
 
-    /// Marks `plan` into a fresh map through a one-job pool — the
-    /// single-arena parallel mark.
+    /// Marks `plan` into a fresh map through [`parallel_mark_pool`].
     fn pool_mark(
         space: &AddrSpace,
         plan: &SweepPlan,
@@ -1154,9 +1032,8 @@ mod tests {
     ) -> (ShadowMap, ParallelMarkStats, MarkProfile) {
         let shadow = ShadowMap::new();
         let job = PoolMarkJob { space, plan, shadow: &shadow, filter, cache, forensics };
-        let mut result = parallel_mark_pool(&[job], opts);
-        let stats = result.per_job.pop().expect("one job");
-        (shadow, stats, result.profile)
+        let (stats, profile) = parallel_mark_pool(&job, opts);
+        (shadow, stats, profile)
     }
 
     /// Pool options requesting `n` helper threads.
@@ -1627,10 +1504,9 @@ mod tests {
     }
 
     #[test]
-    fn one_job_pool_replays_its_cached_root_pages() {
-        // A one-job pool is the single-arena parallel mark: its owner's
-        // pass over a root chunk must replay the arena's own page cache
-        // exactly as the serial cursor does, not re-read the page.
+    fn parallel_mark_replays_cached_root_pages() {
+        // A root chunk must replay the page cache exactly as the serial
+        // cursor does, not re-read the page.
         let mut space = AddrSpace::new();
         let candidate = heap(&mut space, 1);
         let live = heap(&mut space, 1);

@@ -1,13 +1,13 @@
 //! Cross-plane reconcile for the parallel marking path.
 //!
 //! The work-stealing [`parallel_mark_pool`] folds per-thread counters —
-//! notably `filter_rejects` — into one [`ParallelMarkStats`] with a
-//! single atomic add per thread at join time. This test drives those
+//! notably `filter_rejects` — into one [`ParallelMarkStats`] at join
+//! time. This test drives those
 //! aggregated stats through both telemetry planes (the `layer` counter
 //! registry and the typed event trace) and checks that
 //! [`RunReport::reconcile`] holds them equal, exactly as
 //! `ms-report --check` does for a recorded run. Crediting only the main
-//! thread's rejects — the bug the atomic aggregation exists to prevent —
+//! thread's rejects — the bug the join-time fold exists to prevent —
 //! must make the reconcile fail by name.
 
 use minesweeper::telemetry::{Event, EventKind, Registry, RunReport, Trigger};
@@ -46,8 +46,8 @@ fn fixture(space: &mut AddrSpace) -> (Addr, Addr, SweepPlan) {
     (candidate, live, SweepPlan::from_ranges(vec![(src, 4 * page)]))
 }
 
-/// Marks `plan` through `filter` into a fresh map with a one-job pool of
-/// `helpers` requested helper threads.
+/// Marks `plan` through `filter` into a fresh map with `helpers`
+/// requested helper threads.
 fn pool_mark(
     space: &AddrSpace,
     plan: &SweepPlan,
@@ -64,7 +64,7 @@ fn pool_mark(
         forensics: None,
     };
     let opts = PoolMarkOpts { helper_threads: helpers, ..PoolMarkOpts::default() };
-    let stats = parallel_mark_pool(&[job], &opts).per_job[0];
+    let (stats, _) = parallel_mark_pool(&job, &opts);
     (shadow, stats)
 }
 
@@ -75,7 +75,7 @@ fn parallel_rejects_reconcile_across_both_telemetry_planes() {
     let filter = CandidateFilter::build([(candidate, CANDIDATE_PTRS * 8)]);
 
     // Parallel mark with the candidate filter: rejects are counted by
-    // every worker and atomically folded at join.
+    // every worker and summed at join.
     let (shadow, stats) = pool_mark(&space, &plan, &filter, 3);
     assert_eq!(stats.filter_rejects, REJECTED_PTRS, "every live-pointer word rejected");
     assert_eq!(stats.heap_words, CANDIDATE_PTRS + REJECTED_PTRS);
@@ -136,7 +136,7 @@ fn parallel_rejects_reconcile_across_both_telemetry_planes() {
     report.reconcile(&registry.snapshot()).expect("aggregated parallel stats must reconcile");
 
     // The regression this guards: crediting only the main thread's view
-    // of the rejects (dropping the helpers' atomic contributions) leaves
+    // of the rejects (dropping the helpers' contributions) leaves
     // the counter short and the reconcile must say so by name.
     let broken = Registry::new();
     let short = MsCounters::register(&broken);

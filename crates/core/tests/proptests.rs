@@ -758,13 +758,27 @@ proptest! {
         helpers in 0usize..5,
         chunk_pages in 1u64..4,
         filter_on in any::<bool>(),
+        roots_on in any::<bool>(),
     ) {
         // The work-stealing queue must not change *what* is computed:
         // for any helper count (including counts the hardware clamps)
         // and any chunk granularity, the aggregated stats and the shadow
         // map equal the serial marker's, claim order notwithstanding.
+        // With `roots_on`, candidate pointers also sit in the globals
+        // and stack segments, and the plan covers those root pages too.
         let mut space = AddrSpace::new();
-        let (plan, tbase) = scan_fixture(&mut space, seed, pages, 0, 0, zero_pct, ptr_pct);
+        let (mut plan, tbase) = scan_fixture(&mut space, seed, pages, 0, 0, zero_pct, ptr_pct);
+        if roots_on {
+            for (k, seg) in [Segment::Globals, Segment::Stack].into_iter().enumerate() {
+                let base = space.layout().segment_base(seg);
+                for i in 0..8u64 {
+                    let word = (seed >> (8 * k)).wrapping_add(i * 97) % 1024;
+                    let target = tbase + (seed.rotate_left(i as u32 * 7) % (2 * PAGE_SIZE as u64));
+                    space.write_word(base + word * 8, target.raw()).unwrap();
+                }
+            }
+            plan = SweepPlan::build(&space, plan.ranges());
+        }
         let filter = CandidateFilter::build([(tbase, PAGE_SIZE as u64)]);
         let filter = filter_on.then_some(&filter);
 
@@ -790,7 +804,7 @@ proptest! {
             chunk_pages: Some(chunk_pages),
             ..PoolMarkOpts::default()
         };
-        let stats = parallel_mark_pool(&[job], &opts).per_job[0];
+        let (stats, _) = parallel_mark_pool(&job, &opts);
         prop_assert_eq!(stats.words, serial.words);
         prop_assert_eq!(stats.heap_words, serial.heap_words);
         prop_assert_eq!(stats.filter_rejects, serial.filter_rejects);

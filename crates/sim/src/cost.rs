@@ -51,8 +51,9 @@ pub struct CostModel {
     /// Stop-the-world re-check of one soft-dirty page (fault handling +
     /// 512-word scan).
     pub stw_page: u64,
-    /// Per-scheduled-arena setup of a pooled sweep round: pressure scan,
-    /// batch planning, chunk-list interleave and the join barrier.
+    /// Fixed setup of one sweep in the security bill: every sweep a
+    /// security-matrix cell runs is charged this once, as
+    /// `CostKind::SchedSetup`.
     pub sweep_round_setup: u64,
     /// Releasing one quarantined entry to the allocator (`je_free`).
     pub release_entry: u64,

@@ -66,8 +66,8 @@ where
             quarantine += self.config().tl_buffer_capacity as u64 * cost.quarantine_flush_per_entry;
         }
         if let Some(rec) = ledger {
-            rec.charge(CostKind::Zeroing, zeroing, Some(site), None);
-            rec.charge(CostKind::Quarantine, quarantine, Some(site), None);
+            rec.charge(CostKind::Zeroing, zeroing, Some(site));
+            rec.charge(CostKind::Quarantine, quarantine, Some(site));
         }
         charge_free(cost, bill, &before, &after, out);
         let ack = match out {

@@ -400,7 +400,7 @@ impl<D: Defence + ?Sized> Sim<D> {
 
     fn record_cost(&mut self, kind: CostKind, cycles: u64) {
         if let Some(rec) = &mut self.cost_rec {
-            rec.charge(kind, cycles, None, None);
+            rec.charge(kind, cycles, None);
         }
     }
 

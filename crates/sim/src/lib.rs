@@ -36,7 +36,6 @@ mod defence;
 mod engine;
 mod exploit;
 mod metrics;
-mod pool;
 pub mod report;
 mod security;
 mod system;
@@ -44,11 +43,9 @@ mod system;
 pub use cost::CostModel;
 pub use engine::{Engine, ENGINE_SUBSYSTEM};
 pub use exploit::{
-    run_cross_arena_pin, run_exploit, run_scenario, CrossArenaReport, DefenceCost,
-    ScenarioRun, SecSystem, Weaken,
+    run_exploit, run_scenario, DefenceCost, ScenarioRun, SecSystem, Weaken,
 };
 pub use metrics::{geomean, RunMetrics};
-pub use pool::{run_arenas, ARENA_SUBSYSTEM};
 pub use security::{run_corpus, SecCell, SecurityMatrix, SECURITY_SCHEMA};
 pub use telemetry::{CostKind, CostLedger, CostRecorder, COST_SUBSYSTEM};
 pub use system::System;

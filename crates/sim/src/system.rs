@@ -57,7 +57,7 @@ impl System {
     }
 
     /// The MineSweeper layer configuration, for the systems that carry
-    /// one (the multi-arena runner only accepts those).
+    /// one.
     pub fn ms_config(&self) -> Option<MsConfig> {
         match self {
             System::MineSweeper(cfg) | System::MineSweeperScudo(cfg) => Some(*cfg),

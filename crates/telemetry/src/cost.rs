@@ -1,22 +1,18 @@
 //! Cost-attribution ledger: tags every defence-cycle charge with a
-//! [`CostKind`] and an attribution key (allocation site, arena), and
-//! accumulates them as ordinary `cost/*` registry metrics so the existing
-//! snapshot / JSON machinery carries them for free.
+//! [`CostKind`] and an allocation site, and accumulates them as ordinary
+//! `cost/*` registry metrics so the existing snapshot / JSON machinery
+//! carries them for free.
 //!
 //! Every charge lands once in each dimension:
 //!
 //! * `cost/total_cycles` — the grand total,
 //! * a per-kind histogram `cost/kind_<k>_cycles_hist`, whose sum is the
 //!   kind's cycles and whose count is its number of charges,
-//! * a per-site counter `cost/site_<id>_cycles` (or `site_none_cycles`),
-//! * for labelled arenas only, a per-arena counter
-//!   `cost/arena_<label>_cycles`.
+//! * a per-site counter `cost/site_<id>_cycles` (or `site_none_cycles`).
 //!
-//! The kind and site dimensions, and the arena dimension when present,
-//! must each sum to the total. [`CostLedger::reconcile`] checks them and
-//! names the dimension that leaked.
-
-use std::collections::HashMap;
+//! The kind and site dimensions must each sum to the total.
+//! [`CostLedger::reconcile`] checks them and names the dimension that
+//! leaked.
 
 use crate::idhash::IdMap;
 use crate::registry::{Counter, Histogram, Registry, Snapshot};
@@ -43,7 +39,7 @@ pub enum CostKind {
     Forensics,
     /// Stop-the-world passes and blocking pause stalls.
     Stw,
-    /// Sweep-scheduler round setup.
+    /// Fixed per-sweep setup in the security bill.
     SchedSetup,
     /// Quarantine release and page purge/decommit work.
     Release,
@@ -89,10 +85,10 @@ impl CostKind {
     }
 }
 
-/// Live recorder: one per engine/pool run, registered on that run's
+/// Live recorder: one per engine run, registered on that run's
 /// [`Registry`]. The hot path is a handful of relaxed atomic adds; site
-/// and arena counter handles are memoised so registration's mutex is hit
-/// once per distinct key.
+/// counter handles are memoised so registration's mutex is hit once per
+/// distinct key.
 #[derive(Debug)]
 pub struct CostRecorder {
     total: Counter,
@@ -100,7 +96,6 @@ pub struct CostRecorder {
     kinds: Vec<Histogram>,
     per_sweep: Histogram,
     sites: IdMap<Option<u32>, Counter>,
-    arenas: HashMap<String, Counter>,
     registry: Registry,
 }
 
@@ -118,21 +113,13 @@ impl CostRecorder {
                 .collect(),
             per_sweep: registry.histogram(COST_SUBSYSTEM, "per_sweep_cycles"),
             sites: IdMap::default(),
-            arenas: HashMap::new(),
             registry: registry.clone(),
         }
     }
 
     /// Records one charge. Zero-cycle charges are ignored (they cannot
-    /// move any sum and would only pollute the histograms). An unlabelled
-    /// charge (`arena: None`) has no arena dimension to land in.
-    pub fn charge(
-        &mut self,
-        kind: CostKind,
-        cycles: u64,
-        site: Option<u32>,
-        arena: Option<&str>,
-    ) {
+    /// move any sum and would only pollute the histograms).
+    pub fn charge(&mut self, kind: CostKind, cycles: u64, site: Option<u32>) {
         if cycles == 0 {
             return;
         }
@@ -149,17 +136,6 @@ impl CostRecorder {
                 registry.counter(COST_SUBSYSTEM, &name)
             })
             .add(cycles);
-        if let Some(label) = arena {
-            match self.arenas.get(label) {
-                Some(counter) => counter.add(cycles),
-                None => {
-                    let counter =
-                        registry.counter(COST_SUBSYSTEM, &format!("arena_{label}_cycles"));
-                    counter.add(cycles);
-                    self.arenas.insert(label.to_string(), counter);
-                }
-            }
-        }
     }
 
     /// Total defence cycles recorded so far.
@@ -186,9 +162,6 @@ pub struct CostLedger {
     /// Per-site `(key, cycles)`; key is the numeric site id as text or
     /// `"none"` for unattributed charges. Sorted by cycles descending.
     pub sites: Vec<(String, u64)>,
-    /// Per-arena `(label, cycles)`, sorted by cycles descending; empty
-    /// unless the run labelled its charges with arenas.
-    pub arenas: Vec<(String, u64)>,
 }
 
 fn strip<'a>(name: &'a str, prefix: &str, suffix: &str) -> Option<&'a str> {
@@ -210,20 +183,16 @@ impl CostLedger {
             })
             .collect();
         let mut sites = Vec::new();
-        let mut arenas = Vec::new();
         for c in &snap.counters {
             if c.subsystem != COST_SUBSYSTEM {
                 continue;
             }
             if let Some(key) = strip(&c.name, "site_", "_cycles") {
                 sites.push((key.to_string(), c.value));
-            } else if let Some(key) = strip(&c.name, "arena_", "_cycles") {
-                arenas.push((key.to_string(), c.value));
             }
         }
         sites.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        arenas.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        Some(CostLedger { total, kinds, sites, arenas })
+        Some(CostLedger { total, kinds, sites })
     }
 
     /// Sum of the per-kind cycles.
@@ -235,15 +204,11 @@ impl CostLedger {
     /// each naming the dimension that leaked. Empty = clean.
     ///
     /// Invariants: the kind and site dimensions each sum to
-    /// `total_cycles`, and so does the arena dimension when the run has
-    /// one.
+    /// `total_cycles`.
     pub fn reconcile(&self) -> Vec<String> {
-        let sum = |v: &[(String, u64)]| v.iter().map(|(_, c)| c).sum::<u64>();
-        let mut dims = vec![("kind", self.kind_sum()), ("site", sum(&self.sites))];
-        if !self.arenas.is_empty() {
-            dims.push(("arena", sum(&self.arenas)));
-        }
-        dims.into_iter()
+        let site_sum = self.sites.iter().map(|(_, c)| c).sum::<u64>();
+        [("kind", self.kind_sum()), ("site", site_sum)]
+            .into_iter()
             .filter(|&(_, s)| s != self.total)
             .map(|(dim, s)| {
                 format!("{dim} dimension sums to {s}, total_cycles is {}", self.total)
@@ -275,11 +240,11 @@ mod tests {
     fn recorder_conserves_across_all_dimensions() {
         let reg = Registry::new();
         let mut rec = CostRecorder::new(&reg);
-        rec.charge(CostKind::Zeroing, 100, Some(7), Some("a0"));
-        rec.charge(CostKind::Quarantine, 40, Some(7), Some("a0"));
-        rec.charge(CostKind::MarkScan, 900, None, Some("a1"));
-        rec.charge(CostKind::MarkScan, 50, None, Some("a1"));
-        rec.charge(CostKind::Stw, 0, None, Some("a1")); // ignored
+        rec.charge(CostKind::Zeroing, 100, Some(7));
+        rec.charge(CostKind::Quarantine, 40, Some(7));
+        rec.charge(CostKind::MarkScan, 900, None);
+        rec.charge(CostKind::MarkScan, 50, None);
+        rec.charge(CostKind::Stw, 0, None); // ignored
         assert_eq!(rec.total(), 1090);
 
         let ledger = CostLedger::from_snapshot(&reg.snapshot()).unwrap();
@@ -289,44 +254,17 @@ mod tests {
         assert_eq!(ledger.kinds[CostKind::Stw.index()], ("stw".into(), 0, 0));
         assert_eq!(ledger.sites[0], ("none".to_string(), 950));
         assert!(ledger.sites.contains(&("7".to_string(), 140)));
-        assert!(ledger.arenas.contains(&("a1".to_string(), 950)));
-    }
-
-    #[test]
-    fn unlabelled_charges_form_no_arena_dimension() {
-        let reg = Registry::new();
-        let mut rec = CostRecorder::new(&reg);
-        rec.charge(CostKind::Zeroing, 10, Some(3), None);
-        rec.charge(CostKind::Stw, 55, None, None);
-        let snap = reg.snapshot();
-        assert!(snap.counters.iter().all(|c| !c.name.starts_with("arena_")));
-        let ledger = CostLedger::from_snapshot(&snap).unwrap();
-        assert!(ledger.arenas.is_empty());
-        assert_eq!(ledger.reconcile(), Vec::<String>::new());
     }
 
     #[test]
     fn a_leaked_site_charge_is_named_by_dimension() {
         let reg = Registry::new();
         let mut rec = CostRecorder::new(&reg);
-        rec.charge(CostKind::Zeroing, 10, Some(3), None);
+        rec.charge(CostKind::Zeroing, 10, Some(3));
         // A charge that bypassed the recorder's site counter.
         reg.counter(COST_SUBSYSTEM, "site_3_cycles").add(1);
         let leaks = CostLedger::from_snapshot(&reg.snapshot()).unwrap().reconcile();
         assert_eq!(leaks, vec!["site dimension sums to 11, total_cycles is 10".to_string()]);
-    }
-
-    #[test]
-    fn ledger_reads_an_arena_labelled_run() {
-        let reg = Registry::new();
-        let mut rec = CostRecorder::new(&reg);
-        rec.charge(CostKind::Release, 30, Some(1), Some("a0"));
-        rec.charge(CostKind::Commit, 2500, None, Some("a0"));
-
-        let ledger = CostLedger::from_snapshot(&reg.snapshot()).unwrap();
-        assert_eq!(ledger.total, 2530);
-        assert_eq!(ledger.reconcile(), Vec::<String>::new());
-        assert_eq!(ledger.arenas, vec![("a0".to_string(), 2530)]);
     }
 
     #[test]

@@ -111,9 +111,6 @@ pub struct SloCheck {
     pub observed: Option<u64>,
     /// Whether the objective held.
     pub pass: bool,
-    /// For sharded runs: the arena whose shard produced `observed` (the
-    /// worst shard). `None` for global (single-arena) evaluations.
-    pub shard: Option<u32>,
 }
 
 /// Evaluates an [`SloPolicy`] against snapshots and renders the verdict.
@@ -146,20 +143,7 @@ impl Watchdog {
             checks.push(ceiling(SloKind::SweepDeadline, limit, observed));
         }
         if let Some(limit) = self.policy.max_quarantine_permille {
-            // Sharded runs are judged per arena: the ceiling must hold in
-            // every shard, so the check reports the *worst* one by name.
-            // A healthy global ratio averaging away one runaway tenant is
-            // exactly the failure mode this catches.
-            let check = match worst_arena_quarantine(snap) {
-                Some((shard, observed)) => SloCheck {
-                    shard: Some(shard),
-                    ..ceiling(SloKind::QuarantineRatio, limit, Some(observed))
-                },
-                None => {
-                    ceiling(SloKind::QuarantineRatio, limit, quarantine_permille(snap))
-                }
-            };
-            checks.push(check);
+            checks.push(ceiling(SloKind::QuarantineRatio, limit, quarantine_permille(snap)));
         }
         if let Some(limit) = self.policy.min_helper_util_pct {
             let observed = mean_observed(snap.histogram("sweep", "helper_busy_pct"));
@@ -168,7 +152,6 @@ impl Watchdog {
                 limit,
                 observed,
                 pass: observed.is_none_or(|o| o >= limit),
-                shard: None,
             });
         }
         checks
@@ -189,7 +172,7 @@ impl Watchdog {
 }
 
 fn ceiling(kind: SloKind, limit: u64, observed: Option<u64>) -> SloCheck {
-    SloCheck { kind, limit, observed, pass: observed.is_none_or(|o| o <= limit), shard: None }
+    SloCheck { kind, limit, observed, pass: observed.is_none_or(|o| o <= limit) }
 }
 
 /// Worst observation a log2 histogram can prove: the inclusive upper
@@ -205,36 +188,6 @@ fn worst_observed(h: Option<&HistogramSample>) -> Option<u64> {
 fn mean_observed(h: Option<&HistogramSample>) -> Option<u64> {
     let h = h.filter(|h| h.count() > 0)?;
     Some(h.sum / h.count())
-}
-
-/// The worst per-arena quarantine residency in a sharded snapshot:
-/// `(arena index, permille)` over the `arena/a{k}_quarantined_bytes` /
-/// `arena/a{k}_released_bytes` shard counters. `None` when the snapshot
-/// carries no shard counters (single-arena runs fall back to the global
-/// `layer` counters). Ties keep the lowest arena index, so the named
-/// shard is deterministic.
-fn worst_arena_quarantine(snap: &Snapshot) -> Option<(u32, u64)> {
-    let mut worst: Option<(u32, u64)> = None;
-    for c in &snap.counters {
-        if c.subsystem != "arena" || c.value == 0 {
-            continue;
-        }
-        let Some(idx) = c
-            .name
-            .strip_prefix('a')
-            .and_then(|r| r.strip_suffix("_quarantined_bytes"))
-            .and_then(|r| r.parse::<u32>().ok())
-        else {
-            continue;
-        };
-        let released =
-            snap.counter("arena", &format!("a{idx}_released_bytes")).unwrap_or(0);
-        let permille = c.value.saturating_sub(released).saturating_mul(1000) / c.value;
-        if worst.is_none_or(|(_, w)| permille > w) {
-            worst = Some((idx, permille));
-        }
-    }
-    worst
 }
 
 /// Permille of all ever-quarantined bytes that have not been released
@@ -261,12 +214,9 @@ pub fn slo_table(checks: &[SloCheck]) -> String {
             (true, Some(_)) => "PASS",
             (false, _) => "FAIL",
         };
-        let objective = match c.shard {
-            Some(s) => format!("{}[a{s}]", c.kind.as_str()),
-            None => c.kind.as_str().to_string(),
-        };
         out.push_str(&format!(
-            "{objective:<9}  {:<12}  {:<12}  {:<8}  {verdict}\n",
+            "{:<9}  {:<12}  {:<12}  {:<8}  {verdict}\n",
+            c.kind.as_str(),
             c.limit,
             observed,
             c.kind.unit(),
@@ -358,42 +308,6 @@ mod tests {
         let u = checks.iter().find(|c| c.kind == SloKind::HelperUtil).unwrap();
         assert_eq!(u.observed, Some(50));
         assert!(!u.pass, "mean 50% under the 60% floor");
-    }
-
-    #[test]
-    fn sharded_snapshots_judge_qratio_per_arena_and_name_the_worst_shard() {
-        let reg = Registry::new();
-        // Global view: 2000 quarantined, 1400 released = 300‰ — healthy.
-        // But shard a2 alone sits at 800‰: the ceiling must fail on it.
-        reg.counter("arena", "a0_quarantined_bytes").add(1000);
-        reg.counter("arena", "a0_released_bytes").add(950);
-        reg.counter("arena", "a2_quarantined_bytes").add(1000);
-        reg.counter("arena", "a2_released_bytes").add(200);
-        reg.counter("layer", "quarantined_bytes").add(2000);
-        reg.counter("layer", "released_bytes").add(1400);
-        let snap = reg.snapshot();
-
-        let wd = Watchdog::new(SloPolicy {
-            max_quarantine_permille: Some(500),
-            ..Default::default()
-        });
-        let checks = wd.evaluate(&snap);
-        assert_eq!(checks.len(), 1);
-        assert_eq!(checks[0].observed, Some(800), "worst shard, not the average");
-        assert_eq!(checks[0].shard, Some(2));
-        assert!(!checks[0].pass, "a healthy average must not mask a runaway tenant");
-        let table = slo_table(&checks);
-        assert!(table.contains("qratio[a2]"), "{table}");
-
-        // Without shard counters the same policy falls back to the
-        // global layer view (which passes here).
-        let reg = Registry::new();
-        reg.counter("layer", "quarantined_bytes").add(2000);
-        reg.counter("layer", "released_bytes").add(1400);
-        let checks = wd.evaluate(&reg.snapshot());
-        assert_eq!(checks[0].observed, Some(300));
-        assert_eq!(checks[0].shard, None);
-        assert!(checks[0].pass);
     }
 
     #[test]

@@ -56,20 +56,17 @@ stage_swar_tests() {
 
 # desc: run dossiers pass every gate; doctored copies fail it (exit 2)
 stage_dossier() {
-    # One forensic run directory and one sharded one: ms-report renders
-    # every section their files support and every gate passes (exit 0).
+    # One forensic run directory: ms-report renders every section its
+    # files support and every gate passes (exit 0).
     # Each gate must then fail a doctored copy of a real run directory
     # with exactly exit 2, naming the gate and what broke; an impossible
     # SLO is a gate failure too, and a missing directory is bad input (1).
     local sim=(cargo run -q --release -p ms-cli --bin minesweeper-sim --)
     local report=(cargo run -q --release -p ms-cli --bin ms-report --)
-    local run="$smoke_dir/run" arenas="$smoke_dir/arenas" line rc
+    local run="$smoke_dir/run" line rc
     "${sim[@]}" run demo --system ms --forensics full --out "$run" > /dev/null
-    "${sim[@]}" run demo --system ms --arenas 4 --out "$arenas" > /dev/null
     test -s "$run/trace.jsonl" || { echo "run dir has no trace"; exit 1; }
     test -s "$run/metrics.json" || { echo "run dir has no metrics"; exit 1; }
-    test -s "$arenas/metrics.json" || { echo "arena run dir has no metrics"; exit 1; }
-    test ! -e "$arenas/trace.jsonl" || { echo "the pooled runner writes no trace"; exit 1; }
     grep -q '"ledger_entries"' "$run/trace.jsonl" \
         || { echo "forensic trace missing ledger snapshots"; exit 1; }
     "${report[@]}" "$run" --check --slo stw=999999999999,sweep=999999999999,qratio=1000 \
@@ -80,15 +77,6 @@ stage_dossier() {
         "== slo ==" "pinned sites" "defence cost ledger:" "pinned bytes" \
         "trace-reconcile: ok" "mark-accounting: ok" "cost-conservation: ok" "slo: ok"; do
         grep -qF "$line" "$smoke_dir/run.txt" || { echo "run dossier missing: $line"; exit 1; }
-    done
-    # qratio judges each shard separately on a sharded snapshot; a
-    # generous ceiling must still pass through that path.
-    "${report[@]}" "$arenas" --check --slo qratio=1000 > "$smoke_dir/arenas.txt" \
-        || { cat "$smoke_dir/arenas.txt"; echo "clean arena dossier must exit 0"; exit 1; }
-    for line in "== arenas ==" "scheduler:" "arena-shards: ok" "cost-conservation: ok" \
-        "slo: ok"; do
-        grep -qF "$line" "$smoke_dir/arenas.txt" \
-            || { echo "arena dossier missing: $line"; exit 1; }
     done
     # doctor NAME SRC FILE SED GATE_LINE: copy run dir SRC, edit FILE with
     # SED, and require --check to exit 2 printing GATE_LINE.
@@ -110,8 +98,6 @@ stage_dossier() {
         "mark-accounting: FAILED: sweep 1:"
     doctor site "$run" metrics.json "s/\($(printf "$counter" cost site_none_cycles)\)/\11/" \
         "cost-conservation: FAILED: site dimension sums to"
-    doctor shard "$arenas" metrics.json "s/\($(printf "$counter" arena a1_sweeps)\)/\11/" \
-        "arena-shards: FAILED: a1: a1_sweeps counter"
     rc=0
     "${report[@]}" "$run" --slo sweep=1 > /dev/null 2>&1 || rc=$?
     [ "$rc" -eq 2 ] || { echo "impossible SLO policy must breach with exit 2 (got $rc)"; exit 1; }
@@ -161,8 +147,7 @@ stage_kernel_gate() {
         incremental_d5 incremental_filtered_d5 words_per_sec forensics_off \
         forensics_sampled_s8 forensics_full simd_serial swar_serial \
         simd_serial_profiled steal_parallel simd_vs_scalar tier_ratio_floor \
-        profiler_cost_ceiling arenas_n4_serial arenas_n16_barrier_h6 \
-        arenas_n64_sched_h6 n16_sched_vs_serial; do
+        profiler_cost_ceiling; do
         grep -q "$key" "$smoke_dir/bench.json" \
             || { echo "bench JSON missing $key"; exit 1; }
     done
@@ -229,7 +214,7 @@ stage_rustdoc() {
     RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --workspace --no-deps -q
 }
 
-# desc: DESIGN.md section 7 modules and backticked doc paths resolve
+# desc: DESIGN.md section 7 modules and backticked doc paths resolve; no orphan names
 stage_doc_modules() {
     # One "dir<TAB>token" line per backticked all-lowercase identifier of
     # each numbered crate entry; "**name (dir)**" maps to crates/dir.
@@ -290,6 +275,16 @@ stage_doc_modules() {
         missing=1
     done < <(grep -onE '`[A-Za-z_][A-Za-z0-9_]*(::[A-Za-z_][A-Za-z0-9_]*)+`' DESIGN.md README.md \
         | sed -E 's/^([^:]+:[0-9]+):`(.*)`$/\1\t\2/')
+    # Names of the deleted multi-tenant arena subsystem must not come
+    # back. Each name carries a one-letter bracket class so this line
+    # does not match itself. jalloc's own jemalloc "arena" wording is not
+    # on the list.
+    local orphans='Arena[I]d|Arena[P]ool|Arena[B]ackend|Sweep[S]cheduler|Sched[P]olicy'
+    orphans+='|run_[a]renas|ARENA_[S]UBSYSTEM|cross_[a]rena|--[a]renas|arena-[s]hards'
+    if git grep -nE "$orphans" -- crates src tests examples scripts DESIGN.md README.md; then
+        echo "orphan references to the deleted arena subsystem (listed above)"
+        missing=1
+    fi
     [ "$missing" -eq 0 ] || exit 1
     echo "DESIGN.md section 7 module names and doc paths all resolve"
 }
