@@ -42,6 +42,30 @@ pub enum FreeOutcome {
     Invalid,
 }
 
+/// What one [`MineSweeper::free_sited`] call did: its outcome plus the
+/// work behind it, exactly as the call added it to the layer's counters.
+/// An embedding engine prices the free from these facts instead of
+/// diffing two [`MineSweeper::stats`] snapshots.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct FreeFacts {
+    /// What happened to the free.
+    pub outcome: FreeOutcome,
+    /// Bytes zeroed (added to `zeroed_bytes`), also when the heap then
+    /// rejected a passthrough free.
+    pub zeroed_bytes: u64,
+    /// Interior pages decommitted (added to `unmapped_pages`).
+    pub unmapped_pages: u64,
+    /// Entries a thread-local buffer flush moved to the global list
+    /// (added to `tl_flushed_entries`); 0 when the free flushed nothing.
+    pub flushed_entries: u64,
+}
+
+impl FreeFacts {
+    fn only(outcome: FreeOutcome) -> FreeFacts {
+        FreeFacts { outcome, zeroed_bytes: 0, unmapped_pages: 0, flushed_entries: 0 }
+    }
+}
+
 /// Outcome of one completed sweep.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct SweepReport {
@@ -299,34 +323,36 @@ impl<B: HeapBackend> MineSweeper<B> {
     /// invalid frees return [`FreeOutcome::Invalid`], double frees
     /// [`FreeOutcome::DoubleFree`].
     pub fn free(&mut self, space: &mut AddrSpace, addr: Addr) -> FreeOutcome {
-        self.free_sited(space, addr, 0)
+        self.free_sited(space, addr, 0).outcome
     }
 
     /// [`MineSweeper::free`] with an allocation-site id attached: the site
     /// rides the quarantine entry into the forensics ledger, so failed
     /// frees attribute back to the code that allocated them. Site 0 means
-    /// "unknown" (what plain `free` passes).
+    /// "unknown" (what plain `free` passes). Returns the outcome with the
+    /// zeroing, unmapping and flush work the call did ([`FreeFacts`]).
     pub fn free_sited(
         &mut self,
         space: &mut AddrSpace,
         addr: Addr,
         site: u32,
-    ) -> FreeOutcome {
+    ) -> FreeFacts {
         // A base already in quarantine is a double free even before we ask
         // the heap (the heap still considers it live).
         if self.cfg.quarantine && self.quarantine.contains(addr) {
-            return self.absorb_double_free(addr);
+            return FreeFacts::only(self.absorb_double_free(addr));
         }
         let Some(usable) = self.heap.usable_size(addr) else {
             self.counters.invalid_frees.inc();
-            return FreeOutcome::Invalid;
+            return FreeFacts::only(FreeOutcome::Invalid);
         };
 
         if !self.cfg.quarantine {
             // §5.5 partial versions (1)/(2): optional zero/unmap, then
             // forward immediately.
+            let mut facts = FreeFacts::only(FreeOutcome::Passthrough);
             if self.cfg.zeroing {
-                self.zero_entry(space, addr, usable, 0);
+                facts.zeroed_bytes = self.zero_entry(space, addr, usable, 0);
             }
             if self.cfg.unmapping {
                 let interior = PageRange::interior(addr, usable);
@@ -335,6 +361,7 @@ impl<B: HeapBackend> MineSweeper<B> {
                     // leave the range usable for the allocator.
                     space.decommit(interior).expect("live allocation is mapped");
                     self.counters.unmapped_pages.add(interior.page_count());
+                    facts.unmapped_pages = interior.page_count();
                 }
             }
             // The allocator can still reject the free (e.g. a double free
@@ -343,9 +370,9 @@ impl<B: HeapBackend> MineSweeper<B> {
             // it idempotently, record and refuse rather than crash.
             if self.heap.free(space, addr).is_err() {
                 self.counters.invalid_frees.inc();
-                return FreeOutcome::Invalid;
+                facts.outcome = FreeOutcome::Invalid;
             }
-            return FreeOutcome::Passthrough;
+            return facts;
         }
 
         // Unmap large allocations' interior pages (§4.2).
@@ -358,8 +385,9 @@ impl<B: HeapBackend> MineSweeper<B> {
         }
         // Zero the parts sweeps will still see (§4.1). Unmapped pages lose
         // their contents wholesale, so only the head/tail need zeroing.
+        let mut zeroed_bytes = 0;
         if self.cfg.zeroing {
-            self.zero_entry(space, addr, usable, unmapped_pages);
+            zeroed_bytes = self.zero_entry(space, addr, usable, unmapped_pages);
         }
         if unmapped_pages > 0 {
             let interior = PageRange::interior(addr, usable);
@@ -369,20 +397,23 @@ impl<B: HeapBackend> MineSweeper<B> {
         }
 
         let entry = QEntry { base: addr, usable, unmapped_pages, failed: false, site };
-        match self.quarantine.insert(entry) {
+        let (outcome, flushed_entries) = match self.quarantine.insert(entry) {
             InsertResult::Inserted { flushed } => {
+                let mut flushed_entries = 0;
                 if flushed {
                     let entries = self.cfg.tl_buffer_capacity.max(1) as u64;
                     self.counters.tl_flushes.inc();
                     self.counters.tl_flushed_entries.add(entries);
                     self.tracer.emit(|| EventKind::QuarantineFlush { entries });
+                    flushed_entries = entries;
                 }
                 self.counters.quarantined.inc();
                 self.counters.quarantined_bytes.add(usable);
-                FreeOutcome::Quarantined
+                (FreeOutcome::Quarantined, flushed_entries)
             }
-            InsertResult::DoubleFree => self.absorb_double_free(addr),
-        }
+            InsertResult::DoubleFree => (self.absorb_double_free(addr), 0),
+        };
+        FreeFacts { outcome, zeroed_bytes, unmapped_pages, flushed_entries }
     }
 
     fn absorb_double_free(&mut self, addr: Addr) -> FreeOutcome {
@@ -395,20 +426,30 @@ impl<B: HeapBackend> MineSweeper<B> {
         FreeOutcome::DoubleFree
     }
 
-    fn zero_entry(&mut self, space: &mut AddrSpace, base: Addr, usable: u64, unmapped_pages: u64) {
+    /// Zeroes a freed allocation (only its head and tail when its interior
+    /// pages are about to be unmapped) and returns the bytes zeroed.
+    fn zero_entry(
+        &mut self,
+        space: &mut AddrSpace,
+        base: Addr,
+        usable: u64,
+        unmapped_pages: u64,
+    ) -> u64 {
         let zero_len = usable / WORD_SIZE as u64 * WORD_SIZE as u64;
-        if unmapped_pages == 0 {
+        let zeroed = if unmapped_pages == 0 {
             space.fill_zero(base, zero_len).expect("live allocation is accessible");
-            self.counters.zeroed_bytes.add(zero_len);
-            return;
-        }
-        let interior = PageRange::interior(base, usable);
-        let head = interior.start().base().offset_from(base);
-        space.fill_zero(base, head).expect("head is accessible");
-        let tail_base = interior.end().base();
-        let tail = base.add_bytes(zero_len).offset_from(tail_base);
-        space.fill_zero(tail_base, tail).expect("tail is accessible");
-        self.counters.zeroed_bytes.add(head + tail);
+            zero_len
+        } else {
+            let interior = PageRange::interior(base, usable);
+            let head = interior.start().base().offset_from(base);
+            space.fill_zero(base, head).expect("head is accessible");
+            let tail_base = interior.end().base();
+            let tail = base.add_bytes(zero_len).offset_from(tail_base);
+            space.fill_zero(tail_base, tail).expect("tail is accessible");
+            head + tail
+        };
+        self.counters.zeroed_bytes.add(zeroed);
+        zeroed
     }
 
     /// Whether the sweep trigger has fired (§3.2 "When to Sweep" plus the

@@ -74,7 +74,7 @@ pub use backend::HeapBackend;
 pub use config::{ForensicsMode, MsConfig, SweepMode};
 pub use filter::CandidateFilter;
 pub use forensics::{EdgeAgg, EdgeRecorder, FailedFreeLedger, LedgerEntry};
-pub use layer::{FreeOutcome, MineSweeper, SweepReport};
+pub use layer::{FreeFacts, FreeOutcome, MineSweeper, SweepReport};
 pub use mte::{tag_ptr, untag_ptr, MteError, MteHeap, TagTable, QUARANTINE_TAG, TAG_GRANULE};
 pub use pagecache::PageCache;
 pub use quarantine::{QEntry, Quarantine};

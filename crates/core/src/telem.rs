@@ -2,10 +2,13 @@
 //!
 //! [`MsCounters`] holds one [`Counter`] handle per [`crate::MsStats`]
 //! field, registered under the `layer` subsystem of a shared
-//! [`Registry`]. The registry is the single source of truth: the layer
-//! increments these handles on its hot paths (relaxed atomic adds) and
-//! [`crate::MineSweeper::stats`] materialises an [`crate::MsStats`]
-//! snapshot from them on demand.
+//! [`Registry`]. The registry is the single source of truth for the
+//! layer's history: the layer increments these handles on its hot paths
+//! (relaxed atomic adds) and [`crate::MineSweeper::stats`] materialises an
+//! [`crate::MsStats`] snapshot from them on demand. A snapshot reads every
+//! counter, so it is for reports and tests, not per-op pricing: a free
+//! hands its own share of the counts to its caller as
+//! [`crate::FreeFacts`].
 
 use telemetry::{Counter, Histogram, Registry};
 

@@ -480,7 +480,7 @@ proptest! {
                     let outcomes: Vec<FreeOutcome> = layers
                         .iter_mut()
                         .map(|(space, ms)| {
-                            ms.free_sited(space, objects[id].0, next_site)
+                            ms.free_sited(space, objects[id].0, next_site).outcome
                         })
                         .collect();
                     prop_assert!(outcomes.iter().all(|&o| o == outcomes[0]));

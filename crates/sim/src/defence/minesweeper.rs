@@ -2,7 +2,7 @@
 //! One generic impl serves both; [`Substrate`] holds what differs.
 
 use super::*;
-use ::minesweeper::{FreeOutcome, MsStats};
+use ::minesweeper::{FreeFacts, FreeOutcome, MsStats};
 
 /// The engine's hooks that differ with the heap under the layer.
 pub(crate) trait Substrate {
@@ -51,26 +51,25 @@ where
     }
 
     /// Engine: a flat insert, one syscall if any page was unmapped, and a
-    /// whole thread-local buffer per flush. Bill: [`charge_free`].
+    /// whole thread-local buffer per flush. Bill: [`charge_free`]. Both
+    /// price what the layer reports it did ([`FreeFacts`]).
     fn free_word(&mut self, space: &mut AddrSpace, word: u64, cx: FreeCtx) -> (FreeAck, u64) {
         let FreeCtx { cost, site, ledger, bill } = cx;
-        let before = self.stats();
-        let out = self.free_sited(space, Addr::new(word), site);
-        let after = self.stats();
-        let zeroing = cost.zero_cost(after.zeroed_bytes - before.zeroed_bytes);
+        let facts = self.free_sited(space, Addr::new(word), site);
+        let zeroing = cost.zero_cost(facts.zeroed_bytes);
         let mut quarantine = cost.quarantine_insert;
-        if after.unmapped_pages > before.unmapped_pages {
+        if facts.unmapped_pages > 0 {
             quarantine += cost.unmap_syscall;
         }
-        if after.tl_flushes > before.tl_flushes {
+        if facts.flushed_entries > 0 {
             quarantine += self.config().tl_buffer_capacity as u64 * cost.quarantine_flush_per_entry;
         }
         if let Some(rec) = ledger {
             rec.charge(CostKind::Zeroing, zeroing, Some(site));
             rec.charge(CostKind::Quarantine, quarantine, Some(site));
         }
-        charge_free(cost, bill, &before, &after, out);
-        let ack = match out {
+        charge_free(cost, bill, &facts);
+        let ack = match facts.outcome {
             FreeOutcome::Quarantined | FreeOutcome::Passthrough => FreeAck::Done,
             FreeOutcome::DoubleFree | FreeOutcome::Invalid => FreeAck::Absorbed,
         };
@@ -136,22 +135,16 @@ where
     }
 }
 
-/// The interpreter's free bill, from the layer's stats delta around one
-/// `free` call: zeroed bytes, decommit syscalls per page and thread-local
+/// The interpreter's free bill, from what the layer reports one `free`
+/// call did: zeroed bytes, decommit syscalls per page and thread-local
 /// flush traffic per entry are whatever the layer says they were, and the
 /// per-entry insert is charged only when the free was actually
 /// quarantined.
-fn charge_free(
-    cost: &CostModel,
-    bill: &mut DefenceCost,
-    before: &MsStats,
-    after: &MsStats,
-    out: FreeOutcome,
-) {
-    bill.charge(CostKind::Zeroing, cost.zero_cost(after.zeroed_bytes - before.zeroed_bytes));
-    let mut quarantine = (after.unmapped_pages - before.unmapped_pages) * cost.unmap_syscall
-        + (after.tl_flushed_entries - before.tl_flushed_entries) * cost.quarantine_flush_per_entry;
-    if out == FreeOutcome::Quarantined {
+fn charge_free(cost: &CostModel, bill: &mut DefenceCost, facts: &FreeFacts) {
+    bill.charge(CostKind::Zeroing, cost.zero_cost(facts.zeroed_bytes));
+    let mut quarantine = facts.unmapped_pages * cost.unmap_syscall
+        + facts.flushed_entries * cost.quarantine_flush_per_entry;
+    if facts.outcome == FreeOutcome::Quarantined {
         quarantine += cost.quarantine_insert;
     }
     bill.charge(CostKind::Quarantine, quarantine);

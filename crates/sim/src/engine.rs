@@ -347,8 +347,9 @@ pub(crate) struct Sim<D: ?Sized> {
     /// Present for MineSweeper-layered systems (they own the registry).
     telem: Option<EngineTelem>,
     /// Cost-attribution ledger ([`telemetry::CostRecorder`]) on the same
-    /// registry; on by default for layered systems, purely observational
-    /// (disabling it never changes verdicts, traces or virtual time).
+    /// registry, published to it at finalize; on by default for layered
+    /// systems, purely observational (disabling it never changes
+    /// verdicts, traces or virtual time).
     cost_rec: Option<CostRecorder>,
     /// Ledger total at the current sweep's start, for the per-generation
     /// `cost/per_sweep_cycles` attribution histogram.
@@ -848,7 +849,7 @@ impl<D: Defence + ?Sized> Sim<D> {
         self.metrics.failed_frees += report.failed;
         self.sweep_active = false;
         // Close the generation's attribution window.
-        if let Some(rec) = &self.cost_rec {
+        if let Some(rec) = &mut self.cost_rec {
             rec.record_sweep(rec.total().saturating_sub(self.cost_sweep_start));
         }
         self.sample();
@@ -861,12 +862,16 @@ impl<D: Defence + ?Sized> Sim<D> {
         self.metrics.rss_series.push((self.now.max(1), rss));
         self.metrics.mutator_cycles = self.now.max(1);
         self.metrics.background_cycles = self.background;
-        // Export telemetry: flush any attached trace sink, snapshot the
-        // shared registry, and derive the headline sweep metrics from the
-        // layer's counters (single source of truth).
+        // Export telemetry: publish the cost ledger, flush any attached
+        // trace sink, snapshot the shared registry, and derive the
+        // headline sweep metrics from the layer's counters (single source
+        // of truth).
         // SLO watchdog: evaluate the final snapshot before the flush so
         // violation events land in the same trace as the sweeps they
         // indict.
+        if let Some(rec) = &mut self.cost_rec {
+            rec.publish();
+        }
         let snap = self.sys.registry().cloned().map(|registry| {
             let tracer = self.sys.tracer_mut().expect("layered systems trace");
             if let Some(policy) = self.slo.take() {

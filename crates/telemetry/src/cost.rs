@@ -1,6 +1,7 @@
 //! Cost-attribution ledger: tags every defence-cycle charge with a
-//! [`CostKind`] and an allocation site, and accumulates them as ordinary
-//! `cost/*` registry metrics so the existing snapshot / JSON machinery
+//! [`CostKind`] and an allocation site. [`CostRecorder`] adds charges up
+//! in plain memory; [`CostRecorder::publish`] moves them into ordinary
+//! `cost/*` registry metrics, so the existing snapshot / JSON machinery
 //! carries them for free.
 //!
 //! Every charge lands once in each dimension:
@@ -15,7 +16,7 @@
 //! leaked.
 
 use crate::idhash::IdMap;
-use crate::registry::{Counter, Histogram, Registry, Snapshot};
+use crate::registry::{Counter, Histogram, Registry, Snapshot, HISTOGRAM_BUCKETS};
 
 /// Subsystem label for all ledger metrics.
 pub const COST_SUBSYSTEM: &str = "cost";
@@ -85,17 +86,52 @@ impl CostKind {
     }
 }
 
+/// A registered histogram whose observations are counted in plain memory
+/// until [`Buffered::publish`] adds them to it.
+#[derive(Debug)]
+struct Buffered {
+    hist: Histogram,
+    buckets: [u64; HISTOGRAM_BUCKETS],
+    sum: u64,
+}
+
+impl Buffered {
+    fn new(hist: Histogram) -> Buffered {
+        Buffered { hist, buckets: [0; HISTOGRAM_BUCKETS], sum: 0 }
+    }
+
+    fn record(&mut self, value: u64) {
+        self.buckets[Histogram::bucket_index(value)] += 1;
+        self.sum = self.sum.saturating_add(value);
+    }
+
+    fn publish(&mut self) {
+        self.hist.add_counts(&self.buckets, self.sum);
+        self.buckets = [0; HISTOGRAM_BUCKETS];
+        self.sum = 0;
+    }
+}
+
 /// Live recorder: one per engine run, registered on that run's
-/// [`Registry`]. The hot path is a handful of relaxed atomic adds; site
-/// counter handles are memoised so registration's mutex is hit once per
-/// distinct key.
+/// [`Registry`]. A charge is a few plain adds (the total, the kind's
+/// bucket and sum, the site's cycles); nothing reaches the registry until
+/// [`CostRecorder::publish`], which a snapshot reader must call first. A
+/// site's counter is still registered at that site's first charge, so
+/// snapshots list sites in first-charge order.
 #[derive(Debug)]
 pub struct CostRecorder {
-    total: Counter,
+    /// Cycles charged so far, published or not.
+    total: u64,
+    /// The part of `total` already added to `total_counter`.
+    published_total: u64,
+    total_counter: Counter,
     /// One histogram per kind, in [`CostKind::ALL`] order.
-    kinds: Vec<Histogram>,
-    per_sweep: Histogram,
-    sites: IdMap<Option<u32>, Counter>,
+    kinds: Vec<Buffered>,
+    /// Boxed, like `kinds`, so the recorder stays small inside the
+    /// engine's state.
+    per_sweep: Box<Buffered>,
+    /// Per site: its registered counter and the cycles not yet added to it.
+    sites: IdMap<Option<u32>, (Counter, u64)>,
     registry: Registry,
 }
 
@@ -103,15 +139,16 @@ impl CostRecorder {
     /// Creates a recorder and eagerly registers the total and per-kind
     /// metrics (so a zero-cost run still snapshots a complete ledger).
     pub fn new(registry: &Registry) -> CostRecorder {
+        let hist = |name: &str| Buffered::new(registry.histogram(COST_SUBSYSTEM, name));
         CostRecorder {
-            total: registry.counter(COST_SUBSYSTEM, "total_cycles"),
+            total: 0,
+            published_total: 0,
+            total_counter: registry.counter(COST_SUBSYSTEM, "total_cycles"),
             kinds: CostKind::ALL
                 .iter()
-                .map(|k| {
-                    registry.histogram(COST_SUBSYSTEM, &format!("kind_{}_cycles_hist", k.label()))
-                })
+                .map(|k| hist(&format!("kind_{}_cycles_hist", k.label())))
                 .collect(),
-            per_sweep: registry.histogram(COST_SUBSYSTEM, "per_sweep_cycles"),
+            per_sweep: Box::new(hist("per_sweep_cycles")),
             sites: IdMap::default(),
             registry: registry.clone(),
         }
@@ -123,7 +160,7 @@ impl CostRecorder {
         if cycles == 0 {
             return;
         }
-        self.total.add(cycles);
+        self.total += cycles;
         self.kinds[kind.index()].record(cycles);
         let registry = &self.registry;
         self.sites
@@ -133,20 +170,34 @@ impl CostRecorder {
                     Some(id) => format!("site_{id}_cycles"),
                     None => "site_none_cycles".into(),
                 };
-                registry.counter(COST_SUBSYSTEM, &name)
+                (registry.counter(COST_SUBSYSTEM, &name), 0)
             })
-            .add(cycles);
+            .1 += cycles;
     }
 
-    /// Total defence cycles recorded so far.
+    /// Total defence cycles recorded so far, published or not.
     pub fn total(&self) -> u64 {
-        self.total.get()
+        self.total
     }
 
     /// Attributes `cycles` to one sweep generation — a distribution view
     /// (`cost/per_sweep_cycles`), not part of the conservation sums.
-    pub fn record_sweep(&self, cycles: u64) {
+    pub fn record_sweep(&mut self, cycles: u64) {
         self.per_sweep.record(cycles);
+    }
+
+    /// Moves everything recorded since the last publish into the
+    /// registry's `cost/*` metrics. Publishing twice in a row adds
+    /// nothing the second time.
+    pub fn publish(&mut self) {
+        self.total_counter.add(self.total - self.published_total);
+        self.published_total = self.total;
+        for hist in self.kinds.iter_mut().chain([&mut *self.per_sweep]) {
+            hist.publish();
+        }
+        for (counter, pending) in self.sites.values_mut() {
+            counter.add(std::mem::take(pending));
+        }
     }
 }
 
@@ -246,6 +297,7 @@ mod tests {
         rec.charge(CostKind::MarkScan, 50, None);
         rec.charge(CostKind::Stw, 0, None); // ignored
         assert_eq!(rec.total(), 1090);
+        rec.publish();
 
         let ledger = CostLedger::from_snapshot(&reg.snapshot()).unwrap();
         assert_eq!(ledger.total, 1090);
@@ -261,10 +313,85 @@ mod tests {
         let reg = Registry::new();
         let mut rec = CostRecorder::new(&reg);
         rec.charge(CostKind::Zeroing, 10, Some(3));
+        rec.publish();
         // A charge that bypassed the recorder's site counter.
         reg.counter(COST_SUBSYSTEM, "site_3_cycles").add(1);
         let leaks = CostLedger::from_snapshot(&reg.snapshot()).unwrap().reconcile();
         assert_eq!(leaks, vec!["site dimension sums to 11, total_cycles is 10".to_string()]);
+    }
+
+    /// A few charges over two kinds, two sites and one sweep window.
+    fn charge_some(rec: &mut CostRecorder) {
+        rec.charge(CostKind::Zeroing, 64, Some(1));
+        rec.charge(CostKind::Quarantine, 30, Some(2));
+        rec.charge(CostKind::Quarantine, 1 << 20, None);
+        rec.record_sweep(5_000);
+    }
+
+    #[test]
+    fn charges_show_only_after_publish_and_then_reconcile() {
+        let reg = Registry::new();
+        let mut rec = CostRecorder::new(&reg);
+        let empty = reg.snapshot();
+        charge_some(&mut rec);
+        let before = reg.snapshot();
+        let ledger = CostLedger::from_snapshot(&before).unwrap();
+        assert_eq!(ledger.total, 0, "unpublished charges stay out of the registry");
+        assert_eq!(ledger.kind_sum(), 0);
+        assert!(ledger.sites.iter().all(|&(_, c)| c == 0), "{:?}", ledger.sites);
+        let per_sweep = |s: &Snapshot| s.histogram(COST_SUBSYSTEM, "per_sweep_cycles").cloned();
+        assert_eq!(per_sweep(&before), per_sweep(&empty));
+
+        rec.publish();
+        let after = reg.snapshot();
+        let ledger = CostLedger::from_snapshot(&after).unwrap();
+        assert_eq!(ledger.total, rec.total());
+        assert_eq!(ledger.reconcile(), Vec::<String>::new());
+        let quarantine = ("quarantine".into(), 30 + (1 << 20), 2);
+        assert_eq!(ledger.kinds[CostKind::Quarantine.index()], quarantine);
+        assert_eq!(per_sweep(&after).unwrap().sum, 5_000);
+    }
+
+    #[test]
+    fn a_second_publish_without_charges_changes_nothing() {
+        let reg = Registry::new();
+        let mut rec = CostRecorder::new(&reg);
+        charge_some(&mut rec);
+        rec.publish();
+        let once = reg.snapshot();
+        rec.publish();
+        assert_eq!(reg.snapshot(), once);
+    }
+
+    #[test]
+    fn charges_split_across_publishes_sum_to_one_ledger() {
+        let (split, whole) = (Registry::new(), Registry::new());
+        let mut a = CostRecorder::new(&split);
+        charge_some(&mut a);
+        a.publish();
+        charge_some(&mut a);
+        a.charge(CostKind::Stw, 7, Some(9));
+        a.publish();
+        let mut b = CostRecorder::new(&whole);
+        charge_some(&mut b);
+        charge_some(&mut b);
+        b.charge(CostKind::Stw, 7, Some(9));
+        b.publish();
+        assert_eq!(split.snapshot(), whole.snapshot());
+    }
+
+    #[test]
+    fn the_largest_site_id_is_a_plain_key() {
+        let reg = Registry::new();
+        let mut rec = CostRecorder::new(&reg);
+        rec.charge(CostKind::Zeroing, 12, Some(u32::MAX));
+        rec.publish();
+        let ledger = CostLedger::from_snapshot(&reg.snapshot()).unwrap();
+        assert_eq!(ledger.sites, vec![(u32::MAX.to_string(), 12)]);
+        assert_eq!(ledger.reconcile(), Vec::<String>::new());
+        // One entry per site charged, whatever the id: nothing sized by it.
+        assert_eq!(rec.sites.len(), 1);
+        assert!(rec.sites.capacity() < 64, "capacity {}", rec.sites.capacity());
     }
 
     #[test]

@@ -62,8 +62,9 @@ struct HistogramCore {
 /// A fixed-bucket log2 histogram handle.
 ///
 /// Bucket boundaries are powers of two, so recording costs one
-/// `leading_zeros` plus two relaxed atomic adds — cheap enough for
-/// per-sweep (and even per-free) paths.
+/// `leading_zeros`, a relaxed atomic add and a compare-and-swap loop on
+/// the saturating sum: fine per sweep, but a per-op path should count in
+/// plain memory and hand the counts over with [`Histogram::add_counts`].
 #[derive(Clone, Debug)]
 pub struct Histogram(Arc<HistogramCore>);
 
@@ -104,6 +105,19 @@ impl Histogram {
         // obviously-overflowed export; a wrapped one silently lies.
         let _ = self.0.sum.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |s| {
             Some(s.saturating_add(value))
+        });
+    }
+
+    /// Adds pre-counted observations: `buckets[i]` more values in bucket
+    /// `i`, summing to `sum`. Equal to recording each value one by one.
+    pub fn add_counts(&self, buckets: &[u64; HISTOGRAM_BUCKETS], sum: u64) {
+        for (cell, &n) in self.0.buckets.iter().zip(buckets) {
+            if n > 0 {
+                cell.fetch_add(n, Ordering::Relaxed);
+            }
+        }
+        let _ = self.0.sum.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |s| {
+            Some(s.saturating_add(sum))
         });
     }
 
@@ -460,6 +474,18 @@ mod tests {
         h.record(u64::MAX);
         assert_eq!(h.count(), 4);
         assert_eq!(h.sum(), u64::MAX, "sum saturates rather than wrapping");
+    }
+
+    #[test]
+    fn added_counts_equal_recording_one_by_one() {
+        let (one_by_one, counted) = (Registry::new(), Registry::new());
+        let mut buckets = [0; HISTOGRAM_BUCKETS];
+        for v in [0u64, 5, 5, 1 << 40, u64::MAX] {
+            one_by_one.histogram("x", "h").record(v);
+            buckets[Histogram::bucket_index(v)] += 1;
+        }
+        counted.histogram("x", "h").add_counts(&buckets, u64::MAX);
+        assert_eq!(counted.snapshot(), one_by_one.snapshot());
     }
 
     #[test]

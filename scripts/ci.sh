@@ -98,6 +98,9 @@ stage_dossier() {
         "mark-accounting: FAILED: sweep 1:"
     doctor site "$run" metrics.json "s/\($(printf "$counter" cost site_none_cycles)\)/\11/" \
         "cost-conservation: FAILED: site dimension sums to"
+    local hist='"subsystem": "%s", "name": "%s", "sum": '
+    doctor kind "$run" metrics.json "s/\($(printf "$hist" cost kind_zeroing_cycles_hist)\)/\11/" \
+        "cost-conservation: FAILED: kind dimension sums to"
     rc=0
     "${report[@]}" "$run" --slo sweep=1 > /dev/null 2>&1 || rc=$?
     [ "$rc" -eq 2 ] || { echo "impossible SLO policy must breach with exit 2 (got $rc)"; exit 1; }
