@@ -37,8 +37,7 @@
 //! the digest and lets [`PageCache::invalidate_all`] retire every entry
 //! with a single epoch bump, O(1), never a scan.
 
-use std::collections::HashMap;
-
+use telemetry::IdMap;
 #[cfg(test)]
 use vmem::Addr;
 use vmem::{PageIdx, PAGE_SIZE, WORD_SIZE};
@@ -63,7 +62,7 @@ struct PageEntry {
 /// [`crate::MarkAccel`].
 #[derive(Clone, Debug, Default)]
 pub struct PageCache {
-    entries: HashMap<u64, PageEntry>,
+    entries: IdMap<u64, PageEntry>,
     /// Current sweep epoch (monotonic, supplied by the layer).
     epoch: u64,
     /// Entries recorded before this epoch are invalid.

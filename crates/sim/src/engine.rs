@@ -19,7 +19,7 @@ use crate::metrics::RunMetrics;
 use crate::system::System;
 
 /// A live object as the engine tracks it.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 struct Obj {
     base: Addr,
     /// Requested size (what the program may write).
@@ -31,8 +31,8 @@ struct Obj {
     out: EdgeList<OUT>,
     /// Slots holding a pointer to this object, in wiring order.
     incoming: EdgeList<IN>,
-    /// Index of this object's id in `Engine::live_ids`.
-    live_idx: usize,
+    /// Index of this object's handle in `Sim::live`.
+    live_idx: u32,
 }
 
 /// A memory slot holding a pointer to some object.
@@ -42,8 +42,8 @@ enum Slot {
     Root(u32),
     /// Offset within a live object.
     InObj {
-        /// Holder object id.
-        id: u64,
+        /// Holder object handle.
+        holder: u32,
         /// Byte offset of the slot.
         off: u64,
     },
@@ -61,44 +61,77 @@ const IN: usize = 1;
 #[derive(Clone, Copy, Debug)]
 struct Edge {
     slot: Slot,
-    target: u64,
+    /// Handle of the object pointed at.
+    target: u32,
     /// `[prev, next]` in the holder's `out` list (`links[OUT]`; in-object
     /// slots only) and in the target's `incoming` list (`links[IN]`).
     links: [[u32; 2]; 2],
     /// The target was freed while this slot kept pointing at it. The edge
     /// has left the target's `incoming` list but stays with its holder (or
-    /// root); its target id names no live object and is never looked up.
+    /// root); its target handle may since name another object, so it is
+    /// never looked up.
     dangling: bool,
 }
 
-/// Every edge of the pointer graph in one slab; released edges are reused.
-#[derive(Debug, Default)]
-struct Edges {
-    slab: Vec<Edge>,
+impl Edge {
+    fn new(slot: Slot, target: u32) -> Self {
+        Edge { slot, target, links: [[NIL; 2]; 2], dangling: false }
+    }
+}
+
+/// Items named by dense `u32` indices into one `Vec`; released slots are
+/// reused.
+#[derive(Debug)]
+struct Slab<T> {
+    items: Vec<T>,
     free: Vec<u32>,
 }
 
-impl Edges {
-    fn add(&mut self, slot: Slot, target: u64) -> u32 {
-        let edge = Edge { slot, target, links: [[NIL; 2]; 2], dangling: false };
+impl<T> Default for Slab<T> {
+    fn default() -> Self {
+        Slab { items: Vec::new(), free: Vec::new() }
+    }
+}
+
+impl<T> Slab<T> {
+    #[inline]
+    fn add(&mut self, item: T) -> u32 {
         match self.free.pop() {
-            Some(e) => {
-                self.slab[e as usize] = edge;
-                e
+            Some(i) => {
+                self.items[i as usize] = item;
+                i
             }
             None => {
-                self.slab.push(edge);
-                (self.slab.len() - 1) as u32
+                self.items.push(item);
+                u32::try_from(self.items.len() - 1).expect("slab indices fit a u32")
             }
         }
     }
 
-    /// Returns `e` to the free list. Its fields stay readable until the
-    /// next [`Edges::add`].
-    fn release(&mut self, e: u32) {
-        self.free.push(e);
+    /// Returns `i` to the free list. Its item stays readable until the
+    /// next [`Slab::add`].
+    fn release(&mut self, i: u32) {
+        self.free.push(i);
     }
+}
 
+impl<T> std::ops::Index<u32> for Slab<T> {
+    type Output = T;
+    fn index(&self, i: u32) -> &T {
+        &self.items[i as usize]
+    }
+}
+
+impl<T> std::ops::IndexMut<u32> for Slab<T> {
+    fn index_mut(&mut self, i: u32) -> &mut T {
+        &mut self.items[i as usize]
+    }
+}
+
+/// Every edge of the pointer graph.
+type Edges = Slab<Edge>;
+
+impl Edges {
     /// The edge after `e` in its list `DIR`.
     fn next<const DIR: usize>(&self, e: u32) -> Option<u32> {
         Some(self[e].links[DIR][1]).filter(|&n| n != NIL)
@@ -110,12 +143,12 @@ impl Edges {
     /// sit in one run of that holder's edges, walked here both ways
     /// (`step` 0 follows prev links, 1 next links).
     fn erased_copy(&self, e: u32) -> bool {
-        let Slot::InObj { id: holder, off } = self[e].slot else { return false };
+        let Slot::InObj { holder, off } = self[e].slot else { return false };
         (0..2).any(|step| {
             let mut x = self[e].links[IN][step];
             while x != NIL {
                 match self[x].slot {
-                    Slot::InObj { id, off: o } if id == holder => {
+                    Slot::InObj { holder: h, off: o } if h == holder => {
                         if o == off && !self[x].dangling {
                             return true;
                         }
@@ -126,19 +159,6 @@ impl Edges {
             }
             false
         })
-    }
-}
-
-impl std::ops::Index<u32> for Edges {
-    type Output = Edge;
-    fn index(&self, e: u32) -> &Edge {
-        &self.slab[e as usize]
-    }
-}
-
-impl std::ops::IndexMut<u32> for Edges {
-    fn index_mut(&mut self, e: u32) -> &mut Edge {
-        &mut self.slab[e as usize]
     }
 }
 
@@ -326,12 +346,17 @@ pub(crate) struct Sim<D: ?Sized> {
     /// Mutator-visible virtual time.
     now: u64,
     background: u64,
-    /// Live objects by op id. Ids are any unique `u64` (recorded traces
-    /// choose them), so this stays a map rather than an id-indexed `Vec`.
-    objects: IdMap<u64, Obj>,
+    /// The pointer graph's objects, named by handle. Edges and `live`
+    /// carry handles, so graph walks index this slab directly.
+    objs: Slab<Obj>,
+    /// Handle of each live object by op id. Ids are any unique `u64`
+    /// (recorded traces choose them), so only the alloc and the free of an
+    /// object hash its id.
+    handles: IdMap<u64, u32>,
     /// The pointer graph's edges, linked into the objects' lists.
     edges: Edges,
-    live_ids: Vec<u64>,
+    /// Handles of the live objects, for uniform picks.
+    live: Vec<u32>,
     /// Per root slot: the base it points at and its edge. The edge is
     /// dangling once that object has been freed.
     root_owner: Vec<Option<(Addr, u32)>>,
@@ -379,9 +404,10 @@ impl<D: Defence + ?Sized> Sim<D> {
             rng: Rng::new(seed ^ 0x9aa9_0000),
             now: 0,
             background: 0,
-            objects: IdMap::default(),
+            objs: Slab::default(),
+            handles: IdMap::default(),
             edges: Edges::default(),
-            live_ids: Vec::new(),
+            live: Vec::new(),
             root_owner: vec![None; profile.root_slots as usize],
             profile,
             freed_at: IdMap::default(),
@@ -529,14 +555,16 @@ impl<D: Defence + ?Sized> Sim<D> {
             page = page.add_bytes(PAGE_SIZE as u64);
         }
 
-        let mut obj = Obj {
+        let h = self.objs.add(Obj {
             base,
             req: size,
             site,
             out: EdgeList::EMPTY,
             incoming: EdgeList::EMPTY,
-            live_idx: self.live_ids.len(),
-        };
+            live_idx: u32::try_from(self.live.len()).expect("live objects fit a u32 index"),
+        });
+        let live = self.handles.insert(id, h);
+        assert!(live.is_none(), "trace allocates live id {id} twice");
         // Pointer wiring per the profile's density.
         let slots_f = self.profile.ptr_density * size as f64 / 64.0;
         let mut k = slots_f as u64;
@@ -545,29 +573,28 @@ impl<D: Defence + ?Sized> Sim<D> {
         }
         let mut store_cycles = 0;
         for _ in 0..k.min(size / WORD_SIZE as u64) {
-            let Some(&target) = pick(&mut self.rng, &self.live_ids) else { break };
-            let t_obj = self.objects.get_mut(&target).expect("live ids are live");
-            let t_base = t_obj.base;
+            let Some(target) = pick(&mut self.rng, &self.live) else { break };
+            let Obj { base: t_base, req: t_req, .. } = self.objs[target];
             let off = self.rng.below((size / 8).max(1)) * 8;
-            let interior = if self.rng.chance(0.2) && t_obj.req > 16 {
-                self.rng.below(t_obj.req / 8) * 8
+            let interior = if self.rng.chance(0.2) && t_req > 16 {
+                self.rng.below(t_req / 8) * 8
             } else {
                 0
             };
             let value = t_base.add_bytes(interior);
             if self.space.write_word(base.add_bytes(off), value.raw()).is_ok() {
-                let e = self.edges.add(Slot::InObj { id, off }, target);
-                obj.out.push(&mut self.edges, e);
-                t_obj.incoming.push(&mut self.edges, e);
+                let e = self.edges.add(Edge::new(Slot::InObj { holder: h, off }, target));
+                self.objs[h].out.push(&mut self.edges, e);
+                self.objs[target].incoming.push(&mut self.edges, e);
                 store_cycles += self.sys.store_ptr(t_base, base.add_bytes(off), &self.cost);
             }
         }
         // A "false pointer": plain data that happens to equal a heap
         // address (Figure 4). Untracked — never erased.
         if self.rng.chance(self.profile.false_ptr_rate) {
-            if let Some(&target) = pick(&mut self.rng, &self.live_ids) {
+            if let Some(target) = pick(&mut self.rng, &self.live) {
                 let off = self.rng.below((size / 8).max(1)) * 8;
-                let value = self.objects[&target].base.raw();
+                let value = self.objs[target].base.raw();
                 self.space.write_word(base.add_bytes(off), value).ok();
             }
         }
@@ -579,8 +606,8 @@ impl<D: Defence + ?Sized> Sim<D> {
             self.clear_root(r);
             let slot_addr = self.root_addr(r);
             self.space.write_word(slot_addr, base.raw()).expect("stack is mapped");
-            let e = self.edges.add(Slot::Root(r), id);
-            obj.incoming.push(&mut self.edges, e);
+            let e = self.edges.add(Edge::new(Slot::Root(r), h));
+            self.objs[h].incoming.push(&mut self.edges, e);
             self.root_owner[r as usize] = Some((base, e));
             store_cycles += self.sys.store_ptr(base, slot_addr, &self.cost);
         }
@@ -588,8 +615,7 @@ impl<D: Defence + ?Sized> Sim<D> {
             self.charge_mutator(store_cycles);
         }
 
-        self.objects.insert(id, obj);
-        self.live_ids.push(id);
+        self.live.push(h);
     }
 
     fn root_addr(&self, r: u32) -> Addr {
@@ -600,8 +626,7 @@ impl<D: Defence + ?Sized> Sim<D> {
         if let Some((old_base, e)) = self.root_owner[r as usize].take() {
             if !self.edges[e].dangling {
                 let old = self.edges[e].target;
-                let o = self.objects.get_mut(&old).expect("a slot's target is live");
-                o.incoming.unlink(&mut self.edges, e);
+                self.objs[old].incoming.unlink(&mut self.edges, e);
             }
             self.edges.release(e);
             // Overwriting a pointer is an instrumented store (under
@@ -617,7 +642,9 @@ impl<D: Defence + ?Sized> Sim<D> {
 
     fn do_free(&mut self, id: u64) {
         self.metrics.frees += 1;
-        let obj = self.objects.remove(&id).expect("trace frees live ids once");
+        let h = self.handles.remove(&id).expect("trace frees live ids once");
+        let obj = self.objs[h];
+        self.objs.release(h);
         // Program behaviour: erase (most) references to the dying object.
         // Erasing a reference is an instrumented store, charged with the
         // free.
@@ -638,8 +665,8 @@ impl<D: Defence + ?Sized> Sim<D> {
                     self.space.write_word(self.root_addr(r), 0).expect("stack");
                     self.root_owner[r as usize] = None;
                 }
-                Slot::InObj { id: holder, off } => {
-                    let h_base = self.objects[&holder].base;
+                Slot::InObj { holder, off } => {
+                    let h_base = self.objs[holder].base;
                     self.space.write_word(h_base.add_bytes(off), 0).ok();
                 }
             }
@@ -653,11 +680,10 @@ impl<D: Defence + ?Sized> Sim<D> {
         while let Some(e) = cur {
             cur = self.edges.next::<IN>(e);
             match self.edges[e].slot {
-                Slot::InObj { id: holder, .. }
+                Slot::InObj { holder, .. }
                     if !self.edges[e].dangling || self.edges.erased_copy(e) =>
                 {
-                    let h = self.objects.get_mut(&holder).expect("a slot's holder is live");
-                    h.out.unlink(&mut self.edges, e);
+                    self.objs[holder].out.unlink(&mut self.edges, e);
                     self.edges.release(e);
                 }
                 Slot::Root(_) if !self.edges[e].dangling => self.edges.release(e),
@@ -679,7 +705,7 @@ impl<D: Defence + ?Sized> Sim<D> {
             };
             // A slot left dangling by an earlier free has no live target.
             let target_base = (!dangling).then(|| {
-                let t = self.objects.get_mut(&target).expect("a slot's target is live");
+                let t = &mut self.objs[target];
                 t.incoming.unlink(&mut self.edges, e);
                 t.base
             });
@@ -696,10 +722,10 @@ impl<D: Defence + ?Sized> Sim<D> {
             self.sys.drop_slot(obj.base.add_bytes(off), &self.cost);
         }
         // Live-list swap-remove.
-        let last = self.live_ids.pop().expect("non-empty");
-        if last != id {
-            self.live_ids[obj.live_idx] = last;
-            self.objects.get_mut(&last).expect("live").live_idx = obj.live_idx;
+        let last = self.live.pop().expect("non-empty");
+        if last != h {
+            self.live[obj.live_idx as usize] = last;
+            self.objs[last].live_idx = obj.live_idx;
         }
         self.freed_at.insert(obj.base.raw(), self.now);
 
@@ -892,11 +918,11 @@ impl<D: Defence + ?Sized> Sim<D> {
 }
 
 /// Picks a uniformly random element.
-fn pick<'a>(rng: &mut Rng, xs: &'a [u64]) -> Option<&'a u64> {
+fn pick(rng: &mut Rng, xs: &[u32]) -> Option<u32> {
     if xs.is_empty() {
         None
     } else {
-        Some(&xs[rng.below(xs.len() as u64) as usize])
+        Some(xs[rng.below(xs.len() as u64) as usize])
     }
 }
 
@@ -918,6 +944,13 @@ mod tests {
             ]),
             ..Profile::demo()
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "trace allocates live id 7 twice")]
+    fn a_live_id_allocated_twice_is_rejected() {
+        let alloc = |size| Op::Alloc { id: 7, size, site: 0 };
+        Engine::new(&fast_profile(), System::Baseline, 1).run_ops([alloc(64), alloc(32)]);
     }
 
     #[test]

@@ -111,13 +111,14 @@ stage_dossier() {
 
 # desc: sim run outputs match pinned sha256 sums (UPDATE_MODEL_LOCK=1)
 stage_model_lock() {
-    # Every system on two SPEC profiles, printed by the CLI: a change meant
-    # to be behaviour-neutral must leave every byte alone. The scan-tier
-    # counter names the host's SIMD level, so it is left out of the sum.
+    # Every system on the four profiles the end-to-end benchmark runs,
+    # printed by the CLI: a change meant to be behaviour-neutral must
+    # leave every byte alone. The scan-tier counter names the host's SIMD
+    # level, so it is left out of the sum.
     local fixture=crates/sim/tests/fixtures/model_lock.sha256
     local sums="$smoke_dir/model_lock.sha256" bench system
     : > "$sums"
-    for bench in gcc omnetpp; do
+    for bench in gcc omnetpp perlbench glibc-simple; do
         for system in baseline minesweeper minesweeper-mostly markus ffmalloc \
             scudo minesweeper-scudo crcount oscar psweeper dangsan; do
             cargo run -q --release -p ms-cli --bin minesweeper-sim -- \
