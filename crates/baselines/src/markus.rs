@@ -1,8 +1,7 @@
 //! MarkUs: quarantine + transitive conservative marking (S&P 2020).
 
 use jalloc::{JAlloc, JallocConfig};
-use minesweeper::telemetry::IdSet;
-use minesweeper::ShadowMap;
+use minesweeper::{GranuleSet, ShadowMap};
 use vmem::{Addr, AddrSpace, PageIdx, PageRange, Segment, WORD_SIZE};
 
 /// MarkUs configuration.
@@ -108,7 +107,7 @@ pub struct MarkUs {
     cfg: MarkUsConfig,
     heap: JAlloc,
     quarantine: Vec<QEntry>,
-    quarantined_bases: IdSet<u64>,
+    quarantined_bases: GranuleSet,
     quarantine_bytes: u64,
     retained_bytes: u64,
     stats: MarkUsStats,
@@ -121,7 +120,7 @@ impl MarkUs {
             cfg,
             heap: JAlloc::with_config(JallocConfig::stock()),
             quarantine: Vec::new(),
-            quarantined_bases: IdSet::default(),
+            quarantined_bases: GranuleSet::new(),
             quarantine_bytes: 0,
             retained_bytes: 0,
             stats: MarkUsStats::default(),
@@ -150,7 +149,7 @@ impl MarkUs {
 
     /// Whether `base` is quarantined.
     pub fn is_quarantined(&self, base: Addr) -> bool {
-        self.quarantined_bases.contains(&base.raw())
+        self.quarantined_bases.contains(base)
     }
 
     /// Allocates `size` bytes.
@@ -166,7 +165,7 @@ impl MarkUs {
     /// Intercepts `free()`: quarantine without zeroing (pointers inside the
     /// object survive, so marking must be transitive).
     pub fn free(&mut self, space: &mut AddrSpace, addr: Addr) -> MarkUsFreeOutcome {
-        if self.quarantined_bases.contains(&addr.raw()) {
+        if self.quarantined_bases.contains(addr) {
             self.stats.double_frees += 1;
             return MarkUsFreeOutcome::DoubleFree;
         }
@@ -186,7 +185,7 @@ impl MarkUs {
                 self.stats.unmapped_pages += unmapped_pages;
             }
         }
-        self.quarantined_bases.insert(addr.raw());
+        self.quarantined_bases.insert(addr);
         self.quarantine_bytes += usable;
         self.quarantine.push(QEntry { base: addr, usable, unmapped_pages });
         self.stats.quarantined += 1;
@@ -276,7 +275,7 @@ impl MarkUs {
                     // (no protection was applied).
                 }
                 self.heap.free(space, entry.base).expect("quarantine owns this");
-                self.quarantined_bases.remove(&entry.base.raw());
+                self.quarantined_bases.remove(entry.base);
                 self.quarantine_bytes -= entry.usable;
                 report.released += 1;
                 report.released_bytes += entry.usable;

@@ -642,7 +642,7 @@ impl<B: HeapBackend> MineSweeper<B> {
     }
 
     /// Folds one mark step's counters into the registry.
-    fn absorb_mark_counters(&self, r: &StepResult) {
+    fn absorb_mark_counters(&mut self, r: &StepResult) {
         self.counters.swept_bytes.add(r.bytes);
         self.counters.skipped_bytes.add(r.skipped_bytes);
         self.counters.heap_words.add(r.heap_words);

@@ -60,6 +60,7 @@ mod backend;
 mod config;
 mod filter;
 mod forensics;
+mod granules;
 mod layer;
 mod mte;
 mod pagecache;
@@ -74,6 +75,7 @@ pub use backend::HeapBackend;
 pub use config::{ForensicsMode, MsConfig, SweepMode};
 pub use filter::CandidateFilter;
 pub use forensics::{EdgeAgg, EdgeRecorder, FailedFreeLedger, LedgerEntry};
+pub use granules::GranuleSet;
 pub use layer::{FreeFacts, FreeOutcome, MineSweeper, SweepReport};
 pub use mte::{tag_ptr, untag_ptr, MteError, MteHeap, TagTable, QUARANTINE_TAG, TAG_GRANULE};
 pub use pagecache::PageCache;

@@ -2,12 +2,14 @@
 //!
 //! Frees are first batched in a thread-local buffer (contribution (c):
 //! "thread-local quarantine buffers to reduce lock contention"), then
-//! flushed to the global quarantine list. A shadow set of quarantined bases
-//! de-duplicates double frees, making `free()` idempotent while a dangling
-//! pointer exists (§3).
+//! flushed to the global quarantine list. A [`GranuleSet`] of quarantined
+//! bases (one bit per 16-byte granule, like the shadow map) de-duplicates
+//! double frees, making `free()` idempotent while a dangling pointer
+//! exists (§3).
 
-use telemetry::IdSet;
 use vmem::{Addr, PAGE_SIZE};
+
+use crate::granules::GranuleSet;
 
 /// A quarantined allocation.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -76,7 +78,10 @@ pub struct Quarantine {
     tl_buffer: Vec<QEntry>,
     tl_capacity: usize,
     global: Vec<QEntry>,
-    dedup: IdSet<u64>,
+    /// Bases of every member, locked-in entries included.
+    members: GranuleSet,
+    /// Number of members.
+    len: usize,
     tracked_bytes: u64,
     failed_bytes: u64,
     unmapped_bytes: u64,
@@ -91,7 +96,8 @@ impl Quarantine {
             tl_buffer: Vec::with_capacity(tl_capacity.max(1)),
             tl_capacity: tl_capacity.max(1),
             global: Vec::new(),
-            dedup: IdSet::default(),
+            members: GranuleSet::new(),
+            len: 0,
             tracked_bytes: 0,
             failed_bytes: 0,
             unmapped_bytes: 0,
@@ -101,9 +107,10 @@ impl Quarantine {
 
     /// Inserts a freed allocation, de-duplicating double frees.
     pub fn insert(&mut self, entry: QEntry) -> InsertResult {
-        if !self.dedup.insert(entry.base.raw()) {
+        if !self.members.insert(entry.base) {
             return InsertResult::DoubleFree;
         }
+        self.len += 1;
         self.generation += 1;
         self.tracked_bytes += entry.swept_bytes();
         self.unmapped_bytes += entry.unmapped_bytes();
@@ -133,7 +140,8 @@ impl Quarantine {
     /// Records that a locked-in entry was proven pointer-free and released
     /// to the allocator.
     pub fn on_released(&mut self, entry: &QEntry) {
-        assert!(self.dedup.remove(&entry.base.raw()), "released entry must be tracked");
+        assert!(self.members.remove(entry.base), "released entry must be tracked");
+        self.len -= 1;
         self.generation += 1;
         self.tracked_bytes -= entry.swept_bytes();
         self.unmapped_bytes -= entry.unmapped_bytes();
@@ -146,7 +154,7 @@ impl Quarantine {
     /// was found): it rejoins the quarantine flagged as failed, so the
     /// trigger maths can subtract it "from both sides" (§3.2).
     pub fn on_failed(&mut self, mut entry: QEntry) {
-        debug_assert!(self.dedup.contains(&entry.base.raw()));
+        debug_assert!(self.members.contains(entry.base));
         if !entry.failed {
             entry.failed = true;
             self.failed_bytes += entry.swept_bytes();
@@ -157,7 +165,7 @@ impl Quarantine {
     /// Whether `base` is currently quarantined (including locked-in
     /// entries mid-sweep).
     pub fn contains(&self, base: Addr) -> bool {
-        self.dedup.contains(&base.raw())
+        self.members.contains(base)
     }
 
     /// Monotonic membership generation: bumped every time an allocation
@@ -190,12 +198,12 @@ impl Quarantine {
 
     /// Number of quarantined allocations (including locked-in entries).
     pub fn len(&self) -> usize {
-        self.dedup.len()
+        self.len
     }
 
     /// Whether the quarantine is empty.
     pub fn is_empty(&self) -> bool {
-        self.dedup.is_empty()
+        self.len == 0
     }
 
     /// Entries awaiting the *next* sweep (not locked in), for tests and

@@ -1,16 +1,18 @@
 //! Registry-backed layer counters.
 //!
-//! [`MsCounters`] holds one [`Counter`] handle per [`crate::MsStats`]
+//! [`MsCounters`] holds one [`OwnedCounter`] per [`crate::MsStats`]
 //! field, registered under the `layer` subsystem of a shared
 //! [`Registry`]. The registry is the single source of truth for the
-//! layer's history: the layer increments these handles on its hot paths
-//! (relaxed atomic adds) and [`crate::MineSweeper::stats`] materialises an
-//! [`crate::MsStats`] snapshot from them on demand. A snapshot reads every
+//! layer's history: the layer, their one writer through
+//! `&mut MineSweeper`, bumps these handles on its hot paths with a plain
+//! relaxed load and store (no locked add), and
+//! [`crate::MineSweeper::stats`] materialises an [`crate::MsStats`]
+//! snapshot from the same live cells on demand. A snapshot reads every
 //! counter, so it is for reports and tests, not per-op pricing: a free
 //! hands its own share of the counts to its caller as
 //! [`crate::FreeFacts`].
 
-use telemetry::{Counter, Histogram, Registry};
+use telemetry::{Counter, Histogram, OwnedCounter, Registry};
 
 use crate::shadow::WriterProf;
 
@@ -20,66 +22,72 @@ pub const LAYER_SUBSYSTEM: &str = "layer";
 /// The subsystem label the sweep profiler registers under.
 pub const SWEEP_SUBSYSTEM: &str = "sweep";
 
-/// Counter handles backing the layer's statistics.
-#[derive(Clone, Debug)]
+/// Counter handles backing the layer's statistics. Not `Clone`: each
+/// handle is its cell's only writer.
+#[derive(Debug)]
 pub struct MsCounters {
     /// Completed sweeps.
-    pub sweeps: Counter,
+    pub sweeps: OwnedCounter,
     /// Sweeps that included a stop-the-world re-check.
-    pub stw_passes: Counter,
+    pub stw_passes: OwnedCounter,
     /// Allocations quarantined.
-    pub quarantined: Counter,
+    pub quarantined: OwnedCounter,
     /// Bytes quarantined (usable sizes).
-    pub quarantined_bytes: Counter,
+    pub quarantined_bytes: OwnedCounter,
     /// Allocations released from quarantine.
-    pub released: Counter,
+    pub released: OwnedCounter,
     /// Bytes released.
-    pub released_bytes: Counter,
+    pub released_bytes: OwnedCounter,
     /// Entries retained by sweeps (failed frees).
-    pub failed_frees: Counter,
+    pub failed_frees: OwnedCounter,
     /// Double frees absorbed.
-    pub double_frees: Counter,
+    pub double_frees: OwnedCounter,
     /// Bytes zero-filled on free.
-    pub zeroed_bytes: Counter,
+    pub zeroed_bytes: OwnedCounter,
     /// Pages decommitted by large-allocation unmapping.
-    pub unmapped_pages: Counter,
+    pub unmapped_pages: OwnedCounter,
     /// Bytes examined by marking phases.
-    pub swept_bytes: Counter,
+    pub swept_bytes: OwnedCounter,
     /// Pages re-examined by stop-the-world passes.
-    pub stw_pages: Counter,
+    pub stw_pages: OwnedCounter,
     /// Thread-local quarantine buffer flushes.
-    pub tl_flushes: Counter,
+    pub tl_flushes: OwnedCounter,
     /// Entries those flushes spilled to the global quarantine.
-    pub tl_flushed_entries: Counter,
+    pub tl_flushed_entries: OwnedCounter,
     /// Invalid frees rejected.
-    pub invalid_frees: Counter,
+    pub invalid_frees: OwnedCounter,
     /// Bytes the marker advanced through without reading (cache-replayed
     /// clean pages plus protected/unmapped skips).
-    pub skipped_bytes: Counter,
+    pub skipped_bytes: OwnedCounter,
     /// Clean pages whose re-read was skipped via the page-summary cache.
-    pub pages_skipped: Counter,
+    pub pages_skipped: OwnedCounter,
     /// Skipped pages whose non-empty digest was replayed.
-    pub pages_replayed: Counter,
+    pub pages_replayed: OwnedCounter,
     /// Heap-pointing words suppressed by the candidate filter.
-    pub filter_rejects: Counter,
+    pub filter_rejects: OwnedCounter,
     /// Scanned words that passed the heap range test (pre-filter
     /// survivors of the SIMD classify pass; excludes cache replays).
-    pub heap_words: Counter,
+    pub heap_words: OwnedCounter,
     /// Provenance edges recorded by the forensics layer (post-sampling;
     /// zero with forensics off).
-    pub pin_edges: Counter,
+    pub pin_edges: OwnedCounter,
     /// Bytes entering the failed-free ledger (first failure of an entry).
-    pub ledger_bytes_in: Counter,
+    pub ledger_bytes_in: OwnedCounter,
     /// Bytes leaving the ledger (release of a previously failed entry).
     /// The ledger's live total is always `ledger_bytes_in -
     /// ledger_bytes_out`.
-    pub ledger_bytes_out: Counter,
+    pub ledger_bytes_out: OwnedCounter,
 }
 
 impl MsCounters {
-    /// Registers (or re-attaches to) the layer's counters in `registry`.
+    /// Registers the layer's counters in `registry`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `registry` already holds a `layer` counter of the same
+    /// name (one registry, one layer).
     pub fn register(registry: &Registry) -> Self {
-        let c = |name: &str| registry.counter(LAYER_SUBSYSTEM, name);
+        let c = |name: &str| registry.owned_counter(LAYER_SUBSYSTEM, name);
         MsCounters {
             sweeps: c("sweeps"),
             stw_passes: c("stw_passes"),
@@ -186,14 +194,21 @@ mod tests {
     use super::*;
 
     #[test]
-    fn register_is_idempotent_and_shared() {
+    fn snapshots_read_the_live_cells() {
         let reg = Registry::new();
-        let a = MsCounters::register(&reg);
-        let b = MsCounters::register(&reg);
-        a.sweeps.inc();
-        b.sweeps.add(2);
-        assert_eq!(a.sweeps.get(), 3, "same cells behind both handles");
+        let mut c = MsCounters::register(&reg);
+        c.sweeps.inc();
+        c.sweeps.add(2);
+        assert_eq!(c.sweeps.get(), 3);
         assert_eq!(reg.snapshot().counter(LAYER_SUBSYSTEM, "sweeps"), Some(3));
+    }
+
+    #[test]
+    #[should_panic(expected = "layer/sweeps is already registered")]
+    fn registering_twice_panics() {
+        let reg = Registry::new();
+        let _layer = MsCounters::register(&reg);
+        MsCounters::register(&reg);
     }
 
     #[test]

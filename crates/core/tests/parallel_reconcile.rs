@@ -98,7 +98,7 @@ fn parallel_rejects_reconcile_across_both_telemetry_planes() {
     // Plane 1: the layer counters, credited from the aggregated stats
     // the way `MineSweeper` credits its own parallel phase.
     let registry = Registry::new();
-    let counters = MsCounters::register(&registry);
+    let mut counters = MsCounters::register(&registry);
     counters.sweeps.inc();
     counters.swept_bytes.add(stats.words * 8);
     counters.heap_words.add(stats.heap_words);
@@ -139,7 +139,7 @@ fn parallel_rejects_reconcile_across_both_telemetry_planes() {
     // of the rejects (dropping the helpers' contributions) leaves
     // the counter short and the reconcile must say so by name.
     let broken = Registry::new();
-    let short = MsCounters::register(&broken);
+    let mut short = MsCounters::register(&broken);
     short.sweeps.inc();
     short.swept_bytes.add(stats.words * 8);
     short.filter_rejects.add(stats.filter_rejects - 1);

@@ -18,6 +18,11 @@ impl Defence for FfMalloc {
         (FreeAck::Done, cx.cost.ff_free + unmap)
     }
 
+    /// Every allocation gets a virtual range no earlier one had.
+    fn reuses_addresses(&self) -> bool {
+        false
+    }
+
     fn metadata_bytes(&self) -> u64 {
         self.live_allocations() as u64 * 48
     }

@@ -65,8 +65,10 @@ where
             quarantine += self.config().tl_buffer_capacity as u64 * cost.quarantine_flush_per_entry;
         }
         if let Some(rec) = ledger {
-            rec.charge(CostKind::Zeroing, zeroing, Some(site));
-            rec.charge(CostKind::Quarantine, quarantine, Some(site));
+            rec.charge_all(
+                &[(CostKind::Zeroing, zeroing), (CostKind::Quarantine, quarantine)],
+                Some(site),
+            );
         }
         charge_free(cost, bill, &facts);
         let ack = match facts.outcome {

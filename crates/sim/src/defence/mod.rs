@@ -100,6 +100,14 @@ pub(crate) trait Defence: std::fmt::Debug {
     /// Advances the allocator clock to `now` and runs its decay purge.
     fn tick(&mut self, _space: &mut AddrSpace, _now: u64) {}
 
+    /// Whether a later malloc can return an address freed earlier. The
+    /// engine remembers each free's time, for the warm-reuse charge, only
+    /// when this holds: a system that never reuses an address would keep
+    /// one entry per free that no allocation ever looks up.
+    fn reuses_addresses(&self) -> bool {
+        true
+    }
+
     /// Resident mitigation metadata (quarantine lists, logs, page tables).
     fn metadata_bytes(&self) -> u64 {
         0

@@ -19,6 +19,11 @@ impl Defence for Oscar {
         (ack, cx.cost.oscar_free_syscall)
     }
 
+    /// Every allocation gets a virtual range no earlier one had.
+    fn reuses_addresses(&self) -> bool {
+        false
+    }
+
     /// Page tables only ever grow: one PTE per alias ever created, plus
     /// the out-of-line object map.
     fn metadata_bytes(&self) -> u64 {

@@ -360,6 +360,8 @@ pub(crate) struct Sim<D: ?Sized> {
     /// Per root slot: the base it points at and its edge. The edge is
     /// dangling once that object has been freed.
     root_owner: Vec<Option<(Addr, u32)>>,
+    /// Free time of each freed base, for the warm-reuse charge; left
+    /// empty under systems that never reuse an address.
     freed_at: IdMap<u64, u64>,
     sweep_active: bool,
     teardown: bool,
@@ -432,6 +434,13 @@ impl<D: Defence + ?Sized> Sim<D> {
     }
 
     pub(crate) fn run_ops(mut self, ops: impl IntoIterator<Item = Op>) -> RunMetrics {
+        self.play(ops);
+        self.finalize()
+    }
+
+    /// Runs `ops` and lets a sweep still in flight land; `run_ops` without
+    /// the final accounting.
+    fn play(&mut self, ops: impl IntoIterator<Item = Op>) {
         for op in ops {
             match op {
                 Op::Work(c) => {
@@ -455,7 +464,6 @@ impl<D: Defence + ?Sized> Sim<D> {
         // If a sweep is still in flight at exit, let it land (the process
         // would normally just exit; finishing keeps accounting closed).
         self.fast_forward_sweep(false);
-        self.finalize()
     }
 
     // ---- time accounting -------------------------------------------------
@@ -727,7 +735,9 @@ impl<D: Defence + ?Sized> Sim<D> {
             self.live[obj.live_idx as usize] = last;
             self.objs[last].live_idx = obj.live_idx;
         }
-        self.freed_at.insert(obj.base.raw(), self.now);
+        if self.sys.reuses_addresses() {
+            self.freed_at.insert(obj.base.raw(), self.now);
+        }
 
         // Hand the allocation to the system under test, charging costs.
         self.stamp_now();
@@ -951,6 +961,20 @@ mod tests {
     fn a_live_id_allocated_twice_is_rejected() {
         let alloc = |size| Op::Alloc { id: 7, size, site: 0 };
         Engine::new(&fast_profile(), System::Baseline, 1).run_ops([alloc(64), alloc(32)]);
+    }
+
+    #[test]
+    fn free_times_are_kept_only_where_addresses_come_back() {
+        let freed_at_len = |system| {
+            let Engine { sys, setup } = Engine::new(&fast_profile(), system, 1);
+            let mut sim = Sim::new(sys, setup);
+            sim.play(TraceGen::new(&fast_profile(), 1));
+            assert_eq!(sim.metrics.frees, 4_000);
+            sim.freed_at.len()
+        };
+        assert_eq!(freed_at_len(System::FfMalloc), 0);
+        assert_eq!(freed_at_len(System::Oscar), 0);
+        assert!(freed_at_len(System::Baseline) > 0, "a reusing heap keeps free times");
     }
 
     #[test]

@@ -3,10 +3,10 @@
 //!
 //! The crate has three planes, deliberately decoupled:
 //!
-//! * **Metrics** ([`Registry`], [`Counter`], [`Histogram`]) — always-on
-//!   atomic counters and log2 histograms, labelled by subsystem. A
-//!   [`Snapshot`] captures them at a point in time and round-trips
-//!   through schema-versioned JSON.
+//! * **Metrics** ([`Registry`], [`Counter`], [`OwnedCounter`],
+//!   [`Histogram`]) — always-on atomic counters and log2 histograms,
+//!   labelled by subsystem. A [`Snapshot`] captures them at a point in
+//!   time and round-trips through schema-versioned JSON.
 //! * **Tracing** ([`Tracer`], [`Sink`], [`Event`]) — typed
 //!   sweep-lifecycle events routed through a pluggable sink (null, ring
 //!   buffer, JSONL writer). When disabled the hot path costs one branch
@@ -20,8 +20,8 @@
 //! checks a snapshot against SLO objectives and emits
 //! [`EventKind::SloViolation`] events for breaches.
 //!
-//! [`IdMap`] and [`IdSet`] (the [`idhash`] module) are the integer-keyed
-//! maps every crate on the simulator's per-op path shares.
+//! [`IdMap`] (the [`idhash`] module) is the integer-keyed map every crate
+//! on the simulator's per-op path shares.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -35,10 +35,10 @@ pub mod trace;
 pub mod watchdog;
 
 pub use cost::{CostKind, CostLedger, CostRecorder, COST_SUBSYSTEM};
-pub use idhash::{IdHasher, IdMap, IdSet};
+pub use idhash::{IdHasher, IdMap};
 pub use json::{Json, JsonError};
 pub use registry::{
-    Counter, CounterSample, Histogram, HistogramSample, Registry, Snapshot,
+    Counter, CounterSample, Histogram, HistogramSample, OwnedCounter, Registry, Snapshot,
     HISTOGRAM_BUCKETS, SNAPSHOT_SCHEMA_VERSION,
 };
 pub use timeline::{

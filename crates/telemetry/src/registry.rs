@@ -5,7 +5,9 @@
 //! every increment afterwards is a single atomic RMW on a shared cell, so
 //! instrumented hot paths never contend on the registry itself. Handles
 //! ([`Counter`], [`Histogram`]) are cheap `Arc` clones and stay valid for
-//! the registry's lifetime.
+//! the registry's lifetime. A cell with one writer takes an
+//! [`OwnedCounter`] instead: handed out once, not `Clone`, and bumped
+//! with a plain load and store rather than a locked RMW.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -47,6 +49,55 @@ impl Counter {
     }
 
     /// Current value.
+    pub fn get(&self) -> u64 {
+        self.0.load(Ordering::Relaxed)
+    }
+}
+
+/// The one writer's handle to a counter cell.
+///
+/// [`Registry::owned_counter`] hands it out once per name and it cannot
+/// be cloned, so [`OwnedCounter::add`] takes `&mut self` and the borrow
+/// checker guarantees no second writer. That makes a relaxed load plus a
+/// relaxed store a correct increment: no lock prefix, and no wait for
+/// earlier stores to drain. Snapshots read the live cell, as for a
+/// [`Counter`].
+///
+/// ```
+/// let reg = telemetry::Registry::new();
+/// let mut sweeps = reg.owned_counter("layer", "sweeps");
+/// sweeps.add(2);
+/// assert_eq!(reg.snapshot().counter("layer", "sweeps"), Some(2));
+/// ```
+///
+/// A second handle to the same cell does not compile:
+///
+/// ```compile_fail
+/// let reg = telemetry::Registry::new();
+/// let sweeps = reg.owned_counter("layer", "sweeps");
+/// let second_writer = sweeps.clone();
+/// ```
+#[derive(Debug)]
+pub struct OwnedCounter(Arc<AtomicU64>);
+
+// `#[inline]`: the layer's free path bumps several of these per free, and
+// out of line each bump would be a call into this crate.
+impl OwnedCounter {
+    /// Adds one.
+    #[inline]
+    pub fn inc(&mut self) {
+        self.add(1);
+    }
+
+    /// Adds `n`, wrapping like [`Counter::add`].
+    #[inline]
+    pub fn add(&mut self, n: u64) {
+        let cell = &self.0;
+        cell.store(cell.load(Ordering::Relaxed).wrapping_add(n), Ordering::Relaxed);
+    }
+
+    /// Current value.
+    #[inline]
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
     }
@@ -140,7 +191,20 @@ impl Histogram {
 #[derive(Debug)]
 enum Instrument {
     Counter(Counter),
+    /// The registry's reading handle to an [`OwnedCounter`]'s cell.
+    OwnedCounter(Counter),
     Histogram(Histogram),
+}
+
+impl Instrument {
+    /// How a clash message names the kind already registered.
+    fn kind(&self) -> &'static str {
+        match self {
+            Instrument::Counter(_) => "a counter",
+            Instrument::OwnedCounter(_) => "an owned counter",
+            Instrument::Histogram(_) => "a histogram",
+        }
+    }
 }
 
 #[derive(Debug)]
@@ -174,7 +238,7 @@ impl Registry {
     ///
     /// # Panics
     ///
-    /// Panics if the name is already registered as a histogram.
+    /// Panics if the name is already registered as another kind.
     pub fn counter(&self, subsystem: &str, name: &str) -> Counter {
         let mut entries = self.inner.entries.lock().expect("registry poisoned");
         if let Some(e) =
@@ -182,9 +246,7 @@ impl Registry {
         {
             match &e.instrument {
                 Instrument::Counter(c) => return c.clone(),
-                Instrument::Histogram(_) => {
-                    panic!("{subsystem}/{name} is registered as a histogram")
-                }
+                other => panic!("{subsystem}/{name} is registered as {}", other.kind()),
             }
         }
         let c = Counter::default();
@@ -196,11 +258,35 @@ impl Registry {
         c
     }
 
+    /// Registers the counter `subsystem/name` and returns its one writer
+    /// ([`OwnedCounter`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the name is already registered, of whatever kind: a
+    /// second handle would be a second writer.
+    pub fn owned_counter(&self, subsystem: &str, name: &str) -> OwnedCounter {
+        let mut entries = self.inner.entries.lock().expect("registry poisoned");
+        if let Some(e) =
+            entries.iter().find(|e| e.subsystem == subsystem && e.name == name)
+        {
+            panic!("{subsystem}/{name} is already registered as {}", e.instrument.kind());
+        }
+        let cell = Counter::default();
+        let writer = OwnedCounter(Arc::clone(&cell.0));
+        entries.push(Entry {
+            subsystem: subsystem.to_string(),
+            name: name.to_string(),
+            instrument: Instrument::OwnedCounter(cell),
+        });
+        writer
+    }
+
     /// Registers (or retrieves) the histogram `subsystem/name`.
     ///
     /// # Panics
     ///
-    /// Panics if the name is already registered as a counter.
+    /// Panics if the name is already registered as another kind.
     pub fn histogram(&self, subsystem: &str, name: &str) -> Histogram {
         let mut entries = self.inner.entries.lock().expect("registry poisoned");
         if let Some(e) =
@@ -208,9 +294,7 @@ impl Registry {
         {
             match &e.instrument {
                 Instrument::Histogram(h) => return h.clone(),
-                Instrument::Counter(_) => {
-                    panic!("{subsystem}/{name} is registered as a counter")
-                }
+                other => panic!("{subsystem}/{name} is registered as {}", other.kind()),
             }
         }
         let h = Histogram::default();
@@ -228,7 +312,7 @@ impl Registry {
         let mut snap = Snapshot::default();
         for e in entries.iter() {
             match &e.instrument {
-                Instrument::Counter(c) => snap.counters.push(CounterSample {
+                Instrument::Counter(c) | Instrument::OwnedCounter(c) => snap.counters.push(CounterSample {
                     subsystem: e.subsystem.clone(),
                     name: e.name.clone(),
                     value: c.get(),
@@ -441,6 +525,39 @@ mod tests {
         let reg = Registry::new();
         reg.histogram("x", "y");
         reg.counter("x", "y");
+    }
+
+    #[test]
+    fn owned_counter_is_read_live_in_registration_order() {
+        let reg = Registry::new();
+        reg.counter("layer", "first");
+        let mut owned = reg.owned_counter("layer", "second");
+        reg.histogram("layer", "third");
+        owned.inc();
+        owned.add(41);
+        assert_eq!(owned.get(), 42);
+        let snap = reg.snapshot();
+        let names: Vec<&str> = snap.counters.iter().map(|c| c.name.as_str()).collect();
+        assert_eq!(names, ["first", "second"]);
+        assert_eq!(snap.counter("layer", "second"), Some(42));
+        owned.add(u64::MAX);
+        assert_eq!(owned.get(), 41, "wraps like Counter::add");
+    }
+
+    #[test]
+    #[should_panic(expected = "layer/sweeps is already registered as an owned counter")]
+    fn owned_counter_registers_once() {
+        let reg = Registry::new();
+        let _writer = reg.owned_counter("layer", "sweeps");
+        reg.owned_counter("layer", "sweeps");
+    }
+
+    #[test]
+    #[should_panic(expected = "layer/sweeps is registered as an owned counter")]
+    fn owned_counter_has_no_shared_handle() {
+        let reg = Registry::new();
+        let _writer = reg.owned_counter("layer", "sweeps");
+        reg.counter("layer", "sweeps");
     }
 
     #[test]

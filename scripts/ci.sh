@@ -279,14 +279,16 @@ stage_doc_modules() {
         missing=1
     done < <(grep -onE '`[A-Za-z_][A-Za-z0-9_]*(::[A-Za-z_][A-Za-z0-9_]*)+`' DESIGN.md README.md \
         | sed -E 's/^([^:]+:[0-9]+):`(.*)`$/\1\t\2/')
-    # Names of the deleted multi-tenant arena subsystem must not come
-    # back. Each name carries a one-letter bracket class so this line
-    # does not match itself. jalloc's own jemalloc "arena" wording is not
-    # on the list.
+    # Deleted names must not come back: those of the multi-tenant arena
+    # subsystem, and the `Id[S]et` alias the quarantine's and MarkUs's
+    # `GranuleSet` replaced. Each name carries a one-letter bracket class
+    # so this line does not match itself. jalloc's own jemalloc "arena"
+    # wording is not on the list.
     local orphans='Arena[I]d|Arena[P]ool|Arena[B]ackend|Sweep[S]cheduler|Sched[P]olicy'
     orphans+='|run_[a]renas|ARENA_[S]UBSYSTEM|cross_[a]rena|--[a]renas|arena-[s]hards'
+    orphans+='|Id[S]et'
     if git grep -nE "$orphans" -- crates src tests examples scripts DESIGN.md README.md; then
-        echo "orphan references to the deleted arena subsystem (listed above)"
+        echo "orphan references to deleted names (listed above)"
         missing=1
     fi
     [ "$missing" -eq 0 ] || exit 1
