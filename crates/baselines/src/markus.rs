@@ -404,6 +404,18 @@ mod tests {
     }
 
     #[test]
+    fn refree_after_collection_is_invalid() {
+        // The released block sits in the heap's tcache, but the program no
+        // longer owns it: quarantining it again would free it twice.
+        let (mut space, mut mu) = setup();
+        let a = mu.malloc(&mut space, 64);
+        mu.free(&mut space, a);
+        assert_eq!(mu.collect(&mut space).released, 1);
+        assert_eq!(mu.free(&mut space, a), MarkUsFreeOutcome::Invalid);
+        assert_eq!(mu.collect(&mut space).released, 0);
+    }
+
+    #[test]
     fn invalid_free_rejected() {
         let (mut space, mut mu) = setup();
         let a = mu.malloc(&mut space, 64);

@@ -1,6 +1,6 @@
 //! Raw sweep-bandwidth measurement: serial and parallel marking, scalar
-//! vs SIMD kernels — in words/second — plus the two kernel gates CI
-//! holds the mark path to.
+//! vs SIMD kernels — in words/second — plus the kernel gate CI holds the
+//! mark path to.
 //!
 //! Configurations over the same default fixture — a zero-on-free
 //! steady-state heap: contiguous freed-and-zeroed 512 B blocks (just
@@ -13,7 +13,6 @@
 //!   [`ShadowWriter`](minesweeper::ShadowWriter);
 //! * `simd_serial` — the production [`Marker`] path with the chunked
 //!   SIMD kernel at its auto-dispatched tier (AVX2 where available);
-//! * `simd_serial_profiled` — `simd_serial` with the sweep profiler on;
 //! * `swar_serial` — the same path forced to the portable SWAR tier,
 //!   what non-x86 (or pre-SSE2) hosts would run;
 //! * `simd_serial_nullsink` — `simd_serial` with the sweep tracer
@@ -49,31 +48,27 @@
 //! bandwidth measurement on a shared machine. Results are printed as a
 //! table and written as JSON (default `BENCH_sweep.json`, `--out PATH`).
 //!
-//! **Gates.** Two ratios are measured within the run, each as the median
-//! of `2 × reps` interleaved pairs, so host speed drift lands on both
-//! sides of every pair (see [`failed_gates`]):
+//! **Gate.** `tier-ratio`: `atomic_serial` time over `simd_serial` time,
+//! the SIMD kernel's speed-up, measured within the run as the median of
+//! `2 × reps` interleaved pairs (so host speed drift lands on both sides
+//! of every pair), must not fall below the active tier's
+//! [`tier_ratio_floor`] (see [`failed_gates`]).
 //!
-//! * `tier-ratio` — `atomic_serial` time over `simd_serial` time, the
-//!   SIMD kernel's speed-up, must not fall below the active tier's
-//!   [`tier_ratio_floor`];
-//! * `profiler-cost` — `simd_serial_profiled` time over `simd_serial`
-//!   time must not exceed [`PROFILER_COST_CEILING`].
-//!
-//! Exit codes follow `ms-report`: 0 when both gates pass, 1 on bad input
-//! (the usage is printed), 2 when a gate fails (each failed gate is
-//! named). `--handicap NAME:FACTOR` multiplies every measured rep of row
-//! NAME, so CI can inject a 2× slowdown and see each gate fire.
+//! Exit codes follow `ms-report`: 0 when the gate passes, 1 on bad input
+//! (the usage is printed), 2 when it fails (the failed gate is named).
+//! `--handicap NAME:FACTOR` multiplies every measured rep of row NAME, so
+//! CI can inject a 2× slowdown and see the gate fire.
 
 use std::fmt::Write as _;
 use std::process::ExitCode;
 use std::sync::OnceLock;
 use std::time::Instant;
 
-use minesweeper::telemetry::{EventKind, NullSink, Registry, Tracer};
+use minesweeper::telemetry::{EventKind, NullSink, Tracer};
 use minesweeper::{
     effective_helper_count, parallel_mark_pool, CandidateFilter, EdgeRecorder, ForensicsMode,
     MarkAccel, Marker, PageCache, PoolMarkJob, PoolMarkOpts, QEntry, ScanTier, ShadowMap,
-    SweepPlan, SweepProf,
+    SweepPlan,
 };
 use vmem::{Addr, AddrSpace, Layout, PageIdx, PAGE_SIZE, WORD_SIZE};
 
@@ -92,21 +87,14 @@ fn tier_ratio_floor(tier: ScanTier) -> f64 {
     }
 }
 
-/// Highest `simd_serial_profiled`/`simd_serial` time ratio (the cost of
-/// turning the sweep profiler on) the `profiler-cost` gate accepts.
-const PROFILER_COST_CEILING: f64 = 1.25;
-
-/// Names of the gates the two paired ratios fail on scan tier `tier`;
-/// empty when both pass. A NaN ratio fails its gate.
-fn failed_gates(tier: ScanTier, tier_ratio: f64, profiler_cost: f64) -> Vec<&'static str> {
-    let mut failed = Vec::new();
+/// Names of the gates the paired tier ratio fails on scan tier `tier`;
+/// empty when it passes. A NaN ratio fails.
+fn failed_gates(tier: ScanTier, tier_ratio: f64) -> Vec<&'static str> {
     if tier_ratio.is_nan() || tier_ratio < tier_ratio_floor(tier) {
-        failed.push("tier-ratio");
+        vec!["tier-ratio"]
+    } else {
+        Vec::new()
     }
-    if profiler_cost.is_nan() || profiler_cost > PROFILER_COST_CEILING {
-        failed.push("profiler-cost");
-    }
-    failed
 }
 
 /// `--handicap NAME:FACTOR` multipliers, applied to each measured rep of
@@ -287,7 +275,7 @@ fn serial_mark(space: &mut AddrSpace, plan: &SweepPlan, accel: &mut MarkAccel<'_
 
 /// Marks `plan` into a fresh map through [`parallel_mark_pool`] and
 /// returns the marked granule count.
-fn pool_mark(space: &AddrSpace, plan: &SweepPlan, opts: &PoolMarkOpts<'_>) -> u64 {
+fn pool_mark(space: &AddrSpace, plan: &SweepPlan, opts: &PoolMarkOpts) -> u64 {
     let shadow = ShadowMap::new();
     let job =
         PoolMarkJob { space, plan, shadow: &shadow, filter: None, cache: None, forensics: None };
@@ -397,8 +385,6 @@ fn main() -> ExitCode {
     };
     let Opts { pages, reps, out: out_path, handicaps } = opts;
     HANDICAPS.set(handicaps).expect("set once");
-    let registry = Registry::new();
-    let sweep_prof = SweepProf::register(&registry);
     let cpus = std::thread::available_parallelism().map_or(0, |n| n.get());
     if cpus <= 1 {
         eprintln!(
@@ -414,9 +400,7 @@ fn main() -> ExitCode {
     let mut samples: Vec<Sample> = Vec::new();
 
     // The gated rows, measured as interleaved pairs: the scalar reference
-    // against the SIMD production path (the tier ratio), then the
-    // profiler-on path against the same row off (the profiler's cost).
-    // The best time of either pair's `simd_serial` side is its row.
+    // against the SIMD production path (the tier ratio).
     let pairs = reps * 2;
     let (atomic, simd, tier_ratio) = paired(
         &mut space,
@@ -425,22 +409,8 @@ fn main() -> ExitCode {
         ("atomic_serial", |sp: &mut AddrSpace| scalar_mark(sp, &layout, &plan, &ShadowMap::new())),
         ("simd_serial", |sp: &mut AddrSpace| serial_mark(sp, &plan, &mut MarkAccel::default())),
     );
-    let (profiled, simd_off, profiler_cost) = paired(
-        &mut space,
-        total_words,
-        pairs,
-        ("simd_serial_profiled", |sp: &mut AddrSpace| {
-            serial_mark(
-                sp,
-                &plan,
-                &mut MarkAccel { prof: Some(&sweep_prof), ..MarkAccel::default() },
-            )
-        }),
-        ("simd_serial", |sp: &mut AddrSpace| serial_mark(sp, &plan, &mut MarkAccel::default())),
-    );
     samples.push(atomic);
-    samples.push(if simd_off.best_secs < simd.best_secs { simd_off } else { simd });
-    samples.push(profiled);
+    samples.push(simd);
 
     // The portable SWAR tier through the same production path.
     let swar = || MarkAccel { tier: Some(ScanTier::Swar), ..MarkAccel::default() };
@@ -657,23 +627,11 @@ fn main() -> ExitCode {
 
     let tier = minesweeper::simd::active_tier();
     let floor = tier_ratio_floor(tier);
-    let failed = failed_gates(tier, tier_ratio, profiler_cost);
-    let verdict = |gate: &str| {
-        if failed.contains(&gate) {
-            "FAIL"
-        } else {
-            "PASS"
-        }
-    };
+    let failed = failed_gates(tier, tier_ratio);
     println!(
         "\ngate tier-ratio: atomic_serial/simd_serial {tier_ratio:.3}x, floor \
          {floor:.2}x: {}",
-        verdict("tier-ratio")
-    );
-    println!(
-        "gate profiler-cost: simd_serial_profiled/simd_serial {profiler_cost:.3}x, ceiling \
-         {PROFILER_COST_CEILING:.2}x: {}",
-        verdict("profiler-cost")
+        if failed.is_empty() { "PASS" } else { "FAIL" }
     );
 
     let active_tier = tier.as_str();
@@ -692,7 +650,7 @@ fn main() -> ExitCode {
     );
     let _ = writeln!(
         json,
-        "  \"gates\": {{ \"tier_ratio\": {tier_ratio:.3}, \"tier_ratio_floor\": {floor}, \"profiler_cost\": {profiler_cost:.3}, \"profiler_cost_ceiling\": {PROFILER_COST_CEILING}, \"pairs\": {pairs}, \"failed\": [{}] }},",
+        "  \"gates\": {{ \"tier_ratio\": {tier_ratio:.3}, \"tier_ratio_floor\": {floor}, \"pairs\": {pairs}, \"failed\": [{}] }},",
         failed_json.join(", ")
     );
     let _ =
@@ -737,34 +695,27 @@ mod tests {
     }
 
     #[test]
-    fn gates_pass_just_inside_and_fail_just_outside_each_bound() {
-        let ceiling = PROFILER_COST_CEILING;
+    fn gate_passes_at_the_floor_and_fails_just_under_it() {
         for tier in [ScanTier::Avx2, ScanTier::Sse2, ScanTier::Swar] {
             let floor = tier_ratio_floor(tier);
-            let gates = |ratio, cost| failed_gates(tier, ratio, cost);
-            assert!(gates(floor, ceiling).is_empty());
-            assert!(gates(floor * 1.001, ceiling * 0.999).is_empty());
-            assert_eq!(gates(floor * 0.999, ceiling), ["tier-ratio"]);
-            assert_eq!(gates(floor, ceiling * 1.001), ["profiler-cost"]);
-            assert_eq!(gates(floor * 0.5, ceiling * 2.0), ["tier-ratio", "profiler-cost"]);
-            assert_eq!(gates(f64::NAN, f64::NAN), ["tier-ratio", "profiler-cost"]);
+            assert!(failed_gates(tier, floor).is_empty());
+            assert!(failed_gates(tier, floor * 1.001).is_empty());
+            assert_eq!(failed_gates(tier, floor * 0.999), ["tier-ratio"]);
+            assert_eq!(failed_gates(tier, f64::NAN), ["tier-ratio"]);
         }
     }
 
     #[test]
     fn clean_extremes_pass_and_their_2x_handicaps_fail() {
-        // The extremes of each tier's clean runs the bounds were set from
-        // (`--pages 256 --reps 8`). A 2x handicap halves the tier ratio
-        // or doubles the profiler cost.
-        let (cost_min, cost_max) = (0.978, 1.034);
+        // The extremes of each tier's clean runs the floors were set from
+        // (`--pages 256 --reps 8`). A 2x handicap halves the tier ratio.
         for (tier, tier_min, tier_max) in [
             (ScanTier::Avx2, 1.608, 1.763),
             (ScanTier::Sse2, 1.058, 1.123),
             (ScanTier::Swar, 1.27, 1.37),
         ] {
-            assert!(failed_gates(tier, tier_min, cost_max).is_empty(), "{tier:?}");
-            assert_eq!(failed_gates(tier, tier_max / 2.0, cost_min), ["tier-ratio"], "{tier:?}");
-            assert_eq!(failed_gates(tier, tier_min, cost_min * 2.0), ["profiler-cost"]);
+            assert!(failed_gates(tier, tier_min).is_empty(), "{tier:?}");
+            assert_eq!(failed_gates(tier, tier_max / 2.0), ["tier-ratio"], "{tier:?}");
         }
     }
 

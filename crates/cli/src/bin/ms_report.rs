@@ -31,7 +31,7 @@ files support, in this order:
     cost-conservation  the kind and site dimensions each sum to
                        cost/total_cycles
 --slo <spec> adds the slo table and gate; the spec is a comma list of
-stw=CYCLES, sweep=CYCLES, qratio=PERMILLE and util=PCT.
+stw=CYCLES, sweep=CYCLES and qratio=PERMILLE.
 
 EXIT CODES:
     0  report printed, every gate that ran passed

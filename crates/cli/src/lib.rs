@@ -607,9 +607,7 @@ fn push_section(text: &mut String, title: &str, body: &str) {
 fn parse_slo(spec: &str) -> Result<telemetry::SloPolicy, CliError> {
     let policy = telemetry::SloPolicy::parse(spec).map_err(CliError)?;
     if policy.is_empty() {
-        return Err(CliError(
-            "--slo needs at least one objective (stw=N,sweep=N,qratio=N,util=N)".into(),
-        ));
+        return Err(CliError("--slo needs at least one objective (stw=N,sweep=N,qratio=N)".into()));
     }
     Ok(policy)
 }
@@ -1101,12 +1099,14 @@ mod tests {
         assert_eq!(breached.failed.len(), 1, "{:?}", breached.failed);
         assert!(breached.failed[0].starts_with("slo: stw"), "{:?}", breached.failed);
 
-        let held = render_dossier(&d, false, Some("stw=1000000,util=10")).unwrap();
+        let held = render_dossier(&d, false, Some("stw=1000000,qratio=10")).unwrap();
         assert!(held.failed.is_empty(), "{}", held.text);
-        assert!(held.text.contains("PASS (unmeasured)"), "util never measured: {}", held.text);
+        assert!(held.text.contains("PASS (unmeasured)"), "qratio never measured: {}", held.text);
 
         assert!(render_dossier(&d, false, Some("")).is_err(), "empty spec would vacuously pass");
         assert!(render_dossier(&d, false, Some("bogus=1")).is_err());
+        let util = render_dossier(&d, false, Some("util=40")).unwrap_err();
+        assert!(util.0.contains("unknown SLO objective \"util\""), "{util}");
         std::fs::write(dir.join(METRICS_FILE), "not json").unwrap();
         assert!(render_dossier(&d, false, None).unwrap_err().0.contains("bad metrics"));
         std::fs::remove_dir_all(&dir).ok();

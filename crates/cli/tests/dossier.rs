@@ -144,6 +144,7 @@ fn bad_input_exits_1() {
         vec![malformed.to_str().unwrap()],
         vec![forensic_dir().to_str().unwrap(), "--bogus"],
         vec![forensic_dir().to_str().unwrap(), "--slo", "bogus=1"],
+        vec![forensic_dir().to_str().unwrap(), "--slo", "util=40"],
         vec![],
     ] {
         let out = ms_report(&args);

@@ -30,7 +30,9 @@ pub trait HeapBackend {
     /// here indicates a layering bug.
     fn free(&mut self, space: &mut AddrSpace, addr: Addr) -> Result<(), FreeError>;
 
-    /// Usable size of the live allocation based exactly at `addr`.
+    /// Usable size of the live allocation based exactly at `addr`;
+    /// `None` for a block the program freed, even one the backend still
+    /// caches for reuse (the layer rejects a re-free on this answer).
     fn usable_size(&self, addr: Addr) -> Option<u64>;
 
     /// Address-ordered `(base, byte_len)` ranges sweeps must examine.

@@ -124,12 +124,6 @@ pub struct MsConfig {
     /// ledger ([`crate::EdgeRecorder`], [`crate::FailedFreeLedger`]). Off
     /// by default; release decisions are identical in every mode.
     pub forensics: ForensicsMode,
-    /// Sweep profiler: sampled cycle attribution for the mark phase
-    /// (scan-time histograms, helper utilisation, write-combine and
-    /// chunk-cache counters) exported under the `sweep.*` registry
-    /// subsystem ([`crate::SweepProf`]). Off by default; when off the
-    /// scan path pays a single `Option` branch and registers nothing.
-    pub profiler: bool,
 }
 
 impl MsConfig {
@@ -155,7 +149,6 @@ impl MsConfig {
             page_cache: true,
             candidate_filter: true,
             forensics: ForensicsMode::Off,
-            profiler: false,
         }
     }
 
@@ -314,13 +307,6 @@ mod tests {
         assert!(!ForensicsMode::Off.enabled());
         assert!(ForensicsMode::Sampled(16).enabled());
         assert!(ForensicsMode::Full.enabled());
-    }
-
-    #[test]
-    fn profiler_defaults_off_everywhere() {
-        assert!(!MsConfig::fully_concurrent().profiler);
-        assert!(!MsConfig::mostly_concurrent().profiler);
-        assert!(!MsConfig::ablation_unoptimised().profiler);
     }
 
     #[test]

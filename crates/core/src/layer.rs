@@ -12,7 +12,7 @@ use crate::config::{MsConfig, SweepMode};
 use crate::filter::CandidateFilter;
 use crate::forensics::{EdgeAgg, EdgeRecorder, FailedFreeLedger};
 use crate::pagecache::PageCache;
-use crate::quarantine::{InsertResult, QEntry, Quarantine};
+use crate::quarantine::{QEntry, Quarantine};
 use crate::shadow::ShadowMap;
 use crate::stats::MsStats;
 use crate::sweep::{mark_page, MarkAccel, Marker, StepResult, SweepPlan};
@@ -117,10 +117,6 @@ pub struct MineSweeper<B: HeapBackend = JAlloc> {
     /// so an embedding engine or benchmark can snapshot one coherent set.
     registry: Registry,
     counters: MsCounters,
-    /// Sweep profiler handles ([`MsConfig::profiler`]); `None` keeps the
-    /// mark paths on their single-branch disabled gates and registers no
-    /// `sweep.*` metrics at all.
-    prof: Option<crate::telem::SweepProf>,
     tracer: Tracer,
     double_free_reports: Vec<Addr>,
     /// Sweeps started (numbers sweep-lifecycle trace events).
@@ -159,18 +155,6 @@ struct ActiveSweep {
     /// ([`MsConfig::forensics`]); `None` keeps the mark loop on its
     /// non-recording path.
     recorder: Option<EdgeRecorder>,
-    /// Profiler cell values at sweep start, so the `MarkPhase` event can
-    /// carry this sweep's deltas (the cells are cumulative).
-    prof_base: Option<ProfBase>,
-}
-
-/// Cumulative profiler readings captured at sweep start.
-#[derive(Clone, Copy, Debug)]
-struct ProfBase {
-    scan_ns: u64,
-    window_bits: u64,
-    direct: u64,
-    evictions: u64,
 }
 
 impl MineSweeper<JAlloc> {
@@ -200,7 +184,6 @@ impl<B: HeapBackend> MineSweeper<B> {
     pub fn with_backend(cfg: MsConfig, backend: B) -> Self {
         let registry = Registry::new();
         let counters = MsCounters::register(&registry);
-        let prof = cfg.profiler.then(|| crate::telem::SweepProf::register(&registry));
         let residency = registry.histogram(crate::telem::LAYER_SUBSYSTEM, "residency_sweeps");
         MineSweeper {
             quarantine: Quarantine::new(cfg.tl_buffer_capacity),
@@ -210,7 +193,6 @@ impl<B: HeapBackend> MineSweeper<B> {
             shadow: ShadowMap::new(),
             registry,
             counters,
-            prof,
             tracer: Tracer::disabled(),
             double_free_reports: Vec::new(),
             next_sweep: 0,
@@ -364,10 +346,9 @@ impl<B: HeapBackend> MineSweeper<B> {
                     facts.unmapped_pages = interior.page_count();
                 }
             }
-            // The allocator can still reject the free (e.g. a double free
-            // of a block it already recycled — usable_size may answer for
-            // a freed-but-cached block). Without a quarantine to absorb
-            // it idempotently, record and refuse rather than crash.
+            // A backend may still reject a free its `usable_size`
+            // accepted. Without a quarantine to absorb it idempotently,
+            // record and refuse rather than crash.
             if self.heap.free(space, addr).is_err() {
                 self.counters.invalid_frees.inc();
                 facts.outcome = FreeOutcome::Invalid;
@@ -397,22 +378,17 @@ impl<B: HeapBackend> MineSweeper<B> {
         }
 
         let entry = QEntry { base: addr, usable, unmapped_pages, failed: false, site };
-        let (outcome, flushed_entries) = match self.quarantine.insert(entry) {
-            InsertResult::Inserted { flushed } => {
-                let mut flushed_entries = 0;
-                if flushed {
-                    let entries = self.cfg.tl_buffer_capacity.max(1) as u64;
-                    self.counters.tl_flushes.inc();
-                    self.counters.tl_flushed_entries.add(entries);
-                    self.tracer.emit(|| EventKind::QuarantineFlush { entries });
-                    flushed_entries = entries;
-                }
-                self.counters.quarantined.inc();
-                self.counters.quarantined_bytes.add(usable);
-                (FreeOutcome::Quarantined, flushed_entries)
-            }
-            InsertResult::DoubleFree => (self.absorb_double_free(addr), 0),
-        };
+        let mut flushed_entries = 0;
+        if self.quarantine.insert(entry) {
+            let entries = self.cfg.tl_buffer_capacity.max(1) as u64;
+            self.counters.tl_flushes.inc();
+            self.counters.tl_flushed_entries.add(entries);
+            self.tracer.emit(|| EventKind::QuarantineFlush { entries });
+            flushed_entries = entries;
+        }
+        self.counters.quarantined.inc();
+        self.counters.quarantined_bytes.add(usable);
+        let outcome = FreeOutcome::Quarantined;
         FreeFacts { outcome, zeroed_bytes, unmapped_pages, flushed_entries }
     }
 
@@ -587,14 +563,6 @@ impl<B: HeapBackend> MineSweeper<B> {
         } else {
             None
         };
-        // Profiler baselines: the sweep.* cells are cumulative, so the
-        // MarkPhase event reports deltas against sweep-start readings.
-        let prof_base = self.prof.as_ref().map(|p| ProfBase {
-            scan_ns: p.step_scan_ns.sum(),
-            window_bits: p.wc_window_bits.get(),
-            direct: p.wc_direct.get(),
-            evictions: p.chunk_cache_evictions.get(),
-        });
         self.active = Some(ActiveSweep {
             marker: Marker::new(plan),
             locked,
@@ -608,7 +576,6 @@ impl<B: HeapBackend> MineSweeper<B> {
             filter,
             qgen: self.quarantine.generation(),
             recorder,
-            prof_base,
         });
     }
 
@@ -629,7 +596,6 @@ impl<B: HeapBackend> MineSweeper<B> {
             qgen: active.qgen,
             forensics: active.recorder.as_ref(),
             tier: None,
-            prof: self.prof.as_ref(),
         };
         let r = active.marker.step(space, &mut self.shadow, word_budget, &mut accel);
         active.mark_bytes += r.bytes;
@@ -637,12 +603,6 @@ impl<B: HeapBackend> MineSweeper<B> {
         active.mark_skipped_bytes += r.skipped_bytes;
         active.mark_filter_rejects += r.filter_rejects;
         active.mark_wall_ns += sw.elapsed_ns();
-        self.absorb_mark_counters(&r);
-        r
-    }
-
-    /// Folds one mark step's counters into the registry.
-    fn absorb_mark_counters(&mut self, r: &StepResult) {
         self.counters.swept_bytes.add(r.bytes);
         self.counters.skipped_bytes.add(r.skipped_bytes);
         self.counters.heap_words.add(r.heap_words);
@@ -650,6 +610,7 @@ impl<B: HeapBackend> MineSweeper<B> {
         self.counters.pages_replayed.add(r.pages_replayed);
         self.counters.filter_rejects.add(r.filter_rejects);
         self.counters.pin_edges.add(r.pin_edges);
+        r
     }
 
     /// Completes the in-flight sweep: finishes marking if needed, runs the
@@ -661,54 +622,14 @@ impl<B: HeapBackend> MineSweeper<B> {
     ///
     /// Panics if no sweep is in flight.
     pub fn finish_sweep(&mut self, space: &mut AddrSpace) -> SweepReport {
-        let mut active = self.active.take().expect("no sweep in flight");
-        let mut report = SweepReport::default();
-
         // Drain any marking the caller did not step through.
-        let sw = self.tracer.stopwatch();
-        let drained = {
-            let cache = (self.cfg.marking && self.cfg.page_cache)
-                .then_some(&mut self.page_cache);
-            let mut accel = MarkAccel {
-                filter: active.filter.as_ref(),
-                cache,
-                qgen: active.qgen,
-                forensics: active.recorder.as_ref(),
-                tier: None,
-                prof: self.prof.as_ref(),
-            };
-            active.marker.step(space, &mut self.shadow, u64::MAX, &mut accel)
-        };
-        report.marked_words += drained.words;
-        active.mark_bytes += drained.bytes;
-        active.mark_words += drained.words;
-        active.mark_skipped_bytes += drained.skipped_bytes;
-        active.mark_filter_rejects += drained.filter_rejects;
-        active.mark_wall_ns += sw.elapsed_ns();
-        self.absorb_mark_counters(&drained);
+        let drained = self.sweep_step(space, u64::MAX);
+        let active = self.active.take().expect("no sweep in flight");
+        let mut report = SweepReport { marked_words: drained.words, ..SweepReport::default() };
 
         let id = active.id;
         report.skipped_bytes = active.mark_skipped_bytes;
         let marked_granules = self.shadow.marked_count();
-        // Profiler attribution for this sweep: deltas of the cumulative
-        // sweep.* cells against the sweep-start baselines. `None` (the
-        // default) keeps the event byte-identical to its pre-profiler
-        // shape.
-        let mark_prof = match (&self.prof, active.prof_base) {
-            (Some(p), Some(b)) => Some(telemetry::MarkProf {
-                // Deterministic traces zero wall-clock fields (the same
-                // contract as `wall_ns` via the inert stopwatch).
-                scan_ns: if self.tracer.deterministic() {
-                    0
-                } else {
-                    p.step_scan_ns.sum().saturating_sub(b.scan_ns)
-                },
-                wc_window_bits: p.wc_window_bits.get().saturating_sub(b.window_bits),
-                wc_direct: p.wc_direct.get().saturating_sub(b.direct),
-                cache_evictions: p.chunk_cache_evictions.get().saturating_sub(b.evictions),
-            }),
-            _ => None,
-        };
         self.tracer.emit(|| EventKind::MarkPhase {
             sweep: id,
             bytes: active.mark_bytes,
@@ -717,7 +638,7 @@ impl<B: HeapBackend> MineSweeper<B> {
             filter_rejects: active.mark_filter_rejects,
             marked_granules,
             wall_ns: active.mark_wall_ns,
-            prof: mark_prof,
+            prof: None,
         });
 
         // Phase 2 (optional): stop the world, re-check modified pages.
@@ -1050,6 +971,8 @@ mod tests {
         assert_eq!(ms.free(&mut space, a), FreeOutcome::DoubleFree);
         assert_eq!(ms.stats().double_frees, 2);
         assert_eq!(ms.stats().double_free_reports, vec![a, a]);
+        assert_eq!(ms.stats().quarantined, 1, "the duplicates add no entry");
+        assert_eq!(ms.quarantine().len(), 1);
         // Exactly one true free reaches the allocator.
         ms.sweep_now(&mut space);
         assert_eq!(ms.heap().stats().frees, 1);

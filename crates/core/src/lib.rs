@@ -80,15 +80,14 @@ pub use layer::{FreeFacts, FreeOutcome, MineSweeper, SweepReport};
 pub use mte::{tag_ptr, untag_ptr, MteError, MteHeap, TagTable, QUARANTINE_TAG, TAG_GRANULE};
 pub use pagecache::PageCache;
 pub use quarantine::{QEntry, Quarantine};
-pub use shadow::{NaiveShadowMap, ShadowMap, ShadowWriter, WriterProf, MAX_SHADOWED};
+pub use shadow::{NaiveShadowMap, ShadowMap, ShadowWriter, MAX_SHADOWED};
 pub use stats::MsStats;
 pub use simd::ScanTier;
 pub use sweep::{
-    effective_helper_count, parallel_mark_pool, MarkAccel, MarkProfile, Marker,
-    ParallelMarkStats, PoolMarkJob, PoolMarkOpts, StepResult, SweepPlan,
-    PARALLEL_CHUNK_PAGES,
+    effective_helper_count, parallel_mark_pool, MarkAccel, Marker, ParallelMarkStats, PoolMarkJob,
+    PoolMarkOpts, StepResult, SweepPlan, PARALLEL_CHUNK_PAGES,
 };
-pub use telem::{MsCounters, SweepProf, LAYER_SUBSYSTEM, SWEEP_SUBSYSTEM};
+pub use telem::{MsCounters, LAYER_SUBSYSTEM};
 
 // The telemetry crate itself, re-exported so embedders can name sinks,
 // snapshots and events without a separate dependency.

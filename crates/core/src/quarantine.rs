@@ -47,18 +47,6 @@ impl QEntry {
     }
 }
 
-/// Result of a quarantine insertion.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum InsertResult {
-    /// The entry was accepted; `flushed` reports whether the thread-local
-    /// buffer spilled to the global list (a lock acquisition in the real
-    /// implementation — the cost model charges for it).
-    Inserted { flushed: bool },
-    /// The base address is already quarantined: a double free, absorbed
-    /// idempotently.
-    DoubleFree,
-}
-
 /// The quarantine data structure.
 ///
 /// # Example
@@ -105,11 +93,14 @@ impl Quarantine {
         }
     }
 
-    /// Inserts a freed allocation, de-duplicating double frees.
-    pub fn insert(&mut self, entry: QEntry) -> InsertResult {
-        if !self.members.insert(entry.base) {
-            return InsertResult::DoubleFree;
-        }
+    /// Inserts a freed allocation whose base is not yet a member (the
+    /// layer rejects double frees with [`Quarantine::contains`] first).
+    /// Returns whether the thread-local buffer spilled to the global list
+    /// (a lock acquisition in the real implementation — the cost model
+    /// charges for it).
+    pub fn insert(&mut self, entry: QEntry) -> bool {
+        let new = self.members.insert(entry.base);
+        debug_assert!(new, "{} is already quarantined", entry.base);
         self.len += 1;
         self.generation += 1;
         self.tracked_bytes += entry.swept_bytes();
@@ -122,7 +113,7 @@ impl Quarantine {
         if flushed {
             self.global.append(&mut self.tl_buffer);
         }
-        InsertResult::Inserted { flushed }
+        flushed
     }
 
     /// Locks in the current generation for a sweep: every entry quarantined
@@ -231,21 +222,12 @@ mod tests {
     }
 
     #[test]
-    fn double_free_is_deduplicated() {
-        let mut q = Quarantine::new(8);
-        assert_eq!(q.insert(entry(0x1000, 64)), InsertResult::Inserted { flushed: false });
-        assert_eq!(q.insert(entry(0x1000, 64)), InsertResult::DoubleFree);
-        assert_eq!(q.tracked_bytes(), 64, "duplicate adds nothing");
-        assert_eq!(q.len(), 1);
-    }
-
-    #[test]
     fn tl_buffer_flushes_at_capacity() {
         let mut q = Quarantine::new(3);
-        assert_eq!(q.insert(entry(0x1000, 16)), InsertResult::Inserted { flushed: false });
-        assert_eq!(q.insert(entry(0x2000, 16)), InsertResult::Inserted { flushed: false });
-        assert_eq!(q.insert(entry(0x3000, 16)), InsertResult::Inserted { flushed: true });
-        assert_eq!(q.insert(entry(0x4000, 16)), InsertResult::Inserted { flushed: false });
+        assert!(!q.insert(entry(0x1000, 16)));
+        assert!(!q.insert(entry(0x2000, 16)));
+        assert!(q.insert(entry(0x3000, 16)), "third entry fills the buffer");
+        assert!(!q.insert(entry(0x4000, 16)));
     }
 
     #[test]
@@ -270,7 +252,8 @@ mod tests {
         assert_eq!(q.tracked_bytes(), 0);
         assert!(!q.contains(e.base));
         // The base can be quarantined again after reallocation + refree.
-        assert_eq!(q.insert(e), InsertResult::Inserted { flushed: false });
+        q.insert(e);
+        assert!(q.contains(e.base));
     }
 
     #[test]
@@ -325,8 +308,6 @@ mod tests {
         let mut q = Quarantine::new(8);
         let g0 = q.generation();
         q.insert(entry(0x1000, 16));
-        assert_eq!(q.generation(), g0 + 1);
-        q.insert(entry(0x1000, 16)); // double free: no membership change
         assert_eq!(q.generation(), g0 + 1);
         let locked = q.lock_generation();
         assert_eq!(q.generation(), g0 + 1, "locking is not a membership change");

@@ -308,7 +308,6 @@ impl ShadowMap {
             chunk_refs: [None; CHUNK_CACHE],
             exclusive: false,
             deferred_newly: 0,
-            prof: WriterProf::default(),
         }
     }
 
@@ -338,7 +337,6 @@ impl ShadowMap {
             chunk_refs: [None; CHUNK_CACHE],
             exclusive: true,
             deferred_newly: 0,
-            prof: WriterProf::default(),
         }
     }
 
@@ -529,31 +527,6 @@ impl fmt::Debug for ShadowMap {
 /// or drop). Marking is the only concurrent phase and readers join the
 /// markers first, so nothing observes the window. [`ShadowWriter::mark`]'s
 /// newly-set return is exact from this writer's perspective (its own
-/// Per-writer profiler counters, all bumped on the writer's cold paths
-/// ([`ShadowWriter::mark_miss`], flush) so collecting them costs the hot
-/// mark loop nothing. Always accumulated; the sweep profiler decides
-/// whether to export them (see `SweepProf::fold_writer`).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct WriterProf {
-    /// Marks that took the direct single-word path (window closed).
-    pub direct: u64,
-    /// Times the write-combine window opened (two consecutive same-line
-    /// marks demonstrated locality).
-    pub window_opens: u64,
-    /// Bits published out of the combine window at flush — the marks the
-    /// window actually batched.
-    pub window_bits: u64,
-    /// Dirty-window flushes (each batches up to [`LINE_WORDS`] RMWs).
-    pub flushes: u64,
-    /// Direct-mapped chunk-cache probes that hit.
-    pub cache_hits: u64,
-    /// Probes that missed and walked the radix directory.
-    pub cache_misses: u64,
-    /// Misses that evicted a live tag (conflict misses; a high rate means
-    /// the heap's chunk working set outruns [`CHUNK_CACHE`]).
-    pub cache_evictions: u64,
-}
-
 /// earlier marks included); a racing writer may transiently see the same
 /// bit as new, but the global counter is reconciled at flush.
 pub struct ShadowWriter<'a> {
@@ -586,8 +559,6 @@ pub struct ShadowWriter<'a> {
     /// Exclusive mode only: newly-set bits not yet added to the global
     /// counter.
     deferred_newly: u64,
-    /// Cold-path profiler counters (see [`WriterProf`]).
-    prof: WriterProf,
 }
 
 impl<'a> ShadowWriter<'a> {
@@ -624,15 +595,8 @@ impl<'a> ShadowWriter<'a> {
         self.flush();
         let slot = (chunk_idx as usize) & (CHUNK_CACHE - 1);
         let chunk = match self.chunk_refs[slot] {
-            Some(c) if self.chunk_tags[slot] == chunk_idx => {
-                self.prof.cache_hits += 1;
-                c
-            }
+            Some(c) if self.chunk_tags[slot] == chunk_idx => c,
             _ => {
-                self.prof.cache_misses += 1;
-                if self.chunk_tags[slot] != u64::MAX {
-                    self.prof.cache_evictions += 1;
-                }
                 let c = self.map.chunk_or_insert(chunk_idx);
                 self.chunk_tags[slot] = chunk_idx;
                 self.chunk_refs[slot] = Some(c);
@@ -645,7 +609,6 @@ impl<'a> ShadowWriter<'a> {
         // direct single-word update instead: loading and flushing an
         // 8-word snapshot per isolated mark costs ~2× a plain RMW.
         if chunk_idx == self.last_chunk && line == self.last_line {
-            self.prof.window_opens += 1;
             // `cached`/`cached_idx` name the chunk that owns the open
             // window; the hot path and flush key off them.
             self.cached_idx = chunk_idx;
@@ -664,7 +627,6 @@ impl<'a> ShadowWriter<'a> {
         }
         self.last_chunk = chunk_idx;
         self.last_line = line;
-        self.prof.direct += 1;
         let word = &chunk.words[w];
         let cur = word.load(Ordering::Relaxed);
         if cur & mask != 0 {
@@ -694,14 +656,12 @@ impl<'a> ShadowWriter<'a> {
             return;
         }
         self.dirty = false;
-        self.prof.flushes += 1;
         let chunk = self.cached.expect("pending bits imply a cached chunk");
         let base = self.line_idx * LINE_WORDS;
         for (k, p) in self.pending.iter_mut().enumerate() {
             if *p == 0 {
                 continue;
             }
-            self.prof.window_bits += u64::from(p.count_ones());
             if self.exclusive {
                 chunk.words[base + k].store(self.snapshot[k], Ordering::Relaxed);
                 self.deferred_newly += u64::from(p.count_ones());
@@ -714,14 +674,6 @@ impl<'a> ShadowWriter<'a> {
             }
             *p = 0;
         }
-    }
-
-    /// Takes the profiler counters accumulated so far, flushing first so
-    /// buffered window bits are counted (the writer keeps working; its
-    /// counters restart from zero).
-    pub fn take_prof(&mut self) -> WriterProf {
-        self.flush();
-        std::mem::take(&mut self.prof)
     }
 }
 
@@ -864,32 +816,21 @@ mod tests {
     }
 
     #[test]
-    fn writer_prof_attributes_window_and_cache_behaviour() {
+    fn writer_counts_windowed_and_evicting_marks_exactly() {
         let s = ShadowMap::new();
         let mut w = s.writer();
         // 64 consecutive granules: mark 0 is direct, mark 1 opens the
         // combine window, marks 1..=63 publish through it at flush.
         for i in 0..64u64 {
-            w.mark(Addr::new(0x1_0000_0000 + i * GRANULE_SIZE as u64));
+            assert!(w.mark(Addr::new(0x1_0000_0000 + i * GRANULE_SIZE as u64)));
         }
-        let p = w.take_prof();
-        assert_eq!(p.direct, 1, "first mark is direct: {p:?}");
-        assert_eq!(p.window_opens, 1, "{p:?}");
-        assert_eq!(p.window_bits, 63, "window batched the rest: {p:?}");
-        assert!(p.flushes >= 1, "{p:?}");
-        assert_eq!(p.cache_misses, 1, "one radix walk for the chunk: {p:?}");
-        assert_eq!(p.cache_evictions, 0, "{p:?}");
-
-        // take_prof resets: scattered marks across CHUNK_CACHE+1 chunks
-        // collide in the direct-mapped cache and evict.
+        // Scattered marks across CHUNK_CACHE+1 chunks collide in the
+        // direct-mapped cache and evict; each still counts once.
         let chunk_bytes = CHUNK_GRANULES * GRANULE_SIZE as u64;
         for i in 0..=(CHUNK_CACHE as u64) {
-            w.mark(Addr::new(i * chunk_bytes));
+            assert!(w.mark(Addr::new(i * chunk_bytes)));
         }
-        let p = w.take_prof();
-        assert_eq!(p.window_opens, 0, "scattered marks never open the window: {p:?}");
-        assert_eq!(p.direct, CHUNK_CACHE as u64 + 1, "{p:?}");
-        assert!(p.cache_evictions >= 1, "wrap-around evicts slot 0: {p:?}");
+        assert!(!w.mark(Addr::new(0)), "re-mark after eviction is not new");
         drop(w);
         assert_eq!(s.marked_count(), 64 + CHUNK_CACHE as u64 + 1);
     }

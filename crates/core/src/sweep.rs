@@ -28,7 +28,6 @@
 //! the runtime-dispatched SIMD kernel in [`crate::simd`].
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::Instant;
 
 use vmem::{Addr, AddrSpace, Layout, MemError, PageIdx, PageRange, Segment, PAGE_SIZE, WORD_SIZE};
 
@@ -37,7 +36,6 @@ use crate::forensics::EdgeRecorder;
 use crate::pagecache::PageCache;
 use crate::shadow::{ShadowMap, ShadowWriter};
 use crate::simd::{self, ScanTier};
-use crate::telem::SweepProf;
 
 /// The memory ranges one sweep will examine: active heap extents plus the
 /// committed pages of the globals and stack segments.
@@ -143,11 +141,6 @@ pub struct MarkAccel<'a> {
     /// Every tier produces bit-identical marks, digests and counts — the
     /// override exists for benchmarks and differential tests.
     pub tier: Option<ScanTier>,
-    /// Sweep profiler: when present, each step records its wall scan time
-    /// into `sweep/step_scan_ns` and folds the writer's write-combine /
-    /// chunk-cache counters into the shared cells. `None` costs exactly
-    /// one branch per step — no clock reads, no counter traffic.
-    pub prof: Option<&'a SweepProf>,
 }
 
 /// Scan disposition of one page.
@@ -250,9 +243,6 @@ impl Marker {
         // The serial cursor owns its map for the duration of the step, so
         // it gets the exclusive writer's store-only flush.
         let mut writer = shadow.writer_mut();
-        // Profiler gate: the disabled path is this one branch — no clock
-        // read, and the epilogue fold below is skipped entirely.
-        let scan_t0 = accel.prof.map(|_| Instant::now());
         let mut r = StepResult::default();
         let start_bytes = self.done_bytes;
         let edges_before = accel.forensics.map_or(0, EdgeRecorder::recorded);
@@ -392,10 +382,6 @@ impl Marker {
         r.finished = self.idx >= self.plan.ranges.len();
         r.pin_edges =
             accel.forensics.map_or(0, EdgeRecorder::recorded) - edges_before;
-        if let (Some(prof), Some(t0)) = (accel.prof, scan_t0) {
-            prof.step_scan_ns.record(t0.elapsed().as_nanos() as u64);
-            prof.fold_writer(&writer.take_prof());
-        }
         r
     }
 }
@@ -497,24 +483,6 @@ pub fn mark_page(space: &AddrSpace, shadow: &mut ShadowMap, page: PageIdx) -> u6
 /// scanning, and large enough that the atomic cursor claim (one
 /// `fetch_add` per chunk) is amortised over 32 K words.
 pub const PARALLEL_CHUNK_PAGES: u64 = 64;
-
-/// Wall-clock and scheduling attribution from one profiled parallel
-/// mark. Unlike [`ParallelMarkStats`] these fields are
-/// **nondeterministic** (clock reads and claim-order dependent), which is
-/// why they live behind [`PoolMarkOpts::prof`] and apart from the
-/// stats: with the profiler off every field stays zero.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub struct MarkProfile {
-    /// Chunks claimed from the shared cursor (all threads).
-    pub chunks_claimed: u64,
-    /// Chunks claimed by helper threads (work the main sweeper would
-    /// otherwise have done — "stolen" in the §4.4 sense).
-    pub chunks_stolen: u64,
-    /// Summed per-thread busy nanoseconds (time inside chunk scans).
-    pub busy_ns: u64,
-    /// Wall nanoseconds for the whole mark (spawn to last join).
-    pub wall_ns: u64,
-}
 
 /// Aggregated counters from one parallel mark. Every field is
 /// **deterministic** — each chunk of the work queue is claimed exactly
@@ -631,9 +599,9 @@ pub struct PoolMarkJob<'a> {
 }
 
 /// Options for [`parallel_mark_pool`]. `Default`: zero helpers, auto
-/// tier, default chunking, no profiler.
+/// tier, default chunking.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct PoolMarkOpts<'a> {
+pub struct PoolMarkOpts {
     /// Helper threads requested (clamped via [`effective_helper_count`]).
     pub helper_threads: usize,
     /// Scan-kernel tier override; `None` uses [`simd::active_tier`].
@@ -641,8 +609,6 @@ pub struct PoolMarkOpts<'a> {
     /// Work-queue chunk size in pages; `None` uses
     /// [`PARALLEL_CHUNK_PAGES`].
     pub chunk_pages: Option<u64>,
-    /// Sweep profiler cells shared by all threads.
-    pub prof: Option<&'a SweepProf>,
 }
 
 /// Parallel marking with real OS threads (§4.4: "a main sweeper thread
@@ -665,12 +631,9 @@ pub struct PoolMarkOpts<'a> {
 /// [`Marker::step`] does.
 ///
 /// Returns the job's [`ParallelMarkStats`], folded from the per-thread
-/// counters at join time, and the [`MarkProfile`]. The mark set and the
-/// stats are independent of helper count, chunk size and claim order.
-pub fn parallel_mark_pool(
-    job: &PoolMarkJob<'_>,
-    opts: &PoolMarkOpts<'_>,
-) -> (ParallelMarkStats, MarkProfile) {
+/// counters at join time. The mark set and the stats are independent of
+/// helper count, chunk size and claim order.
+pub fn parallel_mark_pool(job: &PoolMarkJob<'_>, opts: &PoolMarkOpts) -> ParallelMarkStats {
     let helpers = effective_helper_count(opts.helper_threads);
     let tier = opts.tier.unwrap_or_else(simd::active_tier);
     let chunk_bytes =
@@ -690,23 +653,18 @@ pub fn parallel_mark_pool(
 
     let layout = job.space.layout();
     let cursor = AtomicUsize::new(0);
-    let mark_t0 = opts.prof.map(|_| Instant::now());
-    let per_thread: Vec<(ParallelMarkStats, u64, u64)> = std::thread::scope(|scope| {
+    let per_thread: Vec<ParallelMarkStats> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..=helpers)
-            .map(|thread_idx| {
+            .map(|_| {
                 let (chunks, cursor) = (&chunks, &cursor);
-                let opts = *opts;
                 scope.spawn(move || {
-                    let thread_t0 = opts.prof.map(|_| Instant::now());
                     let mut writer = job.shadow.writer();
                     let mut local = ParallelMarkStats::default();
-                    let (mut busy_ns, mut claimed) = (0u64, 0u64);
                     loop {
                         let k = cursor.fetch_add(1, Ordering::Relaxed);
                         let Some(&(base, len)) = chunks.get(k) else {
                             break;
                         };
-                        let chunk_t0 = opts.prof.map(|_| Instant::now());
                         mark_chunk(
                             job.space,
                             layout,
@@ -719,28 +677,8 @@ pub fn parallel_mark_pool(
                             &mut writer,
                             &mut local,
                         );
-                        if let (Some(p), Some(t0)) = (opts.prof, chunk_t0) {
-                            let ns = t0.elapsed().as_nanos() as u64;
-                            p.chunk_scan_ns.record(ns);
-                            busy_ns += ns;
-                            claimed += 1;
-                        }
                     }
-                    if let (Some(p), Some(t0)) = (opts.prof, thread_t0) {
-                        p.fold_writer(&writer.take_prof());
-                        let wall = t0.elapsed().as_nanos() as u64;
-                        p.helper_chunks.record(claimed);
-                        p.helper_busy_pct.record(
-                            (busy_ns * 100)
-                                .checked_div(wall)
-                                .map_or(100, |pct| pct.min(100)),
-                        );
-                        p.chunks_claimed.add(claimed);
-                        if thread_idx > 0 {
-                            p.chunks_stolen.add(claimed);
-                        }
-                    }
-                    (local, busy_ns, claimed)
+                    local
                 })
             })
             .collect();
@@ -752,23 +690,14 @@ pub fn parallel_mark_pool(
         effective_helpers: helpers,
         ..ParallelMarkStats::default()
     };
-    let mut profile = MarkProfile {
-        wall_ns: mark_t0.map_or(0, |t0| t0.elapsed().as_nanos() as u64),
-        ..MarkProfile::default()
-    };
-    for (thread_idx, (local, busy_ns, claimed)) in per_thread.into_iter().enumerate() {
+    for local in per_thread {
         stats.words += local.words;
         stats.heap_words += local.heap_words;
         stats.filter_rejects += local.filter_rejects;
         stats.pages_skipped += local.pages_skipped;
         stats.pages_replayed += local.pages_replayed;
-        profile.busy_ns += busy_ns;
-        profile.chunks_claimed += claimed;
-        if thread_idx > 0 {
-            profile.chunks_stolen += claimed;
-        }
     }
-    (stats, profile)
+    stats
 }
 
 /// Clamps a requested helper-thread count to the hardware: at most
@@ -1028,16 +957,16 @@ mod tests {
         filter: Option<&CandidateFilter>,
         cache: Option<&PageCache>,
         forensics: Option<&EdgeRecorder>,
-        opts: &PoolMarkOpts<'_>,
-    ) -> (ShadowMap, ParallelMarkStats, MarkProfile) {
+        opts: &PoolMarkOpts,
+    ) -> (ShadowMap, ParallelMarkStats) {
         let shadow = ShadowMap::new();
         let job = PoolMarkJob { space, plan, shadow: &shadow, filter, cache, forensics };
-        let (stats, profile) = parallel_mark_pool(&job, opts);
-        (shadow, stats, profile)
+        let stats = parallel_mark_pool(&job, opts);
+        (shadow, stats)
     }
 
     /// Pool options requesting `n` helper threads.
-    fn helpers(n: usize) -> PoolMarkOpts<'static> {
+    fn helpers(n: usize) -> PoolMarkOpts {
         PoolMarkOpts { helper_threads: n, ..PoolMarkOpts::default() }
     }
 
@@ -1067,7 +996,7 @@ mod tests {
         assert_eq!(serial.marked_count(), naive.marked_count());
 
         for threads in [0, 1, 3, 6] {
-            let (parallel, _, _) = pool_mark(&space, &plan, None, None, None, &helpers(threads));
+            let (parallel, _) = pool_mark(&space, &plan, None, None, None, &helpers(threads));
             assert_eq!(
                 parallel.marked_count(),
                 serial.marked_count(),
@@ -1102,7 +1031,7 @@ mod tests {
         let mut marker = Marker::new(plan.clone());
         marker.step(&mut space, &mut serial, u64::MAX, &mut MarkAccel::default());
         for threads in [0, 1, 3, 6] {
-            let (parallel, _, _) = pool_mark(&space, &plan, None, None, None, &helpers(threads));
+            let (parallel, _) = pool_mark(&space, &plan, None, None, None, &helpers(threads));
             assert_eq!(parallel.marked_count(), serial.marked_count());
             for t in &targets {
                 for off in (0..64).step_by(16) {
@@ -1121,7 +1050,7 @@ mod tests {
         let mut space = AddrSpace::new();
         let a = heap(&mut space, 4); // never touched: unbacked
         let plan = SweepPlan::from_ranges(vec![(a, 4 * PAGE_SIZE as u64)]);
-        let (shadow, _, _) = pool_mark(&space, &plan, None, None, None, &helpers(3));
+        let (shadow, _) = pool_mark(&space, &plan, None, None, None, &helpers(3));
         assert!(shadow.is_empty());
         assert_eq!(space.rss_bytes(), 0, "peek-based marking must not commit");
     }
@@ -1371,7 +1300,7 @@ mod tests {
         ));
         cache.begin_sweep(&plan, &dirty, 2);
         for threads in [0, 1, 3] {
-            let (parallel, _, _) =
+            let (parallel, _) =
                 pool_mark(&space, &plan, Some(&filter), Some(&cache), None, &helpers(threads));
             assert_eq!(parallel.marked_count(), serial.marked_count());
             for t in &targets {
@@ -1433,7 +1362,7 @@ mod tests {
 
         // The parallel marker shares the same recorder semantics.
         let rec_par = EdgeRecorder::new(&entries, ForensicsMode::Full).unwrap();
-        let (parallel, _, _) = pool_mark(&space, &plan, None, None, Some(&rec_par), &helpers(3));
+        let (parallel, _) = pool_mark(&space, &plan, None, None, Some(&rec_par), &helpers(3));
         assert_eq!(parallel.marked_count(), plain.marked_count());
         assert_eq!(rec_par.recorded(), rec.recorded());
     }
@@ -1457,7 +1386,7 @@ mod tests {
         );
         assert!(r.filter_rejects > 0 && r.heap_words > r.filter_rejects);
         for n in [0, 2, 5] {
-            let (map, stats, _) = pool_mark(&space, &plan, Some(&filter), None, None, &helpers(n));
+            let (map, stats) = pool_mark(&space, &plan, Some(&filter), None, None, &helpers(n));
             assert_eq!(map.marked_count(), serial.marked_count());
             assert_eq!(stats.filter_rejects, r.filter_rejects, "helpers={n}");
             assert_eq!(stats.heap_words, r.heap_words);
@@ -1487,7 +1416,7 @@ mod tests {
                     chunk_pages: Some(chunk_pages),
                     ..Default::default()
                 };
-                let (map, stats, _) = pool_mark(&space, &ragged, Some(&filter), None, None, &opts);
+                let (map, stats) = pool_mark(&space, &ragged, Some(&filter), None, None, &opts);
                 assert_eq!(
                     map.marked_count(),
                     reference.0.marked_count(),
@@ -1542,7 +1471,7 @@ mod tests {
         assert_eq!(r.filter_rejects, 1, "the root pointer to `live`");
 
         for n in [0, 3] {
-            let (map, stats, _) =
+            let (map, stats) =
                 pool_mark(&space, &plan, Some(&filter), Some(&cache), None, &helpers(n));
             assert_eq!(map.marked_count(), serial.marked_count(), "helpers={n}");
             assert!(map.is_marked(candidate) && !map.is_marked(live));
@@ -1552,69 +1481,6 @@ mod tests {
             assert_eq!(stats.pages_replayed, r.pages_replayed);
             assert_eq!(stats.filter_rejects, r.filter_rejects);
         }
-    }
-
-    #[test]
-    fn profiler_attributes_without_changing_marks() {
-        use crate::telem::{SweepProf, SWEEP_SUBSYSTEM};
-        use telemetry::Registry;
-
-        let mut space = AddrSpace::new();
-        let (targets, plan) = scatter_fixture(&mut space);
-
-        // Profiler off: the returned MarkProfile stays all-zero.
-        let (plain, base, base_prof) = pool_mark(&space, &plan, None, None, None, &helpers(0));
-        assert_eq!(base_prof, MarkProfile::default(), "off-mode profile must stay zero");
-
-        // Profiler on: same marks and deterministic counters, plus
-        // attribution in both the returned profile and the registry.
-        let reg = Registry::new();
-        let prof = SweepProf::register(&reg);
-        let opts = PoolMarkOpts { helper_threads: 2, prof: Some(&prof), ..Default::default() };
-        let (profiled, stats, profile) = pool_mark(&space, &plan, None, None, None, &opts);
-        assert_eq!(profiled.marked_count(), plain.marked_count());
-        assert_eq!(stats.words, base.words);
-        assert_eq!(stats.heap_words, base.heap_words);
-        assert_eq!(profile.chunks_claimed, stats.chunks, "every chunk claimed once");
-        assert!(profile.chunks_stolen <= profile.chunks_claimed);
-        assert!(profile.wall_ns > 0 && profile.busy_ns > 0);
-        let snap = reg.snapshot();
-        assert_eq!(
-            snap.counter(SWEEP_SUBSYSTEM, "chunks_claimed"),
-            Some(stats.chunks),
-            "registry cells mirror the returned profile"
-        );
-        let per_chunk = snap.histogram(SWEEP_SUBSYSTEM, "chunk_scan_ns").unwrap();
-        assert_eq!(per_chunk.count(), stats.chunks);
-        let busy = snap.histogram(SWEEP_SUBSYSTEM, "helper_busy_pct").unwrap();
-        assert_eq!(busy.count(), stats.effective_helpers as u64 + 1, "one sample per thread");
-        assert!(
-            snap.counter(SWEEP_SUBSYSTEM, "wc_direct").unwrap_or(0)
-                + snap.counter(SWEEP_SUBSYSTEM, "wc_window_bits").unwrap_or(0)
-                >= profiled.marked_count(),
-            "every mark left the writer via the direct or window path"
-        );
-
-        // Serial cursor: step timing lands in step_scan_ns and the writer
-        // counters fold on the same cells.
-        let reg2 = Registry::new();
-        let prof2 = SweepProf::register(&reg2);
-        let mut shadow = ShadowMap::new();
-        Marker::new(plan.clone()).step(
-            &mut space,
-            &mut shadow,
-            u64::MAX,
-            &mut MarkAccel { prof: Some(&prof2), ..MarkAccel::default() },
-        );
-        assert_eq!(shadow.marked_count(), plain.marked_count());
-        let snap2 = reg2.snapshot();
-        assert!(snap2.histogram(SWEEP_SUBSYSTEM, "step_scan_ns").unwrap().count() >= 1);
-        assert!(
-            snap2.counter(SWEEP_SUBSYSTEM, "wc_direct").unwrap_or(0)
-                + snap2.counter(SWEEP_SUBSYSTEM, "wc_window_bits").unwrap_or(0)
-                >= shadow.marked_count()
-        );
-        let _ = targets;
     }
 
     #[test]

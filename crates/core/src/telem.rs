@@ -12,15 +12,10 @@
 //! hands its own share of the counts to its caller as
 //! [`crate::FreeFacts`].
 
-use telemetry::{Counter, Histogram, OwnedCounter, Registry};
-
-use crate::shadow::WriterProf;
+use telemetry::{OwnedCounter, Registry};
 
 /// The subsystem label the allocator layer registers under.
 pub const LAYER_SUBSYSTEM: &str = "layer";
-
-/// The subsystem label the sweep profiler registers under.
-pub const SWEEP_SUBSYSTEM: &str = "sweep";
 
 /// Counter handles backing the layer's statistics. Not `Clone`: each
 /// handle is its cell's only writer.
@@ -116,79 +111,6 @@ impl MsCounters {
     }
 }
 
-/// Sampled cycle-attribution handles for the sweep profiler.
-///
-/// Registered under the `sweep` subsystem only when
-/// [`crate::MsConfig::profiler`] is on; every handle is shared through
-/// the registry so concurrent helpers fold into the same cells with
-/// relaxed atomic adds. The mark hot path itself never touches these —
-/// scan timing is gated on one `Option` branch and the write-combine /
-/// chunk-cache counters are accumulated privately per writer
-/// ([`WriterProf`]) and folded here once per scan step.
-#[derive(Clone, Debug)]
-pub struct SweepProf {
-    /// Nanoseconds spent scanning per mark step (histogram).
-    pub step_scan_ns: Histogram,
-    /// Nanoseconds spent scanning per claimed chunk (histogram).
-    pub chunk_scan_ns: Histogram,
-    /// Per-helper busy/wall utilisation in percent (histogram).
-    pub helper_busy_pct: Histogram,
-    /// Chunks processed per helper thread (histogram).
-    pub helper_chunks: Histogram,
-    /// Chunks claimed in order from the shared cursor.
-    pub chunks_claimed: Counter,
-    /// Chunks claimed by a helper other than the calling thread.
-    pub chunks_stolen: Counter,
-    /// Shadow writes that took the single-word direct-store path.
-    pub wc_direct: Counter,
-    /// Write-combine windows opened (two consecutive same-line marks).
-    pub wc_window_opens: Counter,
-    /// Bits published from write-combine windows at flush.
-    pub wc_window_bits: Counter,
-    /// Write-combine window flushes.
-    pub wc_flushes: Counter,
-    /// Chunk-pointer cache hits in the shadow writer.
-    pub chunk_cache_hits: Counter,
-    /// Chunk-pointer cache misses (radix re-walks).
-    pub chunk_cache_misses: Counter,
-    /// Chunk-pointer cache evictions (live tag replaced).
-    pub chunk_cache_evictions: Counter,
-}
-
-impl SweepProf {
-    /// Registers (or re-attaches to) the profiler handles in `registry`.
-    pub fn register(registry: &Registry) -> Self {
-        let c = |name: &str| registry.counter(SWEEP_SUBSYSTEM, name);
-        let h = |name: &str| registry.histogram(SWEEP_SUBSYSTEM, name);
-        SweepProf {
-            step_scan_ns: h("step_scan_ns"),
-            chunk_scan_ns: h("chunk_scan_ns"),
-            helper_busy_pct: h("helper_busy_pct"),
-            helper_chunks: h("helper_chunks"),
-            chunks_claimed: c("chunks_claimed"),
-            chunks_stolen: c("chunks_stolen"),
-            wc_direct: c("wc_direct"),
-            wc_window_opens: c("wc_window_opens"),
-            wc_window_bits: c("wc_window_bits"),
-            wc_flushes: c("wc_flushes"),
-            chunk_cache_hits: c("chunk_cache_hits"),
-            chunk_cache_misses: c("chunk_cache_misses"),
-            chunk_cache_evictions: c("chunk_cache_evictions"),
-        }
-    }
-
-    /// Folds one writer's private counters into the shared cells.
-    pub fn fold_writer(&self, w: &WriterProf) {
-        self.wc_direct.add(w.direct);
-        self.wc_window_opens.add(w.window_opens);
-        self.wc_window_bits.add(w.window_bits);
-        self.wc_flushes.add(w.flushes);
-        self.chunk_cache_hits.add(w.cache_hits);
-        self.chunk_cache_misses.add(w.cache_misses);
-        self.chunk_cache_evictions.add(w.cache_evictions);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -209,28 +131,5 @@ mod tests {
         let reg = Registry::new();
         let _layer = MsCounters::register(&reg);
         MsCounters::register(&reg);
-    }
-
-    #[test]
-    fn sweep_prof_folds_writer_counters() {
-        let reg = Registry::new();
-        let prof = SweepProf::register(&reg);
-        prof.fold_writer(&WriterProf {
-            direct: 3,
-            window_opens: 2,
-            window_bits: 40,
-            flushes: 2,
-            cache_hits: 5,
-            cache_misses: 1,
-            cache_evictions: 1,
-        });
-        prof.fold_writer(&WriterProf {
-            direct: 1,
-            ..WriterProf::default()
-        });
-        let snap = reg.snapshot();
-        assert_eq!(snap.counter(SWEEP_SUBSYSTEM, "wc_direct"), Some(4));
-        assert_eq!(snap.counter(SWEEP_SUBSYSTEM, "wc_window_bits"), Some(40));
-        assert_eq!(snap.counter(SWEEP_SUBSYSTEM, "chunk_cache_evictions"), Some(1));
     }
 }

@@ -95,12 +95,12 @@ fn free_facts_equal_the_stats_delta_for_every_kind_of_free() {
         }
         assert_eq!(flushes > 0, cfg.quarantine, "{name}: buffer flushes");
 
-        // A double free: absorbed by the quarantine, or zeroed again and
-        // then rejected by the heap when frees pass through.
+        // A double free: absorbed by the quarantine, or rejected up front
+        // when frees pass through (the heap's cached block is not live).
+        // Either way it touches nothing.
         let facts = free_checked(name, &mut ms, &mut space, small);
         assert_eq!(facts.outcome, rejected, "{name}: double free");
-        let rezeroed = cfg.zeroing && !cfg.quarantine;
-        assert_eq!(facts.zeroed_bytes > 0, rezeroed, "{name}: double free zeroes");
+        assert_eq!(facts.zeroed_bytes, 0, "{name}: double free zeroes nothing");
 
         // An interior (invalid) free.
         let live = ms.malloc(&mut space, 64);
@@ -116,18 +116,25 @@ fn free_facts_equal_the_stats_delta_for_every_kind_of_free() {
 }
 
 #[test]
-fn a_rejected_passthrough_free_still_reports_its_zeroing_and_unmapping() {
+fn a_rejected_passthrough_free_zeroes_and_unmaps_nothing() {
     let cfg = MsConfig { quarantine: false, ..MsConfig::default() };
     let mut space = AddrSpace::new();
     let mut ms = MineSweeper::new(cfg);
     // A small-class block spanning whole pages: once freed it sits in the
-    // allocator's cache, still answering `usable_size`, so the layer
-    // zeroes and unmaps it again before the allocator refuses the repeat.
+    // allocator's cache, where it no longer answers `usable_size`, so the
+    // repeat is refused before the layer zeroes or unmaps the cached
+    // block (which the next malloc of its class hands out).
     let p = ms.malloc(&mut space, 12 * 1024);
     let name = "rejected passthrough";
-    assert_eq!(free_checked(name, &mut ms, &mut space, p).outcome, FreeOutcome::Passthrough);
+    let first = free_checked(name, &mut ms, &mut space, p);
+    assert_eq!(first.outcome, FreeOutcome::Passthrough);
+    assert!(first.zeroed_bytes > 0 && first.unmapped_pages > 0, "{first:?}");
     let facts = free_checked(name, &mut ms, &mut space, p);
-    assert_eq!(facts.outcome, FreeOutcome::Invalid);
-    assert!(facts.zeroed_bytes > 0, "{facts:?}");
-    assert!(facts.unmapped_pages > 0, "{facts:?}");
+    let nothing = FreeFacts {
+        outcome: FreeOutcome::Invalid,
+        zeroed_bytes: 0,
+        unmapped_pages: 0,
+        flushed_entries: 0,
+    };
+    assert_eq!(facts, nothing);
 }

@@ -64,7 +64,7 @@ fn pool_mark(
         forensics: None,
     };
     let opts = PoolMarkOpts { helper_threads: helpers, ..PoolMarkOpts::default() };
-    let (stats, _) = parallel_mark_pool(&job, &opts);
+    let stats = parallel_mark_pool(&job, &opts);
     (shadow, stats)
 }
 

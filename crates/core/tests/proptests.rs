@@ -669,7 +669,6 @@ fn run_tier(
             qgen: 1,
             forensics: rec.as_ref(),
             tier: Some(tier),
-            prof: None,
         };
         let r = marker.step(space, &mut shadow, budget, &mut accel);
         totals.0 += r.words;
@@ -804,7 +803,7 @@ proptest! {
             chunk_pages: Some(chunk_pages),
             ..PoolMarkOpts::default()
         };
-        let (stats, _) = parallel_mark_pool(&job, &opts);
+        let stats = parallel_mark_pool(&job, &opts);
         prop_assert_eq!(stats.words, serial.words);
         prop_assert_eq!(stats.heap_words, serial.heap_words);
         prop_assert_eq!(stats.filter_rejects, serial.filter_rejects);

@@ -10,7 +10,7 @@ use crate::emap::{ExtentId, ExtentMap};
 use crate::error::FreeError;
 use crate::extent::{Extent, ExtentKind, FreeExtents};
 use crate::stats::AllocStats;
-use crate::tcache::Tcache;
+use crate::tcache::{Parked, Tcache};
 
 /// A jemalloc-style heap allocator over a simulated address space.
 ///
@@ -101,9 +101,10 @@ impl JAlloc {
         let class_size = self.classes.size_of(class);
         self.stats.allocated_bytes += class_size;
         if self.cfg.tcache {
-            if let Some(addr) = self.tcache.pop(class) {
+            if let Some(p) = self.tcache.pop(class) {
+                self.active.get_mut(p.slab).slab_set_cached(p.idx.into(), false);
                 self.stats.tcache_hits += 1;
-                return addr;
+                return p.addr;
             }
         }
         self.malloc_small_arena(space, class)
@@ -204,23 +205,24 @@ impl JAlloc {
                 if !offset.is_multiple_of(class_size) {
                     return Err(FreeError::InvalidPointer(addr));
                 }
-                if !ext.slab_region_live(offset / class_size) {
+                let idx = offset / class_size;
+                if !ext.slab_region_live(idx) || ext.slab_region_cached(idx) {
                     return Err(FreeError::DoubleFree(addr));
                 }
                 if self.cfg.tcache {
-                    if self.tcache_contains(class, addr) {
-                        return Err(FreeError::DoubleFree(addr));
-                    }
                     self.stats.allocated_bytes -= class_size;
                     self.stats.frees += 1;
-                    if !self.tcache.push(class, addr) {
+                    let idx32 = u32::try_from(idx).expect("slab regions fit in u32");
+                    let parked = Parked { addr, slab: id, idx: idx32 };
+                    if !self.tcache.push(class, parked) {
                         for old in self.tcache.flush_half(class) {
-                            let slab = self.active.containing(old);
-                            let slab = slab.expect("tcache region is in a slab");
-                            self.release_region(old, slab, class);
+                            self.release_region(old.addr, old.slab, class);
                         }
-                        assert!(self.tcache.push(class, addr), "bin just flushed");
+                        assert!(self.tcache.push(class, parked), "bin just flushed");
                     }
+                    // The region's own slab cannot have retired in the
+                    // flush: the region is still allocated to it.
+                    self.active.get_mut(id).slab_set_cached(idx, true);
                     Ok(())
                 } else {
                     self.stats.allocated_bytes -= class_size;
@@ -230,10 +232,6 @@ impl JAlloc {
                 }
             }
         }
-    }
-
-    fn tcache_contains(&self, class: usize, addr: Addr) -> bool {
-        self.tcache.contains(class, addr)
     }
 
     /// Returns a region to its slab; retires the slab when it empties.
@@ -260,10 +258,23 @@ impl JAlloc {
 
     /// Usable size of the live allocation based at `addr` (class size for
     /// small, page span for large), or `None` if `addr` is not a live
-    /// allocation base.
+    /// allocation base. A region parked in the tcache is free here, so a
+    /// layer that asks before forwarding a `free` rejects its re-free,
+    /// although [`JAlloc::allocation_range`] still covers it.
     pub fn usable_size(&self, addr: Addr) -> Option<u64> {
-        let (base, len) = self.allocation_range(addr)?;
-        (base == addr).then_some(len)
+        let ext = self.active.get(self.active.containing(addr)?);
+        match ext.kind {
+            ExtentKind::Large => (addr == ext.base).then(|| ext.byte_len()),
+            ExtentKind::Slab { class, .. } => {
+                let class_size = self.classes.size_of(class);
+                let offset = addr - ext.base;
+                let idx = offset / class_size;
+                let owned = offset.is_multiple_of(class_size)
+                    && ext.slab_region_live(idx)
+                    && !ext.slab_region_cached(idx);
+                owned.then_some(class_size)
+            }
+        }
     }
 
     /// The live allocation containing `addr`, as `(base, usable_size)`.
@@ -351,9 +362,8 @@ impl JAlloc {
     /// Flushes the thread cache back to the arena (thread teardown, or the
     /// enhanced cleanup MineSweeper performs with sweeps).
     pub fn flush_tcache(&mut self) {
-        for (class, addr) in self.tcache.flush_all() {
-            let slab = self.active.containing(addr).expect("tcache region is in a slab");
-            self.release_region(addr, slab, class);
+        for (class, p) in self.tcache.flush_all() {
+            self.release_region(p.addr, p.slab, class);
         }
     }
 }
@@ -424,6 +434,8 @@ mod tests {
         let (mut space, mut heap) = setup();
         let a = heap.malloc(&mut space, 64);
         heap.free(&mut space, a).unwrap();
+        assert_eq!(heap.usable_size(a), None, "a cached region is free");
+        assert_eq!(heap.allocation_range(a), Some((a, 64)), "sweeps still cover it");
         assert_eq!(heap.free(&mut space, a), Err(FreeError::DoubleFree(a)));
     }
 

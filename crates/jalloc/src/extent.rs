@@ -8,8 +8,11 @@ use vmem::{Addr, PAGE_SIZE};
 /// What an active extent is used for.
 #[derive(Clone, Debug)]
 pub(crate) enum ExtentKind {
-    /// A slab subdivided into equal regions of one size class.
-    Slab { class: usize, bitmap: Vec<u64>, used: u64, regions: u64 },
+    /// A slab subdivided into equal regions of one size class. `bitmap`
+    /// marks the allocated regions; `cached` marks those of them parked in
+    /// the tcache, which are free to the program but still allocated to
+    /// the arena.
+    Slab { class: usize, bitmap: Vec<u64>, cached: Vec<u64>, used: u64, regions: u64 },
     /// A single large allocation.
     Large,
 }
@@ -28,7 +31,13 @@ impl Extent {
         Extent {
             base,
             pages,
-            kind: ExtentKind::Slab { class, bitmap: vec![0; words], used: 0, regions },
+            kind: ExtentKind::Slab {
+                class,
+                bitmap: vec![0; words],
+                cached: vec![0; words],
+                used: 0,
+                regions,
+            },
         }
     }
 
@@ -68,10 +77,10 @@ impl Extent {
         None
     }
 
-    /// Frees region `idx` of a slab. Returns `Err(())` if it was not
-    /// allocated (double free).
+    /// Frees region `idx` of a slab, out of the tcache if it was parked
+    /// there. Returns `Err(())` if it was not allocated (double free).
     pub(crate) fn slab_free(&mut self, idx: u64) -> Result<(), ()> {
-        let ExtentKind::Slab { bitmap, used, .. } = &mut self.kind else {
+        let ExtentKind::Slab { bitmap, cached, used, .. } = &mut self.kind else {
             unreachable!("slab_free on a large extent");
         };
         let (w, bit) = ((idx / 64) as usize, idx % 64);
@@ -79,8 +88,31 @@ impl Extent {
             return Err(());
         }
         bitmap[w] &= !(1 << bit);
+        cached[w] &= !(1 << bit);
         *used -= 1;
         Ok(())
+    }
+
+    /// Records that allocated region `idx` entered (`true`) or left the
+    /// tcache.
+    pub(crate) fn slab_set_cached(&mut self, idx: u64, parked: bool) {
+        let ExtentKind::Slab { cached, .. } = &mut self.kind else {
+            unreachable!("slab_set_cached on a large extent");
+        };
+        let (w, mask) = ((idx / 64) as usize, 1u64 << (idx % 64));
+        if parked {
+            cached[w] |= mask;
+        } else {
+            cached[w] &= !mask;
+        }
+    }
+
+    /// Whether slab region `idx` is parked in the tcache.
+    pub(crate) fn slab_region_cached(&self, idx: u64) -> bool {
+        let ExtentKind::Slab { cached, regions, .. } = &self.kind else {
+            return false;
+        };
+        idx < *regions && cached[(idx / 64) as usize] & (1 << (idx % 64)) != 0
     }
 
     /// Whether slab region `idx` is currently allocated.

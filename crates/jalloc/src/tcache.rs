@@ -8,10 +8,21 @@
 
 use vmem::Addr;
 
+use crate::emap::ExtentId;
+
+/// A region parked in the cache, with the slab slot and region index that
+/// find its state bits without an address lookup.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Parked {
+    pub(crate) addr: Addr,
+    pub(crate) slab: ExtentId,
+    pub(crate) idx: u32,
+}
+
 /// Per-class cached region stacks.
 #[derive(Clone, Debug)]
 pub(crate) struct Tcache {
-    bins: Vec<Vec<Addr>>,
+    bins: Vec<Vec<Parked>>,
     caps: Vec<usize>,
 }
 
@@ -32,30 +43,30 @@ impl Tcache {
     }
 
     /// Pops a cached region of `class`, if any.
-    pub(crate) fn pop(&mut self, class: usize) -> Option<Addr> {
+    pub(crate) fn pop(&mut self, class: usize) -> Option<Parked> {
         self.bins[class].pop()
     }
 
     /// Pushes a freed region. Returns `false` (leaving the region to the
     /// caller) when the bin is full and must be flushed first.
-    pub(crate) fn push(&mut self, class: usize, addr: Addr) -> bool {
+    pub(crate) fn push(&mut self, class: usize, region: Parked) -> bool {
         if self.bins[class].len() >= self.caps[class] {
             return false;
         }
-        self.bins[class].push(addr);
+        self.bins[class].push(region);
         true
     }
 
     /// Drains the oldest half of a bin for return to the arena (jemalloc's
     /// flush-half policy on overflow).
-    pub(crate) fn flush_half(&mut self, class: usize) -> Vec<Addr> {
+    pub(crate) fn flush_half(&mut self, class: usize) -> Vec<Parked> {
         let bin = &mut self.bins[class];
         let keep = bin.len() / 2;
         bin.drain(..bin.len() - keep).collect()
     }
 
     /// Drains every bin (thread teardown / explicit flush).
-    pub(crate) fn flush_all(&mut self) -> Vec<(usize, Addr)> {
+    pub(crate) fn flush_all(&mut self) -> Vec<(usize, Parked)> {
         let mut out = Vec::new();
         for (class, bin) in self.bins.iter_mut().enumerate() {
             out.extend(bin.drain(..).map(|a| (class, a)));
@@ -68,12 +79,6 @@ impl Tcache {
     pub(crate) fn cached(&self, class: usize) -> usize {
         self.bins[class].len()
     }
-
-    /// Whether `addr` is parked in the bin for `class` (double-free check;
-    /// bins are ≤32 entries, so the scan is cheap).
-    pub(crate) fn contains(&self, class: usize, addr: Addr) -> bool {
-        self.bins[class].contains(&addr)
-    }
 }
 
 #[cfg(test)]
@@ -82,6 +87,11 @@ mod tests {
 
     fn tc() -> Tcache {
         Tcache::new(&[16, 512, 2048, 8192])
+    }
+
+    /// A parked region at `addr` (slot and index do not matter here).
+    fn at(addr: u64) -> Parked {
+        Parked { addr: Addr::new(addr), slab: 0, idx: 0 }
     }
 
     #[test]
@@ -93,10 +103,10 @@ mod tests {
     #[test]
     fn lifo_reuse() {
         let mut t = tc();
-        assert!(t.push(0, Addr::new(16)));
-        assert!(t.push(0, Addr::new(32)));
-        assert_eq!(t.pop(0), Some(Addr::new(32)), "LIFO for cache warmth");
-        assert_eq!(t.pop(0), Some(Addr::new(16)));
+        assert!(t.push(0, at(16)));
+        assert!(t.push(0, at(32)));
+        assert_eq!(t.pop(0), Some(at(32)), "LIFO for cache warmth");
+        assert_eq!(t.pop(0), Some(at(16)));
         assert_eq!(t.pop(0), None);
     }
 
@@ -104,23 +114,23 @@ mod tests {
     fn overflow_then_flush_half() {
         let mut t = tc();
         for i in 0..4 {
-            assert!(t.push(3, Addr::new(i * 8192)));
+            assert!(t.push(3, at(i * 8192)));
         }
-        assert!(!t.push(3, Addr::new(999 * 8192)), "full bin rejects");
+        assert!(!t.push(3, at(999 * 8192)), "full bin rejects");
         let flushed = t.flush_half(3);
         assert_eq!(flushed.len(), 2);
-        assert_eq!(flushed, vec![Addr::new(0), Addr::new(8192)], "oldest first");
+        assert_eq!(flushed, vec![at(0), at(8192)], "oldest first");
         assert_eq!(t.cached(3), 2);
     }
 
     #[test]
     fn flush_all_empties_and_tags_class() {
         let mut t = tc();
-        t.push(0, Addr::new(16));
-        t.push(2, Addr::new(4096));
+        t.push(0, at(16));
+        t.push(2, at(4096));
         let mut all = t.flush_all();
         all.sort_by_key(|&(c, _)| c);
-        assert_eq!(all, vec![(0, Addr::new(16)), (2, Addr::new(4096))]);
+        assert_eq!(all, vec![(0, at(16)), (2, at(4096))]);
         assert_eq!(t.cached(0) + t.cached(2), 0);
     }
 }

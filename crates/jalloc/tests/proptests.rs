@@ -137,6 +137,10 @@ impl Heap {
                 "live allocation outside active ranges"
             );
         }
+        // A freed base has no usable size, even while the tcache holds it.
+        for &f in &self.freed {
+            prop_assert_eq!(heap.usable_size(f), None, "freed {}", f);
+        }
         Ok(())
     }
 

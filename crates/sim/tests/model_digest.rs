@@ -279,7 +279,7 @@ fn dense_profile_trace_is_pinned() {
         let buf = SharedBuf::new();
         let mut eng = Engine::new(&dense_profile(), system, 11);
         assert!(eng.set_trace_sink(Box::new(JsonlSink::new(buf.clone())), true));
-        eng.set_slo_policy(SloPolicy::parse("stw=0,sweep=0,qratio=0,util=101").unwrap());
+        eng.set_slo_policy(SloPolicy::parse("stw=0,sweep=0,qratio=0").unwrap());
         eng.run();
         let jsonl = buf.contents();
         assert!(jsonl.contains("\"slo_violation\""), "{label}: the policy must fire");

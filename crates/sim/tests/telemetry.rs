@@ -127,63 +127,11 @@ fn deterministic_traces_are_bit_identical() {
 }
 
 #[test]
-fn profiled_run_attributes_and_reconciles() {
-    use minesweeper::{MsConfig, SWEEP_SUBSYSTEM};
-
-    let cfg = MsConfig { profiler: true, ..MsConfig::fully_concurrent() };
-    let buf = SharedBuf::new();
-    let mut eng = Engine::new(&fast_profile(), System::MineSweeper(cfg), 7);
-    assert!(eng.set_trace_sink(Box::new(JsonlSink::new(buf.clone())), true));
-    let m = eng.run();
-    let jsonl = buf.contents();
-    let snap = m.telemetry.as_ref().unwrap();
-    let report = RunReport::from_jsonl(&jsonl).unwrap();
-    report.reconcile(snap).expect("profiled trace still reconciles");
-
-    // Profiler attribution is in the snapshot and on the MarkPhase events.
-    assert!(
-        snap.histogram(SWEEP_SUBSYSTEM, "step_scan_ns").map_or(0, |h| h.count()) > 0,
-        "profiled run must record step scan times"
-    );
-    assert!(jsonl.contains("\"prof_scan_ns\""), "MarkPhase events carry prof keys");
-    let prof: Vec<_> = report.sweeps.iter().filter_map(|s| s.mark_prof).collect();
-    assert_eq!(prof.len(), report.sweeps.len(), "every sweep's MarkPhase is profiled");
-    assert!(
-        prof.iter().any(|p| p.wc_window_bits + p.wc_direct > 0),
-        "marks must be attributed to the direct or window path"
-    );
-
-    // Deterministic mode keeps its bit-identity promise with the
-    // profiler on: scan_ns is zeroed like every other wall-clock field,
-    // and the remaining prof counters are deterministic.
-    let buf2 = SharedBuf::new();
-    let cfg = MsConfig { profiler: true, ..MsConfig::fully_concurrent() };
-    let mut eng = Engine::new(&fast_profile(), System::MineSweeper(cfg), 7);
-    assert!(eng.set_trace_sink(Box::new(JsonlSink::new(buf2.clone())), true));
-    eng.run();
-    assert_eq!(jsonl, buf2.contents(), "profiled deterministic traces are bit-identical");
-
-    // An identical run with the profiler off emits no prof keys and
-    // registers no sweep.* metrics at all.
-    let buf = SharedBuf::new();
-    let mut eng = Engine::new(&fast_profile(), System::minesweeper_default(), 7);
-    assert!(eng.set_trace_sink(Box::new(JsonlSink::new(buf.clone())), true));
-    let m_off = eng.run();
-    assert!(!buf.contents().contains("prof_scan_ns"));
-    let snap_off = m_off.telemetry.as_ref().unwrap();
-    assert!(snap_off.histogram(SWEEP_SUBSYSTEM, "step_scan_ns").is_none());
-    // The profiler must not change behaviour: same deterministic
-    // sweep/release decisions either way.
-    assert_eq!(m.sweeps, m_off.sweeps);
-    assert_eq!(m.failed_frees, m_off.failed_frees);
-}
-
-#[test]
 fn slo_watchdog_emits_violations_into_the_trace() {
     use telemetry::SloPolicy;
 
     // Impossible objectives: any sweep breaches a zero-cycle pause budget.
-    let policy = SloPolicy::parse("stw=0,sweep=0,util=101").unwrap();
+    let policy = SloPolicy::parse("stw=0,sweep=0").unwrap();
     let buf = SharedBuf::new();
     let mut eng = Engine::new(&fast_profile(), System::minesweeper_mostly(), 9);
     assert!(eng.set_trace_sink(Box::new(JsonlSink::new(buf.clone())), true));

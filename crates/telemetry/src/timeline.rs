@@ -6,7 +6,7 @@
 
 use crate::json::JsonError;
 use crate::registry::{Histogram, HistogramSample, Snapshot};
-use crate::trace::{Event, EventKind, LedgerTotals, MarkProf, Trigger};
+use crate::trace::{Event, EventKind, LedgerTotals, Trigger};
 
 /// One `PinEdge` event: provenance of the pointers that pinned a
 /// quarantined entry during one sweep.
@@ -88,9 +88,6 @@ pub struct SweepRecord {
     pub mark_filter_rejects: u64,
     /// Wall-clock marking time (ns; 0 in deterministic traces).
     pub mark_wall_ns: u64,
-    /// Profiler attribution for the marking phase, summed over the
-    /// sweep's `MarkPhase` events (`None` when the profiler was off).
-    pub mark_prof: Option<MarkProf>,
     /// Pages re-checked by the stop-the-world pass.
     pub stw_pages: u64,
     /// Words re-checked by the stop-the-world pass.
@@ -191,7 +188,7 @@ impl RunReport {
                     marked_granules,
                     filter_rejects,
                     wall_ns,
-                    prof,
+                    prof: _,
                 } => {
                     let r = report.record_mut(*sweep);
                     r.mark_bytes += bytes;
@@ -200,13 +197,6 @@ impl RunReport {
                     r.marked_granules = *marked_granules;
                     r.mark_filter_rejects += filter_rejects;
                     r.mark_wall_ns += wall_ns;
-                    if let Some(p) = prof {
-                        let acc = r.mark_prof.get_or_insert_with(MarkProf::default);
-                        acc.scan_ns += p.scan_ns;
-                        acc.wc_window_bits += p.wc_window_bits;
-                        acc.wc_direct += p.wc_direct;
-                        acc.cache_evictions += p.cache_evictions;
-                    }
                 }
                 EventKind::StwPass { sweep, pages, words } => {
                     let r = report.record_mut(*sweep);
@@ -1005,70 +995,16 @@ mod tests {
     }
 
     #[test]
-    fn profiled_mark_phases_fold_and_slo_events_collect() {
-        let events = vec![
-            ev(
-                10,
-                EventKind::MarkPhase {
-                    sweep: 1,
-                    bytes: 4096,
-                    words: 512,
-                    skipped_bytes: 0,
-                    marked_granules: 4,
-                    filter_rejects: 0,
-                    wall_ns: 100,
-                    prof: Some(MarkProf {
-                        scan_ns: 60,
-                        wc_window_bits: 30,
-                        wc_direct: 2,
-                        cache_evictions: 1,
-                    }),
-                },
-            ),
-            ev(
-                20,
-                EventKind::MarkPhase {
-                    sweep: 1,
-                    bytes: 4096,
-                    words: 512,
-                    skipped_bytes: 0,
-                    marked_granules: 6,
-                    filter_rejects: 0,
-                    wall_ns: 100,
-                    prof: Some(MarkProf {
-                        scan_ns: 40,
-                        wc_window_bits: 10,
-                        wc_direct: 3,
-                        cache_evictions: 0,
-                    }),
-                },
-            ),
-            ev(
-                30,
-                EventKind::SloViolation {
-                    objective: "stw".to_owned(),
-                    observed: 900,
-                    limit: 500,
-                },
-            ),
-        ];
+    fn slo_events_collect() {
+        let events = vec![ev(
+            30,
+            EventKind::SloViolation { objective: "stw".to_owned(), observed: 900, limit: 500 },
+        )];
         let report = RunReport::from_events(&events);
-        assert_eq!(
-            report.sweeps[0].mark_prof,
-            Some(MarkProf {
-                scan_ns: 100,
-                wc_window_bits: 40,
-                wc_direct: 5,
-                cache_evictions: 1,
-            })
-        );
         assert_eq!(report.slo_violations.len(), 1);
         assert_eq!(report.slo_violations[0].objective, "stw");
         assert_eq!(report.slo_violations[0].vnow, 30);
-        // Profiler-off traces keep the record's prof at None.
-        let bare = RunReport::from_events(&sample_run());
-        assert!(bare.sweeps.iter().all(|r| r.mark_prof.is_none()));
-        assert!(bare.slo_violations.is_empty());
+        assert!(RunReport::from_events(&sample_run()).slo_violations.is_empty());
     }
 
     #[test]

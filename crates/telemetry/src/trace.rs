@@ -60,10 +60,12 @@ pub struct LedgerTotals {
     pub fail_events: u64,
 }
 
-/// Profiler attribution for one sweep's marking phase, carried in
-/// [`EventKind::MarkPhase`] when the sweep profiler is enabled. `None`
-/// keeps the event in its pre-profiler wire shape, so golden traces and
-/// old consumers are untouched.
+/// Mark-phase attribution counters, the payload of
+/// [`EventKind::MarkPhase`]'s `prof` field. Nothing in this workspace
+/// produces one: the field and its JSON keys stay only so the
+/// `benchmark/` package's trace test, which builds a `MarkPhase` with
+/// `prof: None`, keeps compiling. Both go when ROADMAP item 3 deletes
+/// `benchmark/src/trace.rs`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub struct MarkProf {
     /// Nanoseconds spent inside the scan kernel (serial steps and
@@ -112,9 +114,8 @@ pub enum EventKind {
         /// Wall-clock marking time in nanoseconds (0 in deterministic
         /// mode).
         wall_ns: u64,
-        /// Profiler attribution; `None` when the sweep profiler is off
-        /// (the JSON then omits the profiler keys, so pre-profiler traces
-        /// parse unchanged).
+        /// Always `None` from this workspace (the JSON then omits the
+        /// `prof_*` keys); see [`MarkProf`] for why the field remains.
         prof: Option<MarkProf>,
     },
     /// A stop-the-world soft-dirty re-check ran (mostly-concurrent mode).
@@ -360,8 +361,8 @@ impl Event {
                 // filter-reject accounting carry no such key.
                 filter_rejects: v.get("filter_rejects").and_then(Json::as_u64).unwrap_or(0),
                 wall_ns: num("wall_ns")?,
-                // The profiler keys are optional: pre-profiler traces (and
-                // profiler-off runs) omit them.
+                // Optional keys: every trace this workspace writes omits
+                // them (see `MarkProf`).
                 prof: match v.get("prof_scan_ns") {
                     None => None,
                     Some(_) => Some(MarkProf {
@@ -617,13 +618,6 @@ impl Tracer {
         self.deterministic = on;
     }
 
-    /// Whether deterministic mode is on (event producers use this to zero
-    /// wall-clock fields the [`Stopwatch`] gate doesn't cover, e.g. the
-    /// profiler's `scan_ns`).
-    pub fn deterministic(&self) -> bool {
-        self.deterministic
-    }
-
     /// Sets the virtual clock stamped into subsequent events.
     pub fn set_virtual_now(&mut self, vnow: u64) {
         self.vnow = vnow;
@@ -777,9 +771,8 @@ mod tests {
     }
 
     #[test]
-    fn profiler_free_mark_phase_serialises_without_prof_keys() {
-        // Profiler off keeps the wire shape byte-identical to pre-profiler
-        // traces (golden fixtures must not move).
+    fn mark_phase_omits_prof_keys_when_none() {
+        // `prof: None` keeps the wire shape the golden fixtures pin.
         let e = Event {
             seq: 1,
             vnow: 0,

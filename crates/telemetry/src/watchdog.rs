@@ -1,13 +1,12 @@
 //! SLO watchdog: evaluates a metrics [`Snapshot`] against configurable
 //! service-level objectives and reports pass/fail per objective.
 //!
-//! Objectives cover the four quantities the paper's evaluation watches:
-//! the worst stop-the-world pause, the worst whole-sweep duration, how
-//! much of everything ever quarantined is still pinned, and how busy the
-//! parallel-mark helpers actually were. An objective whose backing metric
-//! is absent from the snapshot is reported as *unmeasured* and passes —
-//! a serial run without the profiler must not fail a utilization floor it
-//! never measured.
+//! Objectives cover three quantities the paper's evaluation watches: the
+//! worst stop-the-world pause, the worst whole-sweep duration, and how
+//! much of everything ever quarantined is still pinned. An objective
+//! whose backing metric is absent from the snapshot is reported as
+//! *unmeasured* and passes — a fully concurrent run has no pauses to
+//! hold against a pause ceiling.
 
 use crate::registry::{Histogram, HistogramSample, Snapshot};
 use crate::trace::{EventKind, Tracer};
@@ -22,9 +21,6 @@ pub enum SloKind {
     /// Quarantine-residency ceiling: permille of all bytes ever
     /// quarantined that have not been released (`layer` counters).
     QuarantineRatio,
-    /// Helper-utilization floor: mean busy-time percentage across
-    /// parallel-mark threads (`sweep/helper_busy_pct`, profiler).
-    HelperUtil,
 }
 
 impl SloKind {
@@ -34,7 +30,6 @@ impl SloKind {
             SloKind::StwPause => "stw",
             SloKind::SweepDeadline => "sweep",
             SloKind::QuarantineRatio => "qratio",
-            SloKind::HelperUtil => "util",
         }
     }
 
@@ -43,7 +38,6 @@ impl SloKind {
         match self {
             SloKind::StwPause | SloKind::SweepDeadline => "cycles",
             SloKind::QuarantineRatio => "permille",
-            SloKind::HelperUtil => "pct",
         }
     }
 }
@@ -57,13 +51,11 @@ pub struct SloPolicy {
     pub max_sweep_cycles: Option<u64>,
     /// Max permille of ever-quarantined bytes still resident.
     pub max_quarantine_permille: Option<u64>,
-    /// Min mean helper busy percentage (needs the sweep profiler).
-    pub min_helper_util_pct: Option<u64>,
 }
 
 impl SloPolicy {
     /// Parses a `key=value` comma list, e.g.
-    /// `stw=4096,sweep=2000000,qratio=500,util=40`. Keys may appear at
+    /// `stw=4096,sweep=2000000,qratio=500`. Keys may appear at
     /// most once; unknown keys are an error.
     ///
     /// # Errors
@@ -83,7 +75,6 @@ impl SloPolicy {
                 "stw" => &mut p.max_stw_cycles,
                 "sweep" => &mut p.max_sweep_cycles,
                 "qratio" => &mut p.max_quarantine_permille,
-                "util" => &mut p.min_helper_util_pct,
                 other => return Err(format!("unknown SLO objective {other:?}")),
             };
             if slot.replace(value).is_some() {
@@ -145,15 +136,6 @@ impl Watchdog {
         if let Some(limit) = self.policy.max_quarantine_permille {
             checks.push(ceiling(SloKind::QuarantineRatio, limit, quarantine_permille(snap)));
         }
-        if let Some(limit) = self.policy.min_helper_util_pct {
-            let observed = mean_observed(snap.histogram("sweep", "helper_busy_pct"));
-            checks.push(SloCheck {
-                kind: SloKind::HelperUtil,
-                limit,
-                observed,
-                pass: observed.is_none_or(|o| o >= limit),
-            });
-        }
         checks
     }
 
@@ -182,12 +164,6 @@ fn worst_observed(h: Option<&HistogramSample>) -> Option<u64> {
     let h = h.filter(|h| h.count() > 0)?;
     let top = h.buckets.iter().map(|&(i, _)| i).max()?;
     Some(Histogram::bucket_bound(top))
-}
-
-/// Mean observation (`sum / count`; both are exact in the export).
-fn mean_observed(h: Option<&HistogramSample>) -> Option<u64> {
-    let h = h.filter(|h| h.count() > 0)?;
-    Some(h.sum / h.count())
 }
 
 /// Permille of all ever-quarantined bytes that have not been released
@@ -238,15 +214,15 @@ mod tests {
 
     #[test]
     fn policy_parse_accepts_full_spec_and_rejects_junk() {
-        let p = SloPolicy::parse("stw=4096,sweep=2000000,qratio=500,util=40").unwrap();
+        let p = SloPolicy::parse("stw=4096,sweep=2000000,qratio=500").unwrap();
         assert_eq!(p.max_stw_cycles, Some(4096));
         assert_eq!(p.max_sweep_cycles, Some(2_000_000));
         assert_eq!(p.max_quarantine_permille, Some(500));
-        assert_eq!(p.min_helper_util_pct, Some(40));
 
         assert!(SloPolicy::parse("").unwrap().is_empty());
         assert_eq!(SloPolicy::parse(" stw = 7 ").unwrap().max_stw_cycles, Some(7));
         assert!(SloPolicy::parse("bogus=1").is_err());
+        assert!(SloPolicy::parse("util=40").is_err(), "no helper-utilization objective");
         assert!(SloPolicy::parse("stw").is_err());
         assert!(SloPolicy::parse("stw=abc").is_err());
         assert!(SloPolicy::parse("stw=1,stw=2").is_err());
@@ -276,38 +252,29 @@ mod tests {
             max_stw_cycles: Some(1),
             max_sweep_cycles: Some(1),
             max_quarantine_permille: Some(1),
-            min_helper_util_pct: Some(99),
         });
         let checks = wd.evaluate(&snap);
-        assert_eq!(checks.len(), 4);
+        assert_eq!(checks.len(), 3);
         assert!(checks.iter().all(|c| c.pass && c.observed.is_none()));
         let table = slo_table(&checks);
         assert!(table.contains("PASS (unmeasured)"), "{table}");
-        assert!(table.contains("4 objectives checked, 0 violated"), "{table}");
+        assert!(table.contains("3 objectives checked, 0 violated"), "{table}");
     }
 
     #[test]
-    fn quarantine_ratio_and_util_floor() {
+    fn quarantine_ratio_ceiling() {
         let reg = Registry::new();
         reg.counter("layer", "quarantined_bytes").add(1000);
         reg.counter("layer", "released_bytes").add(400);
-        let busy = reg.histogram("sweep", "helper_busy_pct");
-        busy.record(80);
-        busy.record(20); // mean 50
         let snap = reg.snapshot();
 
-        let wd = Watchdog::new(SloPolicy {
-            max_quarantine_permille: Some(500),
-            min_helper_util_pct: Some(60),
-            ..Default::default()
-        });
+        let wd =
+            Watchdog::new(SloPolicy { max_quarantine_permille: Some(500), ..Default::default() });
         let checks = wd.evaluate(&snap);
-        let q = checks.iter().find(|c| c.kind == SloKind::QuarantineRatio).unwrap();
-        assert_eq!(q.observed, Some(600), "600‰ still resident");
-        assert!(!q.pass);
-        let u = checks.iter().find(|c| c.kind == SloKind::HelperUtil).unwrap();
-        assert_eq!(u.observed, Some(50));
-        assert!(!u.pass, "mean 50% under the 60% floor");
+        assert_eq!(checks.len(), 1);
+        assert_eq!(checks[0].kind, SloKind::QuarantineRatio);
+        assert_eq!(checks[0].observed, Some(600), "600‰ still resident");
+        assert!(!checks[0].pass);
     }
 
     #[test]

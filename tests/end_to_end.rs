@@ -2,7 +2,8 @@
 //! minesweeper/baselines → workloads → sim) exercised end to end.
 
 use minesweeper_repro::baselines::{MarkUs, MarkUsConfig};
-use minesweeper_repro::minesweeper::{FreeOutcome, MineSweeper, MsConfig};
+use minesweeper_repro::minesweeper::{FreeOutcome, HeapBackend, MineSweeper, MsConfig};
+use minesweeper_repro::scudo::Scudo;
 use minesweeper_repro::sim::{run, run_exploit, System};
 use minesweeper_repro::vmem::AddrSpace;
 use minesweeper_repro::workloads::exploit::{figure2_attack, ExploitOutcome};
@@ -100,6 +101,47 @@ fn double_free_is_idempotent_through_the_stack() {
     ms.sweep_now(&mut space);
     assert_eq!(ms.heap().stats().frees, 1);
     assert_eq!(ms.stats().double_frees, 10);
+}
+
+/// Frees `a`, sweeps it back to the heap, then frees it again: the heap
+/// may still cache the block, but the program no longer owns it, so the
+/// re-free is invalid on every substrate.
+fn refree_after_release<B: HeapBackend>(ms: &mut MineSweeper<B>, space: &mut AddrSpace) {
+    let a = ms.malloc(space, 32);
+    assert_eq!(ms.free(space, a), FreeOutcome::Quarantined);
+    assert_eq!(ms.sweep_now(space).released, 1);
+    assert_eq!(ms.free(space, a), FreeOutcome::Invalid, "re-free of a released block");
+}
+
+/// A re-free after release is rejected, and the next sweep runs clean.
+#[test]
+fn refree_after_release_is_invalid_and_the_next_sweep_survives() {
+    fn check<B: HeapBackend>(mut ms: MineSweeper<B>) {
+        let mut space = AddrSpace::new();
+        refree_after_release(&mut ms, &mut space);
+        let report = ms.sweep_now(&mut space);
+        assert_eq!((report.released, report.failed), (0, 0));
+        assert_eq!(ms.stats().invalid_frees, 1);
+    }
+    check(MineSweeper::new(MsConfig::default()));
+    check(MineSweeper::with_backend(MsConfig::default(), Scudo::new()));
+}
+
+/// A block handed out again after a rejected re-free stays with its new
+/// owner: the next sweep does not free it, and no later malloc returns it.
+#[test]
+fn refree_after_release_cannot_hand_a_block_to_two_owners() {
+    fn check<B: HeapBackend>(mut ms: MineSweeper<B>) {
+        let mut space = AddrSpace::new();
+        refree_after_release(&mut ms, &mut space);
+        let owned = ms.malloc(&mut space, 32);
+        assert_eq!(ms.sweep_now(&mut space).released, 0);
+        for _ in 0..64 {
+            assert_ne!(ms.malloc(&mut space, 32), owned, "live block handed out twice");
+        }
+    }
+    check(MineSweeper::new(MsConfig::default()));
+    check(MineSweeper::with_backend(MsConfig::default(), Scudo::new()));
 }
 
 /// The allocation-heavy SPEC profiles trigger many more sweeps than the
