@@ -220,7 +220,7 @@ impl MarkUs {
         // minimum size class is one 16-byte granule, so distinct bases
         // always occupy distinct granule bits, and `mark`'s newly-set
         // return drives worklist insertion exactly like `HashSet::insert`.
-        let marked = ShadowMap::new();
+        let mut marked = ShadowMap::new();
         let mut worklist: Vec<(Addr, u64)> = Vec::new();
 
         // Root scan: committed pages of globals and stack (page slices).
@@ -232,7 +232,7 @@ impl MarkUs {
                 let Ok(Some(words)) = space.scan_page(page) else { continue };
                 report.scanned_words += words.len() as u64;
                 for &value in words.iter() {
-                    self.visit(value, &layout, &marked, &mut worklist);
+                    self.visit(value, &layout, &mut marked, &mut worklist);
                 }
             }
         }
@@ -253,7 +253,7 @@ impl MarkUs {
                     // `visit` needs `&self` only; the worklist and marked
                     // set are locals, so the page borrow is undisturbed.
                     for &value in &words[w0..w1] {
-                        self.visit(value, &layout, &marked, &mut worklist);
+                        self.visit(value, &layout, &mut marked, &mut worklist);
                     }
                 }
                 off = page_end;
@@ -296,7 +296,7 @@ impl MarkUs {
         &self,
         value: u64,
         layout: &vmem::Layout,
-        marked: &ShadowMap,
+        marked: &mut ShadowMap,
         worklist: &mut Vec<(Addr, u64)>,
     ) {
         if !layout.heap_contains(Addr::new(value)) {

@@ -1,5 +1,5 @@
-//! Criterion micro-benchmarks for the core mechanisms: raw sweep bandwidth
-//! (serial vs parallel), shadow-map marking, allocator fast paths, the
+//! Criterion micro-benchmarks for the core mechanisms: raw sweep bandwidth,
+//! shadow-map marking, allocator fast paths, the
 //! quarantine insert path, and end-to-end figure-scale runs on a demo
 //! profile. These measure the *reproduction's* real-machine performance;
 //! the paper-figure numbers come from the virtual cost model (see
@@ -9,10 +9,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use std::hint::black_box;
 
 use jalloc::JAlloc;
-use minesweeper::{
-    parallel_mark_pool, MarkAccel, Marker, MineSweeper, MsConfig, PoolMarkJob, PoolMarkOpts,
-    ShadowMap, SweepPlan,
-};
+use minesweeper::{MarkAccel, Marker, MineSweeper, MsConfig, ShadowMap, SweepPlan};
 use sim::{run, System};
 use vmem::{Addr, AddrSpace, PAGE_SIZE};
 use workloads::Profile;
@@ -43,28 +40,6 @@ fn bench_sweep(c: &mut Criterion) {
             black_box(shadow.marked_count())
         })
     });
-    for helpers in [1usize, 3, 6] {
-        group.bench_with_input(
-            BenchmarkId::new("parallel_mark_helpers", helpers),
-            &helpers,
-            |b, &h| {
-                let opts = PoolMarkOpts { helper_threads: h, ..PoolMarkOpts::default() };
-                b.iter(|| {
-                    let shadow = ShadowMap::new();
-                    let job = PoolMarkJob {
-                        space: &space,
-                        plan: &plan,
-                        shadow: &shadow,
-                        filter: None,
-                        cache: None,
-                        forensics: None,
-                    };
-                    parallel_mark_pool(&job, &opts);
-                    black_box(shadow.marked_count())
-                })
-            },
-        );
-    }
     group.finish();
 }
 
@@ -72,17 +47,17 @@ fn bench_shadow(c: &mut Criterion) {
     let mut group = c.benchmark_group("shadow_map");
     group.bench_function("mark_1k_scattered", |b| {
         b.iter(|| {
-            let s = ShadowMap::new();
+            let mut s = ShadowMap::new();
             let mut w = s.writer();
             for i in 0..1000u64 {
                 w.mark(Addr::new(0x1_0000_0000 + i * 4096));
             }
-            drop(w); // publish buffered marks
+            drop(w); // store buffered marks
             black_box(s.marked_count())
         })
     });
     group.bench_function("range_check_64B", |b| {
-        let s = ShadowMap::new();
+        let mut s = ShadowMap::new();
         s.mark(Addr::new(0x1_0000_0040));
         b.iter(|| black_box(s.range_marked(Addr::new(0x1_0000_0000), 64)))
     });

@@ -1,15 +1,14 @@
-//! Raw sweep-bandwidth measurement: serial and parallel marking, scalar
-//! vs SIMD kernels — in words/second — plus the kernel gate CI holds the
-//! mark path to.
+//! Raw sweep-bandwidth measurement: scalar vs SIMD mark kernels — in
+//! words/second — plus the kernel gate CI holds the mark path to.
 //!
 //! Configurations over the same default fixture — a zero-on-free
 //! steady-state heap: contiguous freed-and-zeroed 512 B blocks (just
 //! under half the heap) interleaved with live blocks holding LCG-placed
 //! pointers (1 word in 7) amid nonzero junk:
 //!
-//! * `atomic_serial` — the pre-SIMD production loop, preserved here as
+//! * `scalar_serial` — the pre-SIMD production loop, preserved here as
 //!   the scalar reference: one `scan_page` probe per page slice, then a
-//!   per-word `!= 0` + `heap_contains` test into a
+//!   per-word `!= 0` + `heap_contains` test into the map's
 //!   [`ShadowWriter`](minesweeper::ShadowWriter);
 //! * `simd_serial` — the production [`Marker`] path with the chunked
 //!   SIMD kernel at its auto-dispatched tier (AVX2 where available);
@@ -17,9 +16,6 @@
 //!   what non-x86 (or pre-SSE2) hosts would run;
 //! * `simd_serial_nullsink` — `simd_serial` with the sweep tracer
 //!   engaged on a null sink: the per-phase emission cost;
-//! * `steal_parallel_hN` — [`parallel_mark_pool`]: N+1 threads
-//!   claiming 64-page chunks off one atomic work queue into one shared
-//!   map;
 //! * `incremental_dP` — the incremental sweep: a [`PageCache`] primed by
 //!   a cold sweep, then each rep retires a P%-dirty page set and replays
 //!   the digests of the clean remainder instead of re-reading it;
@@ -38,17 +34,12 @@
 //!   perfectly predictable branches (the scalar loop's best case), so
 //!   this row isolates the vectorised range test alone.
 //!
-//! Helper counts are reported as requested *and* effective — the
-//! production path clamps to [`effective_helper_count`], and any parallel
-//! row whose clamp leaves zero helpers is flagged `degraded` in the JSON
-//! so a 1-CPU container can't masquerade as a scaling measurement.
-//!
 //! Timing is `std::time::Instant` only (no harness dependency); the best
 //! of `--reps` runs is reported, which is the right statistic for a
 //! bandwidth measurement on a shared machine. Results are printed as a
 //! table and written as JSON (default `BENCH_sweep.json`, `--out PATH`).
 //!
-//! **Gate.** `tier-ratio`: `atomic_serial` time over `simd_serial` time,
+//! **Gate.** `tier-ratio`: `scalar_serial` time over `simd_serial` time,
 //! the SIMD kernel's speed-up, measured within the run as the median of
 //! `2 × reps` interleaved pairs (so host speed drift lands on both sides
 //! of every pair), must not fall below the active tier's
@@ -66,20 +57,20 @@ use std::time::Instant;
 
 use minesweeper::telemetry::{EventKind, NullSink, Tracer};
 use minesweeper::{
-    effective_helper_count, parallel_mark_pool, CandidateFilter, EdgeRecorder, ForensicsMode,
-    MarkAccel, Marker, PageCache, PoolMarkJob, PoolMarkOpts, QEntry, ScanTier, ShadowMap,
-    SweepPlan,
+    CandidateFilter, EdgeRecorder, ForensicsMode, MarkAccel, Marker, PageCache, QEntry, ScanTier,
+    ShadowMap, SweepPlan,
 };
 use vmem::{Addr, AddrSpace, Layout, PageIdx, PAGE_SIZE, WORD_SIZE};
 
 const USAGE: &str = "usage: sweep_bandwidth [--pages N] [--reps N] [--out PATH] \
                      [--handicap NAME:FACTOR]... [--quick]";
 
-/// Lowest `atomic_serial`/`simd_serial` time ratio (the SIMD speed-up)
+/// Lowest `scalar_serial`/`simd_serial` time ratio (the SIMD speed-up)
 /// the `tier-ratio` gate accepts on `tier`. SSE2 vectorises only the
-/// zero early-out, so its clean ratio sits near 1.1 and its floor is
-/// lower; each floor still sits between the tier's clean runs and its
-/// 2× `simd_serial` handicap.
+/// zero early-out, so its clean ratio sits near 1.0 and its floor is
+/// lower. The AVX2 and SSE2 floors sit between the tier's clean runs
+/// and its 2× `simd_serial` handicap; SWAR's clean runs straddle its
+/// floor.
 fn tier_ratio_floor(tier: ScanTier) -> f64 {
     match tier {
         ScanTier::Avx2 | ScanTier::Swar => 1.2,
@@ -234,11 +225,12 @@ fn sparse_fixture(pages: u64) -> (AddrSpace, SweepPlan) {
 }
 
 /// The pre-SIMD production loop: the scalar baseline every SIMD row is
-/// judged against, and the `tier-ratio` gate's reference. Same
-/// `scan_page` slices and [`ShadowWriter`](minesweeper::ShadowWriter) as
-/// the production path; only the per-word zero test + `heap_contains`
-/// differ from the kernel.
-fn scalar_mark(space: &AddrSpace, layout: &Layout, plan: &SweepPlan, shadow: &ShadowMap) -> u64 {
+/// judged against, and the `tier-ratio` gate's reference. Marks `plan`
+/// into a fresh map through the same `scan_page` slices and
+/// [`ShadowWriter`](minesweeper::ShadowWriter) as the production path;
+/// only the per-word zero test + `heap_contains` differ from the kernel.
+fn scalar_mark(space: &AddrSpace, layout: &Layout, plan: &SweepPlan) -> u64 {
+    let mut shadow = ShadowMap::new();
     let mut writer = shadow.writer();
     for &(base, len) in plan.ranges() {
         let mut off = 0;
@@ -273,42 +265,21 @@ fn serial_mark(space: &mut AddrSpace, plan: &SweepPlan, accel: &mut MarkAccel<'_
     shadow.marked_count()
 }
 
-/// Marks `plan` into a fresh map through [`parallel_mark_pool`] and
-/// returns the marked granule count.
-fn pool_mark(space: &AddrSpace, plan: &SweepPlan, opts: &PoolMarkOpts) -> u64 {
-    let shadow = ShadowMap::new();
-    let job =
-        PoolMarkJob { space, plan, shadow: &shadow, filter: None, cache: None, forensics: None };
-    parallel_mark_pool(&job, opts);
-    shadow.marked_count()
-}
-
 /// One measured configuration.
 struct Sample {
     name: String,
-    /// Helper threads as requested on the config.
-    helpers: usize,
-    /// Helper threads actually spawned after the hardware clamp.
-    effective_helpers: usize,
     /// Dirty-page percentage for incremental configs, `None` otherwise.
     dirty_pct: Option<u32>,
-    /// A parallel config whose clamp left zero helpers: the row ran
-    /// serially and must not be read as a scaling measurement.
-    degraded: bool,
     best_secs: f64,
     words_per_sec: f64,
     marked: u64,
 }
 
 impl Sample {
-    fn new(name: &str, helpers: usize, total_words: u64, best_secs: f64, marked: u64) -> Self {
-        let effective = effective_helper_count(helpers);
+    fn new(name: &str, total_words: u64, best_secs: f64, marked: u64) -> Self {
         Sample {
             name: name.to_string(),
-            helpers,
-            effective_helpers: effective,
             dirty_pct: None,
-            degraded: helpers > 0 && effective == 0,
             best_secs,
             words_per_sec: total_words as f64 / best_secs,
             marked,
@@ -324,13 +295,7 @@ fn timed(name: &str, run: impl FnOnce() -> u64) -> (f64, u64) {
     (t0.elapsed().as_secs_f64() * handicap_for(name), marked)
 }
 
-fn measure(
-    name: &str,
-    helpers: usize,
-    total_words: u64,
-    reps: u32,
-    mut run: impl FnMut() -> u64,
-) -> Sample {
+fn measure(name: &str, total_words: u64, reps: u32, mut run: impl FnMut() -> u64) -> Sample {
     let mut best = f64::INFINITY;
     let mut marked = 0;
     for _ in 0..reps {
@@ -338,7 +303,7 @@ fn measure(
         best = best.min(secs);
         marked = m;
     }
-    Sample::new(name, helpers, total_words, best, marked)
+    Sample::new(name, total_words, best, marked)
 }
 
 /// Runs configs `a` and `b` alternately, `pairs` times each, over the same
@@ -369,8 +334,8 @@ fn paired(
     let median =
         if ratios.len() % 2 == 0 { (ratios[mid - 1] + ratios[mid]) / 2.0 } else { ratios[mid] };
     (
-        Sample::new(name_a, 0, total_words, best_a, marked_a),
-        Sample::new(name_b, 0, total_words, best_b, marked_b),
+        Sample::new(name_a, total_words, best_a, marked_a),
+        Sample::new(name_b, total_words, best_b, marked_b),
         median,
     )
 }
@@ -386,35 +351,28 @@ fn main() -> ExitCode {
     let Opts { pages, reps, out: out_path, handicaps } = opts;
     HANDICAPS.set(handicaps).expect("set once");
     let cpus = std::thread::available_parallelism().map_or(0, |n| n.get());
-    if cpus <= 1 {
-        eprintln!(
-            "warning: 1 CPU available — parallel rows run with zero helpers and are \
-             flagged \"degraded\" in the JSON"
-        );
-    }
 
     let (mut space, plan) = sweep_fixture(pages);
     let layout = *space.layout();
     let total_words = pages * (PAGE_SIZE / WORD_SIZE) as u64;
-    let helper_counts = [1usize, 3, 6];
     let mut samples: Vec<Sample> = Vec::new();
 
     // The gated rows, measured as interleaved pairs: the scalar reference
     // against the SIMD production path (the tier ratio).
     let pairs = reps * 2;
-    let (atomic, simd, tier_ratio) = paired(
+    let (scalar, simd, tier_ratio) = paired(
         &mut space,
         total_words,
         pairs,
-        ("atomic_serial", |sp: &mut AddrSpace| scalar_mark(sp, &layout, &plan, &ShadowMap::new())),
+        ("scalar_serial", |sp: &mut AddrSpace| scalar_mark(sp, &layout, &plan)),
         ("simd_serial", |sp: &mut AddrSpace| serial_mark(sp, &plan, &mut MarkAccel::default())),
     );
-    samples.push(atomic);
+    samples.push(scalar);
     samples.push(simd);
 
     // The portable SWAR tier through the same production path.
     let swar = || MarkAccel { tier: Some(ScanTier::Swar), ..MarkAccel::default() };
-    samples.push(measure("swar_serial", 0, total_words, reps, || {
+    samples.push(measure("swar_serial", total_words, reps, || {
         serial_mark(&mut space, &plan, &mut swar())
     }));
 
@@ -423,7 +381,7 @@ fn main() -> ExitCode {
     // and one event per mark phase, never per word).
     let mut tracer = Tracer::disabled();
     tracer.set_sink(Box::new(NullSink));
-    samples.push(measure("simd_serial_nullsink", 0, total_words, reps, || {
+    samples.push(measure("simd_serial_nullsink", total_words, reps, || {
         let sw = tracer.stopwatch();
         let marked = serial_mark(&mut space, &plan, &mut MarkAccel::default());
         tracer.emit(|| EventKind::MarkPhase {
@@ -438,15 +396,6 @@ fn main() -> ExitCode {
         });
         marked
     }));
-
-    // Work-stealing parallel mark: one shared atomic map, 64-page chunks
-    // off an atomic cursor.
-    for &h in &helper_counts {
-        samples.push(measure(&format!("steal_parallel_h{h}"), h, total_words, reps, || {
-            let opts = PoolMarkOpts { helper_threads: h, ..PoolMarkOpts::default() };
-            pool_mark(&space, &plan, &opts)
-        }));
-    }
 
     // Incremental sweep: prime a page-summary cache with one cold sweep,
     // then each rep retires the dirty fraction (every strideth page) and
@@ -471,7 +420,7 @@ fn main() -> ExitCode {
             None => format!("incremental_d{pct}"),
             Some(t) => format!("incremental_d{pct}_{}", t.as_str()),
         };
-        let mut s = measure(&name, 0, total_words, reps, || {
+        let mut s = measure(&name, total_words, reps, || {
             epoch += 1;
             cache.begin_sweep(&plan, &dirty, epoch);
             let mut accel = MarkAccel { cache: Some(&mut cache), tier, ..MarkAccel::default() };
@@ -503,7 +452,7 @@ fn main() -> ExitCode {
         let mut accel =
             MarkAccel { filter: Some(&filter), cache: Some(&mut cache), ..MarkAccel::default() };
         serial_mark(&mut space, &plan, &mut accel);
-        let mut s = measure("incremental_filtered_d5", 0, total_words, reps, || {
+        let mut s = measure("incremental_filtered_d5", total_words, reps, || {
             epoch += 1;
             cache.begin_sweep(&plan, &dirty, epoch);
             let mut accel = MarkAccel {
@@ -521,7 +470,7 @@ fn main() -> ExitCode {
     // synthetic quarantine (every 8th page is one page-sized candidate —
     // sparse, like a real locked set). Off measures the disabled
     // single-branch dispatch cost; sampled and full pay the per-hit
-    // binary search + atomic update. Recording never touches the shadow
+    // binary search + counter update. Recording never touches the shadow
     // map, so every config checks against the full-sweep mark set.
     let candidates: Vec<QEntry> = (0..pages)
         .filter(|i| i % 8 == 0)
@@ -532,9 +481,9 @@ fn main() -> ExitCode {
         ("forensics_sampled_s8", ForensicsMode::Sampled(8)),
         ("forensics_full", ForensicsMode::Full),
     ] {
-        let recorder = EdgeRecorder::new(&candidates, mode);
-        samples.push(measure(name, 0, total_words, reps, || {
-            let mut accel = MarkAccel { forensics: recorder.as_ref(), ..MarkAccel::default() };
+        let mut recorder = EdgeRecorder::new(&candidates, mode);
+        samples.push(measure(name, total_words, reps, || {
+            let mut accel = MarkAccel { forensics: recorder.as_mut(), ..MarkAccel::default() };
             serial_mark(&mut space, &plan, &mut accel)
         }));
         if mode == ForensicsMode::Full {
@@ -547,38 +496,30 @@ fn main() -> ExitCode {
     // lane-OR early-out skips whole 8-word chunks here, so these rows
     // show the kernel's best case (and the scalar loop's per-word tax).
     let (mut sparse_space, sparse_plan) = sparse_fixture(pages);
-    let expect_sparse = {
-        let shadow = ShadowMap::new();
-        scalar_mark(&sparse_space, &layout, &sparse_plan, &shadow)
-    };
-    samples.push(measure("atomic_serial_sparse", 0, total_words, reps, || {
-        let shadow = ShadowMap::new();
-        scalar_mark(&sparse_space, &layout, &sparse_plan, &shadow)
+    let expect_sparse = scalar_mark(&sparse_space, &layout, &sparse_plan);
+    samples.push(measure("scalar_serial_sparse", total_words, reps, || {
+        scalar_mark(&sparse_space, &layout, &sparse_plan)
     }));
-    samples.push(measure("simd_serial_sparse", 0, total_words, reps, || {
+    samples.push(measure("simd_serial_sparse", total_words, reps, || {
         serial_mark(&mut sparse_space, &sparse_plan, &mut MarkAccel::default())
     }));
-    samples.push(measure("swar_serial_sparse", 0, total_words, reps, || {
+    samples.push(measure("swar_serial_sparse", total_words, reps, || {
         serial_mark(&mut sparse_space, &sparse_plan, &mut swar())
     }));
 
     // All-nonzero fixture: the kernel's worst case and the scalar loop's
     // best case (predictable strided branches, no zero chunks to skip).
     let (mut dense_space, dense_plan) = dense_fixture(pages);
-    let expect_dense = {
-        let shadow = ShadowMap::new();
-        scalar_mark(&dense_space, &layout, &dense_plan, &shadow)
-    };
-    samples.push(measure("atomic_serial_dense", 0, total_words, reps, || {
-        let shadow = ShadowMap::new();
-        scalar_mark(&dense_space, &layout, &dense_plan, &shadow)
+    let expect_dense = scalar_mark(&dense_space, &layout, &dense_plan);
+    samples.push(measure("scalar_serial_dense", total_words, reps, || {
+        scalar_mark(&dense_space, &layout, &dense_plan)
     }));
-    samples.push(measure("simd_serial_dense", 0, total_words, reps, || {
+    samples.push(measure("simd_serial_dense", total_words, reps, || {
         serial_mark(&mut dense_space, &dense_plan, &mut MarkAccel::default())
     }));
 
     // Every full configuration must find the same mark set as the scalar
-    // reference (`atomic_serial`, the first row); filtered, sparse and
+    // reference (`scalar_serial`, the first row); filtered, sparse and
     // dense configurations check against their own serial references.
     let expect = samples[0].marked;
     for s in &samples {
@@ -601,16 +542,14 @@ fn main() -> ExitCode {
         reps,
         cpus
     );
-    println!("{:<24} {:>9} {:>6} {:>12} {:>14}", "config", "help r/e", "dirty", "ms", "Mwords/s");
+    println!("{:<24} {:>6} {:>12} {:>14}", "config", "dirty", "ms", "Mwords/s");
     for s in &samples {
         println!(
-            "{:<24} {:>9} {:>6} {:>12.3} {:>14.1}{}",
+            "{:<24} {:>6} {:>12.3} {:>14.1}",
             s.name,
-            format!("{}/{}", s.helpers, s.effective_helpers),
             s.dirty_pct.map_or("-".to_string(), |p| format!("{p}%")),
             s.best_secs * 1e3,
             s.words_per_sec / 1e6,
-            if s.degraded { "  [degraded: 0 helpers]" } else { "" },
         );
     }
 
@@ -618,8 +557,8 @@ fn main() -> ExitCode {
     // for transparency.
     let by_name = |n: &str| samples.iter().find(|s| s.name == n).unwrap();
     let dense_ratio =
-        by_name("simd_serial_dense").words_per_sec / by_name("atomic_serial_dense").words_per_sec;
-    println!("\nsimd_serial_dense vs atomic_serial_dense (no-zero worst case): {dense_ratio:.2}x");
+        by_name("simd_serial_dense").words_per_sec / by_name("scalar_serial_dense").words_per_sec;
+    println!("\nsimd_serial_dense vs scalar_serial_dense (no-zero worst case): {dense_ratio:.2}x");
 
     // Tracing-overhead ratio: traced (null sink) vs untraced SIMD serial.
     let null_sink_ratio =
@@ -629,7 +568,7 @@ fn main() -> ExitCode {
     let floor = tier_ratio_floor(tier);
     let failed = failed_gates(tier, tier_ratio);
     println!(
-        "\ngate tier-ratio: atomic_serial/simd_serial {tier_ratio:.3}x, floor \
+        "\ngate tier-ratio: scalar_serial/simd_serial {tier_ratio:.3}x, floor \
          {floor:.2}x: {}",
         if failed.is_empty() { "PASS" } else { "FAIL" }
     );
@@ -661,11 +600,8 @@ fn main() -> ExitCode {
         let dirty = s.dirty_pct.map_or("null".to_string(), |p| p.to_string());
         let _ = writeln!(
             json,
-            "    {{ \"name\": \"{}\", \"requested_helpers\": {}, \"effective_helpers\": {}, \"degraded\": {}, \"dirty_pct\": {dirty}, \"best_ms\": {:.3}, \"words_per_sec\": {:.0} }}{comma}",
+            "    {{ \"name\": \"{}\", \"dirty_pct\": {dirty}, \"best_ms\": {:.3}, \"words_per_sec\": {:.0} }}{comma}",
             s.name,
-            s.helpers,
-            s.effective_helpers,
-            s.degraded,
             s.best_secs * 1e3,
             s.words_per_sec
         );
@@ -708,7 +644,10 @@ mod tests {
     #[test]
     fn clean_extremes_pass_and_their_2x_handicaps_fail() {
         // The extremes of each tier's clean runs the floors were set from
-        // (`--pages 256 --reps 8`). A 2x handicap halves the tier ratio.
+        // (`--pages 256 --reps 8`), timed against a scalar reference that
+        // flushed with locked `fetch_or`s. The single-writer reference
+        // reads faster, so today's clean ratios sit lower (DESIGN.md,
+        // *Kernel gate*). A 2x handicap halves the tier ratio.
         for (tier, tier_min, tier_max) in [
             (ScanTier::Avx2, 1.608, 1.763),
             (ScanTier::Sse2, 1.058, 1.123),

@@ -89,7 +89,8 @@ pub struct MsConfig {
     /// "sequential version", §5.4).
     pub concurrent: bool,
     /// Helper threads for parallel marking, in addition to the main
-    /// sweeper (§4.4; the paper defaults to 6).
+    /// sweeper (§4.4; the paper defaults to 6). The cost model bills
+    /// them; one thread does the marking.
     pub helper_threads: usize,
     /// Trigger a full allocator purge after every sweep (§4.5).
     pub purge_after_sweep: bool,

@@ -6,7 +6,7 @@
 //! nothing else). The common swept word — zero after zero-on-free, or a
 //! pointer to *live* memory — therefore never needs the shadow map at
 //! all: the mark loop tests this bitmap first, trading the shadow map's
-//! radix walk + CAS cache line for one predictable branch over a dense,
+//! radix walk + bitmap write for one predictable branch over a dense,
 //! read-only bitmap. The filter is rebuilt when the quarantine generation
 //! is locked in at sweep start, so it covers exactly the candidate set of
 //! the running sweep.

@@ -4,13 +4,12 @@
 //! Two cooperating pieces, both off unless the `forensics` config knob is
 //! set ([`crate::ForensicsMode`]):
 //!
-//! * [`EdgeRecorder`] — a per-sweep, lock-free aggregator the mark loop
-//!   feeds. When a scanned word points into a locked quarantine candidate,
-//!   the recorder attributes a *provenance edge* (source address → target
-//!   entry) to the entry, keeping a hit count and one example source per
-//!   entry. All state is atomic, so serial stepping and the helper threads of
-//!   [`crate::parallel_mark_pool`] share one recorder without locks.
-//!   Sampled mode records roughly 1-in-N edges through a shared tick.
+//! * [`EdgeRecorder`] — a per-sweep aggregator the mark loop feeds
+//!   through `&mut`. When a scanned word points into a locked quarantine
+//!   candidate, the recorder attributes a *provenance edge* (source
+//!   address → target entry) to the entry, keeping a hit count and one
+//!   example source per entry. Sampled mode records 1-in-N edges through
+//!   a tick.
 //! * [`FailedFreeLedger`] — survives across sweeps in the layer. Every
 //!   failed-free decision lands here (first-failed generation, survival
 //!   count, capped pinner-page set); releases of previously failed entries
@@ -20,7 +19,6 @@
 //!   decisions, not from recorded edges.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use telemetry::LedgerTotals;
 use vmem::{Addr, PAGE_SIZE};
@@ -40,13 +38,13 @@ pub struct EdgeAgg {
     pub src: u64,
 }
 
-/// Lock-free per-sweep recorder of provenance edges into the locked
-/// quarantine candidates.
+/// Per-sweep recorder of provenance edges into the locked quarantine
+/// candidates.
 ///
 /// Built once per sweep from the locked generation; the mark loop calls
 /// [`EdgeRecorder::note`] for every word it marks. A miss (the target is
 /// not inside any candidate) costs one binary search over the sorted
-/// candidate starts; a hit additionally pays two relaxed atomic RMWs.
+/// candidate starts; a hit additionally bumps two counters.
 #[derive(Debug)]
 pub struct EdgeRecorder {
     /// Candidate base addresses, sorted ascending.
@@ -54,15 +52,15 @@ pub struct EdgeRecorder {
     /// Exclusive end address of each candidate, in `starts` order.
     ends: Vec<u64>,
     /// Recorded hits per candidate, in `starts` order.
-    hits: Vec<AtomicU64>,
+    hits: Vec<u64>,
     /// First recorded source address per candidate (0 = none yet).
-    src: Vec<AtomicU64>,
+    src: Vec<u64>,
     /// Record one edge in `period` (1 = record everything).
     period: u64,
-    /// Shared sampling tick.
-    tick: AtomicU64,
+    /// Sampling tick: calls to [`EdgeRecorder::note`] so far.
+    tick: u64,
     /// Total edges recorded, post-sampling.
-    recorded: AtomicU64,
+    recorded: u64,
 }
 
 impl EdgeRecorder {
@@ -82,11 +80,11 @@ impl EdgeRecorder {
         Some(EdgeRecorder {
             starts: ranges.iter().map(|&(s, _)| s).collect(),
             ends: ranges.iter().map(|&(_, e)| e).collect(),
-            hits: (0..n).map(|_| AtomicU64::new(0)).collect(),
-            src: (0..n).map(|_| AtomicU64::new(0)).collect(),
+            hits: vec![0; n],
+            src: vec![0; n],
             period,
-            tick: AtomicU64::new(0),
-            recorded: AtomicU64::new(0),
+            tick: 0,
+            recorded: 0,
         })
     }
 
@@ -96,10 +94,13 @@ impl EdgeRecorder {
     /// cache-replayed words. The sampler runs first so sampled mode
     /// skips the candidate search for the 1-in-N calls it drops.
     #[inline]
-    pub fn note(&self, src: Addr, target: Addr) {
-        if self.period > 1 && !self.tick.fetch_add(1, Ordering::Relaxed).is_multiple_of(self.period)
-        {
-            return;
+    pub fn note(&mut self, src: Addr, target: Addr) {
+        if self.period > 1 {
+            let tick = self.tick;
+            self.tick += 1;
+            if !tick.is_multiple_of(self.period) {
+                return;
+            }
         }
         let t = target.raw();
         let Some(idx) = self.starts.partition_point(|&s| s <= t).checked_sub(1) else {
@@ -108,19 +109,16 @@ impl EdgeRecorder {
         if t >= self.ends[idx] {
             return;
         }
-        self.hits[idx].fetch_add(1, Ordering::Relaxed);
-        let _ = self.src[idx].compare_exchange(
-            0,
-            src.raw(),
-            Ordering::Relaxed,
-            Ordering::Relaxed,
-        );
-        self.recorded.fetch_add(1, Ordering::Relaxed);
+        self.hits[idx] += 1;
+        if self.src[idx] == 0 {
+            self.src[idx] = src.raw();
+        }
+        self.recorded += 1;
     }
 
     /// Total edges recorded so far (post-sampling).
     pub fn recorded(&self) -> u64 {
-        self.recorded.load(Ordering::Relaxed)
+        self.recorded
     }
 
     /// Per-candidate aggregates for every candidate with at least one
@@ -128,9 +126,8 @@ impl EdgeRecorder {
     pub fn aggregates(&self) -> HashMap<u64, EdgeAgg> {
         let mut out = HashMap::new();
         for (i, &base) in self.starts.iter().enumerate() {
-            let hits = self.hits[i].load(Ordering::Relaxed);
-            if hits > 0 {
-                out.insert(base, EdgeAgg { hits, src: self.src[i].load(Ordering::Relaxed) });
+            if self.hits[i] > 0 {
+                out.insert(base, EdgeAgg { hits: self.hits[i], src: self.src[i] });
             }
         }
         out
@@ -265,7 +262,7 @@ mod tests {
     #[test]
     fn recorder_attributes_hits_to_the_right_entry() {
         let entries = [entry(0x2000, 0x100, 1), entry(0x1000, 0x80, 2)];
-        let rec = EdgeRecorder::new(&entries, ForensicsMode::Full).unwrap();
+        let mut rec = EdgeRecorder::new(&entries, ForensicsMode::Full).unwrap();
         rec.note(Addr::new(0x9000), Addr::new(0x2000)); // base hit
         rec.note(Addr::new(0x9008), Addr::new(0x20ff)); // interior hit
         rec.note(Addr::new(0x9010), Addr::new(0x2100)); // one past end: miss
@@ -282,28 +279,12 @@ mod tests {
     #[test]
     fn recorder_off_is_none_and_sampling_thins_hits() {
         assert!(EdgeRecorder::new(&[entry(0x1000, 0x100, 0)], ForensicsMode::Off).is_none());
-        let rec =
+        let mut rec =
             EdgeRecorder::new(&[entry(0x1000, 0x100, 0)], ForensicsMode::Sampled(4)).unwrap();
         for i in 0..100 {
             rec.note(Addr::new(0x9000 + i * 8), Addr::new(0x1000));
         }
         assert_eq!(rec.recorded(), 25, "1-in-4 sampling records a quarter");
-    }
-
-    #[test]
-    fn recorder_is_shareable_across_threads() {
-        let rec = EdgeRecorder::new(&[entry(0x1000, 0x1000, 0)], ForensicsMode::Full).unwrap();
-        std::thread::scope(|s| {
-            for t in 0..4 {
-                let rec = &rec;
-                s.spawn(move || {
-                    for i in 0..1000 {
-                        rec.note(Addr::new(0x9000 + t * 8192 + i * 8), Addr::new(0x1800));
-                    }
-                });
-            }
-        });
-        assert_eq!(rec.recorded(), 4000, "no lost updates");
     }
 
     #[test]

@@ -594,7 +594,7 @@ impl<B: HeapBackend> MineSweeper<B> {
             filter: active.filter.as_ref(),
             cache,
             qgen: active.qgen,
-            forensics: active.recorder.as_ref(),
+            forensics: active.recorder.as_mut(),
             tier: None,
         };
         let r = active.marker.step(space, &mut self.shadow, word_budget, &mut accel);

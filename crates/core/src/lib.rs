@@ -83,10 +83,7 @@ pub use quarantine::{QEntry, Quarantine};
 pub use shadow::{NaiveShadowMap, ShadowMap, ShadowWriter, MAX_SHADOWED};
 pub use stats::MsStats;
 pub use simd::ScanTier;
-pub use sweep::{
-    effective_helper_count, parallel_mark_pool, MarkAccel, Marker, ParallelMarkStats, PoolMarkJob,
-    PoolMarkOpts, StepResult, SweepPlan, PARALLEL_CHUNK_PAGES,
-};
+pub use sweep::{MarkAccel, Marker, StepResult, SweepPlan};
 pub use telem::{MsCounters, LAYER_SUBSYSTEM};
 
 // The telemetry crate itself, re-exported so embedders can name sinks,

@@ -261,7 +261,7 @@ impl<B: HeapBackend> MteHeap<B> {
         // filter by tag match.
         let layout = *space.layout();
         let plan = SweepPlan::build(space, &self.ms.heap().active_ranges());
-        let shadow = ShadowMap::new();
+        let mut shadow = ShadowMap::new();
         let mut writer = shadow.writer();
         for &(range_base, len) in plan.ranges() {
             let mut off = 0;

@@ -18,7 +18,7 @@
 //! ```
 //!
 //! * the low 15 bits select one of 32 Ki bits inside a **chunk** — 512
-//!   `AtomicU64` words, a 4 KiB bitmap page shadowing 512 KiB of address
+//!   `u64` words, a 4 KiB bitmap page shadowing 512 KiB of address
 //!   space (the same 1/128 ratio as the paper's flat map);
 //! * the middle 15 bits index a **level-2 table** of 32 Ki chunk
 //!   pointers;
@@ -28,37 +28,25 @@
 //! Together they cover 2⁴² granules = 64 TiB of virtual address space
 //! ([`MAX_SHADOWED`]), comfortably above the [`vmem::Layout`] reservation.
 //!
-//! # Concurrency
+//! # One writer
 //!
-//! All mutation goes through `&self` with atomics, so one `ShadowMap` can
-//! be shared by every marking thread (§4.4: parallel markers write into a
-//! single map — mark bits are only ever *set* during a sweep, so there is
-//! no lost-update hazard and no per-thread maps or merge barrier):
-//!
-//! * tables and chunks are lazily allocated and **published by
-//!   compare-and-swap** (`AcqRel`/`Acquire`, so a reader that observes a
-//!   pointer also observes the zeroed contents); a loser of the race
-//!   frees its allocation and adopts the winner's;
-//! * bits are set with a *load-first* `Relaxed` `fetch_or` — during
-//!   marking most pointer-dense pages repeat targets, so the common case
-//!   is a plain load that finds the bit already set and skips the RMW;
-//! * the global mark counter is a `Relaxed` `AtomicU64` bumped only by
-//!   the thread whose `fetch_or` actually flipped the bit, which keeps
-//!   [`ShadowMap::marked_count`] exact under contention.
-//!
-//! Reads during a sweep are `Relaxed`: the release walk only begins after
-//! the marking threads have been joined, which is already a stronger
-//! synchronisation point than any fence the map could provide.
+//! Marking takes `&mut self` — [`ShadowMap::mark`] for a single mark,
+//! [`ShadowMap::writer`] for a tight loop — so a map has exactly one
+//! writer at a time, and the type is not `Sync`: a second concurrent
+//! writer does not compile. Directory slots are [`OnceCell`]s and bitmap
+//! words [`Cell`]s only so that the writer can keep `&Chunk`s in its
+//! cache while it allocates further chunks and sets bits in the ones it
+//! holds. Every store is a plain store: no atomics and no locks. The
+//! paper's helper marking threads (§4.4) are billed by the cost model,
+//! not run.
 //!
 //! [`ShadowWriter`] caches the last-touched chunk so the hot marking loop
 //! (consecutive pointers overwhelmingly land in the same 512 KiB window)
 //! skips the radix walk entirely.
 
+use std::cell::{Cell, OnceCell};
 use std::collections::HashMap;
 use std::fmt;
-use std::ptr;
-use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
-use std::sync::Mutex;
 
 use vmem::{Addr, GRANULE_SIZE};
 
@@ -98,88 +86,38 @@ pub const MAX_SHADOWED: u64 =
     (L1_ENTRIES as u64) << (L2_SHIFT + CHUNK_SHIFT) << GRANULE_SIZE.trailing_zeros();
 
 /// One 4 KiB bitmap leaf.
+#[derive(Clone)]
 struct Chunk {
-    words: [AtomicU64; CHUNK_WORDS],
+    words: [Cell<u64>; CHUNK_WORDS],
 }
 
 impl Chunk {
     fn new_boxed() -> Box<Chunk> {
-        Box::new(Chunk { words: std::array::from_fn(|_| AtomicU64::new(0)) })
+        Box::new(Chunk { words: std::array::from_fn(|_| Cell::new(0)) })
     }
 }
 
-/// A level-2 table: 32 Ki lazily-published chunk pointers (256 KiB).
+/// A level-2 table: 32 Ki lazily allocated chunk slots (256 KiB).
+#[derive(Clone)]
 struct Level2 {
-    chunks: Box<[AtomicPtr<Chunk>]>,
+    chunks: Box<[OnceCell<Box<Chunk>>]>,
 }
 
 impl Level2 {
     fn new_boxed() -> Box<Level2> {
-        // Built through a Vec: a 256 KiB array temporary must not cross
-        // the stack.
-        let chunks: Vec<AtomicPtr<Chunk>> =
-            (0..L2_ENTRIES).map(|_| AtomicPtr::new(ptr::null_mut())).collect();
-        Box::new(Level2 { chunks: chunks.into_boxed_slice() })
+        // Built through an iterator: a 256 KiB array temporary must not
+        // cross the stack.
+        Box::new(Level2 { chunks: (0..L2_ENTRIES).map(|_| OnceCell::new()).collect() })
     }
 }
 
-impl Drop for Level2 {
-    fn drop(&mut self) {
-        for slot in self.chunks.iter_mut() {
-            let p = *slot.get_mut();
-            if !p.is_null() {
-                // Published by a CAS from a Box we own; dropped exactly
-                // once because `&mut self` is exclusive.
-                drop(unsafe { Box::from_raw(p) });
-            }
-        }
-    }
-}
+/// The radix: the root directory of lazily allocated level-2 tables.
+#[derive(Clone)]
+struct Directory(Box<[OnceCell<Box<Level2>>]>);
 
-/// A sparse two-level radix bitmap over granule indices, markable through
-/// `&self` and [`Sync`] so parallel sweep threads share one map.
-///
-/// # Example
-///
-/// ```
-/// use minesweeper::ShadowMap;
-/// use vmem::Addr;
-///
-/// let shadow = ShadowMap::new();
-/// shadow.mark(Addr::new(0x1_0000_0040)); // a pointer into some allocation
-/// assert!(shadow.range_marked(Addr::new(0x1_0000_0040), 16));
-/// assert!(!shadow.range_marked(Addr::new(0x1_0000_0100), 64));
-/// ```
-pub struct ShadowMap {
-    l1: Box<[AtomicPtr<Level2>]>,
-    marked: AtomicU64,
-    /// Indices of the resident chunks in publication order, so
-    /// [`ShadowMap::clear`] visits only those instead of every slot of
-    /// every level-2 table. Pushed once per chunk by the thread whose CAS
-    /// published it.
-    resident: Mutex<Vec<u64>>,
-    /// Resident level-2 tables, for O(1) [`ShadowMap::directory_bytes`].
-    l2_count: AtomicU64,
-}
-
-impl Default for ShadowMap {
-    fn default() -> Self {
-        ShadowMap::new()
-    }
-}
-
-impl ShadowMap {
-    /// Creates an empty shadow map (one 32 KiB root directory; tables and
-    /// chunks are allocated on first mark).
-    pub fn new() -> Self {
-        let l1: Vec<AtomicPtr<Level2>> =
-            (0..L1_ENTRIES).map(|_| AtomicPtr::new(ptr::null_mut())).collect();
-        ShadowMap {
-            l1: l1.into_boxed_slice(),
-            marked: AtomicU64::new(0),
-            resident: Mutex::new(Vec::new()),
-            l2_count: AtomicU64::new(0),
-        }
+impl Directory {
+    fn new() -> Self {
+        Directory((0..L1_ENTRIES).map(|_| OnceCell::new()).collect())
     }
 
     /// Splits a chunk index into (level-1, level-2) digits.
@@ -190,112 +128,116 @@ impl ShadowMap {
 
     /// The chunk for `chunk_idx`, if it has ever been touched.
     #[inline]
-    fn chunk(&self, chunk_idx: u64) -> Option<&Chunk> {
+    fn get(&self, chunk_idx: u64) -> Option<&Chunk> {
         let (i1, i2) = Self::split(chunk_idx);
-        let l2 = self.l1.get(i1)?.load(Ordering::Acquire);
-        if l2.is_null() {
-            return None;
-        }
-        let c = unsafe { &*l2 }.chunks[i2].load(Ordering::Acquire);
-        if c.is_null() {
-            None
-        } else {
-            Some(unsafe { &*c })
-        }
+        self.0.get(i1)?.get()?.chunks[i2].get().map(|c| &**c)
     }
 
-    /// The chunk for `chunk_idx`, allocating and CAS-publishing the
-    /// level-2 table and the chunk as needed.
+    /// The chunk for `chunk_idx`, allocating the level-2 table and the
+    /// chunk as needed and counting them in `tally`.
     ///
     /// # Panics
     ///
     /// Panics if the chunk lies beyond [`MAX_SHADOWED`].
-    fn chunk_or_insert(&self, chunk_idx: u64) -> &Chunk {
+    #[inline]
+    fn get_or_insert(&self, chunk_idx: u64, tally: &mut Tally) -> &Chunk {
         let (i1, i2) = Self::split(chunk_idx);
         assert!(
             i1 < L1_ENTRIES,
             "address beyond the {} TiB shadowed span",
             MAX_SHADOWED >> 40
         );
-        let slot = &self.l1[i1];
-        let mut l2 = slot.load(Ordering::Acquire);
-        if l2.is_null() {
-            let fresh = Box::into_raw(Level2::new_boxed());
-            match slot.compare_exchange(
-                ptr::null_mut(),
-                fresh,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => {
-                    self.l2_count.fetch_add(1, Ordering::Relaxed);
-                    l2 = fresh;
-                }
-                Err(winner) => {
-                    // Another thread published first; adopt its table.
-                    drop(unsafe { Box::from_raw(fresh) });
-                    l2 = winner;
-                }
-            }
-        }
-        let slot = &unsafe { &*l2 }.chunks[i2];
-        let mut c = slot.load(Ordering::Acquire);
-        if c.is_null() {
-            let fresh = Box::into_raw(Chunk::new_boxed());
-            match slot.compare_exchange(
-                ptr::null_mut(),
-                fresh,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => {
-                    self.resident.lock().expect("resident-chunk list poisoned").push(chunk_idx);
-                    c = fresh;
-                }
-                Err(winner) => {
-                    drop(unsafe { Box::from_raw(fresh) });
-                    c = winner;
-                }
-            }
-        }
-        unsafe { &*c }
+        let l2 = self.0[i1].get_or_init(|| {
+            tally.l2_count += 1;
+            Level2::new_boxed()
+        });
+        l2.chunks[i2].get_or_init(|| {
+            tally.resident.push(chunk_idx);
+            Chunk::new_boxed()
+        })
     }
+}
 
-    /// Sets bit `bit` of `word`, bumping `counter` iff this call flipped
-    /// it. The load-first fast path skips the RMW when the bit is already
-    /// set — the common case on pointer-dense pages.
-    #[inline]
-    fn set_bit(counter: &AtomicU64, word: &AtomicU64, bit: u64) -> bool {
-        let mask = 1u64 << bit;
-        if word.load(Ordering::Relaxed) & mask != 0 {
-            return false;
-        }
-        if word.fetch_or(mask, Ordering::Relaxed) & mask == 0 {
-            counter.fetch_add(1, Ordering::Relaxed);
-            true
-        } else {
-            false
-        }
+/// The map's counters, kept apart from the [`Directory`] so that a
+/// [`ShadowWriter`] can hold the directory shared (to cache `&Chunk`s)
+/// and the counters mutably.
+#[derive(Clone, Default)]
+struct Tally {
+    /// Granules marked.
+    marked: u64,
+    /// Indices of the resident chunks in allocation order, so
+    /// [`ShadowMap::clear`] visits only those instead of every slot of
+    /// every level-2 table.
+    resident: Vec<u64>,
+    /// Resident level-2 tables, for O(1) [`ShadowMap::directory_bytes`].
+    l2_count: u64,
+}
+
+/// A sparse two-level radix bitmap over granule indices, marked through
+/// `&mut self` by one writer.
+///
+/// # Example
+///
+/// ```
+/// use minesweeper::ShadowMap;
+/// use vmem::Addr;
+///
+/// let mut shadow = ShadowMap::new();
+/// shadow.mark(Addr::new(0x1_0000_0040)); // a pointer into some allocation
+/// assert!(shadow.range_marked(Addr::new(0x1_0000_0040), 16));
+/// assert!(!shadow.range_marked(Addr::new(0x1_0000_0100), 64));
+/// ```
+#[derive(Clone)]
+pub struct ShadowMap {
+    dir: Directory,
+    tally: Tally,
+}
+
+impl Default for ShadowMap {
+    fn default() -> Self {
+        ShadowMap::new()
+    }
+}
+
+/// Sets the bits of `mask` in `word`; returns whether any was clear.
+#[inline]
+fn set_bits(word: &Cell<u64>, mask: u64) -> bool {
+    let cur = word.get();
+    if cur & mask != 0 {
+        return false;
+    }
+    word.set(cur | mask);
+    true
+}
+
+impl ShadowMap {
+    /// Creates an empty shadow map (one 32 KiB root directory; tables and
+    /// chunks are allocated on first mark).
+    pub fn new() -> Self {
+        ShadowMap { dir: Directory::new(), tally: Tally::default() }
     }
 
     /// Marks the granule containing `target` — the operation the marking
     /// phase performs for every word of memory that looks like a pointer.
-    /// Returns whether this call newly set the bit (exact even when racing
-    /// other markers; baselines use it to drive their worklists).
+    /// Returns whether this call newly set the bit (baselines use it to
+    /// drive their worklists).
     #[inline]
-    pub fn mark(&self, target: Addr) -> bool {
+    pub fn mark(&mut self, target: Addr) -> bool {
         let g = target.granule();
-        let chunk = self.chunk_or_insert(g >> CHUNK_SHIFT);
+        let chunk = self.dir.get_or_insert(g >> CHUNK_SHIFT, &mut self.tally);
         let bit = g & (CHUNK_GRANULES - 1);
-        Self::set_bit(&self.marked, &chunk.words[(bit >> 6) as usize], bit & 63)
+        let newly = set_bits(&chunk.words[(bit >> 6) as usize], 1 << (bit & 63));
+        self.tally.marked += u64::from(newly);
+        newly
     }
 
-    /// A cursor that caches the last-touched chunk and write-combines
-    /// same-word marks for tight mark loops. Pending marks publish when
-    /// the cursor changes words or the writer drops.
-    pub fn writer(&self) -> ShadowWriter<'_> {
+    /// A cursor that caches chunks and write-combines same-line marks for
+    /// tight mark loops. Pending marks land in the map when the cursor
+    /// leaves their line or the writer drops.
+    pub fn writer(&mut self) -> ShadowWriter<'_> {
         ShadowWriter {
-            map: self,
+            dir: &self.dir,
+            tally: &mut self.tally,
             cached_idx: u64::MAX,
             cached: None,
             line_idx: usize::MAX,
@@ -306,37 +248,6 @@ impl ShadowMap {
             dirty: false,
             chunk_tags: [u64::MAX; CHUNK_CACHE],
             chunk_refs: [None; CHUNK_CACHE],
-            exclusive: false,
-            deferred_newly: 0,
-        }
-    }
-
-    /// An **exclusive** [`ShadowWriter`]: the `&mut` borrow statically
-    /// proves no other writer or reader can touch the map while this
-    /// cursor lives, so its flush publishes pending bits with a plain
-    /// load + store instead of a locked `fetch_or`, and newly-set counts
-    /// accumulate locally (one `fetch_add` at drop instead of one per
-    /// flush). On the serial mark path the locked flush is the single
-    /// largest per-survivor cost — roughly 20 cycles each time the sweep
-    /// cursor leaves a 1 KiB address window — so the serial
-    /// [`Marker`](crate::Marker) and the stop-the-world re-mark run
-    /// through this writer. The parallel helpers keep the shared
-    /// [`ShadowMap::writer`].
-    pub fn writer_mut(&mut self) -> ShadowWriter<'_> {
-        ShadowWriter {
-            map: self,
-            cached_idx: u64::MAX,
-            cached: None,
-            line_idx: usize::MAX,
-            snapshot: [0; LINE_WORDS],
-            pending: [0; LINE_WORDS],
-            last_chunk: u64::MAX,
-            last_line: usize::MAX,
-            dirty: false,
-            chunk_tags: [u64::MAX; CHUNK_CACHE],
-            chunk_refs: [None; CHUNK_CACHE],
-            exclusive: true,
-            deferred_newly: 0,
         }
     }
 
@@ -344,9 +255,9 @@ impl ShadowMap {
     #[inline]
     pub fn is_marked(&self, addr: Addr) -> bool {
         let g = addr.granule();
-        self.chunk(g >> CHUNK_SHIFT).is_some_and(|chunk| {
+        self.dir.get(g >> CHUNK_SHIFT).is_some_and(|chunk| {
             let bit = g & (CHUNK_GRANULES - 1);
-            chunk.words[(bit >> 6) as usize].load(Ordering::Relaxed) & (1 << (bit & 63)) != 0
+            chunk.words[(bit >> 6) as usize].get() & (1 << (bit & 63)) != 0
         })
     }
 
@@ -372,7 +283,7 @@ impl ShadowMap {
             // bounded by the 2⁶⁰ granule space, so no overflow).
             let chunk_last = ((chunk_idx + 1) << CHUNK_SHIFT) - 1;
             let hi = last.min(chunk_last);
-            if let Some(chunk) = self.chunk(chunk_idx) {
+            if let Some(chunk) = self.dir.get(chunk_idx) {
                 let lo_bit = g & (CHUNK_GRANULES - 1);
                 let hi_bit = hi & (CHUNK_GRANULES - 1);
                 let (w0, b0) = ((lo_bit >> 6) as usize, lo_bit & 63);
@@ -380,20 +291,17 @@ impl ShadowMap {
                 let head = !0u64 << b0;
                 let tail = !0u64 >> (63 - b1);
                 if w0 == w1 {
-                    if chunk.words[w0].load(Ordering::Relaxed) & head & tail != 0 {
+                    if chunk.words[w0].get() & head & tail != 0 {
                         return true;
                     }
                 } else {
-                    if chunk.words[w0].load(Ordering::Relaxed) & head != 0 {
+                    if chunk.words[w0].get() & head != 0 {
                         return true;
                     }
-                    if chunk.words[w0 + 1..w1]
-                        .iter()
-                        .any(|w| w.load(Ordering::Relaxed) != 0)
-                    {
+                    if chunk.words[w0 + 1..w1].iter().any(|w| w.get() != 0) {
                         return true;
                     }
-                    if chunk.words[w1].load(Ordering::Relaxed) & tail != 0 {
+                    if chunk.words[w1].get() & tail != 0 {
                         return true;
                     }
                 }
@@ -403,9 +311,9 @@ impl ShadowMap {
         false
     }
 
-    /// Total granules marked (exact, even when marks raced).
+    /// Total granules marked.
     pub fn marked_count(&self) -> u64 {
-        self.marked.load(Ordering::Relaxed)
+        self.tally.marked
     }
 
     /// Whether nothing is marked.
@@ -415,78 +323,27 @@ impl ShadowMap {
 
     /// Clears every mark bit **in place**, keeping chunks and tables
     /// resident so the next sweep reuses them instead of re-faulting the
-    /// radix (the layer's per-epoch reset; `&mut self` guarantees no
-    /// marker is concurrently writing).
+    /// radix (the layer's per-epoch reset).
     pub fn clear(&mut self) {
-        self.for_each_resident(|_, chunk| {
+        for &chunk_idx in &self.tally.resident {
+            let chunk = self.dir.get(chunk_idx).expect("resident chunks are allocated");
             for w in &chunk.words {
-                w.store(0, Ordering::Relaxed);
+                w.set(0);
             }
-        });
-        *self.marked.get_mut() = 0;
-    }
-
-    /// Unions another shadow map into this one (kept for merging maps
-    /// built independently, e.g. per-phase maps; the parallel marking
-    /// phase itself no longer needs it — §4.4 threads share one map).
-    pub fn union(&self, other: &ShadowMap) {
-        other.for_each_resident(|chunk_idx, other_chunk| {
-            let chunk = self.chunk_or_insert(chunk_idx);
-            for (w, ow) in chunk.words.iter().zip(&other_chunk.words) {
-                let bits = ow.load(Ordering::Relaxed);
-                if bits != 0 {
-                    let newly = bits & !w.fetch_or(bits, Ordering::Relaxed);
-                    if newly != 0 {
-                        self.marked.fetch_add(newly.count_ones() as u64, Ordering::Relaxed);
-                    }
-                }
-            }
-        });
+        }
+        self.tally.marked = 0;
     }
 
     /// Resident size of the bitmap chunks in bytes (the paper's <1 %
     /// overhead figure; directory overhead is reported separately by
     /// [`ShadowMap::directory_bytes`]).
     pub fn resident_bytes(&self) -> u64 {
-        let chunks = self.resident.lock().expect("resident-chunk list poisoned").len();
-        chunks as u64 * (CHUNK_WORDS * 8) as u64
+        self.tally.resident.len() as u64 * (CHUNK_WORDS * 8) as u64
     }
 
     /// Resident size of the radix directory (root + level-2 tables).
     pub fn directory_bytes(&self) -> u64 {
-        (L1_ENTRIES * 8) as u64
-            + self.l2_count.load(Ordering::Relaxed) * (L2_ENTRIES * 8) as u64
-    }
-
-    /// Visits every resident chunk with its chunk index, in publication
-    /// order. Holds the list's lock, so `f` must not publish a new chunk
-    /// into this map.
-    fn for_each_resident(&self, mut f: impl FnMut(u64, &Chunk)) {
-        for &chunk_idx in self.resident.lock().expect("resident-chunk list poisoned").iter() {
-            f(chunk_idx, self.chunk(chunk_idx).expect("resident chunks are published"));
-        }
-    }
-}
-
-impl Drop for ShadowMap {
-    fn drop(&mut self) {
-        for slot in self.l1.iter_mut() {
-            let l2 = *slot.get_mut();
-            if !l2.is_null() {
-                drop(unsafe { Box::from_raw(l2) });
-            }
-        }
-    }
-}
-
-impl Clone for ShadowMap {
-    /// Deep copy. With `&self` shared, the clone is a best-effort snapshot
-    /// of racing marks (each bit is read once, so it is internally
-    /// consistent per word).
-    fn clone(&self) -> Self {
-        let copy = ShadowMap::new();
-        copy.union(self);
-        copy
+        (L1_ENTRIES * 8) as u64 + self.tally.l2_count * (L2_ENTRIES * 8) as u64
     }
 }
 
@@ -501,7 +358,8 @@ impl fmt::Debug for ShadowMap {
 }
 
 /// A marking cursor over a [`ShadowMap`] tuned for the sweep's hot loop.
-/// Each marking thread holds its own writer; all writers feed one map.
+/// It borrows the map mutably, so it is the map's only writer while it
+/// lives.
 ///
 /// Two layers of locality exploitation:
 ///
@@ -509,28 +367,20 @@ impl fmt::Debug for ShadowMap {
 ///   pointer targets over a bounded heap (16 MiB per cache generation)
 ///   skip the radix walk whether they arrive clustered or scattered;
 /// * marks into the current bitmap **line** ([`LINE_WORDS`] words = 512
-///   granules = 8 KiB of address space) are write-combined into local
-///   pending masks and flushed when the cursor moves on — turning up to
-///   512 RMWs into at most 8. The flush's returned previous values give
-///   the exact count of bits this writer newly set (`pending & !prev`),
-///   so [`ShadowMap::marked_count`] stays exact even when writers race
-///   on the same words.
+///   granules = 8 KiB of address space) are write-combined into a local
+///   snapshot and stored back when the cursor moves on — turning up to
+///   512 read-modify-writes into at most 8 stores. Every pending bit is
+///   new by construction, so the flush counts them by popcount.
 ///
 /// The combine window is **adaptive**: it only opens once two consecutive
 /// marks land in the same line (the monotone walk a sweep over clustered
 /// allocations produces). Scattered targets — a heap of small objects
 /// pointed at from everywhere — take a direct single-word update instead,
 /// because snapshotting and flushing an 8-word line around every isolated
-/// mark costs about twice a plain RMW.
-///
-/// Buffered bits become visible to *other* threads at flush (next line,
-/// or drop). Marking is the only concurrent phase and readers join the
-/// markers first, so nothing observes the window. [`ShadowWriter::mark`]'s
-/// newly-set return is exact from this writer's perspective (its own
-/// earlier marks included); a racing writer may transiently see the same
-/// bit as new, but the global counter is reconciled at flush.
+/// mark costs about twice a plain update.
 pub struct ShadowWriter<'a> {
-    map: &'a ShadowMap,
+    dir: &'a Directory,
+    tally: &'a mut Tally,
     cached_idx: u64,
     cached: Option<&'a Chunk>,
     /// Line (aligned [`LINE_WORDS`]-word group) within the cached chunk
@@ -538,33 +388,25 @@ pub struct ShadowWriter<'a> {
     line_idx: usize,
     /// The line's words as last loaded, plus every pending bit.
     snapshot: [u64; LINE_WORDS],
-    /// Bits set through this writer but not yet flushed.
+    /// Bits set through this writer but not yet stored.
     pending: [u64; LINE_WORDS],
     /// (chunk, line) of the last mark that took the direct single-word
     /// path — when the next mark lands in the same line, locality is
     /// demonstrated and the combine window opens there.
     last_chunk: u64,
     last_line: usize,
-    /// Whether the open window holds unpublished pending bits — one byte
+    /// Whether the open window holds unstored pending bits — one byte
     /// the direct-mark path tests instead of folding all 8 pending words.
     dirty: bool,
     /// Direct-mapped chunk cache (tag = chunk index, [`u64::MAX`] =
     /// empty): scattered marks over a bounded heap skip the radix walk.
     chunk_tags: [u64; CHUNK_CACHE],
     chunk_refs: [Option<&'a Chunk>; CHUNK_CACHE],
-    /// Built via [`ShadowMap::writer_mut`]: the map is mutably borrowed,
-    /// so flushes may store instead of RMW and the newly-set count may be
-    /// settled once at drop.
-    exclusive: bool,
-    /// Exclusive mode only: newly-set bits not yet added to the global
-    /// counter.
-    deferred_newly: u64,
 }
 
 impl<'a> ShadowWriter<'a> {
     /// Marks the granule containing `target`; returns whether the bit was
-    /// newly set (exact with respect to this writer's own history; see
-    /// the type docs for cross-writer races).
+    /// newly set.
     #[inline]
     pub fn mark(&mut self, target: Addr) -> bool {
         let g = target.granule();
@@ -597,7 +439,7 @@ impl<'a> ShadowWriter<'a> {
         let chunk = match self.chunk_refs[slot] {
             Some(c) if self.chunk_tags[slot] == chunk_idx => c,
             _ => {
-                let c = self.map.chunk_or_insert(chunk_idx);
+                let c = self.dir.get_or_insert(chunk_idx, self.tally);
                 self.chunk_tags[slot] = chunk_idx;
                 self.chunk_refs[slot] = Some(c);
                 c
@@ -607,7 +449,7 @@ impl<'a> ShadowWriter<'a> {
         // line locality (this mark lands in the same line as the previous
         // one — the monotone sweep-walk shape). Scattered targets take a
         // direct single-word update instead: loading and flushing an
-        // 8-word snapshot per isolated mark costs ~2× a plain RMW.
+        // 8-word snapshot per isolated mark costs ~2× a plain update.
         if chunk_idx == self.last_chunk && line == self.last_line {
             // `cached`/`cached_idx` name the chunk that owns the open
             // window; the hot path and flush key off them.
@@ -615,7 +457,7 @@ impl<'a> ShadowWriter<'a> {
             self.cached = Some(chunk);
             self.line_idx = line;
             for (k, s) in self.snapshot.iter_mut().enumerate() {
-                *s = chunk.words[line * LINE_WORDS + k].load(Ordering::Relaxed);
+                *s = chunk.words[line * LINE_WORDS + k].get();
             }
             if self.snapshot[sub] & mask != 0 {
                 return false;
@@ -627,29 +469,13 @@ impl<'a> ShadowWriter<'a> {
         }
         self.last_chunk = chunk_idx;
         self.last_line = line;
-        let word = &chunk.words[w];
-        let cur = word.load(Ordering::Relaxed);
-        if cur & mask != 0 {
-            return false;
-        }
-        if self.exclusive {
-            word.store(cur | mask, Ordering::Relaxed);
-            self.deferred_newly += 1;
-            true
-        } else if word.fetch_or(mask, Ordering::Relaxed) & mask == 0 {
-            self.map.marked.fetch_add(1, Ordering::Relaxed);
-            true
-        } else {
-            false
-        }
+        let newly = set_bits(&chunk.words[w], mask);
+        self.tally.marked += u64::from(newly);
+        newly
     }
 
-    /// Publishes any pending bits, reconciling the global mark counter
-    /// exactly. Shared writers `fetch_or` each dirty word and settle the
-    /// counter from the returned previous values; exclusive writers (no
-    /// one else can touch the line — see [`ShadowMap::writer_mut`]) store
-    /// the snapshots outright, since every pending bit is new by
-    /// construction, and defer the count to drop.
+    /// Stores the open line's snapshot back into its chunk and counts its
+    /// pending bits.
     #[inline]
     fn flush(&mut self) {
         if !self.dirty {
@@ -659,20 +485,11 @@ impl<'a> ShadowWriter<'a> {
         let chunk = self.cached.expect("pending bits imply a cached chunk");
         let base = self.line_idx * LINE_WORDS;
         for (k, p) in self.pending.iter_mut().enumerate() {
-            if *p == 0 {
-                continue;
+            if *p != 0 {
+                chunk.words[base + k].set(self.snapshot[k]);
+                self.tally.marked += u64::from(p.count_ones());
+                *p = 0;
             }
-            if self.exclusive {
-                chunk.words[base + k].store(self.snapshot[k], Ordering::Relaxed);
-                self.deferred_newly += u64::from(p.count_ones());
-            } else {
-                let prev = chunk.words[base + k].fetch_or(*p, Ordering::Relaxed);
-                let newly = *p & !prev;
-                if newly != 0 {
-                    self.map.marked.fetch_add(newly.count_ones() as u64, Ordering::Relaxed);
-                }
-            }
-            *p = 0;
         }
     }
 }
@@ -680,9 +497,6 @@ impl<'a> ShadowWriter<'a> {
 impl Drop for ShadowWriter<'_> {
     fn drop(&mut self) {
         self.flush();
-        if self.deferred_newly != 0 {
-            self.map.marked.fetch_add(self.deferred_newly, Ordering::Relaxed);
-        }
     }
 }
 
@@ -762,7 +576,7 @@ mod tests {
 
     #[test]
     fn mark_and_check_single_granule() {
-        let s = ShadowMap::new();
+        let mut s = ShadowMap::new();
         let a = Addr::new(0x1_0000_0000);
         assert!(!s.is_marked(a));
         assert!(s.mark(a), "first mark newly sets");
@@ -774,7 +588,7 @@ mod tests {
 
     #[test]
     fn mark_is_idempotent() {
-        let s = ShadowMap::new();
+        let mut s = ShadowMap::new();
         assert!(s.mark(Addr::new(64)));
         assert!(!s.mark(Addr::new(64)), "repeat mark is not new");
         assert!(!s.mark(Addr::new(70)), "same granule");
@@ -783,47 +597,27 @@ mod tests {
 
     #[test]
     fn writer_matches_direct_marks() {
-        let s = ShadowMap::new();
+        let mut s = ShadowMap::new();
         let boundary = CHUNK_GRANULES * GRANULE_SIZE as u64;
         let mut w = s.writer();
         assert!(w.mark(Addr::new(boundary - 16)));
         assert!(w.mark(Addr::new(boundary)), "cache refreshes across chunks");
         assert!(!w.mark(Addr::new(boundary + 8)), "same granule via cache");
-        drop(w); // publish buffered marks
+        drop(w); // store buffered marks
         assert!(!s.mark(Addr::new(boundary)), "direct marks see writer's bits");
         assert_eq!(s.marked_count(), 2);
     }
 
     #[test]
-    fn writer_buffers_until_flush_then_counts_exactly() {
-        let s = ShadowMap::new();
-        let mut w = s.writer();
-        // The first mark takes the direct path (published immediately);
-        // the second lands in the same line, which opens the combine
-        // window, so the remainder buffer until flush.
-        for i in 0..64u64 {
-            assert!(w.mark(Addr::new(0x1_0000_0000 + i * GRANULE_SIZE as u64)));
-        }
-        assert!(!s.mark(Addr::new(0x1_0000_0000)), "direct first mark is already published");
-        // Racing direct mark on a buffered bit: the flush reconciliation
-        // must not double-count it.
-        assert!(s.mark(Addr::new(0x1_0000_0000 + 5 * GRANULE_SIZE as u64)), "not yet published");
-        drop(w);
-        assert_eq!(s.marked_count(), 64, "63 from the writer + 1 raced");
-        for i in 0..64u64 {
-            assert!(s.is_marked(Addr::new(0x1_0000_0000 + i * GRANULE_SIZE as u64)));
-        }
-    }
-
-    #[test]
     fn writer_counts_windowed_and_evicting_marks_exactly() {
-        let s = ShadowMap::new();
+        let mut s = ShadowMap::new();
         let mut w = s.writer();
         // 64 consecutive granules: mark 0 is direct, mark 1 opens the
-        // combine window, marks 1..=63 publish through it at flush.
+        // combine window, marks 1..=63 are stored through it at flush.
         for i in 0..64u64 {
             assert!(w.mark(Addr::new(0x1_0000_0000 + i * GRANULE_SIZE as u64)));
         }
+        assert!(!w.mark(Addr::new(0x1_0000_0000 + 5 * GRANULE_SIZE as u64)), "pending bit");
         // Scattered marks across CHUNK_CACHE+1 chunks collide in the
         // direct-mapped cache and evict; each still counts once.
         let chunk_bytes = CHUNK_GRANULES * GRANULE_SIZE as u64;
@@ -833,13 +627,16 @@ mod tests {
         assert!(!w.mark(Addr::new(0)), "re-mark after eviction is not new");
         drop(w);
         assert_eq!(s.marked_count(), 64 + CHUNK_CACHE as u64 + 1);
+        for i in 0..64u64 {
+            assert!(s.is_marked(Addr::new(0x1_0000_0000 + i * GRANULE_SIZE as u64)));
+        }
     }
 
     #[test]
     fn interior_pointer_retains_whole_allocation() {
         // Figure 5: a pointer to any offset inside [a, a+size) must be
         // caught by checking the allocation's full granule range.
-        let s = ShadowMap::new();
+        let mut s = ShadowMap::new();
         let base = Addr::new(0x1_0000_0000);
         s.mark(base + 100); // interior pointer target
         assert!(s.range_marked(base, 128));
@@ -849,7 +646,7 @@ mod tests {
 
     #[test]
     fn range_marked_handles_granule_straddling() {
-        let s = ShadowMap::new();
+        let mut s = ShadowMap::new();
         let base = Addr::new(0x1_0000_0008); // misaligned to granule
         s.mark(base);
         // A range ending inside the marked granule must see the mark.
@@ -859,29 +656,14 @@ mod tests {
 
     #[test]
     fn zero_length_range_is_never_marked() {
-        let s = ShadowMap::new();
+        let mut s = ShadowMap::new();
         s.mark(Addr::new(0x1000));
         assert!(!s.range_marked(Addr::new(0x1000), 0));
     }
 
     #[test]
-    fn union_merges_and_counts_exactly() {
-        let a = ShadowMap::new();
-        let b = ShadowMap::new();
-        a.mark(Addr::new(16));
-        a.mark(Addr::new(32));
-        b.mark(Addr::new(32)); // overlap
-        b.mark(Addr::new(1 << 30)); // distinct chunk
-        a.union(&b);
-        assert_eq!(a.marked_count(), 3);
-        assert!(a.is_marked(Addr::new(16)));
-        assert!(a.is_marked(Addr::new(32)));
-        assert!(a.is_marked(Addr::new(1 << 30)));
-    }
-
-    #[test]
     fn chunk_boundaries_are_seamless() {
-        let s = ShadowMap::new();
+        let mut s = ShadowMap::new();
         let boundary = CHUNK_GRANULES * GRANULE_SIZE as u64;
         s.mark(Addr::new(boundary - 16));
         s.mark(Addr::new(boundary));
@@ -892,7 +674,7 @@ mod tests {
 
     #[test]
     fn sparse_representation_stays_small() {
-        let s = ShadowMap::new();
+        let mut s = ShadowMap::new();
         // Marks across 1 GiB of address space land in few chunks.
         for i in 0..1000u64 {
             s.mark(Addr::new(0x1_0000_0000 + i * 1024));
@@ -932,7 +714,7 @@ mod tests {
 
     #[test]
     fn clone_is_deep() {
-        let s = ShadowMap::new();
+        let mut s = ShadowMap::new();
         s.mark(Addr::new(0x1_0000_0000));
         let c = s.clone();
         s.mark(Addr::new(0x2_0000_0000));
@@ -943,7 +725,7 @@ mod tests {
 
     #[test]
     fn far_addresses_use_distinct_directory_slots() {
-        let s = ShadowMap::new();
+        let mut s = ShadowMap::new();
         // 1 TiB apart: different level-2 tables.
         s.mark(Addr::new(1 << 40));
         s.mark(Addr::new(1 << 41));
@@ -960,65 +742,11 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_marks_count_exactly_across_chunk_boundary() {
-        // 8 threads × 4096 granules straddling a chunk boundary, every
-        // granule hit by every thread: the count must be exactly the
-        // number of distinct granules.
-        let s = ShadowMap::new();
-        let boundary = CHUNK_GRANULES * GRANULE_SIZE as u64; // chunk 0 → 1
-        let granules = 4096u64;
-        let base = boundary - (granules / 2) * GRANULE_SIZE as u64;
-        std::thread::scope(|scope| {
-            for t in 0..8u64 {
-                let s = &s;
-                scope.spawn(move || {
-                    let mut w = s.writer();
-                    for i in 0..granules {
-                        // Different starting phase per thread maximises
-                        // same-bit contention.
-                        let g = (i + t * 512) % granules;
-                        w.mark(Addr::new(base + g * GRANULE_SIZE as u64));
-                    }
-                });
-            }
-        });
-        assert_eq!(s.marked_count(), granules, "exact count under contention");
-        for i in 0..granules {
-            assert!(s.is_marked(Addr::new(base + i * GRANULE_SIZE as u64)));
-        }
-        assert!(s.range_marked(Addr::new(base), granules * GRANULE_SIZE as u64));
-    }
-
-    #[test]
-    fn concurrent_publication_of_one_chunk_is_safe() {
-        // All threads race to create the same chunk: exactly one wins,
-        // losers adopt it, and every mark lands. The level-2 table exists
-        // beforehand and a barrier lines the threads up, so they collide
-        // on the chunk's CAS and the losing path runs.
-        for _ in 0..256 {
-            let s = ShadowMap::new();
-            s.mark(Addr::new(0));
-            let start = std::sync::Barrier::new(8);
-            std::thread::scope(|scope| {
-                for t in 0..8u64 {
-                    let (s, start) = (&s, &start);
-                    scope.spawn(move || {
-                        start.wait();
-                        s.mark(Addr::new(0x1_0000_0000 + t * GRANULE_SIZE as u64));
-                    });
-                }
-            });
-            assert_eq!(s.marked_count(), 9);
-            assert_eq!(s.resident_bytes(), 2 * 4096, "one new chunk, no leak/dup");
-        }
-    }
-
-    #[test]
     fn range_marked_agrees_with_naive_oracle() {
         // Differential test: word-masked scan vs the per-granule probe,
         // over a deliberately awkward bit population (word edges, chunk
         // edges, isolated bits).
-        let fast = ShadowMap::new();
+        let mut fast = ShadowMap::new();
         let mut slow = NaiveShadowMap::new();
         let base = 0x1_0000_0000u64;
         let offsets = [

@@ -1,5 +1,5 @@
-//! The sweep: linear marking of program memory, stop-the-world re-checks,
-//! and the parallel one-shot marker.
+//! The sweep: linear marking of program memory and stop-the-world
+//! re-checks.
 //!
 //! "Each word of memory is interpreted as a pointer, its granule index is
 //! calculated and used to index and set the shadow-map bit" (§3.2). The
@@ -13,21 +13,14 @@
 //! and erased behind it* during the sweep is missed — §4.3 footnote 5) and
 //! the mostly-concurrent mode's soft-dirty stop-the-world fix.
 //!
-//! The shadow map is atomic (see [`crate::shadow`]), so
-//! [`parallel_mark_pool`] threads share **one** map with no
-//! per-thread maps and no union barrier (§4.4). Parallel marking
-//! schedules by **work stealing**: an atomic cursor over fixed page-range
-//! chunks, so helpers never idle behind an unlucky static share. The
-//! *serial* paths ([`Marker`], [`mark_page`]) instead take
-//! `&mut ShadowMap` and mark through the exclusive store-only
-//! [`ShadowWriter`](crate::shadow::ShadowMap::writer_mut) — no locked RMW
-//! per 1 KiB window.
+//! One thread marks. Both mark paths ([`Marker`], [`mark_page`]) take
+//! `&mut ShadowMap` and write through its one
+//! [`ShadowWriter`](crate::shadow::ShadowMap::writer). The paper's helper
+//! threads (§4.4) are billed by the cost model, not run.
 //!
-//! Every scanned word — serial, parallel, STW re-mark or forensic — goes
+//! Every scanned word — concurrent, STW re-mark or forensic — goes
 //! through the single [`scan_words`] inner loop, whose classify pass is
 //! the runtime-dispatched SIMD kernel in [`crate::simd`].
-
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use vmem::{Addr, AddrSpace, Layout, MemError, PageIdx, PageRange, Segment, PAGE_SIZE, WORD_SIZE};
 
@@ -136,7 +129,7 @@ pub struct MarkAccel<'a> {
     /// address → quarantine entry). `None` keeps the recorder dispatch
     /// out of the survivors tail — the disabled cost is one branch per
     /// surviving word, never per scanned word.
-    pub forensics: Option<&'a EdgeRecorder>,
+    pub forensics: Option<&'a mut EdgeRecorder>,
     /// Scan-kernel tier override; `None` uses [`simd::active_tier`].
     /// Every tier produces bit-identical marks, digests and counts — the
     /// override exists for benchmarks and differential tests.
@@ -240,12 +233,10 @@ impl Marker {
         accel: &mut MarkAccel<'_>,
     ) -> StepResult {
         let layout = *space.layout();
-        // The serial cursor owns its map for the duration of the step, so
-        // it gets the exclusive writer's store-only flush.
-        let mut writer = shadow.writer_mut();
+        let mut writer = shadow.writer();
         let mut r = StepResult::default();
         let start_bytes = self.done_bytes;
-        let edges_before = accel.forensics.map_or(0, EdgeRecorder::recorded);
+        let edges_before = accel.forensics.as_deref().map_or(0, EdgeRecorder::recorded);
         let tier = accel.tier.unwrap_or_else(simd::active_tier);
         while r.words < word_budget && self.idx < self.plan.ranges.len() {
             let (base, len) = self.plan.ranges[self.idx];
@@ -284,7 +275,7 @@ impl Marker {
                                 marked_any = true;
                                 // Replayed digests lost the word offset:
                                 // attribute the edge to the page.
-                                if let Some(rec) = accel.forensics {
+                                if let Some(rec) = accel.forensics.as_deref_mut() {
                                     rec.note(page.base(), target);
                                 }
                             }
@@ -335,7 +326,7 @@ impl Marker {
                         digest,
                         &mut r.heap_words,
                         &mut r.filter_rejects,
-                        accel.forensics,
+                        accel.forensics.as_deref_mut(),
                     );
                     PageState::Committed
                 }
@@ -381,12 +372,12 @@ impl Marker {
         r.bytes = self.done_bytes - start_bytes;
         r.finished = self.idx >= self.plan.ranges.len();
         r.pin_edges =
-            accel.forensics.map_or(0, EdgeRecorder::recorded) - edges_before;
+            accel.forensics.as_deref().map_or(0, EdgeRecorder::recorded) - edges_before;
         r
     }
 }
 
-/// **The one inner mark loop.** Every scanned word — serial, parallel,
+/// **The one inner mark loop.** Every scanned word — concurrent,
 /// stop-the-world or forensic — goes through this function.
 ///
 /// The hot classify pass is the chunked [`simd`] kernel: 8 words per
@@ -415,7 +406,7 @@ fn scan_words(
     mut digest: Option<&mut Vec<u64>>,
     heap_words: &mut u64,
     filter_rejects: &mut u64,
-    rec: Option<&EdgeRecorder>,
+    mut rec: Option<&mut EdgeRecorder>,
 ) {
     let lo = layout.segment_base(Segment::Heap).raw();
     let hi = layout.segment_end(Segment::Heap).raw();
@@ -440,7 +431,7 @@ fn scan_words(
             Some(f) if !f.allows(target) => *filter_rejects += 1,
             _ => {
                 writer.mark(target);
-                if let Some(rec) = rec {
+                if let Some(rec) = rec.as_deref_mut() {
                     rec.note(base.add_bytes(i as u64 * WORD_SIZE as u64), target);
                 }
             }
@@ -457,7 +448,7 @@ fn scan_words(
 pub fn mark_page(space: &AddrSpace, shadow: &mut ShadowMap, page: PageIdx) -> u64 {
     match space.scan_page(page) {
         Ok(Some(words)) => {
-            let mut writer = shadow.writer_mut();
+            let mut writer = shadow.writer();
             let (mut heap_words, mut rejects) = (0u64, 0u64);
             scan_words(
                 simd::active_tier(),
@@ -475,238 +466,6 @@ pub fn mark_page(space: &AddrSpace, shadow: &mut ShadowMap, page: PageIdx) -> u6
         }
         _ => 0,
     }
-}
-
-/// Default work-queue chunk size for [`parallel_mark_pool`], in pages.
-/// 64 pages (256 KiB) is small enough that a straggler finishing its last
-/// chunk idles the other threads for at most ~a quarter-millisecond of
-/// scanning, and large enough that the atomic cursor claim (one
-/// `fetch_add` per chunk) is amortised over 32 K words.
-pub const PARALLEL_CHUNK_PAGES: u64 = 64;
-
-/// Aggregated counters from one parallel mark. Every field is
-/// **deterministic** — each chunk of the work queue is claimed exactly
-/// once and every word is classified exactly once, so the totals are
-/// independent of helper count, chunk size and claim order (the
-/// work-stealing determinism proptests pin this down).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub struct ParallelMarkStats {
-    /// Words read and classified (excludes cache-replayed pages).
-    pub words: u64,
-    /// Scanned words that passed the heap range test (pre-filter).
-    pub heap_words: u64,
-    /// Heap-pointing words suppressed by the candidate filter — scan and
-    /// replay combined, exactly as the serial [`StepResult`] counts them.
-    pub filter_rejects: u64,
-    /// Clean pages whose 512-word re-read was skipped via the cache.
-    pub pages_skipped: u64,
-    /// Skipped pages whose non-empty digest was replayed (subset of
-    /// `pages_skipped`).
-    pub pages_replayed: u64,
-    /// Chunks in the work queue (claims performed, not per-thread).
-    pub chunks: u64,
-    /// Helper threads actually spawned after the hardware clamp.
-    pub effective_helpers: usize,
-}
-
-/// Marks one work-queue chunk: per-page slices through the shared
-/// [`scan_words`] kernel, with the clean-page digest replay fast path for
-/// fully-covered cached pages. Mirrors the serial [`Marker::step`]
-/// accounting (replay rejects count, `pages_replayed` means "replay
-/// marked something").
-#[allow(clippy::too_many_arguments)]
-fn mark_chunk(
-    space: &AddrSpace,
-    layout: &Layout,
-    tier: ScanTier,
-    filter: Option<&CandidateFilter>,
-    cache: Option<&PageCache>,
-    forensics: Option<&EdgeRecorder>,
-    base: Addr,
-    len: u64,
-    writer: &mut ShadowWriter<'_>,
-    local: &mut ParallelMarkStats,
-) {
-    let mut off = 0;
-    while off < len {
-        let addr = base.add_bytes(off);
-        let page_end = addr.page().next().base().offset_from(base).min(len);
-        // Clean-page replay: only when this chunk piece covers the whole
-        // page (a partial replay would mark words outside the chunk).
-        if addr.is_aligned(PAGE_SIZE as u64) && page_end - off == PAGE_SIZE as u64 {
-            if let Some(targets) = cache.and_then(|c| c.lookup(addr.page())) {
-                let mut marked_any = false;
-                for &value in targets {
-                    let target = Addr::new(value);
-                    match filter {
-                        Some(f) if !f.allows(target) => local.filter_rejects += 1,
-                        _ => {
-                            writer.mark(target);
-                            marked_any = true;
-                            // Replayed digests lost the word offset:
-                            // attribute the edge to the page.
-                            if let Some(rec) = forensics {
-                                rec.note(addr, target);
-                            }
-                        }
-                    }
-                }
-                local.pages_skipped += 1;
-                local.pages_replayed += u64::from(marked_any);
-                off = page_end;
-                continue;
-            }
-        }
-        let chunk_words = (page_end - off) / WORD_SIZE as u64;
-        if let Ok(Some(page)) = space.scan_page(addr.page()) {
-            let w0 = addr.word_in_page();
-            scan_words(
-                tier,
-                &page[w0..w0 + chunk_words as usize],
-                addr,
-                layout,
-                writer,
-                filter,
-                None,
-                &mut local.heap_words,
-                &mut local.filter_rejects,
-                forensics,
-            );
-            local.words += chunk_words;
-        }
-        // Unbacked pages read as zero; protected pages are skipped —
-        // neither marks anything.
-        off = page_end;
-    }
-}
-
-/// The inputs of one parallel mark: the address space, the locked-in
-/// sweep plan, and the accelerators bound to that sweep.
-#[derive(Clone, Copy, Debug)]
-pub struct PoolMarkJob<'a> {
-    /// The address space (read-only during marking).
-    pub space: &'a AddrSpace,
-    /// The locked-in sweep plan.
-    pub plan: &'a SweepPlan,
-    /// The shadow map (shared, atomic marking).
-    pub shadow: &'a ShadowMap,
-    /// Candidate filter over the locked quarantine generation.
-    pub filter: Option<&'a CandidateFilter>,
-    /// Read-only page-summary cache (replay only, never records).
-    pub cache: Option<&'a PageCache>,
-    /// Forensics recorder over the locked entries.
-    pub forensics: Option<&'a EdgeRecorder>,
-}
-
-/// Options for [`parallel_mark_pool`]. `Default`: zero helpers, auto
-/// tier, default chunking.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct PoolMarkOpts {
-    /// Helper threads requested (clamped via [`effective_helper_count`]).
-    pub helper_threads: usize,
-    /// Scan-kernel tier override; `None` uses [`simd::active_tier`].
-    pub tier: Option<ScanTier>,
-    /// Work-queue chunk size in pages; `None` uses
-    /// [`PARALLEL_CHUNK_PAGES`].
-    pub chunk_pages: Option<u64>,
-}
-
-/// Parallel marking with real OS threads (§4.4: "a main sweeper thread
-/// and some helpers").
-///
-/// The plan is cut into fixed page-range chunks
-/// (~[`PARALLEL_CHUNK_PAGES`] pages) at chunk-aligned *absolute*
-/// addresses, so steady-state chunk boundaries are page boundaries and
-/// the chunk list is identical for every thread count. Every thread
-/// claims the next chunk from **one** atomic cursor with a relaxed
-/// `fetch_add` and routes it through the same `scan_words` SIMD kernel
-/// as the serial path, so no thread idles behind an unlucky static
-/// share.
-///
-/// All threads mark **directly into the job's shared atomic shadow map**
-/// via side-effect-free reads ([`AddrSpace::scan_page`]; unbacked pages
-/// read as zero and never commit). There are no per-thread maps and no
-/// union barrier; each thread keeps one [`ShadowWriter`]. Fully covered
-/// clean pages replay the job's page cache, exactly as the serial
-/// [`Marker::step`] does.
-///
-/// Returns the job's [`ParallelMarkStats`], folded from the per-thread
-/// counters at join time. The mark set and the stats are independent of
-/// helper count, chunk size and claim order.
-pub fn parallel_mark_pool(job: &PoolMarkJob<'_>, opts: &PoolMarkOpts) -> ParallelMarkStats {
-    let helpers = effective_helper_count(opts.helper_threads);
-    let tier = opts.tier.unwrap_or_else(simd::active_tier);
-    let chunk_bytes =
-        opts.chunk_pages.unwrap_or(PARALLEL_CHUNK_PAGES).max(1) * PAGE_SIZE as u64;
-
-    let mut chunks: Vec<(Addr, u64)> = Vec::new();
-    for &(base, len) in job.plan.ranges() {
-        let mut off = 0;
-        while off < len {
-            let addr = base.add_bytes(off);
-            let next = (addr.raw() / chunk_bytes + 1) * chunk_bytes;
-            let take = (next - addr.raw()).min(len - off);
-            chunks.push((addr, take));
-            off += take;
-        }
-    }
-
-    let layout = job.space.layout();
-    let cursor = AtomicUsize::new(0);
-    let per_thread: Vec<ParallelMarkStats> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..=helpers)
-            .map(|_| {
-                let (chunks, cursor) = (&chunks, &cursor);
-                scope.spawn(move || {
-                    let mut writer = job.shadow.writer();
-                    let mut local = ParallelMarkStats::default();
-                    loop {
-                        let k = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(&(base, len)) = chunks.get(k) else {
-                            break;
-                        };
-                        mark_chunk(
-                            job.space,
-                            layout,
-                            tier,
-                            job.filter,
-                            job.cache,
-                            job.forensics,
-                            base,
-                            len,
-                            &mut writer,
-                            &mut local,
-                        );
-                    }
-                    local
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("pool marker thread panicked")).collect()
-    });
-
-    let mut stats = ParallelMarkStats {
-        chunks: chunks.len() as u64,
-        effective_helpers: helpers,
-        ..ParallelMarkStats::default()
-    };
-    for local in per_thread {
-        stats.words += local.words;
-        stats.heap_words += local.heap_words;
-        stats.filter_rejects += local.filter_rejects;
-        stats.pages_skipped += local.pages_skipped;
-        stats.pages_replayed += local.pages_replayed;
-    }
-    stats
-}
-
-/// Clamps a requested helper-thread count to the hardware: at most
-/// `available_parallelism() - 1` helpers (the main sweeper thread takes
-/// one core). Returns 0 (serial) on single-core machines or when the
-/// parallelism query fails.
-pub fn effective_helper_count(requested: usize) -> usize {
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    requested.min(cores.saturating_sub(1))
 }
 
 #[cfg(test)]
@@ -936,8 +695,8 @@ mod tests {
         assert!(shadow.is_marked(target));
     }
 
-    /// Builds a pointer-dense multi-page fixture shared by the parallel
-    /// equivalence tests: scattered real pointers plus junk words.
+    /// Builds a pointer-dense multi-page fixture: scattered real pointers
+    /// plus junk words.
     fn scatter_fixture(space: &mut AddrSpace) -> (Vec<Addr>, SweepPlan) {
         let targets: Vec<Addr> = (0..8).map(|_| heap(space, 1)).collect();
         let src = heap(space, 4);
@@ -950,28 +709,8 @@ mod tests {
         (targets, SweepPlan::from_ranges(vec![(src, 4 * PAGE_SIZE as u64)]))
     }
 
-    /// Marks `plan` into a fresh map through [`parallel_mark_pool`].
-    fn pool_mark(
-        space: &AddrSpace,
-        plan: &SweepPlan,
-        filter: Option<&CandidateFilter>,
-        cache: Option<&PageCache>,
-        forensics: Option<&EdgeRecorder>,
-        opts: &PoolMarkOpts,
-    ) -> (ShadowMap, ParallelMarkStats) {
-        let shadow = ShadowMap::new();
-        let job = PoolMarkJob { space, plan, shadow: &shadow, filter, cache, forensics };
-        let stats = parallel_mark_pool(&job, opts);
-        (shadow, stats)
-    }
-
-    /// Pool options requesting `n` helper threads.
-    fn helpers(n: usize) -> PoolMarkOpts {
-        PoolMarkOpts { helper_threads: n, ..PoolMarkOpts::default() }
-    }
-
     #[test]
-    fn parallel_mark_agrees_with_serial() {
+    fn marker_agrees_with_naive_reference() {
         let mut space = AddrSpace::new();
         let layout = *space.layout();
         let (targets, plan) = scatter_fixture(&mut space);
@@ -981,7 +720,7 @@ mod tests {
         marker.step(&mut space, &mut serial, u64::MAX, &mut MarkAccel::default());
 
         // The seed's naive map, driven by the same plan via direct page
-        // reads, is the oracle both implementations must agree with.
+        // reads, is the oracle the marker must agree with.
         let mut naive = NaiveShadowMap::new();
         for &(base, len) in plan.ranges() {
             for w in 0..len / 8 {
@@ -994,65 +733,9 @@ mod tests {
             }
         }
         assert_eq!(serial.marked_count(), naive.marked_count());
-
-        for threads in [0, 1, 3, 6] {
-            let (parallel, _) = pool_mark(&space, &plan, None, None, None, &helpers(threads));
-            assert_eq!(
-                parallel.marked_count(),
-                serial.marked_count(),
-                "helper_threads={threads}"
-            );
-            for t in &targets {
-                assert_eq!(parallel.is_marked(*t), serial.is_marked(*t));
-                assert_eq!(naive.is_marked(*t), serial.is_marked(*t));
-            }
+        for t in &targets {
+            assert_eq!(naive.is_marked(*t), serial.is_marked(*t));
         }
-    }
-
-    #[test]
-    fn parallel_mark_shared_map_matches_serial_mark_set_exactly() {
-        // Stronger than spot-checking targets: every word of the shared
-        // map's mark set must equal the serial set — union-freedom must
-        // not lose or invent marks under contention. Pointers repeat
-        // across thread shares so distinct threads race on the same bits.
-        let mut space = AddrSpace::new();
-        let targets: Vec<Addr> = (0..8).map(|_| heap(&mut space, 1)).collect();
-        let src = heap(&mut space, 8);
-        for w in 0..(8 * 512u64) {
-            // Every 3rd word points at a target cycled by word index, so
-            // each target recurs in every thread's share.
-            if w % 3 == 0 {
-                let t = targets[(w as usize / 3) % targets.len()];
-                space.write_word(src + w * 8, t.raw() + (w % 64)).unwrap();
-            }
-        }
-        let plan = SweepPlan::from_ranges(vec![(src, 8 * PAGE_SIZE as u64)]);
-        let mut serial = ShadowMap::new();
-        let mut marker = Marker::new(plan.clone());
-        marker.step(&mut space, &mut serial, u64::MAX, &mut MarkAccel::default());
-        for threads in [0, 1, 3, 6] {
-            let (parallel, _) = pool_mark(&space, &plan, None, None, None, &helpers(threads));
-            assert_eq!(parallel.marked_count(), serial.marked_count());
-            for t in &targets {
-                for off in (0..64).step_by(16) {
-                    assert_eq!(
-                        parallel.is_marked(*t + off),
-                        serial.is_marked(*t + off),
-                        "granule {t:?}+{off} helpers={threads}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_mark_skips_unbacked_pages_without_committing() {
-        let mut space = AddrSpace::new();
-        let a = heap(&mut space, 4); // never touched: unbacked
-        let plan = SweepPlan::from_ranges(vec![(a, 4 * PAGE_SIZE as u64)]);
-        let (shadow, _) = pool_mark(&space, &plan, None, None, None, &helpers(3));
-        assert!(shadow.is_empty());
-        assert_eq!(space.rss_bytes(), 0, "peek-based marking must not commit");
     }
 
     /// Two-page heap fixture: page 0 holds pointers to `t0`/`t1`, page 1
@@ -1264,52 +947,6 @@ mod tests {
     }
 
     #[test]
-    fn effective_helpers_clamp_to_hardware() {
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        assert_eq!(effective_helper_count(0), 0);
-        assert_eq!(effective_helper_count(usize::MAX), cores - 1);
-        assert!(effective_helper_count(3) <= 3);
-    }
-
-    #[test]
-    fn pooled_mark_with_filter_and_cache_agrees_with_serial() {
-        let mut space = AddrSpace::new();
-        let (targets, plan) = scatter_fixture(&mut space);
-        let filter =
-            CandidateFilter::build(targets.iter().map(|&t| (t, PAGE_SIZE as u64)));
-
-        // Prime a cache serially, then run the parallel marker against it.
-        let mut cache = PageCache::new();
-        cache.begin_sweep(&plan, &[], 1);
-        space.clear_soft_dirty();
-        let mut serial = ShadowMap::new();
-        Marker::new(plan.clone()).step(
-            &mut space,
-            &mut serial,
-            u64::MAX,
-            &mut MarkAccel {
-                filter: Some(&filter),
-                cache: Some(&mut cache),
-                qgen: 1,
-                ..MarkAccel::default()
-            },
-        );
-        let dirty = space.snapshot_soft_dirty(vmem::PageRange::spanning(
-            plan.ranges()[0].0,
-            plan.total_bytes(),
-        ));
-        cache.begin_sweep(&plan, &dirty, 2);
-        for threads in [0, 1, 3] {
-            let (parallel, _) =
-                pool_mark(&space, &plan, Some(&filter), Some(&cache), None, &helpers(threads));
-            assert_eq!(parallel.marked_count(), serial.marked_count());
-            for t in &targets {
-                assert_eq!(parallel.is_marked(*t), serial.is_marked(*t));
-            }
-        }
-    }
-
-    #[test]
     fn forensics_recording_does_not_change_marks_or_accounting() {
         // Differential guarantee behind the forensics knob: an attached
         // recorder observes the sweep, it never alters it. Same plan,
@@ -1338,13 +975,13 @@ mod tests {
             &mut MarkAccel::default(),
         );
 
-        let rec = EdgeRecorder::new(&entries, ForensicsMode::Full).unwrap();
+        let mut rec = EdgeRecorder::new(&entries, ForensicsMode::Full).unwrap();
         let mut forensic = ShadowMap::new();
         let r_forensic = Marker::new(plan.clone()).step(
             &mut space,
             &mut forensic,
             u64::MAX,
-            &mut MarkAccel { forensics: Some(&rec), ..MarkAccel::default() },
+            &mut MarkAccel { forensics: Some(&mut rec), ..MarkAccel::default() },
         );
 
         assert_eq!(forensic.marked_count(), plain.marked_count());
@@ -1360,82 +997,12 @@ mod tests {
             "recording changes nothing but the edge count"
         );
 
-        // The parallel marker shares the same recorder semantics.
-        let rec_par = EdgeRecorder::new(&entries, ForensicsMode::Full).unwrap();
-        let (parallel, _) = pool_mark(&space, &plan, None, None, Some(&rec_par), &helpers(3));
-        assert_eq!(parallel.marked_count(), plain.marked_count());
-        assert_eq!(rec_par.recorded(), rec.recorded());
     }
 
     #[test]
-    fn parallel_stats_match_serial_step_result() {
-        // The work-stealing totals must agree with the serial cursor's
-        // accounting word for word: same filter_rejects, heap_words and
-        // scanned words — that is what lets the layer's reconcile treat
-        // the two paths interchangeably.
-        let mut space = AddrSpace::new();
-        let (targets, plan) = scatter_fixture(&mut space);
-        let filter =
-            CandidateFilter::build(targets.iter().take(3).map(|&t| (t, PAGE_SIZE as u64)));
-        let mut serial = ShadowMap::new();
-        let r = Marker::new(plan.clone()).step(
-            &mut space,
-            &mut serial,
-            u64::MAX,
-            &mut MarkAccel { filter: Some(&filter), ..MarkAccel::default() },
-        );
-        assert!(r.filter_rejects > 0 && r.heap_words > r.filter_rejects);
-        for n in [0, 2, 5] {
-            let (map, stats) = pool_mark(&space, &plan, Some(&filter), None, None, &helpers(n));
-            assert_eq!(map.marked_count(), serial.marked_count());
-            assert_eq!(stats.filter_rejects, r.filter_rejects, "helpers={n}");
-            assert_eq!(stats.heap_words, r.heap_words);
-            assert_eq!(stats.words, r.words);
-            assert_eq!(stats.effective_helpers, effective_helper_count(n));
-        }
-    }
-
-    #[test]
-    fn work_stealing_is_deterministic_across_chunking() {
-        // Chunk size changes claim granularity and order; helper count
-        // changes interleaving. Neither may change the mark set or the
-        // aggregated counters. An unaligned range start exercises the
-        // mid-page chunk head.
-        let mut space = AddrSpace::new();
-        let (targets, plan) = scatter_fixture(&mut space);
-        let (base, len) = plan.ranges()[0];
-        let ragged =
-            SweepPlan::from_ranges(vec![(base.add_bytes(24), len - 24 - 64), (base, 24)]);
-        let filter =
-            CandidateFilter::build(targets.iter().map(|&t| (t, PAGE_SIZE as u64)));
-        let reference = pool_mark(&space, &ragged, Some(&filter), None, None, &helpers(0));
-        for chunk_pages in [1, 2, 64, 1 << 20] {
-            for n in [0, 1, 3, 7] {
-                let opts = PoolMarkOpts {
-                    helper_threads: n,
-                    chunk_pages: Some(chunk_pages),
-                    ..Default::default()
-                };
-                let (map, stats) = pool_mark(&space, &ragged, Some(&filter), None, None, &opts);
-                assert_eq!(
-                    map.marked_count(),
-                    reference.0.marked_count(),
-                    "chunk_pages={chunk_pages} helpers={n}"
-                );
-                for t in &targets {
-                    assert_eq!(map.is_marked(*t), reference.0.is_marked(*t));
-                }
-                assert_eq!(stats.words, reference.1.words);
-                assert_eq!(stats.heap_words, reference.1.heap_words);
-                assert_eq!(stats.filter_rejects, reference.1.filter_rejects);
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_mark_replays_cached_root_pages() {
-        // A root chunk must replay the page cache exactly as the serial
-        // cursor does, not re-read the page.
+    fn marker_replays_cached_root_pages() {
+        // A root page replays the page cache like a heap page does, and
+        // the replay obeys the current filter.
         let mut space = AddrSpace::new();
         let candidate = heap(&mut space, 1);
         let live = heap(&mut space, 1);
@@ -1448,7 +1015,7 @@ mod tests {
         assert_eq!(plan.ranges()[0], (stack, PAGE_SIZE as u64), "one committed stack page");
         let filter = CandidateFilter::build([(candidate, 64)]);
 
-        // Prime the cache with one serial sweep, then replay it serially.
+        // Prime the cache with one sweep, then replay it.
         let mut cache = PageCache::new();
         cache.begin_sweep(&plan, &[], 1);
         space.clear_soft_dirty();
@@ -1469,18 +1036,8 @@ mod tests {
         );
         assert_eq!((r.words, r.pages_skipped), (0, 2), "both pages replay");
         assert_eq!(r.filter_rejects, 1, "the root pointer to `live`");
-
-        for n in [0, 3] {
-            let (map, stats) =
-                pool_mark(&space, &plan, Some(&filter), Some(&cache), None, &helpers(n));
-            assert_eq!(map.marked_count(), serial.marked_count(), "helpers={n}");
-            assert!(map.is_marked(candidate) && !map.is_marked(live));
-            assert_eq!(stats.words, r.words, "helpers={n}");
-            assert_eq!(stats.heap_words, r.heap_words);
-            assert_eq!(stats.pages_skipped, r.pages_skipped);
-            assert_eq!(stats.pages_replayed, r.pages_replayed);
-            assert_eq!(stats.filter_rejects, r.filter_rejects);
-        }
+        assert_eq!(r.pages_replayed, 2);
+        assert!(serial.is_marked(candidate) && !serial.is_marked(live));
     }
 
     #[test]

@@ -12,9 +12,8 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use minesweeper::telemetry::{RingSink, RunReport};
 use minesweeper::{
-    parallel_mark_pool, CandidateFilter, EdgeRecorder, ForensicsMode, FreeOutcome, MarkAccel,
-    Marker, MineSweeper, MsConfig, NaiveShadowMap, PageCache, PoolMarkJob, PoolMarkOpts, QEntry,
-    ShadowMap, SweepPlan,
+    CandidateFilter, EdgeRecorder, ForensicsMode, FreeOutcome, MarkAccel, Marker, MineSweeper,
+    MsConfig, NaiveShadowMap, PageCache, QEntry, ShadowMap, SweepPlan,
 };
 use vmem::{Addr, AddrSpace, Segment, PAGE_SIZE};
 
@@ -179,34 +178,35 @@ proptest! {
         // Addresses span two level-1 directory slots, so chunk, table and
         // word boundaries are all crossed.
         addrs in proptest::collection::vec(0u64..(1u64 << 35), 1..250),
-        use_writer in any::<bool>(),
         queries in proptest::collection::vec((0u64..(1u64 << 35), 0u64..65_536), 1..120),
     ) {
-        // Differential test: the atomic radix map (direct marks or the
-        // write-combining writer) against the seed's naive map — same
-        // newly-set verdicts, same count, same word-masked range queries.
-        let fast = ShadowMap::new();
+        // Differential test: the radix map, marked through its
+        // write-combining writer and through direct marks, against the
+        // seed's naive map — same newly-set verdicts, same count, same
+        // granules, same word-masked range queries.
+        let mut via_writer = ShadowMap::new();
+        let mut direct = ShadowMap::new();
         let mut slow = NaiveShadowMap::new();
-        if use_writer {
-            let mut w = fast.writer();
+        {
+            let mut w = via_writer.writer();
             for &a in &addrs {
-                prop_assert_eq!(w.mark(Addr::new(a)), slow.mark(Addr::new(a)));
-            }
-        } else {
-            for &a in &addrs {
-                prop_assert_eq!(fast.mark(Addr::new(a)), slow.mark(Addr::new(a)));
+                let want = slow.mark(Addr::new(a));
+                prop_assert_eq!(w.mark(Addr::new(a)), want);
+                prop_assert_eq!(direct.mark(Addr::new(a)), want);
             }
         }
-        prop_assert_eq!(fast.marked_count(), slow.marked_count());
-        for &a in &addrs {
-            prop_assert!(fast.is_marked(Addr::new(a)));
-        }
-        for &(start, len) in &queries {
-            prop_assert_eq!(
-                fast.range_marked(Addr::new(start), len),
-                slow.range_marked(Addr::new(start), len),
-                "range [{:#x}, +{}) disagrees", start, len
-            );
+        for fast in [&via_writer, &direct] {
+            prop_assert_eq!(fast.marked_count(), slow.marked_count());
+            for &a in &addrs {
+                prop_assert!(fast.is_marked(Addr::new(a)));
+            }
+            for &(start, len) in &queries {
+                prop_assert_eq!(
+                    fast.range_marked(Addr::new(start), len),
+                    slow.range_marked(Addr::new(start), len),
+                    "range [{:#x}, +{}) disagrees", start, len
+                );
+            }
         }
     }
 
@@ -659,7 +659,7 @@ fn run_tier(
     let mut shadow = ShadowMap::new();
     let mut cache = PageCache::new();
     cache.begin_sweep(plan, &[], 1);
-    let rec = entries.and_then(|e| EdgeRecorder::new(e, ForensicsMode::Full));
+    let mut rec = entries.and_then(|e| EdgeRecorder::new(e, ForensicsMode::Full));
     let mut marker = Marker::new(plan.clone());
     let mut totals = (0u64, 0u64, 0u64, 0u64, 0u64, 0u64);
     loop {
@@ -667,7 +667,7 @@ fn run_tier(
             filter,
             cache: Some(&mut cache),
             qgen: 1,
-            forensics: rec.as_ref(),
+            forensics: rec.as_mut(),
             tier: Some(tier),
         };
         let r = marker.step(space, &mut shadow, budget, &mut accel);
@@ -749,112 +749,47 @@ proptest! {
     }
 
     #[test]
-    fn work_stealing_mark_is_deterministic(
-        seed in any::<u64>(),
-        pages in 1u64..5,
-        zero_pct in 0u64..80,
-        ptr_pct in 0u64..20,
-        helpers in 0usize..5,
-        chunk_pages in 1u64..4,
-        filter_on in any::<bool>(),
-        roots_on in any::<bool>(),
-    ) {
-        // The work-stealing queue must not change *what* is computed:
-        // for any helper count (including counts the hardware clamps)
-        // and any chunk granularity, the aggregated stats and the shadow
-        // map equal the serial marker's, claim order notwithstanding.
-        // With `roots_on`, candidate pointers also sit in the globals
-        // and stack segments, and the plan covers those root pages too.
-        let mut space = AddrSpace::new();
-        let (mut plan, tbase) = scan_fixture(&mut space, seed, pages, 0, 0, zero_pct, ptr_pct);
-        if roots_on {
-            for (k, seg) in [Segment::Globals, Segment::Stack].into_iter().enumerate() {
-                let base = space.layout().segment_base(seg);
-                for i in 0..8u64 {
-                    let word = (seed >> (8 * k)).wrapping_add(i * 97) % 1024;
-                    let target = tbase + (seed.rotate_left(i as u32 * 7) % (2 * PAGE_SIZE as u64));
-                    space.write_word(base + word * 8, target.raw()).unwrap();
-                }
-            }
-            plan = SweepPlan::build(&space, plan.ranges());
-        }
-        let filter = CandidateFilter::build([(tbase, PAGE_SIZE as u64)]);
-        let filter = filter_on.then_some(&filter);
-
-        let mut serial_map = ShadowMap::new();
-        let serial = Marker::new(plan.clone()).step(
-            &mut space,
-            &mut serial_map,
-            u64::MAX,
-            &mut MarkAccel { filter, ..MarkAccel::default() },
-        );
-
-        let map = ShadowMap::new();
-        let job = PoolMarkJob {
-            space: &space,
-            plan: &plan,
-            shadow: &map,
-            filter,
-            cache: None,
-            forensics: None,
-        };
-        let opts = PoolMarkOpts {
-            helper_threads: helpers,
-            chunk_pages: Some(chunk_pages),
-            ..PoolMarkOpts::default()
-        };
-        let stats = parallel_mark_pool(&job, &opts);
-        prop_assert_eq!(stats.words, serial.words);
-        prop_assert_eq!(stats.heap_words, serial.heap_words);
-        prop_assert_eq!(stats.filter_rejects, serial.filter_rejects);
-        prop_assert_eq!(map.marked_count(), serial_map.marked_count());
-        for g in 0..2 * PAGE_SIZE as u64 / 16 {
-            prop_assert_eq!(
-                map.is_marked(tbase + g * 16),
-                serial_map.is_marked(tbase + g * 16),
-                "granule {} disagrees", g
-            );
-        }
-    }
-
-    #[test]
     fn adaptive_writer_matches_naive_on_runs_and_jumps(
         segs in proptest::collection::vec(
             (0u64..(1u64 << 30), 1u64..96), 1..40),
-        use_shared in any::<bool>(),
     ) {
         // The write-combining window is adaptive: sequential granule
         // runs open it, isolated marks take the direct path, and chunk /
         // line boundaries force flushes. Mark-by-mark "newly set"
-        // verdicts and the final count must match the naive reference
-        // for any interleaving of runs and jumps — including re-marking
-        // granules a previous run already set.
-        let fast = ShadowMap::new();
+        // verdicts, the final count, every granule of every run and its
+        // neighbours, and range queries around each run must match the
+        // naive reference for any interleaving of runs and jumps —
+        // including re-marking granules a previous run already set.
+        let mut fast = ShadowMap::new();
         let mut slow = NaiveShadowMap::new();
-        let mut drive = |w: &mut dyn FnMut(Addr) -> bool| {
+        {
+            let mut w = fast.writer();
             for &(base, run) in &segs {
                 for k in 0..run {
                     let a = Addr::new(base * 16 + k * 16);
-                    assert_eq!(w(a), slow.mark(a), "verdict diverges at {a}");
+                    prop_assert_eq!(w.mark(a), slow.mark(a), "verdict diverges at {}", a);
                 }
             }
-        };
-        if use_shared {
-            let mut w = fast.writer();
-            drive(&mut |a| w.mark(a));
-        } else {
-            let mut fast2 = ShadowMap::new();
-            {
-                let mut w = fast2.writer_mut();
-                drive(&mut |a| w.mark(a));
-            }
-            prop_assert_eq!(fast2.marked_count(), slow.marked_count());
-            return Ok(());
         }
         prop_assert_eq!(fast.marked_count(), slow.marked_count());
         for &(base, run) in &segs {
-            for k in 0..run {
-                prop_assert!(fast.is_marked(Addr::new(base * 16 + k * 16)));
+            for k in 0..=run + 1 {
+                let a = Addr::new((base + k).saturating_sub(1) * 16);
+                prop_assert_eq!(fast.is_marked(a), slow.is_marked(a), "granule {} disagrees", a);
+            }
+            let (start, end) = (base * 16, (base + run) * 16);
+            for (q, len) in [
+                (start.saturating_sub(64), 64),
+                (start.saturating_sub(8), end - start + 16),
+                (start + 8, end - start - 8),
+                (end, 16),
+                (end, 1024),
+            ] {
+                prop_assert_eq!(
+                    fast.range_marked(Addr::new(q), len),
+                    slow.range_marked(Addr::new(q), len),
+                    "range [{:#x}, +{}) disagrees", q, len
+                );
             }
         }
     }

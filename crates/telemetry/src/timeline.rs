@@ -32,7 +32,7 @@ pub struct PinRecord {
 pub struct SloRecord {
     /// Virtual time when the violation was reported.
     pub vnow: u64,
-    /// Stable objective name (`stw`, `sweep`, `qratio`, `util`).
+    /// Stable objective name (`stw`, `sweep` or `qratio`).
     pub objective: String,
     /// The observed value.
     pub observed: u64,

@@ -146,21 +146,12 @@ stage_kernel_gate() {
     "${bench[@]}" --pages 256 --reps 8 --out "$smoke_dir/bench.json" \
         > "$smoke_dir/bench.txt" \
         || { cat "$smoke_dir/bench.txt"; echo "clean run must pass the gate"; exit 1; }
-    for key in requested_helpers effective_helpers degraded dirty_pct \
-        incremental_d5 incremental_filtered_d5 words_per_sec forensics_off \
-        forensics_sampled_s8 forensics_full simd_serial swar_serial \
-        steal_parallel simd_vs_scalar tier_ratio_floor; do
+    for key in dirty_pct incremental_d5 incremental_filtered_d5 words_per_sec \
+        forensics_off forensics_sampled_s8 forensics_full simd_serial swar_serial \
+        scalar_serial simd_vs_scalar tier_ratio_floor; do
         grep -q "$key" "$smoke_dir/bench.json" \
             || { echo "bench JSON missing $key"; exit 1; }
     done
-    # Honesty gate: a parallel row the hardware clamped to zero helpers
-    # ran serially and must say so via "degraded": true.
-    if grep '"requested_helpers": [1-9]' "$smoke_dir/bench.json" \
-        | grep '"effective_helpers": 0' \
-        | grep -qv '"degraded": true'; then
-        echo "bench rows with zero effective helpers must be flagged degraded"
-        exit 1
-    fi
     local rc=0
     "${bench[@]}" --pages 256 --reps 8 --handicap simd_serial:2.0 \
         --out "$smoke_dir/slow.json" > "$smoke_dir/slow.txt" || rc=$?
@@ -275,15 +266,19 @@ stage_doc_modules() {
         | sed -E 's/^([^:]+:[0-9]+):`(.*)`$/\1\t\2/')
     # Deleted names must not come back: those of the multi-tenant arena
     # subsystem, the `Id[S]et` alias the quarantine's and MarkUs's
-    # `GranuleSet` replaced, and the sweep profiler's (the sampler is the
-    # one wall-time split). Each name carries a one-letter bracket class
-    # so this line does not match itself. jalloc's own jemalloc "arena"
-    # wording is not on the list.
+    # `GranuleSet` replaced, the sweep profiler's (the sampler is the
+    # one wall-time split), and those of the thread-pool marker and the
+    # shadow map's shared writer (one thread marks). Each name carries a
+    # one-letter bracket class so this line does not match itself.
+    # jalloc's own jemalloc "arena" wording is not on the list.
     local orphans='Arena[I]d|Arena[P]ool|Arena[B]ackend|Sweep[S]cheduler|Sched[P]olicy'
     orphans+='|run_[a]renas|ARENA_[S]UBSYSTEM|cross_[a]rena|--[a]renas|arena-[s]hards'
     orphans+='|Id[S]et'
     orphans+='|Sweep[P]rof|Writer[P]rof|Mark[P]rofile|SWEEP_[S]UBSYSTEM|simd_serial_[p]rofiled'
     orphans+='|profiler_[c]ost|Helper[U]til|min_helper_[u]til'
+    orphans+='|parallel_[m]ark_pool|Pool[M]arkJob|Pool[M]arkOpts|Parallel[M]arkStats'
+    orphans+='|effective_helper_[c]ount|PARALLEL_[C]HUNK_PAGES|steal_[p]arallel|writer_[m]ut'
+    orphans+='|atomic_[s]erial'
     if git grep -nE "$orphans" -- crates src tests examples scripts DESIGN.md README.md; then
         echo "orphan references to deleted names (listed above)"
         missing=1
