@@ -109,7 +109,7 @@ stage_dossier() {
     [ "$rc" -eq 1 ] || { echo "a missing run dir must exit 1 (got $rc)"; exit 1; }
 }
 
-# desc: sim run outputs match pinned sha256 sums (UPDATE_MODEL_LOCK=1)
+# desc: sim run outputs and full-length traces match pinned sha256 sums (UPDATE_MODEL_LOCK=1)
 stage_model_lock() {
     # Every system on the four profiles the end-to-end benchmark runs,
     # printed by the CLI: a change meant to be behaviour-neutral must
@@ -117,15 +117,23 @@ stage_model_lock() {
     # level, so it is left out of the sum.
     local fixture=crates/sim/tests/fixtures/model_lock.sha256
     local sums="$smoke_dir/model_lock.sha256" bench system
+    local sim=(cargo run -q --release -p ms-cli --bin minesweeper-sim --)
     : > "$sums"
     for bench in gcc omnetpp perlbench glibc-simple; do
         for system in baseline minesweeper minesweeper-mostly markus ffmalloc \
             scudo minesweeper-scudo crcount oscar psweeper dangsan; do
-            cargo run -q --release -p ms-cli --bin minesweeper-sim -- \
-                run "$bench" --system "$system" \
+            "${sim[@]}" run "$bench" --system "$system" \
                 | grep -v '^engine/scan_tier_' | sha256sum \
                 | sed "s/-\$/$bench $system/" >> "$sums"
         done
+    done
+    # The full-length op stream of every profile `list` names. The trace
+    # digest test caps its streams at 10,000 allocations; this catches a
+    # generator divergence that shows only at full length.
+    local trace="$smoke_dir/record.trace"
+    for bench in $("${sim[@]}" list | awk '/^  / && !seen[$1]++ { print $1 }'); do
+        "${sim[@]}" record "$bench" --seed 42 --out "$trace" > /dev/null
+        sha256sum < "$trace" | sed "s/-\$/record $bench/" >> "$sums"
     done
     if [ "${UPDATE_MODEL_LOCK:-0}" = "1" ]; then
         cp "$sums" "$fixture"
