@@ -51,10 +51,6 @@ pub struct CostModel {
     /// Stop-the-world re-check of one soft-dirty page (fault handling +
     /// 512-word scan).
     pub stw_page: u64,
-    /// Fixed setup of one sweep in the security bill: every sweep a
-    /// security-matrix cell runs is charged this once, as
-    /// `CostKind::SchedSetup`.
-    pub sweep_round_setup: u64,
     /// Releasing one quarantined entry to the allocator (`je_free`).
     pub release_entry: u64,
     /// Purging one page (amortised `madvise` batch).
@@ -151,7 +147,6 @@ impl CostModel {
             sweep_survivor_cycles: 4,
             sweep_skip_page: 40,
             stw_page: 800,
-            sweep_round_setup: 600,
             release_entry: 70,
             purge_page: 250,
             demand_commit: 2_500,

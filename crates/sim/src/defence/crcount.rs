@@ -9,23 +9,17 @@ impl Defence for CrCount {
         jalloc_malloc(self, CrCount::heap, |cr| cr.malloc(space, size), cost)
     }
 
-    /// Engine: the fast free plus zero-fill of the whole usable size.
-    /// Bill: a release or a deferral.
-    fn free_word(&mut self, space: &mut AddrSpace, word: u64, cx: FreeCtx) -> (FreeAck, u64) {
+    /// The fast free plus zero-fill of the whole usable size, whatever
+    /// becomes of the object; the zero-fill is the defence's share.
+    fn free_word(&mut self, space: &mut AddrSpace, word: u64, mut cx: FreeCtx) -> (FreeAck, u64) {
         let addr = Addr::new(word);
-        let cycles = cx.cost.free_fast + cx.cost.zero_cost(self.usable_size(addr).unwrap_or(0));
+        let zeroing = cx.cost.zero_cost(self.usable_size(addr).unwrap_or(0));
+        cx.charge(&[(CostKind::Zeroing, zeroing)]);
         let ack = match self.free(space, addr) {
-            CrFreeOutcome::Released => {
-                cx.bill.charge(CostKind::Release, cx.cost.release_entry);
-                FreeAck::Done
-            }
-            CrFreeOutcome::Deferred => {
-                cx.bill.charge(CostKind::Quarantine, cx.cost.quarantine_insert);
-                FreeAck::Done
-            }
+            CrFreeOutcome::Released | CrFreeOutcome::Deferred => FreeAck::Done,
             CrFreeOutcome::Invalid => FreeAck::Absorbed,
         };
-        (ack, cycles)
+        (ack, cx.cost.free_fast + zeroing)
     }
 
     fn store_ptr(&mut self, target: Addr, _slot: Addr, cost: &CostModel) -> u64 {

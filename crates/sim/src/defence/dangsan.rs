@@ -8,17 +8,16 @@ impl Defence for DangSan {
         jalloc_malloc(self, DangSan::heap, |ds| ds.malloc(space, size), cost)
     }
 
-    /// Engine: the fast free, the log walk and the nullifying stores.
-    /// Bill: the log walk.
-    fn free_word(&mut self, space: &mut AddrSpace, word: u64, cx: FreeCtx) -> (FreeAck, u64) {
+    /// The fast free, plus the defence's share: the log walk and its
+    /// nullifying stores.
+    fn free_word(&mut self, space: &mut AddrSpace, word: u64, mut cx: FreeCtx) -> (FreeAck, u64) {
         let DsFreeOutcome::Released { log_entries, nullified } = self.free(space, Addr::new(word))
         else {
             return (FreeAck::Absorbed, cx.cost.free_fast);
         };
-        // The log walk that nullifies dangling entries.
-        let walk = log_entries * cx.cost.dangsan_log_walk;
-        cx.bill.charge(CostKind::Forensics, walk);
-        (FreeAck::Done, cx.cost.free_fast + walk + nullified * 10)
+        let walk = log_entries * cx.cost.dangsan_log_walk + nullified * 10;
+        cx.charge(&[(CostKind::Forensics, walk)]);
+        (FreeAck::Done, cx.cost.free_fast + walk)
     }
 
     fn store_ptr(&mut self, target: Addr, slot: Addr, cost: &CostModel) -> u64 {

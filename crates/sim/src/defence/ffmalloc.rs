@@ -7,15 +7,18 @@ impl Defence for FfMalloc {
         (self.malloc(space, size).raw(), cost.ff_malloc)
     }
 
-    /// Engine: one syscall if any page was released. Bill: one per page.
-    fn free_word(&mut self, space: &mut AddrSpace, word: u64, cx: FreeCtx) -> (FreeAck, u64) {
-        let Ok(r) = self.free(space, Addr::new(word)) else {
-            return (FreeAck::Rejected, cx.cost.ff_free);
+    /// The page-count upkeep, plus one syscall if any page was released:
+    /// one-time allocation returns physical pages eagerly. All of it is
+    /// the defence's share.
+    fn free_word(&mut self, space: &mut AddrSpace, word: u64, mut cx: FreeCtx) -> (FreeAck, u64) {
+        let (ack, unmap) = match self.free(space, Addr::new(word)) {
+            Ok(r) if r.pages_released > 0 => (FreeAck::Done, cx.cost.unmap_syscall),
+            Ok(_) => (FreeAck::Done, 0),
+            Err(_) => (FreeAck::Rejected, 0),
         };
-        // One-time allocation returns physical pages eagerly.
-        cx.bill.charge(CostKind::Release, r.pages_released * cx.cost.unmap_syscall);
-        let unmap = if r.pages_released > 0 { cx.cost.unmap_syscall } else { 0 };
-        (FreeAck::Done, cx.cost.ff_free + unmap)
+        let cycles = cx.cost.ff_free + unmap;
+        cx.charge(&[(CostKind::Release, cycles)]);
+        (ack, cycles)
     }
 
     /// Every allocation gets a virtual range no earlier one had.

@@ -1,14 +1,7 @@
 //! MarkUs: quarantine plus a transitive Boehm-style mark from the roots.
 
 use super::*;
-use baselines::{GcReport, MarkUsFreeOutcome};
-
-/// Bytes stream near linear-sweep speed; the transitive pass pays its
-/// pointer-chase penalty per visited node.
-fn scan_cycles(r: &GcReport, cost: &CostModel) -> u64 {
-    r.scanned_words * vmem::WORD_SIZE as u64 / cost.sweep_bytes_per_cycle
-        + r.marked_objects * cost.mark_object_visit
-}
+use baselines::MarkUsFreeOutcome;
 
 impl Defence for MarkUs {
     fn malloc_word(&mut self, space: &mut AddrSpace, size: u64, cost: &CostModel) -> (u64, u64) {
@@ -16,21 +9,19 @@ impl Defence for MarkUs {
         (word, cycles + cost.markus_malloc_extra)
     }
 
-    /// Engine: the quarantine insert plus the Boehm block registration,
-    /// and one syscall if any page was unmapped. Bill: the registration.
-    fn free_word(&mut self, space: &mut AddrSpace, word: u64, cx: FreeCtx) -> (FreeAck, u64) {
+    /// The quarantine insert plus the Boehm block registration, and one
+    /// syscall if any page was unmapped. All of it is the defence's share.
+    fn free_word(&mut self, space: &mut AddrSpace, word: u64, mut cx: FreeCtx) -> (FreeAck, u64) {
         let unmapped = self.stats().unmapped_pages;
         let ack = match self.free(space, Addr::new(word)) {
-            MarkUsFreeOutcome::Quarantined => {
-                cx.bill.charge(CostKind::Quarantine, cx.cost.markus_free_extra);
-                FreeAck::Done
-            }
+            MarkUsFreeOutcome::Quarantined => FreeAck::Done,
             MarkUsFreeOutcome::DoubleFree | MarkUsFreeOutcome::Invalid => FreeAck::Absorbed,
         };
         let mut cycles = cx.cost.quarantine_insert + cx.cost.markus_free_extra;
         if self.stats().unmapped_pages > unmapped {
             cycles += cx.cost.unmap_syscall;
         }
+        cx.charge(&[(CostKind::Quarantine, cycles)]);
         (ack, cycles)
     }
 
@@ -46,10 +37,11 @@ impl Defence for MarkUs {
         2
     }
 
-    /// Engine: the scan plus demand commits. MarkUs marking is mostly
-    /// parallel with stop-the-world phases and allocation stalls: roughly
-    /// half the scan lands on the application's critical path, the rest
-    /// on background threads.
+    /// The scan plus demand commits. Bytes stream near linear-sweep speed;
+    /// the transitive pass pays its pointer-chase penalty per visited
+    /// node. MarkUs marking is mostly parallel with stop-the-world phases
+    /// and allocation stalls: roughly half the scan lands on the
+    /// application's critical path, the rest on background threads.
     fn collect(&mut self, space: &mut AddrSpace, cost: &CostModel) -> Option<(u64, u64, u64)> {
         if !self.gc_needed() {
             return None;
@@ -57,19 +49,9 @@ impl Defence for MarkUs {
         let commits = space.stats().demand_commits;
         let r = MarkUs::collect(self, space);
         let commits = space.stats().demand_commits - commits;
-        let scan = scan_cycles(&r, cost) + commits * cost.demand_commit;
+        let scan = r.scanned_words * vmem::WORD_SIZE as u64 / cost.sweep_bytes_per_cycle
+            + r.marked_objects * cost.mark_object_visit
+            + commits * cost.demand_commit;
         Some((scan / 2, scan / 2 + r.released * cost.release_entry, r.retained))
-    }
-
-    /// Bill: the scan without demand commits, half of it inside the
-    /// collector's pause.
-    fn housekeep(&mut self, space: &mut AddrSpace, cost: &CostModel, bill: &mut DefenceCost) {
-        if self.gc_needed() {
-            let r = MarkUs::collect(self, space);
-            let scan = scan_cycles(&r, cost);
-            bill.charge(CostKind::MarkScan, scan);
-            bill.charge(CostKind::Stw, scan / 2);
-            bill.charge(CostKind::Release, r.released * cost.release_entry);
-        }
     }
 }

@@ -2,21 +2,25 @@
 //! One generic impl serves both; [`Substrate`] holds what differs.
 
 use super::*;
-use ::minesweeper::{FreeFacts, FreeOutcome, MsStats};
+use ::minesweeper::FreeOutcome;
 
-/// The engine's hooks that differ with the heap under the layer.
+/// The engine's hooks that differ with the heap under the layer. Each
+/// hook prices or runs what the heap itself does, the way the same heap
+/// does it without the layer, so a layered-versus-bare ratio measures
+/// the layer alone.
 pub(crate) trait Substrate {
-    /// Allocates. Returns the address and the engine's charge.
+    /// Allocates. Returns the address and the allocator charge, which is
+    /// never attributed to the defence.
     fn malloc_charged(&mut self, space: &mut AddrSpace, size: u64, cost: &CostModel) -> (u64, u64);
 
-    /// The engine's charge for the heap's own share of a free.
+    /// The heap's own share of a free: allocator cycles, charged but never
+    /// attributed. None over JAlloc, whose whole free runs when a sweep
+    /// releases the entry (priced there as `release_entry`).
     fn free_cycles(&self, _cost: &CostModel) -> u64 {
         0
     }
 
-    /// The heap's decay purge on the engine's sample clock. None over
-    /// Scudo, unlike over JAlloc and unlike the Scudo baseline's
-    /// `release_to_os`: the model keeps this asymmetry.
+    /// The heap's decay purge on the engine's sample clock.
     fn sample_purge(&mut self, _space: &mut AddrSpace) {}
 }
 
@@ -31,15 +35,30 @@ impl Substrate for MineSweeper<JAlloc> {
 }
 
 impl Substrate for MineSweeper<Scudo> {
+    /// A flat `scudo_malloc`, as the Scudo baseline pays: Scudo has one
+    /// hardened path (class lookup and a randomized free-list pop), with
+    /// no thread cache or fresh-extent split for its stats to show, so
+    /// there is no path to price by as over JAlloc.
     fn malloc_charged(&mut self, space: &mut AddrSpace, size: u64, cost: &CostModel) -> (u64, u64) {
         (self.malloc(space, size).raw(), cost.scudo_malloc)
     }
 
-    /// The Scudo substrate's own free-path share is allocator cost, not
-    /// defence cost: charged, never attributed.
+    /// A quarter of `scudo_free`: the part of Scudo's free path that still
+    /// runs at the program's free (the checksummed chunk-header check on
+    /// the freed pointer), while the free-list push waits for release.
+    /// JAlloc's lookup has no such check. It is allocator work, so it is
+    /// charged and never attributed.
     fn free_cycles(&self, cost: &CostModel) -> u64 {
         cost.scudo_free / 4
     }
+
+    /// None, unlike over JAlloc and unlike the Scudo baseline's per-sample
+    /// `release_to_os`. Scudo has no decay window: its `purge_aged` is the
+    /// same whole release pass as `purge_all`, which the layer already runs
+    /// after every sweep (§4.5). The baseline has no sweeps, so the sample
+    /// clock is its only release point; here a per-sample pass would be a
+    /// second release policy that the layered allocator does not have.
+    fn sample_purge(&mut self, _space: &mut AddrSpace) {}
 }
 
 impl<B: HeapBackend + std::fmt::Debug> Defence for MineSweeper<B>
@@ -50,12 +69,13 @@ where
         self.malloc_charged(space, size, cost)
     }
 
-    /// Engine: a flat insert, one syscall if any page was unmapped, and a
-    /// whole thread-local buffer per flush. Bill: [`charge_free`]. Both
-    /// price what the layer reports it did ([`FreeFacts`]).
-    fn free_word(&mut self, space: &mut AddrSpace, word: u64, cx: FreeCtx) -> (FreeAck, u64) {
-        let FreeCtx { cost, site, ledger, bill } = cx;
-        let facts = self.free_sited(space, Addr::new(word), site);
+    /// Zeroing of the bytes the layer zeroed, and quarantine upkeep: a
+    /// flat insert, one syscall if any page was unmapped, and a whole
+    /// thread-local buffer per flush. Both are priced from what the layer
+    /// reports it did ([`::minesweeper::FreeFacts`]).
+    fn free_word(&mut self, space: &mut AddrSpace, word: u64, mut cx: FreeCtx) -> (FreeAck, u64) {
+        let cost = cx.cost;
+        let facts = self.free_sited(space, Addr::new(word), cx.site);
         let zeroing = cost.zero_cost(facts.zeroed_bytes);
         let mut quarantine = cost.quarantine_insert;
         if facts.unmapped_pages > 0 {
@@ -64,13 +84,7 @@ where
         if facts.flushed_entries > 0 {
             quarantine += self.config().tl_buffer_capacity as u64 * cost.quarantine_flush_per_entry;
         }
-        if let Some(rec) = ledger {
-            rec.charge_all(
-                &[(CostKind::Zeroing, zeroing), (CostKind::Quarantine, quarantine)],
-                Some(site),
-            );
-        }
-        charge_free(cost, bill, &facts);
+        cx.charge(&[(CostKind::Zeroing, zeroing), (CostKind::Quarantine, quarantine)]);
         let ack = match facts.outcome {
             FreeOutcome::Quarantined | FreeOutcome::Passthrough => FreeAck::Done,
             FreeOutcome::DoubleFree | FreeOutcome::Invalid => FreeAck::Absorbed,
@@ -127,47 +141,4 @@ where
         let report = MineSweeper::finish_sweep(self, space);
         (report, self.heap().purged_pages() - purged)
     }
-
-    fn housekeep(&mut self, space: &mut AddrSpace, cost: &CostModel, bill: &mut DefenceCost) {
-        if MineSweeper::sweep_needed(self, space) {
-            let before = self.stats();
-            let r = self.sweep_now(space);
-            charge_sweep(cost, bill, &before, &self.stats(), &r);
-        }
-    }
-}
-
-/// The interpreter's free bill, from what the layer reports one `free`
-/// call did: zeroed bytes, decommit syscalls per page and thread-local
-/// flush traffic per entry are whatever the layer says they were, and the
-/// per-entry insert is charged only when the free was actually
-/// quarantined.
-fn charge_free(cost: &CostModel, bill: &mut DefenceCost, facts: &FreeFacts) {
-    bill.charge(CostKind::Zeroing, cost.zero_cost(facts.zeroed_bytes));
-    let mut quarantine = facts.unmapped_pages * cost.unmap_syscall
-        + facts.flushed_entries * cost.quarantine_flush_per_entry;
-    if facts.outcome == FreeOutcome::Quarantined {
-        quarantine += cost.quarantine_insert;
-    }
-    bill.charge(CostKind::Quarantine, quarantine);
-}
-
-/// The interpreter's sweep bill, with full stats: the swept/skipped byte
-/// deltas feed [`CostModel::mark_cost_parts`] exactly as the engine's
-/// sweep loop does.
-fn charge_sweep(
-    cost: &CostModel,
-    bill: &mut DefenceCost,
-    before: &MsStats,
-    after: &MsStats,
-    r: &SweepReport,
-) {
-    bill.charge(CostKind::SchedSetup, cost.sweep_round_setup);
-    let swept = after.swept_bytes - before.swept_bytes;
-    let skipped = after.skipped_bytes - before.skipped_bytes;
-    let (scan, skip) = cost.mark_cost_parts(swept.saturating_sub(skipped), skipped, r.marked_words);
-    bill.charge(CostKind::MarkScan, scan);
-    bill.charge(CostKind::SkipReplay, skip);
-    bill.charge(CostKind::Stw, r.stw_pages * cost.stw_page);
-    bill.charge(CostKind::Release, r.released * cost.release_entry);
 }

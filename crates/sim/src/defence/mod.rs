@@ -4,9 +4,12 @@
 //! (`crate::exploit`) drive every system through the same calls: malloc
 //! and free, the instrumented pointer-store and pointer-erase hooks, the
 //! clock, and the sweep lifecycle. Each system's file implements them
-//! once. Where the engine's cycle charge and the interpreter's
-//! [`DefenceCost`] bill follow different recipes, both sit side by side
-//! in that file. Systems that never sweep keep the defaults.
+//! once and prices each operation once: a free returns its cycles and
+//! charges their defence share into the caller's [`CostRecorder`], and
+//! [`drain_charge`] and [`finish_charge`] price a sweep for the engine
+//! and for [`Defence::housekeep`] alike. Allocator cycles (the heap's own
+//! malloc and free paths) are charged but never attributed. Systems that
+//! never sweep keep the defaults.
 
 mod baseline;
 mod crcount;
@@ -30,7 +33,6 @@ use workloads::Op;
 
 use crate::cost::CostModel;
 use crate::engine::{Setup, Sim};
-use crate::exploit::DefenceCost;
 use crate::metrics::RunMetrics;
 use crate::system::System;
 
@@ -55,14 +57,22 @@ pub(crate) type Access = Result<u64, ExploitOutcome>;
 
 /// What a free call carries besides the pointer.
 pub(crate) struct FreeCtx<'a> {
-    /// The cost model both recipes draw from.
+    /// The cost model the free is priced with.
     pub cost: &'a CostModel,
     /// Allocation site of the freed object (0 = unknown).
     pub site: u32,
-    /// The engine's attribution ledger, charged with its recipe.
+    /// The attribution ledger, where the caller keeps one.
     pub ledger: Option<&'a mut CostRecorder>,
-    /// The interpreter's bill, charged with its recipe.
-    pub bill: &'a mut DefenceCost,
+}
+
+impl FreeCtx<'_> {
+    /// Attributes the free's defence share to its site, if there is a
+    /// ledger.
+    fn charge(&mut self, charges: &[(CostKind, u64)]) {
+        if let Some(rec) = self.ledger.as_deref_mut() {
+            rec.charge_all(charges, Some(self.site));
+        }
+    }
 }
 
 /// A system under test. Cycle figures are [`CostModel`] cycles.
@@ -77,8 +87,8 @@ pub(crate) trait Defence: std::fmt::Debug {
     /// (tagged under MTE) and the engine's charge.
     fn malloc_word(&mut self, space: &mut AddrSpace, size: u64, cost: &CostModel) -> (u64, u64);
 
-    /// Frees through `word`. Returns the outcome and the engine's mutator
-    /// charge; the other charges land in `cx`.
+    /// Frees through `word`. Returns the outcome and the mutator charge,
+    /// and charges that charge's defence share into `cx`.
     fn free_word(&mut self, space: &mut AddrSpace, word: u64, cx: FreeCtx) -> (FreeAck, u64);
 
     /// A pointer to `target` was stored in `slot`: the compiler
@@ -175,8 +185,29 @@ pub(crate) trait Defence: std::fmt::Debug {
         None
     }
 
-    /// The security interpreter's turn: runs any due reclamation and bills it.
-    fn housekeep(&mut self, _space: &mut AddrSpace, _cost: &CostModel, _bill: &mut DefenceCost) {}
+    /// The security interpreter's turn: runs the sweep, collection or
+    /// periodic sweep that is due and charges it into `ledger` as the
+    /// engine's non-blocking fast-forward does, with the sweeper threads
+    /// the engine gives a one-thread program. A collection's pause lands
+    /// on `Stw`, a periodic sweep's mutator share on `Forensics`, and
+    /// their background cycles on `MarkScan` wholesale.
+    fn housekeep(&mut self, space: &mut AddrSpace, cost: &CostModel, ledger: &mut CostRecorder) {
+        let threads = effective_threads(self, 1);
+        if self.sweep_needed(space) {
+            self.start_sweep(space);
+            let (r, commits) = step_counting_commits(self, space, u64::MAX);
+            drain_charge(cost, &r, commits, threads, self.concurrent(), Some(&mut *ledger));
+            let (report, purged) = self.finish_sweep(space);
+            finish_charge(cost, &report, purged, Some(&mut *ledger));
+        } else if let Some((pause, background, _)) = self.collect(space, cost) {
+            let charges = [(CostKind::Stw, pause / threads), (CostKind::MarkScan, background)];
+            ledger.charge_all(&charges, None);
+        }
+        if let Some((mutator, background)) = self.periodic_sweep(space, cost) {
+            let charges = [(CostKind::Forensics, mutator), (CostKind::MarkScan, background)];
+            ledger.charge_all(&charges, None);
+        }
+    }
 
     /// A load through `word`. A gone or protected page is a hard fault.
     fn load(&mut self, space: &mut AddrSpace, word: u64) -> Access {
@@ -219,6 +250,68 @@ pub(crate) fn build(system: System, decay_cycles: u64) -> Box<dyn Defence> {
         System::PSweeper => Box::new(PSweeper::new()),
         System::DangSan => Box::new(DangSan::new()),
     }
+}
+
+/// Sweeper threads `sys` runs with beside `program_threads` mutator
+/// threads: its request, capped by the cores the program spares.
+pub(crate) fn effective_threads<D: Defence + ?Sized>(sys: &D, program_threads: u64) -> u64 {
+    let spare = (CostModel::desktop().cores as u64).saturating_sub(program_threads).max(1);
+    sys.sweeper_threads().min(spare).max(1)
+}
+
+/// Marks up to `word_budget` words of the in-flight sweep. Returns the
+/// step and the demand commits the sweeper took.
+pub(crate) fn step_counting_commits<D: Defence + ?Sized>(
+    sys: &mut D,
+    space: &mut AddrSpace,
+    word_budget: u64,
+) -> (StepResult, u64) {
+    let commits = space.stats().demand_commits;
+    let r = sys.sweep_step(space, word_budget);
+    (r, space.stats().demand_commits - commits)
+}
+
+/// Prices a sweep's mark drained in one step `r`, with `commits` demand
+/// commits. The mark (skipped pages at a flat per-page lookup, forensics
+/// pin edges included) takes `wall` cycles over the `threads` sweepers,
+/// or over one when the sweep is not concurrent, and all `threads` are
+/// charged for that wall. The mark lands on `MarkScan` wholesale and the
+/// commits on `Commit`. Returns `(wall, mark, commit)`.
+pub(crate) fn drain_charge(
+    cost: &CostModel,
+    r: &StepResult,
+    commits: u64,
+    threads: u64,
+    concurrent: bool,
+    ledger: Option<&mut CostRecorder>,
+) -> (u64, u64, u64) {
+    let markers = if concurrent { threads } else { 1 };
+    let wall = (cost.mark_cost(r.bytes - r.skipped_bytes, r.skipped_bytes, r.heap_words)
+        + r.pin_edges * cost.forensics_edge)
+        / markers;
+    let mark = wall * threads;
+    let commit = commits * cost.demand_commit;
+    if let Some(rec) = ledger {
+        rec.charge_all(&[(CostKind::MarkScan, mark), (CostKind::Commit, commit)], None);
+    }
+    (wall, mark, commit)
+}
+
+/// Prices a finished sweep: the stop-the-world re-check per soft-dirty
+/// page on `Stw`, and release per entry plus purge per page on `Release`.
+/// Returns `(stw, release)`.
+pub(crate) fn finish_charge(
+    cost: &CostModel,
+    report: &SweepReport,
+    purged: u64,
+    ledger: Option<&mut CostRecorder>,
+) -> (u64, u64) {
+    let stw = report.stw_pages * cost.stw_page;
+    let release = report.released * cost.release_entry + purged * cost.purge_page;
+    if let Some(rec) = ledger {
+        rec.charge_all(&[(CostKind::Stw, stw), (CostKind::Release, release)], None);
+    }
+    (stw, release)
 }
 
 /// Runs `malloc` on a JeMalloc-style heap and charges it by the path it

@@ -7,15 +7,10 @@ impl Defence for Oscar {
         (self.malloc(space, size).raw(), cost.oscar_malloc_syscall)
     }
 
-    fn free_word(&mut self, space: &mut AddrSpace, word: u64, cx: FreeCtx) -> (FreeAck, u64) {
-        let ack = match self.free(space, Addr::new(word)) {
-            Ok(()) => {
-                // Revoking the shadow alias is the scheme's free cost.
-                cx.bill.charge(CostKind::Quarantine, cx.cost.oscar_free_syscall);
-                FreeAck::Done
-            }
-            Err(_) => FreeAck::Rejected,
-        };
+    /// Revoking the shadow alias is the scheme's free cost.
+    fn free_word(&mut self, space: &mut AddrSpace, word: u64, mut cx: FreeCtx) -> (FreeAck, u64) {
+        let ack = self.free(space, Addr::new(word)).map_or(FreeAck::Rejected, |()| FreeAck::Done);
+        cx.charge(&[(CostKind::Quarantine, cx.cost.oscar_free_syscall)]);
         (ack, cx.cost.oscar_free_syscall)
     }
 

@@ -9,12 +9,10 @@ impl Defence for PSweeper {
         jalloc_malloc(self, PSweeper::heap, |ps| ps.malloc(space, size), cost)
     }
 
+    /// The fast free: the deferral is the background sweep's work.
     fn free_word(&mut self, space: &mut AddrSpace, word: u64, cx: FreeCtx) -> (FreeAck, u64) {
         let ack = match self.free(space, Addr::new(word)) {
-            PsFreeOutcome::Deferred => {
-                cx.bill.charge(CostKind::Quarantine, cx.cost.quarantine_insert);
-                FreeAck::Done
-            }
+            PsFreeOutcome::Deferred => FreeAck::Done,
             PsFreeOutcome::Invalid => FreeAck::Absorbed,
         };
         (ack, cx.cost.free_fast)
@@ -39,19 +37,11 @@ impl Defence for PSweeper {
         self.tracked_ptrs() as u64 * 8 + self.pending() as u64 * 16
     }
 
-    /// Engine: scanning and releasing run on the concurrent thread; a thin
-    /// slice of interference reaches the mutator (nullification stores).
+    /// Scanning and releasing run on the concurrent thread; a thin slice
+    /// of interference reaches the mutator (nullification stores).
     fn periodic_sweep(&mut self, space: &mut AddrSpace, cost: &CostModel) -> Option<(u64, u64)> {
         let r = self.sweep(space);
         let scan = r.slots_scanned * cost.psweeper_slot_scan + r.released * cost.release_entry;
         Some((r.nullified * 20, scan))
-    }
-
-    /// Bill: the same scan and release, by kind. The background thread
-    /// gets a turn between attack phases.
-    fn housekeep(&mut self, space: &mut AddrSpace, cost: &CostModel, bill: &mut DefenceCost) {
-        let r = self.sweep(space);
-        bill.charge(CostKind::MarkScan, r.slots_scanned * cost.psweeper_slot_scan);
-        bill.charge(CostKind::Release, r.released * cost.release_entry);
     }
 }

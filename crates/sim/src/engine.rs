@@ -14,7 +14,6 @@ use workloads::{Op, Profile, Rng, TraceGen};
 
 use crate::cost::CostModel;
 use crate::defence::{self, Defence, FreeAck, FreeCtx};
-use crate::exploit::DefenceCost;
 use crate::metrics::RunMetrics;
 use crate::system::System;
 
@@ -261,9 +260,7 @@ impl Engine {
         let run_cycles = profile.total_allocs.max(1) * profile.cycles_per_alloc.max(1);
         let decay = (run_cycles / 30).clamp(1_000_000, 500_000_000);
         let sys = defence::build(system, decay);
-        let cores = CostModel::desktop().cores as u64;
-        let spare = cores.saturating_sub(profile.threads as u64).max(1);
-        let threads = sys.sweeper_threads().min(spare).max(1);
+        let threads = defence::effective_threads(&*sys, profile.threads as u64);
         let telem = sys.registry().map(EngineTelem::register);
         let cost_rec = sys.registry().map(CostRecorder::new);
         // Stamp helper-thread demand vs. supply and the scan-kernel tier,
@@ -741,12 +738,7 @@ impl<D: Defence + ?Sized> Sim<D> {
 
         // Hand the allocation to the system under test, charging costs.
         self.stamp_now();
-        let cx = FreeCtx {
-            cost: &self.cost,
-            site: obj.site,
-            ledger: self.cost_rec.as_mut(),
-            bill: &mut DefenceCost::default(),
-        };
+        let cx = FreeCtx { cost: &self.cost, site: obj.site, ledger: self.cost_rec.as_mut() };
         let (ack, cycles) = self.sys.free_word(&mut self.space, obj.base.raw(), cx);
         debug_assert_eq!(ack, FreeAck::Done, "engine frees live ids once");
         self.charge_mutator(cycles + drop_cycles);
@@ -797,9 +789,8 @@ impl<D: Defence + ?Sized> Sim<D> {
         if budget_words == 0 {
             return;
         }
-        let dc0 = self.space.stats().demand_commits;
-        let r = self.sys.sweep_step(&mut self.space, budget_words);
-        let dcs = self.space.stats().demand_commits - dc0;
+        let (r, dcs) =
+            defence::step_counting_commits(&mut *self.sys, &mut self.space, budget_words);
         self.metrics.sweep_demand_commits += dcs;
         // Skipped pages (incremental sweep) advance the cursor without the
         // word-by-word re-read; they cost a flat per-page lookup instead.
@@ -823,27 +814,15 @@ impl<D: Defence + ?Sized> Sim<D> {
         if !self.sweep_active {
             return;
         }
-        let threads = if self.sys.concurrent() { self.threads } else { 1 };
-        let dc0 = self.space.stats().demand_commits;
-        let r = self.sys.sweep_step(&mut self.space, u64::MAX);
+        let (r, dcs) = defence::step_counting_commits(&mut *self.sys, &mut self.space, u64::MAX);
         debug_assert!(r.finished);
-        let dcs = self.space.stats().demand_commits - dc0;
-        // Derive the wall time from what the drain actually did: skipped
-        // pages (incremental sweep) cost a flat per-page lookup, not the
-        // streaming re-read.
-        let wall = (self.cost.mark_cost(r.bytes - r.skipped_bytes, r.skipped_bytes, r.heap_words)
-            + r.pin_edges * self.cost.forensics_edge)
-            / threads;
         self.metrics.sweep_demand_commits += dcs;
-        // Attribution: the drained mark bill (background) lands on
-        // MarkScan wholesale — fast-forward collapses the skip/forensics
-        // detail into one wall figure — the blocking stall on Stw, and
-        // demand commits on Commit. The amounts recorded are exactly the
-        // amounts charged below.
-        let mark_bill = wall * self.threads;
-        let commit = dcs * self.cost.demand_commit;
-        self.record_cost(CostKind::MarkScan, mark_bill);
-        self.record_cost(CostKind::Commit, commit);
+        // The drain's mark and commits are recorded as priced; a blocking
+        // drain also stalls the mutator for its wall time, on Stw.
+        let (threads, concurrent) = (self.threads, self.sys.concurrent());
+        let ledger = self.cost_rec.as_mut();
+        let (wall, mark, commit) =
+            defence::drain_charge(&self.cost, &r, dcs, threads, concurrent, ledger);
         if blocking {
             self.record_cost(CostKind::Stw, wall);
             self.now += wall + commit;
@@ -851,9 +830,9 @@ impl<D: Defence + ?Sized> Sim<D> {
             if let Some(t) = &self.telem {
                 t.pause_cycles.record(wall);
             }
-            self.background += mark_bill;
+            self.background += mark;
         } else {
-            self.background += mark_bill + commit;
+            self.background += mark + commit;
         }
         self.finish_sweep();
     }
@@ -861,9 +840,9 @@ impl<D: Defence + ?Sized> Sim<D> {
     fn finish_sweep(&mut self) {
         self.stamp_now();
         let (report, purged) = self.sys.finish_sweep(&mut self.space);
+        let (stw, release) =
+            defence::finish_charge(&self.cost, &report, purged, self.cost_rec.as_mut());
         // Stop-the-world re-check hits the mutator.
-        let stw = report.stw_pages * self.cost.stw_page;
-        self.record_cost(CostKind::Stw, stw);
         self.now += stw;
         self.metrics.stw_cycles += stw;
         if let Some(t) = &self.telem {
@@ -873,13 +852,10 @@ impl<D: Defence + ?Sized> Sim<D> {
             t.sweep_cycles.record(self.now.saturating_sub(t.sweep_start));
         }
         // Release + purge work.
-        let finish_cost =
-            report.released * self.cost.release_entry + purged * self.cost.purge_page;
-        self.record_cost(CostKind::Release, finish_cost);
         if self.sys.concurrent() {
-            self.background += finish_cost;
+            self.background += release;
         } else {
-            self.now += finish_cost;
+            self.now += release;
         }
         self.metrics.sweeps += 1;
         self.metrics.failed_frees += report.failed;

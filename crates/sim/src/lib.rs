@@ -43,7 +43,7 @@ mod system;
 pub use cost::CostModel;
 pub use engine::{Engine, ENGINE_SUBSYSTEM};
 pub use exploit::{
-    run_exploit, run_scenario, DefenceCost, ScenarioRun, SecSystem, Weaken,
+    run_exploit, run_scenario, ScenarioRun, SecSystem, Weaken,
 };
 pub use metrics::{geomean, RunMetrics};
 pub use security::{run_corpus, SecCell, SecurityMatrix, SECURITY_SCHEMA};

@@ -11,10 +11,10 @@
 //! golden fixture (`crates/sim/tests/security_corpus.rs`): any diff is a
 //! real behaviour change.
 
-use telemetry::CostKind;
+use telemetry::CostLedger;
 use workloads::exploit::{corpus, fuzz_corpus, validate, ExploitOutcome};
 
-use crate::exploit::{run_scenario, DefenceCost, SecSystem, Weaken};
+use crate::exploit::{run_scenario, SecSystem, Weaken};
 
 /// Wire-format version of `SECURITY_matrix.json`. Schema 2 added the
 /// per-cell `defence_cycles` total and `defence_kinds` breakdown; schema
@@ -44,7 +44,7 @@ pub struct SecCell {
     /// MTE tag-mismatch detections raised.
     pub detections: u64,
     /// What defending this cell cost the backend, in model cycles.
-    pub defence: DefenceCost,
+    pub defence: CostLedger,
 }
 
 /// The full matrix plus the run's provenance.
@@ -149,16 +149,13 @@ impl SecurityMatrix {
                 Some(w) => w.to_string(),
                 None => "null".to_string(),
             };
-            // The defence bill, nonzero kinds only (ALL order).
+            // The defence cycles, nonzero kinds only (`CostKind::ALL` order).
             let mut kinds = String::new();
-            for k in CostKind::ALL {
-                let v = c.defence.kind(k);
-                if v > 0 {
-                    if !kinds.is_empty() {
-                        kinds.push_str(", ");
-                    }
-                    let _ = write!(kinds, "\"{}\": {v}", k.label());
+            for (label, v, _) in c.defence.kinds.iter().filter(|(_, v, _)| *v > 0) {
+                if !kinds.is_empty() {
+                    kinds.push_str(", ");
                 }
+                let _ = write!(kinds, "\"{label}\": {v}");
             }
             let _ = writeln!(
                 out,

@@ -24,8 +24,8 @@ pub const COST_SUBSYSTEM: &str = "cost";
 /// What a defence-cycle charge paid for.
 ///
 /// The taxonomy follows the sim's `CostModel` charge points; every charge
-/// the engine (or the exploit interpreter's per-backend recipes) makes is
-/// tagged with exactly one kind, so the kinds partition the total.
+/// the sim's engine or its exploit interpreter records is tagged with
+/// exactly one kind, so the kinds partition the total.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
 pub enum CostKind {
     /// Zero-on-free memory scrubbing.
@@ -40,8 +40,6 @@ pub enum CostKind {
     Forensics,
     /// Stop-the-world passes and blocking pause stalls.
     Stw,
-    /// Fixed per-sweep setup in the security bill.
-    SchedSetup,
     /// Quarantine release and page purge/decommit work.
     Release,
     /// Demand-commit faults taken by the sweeper.
@@ -50,14 +48,13 @@ pub enum CostKind {
 
 impl CostKind {
     /// Every kind, in canonical (serialisation) order.
-    pub const ALL: [CostKind; 9] = [
+    pub const ALL: [CostKind; 8] = [
         CostKind::Zeroing,
         CostKind::Quarantine,
         CostKind::MarkScan,
         CostKind::SkipReplay,
         CostKind::Forensics,
         CostKind::Stw,
-        CostKind::SchedSetup,
         CostKind::Release,
         CostKind::Commit,
     ];
@@ -71,14 +68,13 @@ impl CostKind {
             CostKind::SkipReplay => "skip_replay",
             CostKind::Forensics => "forensics",
             CostKind::Stw => "stw",
-            CostKind::SchedSetup => "sched_setup",
             CostKind::Release => "release",
             CostKind::Commit => "commit",
         }
     }
 
     /// Position of this kind in [`CostKind::ALL`] — the canonical index
-    /// for fixed-size per-kind arrays (e.g. `DefenceCost` in the sim).
+    /// for per-kind arrays, such as a [`CostLedger`]'s `kinds`.
     /// `ALL` lists the variants in declaration order, so this is the
     /// discriminant.
     pub fn index(self) -> usize {
@@ -112,12 +108,12 @@ impl Buffered {
     }
 }
 
-/// Live recorder: one per engine run, registered on that run's
-/// [`Registry`]. A charge is a few plain adds (the total, the kind's
-/// bucket and sum, the site's cycles); nothing reaches the registry until
-/// [`CostRecorder::publish`], which a snapshot reader must call first. A
-/// site's counter is still registered at that site's first charge, so
-/// snapshots list sites in first-charge order.
+/// Live recorder: one per engine or security-interpreter run, registered
+/// on that run's [`Registry`]. A charge is a few plain adds (the total,
+/// the kind's bucket and sum, the site's cycles); nothing reaches the
+/// registry until [`CostRecorder::publish`], which a snapshot reader must
+/// call first. A site's counter is still registered at that site's first
+/// charge, so snapshots list sites in first-charge order.
 #[derive(Debug)]
 pub struct CostRecorder {
     /// Cycles charged so far, published or not.

@@ -276,7 +276,9 @@ stage_doc_modules() {
     # subsystem, the `Id[S]et` alias the quarantine's and MarkUs's
     # `GranuleSet` replaced, the sweep profiler's (the sampler is the
     # one wall-time split), and those of the thread-pool marker and the
-    # shadow map's shared writer (one thread marks). Each name carries a
+    # shadow map's shared writer (one thread marks), and those of the
+    # security interpreter's second cost ledger (one recipe per system,
+    # charged through `CostRecorder`). Each name carries a
     # one-letter bracket class so this line does not match itself.
     # jalloc's own jemalloc "arena" wording is not on the list.
     local orphans='Arena[I]d|Arena[P]ool|Arena[B]ackend|Sweep[S]cheduler|Sched[P]olicy'
@@ -287,6 +289,7 @@ stage_doc_modules() {
     orphans+='|parallel_[m]ark_pool|Pool[M]arkJob|Pool[M]arkOpts|Parallel[M]arkStats'
     orphans+='|effective_helper_[c]ount|PARALLEL_[C]HUNK_PAGES|steal_[p]arallel|writer_[m]ut'
     orphans+='|atomic_[s]erial'
+    orphans+='|Defence[C]ost|charge_[f]ree|charge_[s]weep_report|sweep_round_[s]etup'
     if git grep -nE "$orphans" -- crates src tests examples scripts DESIGN.md README.md; then
         echo "orphan references to deleted names (listed above)"
         missing=1
