@@ -43,7 +43,7 @@
 //! the SIMD kernel's speed-up, measured within the run as the median of
 //! `2 × reps` interleaved pairs (so host speed drift lands on both sides
 //! of every pair), must not fall below the active tier's
-//! [`tier_ratio_floor`] (see [`failed_gates`]).
+//! floor, `tier_ratio_floor` (checked in `failed_gates`).
 //!
 //! Exit codes follow `ms-report`: 0 when the gate passes, 1 on bad input
 //! (the usage is printed), 2 when it fails (the failed gate is named).

@@ -750,24 +750,24 @@ fn matrix_table(m: &sim::SecurityMatrix) -> String {
     for ((name, _), row) in m.scenarios.iter().zip(m.cells.chunks(m.backends.len())) {
         let cell = |backend: &str| row.iter().find(|c| c.backend == backend);
         let mut line = vec![name.clone()];
-        line.extend(row.iter().map(|c| c.outcome.code().to_string()));
+        line.extend(row.iter().map(|c| c.run.outcome.code().to_string()));
         // Attack-window latency on the unprotected baseline column: how
         // many frees an attacker needs before the victim slot recycles.
         line.push(
             cell("baseline")
-                .and_then(|c| c.attack_window)
+                .and_then(|c| c.run.attack_window)
                 .map_or_else(|| "-".into(), |w| w.to_string()),
         );
         // What the verdict cost: minesweeper's defence cycles for this
         // scenario, the price of the protection next to its outcome.
         line.push(
-            cell("minesweeper").map_or_else(|| "-".into(), |c| c.defence.total.to_string()),
+            cell("minesweeper").map_or_else(|| "-".into(), |c| c.run.defence.total.to_string()),
         );
         rows.push(line);
     }
     out.push_str(&table(&rows));
     out.push_str("verdicts: C=compromised T=clean-termination B=benign D=detected\n");
-    let count = |o: ExploitOutcome| m.cells.iter().filter(|c| c.outcome == o).count();
+    let count = |o: ExploitOutcome| m.cells.iter().filter(|c| c.run.outcome == o).count();
     out.push_str(&format!(
         "totals: {} compromised, {} clean-termination, {} benign, {} detected\n",
         count(ExploitOutcome::Compromised),
@@ -776,9 +776,9 @@ fn matrix_table(m: &sim::SecurityMatrix) -> String {
         count(ExploitOutcome::Detected)
     ));
     let ms_compromised =
-        m.column("minesweeper").filter(|c| c.outcome == ExploitOutcome::Compromised).count();
+        m.column("minesweeper").filter(|c| c.run.outcome == ExploitOutcome::Compromised).count();
     out.push_str(&format!("minesweeper compromised cells: {ms_compromised}\n"));
-    let defence: u64 = m.cells.iter().map(|c| c.defence.total).sum();
+    let defence: u64 = m.cells.iter().map(|c| c.run.defence.total).sum();
     out.push_str(&format!("defence cycles: {defence} across all cells\n"));
     out
 }

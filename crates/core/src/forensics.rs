@@ -146,7 +146,7 @@ pub struct LedgerEntry {
     /// Consecutive sweeps the entry has failed (1 after the first).
     pub survivals: u64,
     /// Distinct pages holding recorded pinning pointers, capped at
-    /// [`MAX_PINNERS`].
+    /// `MAX_PINNERS`.
     pub pinners: Vec<u64>,
 }
 

@@ -363,10 +363,10 @@ impl fmt::Debug for ShadowMap {
 ///
 /// Two layers of locality exploitation:
 ///
-/// * a direct-mapped cache of [`CHUNK_CACHE`] **chunk** pointers, so
+/// * a direct-mapped cache of `CHUNK_CACHE` **chunk** pointers, so
 ///   pointer targets over a bounded heap (16 MiB per cache generation)
 ///   skip the radix walk whether they arrive clustered or scattered;
-/// * marks into the current bitmap **line** ([`LINE_WORDS`] words = 512
+/// * marks into the current bitmap **line** (`LINE_WORDS` words = 512
 ///   granules = 8 KiB of address space) are write-combined into a local
 ///   snapshot and stored back when the cursor moves on — turning up to
 ///   512 read-modify-writes into at most 8 stores. Every pending bit is

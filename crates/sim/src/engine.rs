@@ -26,60 +26,50 @@ struct Obj {
     /// Allocation-site id from the trace (0 = unknown). Forwarded into
     /// the quarantine so forensics can attribute failed frees.
     site: u32,
-    /// Outgoing pointer slots, in wiring order.
-    out: EdgeList<OUT>,
+    /// This object's pointer slots: its edge block, in wiring order.
+    out: Block,
     /// Slots holding a pointer to this object, in wiring order.
-    incoming: EdgeList<IN>,
+    incoming: Incoming,
     /// Index of this object's handle in `Sim::live`.
     live_idx: u32,
 }
 
-/// A memory slot holding a pointer to some object.
-#[derive(Clone, Copy, Debug)]
-enum Slot {
-    /// Root slot index on the stack.
-    Root(u32),
-    /// Offset within a live object.
-    InObj {
-        /// Holder object handle.
-        holder: u32,
-        /// Byte offset of the slot.
-        off: u64,
-    },
-}
-
-/// "No edge" in a list link.
+/// "No edge" in a list link; as an edge's target, a dangling slot.
 const NIL: u32 = u32::MAX;
-/// `Edge::links` index of the holder's `out` list.
-const OUT: usize = 0;
-/// `Edge::links` index of the target's `incoming` list.
-const IN: usize = 1;
+/// An edge's target once its slot was erased: the holder's walk skips it.
+const ERASED: u32 = u32::MAX - 1;
+/// The holder of a root slot's edge.
+const ROOT: u32 = u32::MAX;
 
 /// One pointer slot of the graph: where the pointer lives and which
 /// object it points to.
 #[derive(Clone, Copy, Debug)]
 struct Edge {
-    slot: Slot,
-    /// Handle of the object pointed at.
+    /// Handle of the object holding the slot, or [`ROOT`]: root slot
+    /// `r`'s edge is arena index `r`.
+    holder: u32,
+    /// Byte offset of the slot in its holder.
+    off: u32,
+    /// Handle of the object pointed at. [`NIL`] once that object was freed
+    /// while the slot kept pointing at it: the edge has left the target's
+    /// `incoming` list but stays in its holder's block (or root). [`ERASED`]
+    /// once the program cleared the slot, or never wired it.
     target: u32,
-    /// `[prev, next]` in the holder's `out` list (`links[OUT]`; in-object
-    /// slots only) and in the target's `incoming` list (`links[IN]`).
-    links: [[u32; 2]; 2],
-    /// The target was freed while this slot kept pointing at it. The edge
-    /// has left the target's `incoming` list but stays with its holder (or
-    /// root); its target handle may since name another object, so it is
-    /// never looked up.
-    dangling: bool,
+    /// `[prev, next]` in the target's `incoming` list.
+    links: [u32; 2],
 }
+
+const _: () = assert!(std::mem::size_of::<Edge>() == 20);
+const _: () = assert!(std::mem::size_of::<Obj>() <= 40);
 
 impl Edge {
-    fn new(slot: Slot, target: u32) -> Self {
-        Edge { slot, target, links: [[NIL; 2]; 2], dangling: false }
-    }
+    /// A slot that holds no tracked pointer yet: a root slot never rooted,
+    /// or a block slot whose store found no target.
+    const UNWIRED: Edge = Edge { holder: NIL, off: 0, target: ERASED, links: [NIL; 2] };
 }
 
-/// Items named by dense `u32` indices into one `Vec`; released slots are
-/// reused.
+/// Objects named by dense `u32` handles into one `Vec`; released handles
+/// are reused.
 #[derive(Debug)]
 struct Slab<T> {
     items: Vec<T>,
@@ -102,7 +92,10 @@ impl<T> Slab<T> {
             }
             None => {
                 self.items.push(item);
-                u32::try_from(self.items.len() - 1).expect("slab indices fit a u32")
+                u32::try_from(self.items.len() - 1)
+                    .ok()
+                    .filter(|&i| i < ERASED)
+                    .expect("handles stay below the graph's reserved values")
             }
         }
     }
@@ -127,13 +120,77 @@ impl<T> std::ops::IndexMut<u32> for Slab<T> {
     }
 }
 
-/// Every edge of the pointer graph.
-type Edges = Slab<Edge>;
+/// A holder's pointer slots: `len` edges from arena index `start`, in
+/// wiring order. The block spans the `1 << class()` arena slots of its
+/// size class.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Block {
+    start: u32,
+    len: u32,
+}
+
+impl Block {
+    const EMPTY: Block = Block { start: 0, len: 0 };
+
+    fn edges(self) -> std::ops::Range<u32> {
+        self.start..self.start + self.len
+    }
+
+    fn class(self) -> usize {
+        self.len.next_power_of_two().trailing_zeros() as usize
+    }
+}
+
+/// Every edge of the pointer graph in one arena: the root slots' edges
+/// first, then one block per holder, laid out in the order `do_free` walks
+/// them.
+#[derive(Debug)]
+struct Edges {
+    arena: Vec<Edge>,
+    /// Starts of released blocks, by size class.
+    free: Vec<Vec<u32>>,
+}
 
 impl Edges {
-    /// The edge after `e` in its list `DIR`.
-    fn next<const DIR: usize>(&self, e: u32) -> Option<u32> {
-        Some(self[e].links[DIR][1]).filter(|&n| n != NIL)
+    /// An arena whose first `roots` edges are the root slots'.
+    fn new(roots: usize) -> Self {
+        Edges { arena: vec![Edge::UNWIRED; roots], free: Vec::new() }
+    }
+
+    /// A block of `len` edges for a new holder, reusing a released block of
+    /// its class when there is one. The caller writes every edge.
+    fn alloc(&mut self, len: u32) -> Block {
+        if len == 0 {
+            return Block::EMPTY;
+        }
+        let class = Block { start: 0, len }.class();
+        let start = match self.free.get_mut(class).and_then(Vec::pop) {
+            Some(start) => start,
+            None => {
+                let start = u32::try_from(self.arena.len()).expect("edge indices fit a u32");
+                let end = start.checked_add(1 << class).expect("edge indices fit a u32");
+                self.arena.resize(end as usize, Edge::UNWIRED);
+                start
+            }
+        };
+        Block { start, len }
+    }
+
+    /// Returns a dead holder's block to its class's free list.
+    fn release(&mut self, block: Block) {
+        if block.len == 0 {
+            return;
+        }
+        let class = block.class();
+        if self.free.len() <= class {
+            self.free.resize_with(class + 1, Vec::new);
+        }
+        self.free[class].push(block.start);
+    }
+
+    /// The edge after `e` in its `incoming` list.
+    fn next(&self, e: u32) -> Option<u32> {
+        Some(self[e].links[1]).filter(|&n| n != NIL)
     }
 
     /// Whether another copy of in-object slot `e` (same holder, same
@@ -142,58 +199,67 @@ impl Edges {
     /// sit in one run of that holder's edges, walked here both ways
     /// (`step` 0 follows prev links, 1 next links).
     fn erased_copy(&self, e: u32) -> bool {
-        let Slot::InObj { holder, off } = self[e].slot else { return false };
-        (0..2).any(|step| {
-            let mut x = self[e].links[IN][step];
-            while x != NIL {
-                match self[x].slot {
-                    Slot::InObj { holder: h, off: o } if h == holder => {
-                        if o == off && !self[x].dangling {
-                            return true;
-                        }
+        let Edge { holder, off, .. } = self[e];
+        holder != ROOT
+            && (0..2).any(|step| {
+                let mut x = self[e].links[step];
+                while x != NIL && self[x].holder == holder {
+                    if self[x].off == off && self[x].target != NIL {
+                        return true;
                     }
-                    _ => return false,
+                    x = self[x].links[step];
                 }
-                x = self[x].links[IN][step];
-            }
-            false
-        })
+                false
+            })
     }
 }
 
-/// One object's edges in one direction, in insertion order: an intrusive
-/// doubly linked list threaded through `Edge::links[DIR]`.
+impl std::ops::Index<u32> for Edges {
+    type Output = Edge;
+    fn index(&self, e: u32) -> &Edge {
+        &self.arena[e as usize]
+    }
+}
+
+impl std::ops::IndexMut<u32> for Edges {
+    fn index_mut(&mut self, e: u32) -> &mut Edge {
+        &mut self.arena[e as usize]
+    }
+}
+
+/// The edges into one object, in insertion order: an intrusive doubly
+/// linked list threaded through `Edge::links`.
 #[derive(Clone, Copy, Debug)]
-struct EdgeList<const DIR: usize> {
+struct Incoming {
     head: u32,
     tail: u32,
 }
 
-impl<const DIR: usize> EdgeList<DIR> {
-    const EMPTY: Self = EdgeList { head: NIL, tail: NIL };
+impl Incoming {
+    const EMPTY: Self = Incoming { head: NIL, tail: NIL };
 
     fn first(&self) -> Option<u32> {
         Some(self.head).filter(|&e| e != NIL)
     }
 
     fn push(&mut self, edges: &mut Edges, e: u32) {
-        edges[e].links[DIR] = [self.tail, NIL];
+        edges[e].links = [self.tail, NIL];
         match self.tail {
             NIL => self.head = e,
-            t => edges[t].links[DIR][1] = e,
+            t => edges[t].links[1] = e,
         }
         self.tail = e;
     }
 
     fn unlink(&mut self, edges: &mut Edges, e: u32) {
-        let [prev, next] = edges[e].links[DIR];
+        let [prev, next] = edges[e].links;
         match prev {
             NIL => self.head = next,
-            p => edges[p].links[DIR][1] = next,
+            p => edges[p].links[1] = next,
         }
         match next {
             NIL => self.tail = prev,
-            n => edges[n].links[DIR][0] = prev,
+            n => edges[n].links[0] = prev,
         }
     }
 }
@@ -350,13 +416,14 @@ pub(crate) struct Sim<D: ?Sized> {
     /// (recorded traces choose them), so only the alloc and the free of an
     /// object hash its id.
     handles: IdMap<u64, u32>,
-    /// The pointer graph's edges, linked into the objects' lists.
+    /// The pointer graph's edges: the root slots' and one block per
+    /// holder, linked into their targets' `incoming` lists.
     edges: Edges,
     /// Handles of the live objects, for uniform picks.
     live: Vec<u32>,
-    /// Per root slot: the base it points at and its edge. The edge is
-    /// dangling once that object has been freed.
-    root_owner: Vec<Option<(Addr, u32)>>,
+    /// Per root slot: the base it points at. The slot's edge is dangling
+    /// once that object has been freed.
+    root_owner: Vec<Option<Addr>>,
     /// Free time of each freed base, for the warm-reuse charge; left
     /// empty under systems that never reuse an address.
     freed_at: IdMap<u64, u64>,
@@ -405,7 +472,7 @@ impl<D: Defence + ?Sized> Sim<D> {
             background: 0,
             objs: Slab::default(),
             handles: IdMap::default(),
-            edges: Edges::default(),
+            edges: Edges::new(profile.root_slots as usize),
             live: Vec::new(),
             root_owner: vec![None; profile.root_slots as usize],
             profile,
@@ -560,39 +627,35 @@ impl<D: Defence + ?Sized> Sim<D> {
             page = page.add_bytes(PAGE_SIZE as u64);
         }
 
-        let h = self.objs.add(Obj {
-            base,
-            req: size,
-            site,
-            out: EdgeList::EMPTY,
-            incoming: EdgeList::EMPTY,
-            live_idx: u32::try_from(self.live.len()).expect("live objects fit a u32 index"),
-        });
-        let live = self.handles.insert(id, h);
-        assert!(live.is_none(), "trace allocates live id {id} twice");
-        // Pointer wiring per the profile's density.
+        // Pointer wiring per the profile's density, all in one burst into
+        // the holder's block: one edge per attempt, unwired where nothing
+        // was stored.
         let slots_f = self.profile.ptr_density * size as f64 / 64.0;
         let mut k = slots_f as u64;
         if self.rng.chance(slots_f.fract()) {
             k += 1;
         }
+        let cap = u32::try_from(k.min(size / WORD_SIZE as u64)).expect("slot counts fit a u32");
+        let out = self.edges.alloc(cap);
+        let h = self.objs.add(Obj {
+            base,
+            req: size,
+            site,
+            out,
+            incoming: Incoming::EMPTY,
+            live_idx: u32::try_from(self.live.len()).expect("live objects fit a u32 index"),
+        });
+        let live = self.handles.insert(id, h);
+        assert!(live.is_none(), "trace allocates live id {id} twice");
         let mut store_cycles = 0;
-        for _ in 0..k.min(size / WORD_SIZE as u64) {
-            let Some(target) = pick(&mut self.rng, &self.live) else { break };
-            let Obj { base: t_base, req: t_req, .. } = self.objs[target];
-            let off = self.rng.below((size / 8).max(1)) * 8;
-            let interior = if self.rng.chance(0.2) && t_req > 16 {
-                self.rng.below(t_req / 8) * 8
-            } else {
-                0
+        for e in out.edges() {
+            let Some((target, off, cycles)) = self.store_random_ptr(base, size) else {
+                self.edges[e] = Edge::UNWIRED;
+                continue;
             };
-            let value = t_base.add_bytes(interior);
-            if self.space.write_word(base.add_bytes(off), value.raw()).is_ok() {
-                let e = self.edges.add(Edge::new(Slot::InObj { holder: h, off }, target));
-                self.objs[h].out.push(&mut self.edges, e);
-                self.objs[target].incoming.push(&mut self.edges, e);
-                store_cycles += self.sys.store_ptr(t_base, base.add_bytes(off), &self.cost);
-            }
+            self.edges[e] = Edge { holder: h, off, target, links: [NIL; 2] };
+            self.objs[target].incoming.push(&mut self.edges, e);
+            store_cycles += cycles;
         }
         // A "false pointer": plain data that happens to equal a heap
         // address (Figure 4). Untracked — never erased.
@@ -611,9 +674,9 @@ impl<D: Defence + ?Sized> Sim<D> {
             self.clear_root(r);
             let slot_addr = self.root_addr(r);
             self.space.write_word(slot_addr, base.raw()).expect("stack is mapped");
-            let e = self.edges.add(Edge::new(Slot::Root(r), h));
-            self.objs[h].incoming.push(&mut self.edges, e);
-            self.root_owner[r as usize] = Some((base, e));
+            self.edges[r] = Edge { holder: ROOT, off: 0, target: h, links: [NIL; 2] };
+            self.objs[h].incoming.push(&mut self.edges, r);
+            self.root_owner[r as usize] = Some(base);
             store_cycles += self.sys.store_ptr(base, slot_addr, &self.cost);
         }
         if store_cycles > 0 {
@@ -623,17 +686,35 @@ impl<D: Defence + ?Sized> Sim<D> {
         self.live.push(h);
     }
 
+    /// Stores a pointer to a random live object into a random slot of the
+    /// new object at `base`. Returns the target, the slot's offset and the
+    /// store's charge; `None` when nothing is live or the store faulted.
+    fn store_random_ptr(&mut self, base: Addr, size: u64) -> Option<(u32, u32, u64)> {
+        let target = pick(&mut self.rng, &self.live)?;
+        let Obj { base: t_base, req: t_req, .. } = self.objs[target];
+        let off = self.rng.below((size / 8).max(1)) * 8;
+        let interior = if self.rng.chance(0.2) && t_req > 16 {
+            self.rng.below(t_req / 8) * 8
+        } else {
+            0
+        };
+        let value = t_base.add_bytes(interior);
+        let slot = base.add_bytes(off);
+        self.space.write_word(slot, value.raw()).ok()?;
+        let off = u32::try_from(off).expect("slot offsets fit a u32: sizes stay <= u32::MAX");
+        Some((target, off, self.sys.store_ptr(t_base, slot, &self.cost)))
+    }
+
     fn root_addr(&self, r: u32) -> Addr {
         self.space.layout().segment_base(Segment::Stack) + r as u64 * 8
     }
 
     fn clear_root(&mut self, r: u32) {
-        if let Some((old_base, e)) = self.root_owner[r as usize].take() {
-            if !self.edges[e].dangling {
-                let old = self.edges[e].target;
-                self.objs[old].incoming.unlink(&mut self.edges, e);
+        if let Some(old_base) = self.root_owner[r as usize].take() {
+            let old = self.edges[r].target;
+            if old != NIL {
+                self.objs[old].incoming.unlink(&mut self.edges, r);
             }
-            self.edges.release(e);
             // Overwriting a pointer is an instrumented store (under
             // CRCount this is how dangling-root references eventually
             // drain). The engine leaves it uncharged.
@@ -656,43 +737,36 @@ impl<D: Defence + ?Sized> Sim<D> {
         let mut drop_cycles = 0;
         let mut cur = obj.incoming.first();
         while let Some(e) = cur {
-            cur = self.edges.next::<IN>(e);
-            let dangle = self.rng.chance(self.profile.dangling_rate);
-            self.edges[e].dangling = dangle;
-            if dangle {
+            cur = self.edges.next(e);
+            if self.rng.chance(self.profile.dangling_rate) {
                 // The stale pointer stays until its slot is recycled — a
                 // genuine dangling pointer the sweep must find.
+                self.edges[e].target = NIL;
                 continue;
             }
             drop_cycles += self.sys.drop_ref(&mut self.space, obj.base, &self.cost);
-            match self.edges[e].slot {
-                Slot::Root(r) => {
-                    self.space.write_word(self.root_addr(r), 0).expect("stack");
-                    self.root_owner[r as usize] = None;
+            match self.edges[e] {
+                Edge { holder: ROOT, .. } => {
+                    self.space.write_word(self.root_addr(e), 0).expect("stack");
+                    self.root_owner[e as usize] = None;
                 }
-                Slot::InObj { holder, off } => {
+                Edge { holder, off, .. } => {
                     let h_base = self.objs[holder].base;
-                    self.space.write_word(h_base.add_bytes(off), 0).ok();
+                    self.space.write_word(h_base.add_bytes(u64::from(off)), 0).ok();
                 }
             }
         }
-        // Erased slots leave their holders. Erasing an in-object slot
-        // clears every copy of it, so a dangling copy of an erased slot
-        // goes too. A dangling slot stays with its holder (or root).
-        // `erased_copy` may read edges released earlier in this loop; they
-        // stay intact because nothing is added until it ends.
+        // Erased slots are flagged in their holders' blocks. Erasing an
+        // in-object slot clears every copy of it, so a dangling copy of an
+        // erased slot goes too. A dangling slot stays with its holder (or
+        // root). `erased_copy` may read edges flagged earlier in this
+        // loop: flagging keeps their holder and offset, and a flagged
+        // dangling copy stands beside the erased copy that flagged it.
         let mut cur = obj.incoming.first();
         while let Some(e) = cur {
-            cur = self.edges.next::<IN>(e);
-            match self.edges[e].slot {
-                Slot::InObj { holder, .. }
-                    if !self.edges[e].dangling || self.edges.erased_copy(e) =>
-                {
-                    self.objs[holder].out.unlink(&mut self.edges, e);
-                    self.edges.release(e);
-                }
-                Slot::Root(_) if !self.edges[e].dangling => self.edges.release(e),
-                _ => {}
+            cur = self.edges.next(e);
+            if self.edges[e].target != NIL || self.edges.erased_copy(e) {
+                self.edges[e].target = ERASED;
             }
         }
         // The dying object's own outgoing slots stop being app references,
@@ -701,22 +775,20 @@ impl<D: Defence + ?Sized> Sim<D> {
         // stale pointers inside non-zeroed quarantined objects (MarkUs,
         // MineSweeper-without-zeroing) pin whatever later occupies the
         // pointed-to addresses, cascading retention far beyond reality.
-        let mut cur = obj.out.first();
-        while let Some(e) = cur {
-            cur = self.edges.next::<OUT>(e);
-            let Edge { slot: Slot::InObj { off, .. }, target, dangling, .. } = self.edges[e]
-            else {
-                unreachable!("out lists hold in-object slots");
-            };
+        for e in obj.out.edges() {
+            let Edge { off, target, .. } = self.edges[e];
+            if target == ERASED {
+                continue;
+            }
             // A slot left dangling by an earlier free has no live target.
-            let target_base = (!dangling).then(|| {
+            let target_base = (target != NIL).then(|| {
                 let t = &mut self.objs[target];
                 t.incoming.unlink(&mut self.edges, e);
                 t.base
             });
-            self.edges.release(e);
+            let slot = obj.base.add_bytes(u64::from(off));
             if self.rng.chance(0.85) {
-                self.space.write_word(obj.base.add_bytes(off), 0).ok();
+                self.space.write_word(slot, 0).ok();
             }
             // CRCount's zero-fill on free invalidates every outgoing
             // reference exactly once, whatever the destructors did;
@@ -724,8 +796,9 @@ impl<D: Defence + ?Sized> Sim<D> {
             if let Some(t_base) = target_base {
                 drop_cycles += self.sys.drop_ref(&mut self.space, t_base, &self.cost);
             }
-            self.sys.drop_slot(obj.base.add_bytes(off), &self.cost);
+            self.sys.drop_slot(slot, &self.cost);
         }
+        self.edges.release(obj.out);
         // Live-list swap-remove.
         let last = self.live.pop().expect("non-empty");
         if last != h {
@@ -937,6 +1010,43 @@ mod tests {
     fn a_live_id_allocated_twice_is_rejected() {
         let alloc = |size| Op::Alloc { id: 7, size, site: 0 };
         Engine::new(&fast_profile(), System::Baseline, 1).run_ops([alloc(64), alloc(32)]);
+    }
+
+    #[test]
+    fn teardown_returns_every_edge_block() {
+        let p = Profile { dangling_rate: 0.2, ..fast_profile() };
+        let Engine { sys, setup } = Engine::new(&p, System::minesweeper_default(), 1);
+        let mut sim = Sim::new(sys, setup);
+        sim.play(TraceGen::new(&p, 1));
+        assert_eq!(sim.metrics.frees, 4_000);
+        let Edges { arena, free } = &sim.edges;
+        let roots = p.root_slots as usize;
+        assert!(roots > 0 && arena.len() > roots);
+        // No block ever took a root slot's edge.
+        assert!(arena[..roots].iter().all(|e| e.holder == ROOT));
+        // The released blocks tile the arena past the root edges.
+        let mut spans: Vec<(usize, usize)> = (free.iter().enumerate())
+            .flat_map(|(class, starts)| starts.iter().map(move |&s| (s as usize, 1 << class)))
+            .collect();
+        spans.sort_unstable();
+        let end = spans.iter().fold(roots, |at, &(start, len)| {
+            assert_eq!(start, at, "blocks overlap or an edge leaked");
+            start + len
+        });
+        assert_eq!(end, arena.len(), "an edge block leaked");
+    }
+
+    #[test]
+    fn a_released_block_goes_to_the_next_holder_of_its_class() {
+        let mut edges = Edges::new(2);
+        let a = edges.alloc(3);
+        let b = edges.alloc(3);
+        assert_eq!((a, b), (Block { start: 2, len: 3 }, Block { start: 6, len: 3 }));
+        assert_eq!(edges.alloc(0), Block::EMPTY);
+        edges.release(a);
+        assert_eq!(edges.alloc(5).start, 10, "a class-3 holder takes no class-2 block");
+        assert_eq!(edges.alloc(4), Block { start: 2, len: 4 });
+        assert_eq!(edges.alloc(3).start, 18, "the free list is empty again");
     }
 
     #[test]

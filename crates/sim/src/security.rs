@@ -11,10 +11,9 @@
 //! golden fixture (`crates/sim/tests/security_corpus.rs`): any diff is a
 //! real behaviour change.
 
-use telemetry::CostLedger;
-use workloads::exploit::{corpus, fuzz_corpus, validate, ExploitOutcome};
+use workloads::exploit::{corpus, fuzz_corpus, validate};
 
-use crate::exploit::{run_scenario, SecSystem, Weaken};
+use crate::exploit::{run_scenario, ScenarioRun, SecSystem, Weaken};
 
 /// Wire-format version of `SECURITY_matrix.json`. Schema 2 added the
 /// per-cell `defence_cycles` total and `defence_kinds` breakdown; schema
@@ -28,23 +27,8 @@ pub struct SecCell {
     pub scenario: String,
     /// Backend label (column).
     pub backend: &'static str,
-    /// The verdict.
-    pub outcome: ExploitOutcome,
-    /// Whether the victim's address was handed out again after its free.
-    pub victim_reallocated: bool,
-    /// Successful frees until the victim's address was reused (`None`:
-    /// the window never opened).
-    pub attack_window: Option<u64>,
-    /// Allocations the script performed on this backend.
-    pub allocs: u64,
-    /// Free attempts the script performed on this backend.
-    pub frees: u64,
-    /// Judged dangling accesses performed.
-    pub judged: u64,
-    /// MTE tag-mismatch detections raised.
-    pub detections: u64,
-    /// What defending this cell cost the backend, in model cycles.
-    pub defence: CostLedger,
+    /// The cell's verdict, counts and defence costs.
+    pub run: ScenarioRun,
 }
 
 /// The full matrix plus the run's provenance.
@@ -86,18 +70,7 @@ pub fn run_corpus(seed: u64, fuzz: u32, weaken: Weaken) -> SecurityMatrix {
     for sc in &scenarios {
         for sys in &backends {
             let run = run_scenario(sc, sys, weaken);
-            cells.push(SecCell {
-                scenario: sc.name.clone(),
-                backend: sys.label(),
-                outcome: run.outcome,
-                victim_reallocated: run.victim_reallocated,
-                attack_window: run.attack_window,
-                allocs: run.allocs,
-                frees: run.frees,
-                judged: run.judged,
-                detections: run.detections,
-                defence: run.defence,
-            });
+            cells.push(SecCell { scenario: sc.name.clone(), backend: sys.label(), run });
         }
     }
 
@@ -143,7 +116,7 @@ impl SecurityMatrix {
         }
         out.push_str("  ],\n");
         out.push_str("  \"cells\": [\n");
-        for (i, c) in self.cells.iter().enumerate() {
+        for (i, SecCell { scenario, backend, run: c }) in self.cells.iter().enumerate() {
             let comma = if i + 1 < self.cells.len() { "," } else { "" };
             let window = match c.attack_window {
                 Some(w) => w.to_string(),
@@ -163,8 +136,8 @@ impl SecurityMatrix {
                  \"victim_reallocated\": {}, \"attack_window\": {window}, \
                  \"allocs\": {}, \"frees\": {}, \"judged\": {}, \"detections\": {}, \
                  \"defence_cycles\": {}, \"defence_kinds\": {{{kinds}}}}}{comma}",
-                esc(&c.scenario),
-                esc(c.backend),
+                esc(scenario),
+                esc(backend),
                 c.outcome.label(),
                 c.victim_reallocated,
                 c.allocs,
@@ -182,6 +155,7 @@ impl SecurityMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use workloads::exploit::ExploitOutcome;
 
     #[test]
     fn corpus_covers_every_scenario_backend_pair() {
@@ -196,7 +170,7 @@ mod tests {
         let m = run_corpus(42, 3, Weaken::None);
         for c in m.column("minesweeper") {
             assert_ne!(
-                c.outcome,
+                c.run.outcome,
                 ExploitOutcome::Compromised,
                 "minesweeper compromised by {}",
                 c.scenario
@@ -208,7 +182,7 @@ mod tests {
     fn baseline_column_is_compromised_somewhere() {
         let m = run_corpus(42, 0, Weaken::None);
         assert!(
-            m.column("baseline").any(|c| c.outcome == ExploitOutcome::Compromised),
+            m.column("baseline").any(|c| c.run.outcome == ExploitOutcome::Compromised),
             "the unprotected baseline must fall to at least one scenario"
         );
     }
@@ -225,7 +199,7 @@ mod tests {
         let m = run_corpus(42, 0, Weaken::QuarantineOff);
         assert_eq!(m.weaken, "quarantine-off");
         assert!(
-            m.column("minesweeper").any(|c| c.outcome == ExploitOutcome::Compromised),
+            m.column("minesweeper").any(|c| c.run.outcome == ExploitOutcome::Compromised),
             "quarantine-off must reopen at least one scenario"
         );
     }

@@ -119,11 +119,11 @@ fn weakened_matrix_is_marked_and_distinct() {
     assert_eq!(weak.weaken, "quarantine-off");
     assert_ne!(real.to_json(), weak.to_json());
     assert!(
-        weak.column("minesweeper").any(|c| c.outcome == ExploitOutcome::Compromised),
+        weak.column("minesweeper").any(|c| c.run.outcome == ExploitOutcome::Compromised),
         "quarantine-off must reopen minesweeper"
     );
     assert!(
-        real.column("minesweeper").all(|c| c.outcome != ExploitOutcome::Compromised),
+        real.column("minesweeper").all(|c| c.run.outcome != ExploitOutcome::Compromised),
         "the real configuration must hold the line"
     );
 }

@@ -60,8 +60,9 @@ pub fn write_trace(ops: impl IntoIterator<Item = Op>) -> String {
 ///
 /// # Errors
 ///
-/// [`TraceParseError`] with the offending line on syntax errors, frees of
-/// never-allocated ids, double frees, or duplicate allocations.
+/// [`TraceParseError`] with the offending line on syntax errors, sizes of
+/// zero or above `u32::MAX`, frees of never-allocated ids, double frees,
+/// or duplicate allocations.
 pub fn read_trace(text: &str) -> Result<Vec<Op>, TraceParseError> {
     let mut ops = Vec::new();
     let mut allocated = std::collections::HashSet::new();
@@ -89,6 +90,10 @@ pub fn read_trace(text: &str) -> Result<Vec<Op>, TraceParseError> {
                 let size = next_u64("size")?;
                 if size == 0 {
                     return Err(err(line_no, "zero-size allocation".into()));
+                }
+                // The engine stores pointer-slot offsets as `u32`.
+                if size > u64::from(u32::MAX) {
+                    return Err(err(line_no, format!("allocation size {size} exceeds u32::MAX")));
                 }
                 if !allocated.insert(id) {
                     return Err(err(line_no, format!("duplicate allocation id {id}")));
@@ -193,6 +198,7 @@ mod tests {
             ("A 1 64\nF 1\nF 1\n", "double free"),
             ("A 1 64\nA 1 32\n", "duplicate allocation"),
             ("A 1 0\n", "zero-size"),
+            ("W 1\nA 1 4294967296\n", "exceeds u32::MAX"),
             ("X 1\n", "unknown record"),
             ("A 1\n", "missing size"),
             ("W banana\n", "bad cycle count"),
@@ -201,6 +207,7 @@ mod tests {
         for (text, want) in cases {
             let e = read_trace(text).unwrap_err();
             assert!(e.message.contains(want), "{text:?}: {e}");
+            assert_eq!(e.line, text.lines().count(), "{text:?}: {e}");
         }
     }
 

@@ -206,9 +206,9 @@ stage_e2e_bench_smoke() {
     [ "$rc" -eq 1 ] || { echo "sample_profile --bogus must exit 1 (got $rc)"; exit 1; }
 }
 
-# desc: rustdoc builds with no broken intra-doc links
+# desc: rustdoc builds with no broken intra-doc links and no public doc linking a private item
 stage_rustdoc() {
-    RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --workspace --no-deps -q
+    RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links -D rustdoc::private_intra_doc_links" cargo doc --workspace --no-deps -q
 }
 
 # desc: DESIGN.md section 7 modules and backticked doc paths resolve; no orphan names
@@ -278,7 +278,8 @@ stage_doc_modules() {
     # one wall-time split), and those of the thread-pool marker and the
     # shadow map's shared writer (one thread marks), and those of the
     # security interpreter's second cost ledger (one recipe per system,
-    # charged through `CostRecorder`). Each name carries a
+    # charged through `CostRecorder`), and those of the engine's linked
+    # out-slot lists (one edge block per holder). Each name carries a
     # one-letter bracket class so this line does not match itself.
     # jalloc's own jemalloc "arena" wording is not on the list.
     local orphans='Arena[I]d|Arena[P]ool|Arena[B]ackend|Sweep[S]cheduler|Sched[P]olicy'
@@ -290,6 +291,7 @@ stage_doc_modules() {
     orphans+='|effective_helper_[c]ount|PARALLEL_[C]HUNK_PAGES|steal_[p]arallel|writer_[m]ut'
     orphans+='|atomic_[s]erial'
     orphans+='|Defence[C]ost|charge_[f]ree|charge_[s]weep_report|sweep_round_[s]etup'
+    orphans+='|Edge[L]ist|Slot::[I]nObj'
     if git grep -nE "$orphans" -- crates src tests examples scripts DESIGN.md README.md; then
         echo "orphan references to deleted names (listed above)"
         missing=1

@@ -196,14 +196,14 @@ fn security_corpus_differential_matrix() {
     assert!(m.scenarios.len() >= 8 + 3);
     assert_eq!(m.backends.len(), 10);
     assert_eq!(m.cells.len(), m.scenarios.len() * m.backends.len());
-    assert!(m.column("baseline").any(|c| c.outcome == ExploitOutcome::Compromised));
+    assert!(m.column("baseline").any(|c| c.run.outcome == ExploitOutcome::Compromised));
     for c in m.column("minesweeper") {
         assert_ne!(
-            c.outcome,
+            c.run.outcome,
             ExploitOutcome::Compromised,
             "minesweeper compromised by {}",
             c.scenario
         );
-        assert!(c.attack_window.is_none(), "{} opened a window", c.scenario);
+        assert!(c.run.attack_window.is_none(), "{} opened a window", c.scenario);
     }
 }
