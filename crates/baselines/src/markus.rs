@@ -2,7 +2,7 @@
 
 use jalloc::{JAlloc, JallocConfig};
 use minesweeper::{GranuleSet, ShadowMap};
-use vmem::{Addr, AddrSpace, PageIdx, PageRange, Segment, WORD_SIZE};
+use vmem::{Addr, AddrSpace, PageRange, Segment, WORD_SIZE};
 
 /// MarkUs configuration.
 #[derive(Clone, Copy, PartialEq, Debug)]
@@ -223,16 +223,18 @@ impl MarkUs {
         let mut marked = ShadowMap::new();
         let mut worklist: Vec<(Addr, u64)> = Vec::new();
 
-        // Root scan: committed pages of globals and stack (page slices).
+        // Root scan: committed pages of globals and stack (page slices),
+        // in page order, walked run by run as `SweepPlan::build` does so
+        // the rest of the segments costs nothing.
         for seg in [Segment::Globals, Segment::Stack] {
-            let base = layout.segment_base(seg);
-            let first = base.page();
-            for i in 0..layout.segment_pages(seg) {
-                let page = PageIdx::new(first.raw() + i);
-                let Ok(Some(words)) = space.scan_page(page) else { continue };
-                report.scanned_words += words.len() as u64;
-                for &value in words.iter() {
-                    self.visit(value, &layout, &mut marked, &mut worklist);
+            let segment = PageRange::new(layout.segment_base(seg).page(), layout.segment_pages(seg));
+            for (base, len) in space.committed_runs(segment) {
+                for page in PageRange::spanning(base, len).iter() {
+                    let Ok(Some(words)) = space.scan_page(page) else { continue };
+                    report.scanned_words += words.len() as u64;
+                    for &value in words.iter() {
+                        self.visit(value, &layout, &mut marked, &mut worklist);
+                    }
                 }
             }
         }

@@ -5,28 +5,30 @@
 //! (§3.2). One bit per 128 bits of memory is the smallest allocation
 //! granule, so every allocation maps to a distinct bit range. The paper
 //! implements it as a flat reservation; the simulation uses a sparse
-//! two-level radix bitmap with identical indexing semantics (the flat
-//! space would be 2⁶⁰ bits here), keeping the <1 % space overhead
-//! property.
+//! radix bitmap with identical indexing semantics (the flat space would be
+//! 2⁶⁰ bits here), keeping the <1 % space overhead property: its memory
+//! follows the address space actually marked.
 //!
 //! # Layout
 //!
-//! A granule index (`addr >> 4`) is decomposed into three digits:
+//! A granule index (`addr >> 4`) is decomposed into four digits:
 //!
 //! ```text
-//!  granule = [ l1 : 12 bits ][ l2 : 15 bits ][ bit-in-chunk : 15 bits ]
+//!  granule = [ l1 : 9 ][ l2 : 9 ][ l3 : 9 ][ bit-in-chunk : 15 ]
 //! ```
 //!
 //! * the low 15 bits select one of 32 Ki bits inside a **chunk** — 512
 //!   `u64` words, a 4 KiB bitmap page shadowing 512 KiB of address
 //!   space (the same 1/128 ratio as the paper's flat map);
-//! * the middle 15 bits index a **level-2 table** of 32 Ki chunk
-//!   pointers;
-//! * the high 12 bits index the root **level-1 directory** of 4 Ki
-//!   level-2 pointers.
+//! * each 9-bit digit above indexes a **node** of 512 lazily allocated
+//!   child pointers, itself 4 KiB: the root (`l1`, 128 GiB of address
+//!   space per entry), a level-2 node (256 MiB per entry) and a level-3
+//!   node (one chunk per entry).
 //!
 //! Together they cover 2⁴² granules = 64 TiB of virtual address space
 //! ([`MAX_SHADOWED`]), comfortably above the [`vmem::Layout`] reservation.
+//! A new map is its 4 KiB root; the first mark adds a level-2 node, a
+//! level-3 node and a chunk, 12 KiB.
 //!
 //! # One writer
 //!
@@ -72,18 +74,15 @@ const CHUNK_SHIFT: u32 = CHUNK_GRANULES.trailing_zeros();
 /// without the radix walk on essentially every mark.
 const CHUNK_CACHE: usize = 32;
 
-/// Chunk pointers per level-2 table.
-const L2_ENTRIES: usize = 1 << 15;
+/// log2 of the child pointers per radix node.
+const NODE_BITS: u32 = 9;
 
-/// log2 of [`L2_ENTRIES`].
-const L2_SHIFT: u32 = L2_ENTRIES.trailing_zeros();
+/// Child pointers per radix node: 512 × 8 bytes = 4 KiB.
+const NODE_ENTRIES: usize = 1 << NODE_BITS;
 
-/// Level-2 pointers in the root directory.
-const L1_ENTRIES: usize = 1 << 12;
-
-/// One past the highest address the radix covers (64 TiB).
-pub const MAX_SHADOWED: u64 =
-    (L1_ENTRIES as u64) << (L2_SHIFT + CHUNK_SHIFT) << GRANULE_SIZE.trailing_zeros();
+/// One past the highest address the radix covers (64 TiB): three node
+/// levels above the chunks.
+pub const MAX_SHADOWED: u64 = 1 << (3 * NODE_BITS + CHUNK_SHIFT + GRANULE_SIZE.trailing_zeros());
 
 /// One 4 KiB bitmap leaf.
 #[derive(Clone)]
@@ -97,61 +96,63 @@ impl Chunk {
     }
 }
 
-/// A level-2 table: 32 Ki lazily allocated chunk slots (256 KiB).
-#[derive(Clone)]
-struct Level2 {
-    chunks: Box<[OnceCell<Box<Chunk>>]>,
+/// A radix node: 512 lazily allocated children (4 KiB).
+type Node<T> = [OnceCell<Box<T>>; NODE_ENTRIES];
+
+const _: () = assert!(size_of::<Node<Chunk>>() == 4096, "a node is one 4 KiB page");
+
+/// A new empty node on the heap.
+fn new_node<T>() -> Box<Node<T>> {
+    Box::new(std::array::from_fn(|_| OnceCell::new()))
 }
 
-impl Level2 {
-    fn new_boxed() -> Box<Level2> {
-        // Built through an iterator: a 256 KiB array temporary must not
-        // cross the stack.
-        Box::new(Level2 { chunks: (0..L2_ENTRIES).map(|_| OnceCell::new()).collect() })
-    }
-}
-
-/// The radix: the root directory of lazily allocated level-2 tables.
+/// The radix: a root node over level-2 nodes over level-3 nodes over
+/// chunks.
 #[derive(Clone)]
-struct Directory(Box<[OnceCell<Box<Level2>>]>);
+struct Directory(Box<Node<Node<Node<Chunk>>>>);
 
 impl Directory {
     fn new() -> Self {
-        Directory((0..L1_ENTRIES).map(|_| OnceCell::new()).collect())
+        Directory(new_node())
     }
 
-    /// Splits a chunk index into (level-1, level-2) digits.
+    /// Splits a chunk index into (level-1, level-2, level-3) digits.
     #[inline]
-    fn split(chunk_idx: u64) -> (usize, usize) {
-        ((chunk_idx >> L2_SHIFT) as usize, (chunk_idx & (L2_ENTRIES as u64 - 1)) as usize)
+    fn split(chunk_idx: u64) -> (usize, usize, usize) {
+        let digit = |level: u32| (chunk_idx >> (level * NODE_BITS)) as usize & (NODE_ENTRIES - 1);
+        ((chunk_idx >> (2 * NODE_BITS)) as usize, digit(1), digit(0))
     }
 
     /// The chunk for `chunk_idx`, if it has ever been touched.
     #[inline]
     fn get(&self, chunk_idx: u64) -> Option<&Chunk> {
-        let (i1, i2) = Self::split(chunk_idx);
-        self.0.get(i1)?.get()?.chunks[i2].get().map(|c| &**c)
+        let (i1, i2, i3) = Self::split(chunk_idx);
+        self.0.get(i1)?.get()?[i2].get()?[i3].get().map(|c| &**c)
     }
 
-    /// The chunk for `chunk_idx`, allocating the level-2 table and the
-    /// chunk as needed and counting them in `tally`.
+    /// The chunk for `chunk_idx`, allocating the nodes and the chunk as
+    /// needed and counting them in `tally`.
     ///
     /// # Panics
     ///
     /// Panics if the chunk lies beyond [`MAX_SHADOWED`].
     #[inline]
     fn get_or_insert(&self, chunk_idx: u64, tally: &mut Tally) -> &Chunk {
-        let (i1, i2) = Self::split(chunk_idx);
+        let (i1, i2, i3) = Self::split(chunk_idx);
         assert!(
-            i1 < L1_ENTRIES,
+            i1 < NODE_ENTRIES,
             "address beyond the {} TiB shadowed span",
             MAX_SHADOWED >> 40
         );
         let l2 = self.0[i1].get_or_init(|| {
-            tally.l2_count += 1;
-            Level2::new_boxed()
+            tally.nodes += 1;
+            new_node()
         });
-        l2.chunks[i2].get_or_init(|| {
+        let l3 = l2[i2].get_or_init(|| {
+            tally.nodes += 1;
+            new_node()
+        });
+        l3[i3].get_or_init(|| {
             tally.resident.push(chunk_idx);
             Chunk::new_boxed()
         })
@@ -167,14 +168,15 @@ struct Tally {
     marked: u64,
     /// Indices of the resident chunks in allocation order, so
     /// [`ShadowMap::clear`] visits only those instead of every slot of
-    /// every level-2 table.
+    /// every level-3 node.
     resident: Vec<u64>,
-    /// Resident level-2 tables, for O(1) [`ShadowMap::directory_bytes`].
-    l2_count: u64,
+    /// Resident nodes below the root, for O(1)
+    /// [`ShadowMap::directory_bytes`].
+    nodes: u64,
 }
 
-/// A sparse two-level radix bitmap over granule indices, marked through
-/// `&mut self` by one writer.
+/// A sparse radix bitmap over granule indices, marked through `&mut self`
+/// by one writer.
 ///
 /// # Example
 ///
@@ -211,7 +213,7 @@ fn set_bits(word: &Cell<u64>, mask: u64) -> bool {
 }
 
 impl ShadowMap {
-    /// Creates an empty shadow map (one 32 KiB root directory; tables and
+    /// Creates an empty shadow map (one 4 KiB root node; lower nodes and
     /// chunks are allocated on first mark).
     pub fn new() -> Self {
         ShadowMap { dir: Directory::new(), tally: Tally::default() }
@@ -341,9 +343,9 @@ impl ShadowMap {
         self.tally.resident.len() as u64 * (CHUNK_WORDS * 8) as u64
     }
 
-    /// Resident size of the radix directory (root + level-2 tables).
+    /// Resident size of the radix nodes (root, level-2 and level-3).
     pub fn directory_bytes(&self) -> u64 {
-        (L1_ENTRIES * 8) as u64 + self.tally.l2_count * (L2_ENTRIES * 8) as u64
+        (1 + self.tally.nodes) * size_of::<Node<Chunk>>() as u64
     }
 }
 
@@ -726,19 +728,75 @@ mod tests {
     #[test]
     fn far_addresses_use_distinct_directory_slots() {
         let mut s = ShadowMap::new();
-        // 1 TiB apart: different level-2 tables.
+        // 1 TiB apart: different root entries, so each mark brings its
+        // own level-2 and level-3 node.
         s.mark(Addr::new(1 << 40));
         s.mark(Addr::new(1 << 41));
         assert!(s.is_marked(Addr::new(1 << 40)));
         assert!(s.is_marked(Addr::new(1 << 41)));
         assert_eq!(s.marked_count(), 2);
-        assert!(s.directory_bytes() > (L1_ENTRIES * 8) as u64);
+        assert_eq!(s.directory_bytes(), 5 * 4096);
     }
 
     #[test]
     #[should_panic(expected = "shadowed span")]
     fn marking_beyond_the_shadowed_span_panics() {
         ShadowMap::new().mark(Addr::new(MAX_SHADOWED));
+    }
+
+    #[test]
+    fn directory_grows_with_the_marked_address_space() {
+        let mut s = ShadowMap::new();
+        assert_eq!(s.directory_bytes(), 4096, "a new map is its root");
+        s.mark(Addr::new(0x1_0000_0040)); // the default heap base
+        assert_eq!(s.directory_bytes(), 12 * 1024, "one level-2 and one level-3 node");
+        assert_eq!(s.resident_bytes(), 4096, "and one chunk");
+        s.mark(Addr::new(0x1_0000_0040 + (1 << 28))); // the next level-3 node
+        assert_eq!(s.directory_bytes(), 16 * 1024);
+    }
+
+    #[test]
+    fn level_boundaries_agree_with_naive_oracle() {
+        // The first and last granule on each side of a chunk, level-3 and
+        // level-2 node boundary, and the last granule of the span.
+        let g = GRANULE_SIZE as u64;
+        let spans = [CHUNK_GRANULES * g, (CHUNK_GRANULES * g) << NODE_BITS];
+        let spans = [spans[0], spans[1], spans[1] << NODE_BITS];
+        let boundaries: Vec<u64> = spans.iter().flat_map(|&span| [span, 3 * span]).collect();
+        let mut targets: Vec<u64> = boundaries
+            .iter()
+            .zip(spans.iter().flat_map(|&span| [span, span]))
+            .flat_map(|(&b, span)| [b - span, b - g, b, b + span - g])
+            .collect();
+        targets.push(MAX_SHADOWED - g);
+        let (mut direct, mut buffered) = (ShadowMap::new(), ShadowMap::new());
+        let mut naive = NaiveShadowMap::new();
+        let mut writer = buffered.writer();
+        for &t in &targets {
+            let newly = naive.mark(Addr::new(t));
+            assert_eq!(direct.mark(Addr::new(t)), newly, "{t:#x}");
+            assert_eq!(writer.mark(Addr::new(t)), newly, "{t:#x}");
+        }
+        drop(writer);
+        for map in [&direct, &buffered] {
+            assert_eq!(map.marked_count(), naive.marked_count());
+            for &t in &targets {
+                for probe in [t.saturating_sub(g), t, t + g] {
+                    let a = Addr::new(probe.min(MAX_SHADOWED - g));
+                    assert_eq!(map.is_marked(a), naive.is_marked(a), "{probe:#x}");
+                }
+            }
+            for &b in &boundaries {
+                for (start, len) in [(b - 3 * g, 6 * g), (b - 2 * g, g), (b + g, 3 * g)] {
+                    let a = Addr::new(start);
+                    assert_eq!(
+                        map.range_marked(a, len),
+                        naive.range_marked(a, len),
+                        "{start:#x}+{len}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

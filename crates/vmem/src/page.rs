@@ -39,7 +39,7 @@ pub(crate) struct PageSlot {
 
 impl PageSlot {
     /// Fresh mapped, uncommitted, read-write page.
-    pub(crate) fn new() -> Self {
+    pub(crate) const fn new() -> Self {
         PageSlot { data: None, prot: Protection::ReadWrite, soft_dirty: false, alias_of: None }
     }
 
@@ -55,6 +55,15 @@ impl PageSlot {
 
     pub(crate) fn is_committed(&self) -> bool {
         self.data.is_some()
+    }
+
+    /// Whether the page is as [`PageSlot::new`] makes it: uncommitted,
+    /// read-write, not soft-dirty and not an alias.
+    pub(crate) fn is_pristine(&self) -> bool {
+        self.data.is_none()
+            && self.prot == Protection::ReadWrite
+            && !self.soft_dirty
+            && self.alias_of.is_none()
     }
 
     /// Commits the page (idempotent), zero-filling fresh backing.
@@ -78,8 +87,14 @@ impl PageSlot {
 
     /// Discards physical backing (idempotent). Returns `true` if the page
     /// was committed before the call.
+    ///
+    /// Discarding sets the soft-dirty bit: the contents observably change
+    /// (to zeroes on the next access), so any cached per-page sweep
+    /// summary is stale.
     pub(crate) fn decommit(&mut self) -> bool {
-        self.data.take().is_some()
+        let was = self.data.take().is_some();
+        self.soft_dirty |= was;
+        was
     }
 }
 
@@ -90,6 +105,7 @@ mod tests {
     #[test]
     fn commit_decommit_cycle() {
         let mut slot = PageSlot::new();
+        assert!(slot.is_pristine());
         assert!(!slot.is_committed());
         assert!(slot.commit());
         assert!(!slot.commit(), "second commit is a no-op");
@@ -97,6 +113,7 @@ mod tests {
         assert!(slot.decommit());
         assert!(!slot.decommit(), "second decommit is a no-op");
         assert!(!slot.is_committed());
+        assert!(!slot.is_pristine(), "the discarded contents leave it soft-dirty");
     }
 
     #[test]

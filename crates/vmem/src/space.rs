@@ -190,10 +190,7 @@ impl AddrSpace {
     /// [`MemError::Unmapped`] if any page in the range is not mapped.
     pub fn decommit(&mut self, range: PageRange) -> Result<(), MemError> {
         for p in range.iter() {
-            let (slot, was_committed) =
-                self.pages.decommit(p.raw()).ok_or(MemError::Unmapped(p.base()))?;
-            if was_committed {
-                slot.soft_dirty = true;
+            if self.pages.decommit(p.raw()).ok_or(MemError::Unmapped(p.base()))? {
                 self.stats.on_decommit();
             }
         }
@@ -217,11 +214,7 @@ impl AddrSpace {
             }
         }
         for p in range.iter() {
-            let slot = self.pages.get_mut(p.raw()).expect("checked above");
-            if slot.prot != prot {
-                slot.soft_dirty = true;
-            }
-            slot.prot = prot;
+            self.pages.protect(p.raw(), prot).expect("checked above");
         }
         self.stats.protects += 1;
         Ok(())
@@ -377,12 +370,14 @@ impl AddrSpace {
             let page_end = cur.page().next().base();
             let chunk_end = if page_end < end { page_end } else { end };
             let storage = self.resolve_storage(cur.page().raw(), cur)?;
-            let slot = self.pages.get_mut(storage).expect("resolved");
-            if let Some(data) = slot.data.as_mut() {
-                let w0 = cur.word_in_page();
-                let w1 = w0 + ((chunk_end - cur) / WORD_SIZE as u64) as usize;
-                data[w0..w1].fill(0);
-                slot.soft_dirty = true;
+            // A pristine page has no slot to update: it is uncommitted.
+            if let Some(slot) = self.pages.get_mut(storage) {
+                if let Some(data) = slot.data.as_mut() {
+                    let w0 = cur.word_in_page();
+                    let w1 = w0 + ((chunk_end - cur) / WORD_SIZE as u64) as usize;
+                    data[w0..w1].fill(0);
+                    slot.soft_dirty = true;
+                }
             }
             cur = chunk_end;
         }
@@ -512,10 +507,13 @@ impl AddrSpace {
             .collect()
     }
 
-    /// Allocated page-table leaves.
-    #[cfg(test)]
-    pub(crate) fn resident_leaves(&self) -> usize {
-        self.pages.resident_leaves()
+    /// Page-table leaves in memory, as `(full, pristine)`. A full leaf
+    /// holds a 32-byte slot for each of its 512 pages; a pristine one,
+    /// whose mapped pages are all uncommitted, read-write, not soft-dirty
+    /// and not aliases, holds a 64-byte bitmap. A leaf of either kind is
+    /// freed with its last mapped page.
+    pub fn page_table_leaves(&self) -> (usize, usize) {
+        self.pages.leaves()
     }
 }
 
@@ -543,6 +541,25 @@ mod tests {
         assert!(space.is_mapped(l.segment_base(Segment::Stack)));
         assert!(!space.is_mapped(l.segment_base(Segment::Heap)));
         assert_eq!(space.rss_bytes(), 0, "nothing committed yet");
+    }
+
+    #[test]
+    fn fresh_space_holds_no_full_leaf() {
+        // 64 MiB of globals and 8 MiB of stack: 36 leaves, all pristine.
+        let mut space = AddrSpace::new();
+        assert_eq!(space.page_table_leaves(), (0, 36));
+        let globals = space.layout().segment_base(Segment::Globals);
+        assert_eq!(space.peek_word(globals).unwrap(), 0);
+        assert!(matches!(space.scan_page(globals.page()), Ok(None)));
+        assert_eq!(space.snapshot_soft_dirty(PageRange::spanning(globals, 8192)).len(), 2);
+        assert!(space.committed_runs(PageRange::new(globals.page(), 16 * 1024)).is_empty());
+        space.clear_soft_dirty();
+        space.fill_zero(globals, 8192).unwrap();
+        assert_eq!(space.page_table_leaves(), (0, 36), "reads keep leaves pristine");
+        // The first write promotes the one leaf it lands in.
+        space.write_word(globals + 8, 1).unwrap();
+        assert_eq!(space.page_table_leaves(), (1, 35));
+        assert_eq!(space.soft_dirty_pages(), vec![globals.page()]);
     }
 
     #[test]
@@ -897,18 +914,22 @@ mod tests {
         // it, never reuse it. Every leaf must be freed with its last page,
         // or the table would grow with the VA ever handed out.
         let mut space = AddrSpace::new();
-        let roots = space.resident_leaves();
+        let roots = space.page_table_leaves();
         let step = 64 * 1024 / PAGE_SIZE as u64;
-        let mut peak = 0;
-        for _ in 0..(1u64 << 30) / (step * PAGE_SIZE as u64) {
+        let mut peak = (0, 0);
+        for i in 0..(1u64 << 30) / (step * PAGE_SIZE as u64) {
             let a = space.reserve_heap(step);
             space.map(a, step).unwrap();
-            space.write_word(a, 1).unwrap();
-            peak = peak.max(space.resident_leaves() - roots);
+            // Every other mapping is written: its leaf is promoted.
+            if i % 2 == 0 {
+                space.write_word(a, 1).unwrap();
+            }
+            let (full, pristine) = space.page_table_leaves();
+            peak = (peak.0.max(full - roots.0), peak.1.max(pristine - roots.1));
             space.unmap(PageRange::spanning(a, step * PAGE_SIZE as u64)).unwrap();
         }
-        assert_eq!(peak, 1, "64 KiB mappings never straddle a 2 MiB leaf");
-        assert_eq!(space.resident_leaves(), roots, "no heap leaf survives");
+        assert_eq!(peak, (1, 1), "64 KiB mappings never straddle a 2 MiB leaf");
+        assert_eq!(space.page_table_leaves(), roots, "no heap leaf survives");
         assert_eq!(space.pages.committed_counter_sum(), 0);
     }
 

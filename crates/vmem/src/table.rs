@@ -1,26 +1,47 @@
 //! Two-level radix page table: the page store behind [`crate::AddrSpace`].
 //!
-//! A directory indexed by `page >> 9` points at 512-slot leaves (one leaf
-//! covers 2 MiB of VA). The directory grows only when a page is mapped, so
-//! its length follows the highest mapped page: 8 bytes per 2 MiB of VA
-//! below it. Each leaf counts its mapped and committed pages. A leaf is
-//! freed as soon as its last page is unmapped, so allocators that never
-//! reuse VA (FFmalloc's one-time allocation) cannot grow the table without
-//! bound, and range walks skip leaves with nothing committed without
-//! looking at their slots.
+//! A directory indexed by `page >> 9` holds 512-page leaves (one leaf
+//! covers 2 MiB of VA). A leaf costs memory in proportion to what the run
+//! does with its pages, not to how many it maps:
+//!
+//! * A **pristine** leaf is one whose mapped pages are all in the state
+//!   [`crate::AddrSpace::map`] leaves them: uncommitted, read-write, not
+//!   soft-dirty and not an alias. It is a 64-byte bitmap of its mapped
+//!   pages plus a count, kept in `plain`, a vector parallel to the
+//!   directory, so the root segments a process maps whole but barely
+//!   touches cost 72 bytes per 2 MiB.
+//! * A **full** leaf holds a [`PageSlot`] for each of its 512 pages
+//!   (16 KiB) and counts its mapped and committed pages. A pristine leaf
+//!   is promoted to a full one, out of line, when one of its pages first
+//!   leaves the pristine state: a commit, a protection change, a
+//!   soft-dirty bit or an alias mapping. A full leaf is never demoted.
+//!
+//! Looking up a page of a full leaf is one directory load and one slot
+//! load, with no branch on the pristine case ahead of them; only a miss
+//! in the directory looks at `plain`. The vectors grow only when a page
+//! is mapped, so their length follows the highest mapped page: 24 bytes
+//! per 2 MiB of VA below it. A leaf of either kind is freed as soon as
+//! its last page is unmapped, so allocators that never reuse VA
+//! (FFmalloc's one-time allocation) cannot grow the table without bound.
+//! Range walks skip pristine leaves (nothing in them is committed or
+//! soft-dirty) and full leaves with nothing committed without looking at
+//! their slots.
 
 use std::fmt;
 
-use crate::page::PageSlot;
+use crate::page::{PageSlot, Protection};
 
 const LEAF_BITS: u32 = 9;
 
 /// Pages per leaf.
 const LEAF_PAGES: u64 = 1 << LEAF_BITS;
 
-/// 512 consecutive page slots plus their occupancy counters.
+/// The slot every page of a pristine leaf reads as.
+static PRISTINE: PageSlot = PageSlot::new();
+
+/// A full leaf: 512 consecutive page slots plus their occupancy counters.
 struct Leaf {
-    slots: [Option<PageSlot>; LEAF_PAGES as usize],
+    slots: Box<[Option<PageSlot>; LEAF_PAGES as usize]>,
     /// Slots holding a mapped page.
     mapped: u32,
     /// Mapped slots whose page is committed.
@@ -28,12 +49,32 @@ struct Leaf {
 }
 
 impl Leaf {
-    fn new() -> Box<Self> {
-        Box::new(Leaf {
-            slots: std::array::from_fn(|_| None),
-            mapped: 0,
+    /// A full leaf holding a fresh slot for each page `plain` maps (no
+    /// page when `plain` is `None`). The slots are written straight into
+    /// their heap array: 16 KiB never crosses the stack.
+    fn from_plain(plain: Option<&Plain>) -> Leaf {
+        let slots: Box<[Option<PageSlot>]> = (0..LEAF_PAGES as usize)
+            .map(|s| plain.is_some_and(|p| p.has(s)).then(PageSlot::new))
+            .collect();
+        Leaf {
+            slots: slots.try_into().expect("one slot per page"),
+            mapped: plain.map_or(0, |p| p.mapped),
             committed: 0,
-        })
+        }
+    }
+}
+
+/// A pristine leaf: which of its pages are mapped.
+#[derive(Default)]
+struct Plain {
+    bits: [u64; LEAF_PAGES as usize / 64],
+    /// Set bits in `bits`.
+    mapped: u32,
+}
+
+impl Plain {
+    fn has(&self, s: usize) -> bool {
+        self.bits[s / 64] & (1 << (s % 64)) != 0
     }
 }
 
@@ -61,28 +102,40 @@ fn spans(start: u64, end: u64) -> impl Iterator<Item = (usize, usize, usize)> {
 
 /// Mapped pages keyed by page index.
 ///
-/// Commit status changes only through [`PageTable::commit`],
-/// [`PageTable::decommit`] and [`PageTable::remove`], which keep each
-/// leaf's `committed` counter in step; [`PageTable::get_mut`] is for
-/// protection, soft-dirty and word updates.
+/// State changes go through [`PageTable::commit`], [`PageTable::decommit`],
+/// [`PageTable::protect`], [`PageTable::insert`] and
+/// [`PageTable::remove`], which keep each leaf's counters in step and
+/// promote a pristine leaf when a page leaves the pristine state;
+/// [`PageTable::get_mut`] is for word and soft-dirty updates of pages
+/// that already left it.
 #[derive(Default)]
 pub(crate) struct PageTable {
-    dir: Vec<Option<Box<Leaf>>>,
+    /// Full leaves by directory index.
+    dir: Vec<Option<Leaf>>,
+    /// Pristine leaves by directory index; never set where `dir` is.
+    plain: Vec<Option<Box<Plain>>>,
 }
 
 impl PageTable {
     fn leaf(&self, idx: usize) -> Option<&Leaf> {
-        self.dir.get(idx)?.as_deref()
+        self.dir.get(idx)?.as_ref()
     }
 
     fn leaf_mut(&mut self, idx: usize) -> Option<&mut Leaf> {
-        self.dir.get_mut(idx)?.as_deref_mut()
+        self.dir.get_mut(idx)?.as_mut()
+    }
+
+    fn plain(&self, idx: usize) -> Option<&Plain> {
+        self.plain.get(idx)?.as_deref()
     }
 
     /// The slot of `page`, if mapped.
     pub(crate) fn get(&self, page: u64) -> Option<&PageSlot> {
-        let (leaf, slot) = split(page);
-        self.leaf(leaf)?.slots[slot].as_ref()
+        let (idx, s) = split(page);
+        match self.leaf(idx) {
+            Some(leaf) => leaf.slots[s].as_ref(),
+            None => self.plain(idx)?.has(s).then_some(&PRISTINE),
+        }
     }
 
     /// Whether `page` is mapped.
@@ -90,22 +143,65 @@ impl PageTable {
         self.get(page).is_some()
     }
 
-    /// The slot of `page` for updates that leave its commit status alone.
+    /// The slot of `page` for an update a pristine page never needs
+    /// (zeroing committed words, clearing soft-dirty bits): `None` if
+    /// `page` is unmapped or lies in a pristine leaf.
     pub(crate) fn get_mut(&mut self, page: u64) -> Option<&mut PageSlot> {
-        let (leaf, slot) = split(page);
-        self.leaf_mut(leaf)?.slots[slot].as_mut()
+        let (idx, s) = split(page);
+        self.leaf_mut(idx)?.slots[s].as_mut()
     }
 
-    /// Maps the uncommitted `slot` at the unmapped `page`, allocating its
-    /// leaf (and growing the directory) if needed.
-    pub(crate) fn insert(&mut self, page: u64, slot: PageSlot) {
-        debug_assert!(!slot.is_committed(), "pages are mapped uncommitted");
+    /// The full leaf holding the mapped `page`, promoting a pristine leaf
+    /// first, and `page`'s slot index in it. `None` if `page` is unmapped.
+    #[inline]
+    fn full_leaf(&mut self, page: u64) -> Option<(&mut Leaf, usize)> {
         let (idx, s) = split(page);
+        if self.leaf(idx).is_none() {
+            self.promote_at(idx, s)?;
+        }
+        Some((self.leaf_mut(idx)?, s))
+    }
+
+    /// Promotes leaf `idx` if its slot `s` holds a mapped pristine page;
+    /// `None` if it holds no page.
+    #[cold]
+    #[inline(never)]
+    fn promote_at(&mut self, idx: usize, s: usize) -> Option<()> {
+        self.plain(idx)?.has(s).then(|| self.promote(idx))
+    }
+
+    /// Replaces leaf `idx`, pristine or absent, by a full leaf holding the
+    /// same mapped pages.
+    #[cold]
+    #[inline(never)]
+    fn promote(&mut self, idx: usize) {
+        let plain = self.plain.get_mut(idx).and_then(Option::take);
         if idx >= self.dir.len() {
             self.dir.resize_with(idx + 1, || None);
         }
-        let leaf = self.dir[idx].get_or_insert_with(Leaf::new);
-        debug_assert!(leaf.slots[s].is_none(), "page {page:#x} already mapped");
+        self.dir[idx] = Some(Leaf::from_plain(plain.as_deref()));
+    }
+
+    /// Maps the uncommitted `slot` at the unmapped `page`. A pristine slot
+    /// outside a full leaf only sets its bit in a pristine leaf; any other
+    /// slot promotes (or allocates) a full one.
+    pub(crate) fn insert(&mut self, page: u64, slot: PageSlot) {
+        debug_assert!(!slot.is_committed(), "pages are mapped uncommitted");
+        debug_assert!(!self.contains(page), "page {page:#x} already mapped");
+        let (idx, s) = split(page);
+        if self.leaf(idx).is_none() {
+            if slot.is_pristine() {
+                if idx >= self.plain.len() {
+                    self.plain.resize_with(idx + 1, || None);
+                }
+                let plain = self.plain[idx].get_or_insert_with(Box::default);
+                plain.bits[s / 64] |= 1 << (s % 64);
+                plain.mapped += 1;
+                return;
+            }
+            self.promote(idx);
+        }
+        let leaf = self.leaf_mut(idx).expect("full leaf");
         leaf.slots[s] = Some(slot);
         leaf.mapped += 1;
     }
@@ -113,40 +209,65 @@ impl PageTable {
     /// Unmaps `page`, freeing its leaf if it was the leaf's last page.
     pub(crate) fn remove(&mut self, page: u64) -> Option<PageSlot> {
         let (idx, s) = split(page);
-        let leaf = self.leaf_mut(idx)?;
-        let slot = leaf.slots[s].take()?;
-        leaf.mapped -= 1;
-        leaf.committed -= u32::from(slot.is_committed());
-        if leaf.mapped == 0 {
-            self.dir[idx] = None;
+        if let Some(leaf) = self.leaf_mut(idx) {
+            let slot = leaf.slots[s].take()?;
+            leaf.mapped -= 1;
+            leaf.committed -= u32::from(slot.is_committed());
+            if leaf.mapped == 0 {
+                self.dir[idx] = None;
+            }
+            return Some(slot);
         }
-        Some(slot)
+        let plain = self.plain.get_mut(idx)?.as_mut()?;
+        if !plain.has(s) {
+            return None;
+        }
+        plain.bits[s / 64] &= !(1 << (s % 64));
+        plain.mapped -= 1;
+        if plain.mapped == 0 {
+            self.plain[idx] = None;
+        }
+        Some(PageSlot::new())
     }
 
     /// Commits `page` (see [`PageSlot::commit`]): the slot, and whether it
     /// was newly committed. `None` if `page` is unmapped.
+    #[inline]
     pub(crate) fn commit(&mut self, page: u64) -> Option<(&mut PageSlot, bool)> {
-        let (idx, s) = split(page);
-        let leaf = self.leaf_mut(idx)?;
+        let (leaf, s) = self.full_leaf(page)?;
         let slot = leaf.slots[s].as_mut()?;
         let fresh = slot.commit();
         leaf.committed += u32::from(fresh);
         Some((slot, fresh))
     }
 
-    /// Decommits `page` (see [`PageSlot::decommit`]): the slot, and
-    /// whether it was committed before. `None` if `page` is unmapped.
-    pub(crate) fn decommit(&mut self, page: u64) -> Option<(&mut PageSlot, bool)> {
+    /// Decommits `page` (see [`PageSlot::decommit`]): whether it was
+    /// committed before. `None` if `page` is unmapped. A pristine page is
+    /// uncommitted already, so its leaf stays pristine.
+    pub(crate) fn decommit(&mut self, page: u64) -> Option<bool> {
         let (idx, s) = split(page);
-        let leaf = self.leaf_mut(idx)?;
-        let slot = leaf.slots[s].as_mut()?;
-        let was = slot.decommit();
+        let Some(leaf) = self.leaf_mut(idx) else {
+            return self.plain(idx)?.has(s).then_some(false);
+        };
+        let was = leaf.slots[s].as_mut()?.decommit();
         leaf.committed -= u32::from(was);
-        Some((slot, was))
+        Some(was)
     }
 
-    /// Every committed page and its slot, in page order. Leaves with no
-    /// committed page are skipped whole.
+    /// Sets the protection of `page`; a change sets its soft-dirty bit.
+    /// `None` if `page` is unmapped.
+    pub(crate) fn protect(&mut self, page: u64, prot: Protection) -> Option<()> {
+        if self.get(page)?.prot != prot {
+            let (leaf, s) = self.full_leaf(page)?;
+            let slot = leaf.slots[s].as_mut()?;
+            slot.prot = prot;
+            slot.soft_dirty = true;
+        }
+        Some(())
+    }
+
+    /// Every committed page and its slot, in page order. Pristine leaves
+    /// and full leaves with no committed page are skipped whole.
     pub(crate) fn iter_committed(&self) -> impl Iterator<Item = (u64, &PageSlot)> {
         self.dir.iter().enumerate().flat_map(|(idx, leaf)| {
             let base = (idx as u64) << LEAF_BITS;
@@ -162,7 +283,8 @@ impl PageTable {
         })
     }
 
-    /// Every mapped slot, for updates that leave commit status alone.
+    /// Every mapped slot of a full leaf, for updates a pristine page never
+    /// needs (clearing soft-dirty bits).
     pub(crate) fn values_mut(&mut self) -> impl Iterator<Item = &mut PageSlot> {
         self.dir
             .iter_mut()
@@ -171,7 +293,8 @@ impl PageTable {
     }
 
     /// Number of committed pages in `[start, end)`. Leaves the range
-    /// covers entirely are counted from their counter alone.
+    /// covers entirely are counted from their counter alone; pristine
+    /// leaves count nothing.
     pub(crate) fn committed_in(&self, start: u64, end: u64) -> u64 {
         spans(start, end)
             .filter_map(|(idx, lo, hi)| Some((self.leaf(idx)?, lo, hi)))
@@ -190,8 +313,9 @@ impl PageTable {
     }
 
     /// Maximal runs of committed pages in `[start, end)` as
-    /// `(first page, page count)`, in page order. Absent leaves and
-    /// leaves with no committed page end a run without a slot scan.
+    /// `(first page, page count)`, in page order. Absent and pristine
+    /// leaves, and full leaves with no committed page, end a run without
+    /// a slot scan.
     pub(crate) fn committed_runs(&self, start: u64, end: u64) -> Vec<(u64, u64)> {
         let mut runs = Vec::new();
         let mut open: Option<u64> = None;
@@ -220,12 +344,15 @@ impl PageTable {
         runs
     }
 
-    /// Allocated leaves.
-    pub(crate) fn resident_leaves(&self) -> usize {
-        self.dir.iter().flatten().count()
+    /// Allocated leaves: `(full, pristine)`.
+    pub(crate) fn leaves(&self) -> (usize, usize) {
+        (
+            self.dir.iter().flatten().count(),
+            self.plain.iter().flatten().count(),
+        )
     }
 
-    /// Sum of every leaf's `committed` counter.
+    /// Sum of every full leaf's `committed` counter.
     #[cfg(test)]
     pub(crate) fn committed_counter_sum(&self) -> u64 {
         self.dir
@@ -238,9 +365,11 @@ impl PageTable {
 
 impl fmt::Debug for PageTable {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (full, pristine) = self.leaves();
         f.debug_struct("PageTable")
             .field("dir_len", &self.dir.len())
-            .field("leaves", &self.resident_leaves())
+            .field("full_leaves", &full)
+            .field("pristine_leaves", &pristine)
             .finish()
     }
 }
@@ -262,20 +391,89 @@ mod tests {
         for page in 510..514 {
             t.insert(page, PageSlot::new());
         }
-        assert_eq!(t.resident_leaves(), 2);
+        assert_eq!(t.leaves(), (0, 2), "fresh pages leave both leaves pristine");
         assert!(t.commit(511).unwrap().1);
         assert!(!t.commit(511).unwrap().1, "second commit is a no-op");
         assert!(t.commit(512).unwrap().1);
         assert_eq!(t.committed_counter_sum(), 2);
         assert_eq!(t.committed_runs(0, 2048), vec![(511, 2)]);
         assert_eq!(t.committed_in(0, 2048), 2);
-        assert!(t.decommit(512).unwrap().1);
+        assert_eq!(t.decommit(512), Some(true));
         assert_eq!(t.committed_counter_sum(), 1);
         t.remove(511).unwrap();
         assert_eq!(t.committed_counter_sum(), 0, "unmapping drops the commit");
         t.remove(510).unwrap();
-        assert_eq!(t.resident_leaves(), 1, "leaf 0 freed with its last page");
+        assert_eq!(t.leaves(), (1, 0), "leaf 0 freed with its last page");
         assert!(t.commit(510).is_none());
+    }
+
+    /// A table with pages 0..4 of leaf 0 mapped fresh, and the unmapped
+    /// page 4.
+    fn pristine_leaf() -> PageTable {
+        let mut t = PageTable::default();
+        for page in 0..4 {
+            t.insert(page, PageSlot::new());
+        }
+        t
+    }
+
+    #[test]
+    fn reads_and_no_op_updates_keep_a_leaf_pristine() {
+        let mut t = pristine_leaf();
+        assert!(t.get(3).is_some_and(PageSlot::is_pristine));
+        assert!(t.get(4).is_none() && !t.contains(4));
+        assert!(t.get_mut(3).is_none(), "no slot to update");
+        assert_eq!(t.decommit(3), Some(false));
+        assert_eq!(t.decommit(4), None, "unmapped");
+        assert_eq!(t.protect(3, Protection::ReadWrite), Some(()));
+        assert_eq!(t.protect(4, Protection::None), None, "unmapped");
+        assert!(t.commit(4).is_none(), "unmapped");
+        assert_eq!(t.iter_committed().count() + t.values_mut().count(), 0);
+        assert_eq!(t.committed_in(0, 512), 0);
+        assert!(t.committed_runs(0, 512).is_empty());
+        assert_eq!(t.leaves(), (0, 1));
+    }
+
+    #[test]
+    fn a_leaf_is_promoted_at_its_first_non_pristine_page() {
+        let promoted: [fn(&mut PageTable); 3] = [
+            |t| assert!(t.commit(2).unwrap().1),
+            |t| t.protect(2, Protection::None).unwrap(),
+            |t| t.insert(4, PageSlot::new_alias(0)),
+        ];
+        for promote in promoted {
+            let mut t = pristine_leaf();
+            promote(&mut t);
+            assert_eq!(t.leaves(), (1, 0));
+            for page in 0..4 {
+                assert!(t.get(page).is_some(), "page {page} stays mapped");
+            }
+            assert!(t.get(5).is_none());
+        }
+        // An alias mapped where nothing is gets a full leaf of its own.
+        let mut t = PageTable::default();
+        t.insert(700, PageSlot::new_alias(0));
+        assert_eq!(t.leaves(), (1, 0));
+        // A fresh page mapped into a full leaf takes a slot there.
+        t.insert(701, PageSlot::new());
+        assert_eq!(t.leaves(), (1, 0));
+        assert!(t.get_mut(701).is_some());
+    }
+
+    #[test]
+    fn a_leaf_of_either_kind_is_freed_with_its_last_page() {
+        let mut t = pristine_leaf();
+        t.insert(600, PageSlot::new());
+        t.commit(600);
+        assert_eq!(t.leaves(), (1, 1));
+        assert!(t.remove(4).is_none(), "unmapped");
+        for page in 0..4 {
+            assert!(t.remove(page).is_some_and(|s| s.is_pristine()));
+        }
+        assert_eq!(t.leaves(), (1, 0));
+        assert!(t.remove(600).is_some_and(|s| s.is_committed()));
+        assert_eq!(t.leaves(), (0, 0));
+        assert!(t.get(0).is_none() && t.get(600).is_none());
     }
 
     #[test]

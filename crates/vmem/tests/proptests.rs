@@ -10,11 +10,12 @@
 //! * Soft-dirty tracking is a superset of the pages actually written since
 //!   the last clear.
 //! * The radix page table behaves exactly like a `BTreeMap` of pages, across
-//!   a 512-page leaf boundary and a far leaf, for every operation and query
-//!   (`table_matches_btreemap_model`).
+//!   a 512-page leaf boundary and a far leaf, for every operation and query,
+//!   and keeps a full leaf exactly where a page has left the pristine state
+//!   since its leaf was last empty (`table_matches_btreemap_model`).
 
 use proptest::prelude::*;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use vmem::{
     Addr, AddrSpace, MemError, MemStats, PageIdx, PageRange, Protection, PAGE_SIZE, WORD_SIZE,
@@ -197,12 +198,19 @@ const CANDS: u8 = 20;
 /// Pages reserved for the test window: leaves 0 through 6.
 const WINDOW: u64 = 7 * LEAF;
 
+/// Leaves [`TOp::MapLeaf`] maps whole: the three that hold candidates.
+const MAP_LEAVES: [u64; 3] = [0, 1, 5];
+
 /// One operation of the page-table differential test. `at` indexes
 /// [`cand`]; `count` pages run upwards from there.
 #[derive(Clone, Debug)]
 enum TOp {
     Map { at: u8, count: u8 },
+    /// Maps all 512 pages of window leaf `leaf`.
+    MapLeaf { leaf: u64 },
     Unmap { at: u8, count: u8 },
+    /// Unmaps every mapped page of window leaf `leaf`, one call per page.
+    UnmapLeaf { leaf: u64 },
     Commit { at: u8, count: u8 },
     Decommit { at: u8, count: u8 },
     Protect { at: u8, count: u8, none: bool },
@@ -210,6 +218,9 @@ enum TOp {
     Write { at: u8, word: u16, value: u64 },
     Read { at: u8, word: u16 },
     Peek { at: u8, word: u16 },
+    /// `scan_page`, folding the page's first four words (the only ones
+    /// `Write` reaches) into one value.
+    Scan { at: u8 },
     Touch { at: u8 },
     ClearAll,
     ClearRange { at: u8, count: u8 },
@@ -219,7 +230,9 @@ fn top_strategy() -> impl Strategy<Value = TOp> {
     let run = || (0u8..CANDS, 1u8..4);
     prop_oneof![
         4 => run().prop_map(|(at, count)| TOp::Map { at, count }),
+        1 => (0u8..3).prop_map(|i| TOp::MapLeaf { leaf: MAP_LEAVES[i as usize] }),
         2 => run().prop_map(|(at, count)| TOp::Unmap { at, count }),
+        1 => (0u64..7).prop_map(|leaf| TOp::UnmapLeaf { leaf }),
         2 => run().prop_map(|(at, count)| TOp::Commit { at, count }),
         2 => run().prop_map(|(at, count)| TOp::Decommit { at, count }),
         2 => (0u8..CANDS, 1u8..4, any::<bool>())
@@ -229,6 +242,7 @@ fn top_strategy() -> impl Strategy<Value = TOp> {
             .prop_map(|(at, word, value)| TOp::Write { at, word, value }),
         2 => (0u8..CANDS, 0u16..4).prop_map(|(at, word)| TOp::Read { at, word }),
         2 => (0u8..CANDS, 0u16..4).prop_map(|(at, word)| TOp::Peek { at, word }),
+        2 => (0u8..CANDS).prop_map(|at| TOp::Scan { at }),
         1 => (0u8..CANDS).prop_map(|at| TOp::Touch { at }),
         1 => Just(TOp::ClearAll),
         1 => run().prop_map(|(at, count)| TOp::ClearRange { at, count }),
@@ -245,10 +259,25 @@ struct MPage {
     alias_of: Option<u64>,
 }
 
+impl MPage {
+    /// As a fresh mapping leaves a page.
+    fn pristine(&self) -> bool {
+        self.data.is_none() && !self.prot_none && !self.dirty && self.alias_of.is_none()
+    }
+}
+
+/// Folds the four words `Write` can reach, as [`TOp::Scan`] reports them.
+fn fold(words: impl Fn(u64) -> u64) -> u64 {
+    (0..4).fold(0, |acc, w| acc ^ words(w).rotate_left(w as u32 * 16))
+}
+
 /// The executable spec: pages in a `BTreeMap`, statistics by hand.
 struct Model {
     pages: BTreeMap<u64, MPage>,
     stats: MemStats,
+    /// Leaves where a page has left the pristine state since the leaf was
+    /// last empty: the ones the table must hold as full leaves.
+    full: BTreeSet<u64>,
 }
 
 impl Model {
@@ -297,6 +326,40 @@ impl Model {
         pages.iter().copied().find(|p| !self.pages.contains_key(p))
     }
 
+    /// Brings [`Model::full`] up to date after an op and returns the
+    /// expected `(full, pristine)` leaf counts of the window.
+    fn leaves(&mut self) -> (usize, usize) {
+        let mapped: BTreeSet<u64> = self.pages.keys().map(|p| p / LEAF).collect();
+        self.full.retain(|l| mapped.contains(l));
+        self.full.extend(self.pages.iter().filter(|(_, m)| !m.pristine()).map(|(p, _)| p / LEAF));
+        (self.full.len(), mapped.len() - self.full.len())
+    }
+
+    fn map(&mut self, pages: Vec<u64>) -> Result<u64, MemError> {
+        if let Some(&p) = pages.iter().find(|p| self.pages.contains_key(p)) {
+            return Err(MemError::AlreadyMapped(PageIdx::new(p).base()));
+        }
+        self.stats.mapped_pages += pages.len() as u64;
+        self.stats.maps += 1;
+        for p in pages {
+            self.pages.insert(p, MPage::default());
+        }
+        Ok(0)
+    }
+
+    fn unmap(&mut self, pages: Vec<u64>) -> Result<u64, MemError> {
+        if let Some(p) = self.first_unmapped(&pages) {
+            return Err(MemError::Unmapped(PageIdx::new(p).base()));
+        }
+        self.stats.mapped_pages -= pages.len() as u64;
+        self.stats.unmaps += 1;
+        for p in pages {
+            let had = self.pages.remove(&p).unwrap().data.is_some();
+            self.drop_backing(had);
+        }
+        Ok(0)
+    }
+
     fn apply(&mut self, op: &TOp, base: u64) -> Result<u64, MemError> {
         let addr = |page: u64| PageIdx::new(page).base();
         let run = |at: u8, count: u8| -> Vec<u64> {
@@ -304,28 +367,15 @@ impl Model {
         };
         let word_addr = |at: u8, word: u16| addr(base + cand(at)).add_bytes(word as u64 * 8);
         match *op {
-            TOp::Map { at, count } => {
-                let pages = run(at, count);
-                if let Some(&p) = pages.iter().find(|p| self.pages.contains_key(p)) {
-                    return Err(MemError::AlreadyMapped(addr(p)));
+            TOp::Map { at, count } => return self.map(run(at, count)),
+            TOp::MapLeaf { leaf } => return self.map((0..LEAF).map(|k| base + leaf * LEAF + k).collect()),
+            TOp::Unmap { at, count } => return self.unmap(run(at, count)),
+            TOp::UnmapLeaf { leaf } => {
+                let first = base + leaf * LEAF;
+                let mapped: Vec<u64> = self.pages.range(first..first + LEAF).map(|(&p, _)| p).collect();
+                for p in mapped {
+                    self.unmap(vec![p])?;
                 }
-                for p in pages {
-                    self.pages.insert(p, MPage::default());
-                }
-                self.stats.mapped_pages += count as u64;
-                self.stats.maps += 1;
-            }
-            TOp::Unmap { at, count } => {
-                let pages = run(at, count);
-                if let Some(p) = self.first_unmapped(&pages) {
-                    return Err(MemError::Unmapped(addr(p)));
-                }
-                for p in pages {
-                    let had = self.pages.remove(&p).unwrap().data.is_some();
-                    self.drop_backing(had);
-                }
-                self.stats.mapped_pages -= count as u64;
-                self.stats.unmaps += 1;
             }
             TOp::Commit { at, count } => {
                 for p in run(at, count) {
@@ -395,6 +445,11 @@ impl Model {
                     .and_then(|d| d.get(&(word as u64)).copied())
                     .unwrap_or(0));
             }
+            TOp::Scan { at } => {
+                let storage = self.resolve(addr(base + cand(at)))?;
+                let data = self.pages[&storage].data.as_ref();
+                return Ok(data.map_or(0, |d| fold(|w| d.get(&w).copied().unwrap_or(0))));
+            }
             TOp::Touch { at } => {
                 let storage = self.resolve(addr(base + cand(at)))?;
                 self.commit(storage, true);
@@ -423,7 +478,16 @@ fn apply_space(space: &mut AddrSpace, op: &TOp, base: u64) -> Result<u64, MemErr
     let word_addr = |at: u8, word: u16| addr(base + cand(at)).add_bytes(word as u64 * 8);
     match *op {
         TOp::Map { at, count } => space.map(addr(base + cand(at)), count as u64).map(|_| 0),
+        TOp::MapLeaf { leaf } => space.map(addr(base + leaf * LEAF), LEAF).map(|_| 0),
         TOp::Unmap { at, count } => space.unmap(range(at, count)).map(|_| 0),
+        TOp::UnmapLeaf { leaf } => {
+            for p in (0..LEAF).map(|k| PageIdx::new(base + leaf * LEAF + k)) {
+                if space.is_mapped(p.base()) {
+                    space.unmap(PageRange::new(p, 1))?;
+                }
+            }
+            Ok(0)
+        }
         TOp::Commit { at, count } => space.commit(range(at, count)).map(|_| 0),
         TOp::Decommit { at, count } => space.decommit(range(at, count)).map(|_| 0),
         TOp::Protect { at, count, none } => {
@@ -440,6 +504,9 @@ fn apply_space(space: &mut AddrSpace, op: &TOp, base: u64) -> Result<u64, MemErr
         TOp::Write { at, word, value } => space.write_word(word_addr(at, word), value).map(|_| 0),
         TOp::Read { at, word } => space.read_word(word_addr(at, word)),
         TOp::Peek { at, word } => space.peek_word(word_addr(at, word)),
+        TOp::Scan { at } => space
+            .scan_page(PageIdx::new(base + cand(at)))
+            .map(|words| words.map_or(0, |d| fold(|w| d[w as usize]))),
         TOp::Touch { at } => space.touch_page(PageIdx::new(base + cand(at))).map(|_| 0),
         TOp::ClearAll => {
             space.clear_soft_dirty();
@@ -473,7 +540,10 @@ proptest! {
     fn table_matches_btreemap_model(ops in proptest::collection::vec(top_strategy(), 1..120)) {
         let mut space = AddrSpace::new();
         let base = space.reserve_heap(WINDOW).page().raw();
-        let mut model = Model { pages: BTreeMap::new(), stats: *space.stats() };
+        let mut model = Model { pages: BTreeMap::new(), stats: *space.stats(), full: BTreeSet::new() };
+        // The globals and stack leaves, all pristine.
+        let roots = space.page_table_leaves();
+        prop_assert_eq!(roots.0, 0);
         // Windows the per-op queries cover: the leaf-0/1 straddle, the far
         // leaf's tail spilling into leaf 6, and all seven leaves.
         let near = (base + LEAF - 16, base + LEAF + 16);
@@ -484,6 +554,8 @@ proptest! {
         for op in &ops {
             prop_assert_eq!(apply_space(&mut space, op, base), model.apply(op, base), "{:?}", op);
             prop_assert_eq!(space.stats(), &model.stats, "{:?}", op);
+            let (full, pristine) = model.leaves();
+            prop_assert_eq!(space.page_table_leaves(), (full, roots.1 + pristine), "{:?}", op);
 
             let dirty: Vec<PageIdx> = model
                 .pages

@@ -279,7 +279,8 @@ stage_doc_modules() {
     # shadow map's shared writer (one thread marks), and those of the
     # security interpreter's second cost ledger (one recipe per system,
     # charged through `CostRecorder`), and those of the engine's linked
-    # out-slot lists (one edge block per holder). Each name carries a
+    # out-slot lists (one edge block per holder), and those of the shadow
+    # map's two-level directory (a radix of 4 KiB nodes). Each name carries a
     # one-letter bracket class so this line does not match itself.
     # jalloc's own jemalloc "arena" wording is not on the list.
     local orphans='Arena[I]d|Arena[P]ool|Arena[B]ackend|Sweep[S]cheduler|Sched[P]olicy'
@@ -292,6 +293,7 @@ stage_doc_modules() {
     orphans+='|atomic_[s]erial'
     orphans+='|Defence[C]ost|charge_[f]ree|charge_[s]weep_report|sweep_round_[s]etup'
     orphans+='|Edge[L]ist|Slot::[I]nObj'
+    orphans+='|Level[2]|L1_[E]NTRIES|L2_[E]NTRIES|L2_[S]HIFT|l2_[c]ount'
     if git grep -nE "$orphans" -- crates src tests examples scripts DESIGN.md README.md; then
         echo "orphan references to deleted names (listed above)"
         missing=1
