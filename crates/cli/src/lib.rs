@@ -565,7 +565,7 @@ pub fn render_dossier(dir: &str, check: bool, slo: Option<&str>) -> Result<Dossi
         }
     }
     if let Some(policy) = policy {
-        let checks = telemetry::Watchdog::new(policy).evaluate(&snap);
+        let checks = policy.evaluate(&snap);
         push_section(&mut text, "slo", &telemetry::slo_table(&checks));
         let breaches = checks
             .iter()

@@ -26,10 +26,11 @@ pub enum ForensicsMode {
     /// ledger stays empty and no forensic events are emitted.
     #[default]
     Off,
-    /// Record roughly 1-in-N provenance edges (a shared atomic tick keeps
-    /// the sampling deterministic in serial marking). Ledger bookkeeping
-    /// and the byte-conservation invariants stay exact — only the
-    /// per-entry hit counts and example sources are sampled.
+    /// Record roughly 1-in-N provenance edges (the edge recorder keeps a
+    /// plain tick of the pointers the mark loop hands it, so the sampling
+    /// is deterministic). Ledger bookkeeping and the byte-conservation
+    /// invariants stay exact — only the per-entry hit counts and example
+    /// sources are sampled.
     Sampled(u32),
     /// Record every edge.
     Full,

@@ -502,20 +502,8 @@ impl<B: HeapBackend> MineSweeper<B> {
     ///
     /// Panics if a sweep is already in flight.
     pub fn start_sweep(&mut self, space: &mut AddrSpace) {
-        assert!(self.active.is_none(), "sweep already in flight");
-        self.next_sweep += 1;
-        let id = self.next_sweep;
         let trigger = self.trigger_kind(space);
-        let quarantine_bytes = self.quarantine.tracked_bytes();
-        let quarantine_entries = self.quarantine.len() as u64;
-        self.tracer.emit(|| EventKind::SweepStart {
-            sweep: id,
-            trigger,
-            quarantine_bytes,
-            quarantine_entries,
-        });
-        let stopwatch = self.tracer.stopwatch();
-        let locked = self.quarantine.lock_generation();
+        let (id, stopwatch, locked) = self.open_sweep(trigger);
         let plan = if self.cfg.marking {
             SweepPlan::build(space, &self.heap.active_ranges())
         } else {
@@ -663,13 +651,47 @@ impl<B: HeapBackend> MineSweeper<B> {
             self.resolve_entry(space, entry, dangling, id, edges.as_ref(), &mut report);
         }
         report.marked_granules = self.shadow.marked_count();
+        self.close_sweep(space, id, active.stopwatch, &report);
+        report
+    }
+
+    /// Opens the next sweep: emits its `SweepStart`, starts its stopwatch
+    /// and locks in the quarantine generation (§4.3 — later frees wait for
+    /// the next sweep). Returns the sweep number, the stopwatch and the
+    /// locked entries. Both [`MineSweeper::start_sweep`] and
+    /// [`MineSweeper::sweep_now_with_shadow`] begin here.
+    fn open_sweep(&mut self, trigger: Trigger) -> (u64, Stopwatch, Vec<QEntry>) {
+        assert!(self.active.is_none(), "sweep already in flight");
+        self.next_sweep += 1;
+        let id = self.next_sweep;
+        let quarantine_bytes = self.quarantine.tracked_bytes();
+        let quarantine_entries = self.quarantine.len() as u64;
+        self.tracer.emit(|| EventKind::SweepStart {
+            sweep: id,
+            trigger,
+            quarantine_bytes,
+            quarantine_entries,
+        });
+        let stopwatch = self.tracer.stopwatch();
+        (id, stopwatch, self.quarantine.lock_generation())
+    }
+
+    /// Closes sweep `id` once its release phase has filled `report`: emits
+    /// `Release`, runs the post-sweep purge, counts the sweep and emits
+    /// `SweepEnd` with the ledger totals. Both sweeps end here.
+    fn close_sweep(
+        &mut self,
+        space: &mut AddrSpace,
+        id: u64,
+        stopwatch: Stopwatch,
+        report: &SweepReport,
+    ) {
         self.tracer.emit(|| EventKind::Release {
             sweep: id,
             released: report.released,
             released_bytes: report.released_bytes,
             failed_frees: report.failed,
         });
-
         // §4.5: synchronise allocator cleanup with the end of the sweep.
         if self.cfg.purge_after_sweep {
             let purged0 = self.heap.purged_pages();
@@ -678,10 +700,9 @@ impl<B: HeapBackend> MineSweeper<B> {
             self.tracer.emit(|| EventKind::Purge { sweep: id, purged_pages });
         }
         self.counters.sweeps.inc();
-        let wall_ns = active.stopwatch.elapsed_ns();
+        let wall_ns = stopwatch.elapsed_ns();
         let ledger = self.sweep_end_ledger();
         self.tracer.emit(|| EventKind::SweepEnd { sweep: id, wall_ns, ledger });
-        report
     }
 
     /// The ledger snapshot a `SweepEnd` event carries: `None` with
@@ -802,19 +823,7 @@ impl<B: HeapBackend> MineSweeper<B> {
         space: &mut AddrSpace,
         shadow: &ShadowMap,
     ) -> SweepReport {
-        assert!(self.active.is_none(), "sweep already in flight");
-        self.next_sweep += 1;
-        let id = self.next_sweep;
-        let quarantine_bytes = self.quarantine.tracked_bytes();
-        let quarantine_entries = self.quarantine.len() as u64;
-        self.tracer.emit(|| EventKind::SweepStart {
-            sweep: id,
-            trigger: Trigger::Manual,
-            quarantine_bytes,
-            quarantine_entries,
-        });
-        let stopwatch = self.tracer.stopwatch();
-        let locked = self.quarantine.lock_generation();
+        let (id, stopwatch, locked) = self.open_sweep(Trigger::Manual);
         let mut report = SweepReport::default();
         // The caller's shadow map replaced marking, so the mark phase has
         // zero swept bytes/words here — only the granule count is real.
@@ -837,22 +846,7 @@ impl<B: HeapBackend> MineSweeper<B> {
             self.resolve_entry(space, entry, dangling, id, None, &mut report);
         }
         report.marked_granules = shadow.marked_count();
-        self.tracer.emit(|| EventKind::Release {
-            sweep: id,
-            released: report.released,
-            released_bytes: report.released_bytes,
-            failed_frees: report.failed,
-        });
-        if self.cfg.purge_after_sweep {
-            let purged0 = self.heap.purged_pages();
-            self.heap.purge_all(space);
-            let purged_pages = self.heap.purged_pages().saturating_sub(purged0);
-            self.tracer.emit(|| EventKind::Purge { sweep: id, purged_pages });
-        }
-        self.counters.sweeps.inc();
-        let wall_ns = stopwatch.elapsed_ns();
-        let ledger = self.sweep_end_ledger();
-        self.tracer.emit(|| EventKind::SweepEnd { sweep: id, wall_ns, ledger });
+        self.close_sweep(space, id, stopwatch, &report);
         report
     }
 }

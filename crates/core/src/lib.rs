@@ -84,7 +84,7 @@ pub use shadow::{NaiveShadowMap, ShadowMap, ShadowWriter, MAX_SHADOWED};
 pub use stats::MsStats;
 pub use simd::ScanTier;
 pub use sweep::{MarkAccel, Marker, StepResult, SweepPlan};
-pub use telem::{MsCounters, LAYER_SUBSYSTEM};
+pub use telem::LAYER_SUBSYSTEM;
 
 // The telemetry crate itself, re-exported so embedders can name sinks,
 // snapshots and events without a separate dependency.

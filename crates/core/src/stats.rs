@@ -65,19 +65,6 @@ impl MsStats {
     pub fn in_quarantine(&self) -> u64 {
         self.quarantined.saturating_sub(self.released)
     }
-
-    /// Permille of all ever-quarantined bytes still resident (not yet
-    /// released) — the quantity the telemetry watchdog's `qratio`
-    /// objective bounds, computed here from the layer's own counters so
-    /// callers without a registry snapshot can watch the same number.
-    /// `None` when nothing was ever quarantined.
-    pub fn quarantine_permille(&self) -> Option<u64> {
-        if self.quarantined_bytes == 0 {
-            return None;
-        }
-        let resident = self.quarantined_bytes.saturating_sub(self.released_bytes);
-        Some(resident.saturating_mul(1000) / self.quarantined_bytes)
-    }
 }
 
 #[cfg(test)]
@@ -94,15 +81,6 @@ mod tests {
     fn in_quarantine_saturates_instead_of_wrapping() {
         let s = MsStats { quarantined: 3, released: 7, ..Default::default() };
         assert_eq!(s.in_quarantine(), 0);
-    }
-
-    #[test]
-    fn quarantine_permille_matches_the_watchdog_objective() {
-        let s = MsStats { quarantined_bytes: 1000, released_bytes: 400, ..Default::default() };
-        assert_eq!(s.quarantine_permille(), Some(600));
-        assert_eq!(MsStats::default().quarantine_permille(), None, "nothing quarantined");
-        let s = MsStats { quarantined_bytes: 5, released_bytes: 9, ..Default::default() };
-        assert_eq!(s.quarantine_permille(), Some(0), "over-release saturates to zero");
     }
 
     #[test]

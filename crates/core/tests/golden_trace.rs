@@ -10,12 +10,17 @@
 //! ```
 
 use minesweeper::telemetry::{Event, JsonlSink, RunReport, SharedBuf};
-use minesweeper::{ForensicsMode, MineSweeper, MsConfig};
+use minesweeper::{
+    tag_ptr, untag_ptr, ForensicsMode, MineSweeper, MsConfig, MteHeap, QUARANTINE_TAG,
+};
 use vmem::{AddrSpace, Segment};
 
 const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden_trace.jsonl");
 const GOLDEN_FORENSICS: &str =
     concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden_trace_forensics.jsonl");
+const GOLDEN_MTE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden_trace_mte.jsonl");
+const GOLDEN_MTE_FORENSICS: &str =
+    concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden_trace_mte_forensics.jsonl");
 
 /// A scripted run: allocate, wire one dangling pointer, free everything
 /// (spilling the thread-local quarantine buffer), sweep twice — first
@@ -148,4 +153,52 @@ fn golden_trace_parses_and_aggregates() {
     assert!(report.sweeps.iter().all(|s| s.wall_ns == 0 && s.mark_wall_ns == 0));
     assert_eq!(report.sweeps[0].start_vnow, 10_000);
     assert_eq!(report.sweeps[1].start_vnow, 20_000);
+}
+
+/// A tag-aware MTE sweep pair ([`MteHeap::sweep_now_tag_aware`]): one
+/// victim is reachable only through a stale-tagged pointer (released at
+/// once), the other through a pointer carrying the quarantine tag (fails,
+/// then drains once the pointer is cleared). No other test observes the
+/// event stream of a sweep over a caller-provided shadow map.
+fn mte_trace(forensics: ForensicsMode) -> String {
+    let mut cfg = MsConfig::fully_concurrent();
+    cfg.tl_buffer_capacity = 1;
+    cfg.forensics = forensics;
+    let mut ms = MineSweeper::new(cfg);
+    let buf = SharedBuf::new();
+    ms.tracer_mut().set_sink(Box::new(JsonlSink::new(buf.clone())));
+    ms.tracer_mut().set_deterministic(true);
+    let mut heap = MteHeap::with_backend_ms(ms);
+    let mut space = AddrSpace::new();
+
+    let stale = heap.malloc(&mut space, 64);
+    let pinned = heap.malloc(&mut space, 192);
+    let holder = heap.malloc(&mut space, 64);
+    let (pinned_base, _) = untag_ptr(pinned);
+    heap.store(&mut space, holder, stale).unwrap();
+    heap.store(&mut space, holder + 8, tag_ptr(pinned_base, QUARANTINE_TAG)).unwrap();
+    heap.free(&mut space, stale);
+    heap.free(&mut space, pinned);
+    let first = heap.sweep_now_tag_aware(&mut space);
+    assert_eq!((first.released, first.failed), (1, 1));
+    heap.store(&mut space, holder + 8, 0).unwrap();
+    let second = heap.sweep_now_tag_aware(&mut space);
+    assert_eq!((second.released, second.failed), (1, 0));
+    drop(heap); // flushes the sink
+    buf.contents()
+}
+
+#[test]
+fn mte_tag_aware_sweep_events_match_golden_files() {
+    for (forensics, path) in
+        [(ForensicsMode::Off, GOLDEN_MTE), (ForensicsMode::Full, GOLDEN_MTE_FORENSICS)]
+    {
+        let got = mte_trace(forensics);
+        if std::env::var_os("UPDATE_GOLDEN").is_some() {
+            std::fs::write(path, &got).unwrap();
+        }
+        let want = std::fs::read_to_string(path)
+            .expect("fixture missing; regenerate with UPDATE_GOLDEN=1");
+        assert_eq!(got, want, "{forensics:?}: MTE sweep trace drifted from {path}");
+    }
 }

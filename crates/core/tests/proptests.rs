@@ -10,7 +10,7 @@
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 
-use minesweeper::telemetry::{RingSink, RunReport};
+use minesweeper::telemetry::{JsonlSink, RunReport, SharedBuf};
 use minesweeper::{
     CandidateFilter, EdgeRecorder, ForensicsMode, FreeOutcome, MarkAccel, Marker, MineSweeper,
     MsConfig, NaiveShadowMap, PageCache, QEntry, ShadowMap, SweepPlan,
@@ -218,11 +218,13 @@ proptest! {
         //  (a) byte conservation — every byte ever quarantined is either
         //      released or still in quarantine (swept or unmapped);
         //  (b) the sweep-lifecycle event stream aggregates to exactly the
-        //      registry's counters (RunReport::reconcile).
+        //      registry's counters (RunReport::reconcile). The stream is
+        //      folded from its JSONL text, so every event also round-trips
+        //      the wire format.
         let mut space = AddrSpace::new();
         let mut ms = MineSweeper::new(MsConfig::fully_concurrent());
-        let ring = RingSink::new(1 << 16);
-        ms.tracer_mut().set_sink(Box::new(ring.clone()));
+        let buf = SharedBuf::new();
+        ms.tracer_mut().set_sink(Box::new(JsonlSink::new(buf.clone())));
         ms.tracer_mut().set_deterministic(true);
         let stack = space.layout().segment_base(Segment::Stack);
 
@@ -270,8 +272,10 @@ proptest! {
             );
         }
 
-        let events = ring.events();
-        let report = RunReport::from_events(events.iter());
+        let report = match RunReport::from_jsonl(&buf.contents()) {
+            Ok(report) => report,
+            Err(e) => return Err(TestCaseError::fail(format!("trace does not parse: {e}"))),
+        };
         let snap = ms.registry().snapshot();
         if let Err(e) = report.reconcile(&snap) {
             prop_assert!(false, "event/counter reconciliation failed: {}", e);

@@ -116,7 +116,7 @@ pub struct CostModel {
     /// Walking one log entry at a DangSan free.
     pub dangsan_log_walk: u64,
     /// Recording one provenance edge in the forensics layer (binary
-    /// search over quarantine starts + two relaxed atomic updates; paid
+    /// search over quarantine starts + two counter updates; paid
     /// only on words that actually hit a candidate, post-sampling).
     pub forensics_edge: u64,
     /// Scudo `malloc` (hardened fast path: class lookup + randomized

@@ -6,9 +6,7 @@
 //! sweep progress with mutator progress in virtual time.
 
 use minesweeper::LAYER_SUBSYSTEM;
-use telemetry::{
-    CostKind, CostRecorder, Histogram, IdMap, Registry, Sink, SloPolicy, Watchdog,
-};
+use telemetry::{CostKind, CostRecorder, Histogram, IdMap, Registry, Sink};
 use vmem::{Addr, AddrSpace, Segment, PAGE_SIZE, WORD_SIZE};
 use workloads::{Op, Profile, Rng, TraceGen};
 
@@ -313,7 +311,6 @@ pub(crate) struct Setup {
     threads: u64,
     telem: Option<EngineTelem>,
     cost_rec: Option<CostRecorder>,
-    slo: Option<SloPolicy>,
 }
 
 impl Engine {
@@ -338,29 +335,9 @@ impl Engine {
             let tier = minesweeper::simd::active_tier().as_str();
             registry.counter(ENGINE_SUBSYSTEM, &format!("scan_tier_{tier}")).inc();
         }
-        let (label, slo) = (system.label(), None);
-        let setup = Setup { profile: profile.clone(), label, seed, threads, telem, cost_rec, slo };
+        let label = system.label();
+        let setup = Setup { profile: profile.clone(), label, seed, threads, telem, cost_rec };
         Engine { sys, setup }
-    }
-
-    /// Turns the cost-attribution ledger on or off. It is on by default
-    /// for layered systems; turning it off stops all `cost/*` counter
-    /// traffic (the run is otherwise bit-identical — the ledger only
-    /// observes charges, it never changes them). No-op for baselines.
-    pub fn set_cost_ledger(&mut self, on: bool) {
-        if !on {
-            self.setup.cost_rec = None;
-        } else if self.setup.cost_rec.is_none() {
-            self.setup.cost_rec = self.sys.registry().map(CostRecorder::new);
-        }
-    }
-
-    /// Arms the SLO watchdog: at finalize the run's registry snapshot is
-    /// evaluated against `policy` and every breached objective emits a
-    /// typed [`telemetry::EventKind::SloViolation`] through the attached
-    /// trace sink. No-op for systems without a registry (baselines).
-    pub fn set_slo_policy(&mut self, policy: SloPolicy) {
-        self.setup.slo = Some(policy);
     }
 
     /// Attaches `sink` to the layered system's sweep tracer, so the run
@@ -438,22 +415,18 @@ pub(crate) struct Sim<D: ?Sized> {
     /// Present for MineSweeper-layered systems (they own the registry).
     telem: Option<EngineTelem>,
     /// Cost-attribution ledger ([`telemetry::CostRecorder`]) on the same
-    /// registry, published to it at finalize; on by default for layered
-    /// systems, purely observational (disabling it never changes
-    /// verdicts, traces or virtual time).
+    /// registry, published to it at finalize; present for layered
+    /// systems, purely observational (it never changes verdicts, traces
+    /// or virtual time).
     cost_rec: Option<CostRecorder>,
     /// Ledger total at the current sweep's start, for the per-generation
     /// `cost/per_sweep_cycles` attribution histogram.
     cost_sweep_start: u64,
-    /// Pause-budget SLO objectives checked at finalize
-    /// ([`Engine::set_slo_policy`]); breaches emit typed
-    /// [`telemetry::EventKind::SloViolation`] trace events.
-    slo: Option<SloPolicy>,
 }
 
 impl<D: Defence + ?Sized> Sim<D> {
     pub(crate) fn new(sys: Box<D>, setup: Setup) -> Self {
-        let Setup { profile, label, seed, threads, telem, cost_rec, slo } = setup;
+        let Setup { profile, label, seed, threads, telem, cost_rec } = setup;
         let run_cycles = profile.total_allocs.max(1) * profile.cycles_per_alloc.max(1);
         let sample_interval = (run_cycles / 256).max(10_000);
         let metrics = RunMetrics {
@@ -487,7 +460,6 @@ impl<D: Defence + ?Sized> Sim<D> {
             telem,
             cost_rec,
             cost_sweep_start: 0,
-            slo,
         }
     }
 
@@ -951,19 +923,11 @@ impl<D: Defence + ?Sized> Sim<D> {
         // trace sink, snapshot the shared registry, and derive the
         // headline sweep metrics from the layer's counters (single source
         // of truth).
-        // SLO watchdog: evaluate the final snapshot before the flush so
-        // violation events land in the same trace as the sweeps they
-        // indict.
         if let Some(rec) = &mut self.cost_rec {
             rec.publish();
         }
         let snap = self.sys.registry().cloned().map(|registry| {
-            let tracer = self.sys.tracer_mut().expect("layered systems trace");
-            if let Some(policy) = self.slo.take() {
-                let checks = Watchdog::new(policy).evaluate(&registry.snapshot());
-                Watchdog::emit_violations(tracer, &checks);
-            }
-            tracer.flush();
+            self.sys.tracer_mut().expect("layered systems trace").flush();
             registry.snapshot()
         });
         if let Some(snap) = snap {

@@ -1,10 +1,9 @@
 //! Properties of the cost-attribution ledger: every dimension of the
-//! ledger conserves (kinds and sites each sum to `cost/total_cycles`),
-//! and turning the ledger off leaves the run bit-identical.
+//! ledger conserves (kinds and sites each sum to `cost/total_cycles`).
 
 use proptest::prelude::*;
 
-use sim::{run, CostLedger, Engine, RunMetrics, System};
+use sim::{run, CostLedger, RunMetrics, System};
 use workloads::{LifetimeDist, Profile, SizeDist};
 
 fn ledger_of(m: &RunMetrics) -> CostLedger {
@@ -59,32 +58,6 @@ proptest! {
         prop_assert_eq!(site_sum, ledger.total);
         // A quarantining run always pays for at least its inserts.
         prop_assert!(ledger.total > 0, "layered run must be billed");
-    }
-
-    #[test]
-    fn ledger_off_runs_are_bit_identical(
-        profile in arb_profile(),
-        system in arb_layered_system(),
-        seed in any::<u64>(),
-    ) {
-        let on = run(&profile, system, seed);
-        let mut engine = Engine::new(&profile, system, seed);
-        engine.set_cost_ledger(false);
-        let off = engine.run();
-        prop_assert_eq!(on.mutator_cycles, off.mutator_cycles);
-        prop_assert_eq!(on.background_cycles, off.background_cycles);
-        prop_assert_eq!(on.pause_cycles, off.pause_cycles);
-        prop_assert_eq!(on.stw_cycles, off.stw_cycles);
-        prop_assert_eq!(on.peak_rss, off.peak_rss);
-        prop_assert_eq!(&on.rss_series, &off.rss_series);
-        prop_assert_eq!(on.sweeps, off.sweeps);
-        prop_assert_eq!(on.failed_frees, off.failed_frees);
-        let snap = off.telemetry.as_ref().expect("telemetry stays on");
-        prop_assert_eq!(
-            snap.counter(sim::COST_SUBSYSTEM, "total_cycles").unwrap_or(0),
-            0,
-            "a disabled ledger must record nothing"
-        );
     }
 }
 

@@ -15,7 +15,7 @@
 //! relabelled to sparse 64-bit ids replays exactly like the dense one.
 
 use sim::{run, run_trace, Engine, RunMetrics, System};
-use telemetry::{JsonlSink, SharedBuf, SloPolicy};
+use telemetry::{JsonlSink, SharedBuf};
 use workloads::{LifetimeDist, Op, Profile, SizeDist, TraceGen};
 
 /// `(mutator_cycles, background_cycles, sweeps, failed_frees, peak_rss,
@@ -262,27 +262,23 @@ fn fnv1a(bytes: &[u8]) -> u64 {
         .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3))
 }
 
-/// The engine stamps every lifecycle event with its virtual clock and
-/// forwards SLO breaches into the same trace, so the deterministic JSONL of
-/// a layered run pins the engine's event timing, not just its totals. An
-/// impossible policy makes every objective fire. Rows are
-/// `(system, bytes, fnv1a)`.
+/// The engine stamps every lifecycle event with its virtual clock, so the
+/// deterministic JSONL of a layered run pins the engine's event timing,
+/// not just its totals. Rows are `(system, bytes, fnv1a)`.
 #[test]
 fn dense_profile_trace_is_pinned() {
     let mut mismatches = Vec::new();
     for (system, len, hash) in [
-        (System::minesweeper_default(), 8117, 0x74bf02bc8c57d094),
-        (System::minesweeper_mostly(), 8748, 0x6639c7ee5a456cac),
-        (System::minesweeper_scudo(), 8638, 0x7864d5691a4d1c88),
+        (System::minesweeper_default(), 7904, 0x6cc2256ebdf5b328),
+        (System::minesweeper_mostly(), 8430, 0x466129070ac132e8),
+        (System::minesweeper_scudo(), 8426, 0x4b6fd69b724af5e1),
     ] {
         let label = system.label();
         let buf = SharedBuf::new();
         let mut eng = Engine::new(&dense_profile(), system, 11);
         assert!(eng.set_trace_sink(Box::new(JsonlSink::new(buf.clone())), true));
-        eng.set_slo_policy(SloPolicy::parse("stw=0,sweep=0,qratio=0").unwrap());
         eng.run();
         let jsonl = buf.contents();
-        assert!(jsonl.contains("\"slo_violation\""), "{label}: the policy must fire");
         let got = (jsonl.len(), fnv1a(jsonl.as_bytes()));
         if got != (len, hash) {
             mismatches.push(format!("{label}: {}, {:#018x}", got.0, got.1));

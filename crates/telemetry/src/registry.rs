@@ -1,16 +1,13 @@
-//! The lock-free metrics registry: atomic counters and fixed-bucket log2
-//! histograms, labelled by subsystem, with point-in-time snapshots.
+//! The metrics registry: counters and fixed-bucket log2 histograms,
+//! labelled by subsystem, with point-in-time snapshots.
 //!
-//! Registration takes a lock (it happens a handful of times at startup);
-//! every increment afterwards is a single atomic RMW on a shared cell, so
-//! instrumented hot paths never contend on the registry itself. Handles
-//! ([`Counter`], [`Histogram`]) are cheap `Arc` clones and stay valid for
-//! the registry's lifetime. A cell with one writer takes an
-//! [`OwnedCounter`] instead: handed out once, not `Clone`, and bumped
-//! with a plain load and store rather than a locked RMW.
+//! The simulator runs on one thread, so a cell is a plain [`Cell`]: an
+//! increment is one load and one store. Handles ([`Counter`],
+//! [`Histogram`]) are cheap `Rc` clones and stay valid for the registry's
+//! lifetime; a snapshot reads the live cells in registration order.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::cell::{Cell, RefCell};
+use std::rc::Rc;
 
 use crate::json::{escape, Json, JsonError};
 
@@ -27,113 +24,58 @@ pub const HISTOGRAM_BUCKETS: usize = 65;
 /// version only.
 pub const SNAPSHOT_SCHEMA_VERSION: u64 = 2;
 
-/// A monotonically increasing atomic counter handle.
+/// A counter handle. Clones share the cell; adds wrap.
 #[derive(Clone, Debug, Default)]
-pub struct Counter(Arc<AtomicU64>);
+pub struct Counter(Rc<Cell<u64>>);
 
+// `#[inline]`: the layer's free path bumps several of these per free, and
+// out of line each bump would be a call into this crate.
 impl Counter {
-    /// Creates a counter not attached to any registry (snapshots will not
-    /// see it). Useful for tests and placeholders.
-    pub fn detached() -> Self {
-        Counter::default()
-    }
-
     /// Adds one.
+    #[inline]
     pub fn inc(&self) {
         self.add(1);
     }
 
-    /// Adds `n`.
+    /// Adds `n`, wrapping.
+    #[inline]
     pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// The one writer's handle to a counter cell.
-///
-/// [`Registry::owned_counter`] hands it out once per name and it cannot
-/// be cloned, so [`OwnedCounter::add`] takes `&mut self` and the borrow
-/// checker guarantees no second writer. That makes a relaxed load plus a
-/// relaxed store a correct increment: no lock prefix, and no wait for
-/// earlier stores to drain. Snapshots read the live cell, as for a
-/// [`Counter`].
-///
-/// ```
-/// let reg = telemetry::Registry::new();
-/// let mut sweeps = reg.owned_counter("layer", "sweeps");
-/// sweeps.add(2);
-/// assert_eq!(reg.snapshot().counter("layer", "sweeps"), Some(2));
-/// ```
-///
-/// A second handle to the same cell does not compile:
-///
-/// ```compile_fail
-/// let reg = telemetry::Registry::new();
-/// let sweeps = reg.owned_counter("layer", "sweeps");
-/// let second_writer = sweeps.clone();
-/// ```
-#[derive(Debug)]
-pub struct OwnedCounter(Arc<AtomicU64>);
-
-// `#[inline]`: the layer's free path bumps several of these per free, and
-// out of line each bump would be a call into this crate.
-impl OwnedCounter {
-    /// Adds one.
-    #[inline]
-    pub fn inc(&mut self) {
-        self.add(1);
-    }
-
-    /// Adds `n`, wrapping like [`Counter::add`].
-    #[inline]
-    pub fn add(&mut self, n: u64) {
-        let cell = &self.0;
-        cell.store(cell.load(Ordering::Relaxed).wrapping_add(n), Ordering::Relaxed);
+        self.0.set(self.0.get().wrapping_add(n));
     }
 
     /// Current value.
     #[inline]
     pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
+        self.0.get()
     }
 }
 
 /// Shared storage of a histogram.
 #[derive(Debug)]
 struct HistogramCore {
-    buckets: [AtomicU64; HISTOGRAM_BUCKETS],
-    sum: AtomicU64,
+    buckets: [Cell<u64>; HISTOGRAM_BUCKETS],
+    sum: Cell<u64>,
 }
 
 /// A fixed-bucket log2 histogram handle.
 ///
 /// Bucket boundaries are powers of two, so recording costs one
-/// `leading_zeros`, a relaxed atomic add and a compare-and-swap loop on
-/// the saturating sum: fine per sweep, but a per-op path should count in
-/// plain memory and hand the counts over with [`Histogram::add_counts`].
+/// `leading_zeros`, a bucket add and a saturating add on the sum: fine per
+/// sweep, but a per-op path should count in plain memory and hand the
+/// counts over with [`Histogram::add_counts`].
 #[derive(Clone, Debug)]
-pub struct Histogram(Arc<HistogramCore>);
+pub struct Histogram(Rc<HistogramCore>);
 
 impl Default for Histogram {
     fn default() -> Self {
-        Histogram(Arc::new(HistogramCore {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            sum: AtomicU64::new(0),
+        Histogram(Rc::new(HistogramCore {
+            buckets: std::array::from_fn(|_| Cell::new(0)),
+            sum: Cell::new(0),
         }))
     }
 }
 
 impl Histogram {
-    /// Creates a histogram not attached to any registry.
-    pub fn detached() -> Self {
-        Histogram::default()
-    }
-
     /// The bucket index `value` falls into.
     pub fn bucket_index(value: u64) -> usize {
         (u64::BITS - value.leading_zeros()) as usize
@@ -151,60 +93,46 @@ impl Histogram {
 
     /// Records one observation.
     pub fn record(&self, value: u64) {
-        self.0.buckets[Self::bucket_index(value)].fetch_add(1, Ordering::Relaxed);
-        // Saturate instead of wrapping: a sum that pegs at u64::MAX is an
-        // obviously-overflowed export; a wrapped one silently lies.
-        let _ = self.0.sum.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |s| {
-            Some(s.saturating_add(value))
-        });
+        let cell = &self.0.buckets[Self::bucket_index(value)];
+        cell.set(cell.get().wrapping_add(1));
+        self.add_sum(value);
     }
 
     /// Adds pre-counted observations: `buckets[i]` more values in bucket
     /// `i`, summing to `sum`. Equal to recording each value one by one.
     pub fn add_counts(&self, buckets: &[u64; HISTOGRAM_BUCKETS], sum: u64) {
         for (cell, &n) in self.0.buckets.iter().zip(buckets) {
-            if n > 0 {
-                cell.fetch_add(n, Ordering::Relaxed);
-            }
+            cell.set(cell.get().wrapping_add(n));
         }
-        let _ = self.0.sum.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |s| {
-            Some(s.saturating_add(sum))
-        });
+        self.add_sum(sum);
+    }
+
+    /// Saturates instead of wrapping: a sum that pegs at `u64::MAX` is an
+    /// obviously overflowed export; a wrapped one silently lies.
+    fn add_sum(&self, value: u64) {
+        self.0.sum.set(self.0.sum.get().saturating_add(value));
     }
 
     /// Number of recorded observations.
     pub fn count(&self) -> u64 {
-        self.0.buckets.iter().map(|b| b.load(Ordering::Relaxed)).sum()
+        self.0.buckets.iter().map(Cell::get).sum()
     }
 
     /// Sum of recorded values (saturating).
     pub fn sum(&self) -> u64 {
-        self.0.sum.load(Ordering::Relaxed)
+        self.0.sum.get()
     }
 
     fn bucket_counts(&self) -> [u64; HISTOGRAM_BUCKETS] {
-        std::array::from_fn(|i| self.0.buckets[i].load(Ordering::Relaxed))
+        std::array::from_fn(|i| self.0.buckets[i].get())
     }
 }
 
 /// One registered instrument.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 enum Instrument {
     Counter(Counter),
-    /// The registry's reading handle to an [`OwnedCounter`]'s cell.
-    OwnedCounter(Counter),
     Histogram(Histogram),
-}
-
-impl Instrument {
-    /// How a clash message names the kind already registered.
-    fn kind(&self) -> &'static str {
-        match self {
-            Instrument::Counter(_) => "a counter",
-            Instrument::OwnedCounter(_) => "an owned counter",
-            Instrument::Histogram(_) => "a histogram",
-        }
-    }
 }
 
 #[derive(Debug)]
@@ -214,18 +142,13 @@ struct Entry {
     instrument: Instrument,
 }
 
-#[derive(Debug, Default)]
-struct Inner {
-    entries: Mutex<Vec<Entry>>,
-}
-
 /// The metrics registry. Cloning shares the underlying storage, so
 /// subsystems in different layers (the allocator layer, the sim engine, a
 /// benchmark harness) can register into one registry and export one
 /// coherent snapshot.
 #[derive(Clone, Debug, Default)]
 pub struct Registry {
-    inner: Arc<Inner>,
+    entries: Rc<RefCell<Vec<Entry>>>,
 }
 
 impl Registry {
@@ -238,81 +161,54 @@ impl Registry {
     ///
     /// # Panics
     ///
-    /// Panics if the name is already registered as another kind.
+    /// Panics if the name is already registered as a histogram.
     pub fn counter(&self, subsystem: &str, name: &str) -> Counter {
-        let mut entries = self.inner.entries.lock().expect("registry poisoned");
-        if let Some(e) =
-            entries.iter().find(|e| e.subsystem == subsystem && e.name == name)
-        {
-            match &e.instrument {
-                Instrument::Counter(c) => return c.clone(),
-                other => panic!("{subsystem}/{name} is registered as {}", other.kind()),
-            }
+        match self.instrument(subsystem, name, || Instrument::Counter(Counter::default())) {
+            Instrument::Counter(c) => c,
+            Instrument::Histogram(_) => panic!("{subsystem}/{name} is registered as a histogram"),
         }
-        let c = Counter::default();
-        entries.push(Entry {
-            subsystem: subsystem.to_string(),
-            name: name.to_string(),
-            instrument: Instrument::Counter(c.clone()),
-        });
-        c
-    }
-
-    /// Registers the counter `subsystem/name` and returns its one writer
-    /// ([`OwnedCounter`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the name is already registered, of whatever kind: a
-    /// second handle would be a second writer.
-    pub fn owned_counter(&self, subsystem: &str, name: &str) -> OwnedCounter {
-        let mut entries = self.inner.entries.lock().expect("registry poisoned");
-        if let Some(e) =
-            entries.iter().find(|e| e.subsystem == subsystem && e.name == name)
-        {
-            panic!("{subsystem}/{name} is already registered as {}", e.instrument.kind());
-        }
-        let cell = Counter::default();
-        let writer = OwnedCounter(Arc::clone(&cell.0));
-        entries.push(Entry {
-            subsystem: subsystem.to_string(),
-            name: name.to_string(),
-            instrument: Instrument::OwnedCounter(cell),
-        });
-        writer
     }
 
     /// Registers (or retrieves) the histogram `subsystem/name`.
     ///
     /// # Panics
     ///
-    /// Panics if the name is already registered as another kind.
+    /// Panics if the name is already registered as a counter.
     pub fn histogram(&self, subsystem: &str, name: &str) -> Histogram {
-        let mut entries = self.inner.entries.lock().expect("registry poisoned");
-        if let Some(e) =
-            entries.iter().find(|e| e.subsystem == subsystem && e.name == name)
-        {
-            match &e.instrument {
-                Instrument::Histogram(h) => return h.clone(),
-                other => panic!("{subsystem}/{name} is registered as {}", other.kind()),
-            }
+        match self.instrument(subsystem, name, || Instrument::Histogram(Histogram::default())) {
+            Instrument::Histogram(h) => h,
+            Instrument::Counter(_) => panic!("{subsystem}/{name} is registered as a counter"),
         }
-        let h = Histogram::default();
+    }
+
+    /// The instrument registered as `subsystem/name`, registering `new()`
+    /// first if the name is free.
+    fn instrument(
+        &self,
+        subsystem: &str,
+        name: &str,
+        new: impl FnOnce() -> Instrument,
+    ) -> Instrument {
+        let mut entries = self.entries.borrow_mut();
+        if let Some(e) = entries.iter().find(|e| e.subsystem == subsystem && e.name == name) {
+            return e.instrument.clone();
+        }
+        let instrument = new();
         entries.push(Entry {
             subsystem: subsystem.to_string(),
             name: name.to_string(),
-            instrument: Instrument::Histogram(h.clone()),
+            instrument: instrument.clone(),
         });
-        h
+        instrument
     }
 
     /// Takes a point-in-time snapshot of every registered instrument.
     pub fn snapshot(&self) -> Snapshot {
-        let entries = self.inner.entries.lock().expect("registry poisoned");
+        let entries = self.entries.borrow();
         let mut snap = Snapshot::default();
         for e in entries.iter() {
             match &e.instrument {
-                Instrument::Counter(c) | Instrument::OwnedCounter(c) => snap.counters.push(CounterSample {
+                Instrument::Counter(c) => snap.counters.push(CounterSample {
                     subsystem: e.subsystem.clone(),
                     name: e.name.clone(),
                     value: c.get(),
@@ -528,36 +424,20 @@ mod tests {
     }
 
     #[test]
-    fn owned_counter_is_read_live_in_registration_order() {
+    fn counters_are_read_live_in_registration_order_and_wrap() {
         let reg = Registry::new();
         reg.counter("layer", "first");
-        let mut owned = reg.owned_counter("layer", "second");
+        let second = reg.counter("layer", "second");
         reg.histogram("layer", "third");
-        owned.inc();
-        owned.add(41);
-        assert_eq!(owned.get(), 42);
+        second.inc();
+        second.add(41);
+        assert_eq!(second.get(), 42);
         let snap = reg.snapshot();
         let names: Vec<&str> = snap.counters.iter().map(|c| c.name.as_str()).collect();
         assert_eq!(names, ["first", "second"]);
         assert_eq!(snap.counter("layer", "second"), Some(42));
-        owned.add(u64::MAX);
-        assert_eq!(owned.get(), 41, "wraps like Counter::add");
-    }
-
-    #[test]
-    #[should_panic(expected = "layer/sweeps is already registered as an owned counter")]
-    fn owned_counter_registers_once() {
-        let reg = Registry::new();
-        let _writer = reg.owned_counter("layer", "sweeps");
-        reg.owned_counter("layer", "sweeps");
-    }
-
-    #[test]
-    #[should_panic(expected = "layer/sweeps is registered as an owned counter")]
-    fn owned_counter_has_no_shared_handle() {
-        let reg = Registry::new();
-        let _writer = reg.owned_counter("layer", "sweeps");
-        reg.counter("layer", "sweeps");
+        second.add(u64::MAX);
+        assert_eq!(second.get(), 41, "adds wrap");
     }
 
     #[test]
@@ -584,7 +464,7 @@ mod tests {
 
     #[test]
     fn histogram_records_and_saturates() {
-        let h = Histogram::detached();
+        let h = Histogram::default();
         h.record(0);
         h.record(1);
         h.record(u64::MAX);
@@ -624,26 +504,5 @@ mod tests {
         assert!(Snapshot::from_json("{\"schema_version\": 0}").is_err());
         assert!(Snapshot::from_json("{\"schema_version\": 1}").is_err());
         assert!(Snapshot::from_json("not json").is_err());
-    }
-
-    #[test]
-    fn concurrent_increments_are_not_lost() {
-        let reg = Registry::new();
-        let c = reg.counter("t", "hits");
-        let h = reg.histogram("t", "vals");
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                let c = c.clone();
-                let h = h.clone();
-                s.spawn(move || {
-                    for i in 0..1000 {
-                        c.inc();
-                        h.record(i);
-                    }
-                });
-            }
-        });
-        assert_eq!(c.get(), 4000);
-        assert_eq!(h.count(), 4000);
     }
 }

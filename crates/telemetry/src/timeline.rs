@@ -26,20 +26,6 @@ pub struct PinRecord {
     pub src: u64,
 }
 
-/// One `SloViolation` event: a watchdog objective breached during the
-/// run.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SloRecord {
-    /// Virtual time when the violation was reported.
-    pub vnow: u64,
-    /// Stable objective name (`stw`, `sweep` or `qratio`).
-    pub objective: String,
-    /// The observed value.
-    pub observed: u64,
-    /// The configured limit it breached.
-    pub limit: u64,
-}
-
 /// One `FailedFreeAged` event: a failed-free decision with its ledger
 /// history attached.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -84,7 +70,7 @@ pub struct SweepRecord {
     /// Shadow-map granules marked.
     pub marked_granules: u64,
     /// Heap-pointing words the candidate filter suppressed during
-    /// marking (serial steps and parallel helpers combined).
+    /// marking, summed over the sweep's mark steps.
     pub mark_filter_rejects: u64,
     /// Wall-clock marking time (ns; 0 in deterministic traces).
     pub mark_wall_ns: u64,
@@ -159,8 +145,6 @@ pub struct RunReport {
     /// Every `FailedFreeAged` event, in emission order (forensics traces
     /// only).
     pub aged: Vec<AgedRecord>,
-    /// Every `SloViolation` event, in emission order.
-    pub slo_violations: Vec<SloRecord>,
 }
 
 impl RunReport {
@@ -215,14 +199,6 @@ impl RunReport {
                 EventKind::QuarantineFlush { entries } => {
                     report.flushes += 1;
                     report.flushed_entries += entries;
-                }
-                EventKind::SloViolation { objective, observed, limit } => {
-                    report.slo_violations.push(SloRecord {
-                        vnow: event.vnow,
-                        objective: objective.clone(),
-                        observed: *observed,
-                        limit: *limit,
-                    });
                 }
                 EventKind::SweepEnd { sweep, wall_ns, ledger } => {
                     let r = report.record_mut(*sweep);
@@ -981,9 +957,6 @@ mod tests {
         let q = report.quarantine_table();
         assert!(q.contains("high-water: 3000 bytes / 30 entries"), "{q}");
 
-        let h = Histogram::detached();
-        h.record(5);
-        h.record(1000);
         let reg = crate::registry::Registry::new();
         let hh = reg.histogram("engine", "pause_cycles");
         hh.record(5);
@@ -992,19 +965,6 @@ mod tests {
         let table = pause_table(snap.histogram("engine", "pause_cycles").unwrap(), "cycles");
         assert!(table.contains("2 observations"), "{table}");
         assert!(table.contains('#'), "{table}");
-    }
-
-    #[test]
-    fn slo_events_collect() {
-        let events = vec![ev(
-            30,
-            EventKind::SloViolation { objective: "stw".to_owned(), observed: 900, limit: 500 },
-        )];
-        let report = RunReport::from_events(&events);
-        assert_eq!(report.slo_violations.len(), 1);
-        assert_eq!(report.slo_violations[0].objective, "stw");
-        assert_eq!(report.slo_violations[0].vnow, 30);
-        assert!(RunReport::from_events(&sample_run()).slo_violations.is_empty());
     }
 
     #[test]

@@ -5,10 +5,10 @@
 //! tracing is disabled: [`Tracer::emit`] takes a closure and returns
 //! before constructing the event if no sink is attached.
 
-use std::collections::VecDeque;
+use std::cell::RefCell;
 use std::fmt;
 use std::io::Write;
-use std::sync::{Arc, Mutex};
+use std::rc::Rc;
 use std::time::Instant;
 
 use crate::json::{Json, JsonError};
@@ -68,8 +68,8 @@ pub struct LedgerTotals {
 /// `benchmark/src/trace.rs`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub struct MarkProf {
-    /// Nanoseconds spent inside the scan kernel (serial steps and
-    /// parallel chunks combined; 0 in deterministic mode).
+    /// Nanoseconds spent inside the scan kernel, summed over the sweep's
+    /// mark steps (0 in deterministic mode).
     pub scan_ns: u64,
     /// Shadow-map marks published through the write-combine window.
     pub wc_window_bits: u64,
@@ -109,7 +109,7 @@ pub enum EventKind {
         /// Granules marked in the shadow map when marking finished.
         marked_granules: u64,
         /// Heap-pointing words suppressed by the candidate filter during
-        /// marking (serial steps and parallel helpers combined).
+        /// marking, summed over the sweep's mark steps.
         filter_rejects: u64,
         /// Wall-clock marking time in nanoseconds (0 in deterministic
         /// mode).
@@ -187,17 +187,6 @@ pub enum EventKind {
         survivals: u64,
         /// Sweep number of the first failure.
         first_failed: u64,
-    },
-    /// An SLO watchdog objective was breached: an observed value crossed
-    /// its configured limit. Emitted by [`crate::Watchdog`] evaluation
-    /// (e.g. the sim engine's end-of-run check).
-    SloViolation {
-        /// Stable objective name (`stw`, `sweep`, `qratio`, `util`).
-        objective: String,
-        /// The observed value (same unit as the limit).
-        observed: u64,
-        /// The configured limit it breached.
-        limit: u64,
     },
     /// A sweep finished end to end.
     SweepEnd {
@@ -299,13 +288,6 @@ impl Event {
                      \"first_failed\": {first_failed}"
                 )
             }
-            EventKind::SloViolation { objective, observed, limit } => {
-                format!(
-                    "\"type\": \"slo_violation\", \"objective\": \"{}\", \
-                     \"observed\": {observed}, \"limit\": {limit}",
-                    crate::json::escape(objective)
-                )
-            }
             EventKind::SweepEnd { sweep, wall_ns, ledger } => match ledger {
                 None => format!(
                     "\"type\": \"sweep_end\", \"sweep\": {sweep}, \"wall_ns\": {wall_ns}"
@@ -405,15 +387,6 @@ impl Event {
                 survivals: num("survivals")?,
                 first_failed: num("first_failed")?,
             },
-            "slo_violation" => EventKind::SloViolation {
-                objective: v
-                    .get("objective")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| JsonError::new("missing objective"))?
-                    .to_owned(),
-                observed: num("observed")?,
-                limit: num("limit")?,
-            },
             "sweep_end" => {
                 // The ledger keys are optional: pre-forensics traces (and
                 // forensics-off runs) omit them.
@@ -435,7 +408,7 @@ impl Event {
 
 /// Where emitted events go. Implementations must be cheap: the layer
 /// calls [`Sink::record`] inline on sweep paths.
-pub trait Sink: Send {
+pub trait Sink {
     /// Receives one event.
     fn record(&mut self, event: &Event);
 
@@ -452,57 +425,14 @@ impl Sink for NullSink {
     fn record(&mut self, _event: &Event) {}
 }
 
-/// A bounded in-memory ring of recent events. Clones share the buffer,
-/// so keep one clone to inspect after handing the other to a tracer.
-#[derive(Clone, Debug)]
-pub struct RingSink {
-    buf: Arc<Mutex<VecDeque<Event>>>,
-    capacity: usize,
-}
-
-impl RingSink {
-    /// Creates a ring holding the most recent `capacity` events.
-    pub fn new(capacity: usize) -> Self {
-        RingSink {
-            buf: Arc::new(Mutex::new(VecDeque::with_capacity(capacity.max(1)))),
-            capacity: capacity.max(1),
-        }
-    }
-
-    /// A copy of the buffered events, oldest first.
-    pub fn events(&self) -> Vec<Event> {
-        self.buf.lock().expect("ring poisoned").iter().cloned().collect()
-    }
-
-    /// Number of buffered events.
-    pub fn len(&self) -> usize {
-        self.buf.lock().expect("ring poisoned").len()
-    }
-
-    /// Whether the ring is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl Sink for RingSink {
-    fn record(&mut self, event: &Event) {
-        let mut buf = self.buf.lock().expect("ring poisoned");
-        if buf.len() == self.capacity {
-            buf.pop_front();
-        }
-        buf.push_back(event.clone());
-    }
-}
-
 /// A sink that writes one JSON line per event to any [`Write`]r.
 #[derive(Debug)]
-pub struct JsonlSink<W: Write + Send> {
+pub struct JsonlSink<W: Write> {
     writer: W,
     lines: u64,
 }
 
-impl<W: Write + Send> JsonlSink<W> {
+impl<W: Write> JsonlSink<W> {
     /// Creates a JSONL sink over `writer`.
     pub fn new(writer: W) -> Self {
         JsonlSink { writer, lines: 0 }
@@ -514,7 +444,7 @@ impl<W: Write + Send> JsonlSink<W> {
     }
 }
 
-impl<W: Write + Send> Sink for JsonlSink<W> {
+impl<W: Write> Sink for JsonlSink<W> {
     fn record(&mut self, event: &Event) {
         // Trace IO failures must not take down the traced program; drop
         // the line (the lines() counter stops advancing, which reconcilers
@@ -529,7 +459,7 @@ impl<W: Write + Send> Sink for JsonlSink<W> {
     }
 }
 
-impl<W: Write + Send> Drop for JsonlSink<W> {
+impl<W: Write> Drop for JsonlSink<W> {
     fn drop(&mut self) {
         let _ = self.writer.flush();
     }
@@ -538,7 +468,7 @@ impl<W: Write + Send> Drop for JsonlSink<W> {
 /// A clonable in-memory byte buffer implementing [`Write`]; pair with
 /// [`JsonlSink`] to capture a trace as text (golden tests, CLI tests).
 #[derive(Clone, Debug, Default)]
-pub struct SharedBuf(Arc<Mutex<Vec<u8>>>);
+pub struct SharedBuf(Rc<RefCell<Vec<u8>>>);
 
 impl SharedBuf {
     /// Creates an empty buffer.
@@ -548,13 +478,13 @@ impl SharedBuf {
 
     /// The buffered bytes as UTF-8 text.
     pub fn contents(&self) -> String {
-        String::from_utf8_lossy(&self.0.lock().expect("buffer poisoned")).into_owned()
+        String::from_utf8_lossy(&self.0.borrow()).into_owned()
     }
 }
 
 impl Write for SharedBuf {
     fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        self.0.lock().expect("buffer poisoned").extend_from_slice(buf);
+        self.0.borrow_mut().extend_from_slice(buf);
         Ok(buf.len())
     }
 
@@ -693,11 +623,6 @@ mod tests {
                     cache_evictions: 1,
                 }),
             },
-            EventKind::SloViolation {
-                objective: "stw".to_owned(),
-                observed: 9000,
-                limit: 4096,
-            },
             EventKind::StwPass { sweep: 1, pages: 2, words: 1024 },
             EventKind::Release { sweep: 1, released: 2, released_bytes: 128, failed_frees: 1 },
             EventKind::Purge { sweep: 1, purged_pages: 9 },
@@ -805,21 +730,6 @@ mod tests {
     }
 
     #[test]
-    fn slo_violation_objective_is_escaped() {
-        let e = Event {
-            seq: 0,
-            vnow: 0,
-            kind: EventKind::SloViolation {
-                objective: "q\"ratio\\\n".to_owned(),
-                observed: 2,
-                limit: 1,
-            },
-        };
-        let line = e.to_json();
-        assert_eq!(Event::from_json(&line).unwrap(), e, "hostile objective must round-trip");
-    }
-
-    #[test]
     fn from_json_rejects_unknown_type() {
         assert!(Event::from_json("{\"seq\":0,\"vnow\":0,\"type\":\"nope\"}").is_err());
         assert!(Event::from_json("{\"seq\":0,\"vnow\":0,\"type\":\"release\"}").is_err());
@@ -840,30 +750,18 @@ mod tests {
 
     #[test]
     fn tracer_stamps_seq_and_vnow() {
-        let ring = RingSink::new(8);
+        let buf = SharedBuf::new();
         let mut t = Tracer::disabled();
-        t.set_sink(Box::new(ring.clone()));
+        t.set_sink(Box::new(JsonlSink::new(buf.clone())));
         t.set_virtual_now(5);
         t.emit(|| EventKind::QuarantineFlush { entries: 1 });
         t.set_virtual_now(9);
         t.emit(|| EventKind::QuarantineFlush { entries: 2 });
-        let events = ring.events();
+        let text = buf.contents();
+        let events: Vec<Event> = text.lines().map(|l| Event::from_json(l).unwrap()).collect();
         assert_eq!(events.len(), 2);
         assert_eq!((events[0].seq, events[0].vnow), (0, 5));
         assert_eq!((events[1].seq, events[1].vnow), (1, 9));
-    }
-
-    #[test]
-    fn ring_sink_drops_oldest() {
-        let ring = RingSink::new(2);
-        let mut t = Tracer::disabled();
-        t.set_sink(Box::new(ring.clone()));
-        for n in 0..5 {
-            t.emit(|| EventKind::QuarantineFlush { entries: n });
-        }
-        let events = ring.events();
-        assert_eq!(events.len(), 2);
-        assert_eq!(events[1].kind, EventKind::QuarantineFlush { entries: 4 });
     }
 
     #[test]

@@ -280,7 +280,9 @@ stage_doc_modules() {
     # security interpreter's second cost ledger (one recipe per system,
     # charged through `CostRecorder`), and those of the engine's linked
     # out-slot lists (one edge block per holder), and those of the shadow
-    # map's two-level directory (a radix of 4 KiB nodes). Each name carries a
+    # map's two-level directory (a radix of 4 KiB nodes), and those of the
+    # telemetry concurrency machinery and second SLO judge (one thread, one
+    # counter type, `ms-report --slo` the only judge). Each name carries a
     # one-letter bracket class so this line does not match itself.
     # jalloc's own jemalloc "arena" wording is not on the list.
     local orphans='Arena[I]d|Arena[P]ool|Arena[B]ackend|Sweep[S]cheduler|Sched[P]olicy'
@@ -294,6 +296,9 @@ stage_doc_modules() {
     orphans+='|Defence[C]ost|charge_[f]ree|charge_[s]weep_report|sweep_round_[s]etup'
     orphans+='|Edge[L]ist|Slot::[I]nObj'
     orphans+='|Level[2]|L1_[E]NTRIES|L2_[E]NTRIES|L2_[S]HIFT|l2_[c]ount'
+    orphans+='|Owned[C]ounter|owned_[c]ounter|Watch[d]og|emit_[v]iolations|Slo[V]iolation'
+    orphans+='|slo_[v]iolation|Slo[R]ecord|Ring[S]ink|set_slo_[p]olicy|set_cost_[l]edger'
+    orphans+='|MsStats::quarantine_[p]ermille'
     if git grep -nE "$orphans" -- crates src tests examples scripts DESIGN.md README.md; then
         echo "orphan references to deleted names (listed above)"
         missing=1
