@@ -1,6 +1,12 @@
 //! Raw sweep-bandwidth measurement: scalar vs SIMD mark kernels — in
 //! words/second — plus the kernel gate CI holds the mark path to.
 //!
+//! The production mark reads a page through its heap-word map: the first
+//! read classifies the page with the SIMD kernel, later reads walk only
+//! the map's set bits. The kernel rows below time the first read — before
+//! each of their reps every fixture page is unmapped and rewritten, which
+//! drops its map — and `indexed_serial` times the walk.
+//!
 //! Configurations over the same default fixture — a zero-on-free
 //! steady-state heap: contiguous freed-and-zeroed 512 B blocks (just
 //! under half the heap) interleaved with live blocks holding LCG-placed
@@ -10,17 +16,19 @@
 //!   the scalar reference: one `scan_page` probe per page slice, then a
 //!   per-word `!= 0` + `heap_contains` test into the map's
 //!   [`ShadowWriter`](minesweeper::ShadowWriter);
-//! * `simd_serial` — the production [`Marker`] path with the chunked
-//!   SIMD kernel at its auto-dispatched tier (AVX2 where available);
+//! * `simd_serial` — the production [`Marker`] path on pages with no map
+//!   yet: the SIMD kernel classifies each page at its auto-dispatched
+//!   tier (AVX2 where available), then the map walk marks;
 //! * `swar_serial` — the same path forced to the portable SWAR tier,
 //!   what non-x86 (or pre-SSE2) hosts would run;
 //! * `simd_serial_nullsink` — `simd_serial` with the sweep tracer
 //!   engaged on a null sink: the per-phase emission cost;
+//! * `indexed_serial` — the production path in steady state: every page
+//!   already carries its map, so the mark walks the heap words alone;
 //! * `incremental_dP` — the incremental sweep: a [`PageCache`] primed by
 //!   a cold sweep, then each rep retires a P%-dirty page set and replays
 //!   the digests of the clean remainder instead of re-reading it;
-//! * `incremental_d50_swar` — the 50%-dirty row on the SWAR tier (the
-//!   dirty mix re-scans through the kernel, so the tier shows up here);
+//! * `incremental_d50_swar` — the 50%-dirty row on the SWAR tier;
 //! * `incremental_filtered_d5` — incremental plus a [`CandidateFilter`]
 //!   covering every 8th page (a sparse quarantine), gating shadow writes;
 //! * `forensics_off` / `forensics_sampled_s8` / `forensics_full` — the
@@ -33,6 +41,9 @@
 //!   fixture: no zero chunks to skip (the kernel's worst case) and
 //!   perfectly predictable branches (the scalar loop's best case), so
 //!   this row isolates the vectorised range test alone.
+//!
+//! The incremental and forensics rows run in steady state, like
+//! `indexed_serial`: the maps their first rep builds stay.
 //!
 //! Timing is `std::time::Instant` only (no harness dependency); the best
 //! of `--reps` runs is reported, which is the right statistic for a
@@ -60,7 +71,7 @@ use minesweeper::{
     CandidateFilter, EdgeRecorder, ForensicsMode, MarkAccel, Marker, PageCache, QEntry, ScanTier,
     ShadowMap, SweepPlan,
 };
-use vmem::{Addr, AddrSpace, Layout, PageIdx, PAGE_SIZE, WORD_SIZE};
+use vmem::{Addr, AddrSpace, Layout, PageIdx, PageRange, PAGE_SIZE, WORD_SIZE};
 
 const USAGE: &str = "usage: sweep_bandwidth [--pages N] [--reps N] [--out PATH] \
                      [--handicap NAME:FACTOR]... [--quick]";
@@ -257,6 +268,27 @@ fn scalar_mark(space: &AddrSpace, layout: &Layout, plan: &SweepPlan) -> u64 {
     shadow.marked_count()
 }
 
+/// Drops the heap-word map of every committed page of `plan` by
+/// rewriting the page: its words are copied, the page is unmapped (which
+/// drops the map), mapped and committed afresh, and the nonzero words
+/// are written back. The next sweep read classifies the page again.
+fn unswept(space: &mut AddrSpace, plan: &SweepPlan) {
+    for &(base, len) in plan.ranges() {
+        for k in 0..len.div_ceil(PAGE_SIZE as u64) {
+            let page = base.add_bytes(k * PAGE_SIZE as u64).page();
+            let Ok(Some(words)) = space.scan_page(page) else { continue };
+            let words = *words;
+            let range = PageRange::new(page, 1);
+            space.unmap(range).unwrap();
+            space.map(page.base(), 1).unwrap();
+            space.commit(range).unwrap();
+            for (i, &w) in words.iter().enumerate().filter(|&(_, &w)| w != 0) {
+                space.write_word(page.base() + i as u64 * WORD_SIZE as u64, w).unwrap();
+            }
+        }
+    }
+}
+
 /// Drains a fresh [`Marker`] over `plan` into a fresh map in one step and
 /// returns the marked granule count.
 fn serial_mark(space: &mut AddrSpace, plan: &SweepPlan, accel: &mut MarkAccel<'_>) -> u64 {
@@ -306,12 +338,37 @@ fn measure(name: &str, total_words: u64, reps: u32, mut run: impl FnMut() -> u64
     Sample::new(name, total_words, best, marked)
 }
 
-/// Runs configs `a` and `b` alternately, `pairs` times each, over the same
-/// space. Returns both rows (best-of) and the median over pairs of `a`'s
-/// time over `b`'s: interleaving lands host speed drift on both sides of
-/// every pair, and the median drops a pair that one contention spike hit.
+/// [`measure`] for a kernel row: before each rep, untimed, the pages of
+/// `plan` lose their heap-word maps ([`unswept`]), so every rep times
+/// the classification of pages no sweep has read.
+fn measure_unswept(
+    name: &str,
+    total_words: u64,
+    reps: u32,
+    space: &mut AddrSpace,
+    plan: &SweepPlan,
+    mut run: impl FnMut(&mut AddrSpace) -> u64,
+) -> Sample {
+    let mut best = f64::INFINITY;
+    let mut marked = 0;
+    for _ in 0..reps {
+        unswept(space, plan);
+        let (secs, m) = timed(name, || run(space));
+        best = best.min(secs);
+        marked = m;
+    }
+    Sample::new(name, total_words, best, marked)
+}
+
+/// Runs kernel configs `a` and `b` alternately, `pairs` times each, over
+/// the same space, dropping the heap-word maps of `plan`'s pages before
+/// each run ([`unswept`]). Returns both rows (best-of) and the median
+/// over pairs of `a`'s time over `b`'s: interleaving lands host speed
+/// drift on both sides of every pair, and the median drops a pair that
+/// one contention spike hit.
 fn paired(
     space: &mut AddrSpace,
+    plan: &SweepPlan,
     total_words: u64,
     pairs: u32,
     (name_a, mut run_a): (&str, impl FnMut(&mut AddrSpace) -> u64),
@@ -321,8 +378,10 @@ fn paired(
     let (mut marked_a, mut marked_b) = (0, 0);
     let mut ratios = Vec::with_capacity(pairs as usize);
     for _ in 0..pairs {
+        unswept(space, plan);
         let (a, m) = timed(name_a, || run_a(space));
         marked_a = m;
+        unswept(space, plan);
         let (b, m) = timed(name_b, || run_b(space));
         marked_b = m;
         best_a = best_a.min(a);
@@ -362,6 +421,7 @@ fn main() -> ExitCode {
     let pairs = reps * 2;
     let (scalar, simd, tier_ratio) = paired(
         &mut space,
+        &plan,
         total_words,
         pairs,
         ("scalar_serial", |sp: &mut AddrSpace| scalar_mark(sp, &layout, &plan)),
@@ -372,8 +432,8 @@ fn main() -> ExitCode {
 
     // The portable SWAR tier through the same production path.
     let swar = || MarkAccel { tier: Some(ScanTier::Swar), ..MarkAccel::default() };
-    samples.push(measure("swar_serial", total_words, reps, || {
-        serial_mark(&mut space, &plan, &mut swar())
+    samples.push(measure_unswept("swar_serial", total_words, reps, &mut space, &plan, |sp| {
+        serial_mark(sp, &plan, &mut swar())
     }));
 
     // SIMD serial again, but with the sweep tracer engaged on a null
@@ -381,9 +441,9 @@ fn main() -> ExitCode {
     // and one event per mark phase, never per word).
     let mut tracer = Tracer::disabled();
     tracer.set_sink(Box::new(NullSink));
-    samples.push(measure("simd_serial_nullsink", total_words, reps, || {
+    samples.push(measure_unswept("simd_serial_nullsink", total_words, reps, &mut space, &plan, |sp| {
         let sw = tracer.stopwatch();
-        let marked = serial_mark(&mut space, &plan, &mut MarkAccel::default());
+        let marked = serial_mark(sp, &plan, &mut MarkAccel::default());
         tracer.emit(|| EventKind::MarkPhase {
             sweep: 0,
             bytes: total_words * WORD_SIZE as u64,
@@ -395,6 +455,12 @@ fn main() -> ExitCode {
             prof: None,
         });
         marked
+    }));
+
+    // Steady state: the last rep left every page with its map, so the
+    // mark walks the heap words alone.
+    samples.push(measure("indexed_serial", total_words, reps, || {
+        serial_mark(&mut space, &plan, &mut MarkAccel::default())
     }));
 
     // Incremental sweep: prime a page-summary cache with one cold sweep,
@@ -497,25 +563,27 @@ fn main() -> ExitCode {
     // show the kernel's best case (and the scalar loop's per-word tax).
     let (mut sparse_space, sparse_plan) = sparse_fixture(pages);
     let expect_sparse = scalar_mark(&sparse_space, &layout, &sparse_plan);
-    samples.push(measure("scalar_serial_sparse", total_words, reps, || {
-        scalar_mark(&sparse_space, &layout, &sparse_plan)
+    let (sp, plan_s) = (&mut sparse_space, &sparse_plan);
+    samples.push(measure_unswept("scalar_serial_sparse", total_words, reps, sp, plan_s, |sp| {
+        scalar_mark(sp, &layout, plan_s)
     }));
-    samples.push(measure("simd_serial_sparse", total_words, reps, || {
-        serial_mark(&mut sparse_space, &sparse_plan, &mut MarkAccel::default())
+    samples.push(measure_unswept("simd_serial_sparse", total_words, reps, sp, plan_s, |sp| {
+        serial_mark(sp, plan_s, &mut MarkAccel::default())
     }));
-    samples.push(measure("swar_serial_sparse", total_words, reps, || {
-        serial_mark(&mut sparse_space, &sparse_plan, &mut swar())
+    samples.push(measure_unswept("swar_serial_sparse", total_words, reps, sp, plan_s, |sp| {
+        serial_mark(sp, plan_s, &mut swar())
     }));
 
     // All-nonzero fixture: the kernel's worst case and the scalar loop's
     // best case (predictable strided branches, no zero chunks to skip).
     let (mut dense_space, dense_plan) = dense_fixture(pages);
     let expect_dense = scalar_mark(&dense_space, &layout, &dense_plan);
-    samples.push(measure("scalar_serial_dense", total_words, reps, || {
-        scalar_mark(&dense_space, &layout, &dense_plan)
+    let (sp, plan_d) = (&mut dense_space, &dense_plan);
+    samples.push(measure_unswept("scalar_serial_dense", total_words, reps, sp, plan_d, |sp| {
+        scalar_mark(sp, &layout, plan_d)
     }));
-    samples.push(measure("simd_serial_dense", total_words, reps, || {
-        serial_mark(&mut dense_space, &dense_plan, &mut MarkAccel::default())
+    samples.push(measure_unswept("simd_serial_dense", total_words, reps, sp, plan_d, |sp| {
+        serial_mark(sp, plan_d, &mut MarkAccel::default())
     }));
 
     // Every full configuration must find the same mark set as the scalar
@@ -645,17 +713,49 @@ mod tests {
     fn clean_extremes_pass_and_their_2x_handicaps_fail() {
         // The extremes of each tier's clean runs the floors were set from
         // (`--pages 256 --reps 8`), timed against a scalar reference that
-        // flushed with locked `fetch_or`s. The single-writer reference
-        // reads faster, so today's clean ratios sit lower (DESIGN.md,
-        // *Kernel gate*). A 2x handicap halves the tier ratio.
+        // flushed with locked `fetch_or`s, then those of 11 clean runs per
+        // tier with the kernel building heap-word maps of pages that have
+        // none (DESIGN.md, *Kernel gate*). A 2x handicap halves the tier
+        // ratio.
         for (tier, tier_min, tier_max) in [
             (ScanTier::Avx2, 1.608, 1.763),
             (ScanTier::Sse2, 1.058, 1.123),
             (ScanTier::Swar, 1.27, 1.37),
+            (ScanTier::Avx2, 1.616, 1.781),
+            (ScanTier::Sse2, 1.434, 1.494),
+            (ScanTier::Swar, 1.362, 1.533),
         ] {
             assert!(failed_gates(tier, tier_min).is_empty(), "{tier:?}");
             assert_eq!(failed_gates(tier, tier_max / 2.0), ["tier-ratio"], "{tier:?}");
         }
+    }
+
+    #[test]
+    fn unswept_pages_are_classified_again_with_the_same_marks() {
+        // The kernel rows time classification only if every page they
+        // read has no heap-word map: a mark builds the maps, `unswept`
+        // must drop every one of them and keep the words.
+        let (mut space, plan) = sweep_fixture(8);
+        let marked = serial_mark(&mut space, &plan, &mut MarkAccel::default());
+        let pages = || (0..8u64).map(|k| plan.ranges()[0].0.add_bytes(k * PAGE_SIZE as u64).page());
+        let builds = |space: &mut AddrSpace| {
+            pages()
+                .filter(|&page| {
+                    let mut built = false;
+                    let _ = space.scan_heap_words(page, |_, _, _| {
+                        built = true;
+                        vmem::HeapMap::default()
+                    });
+                    built
+                })
+                .count()
+        };
+        assert_eq!(builds(&mut space), 0, "a mark leaves every page with its map");
+        unswept(&mut space, &plan);
+        assert_eq!(builds(&mut space), 8, "no page keeps its map");
+        unswept(&mut space, &plan);
+        assert_eq!(serial_mark(&mut space, &plan, &mut MarkAccel::default()), marked);
+        assert_eq!(scalar_mark(&space, space.layout(), &plan), marked);
     }
 
     #[test]

@@ -430,8 +430,8 @@ impl<'a> ShadowWriter<'a> {
     }
 
     /// Window-miss path, kept out of line so only the few-instruction hot
-    /// path inlines into the scan kernel's survivor walk (the full body
-    /// inflates register pressure enough to slow the vector loop itself).
+    /// path inlines into the sweep's heap-word walk (the full body
+    /// inflates register pressure enough to slow the walk itself).
     #[cold]
     #[inline(never)]
     fn mark_miss(&mut self, chunk_idx: u64, w: usize, mask: u64) -> bool {

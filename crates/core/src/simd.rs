@@ -1,8 +1,12 @@
-//! Runtime-dispatched SIMD kernel for the mark loop.
+//! Runtime-dispatched SIMD kernel that builds a page's heap-word map.
 //!
-//! The sweep's inner loop (§4.4) classifies every aligned word: is it a
-//! potential heap pointer? That is a pure range test against the heap
-//! segment — `lo <= word < hi` — with two properties the kernel exploits:
+//! The sweep (§4.4) treats every aligned word as a potential pointer:
+//! is it a heap address? That is a pure range test against the heap
+//! segment — `lo <= word < hi` — and the kernel answers it for a whole
+//! page at once, returning the page's [`HeapMap`] (bit `i` set exactly
+//! when word `i` is in range). A page is classified once, the first time
+//! a sweep reads it; `vmem` keeps the map exact from then on, and the
+//! sweep walks the map's set bits. Two properties make the kernel fast:
 //!
 //! * **zero dominates.** Zero-on-free (§4.1) makes all-zero memory the
 //!   overwhelmingly common swept input, so words are processed in chunks
@@ -10,32 +14,33 @@
 //!   eight words.
 //! * **the test is branch-free.** `lo <= x < hi` for unsigned `x` is
 //!   `(x - lo) < (hi - lo)` — one subtract and one compare per lane, no
-//!   data-dependent branches until a survivor is found.
+//!   data-dependent branches.
 //!
-//! Three tiers implement the same contract (visit every in-range word in
-//! index order) and are selected once per process by [`active_tier`]:
+//! Three tiers implement the same contract (the exact map of the page)
+//! and are selected once per process by [`active_tier`]:
 //!
 //! * [`ScanTier::Avx2`] — 4×u64 vectors; the unsigned compare uses the
 //!   sign-flip trick (`x ^ MSB` turns unsigned order into signed order)
-//!   because AVX2 has no unsigned 64-bit compare. Survivor lanes come
-//!   back as a movemask bitmask, so the scalar tail only touches words
-//!   that passed.
+//!   because AVX2 has no unsigned 64-bit compare. Lane results come back
+//!   as movemask bits, which are the map's bits.
 //! * [`ScanTier::Sse2`] — baseline x86-64 vectors: the zero early-out is
-//!   vectorised (SSE2 has no 64-bit compare at all), survivors of the
-//!   zero test take the scalar range test.
+//!   vectorised (SSE2 has no 64-bit compare at all), chunks that survive
+//!   it take the scalar range test.
 //! * [`ScanTier::Swar`] — portable scalar fallback: chunked lane-OR
 //!   early-out plus the same branch-free range test, no `std::arch`.
 //!   This is what non-x86 targets run, and what `MS_SCAN_TIER=swar`
 //!   forces so any machine can exercise both code paths.
 //!
 //! All tiers are differential-tested against each other (bit-identical
-//! visit sequences) in the core proptests.
+//! maps) here and through the whole mark pipeline in the core proptests.
 
 use std::sync::OnceLock;
 
+use vmem::{HeapMap, PAGE_SIZE, WORD_SIZE};
+
 /// Words per kernel chunk. Eight words (64 bytes) is one cache line: the
-/// lane-OR early-out retires exactly one line per compare, and the two
-/// 256-bit AVX2 loads it takes stay within a single line fill.
+/// lane-OR early-out retires exactly one line per compare (the AVX2 tier
+/// tests four chunks at once).
 pub const CHUNK_WORDS: usize = 8;
 
 /// Environment variable naming the scan tier to force (`avx2`, `sse2` or
@@ -110,108 +115,73 @@ pub fn active_tier() -> ScanTier {
     })
 }
 
-/// Runs the scan kernel over `words`: calls `f(index, value)` for every
-/// word whose value lies in `[lo, hi)`, in increasing index order, and
-/// returns the survivor count (the number of calls made). The count
-/// falls out of the survivor masks via popcount, so callers that only
-/// need `heap_words` don't pay a per-survivor increment. All tiers
-/// produce identical call sequences; `tier` only selects *how* the
-/// non-survivors are rejected. Requires `0 < lo < hi` (the heap never
-/// starts at address zero), which lets every tier treat zero words as
-/// trivially out of range.
-pub fn for_each_in_range(
-    tier: ScanTier,
-    words: &[u64],
-    lo: u64,
-    hi: u64,
-    f: impl FnMut(usize, u64),
-) -> u64 {
+/// Words per page: the kernel classifies whole pages.
+pub const PAGE_WORDS: usize = PAGE_SIZE / WORD_SIZE;
+
+/// Runs the scan kernel over one page: the returned map has bit `i` set
+/// exactly when `words[i]` lies in `[lo, hi)`. All tiers return the same
+/// map; `tier` only selects *how* the out-of-range words are rejected.
+/// Requires `0 < lo < hi` (the heap never starts at address zero), which
+/// lets every tier treat zero words as trivially out of range.
+pub fn heap_word_map(tier: ScanTier, words: &[u64; PAGE_WORDS], lo: u64, hi: u64) -> HeapMap {
     debug_assert!(0 < lo && lo < hi);
     match tier {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `active_tier`/`available_tiers` only hand out Avx2 when
         // the CPU reports it; a hand-constructed tier is re-checked here.
         ScanTier::Avx2 if std::arch::is_x86_feature_detected!("avx2") => unsafe {
-            x86::scan_avx2(words, lo, hi, f)
+            x86::map_avx2(words, lo, hi)
         },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: SSE2 is part of the x86-64 baseline.
-        ScanTier::Sse2 => unsafe { x86::scan_sse2(words, lo, hi, f) },
-        _ => scan_swar(words, lo, hi, f),
+        ScanTier::Sse2 => unsafe { x86::map_sse2(words, lo, hi) },
+        _ => map_swar(words, lo, hi),
     }
 }
 
-/// Scalar tail shared by every tier: the branch-free unsigned range test
-/// applied to a non-chunk-multiple remainder. Returns the survivor count.
+/// The branch-free range test of one chunk: bit `j` set when `c[j]` is in
+/// `[lo, lo + span)`.
 #[inline]
-fn scan_tail(words: &[u64], start: usize, lo: u64, hi: u64, f: &mut impl FnMut(usize, u64)) -> u64 {
-    let span = hi - lo;
-    let mut count = 0;
-    for (i, &v) in words.iter().enumerate().skip(start) {
-        if v.wrapping_sub(lo) < span {
-            count += 1;
-            f(i, v);
-        }
-    }
-    count
+fn chunk_mask(c: &[u64], lo: u64, span: u64) -> u64 {
+    c.iter()
+        .enumerate()
+        .fold(0, |mask, (j, &v)| mask | u64::from(v.wrapping_sub(lo) < span) << j)
 }
 
 /// Portable fallback: 8-word chunks, lane-OR zero early-out, branch-free
 /// range test. `u64` arithmetic only — this is the reference
 /// implementation the vector tiers are tested against.
-fn scan_swar(words: &[u64], lo: u64, hi: u64, mut f: impl FnMut(usize, u64)) -> u64 {
+fn map_swar(words: &[u64; PAGE_WORDS], lo: u64, hi: u64) -> HeapMap {
     let span = hi - lo;
-    let mut i = 0;
-    let mut count = 0u64;
-    while i + CHUNK_WORDS <= words.len() {
-        let c = &words[i..i + CHUNK_WORDS];
-        if c[0] | c[1] | c[2] | c[3] | c[4] | c[5] | c[6] | c[7] == 0 {
-            i += CHUNK_WORDS;
-            continue;
+    let mut map = HeapMap::default();
+    for (n, c) in words.chunks_exact(CHUNK_WORDS).enumerate() {
+        if c[0] | c[1] | c[2] | c[3] | c[4] | c[5] | c[6] | c[7] != 0 {
+            let at = n * CHUNK_WORDS;
+            map.0[at / 64] |= chunk_mask(c, lo, span) << (at % 64);
         }
-        // Build the survivor mask branch-free, then walk only set bits —
-        // the same compaction shape the vector tiers use.
-        let mut mask = 0u32;
-        for (j, &v) in c.iter().enumerate() {
-            mask |= u32::from(v.wrapping_sub(lo) < span) << j;
-        }
-        count += u64::from(mask.count_ones());
-        while mask != 0 {
-            let j = mask.trailing_zeros() as usize;
-            f(i + j, c[j]);
-            mask &= mask - 1;
-        }
-        i += CHUNK_WORDS;
     }
-    count + scan_tail(words, i, lo, hi, &mut f)
+    map
 }
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{scan_tail, CHUNK_WORDS};
+    use super::{chunk_mask, HeapMap, CHUNK_WORDS, PAGE_WORDS};
     use std::arch::x86_64::*;
 
     /// AVX2 kernel. Works in 32-word groups (eight 4×u64 loads): one
-    /// `vptest` zero early-out per group, then a 32-bit survivor mask
-    /// built from movemask compaction and walked with `tzcnt`.
+    /// `vptest` zero early-out per group, then the group's 32 map bits
+    /// from eight movemasks.
     ///
-    /// Two width-driven wins over a naive 8-word loop:
-    ///
-    /// * the `mask != 0` branch runs once per 32 words. At pointer-dense
-    ///   survivor rates an 8-word mask is empty ~30% of the time — an
-    ///   unpredictable branch per chunk — while a 32-word mask is almost
-    ///   never empty, so the walk loop's trip count is what the predictor
-    ///   sees, not a coin flip.
-    /// * the range test is three ops per lane: `x - lo` (wrapping),
-    ///   sign-bit flip, one signed compare against `span ^ MSB`. Flipping
-    ///   the sign bit maps unsigned order onto signed order, which is the
-    ///   only 64-bit compare AVX2 has.
+    /// The range test is three ops per lane: `x - lo` (wrapping),
+    /// sign-bit flip, one signed compare against `span ^ MSB`. Flipping
+    /// the sign bit maps unsigned order onto signed order, which is the
+    /// only 64-bit compare AVX2 has.
     ///
     /// # Safety
     ///
     /// The CPU must support AVX2.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn scan_avx2(words: &[u64], lo: u64, hi: u64, mut f: impl FnMut(usize, u64)) -> u64 {
+    pub unsafe fn map_avx2(words: &[u64; PAGE_WORDS], lo: u64, hi: u64) -> HeapMap {
         const SIGN: i64 = i64::MIN;
         const GROUP: usize = 4 * CHUNK_WORDS;
         let lo_v = _mm256_set1_epi64x(lo as i64);
@@ -220,64 +190,36 @@ mod x86 {
         // in-range ⇔ (x - lo) <u span ⇔ ((x - lo) ^ MSB) <s (span ^ MSB).
         // Zero words fall out for free: 0 - lo wraps to 2^64 - lo, far
         // above any heap span (the kernel contract requires lo > 0).
-        let lane_mask = |v: __m256i| -> u32 {
+        let lane_mask = |v: __m256i| -> u64 {
             let d = _mm256_xor_si256(_mm256_sub_epi64(v, lo_v), sign);
-            _mm256_movemask_pd(_mm256_castsi256_pd(_mm256_cmpgt_epi64(span_s, d))) as u32
+            _mm256_movemask_pd(_mm256_castsi256_pd(_mm256_cmpgt_epi64(span_s, d))) as u64
         };
-        let mut i = 0;
-        let mut count = 0u64;
-        while i + GROUP <= words.len() {
-            let p = words.as_ptr().add(i).cast::<__m256i>();
-            let v0 = _mm256_loadu_si256(p);
-            let v1 = _mm256_loadu_si256(p.add(1));
-            let v2 = _mm256_loadu_si256(p.add(2));
-            let v3 = _mm256_loadu_si256(p.add(3));
-            let v4 = _mm256_loadu_si256(p.add(4));
-            let v5 = _mm256_loadu_si256(p.add(5));
-            let v6 = _mm256_loadu_si256(p.add(6));
-            let v7 = _mm256_loadu_si256(p.add(7));
+        let mut map = HeapMap::default();
+        for g in 0..PAGE_WORDS / GROUP {
+            // SAFETY: group `g` is words `[32 g, 32 g + 32)`, inside the
+            // page; the loads are unaligned.
+            let p = words.as_ptr().add(g * GROUP).cast::<__m256i>();
+            let v = [
+                _mm256_loadu_si256(p),
+                _mm256_loadu_si256(p.add(1)),
+                _mm256_loadu_si256(p.add(2)),
+                _mm256_loadu_si256(p.add(3)),
+                _mm256_loadu_si256(p.add(4)),
+                _mm256_loadu_si256(p.add(5)),
+                _mm256_loadu_si256(p.add(6)),
+                _mm256_loadu_si256(p.add(7)),
+            ];
             let or = _mm256_or_si256(
-                _mm256_or_si256(_mm256_or_si256(v0, v1), _mm256_or_si256(v2, v3)),
-                _mm256_or_si256(_mm256_or_si256(v4, v5), _mm256_or_si256(v6, v7)),
+                _mm256_or_si256(_mm256_or_si256(v[0], v[1]), _mm256_or_si256(v[2], v[3])),
+                _mm256_or_si256(_mm256_or_si256(v[4], v[5]), _mm256_or_si256(v[6], v[7])),
             );
             if _mm256_testz_si256(or, or) != 0 {
-                i += GROUP;
                 continue;
             }
-            let mut mask = lane_mask(v0)
-                | (lane_mask(v1) << 4)
-                | (lane_mask(v2) << 8)
-                | (lane_mask(v3) << 12)
-                | (lane_mask(v4) << 16)
-                | (lane_mask(v5) << 20)
-                | (lane_mask(v6) << 24)
-                | (lane_mask(v7) << 28);
-            count += u64::from(mask.count_ones());
-            while mask != 0 {
-                let j = mask.trailing_zeros() as usize;
-                f(i + j, *words.get_unchecked(i + j));
-                mask &= mask - 1;
-            }
-            i += GROUP;
+            let mask = (0..8).fold(0, |mask, k| mask | lane_mask(v[k]) << (4 * k));
+            map.0[g / 2] |= mask << (GROUP * (g % 2));
         }
-        // Sub-group remainder: 8-word chunks, then the scalar tail.
-        while i + CHUNK_WORDS <= words.len() {
-            let p = words.as_ptr().add(i).cast::<__m256i>();
-            let a = _mm256_loadu_si256(p);
-            let b = _mm256_loadu_si256(p.add(1));
-            let or = _mm256_or_si256(a, b);
-            if _mm256_testz_si256(or, or) == 0 {
-                let mut mask = lane_mask(a) | (lane_mask(b) << 4);
-                count += u64::from(mask.count_ones());
-                while mask != 0 {
-                    let j = mask.trailing_zeros() as usize;
-                    f(i + j, *words.get_unchecked(i + j));
-                    mask &= mask - 1;
-                }
-            }
-            i += CHUNK_WORDS;
-        }
-        count + scan_tail(words, i, lo, hi, &mut f)
+        map
     }
 
     /// SSE2 kernel: the zero early-out is vectorised (four 2×u64 loads
@@ -288,31 +230,23 @@ mod x86 {
     ///
     /// The CPU must support SSE2 (always true on x86-64).
     #[target_feature(enable = "sse2")]
-    pub unsafe fn scan_sse2(words: &[u64], lo: u64, hi: u64, mut f: impl FnMut(usize, u64)) -> u64 {
+    pub unsafe fn map_sse2(words: &[u64; PAGE_WORDS], lo: u64, hi: u64) -> HeapMap {
         let span = hi - lo;
         let zero = _mm_setzero_si128();
-        let mut i = 0;
-        let mut count = 0u64;
-        while i + CHUNK_WORDS <= words.len() {
-            let p = words.as_ptr().add(i).cast::<__m128i>();
+        let mut map = HeapMap::default();
+        for (n, c) in words.chunks_exact(CHUNK_WORDS).enumerate() {
+            let p = c.as_ptr().cast::<__m128i>();
+            // SAFETY: the chunk is eight words; the loads are unaligned.
             let or = _mm_or_si128(
                 _mm_or_si128(_mm_loadu_si128(p), _mm_loadu_si128(p.add(1))),
                 _mm_or_si128(_mm_loadu_si128(p.add(2)), _mm_loadu_si128(p.add(3))),
             );
-            if _mm_movemask_epi8(_mm_cmpeq_epi8(or, zero)) == 0xffff {
-                i += CHUNK_WORDS;
-                continue;
+            if _mm_movemask_epi8(_mm_cmpeq_epi8(or, zero)) != 0xffff {
+                let at = n * CHUNK_WORDS;
+                map.0[at / 64] |= chunk_mask(c, lo, span) << (at % 64);
             }
-            for j in 0..CHUNK_WORDS {
-                let v = words[i + j];
-                if v.wrapping_sub(lo) < span {
-                    count += 1;
-                    f(i + j, v);
-                }
-            }
-            i += CHUNK_WORDS;
         }
-        count + scan_tail(words, i, lo, hi, &mut f)
+        map
     }
 }
 
@@ -320,18 +254,23 @@ mod x86 {
 mod tests {
     use super::*;
 
-    fn collect(tier: ScanTier, words: &[u64], lo: u64, hi: u64) -> Vec<(usize, u64)> {
-        let mut out = Vec::new();
-        let n = for_each_in_range(tier, words, lo, hi, |i, v| out.push((i, v)));
-        assert_eq!(n as usize, out.len(), "returned count must equal calls made");
-        out
+    /// Brute-force classification: the oracle every tier must equal.
+    fn naive(words: &[u64; PAGE_WORDS], lo: u64, hi: u64) -> HeapMap {
+        let mut map = HeapMap::default();
+        for (i, &v) in words.iter().enumerate() {
+            if (lo..hi).contains(&v) {
+                map.0[i / 64] |= 1 << (i % 64);
+            }
+        }
+        map
     }
 
     #[test]
-    fn tiers_agree_on_boundaries_and_tails() {
+    fn tiers_agree_on_boundaries_at_every_offset() {
         let (lo, hi) = (0x1_0000_0000u64, 0x101_0000_0000u64);
-        // Boundary values, zeros, junk — at every alignment, with every
-        // tail length 0..CHUNK_WORDS.
+        // Boundary values, zeros and junk, placed at every word offset of
+        // the page in turn, so each lands in every lane, chunk and group
+        // position.
         let pattern = [
             0u64,
             lo - 1,
@@ -351,22 +290,24 @@ mod tests {
             0x7000_0000,
             0,
         ];
-        for start in 0..pattern.len() {
-            for end in start..=pattern.len() {
-                let slice = &pattern[start..end];
-                let want = collect(ScanTier::Swar, slice, lo, hi);
-                for &tier in available_tiers() {
-                    assert_eq!(collect(tier, slice, lo, hi), want, "{tier:?} [{start}..{end}]");
-                }
+        for shift in 0..PAGE_WORDS {
+            let mut words = [0u64; PAGE_WORDS];
+            for (k, &v) in pattern.iter().enumerate() {
+                words[(shift + k * 31) % PAGE_WORDS] = v;
+            }
+            let want = naive(&words, lo, hi);
+            for &tier in available_tiers() {
+                assert_eq!(heap_word_map(tier, &words, lo, hi), want, "{tier:?} shift {shift}");
             }
         }
     }
 
     #[test]
-    fn all_zero_chunks_visit_nothing() {
-        let words = [0u64; 64];
+    fn all_zero_and_all_heap_pages() {
+        let (lo, hi) = (0x1_0000_0000, 0x2_0000_0000);
         for &tier in available_tiers() {
-            assert!(collect(tier, &words, 0x1_0000_0000, 0x2_0000_0000).is_empty());
+            assert_eq!(heap_word_map(tier, &[0; PAGE_WORDS], lo, hi), HeapMap::default());
+            assert_eq!(heap_word_map(tier, &[lo; PAGE_WORDS], lo, hi), HeapMap([u64::MAX; 8]));
         }
     }
 

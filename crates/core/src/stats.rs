@@ -49,8 +49,8 @@ pub struct MsStats {
     pub pages_replayed: u64,
     /// Heap-pointing words suppressed by the candidate filter.
     pub filter_rejects: u64,
-    /// Scanned words that passed the heap range test (survivors of the
-    /// SIMD classify pass, pre-filter; excludes cache replays).
+    /// Scanned words that passed the heap range test (set bits of the
+    /// pages' heap-word maps, pre-filter; excludes cache replays).
     pub heap_words: u64,
     /// Double-free reports (populated only with
     /// [`crate::MsConfig::report_double_frees`]; capped).

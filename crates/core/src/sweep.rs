@@ -18,11 +18,16 @@
 //! [`ShadowWriter`](crate::shadow::ShadowMap::writer). The paper's helper
 //! threads (§4.4) are billed by the cost model, not run.
 //!
-//! Every scanned word — concurrent, STW re-mark or forensic — goes
-//! through the single [`scan_words`] inner loop, whose classify pass is
-//! the runtime-dispatched SIMD kernel in [`crate::simd`].
+//! Both paths read a page through [`AddrSpace::scan_heap_words`]: the
+//! first read classifies the page with the runtime-dispatched SIMD
+//! kernel in [`crate::simd`], which returns its heap-word map, and
+//! `vmem` keeps that map exact from then on. Every read — concurrent,
+//! STW re-mark or forensic — then walks only the map's set bits through
+//! the single [`mark_heap_words`] tail. The model still bills every word
+//! of the range (§3.2); the map only spares the emulator from re-reading
+//! the zeros and data words between the heap addresses.
 
-use vmem::{Addr, AddrSpace, Layout, MemError, PageIdx, PageRange, Segment, PAGE_SIZE, WORD_SIZE};
+use vmem::{Addr, AddrSpace, HeapMap, MemError, PageIdx, PageRange, Segment, PAGE_SIZE, WORD_SIZE};
 
 use crate::filter::CandidateFilter;
 use crate::forensics::EdgeRecorder;
@@ -82,15 +87,16 @@ impl SweepPlan {
 /// unmapped holes).
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct StepResult {
-    /// Words actually read and tested.
+    /// Words read and tested: every word of each read chunk, whether the
+    /// heap-word map let the walk pass over it or not.
     pub words: u64,
     /// Bytes advanced through the plan (including skipped pages).
     pub bytes: u64,
     /// Bytes advanced without reading: clean pages replayed from the
     /// page-summary cache plus protected/unmapped page skips.
     pub skipped_bytes: u64,
-    /// Scanned words that passed the heap range test (survivors of the
-    /// SIMD classify pass, pre-filter). Cache-replayed digests are not
+    /// Scanned words that passed the heap range test (set bits of the
+    /// page's heap-word map, pre-filter). Cache-replayed digests are not
     /// counted — replays are charged per page, not per word.
     pub heap_words: u64,
     /// Clean pages whose 512-word re-read was skipped via the cache.
@@ -127,8 +133,8 @@ pub struct MarkAccel<'a> {
     /// Forensics edge recorder: when present, words that hit a
     /// quarantined candidate also record a provenance edge (source
     /// address → quarantine entry). `None` keeps the recorder dispatch
-    /// out of the survivors tail — the disabled cost is one branch per
-    /// surviving word, never per scanned word.
+    /// out of the mark tail — the disabled cost is one branch per heap
+    /// word, never per scanned word.
     pub forensics: Option<&'a mut EdgeRecorder>,
     /// Scan-kernel tier override; `None` uses [`simd::active_tier`].
     /// Every tier produces bit-identical marks, digests and counts — the
@@ -202,8 +208,10 @@ impl Marker {
     /// targets in `shadow`. A budget of `u64::MAX` drains the plan in one
     /// call.
     ///
-    /// Pages are processed in slices — one `scan_page` lookup per page,
-    /// with the marks issued while the page borrow is live and the
+    /// Pages are processed in slices — one
+    /// [`AddrSpace::scan_heap_words`] lookup per page, walking the heap
+    /// words of the slice's part of the page's map, with the marks issued
+    /// while the page borrow is live and the
     /// [`ShadowWriter`](crate::shadow::ShadowWriter) chunk cache carrying
     /// across pages. Sweeping a `madvise`-purged (mapped, unprotected,
     /// unbacked) page **demand-commits it** via [`AddrSpace::touch_page`],
@@ -221,10 +229,8 @@ impl Marker {
     ///   [`StepResult::skipped_bytes`] instead);
     /// * **candidate filter** — heap-pointing words whose target page
     ///   holds no quarantined granule never touch the shadow map;
-    /// * **zero-word fast path** — zero (the overwhelmingly common swept
-    ///   value after zero-on-free, §4.1) falls through in one compare;
     /// * **digest recording** — every fully scanned page records its
-    ///   pre-filter digest for the next sweep.
+    ///   pre-filter digest for the next sweep, sized from the page's map.
     pub fn step(
         &mut self,
         space: &mut AddrSpace,
@@ -232,7 +238,6 @@ impl Marker {
         word_budget: u64,
         accel: &mut MarkAccel<'_>,
     ) -> StepResult {
-        let layout = *space.layout();
         let mut writer = shadow.writer();
         let mut r = StepResult::default();
         let start_bytes = self.done_bytes;
@@ -293,34 +298,32 @@ impl Marker {
             // Digest state for this chunk: open a fresh one at a covered
             // page start, continue one split by the word budget, drop
             // anything else (uncoverable or discontinuous).
-            let digest_active = if accel.cache.is_some() && covered {
-                if at_page_start {
-                    self.pending = Some((page.raw(), Vec::new()));
-                    true
-                } else {
-                    matches!(&self.pending, Some((p, _)) if *p == page.raw())
-                }
-            } else {
+            let digest_active = accel.cache.is_some()
+                && covered
+                && (at_page_start || matches!(&self.pending, Some((p, _)) if *p == page.raw()));
+            if !digest_active {
                 self.pending = None;
-                false
-            };
+            }
 
             // One probe: mark in the committed arm (the page borrow ends
             // with the match), then advance state without it.
-            let state = match space.scan_page(page) {
-                Ok(Some(words)) => {
-                    let start_word = addr.word_in_page();
+            let classify = |words: &_, lo, hi| simd::heap_word_map(tier, words, lo, hi);
+            let state = match space.scan_heap_words(page, classify) {
+                Ok(Some((words, map))) => {
+                    let start = addr.word_in_page();
+                    if digest_active && at_page_start {
+                        let heap_words = map.count() as usize;
+                        self.pending = Some((page.raw(), Vec::with_capacity(heap_words)));
+                    }
                     let digest = self
                         .pending
                         .as_mut()
                         .filter(|_| digest_active)
                         .map(|(_, v)| v);
-                    let slice = &words[start_word..start_word + chunk_words as usize];
-                    scan_words(
-                        tier,
-                        slice,
-                        addr,
-                        &layout,
+                    mark_heap_words(
+                        words,
+                        map.range(start, start + chunk_words as usize),
+                        page.base(),
                         &mut writer,
                         accel.filter,
                         digest,
@@ -332,7 +335,7 @@ impl Marker {
                 }
                 Ok(None) => PageState::Unbacked,
                 Err(MemError::Protected(_)) | Err(MemError::Unmapped(_)) => PageState::Skip,
-                Err(e) => unreachable!("scan_page cannot fail with {e}"),
+                Err(e) => unreachable!("scan_heap_words cannot fail with {e}"),
             };
             match state {
                 PageState::Committed => {
@@ -377,30 +380,26 @@ impl Marker {
     }
 }
 
-/// **The one inner mark loop.** Every scanned word — concurrent,
-/// stop-the-world or forensic — goes through this function.
+/// **The one mark tail.** Every read page — concurrent, stop-the-world
+/// or forensic — is marked through this function.
 ///
-/// The hot classify pass is the chunked [`simd`] kernel: 8 words per
-/// iteration, lane-OR zero early-out (zero-on-free makes all-zero chunks
-/// the common case, §4.1), branch-free heap-range test, tier dispatched
-/// at runtime (AVX2 / SSE2 / portable SWAR). Words that survive — the
-/// rare heap-range hits — reach the compacted tail closure below, where
-/// digest capture, the [`CandidateFilter`], the shadow write and forensic
-/// edge recording all live. Keeping those behind the compaction means the
-/// optional features cost a branch per *survivor*, never per scanned
-/// word, and there is exactly one classify loop to test and optimise.
-/// The tail is instantiated twice: a bare shadow-write-only closure for
-/// the steady-state sweep, and the full-featured one when any of digest /
+/// It walks the set bits of `heap`, a page's heap-word map cut to the
+/// words being read, in index order: the heap addresses among `words`,
+/// found by the SIMD kernel when the page was first read and kept exact
+/// by `vmem` since. Digest capture, the [`CandidateFilter`], the shadow
+/// write and forensic edge recording all live here, so the optional
+/// features cost a branch per heap word, never per scanned word. The
+/// walk is instantiated twice: a bare shadow-write-only loop for the
+/// steady-state sweep, and the full-featured one when any of digest /
 /// filter / forensics is active.
 ///
 /// `base` is the address of `words[0]` (forensic edge provenance);
-/// `heap_words` counts survivors (pre-filter).
+/// `heap_words` counts the walked words (pre-filter).
 #[allow(clippy::too_many_arguments)]
-fn scan_words(
-    tier: ScanTier,
-    words: &[u64],
+fn mark_heap_words(
+    words: &[u64; simd::PAGE_WORDS],
+    heap: HeapMap,
     base: Addr,
-    layout: &Layout,
     writer: &mut ShadowWriter<'_>,
     filter: Option<&CandidateFilter>,
     mut digest: Option<&mut Vec<u64>>,
@@ -408,21 +407,19 @@ fn scan_words(
     filter_rejects: &mut u64,
     mut rec: Option<&mut EdgeRecorder>,
 ) {
-    let lo = layout.segment_base(Segment::Heap).raw();
-    let hi = layout.segment_end(Segment::Heap).raw();
-    // Same kernel either way; only the survivor tail is instantiated
-    // twice. The bare configuration (no digest, no filter, no forensics)
-    // is the steady-state production sweep, and its tail shrinks to the
-    // shadow write alone — `heap_words` comes from the kernel's
-    // survivor-mask popcount rather than a per-survivor increment, and
-    // the `Option` checks vanish instead of running on every survivor.
+    // The count comes from the map's popcount rather than a per-word
+    // increment, and the bare configuration (no digest, no filter, no
+    // forensics) — the steady-state production sweep — shrinks to the
+    // shadow write alone, without the `Option` checks.
+    *heap_words += heap.count();
     if digest.is_none() && filter.is_none() && rec.is_none() {
-        *heap_words += simd::for_each_in_range(tier, words, lo, hi, |_, value| {
-            writer.mark(Addr::new(value));
-        });
+        for i in heap.iter() {
+            writer.mark(Addr::new(words[i]));
+        }
         return;
     }
-    *heap_words += simd::for_each_in_range(tier, words, lo, hi, |i, value| {
+    for i in heap.iter() {
+        let value = words[i];
         let target = Addr::new(value);
         if let Some(d) = digest.as_deref_mut() {
             d.push(value);
@@ -436,33 +433,33 @@ fn scan_words(
                 }
             }
         }
-    });
+    }
 }
 
 /// Re-marks a single page (stop-the-world pass over soft-dirty pages,
-/// §4.3). Runs the same [`scan_words`] kernel as the concurrent phase, so
-/// the STW pass gets the zero fast path and SIMD classify too — a
-/// soft-dirty page that was freed-and-zeroed since the snapshot costs one
-/// lane-OR per cache line, not 512 range tests. Returns words examined;
+/// §4.3). Reads the page through the same heap-word map and
+/// [`mark_heap_words`] tail as the concurrent phase, so a soft-dirty page
+/// that was freed-and-zeroed since the snapshot costs a walk of an empty
+/// map, not 512 range tests. Returns words examined (the whole page);
 /// protected/unmapped pages contribute zero.
-pub fn mark_page(space: &AddrSpace, shadow: &mut ShadowMap, page: PageIdx) -> u64 {
-    match space.scan_page(page) {
-        Ok(Some(words)) => {
-            let mut writer = shadow.writer();
+pub fn mark_page(space: &mut AddrSpace, shadow: &mut ShadowMap, page: PageIdx) -> u64 {
+    let tier = simd::active_tier();
+    let classify = |words: &_, lo, hi| simd::heap_word_map(tier, words, lo, hi);
+    match space.scan_heap_words(page, classify) {
+        Ok(Some((words, map))) => {
             let (mut heap_words, mut rejects) = (0u64, 0u64);
-            scan_words(
-                simd::active_tier(),
+            mark_heap_words(
                 words,
+                *map,
                 page.base(),
-                space.layout(),
-                &mut writer,
+                &mut shadow.writer(),
                 None,
                 None,
                 &mut heap_words,
                 &mut rejects,
                 None,
             );
-            (PAGE_SIZE / WORD_SIZE) as u64
+            simd::PAGE_WORDS as u64
         }
         _ => 0,
     }
@@ -690,7 +687,7 @@ mod tests {
         let src = heap(&mut space, 1);
         space.write_word(src + 64, target.raw()).unwrap();
         let mut shadow = ShadowMap::new();
-        let words = mark_page(&space, &mut shadow, src.page());
+        let words = mark_page(&mut space, &mut shadow, src.page());
         assert_eq!(words, 512);
         assert!(shadow.is_marked(target));
     }

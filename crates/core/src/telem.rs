@@ -57,8 +57,8 @@ pub(crate) struct MsCounters {
     pub pages_replayed: Counter,
     /// Heap-pointing words suppressed by the candidate filter.
     pub filter_rejects: Counter,
-    /// Scanned words that passed the heap range test (pre-filter
-    /// survivors of the SIMD classify pass; excludes cache replays).
+    /// Scanned words that passed the heap range test (pre-filter set
+    /// bits of the pages' heap-word maps; excludes cache replays).
     pub heap_words: Counter,
     /// Provenance edges recorded by the forensics layer (post-sampling;
     /// zero with forensics off).

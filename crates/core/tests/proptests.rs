@@ -711,6 +711,160 @@ fn run_tier(
     (totals, shadow.marked_count(), window, digests, recorded, aggs)
 }
 
+/// A mutator action between two marker steps, on the source pages of a
+/// [`scan_fixture`]. Word indices are taken modulo the source size.
+#[derive(Clone, Debug)]
+enum Mutate {
+    /// Writes a value of class `class % 4` (zero, pointer into the target
+    /// window, junk, heap boundary) to word `word`.
+    Write { word: u64, class: u8, seed: u64 },
+    /// Zero-fills `len` words from word `word`.
+    Zero { word: u64, len: u64 },
+    /// Decommits the page holding word `word`.
+    Decommit { word: u64 },
+    /// Sets the protection of the page holding word `word`.
+    Protect { word: u64, none: bool },
+}
+
+fn mutate_strategy() -> impl Strategy<Value = Mutate> {
+    prop_oneof![
+        6 => (any::<u64>(), any::<u8>(), any::<u64>())
+            .prop_map(|(word, class, seed)| Mutate::Write { word, class, seed }),
+        2 => (any::<u64>(), 1u64..700).prop_map(|(word, len)| Mutate::Zero { word, len }),
+        1 => any::<u64>().prop_map(|word| Mutate::Decommit { word }),
+        1 => (any::<u64>(), any::<bool>()).prop_map(|(word, none)| Mutate::Protect { word, none }),
+    ]
+}
+
+/// Applies `m` to the `words` source words at `src`; `tbase` is the
+/// fixture's two-page target window. Faults (writes to a protected page)
+/// are ignored: both spaces of a differential run see the same ones.
+fn apply_mutation(space: &mut AddrSpace, src: Addr, words: u64, tbase: Addr, m: &Mutate) {
+    let at = |word: u64| src + (word % words) * 8;
+    let page = |word: u64| vmem::PageRange::spanning(at(word).page().base(), PAGE_SIZE as u64);
+    let layout = *space.layout();
+    let (lo, hi) = (layout.segment_base(Segment::Heap).raw(), layout.segment_end(Segment::Heap).raw());
+    match *m {
+        Mutate::Write { word, class, seed } => {
+            let value = match class % 4 {
+                0 => 0,
+                1 => tbase.raw() + seed % (2 * PAGE_SIZE as u64),
+                2 => seed >> 20,
+                _ => [lo - 8, lo, hi - 8, hi][seed as usize % 4],
+            };
+            let _ = space.write_word(at(word), value);
+        }
+        Mutate::Zero { word, len } => {
+            let start = word % words;
+            let _ = space.fill_zero(at(start), len.min(words - start) * 8);
+        }
+        Mutate::Decommit { word } => space.decommit(page(word)).unwrap(),
+        Mutate::Protect { word, none } => {
+            let prot = if none { vmem::Protection::None } else { vmem::Protection::ReadWrite };
+            space.protect(page(word), prot).unwrap();
+        }
+    }
+}
+
+/// The marker's contract read word by word: a cursor over `plan` that
+/// reads every word of each chunk through [`AddrSpace::scan_page`] and
+/// tests it against the heap segment, marking a [`NaiveShadowMap`] and
+/// recording the digests a page cache would hold.
+struct NaiveMarker {
+    ranges: Vec<(Addr, u64)>,
+    idx: usize,
+    off: u64,
+    pending: Option<(u64, Vec<u64>)>,
+    digests: BTreeMap<u64, Vec<u64>>,
+}
+
+impl NaiveMarker {
+    fn new(plan: &SweepPlan) -> Self {
+        NaiveMarker {
+            ranges: plan.ranges().to_vec(),
+            idx: 0,
+            off: 0,
+            pending: None,
+            digests: BTreeMap::new(),
+        }
+    }
+
+    fn step(
+        &mut self,
+        space: &mut AddrSpace,
+        shadow: &mut NaiveShadowMap,
+        budget: u64,
+        filter: Option<&CandidateFilter>,
+    ) -> minesweeper::StepResult {
+        let page_bytes = PAGE_SIZE as u64;
+        let mut r = minesweeper::StepResult::default();
+        while r.words < budget && self.idx < self.ranges.len() {
+            let (base, len) = self.ranges[self.idx];
+            if self.off >= len {
+                self.idx += 1;
+                self.off = 0;
+                continue;
+            }
+            let addr = base.add_bytes(self.off);
+            let page = addr.page();
+            let page_off = page.base().raw().wrapping_sub(base.raw());
+            let page_end = (page_off.wrapping_add(page_bytes)).min(len);
+            let chunk = ((page_end - self.off) / 8).min(budget - r.words);
+            let covered = page.base() >= base && page_off + page_bytes <= len;
+            let at_start = covered && self.off == page_off;
+            let digest = covered
+                && (at_start || matches!(&self.pending, Some((p, _)) if *p == page.raw()));
+            if !digest {
+                self.pending = None;
+            }
+            match space.scan_page(page) {
+                Ok(Some(words)) => {
+                    if at_start {
+                        self.pending = Some((page.raw(), Vec::new()));
+                    }
+                    let w0 = addr.word_in_page();
+                    for &value in &words[w0..w0 + chunk as usize] {
+                        let target = Addr::new(value);
+                        if !space.layout().heap_contains(target) {
+                            continue;
+                        }
+                        r.heap_words += 1;
+                        if let Some((_, d)) = self.pending.as_mut().filter(|_| digest) {
+                            d.push(value);
+                        }
+                        match filter {
+                            Some(f) if !f.allows(target) => r.filter_rejects += 1,
+                            _ => {
+                                shadow.mark(target);
+                            }
+                        }
+                    }
+                    r.words += chunk;
+                    self.off += chunk * 8;
+                    if digest && self.off == page_off + page_bytes {
+                        let (p, d) = self.pending.take().expect("open digest");
+                        self.digests.insert(p, d);
+                    }
+                }
+                Ok(None) => {
+                    space.touch_page(page).unwrap();
+                    self.pending = None;
+                    r.words += chunk;
+                    self.off += chunk * 8;
+                }
+                Err(_) => {
+                    self.pending = None;
+                    r.skipped_bytes += page_end - self.off;
+                    self.off = page_end;
+                }
+            }
+        }
+        r.bytes = r.words * 8 + r.skipped_bytes;
+        r.finished = self.idx >= self.ranges.len();
+        r
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -733,9 +887,16 @@ proptest! {
         // soup, arbitrary (unaligned) plan starts/ends and arbitrary
         // step budgets. SWAR is the reference; it contains no
         // platform-specific code.
-        let mut space = AddrSpace::new();
-        let (plan, tbase) =
-            scan_fixture(&mut space, seed, pages, start_off, end_trim, zero_pct, ptr_pct);
+        // Each tier marks its own copy of the fixture: a page keeps the
+        // heap-word map its first read built, so a shared space would let
+        // every tier after the first walk the reference tier's maps.
+        let fixture = || {
+            let mut space = AddrSpace::new();
+            let (plan, tbase) =
+                scan_fixture(&mut space, seed, pages, start_off, end_trim, zero_pct, ptr_pct);
+            (space, plan, tbase)
+        };
+        let (_, plan, tbase) = fixture();
         // Candidate region: the second target page only, so the filter
         // rejects roughly half the in-window pointers.
         let filter = CandidateFilter::build([(tbase + PAGE_SIZE as u64, PAGE_SIZE as u64)]);
@@ -744,11 +905,75 @@ proptest! {
         let entries = forensics_on.then_some(&entries[..]);
 
         let tiers = minesweeper::simd::available_tiers();
-        let reference = run_tier(&mut space, &plan, tiers[tiers.len() - 1], budget, filter, entries, tbase);
+        let reference =
+            run_tier(&mut fixture().0, &plan, tiers[tiers.len() - 1], budget, filter, entries, tbase);
         prop_assert_eq!(tiers[tiers.len() - 1], minesweeper::ScanTier::Swar);
         for &tier in &tiers[..tiers.len() - 1] {
-            let got = run_tier(&mut space, &plan, tier, budget, filter, entries, tbase);
+            let got = run_tier(&mut fixture().0, &plan, tier, budget, filter, entries, tbase);
             prop_assert_eq!(&got, &reference, "tier {} diverges from swar", tier.as_str());
+        }
+    }
+
+    #[test]
+    fn budget_split_marking_with_writes_between_steps_matches_naive(
+        seed in any::<u64>(),
+        pages in 1u64..4,
+        start_off in 0u64..70,
+        end_trim in 0u64..70,
+        zero_pct in 0u64..90,
+        steps in proptest::collection::vec(
+            (1u64..1500, proptest::collection::vec(mutate_strategy(), 0..4)), 1..10),
+        filter_on in any::<bool>(),
+    ) {
+        // The marker walks each page's heap-word map, built by the first
+        // read and kept by vmem through the mutator's writes, zero-fills,
+        // decommits and protection changes between budget-split steps.
+        // Its step results, marks and page digests must equal a cursor
+        // that reads every word at the moment it passes it.
+        let fixture = || {
+            let mut space = AddrSpace::new();
+            let (plan, tbase) =
+                scan_fixture(&mut space, seed, pages, start_off, end_trim, zero_pct, 10);
+            (space, plan, tbase)
+        };
+        let (mut space, plan, tbase) = fixture();
+        let (mut naive_space, _, _) = fixture();
+        let src = plan.ranges()[0].0.page().base();
+        let filter = CandidateFilter::build([(tbase + PAGE_SIZE as u64, PAGE_SIZE as u64)]);
+        let filter = filter_on.then_some(&filter);
+
+        let mut shadow = ShadowMap::new();
+        let mut cache = PageCache::new();
+        cache.begin_sweep(&plan, &[], 1);
+        let mut marker = Marker::new(plan.clone());
+        let mut naive_shadow = NaiveShadowMap::new();
+        let mut naive = NaiveMarker::new(&plan);
+        for (budget, mutations) in steps.iter().cycle() {
+            let mut accel =
+                MarkAccel { filter, cache: Some(&mut cache), qgen: 1, ..MarkAccel::default() };
+            let r = marker.step(&mut space, &mut shadow, *budget, &mut accel);
+            let want = naive.step(&mut naive_space, &mut naive_shadow, *budget, filter);
+            prop_assert_eq!(r, want);
+            if r.finished {
+                break;
+            }
+            for m in mutations {
+                apply_mutation(&mut space, src, pages * 512, tbase, m);
+                apply_mutation(&mut naive_space, src, pages * 512, tbase, m);
+            }
+        }
+        prop_assert_eq!(shadow.marked_count(), naive_shadow.marked_count());
+        for g in 0..2 * PAGE_SIZE as u64 / 16 {
+            let a = tbase + g * 16;
+            prop_assert_eq!(shadow.is_marked(a), naive_shadow.is_marked(a), "granule {}", a);
+        }
+        for k in 0..pages {
+            let page = src.add_bytes(k * PAGE_SIZE as u64).page();
+            prop_assert_eq!(
+                cache.lookup(page).map(<[u64]>::to_vec),
+                naive.digests.get(&page.raw()).cloned(),
+                "digest of page {}", k
+            );
         }
     }
 

@@ -4,9 +4,10 @@
 //! A counting global allocator records the most heap bytes live at once
 //! during a run, above the bytes live before it. A fresh address space
 //! maps 72 MiB of globals and stack, and a shadow map covers 64 TiB; both
-//! must cost memory only where a run commits pages or marks granules. The
-//! file holds a single `#[test]`, so nothing else allocates while it
-//! measures.
+//! must cost memory only where a run commits pages or marks granules. A
+//! page's heap-word map is allocated the first time a sweep reads the
+//! page, so runs that never sweep must allocate none. The file holds a
+//! single `#[test]`, so nothing else allocates while it measures.
 
 use std::alloc::{GlobalAlloc, Layout, System as Heap};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
@@ -23,6 +24,15 @@ static GLOBAL: Counting = Counting;
 // Relaxed: the counters are statistics that publish no other data.
 static LIVE: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
+/// Allocations of a [`vmem::HeapMap`]'s layout: 64 bytes aligned to 16,
+/// which nothing else in a run allocates.
+static MAPS: AtomicUsize = AtomicUsize::new(0);
+
+fn count_map(layout: Layout) {
+    if layout == Layout::new::<vmem::HeapMap>() {
+        MAPS.fetch_add(1, Relaxed);
+    }
+}
 
 fn grow(bytes: usize) {
     let live = LIVE.fetch_add(bytes, Relaxed) + bytes;
@@ -42,6 +52,7 @@ unsafe impl GlobalAlloc for Counting {
         let p = unsafe { Heap.alloc(layout) };
         if !p.is_null() {
             grow(layout.size());
+            count_map(layout);
         }
         p
     }
@@ -51,6 +62,7 @@ unsafe impl GlobalAlloc for Counting {
         let p = unsafe { Heap.alloc_zeroed(layout) };
         if !p.is_null() {
             grow(layout.size());
+            count_map(layout);
         }
         p
     }
@@ -75,6 +87,13 @@ unsafe impl GlobalAlloc for Counting {
         }
         p
     }
+}
+
+/// Heap-word maps allocated while `f` runs.
+fn maps_of(f: impl FnOnce()) -> usize {
+    let before = MAPS.load(Relaxed);
+    f();
+    MAPS.load(Relaxed) - before
 }
 
 /// The most heap bytes live at once while `f` runs, above those live
@@ -117,4 +136,15 @@ fn run_footprint_follows_the_memory_the_run_touches() {
         "a 20,000-allocation glibc-simple run peaks at {run} bytes"
     );
     eprintln!("peaks: empty {empty} B, glibc-simple {run} B");
+
+    // Only the sweep reads pages through their heap-word maps: the same
+    // op stream builds maps under MineSweeper, and none under the
+    // baseline allocator or MarkUs, which never run it.
+    let maps = |system| maps_of(|| {
+        sim::run_trace(&profile, system, 42, ops.iter().copied());
+    });
+    assert!(maps(System::minesweeper_default()) > 0, "a swept run builds maps");
+    for system in [System::Baseline, System::markus_default()] {
+        assert_eq!(maps(system), 0, "{} never sweeps yet built maps", system.label());
+    }
 }

@@ -26,6 +26,10 @@
 //! * Every write sets the page's *soft-dirty* bit ([`AddrSpace::write_word`]),
 //!   which the mostly-concurrent sweep clears and re-reads, mirroring
 //!   `/proc/pid/clear_refs` + pagemap.
+//! * A page the sweep has read ([`AddrSpace::scan_heap_words`]) carries a
+//!   [`HeapMap`] of the words that hold heap addresses, kept exact by every
+//!   later write, zero-fill and decommit, so the next read visits only
+//!   those words. Pages no sweep reads carry none.
 //!
 //! # Example
 //!
@@ -56,6 +60,6 @@ mod table;
 pub use addr::{Addr, PageIdx, PageRange, GRANULE_SIZE, PAGE_SIZE, WORD_SIZE};
 pub use error::MemError;
 pub use layout::{Layout, Segment};
-pub use page::Protection;
+pub use page::{HeapMap, Protection};
 pub use space::AddrSpace;
 pub use stats::MemStats;

@@ -3,7 +3,7 @@
 use crate::addr::{Addr, PageIdx, PageRange, PAGE_SIZE, WORD_SIZE};
 use crate::error::MemError;
 use crate::layout::{Layout, Segment};
-use crate::page::{PageSlot, Protection};
+use crate::page::{HeapMap, PageSlot, Protection};
 use crate::stats::MemStats;
 use crate::table::PageTable;
 
@@ -183,7 +183,8 @@ impl AddrSpace {
     ///
     /// Decommitting a committed page sets its soft-dirty bit: the contents
     /// observably change (to zeroes on the next access), so any cached
-    /// per-page sweep summary is stale.
+    /// per-page sweep summary is stale. A heap-word map the page carries
+    /// is emptied.
     ///
     /// # Errors
     ///
@@ -239,7 +240,7 @@ impl AddrSpace {
             return Err(MemError::AlreadyMapped(va));
         }
         let target = self.pages.get(frame.raw()).ok_or(MemError::Unmapped(frame.base()))?;
-        if target.alias_of.is_some() {
+        if target.alias_of().is_some() {
             return Err(MemError::Unmapped(frame.base()));
         }
         self.pages.insert(va.page().raw(), PageSlot::new_alias(frame.raw()));
@@ -250,7 +251,7 @@ impl AddrSpace {
 
     /// The frame an alias page resolves to, if `addr` lies on an alias.
     pub fn alias_target(&self, addr: Addr) -> Option<PageIdx> {
-        self.pages.get(addr.page().raw())?.alias_of.map(PageIdx::new)
+        self.pages.get(addr.page().raw())?.alias_of().map(PageIdx::new)
     }
 
     /// Resolves `page` to its storage page, honouring (one level of)
@@ -260,7 +261,7 @@ impl AddrSpace {
         if slot.prot == Protection::None {
             return Err(MemError::Protected(fault_at));
         }
-        match slot.alias_of {
+        match slot.alias_of() {
             None => Ok(page),
             Some(frame) => {
                 if self.pages.contains(frame) {
@@ -329,7 +330,9 @@ impl AddrSpace {
     }
 
     /// Writes the aligned word at `addr`, demand-committing the page and
-    /// setting its soft-dirty bit.
+    /// setting its soft-dirty bit. A page that carries a heap-word map
+    /// (the frame's, for a write through an alias) has the word's bit
+    /// updated.
     ///
     /// # Errors
     ///
@@ -344,7 +347,11 @@ impl AddrSpace {
         if fresh {
             self.stats.on_commit(true);
         }
-        slot.data.as_mut().expect("just committed")[addr.word_in_page()] = value;
+        let word = addr.word_in_page();
+        slot.data.as_mut().expect("just committed")[word] = value;
+        if let Some(map) = slot.heap.as_deref_mut() {
+            map.set(word, self.layout.heap_contains(Addr::new(value)));
+        }
         slot.soft_dirty = true;
         Ok(())
     }
@@ -352,8 +359,9 @@ impl AddrSpace {
     /// Zero-fills `[addr, addr + len)` (word aligned/sized), as
     /// MineSweeper's `free()` does before quarantining (§4.1).
     ///
-    /// Committed pages are zeroed in place and marked soft-dirty;
-    /// mapped-but-uncommitted pages are skipped (they already read as zero).
+    /// Committed pages are zeroed in place and marked soft-dirty, and the
+    /// zeroed words leave their heap-word map; mapped-but-uncommitted
+    /// pages are skipped (they already read as zero).
     ///
     /// # Errors
     ///
@@ -376,6 +384,9 @@ impl AddrSpace {
                     let w0 = cur.word_in_page();
                     let w1 = w0 + ((chunk_end - cur) / WORD_SIZE as u64) as usize;
                     data[w0..w1].fill(0);
+                    if let Some(map) = slot.heap.as_deref_mut() {
+                        map.clear_range(w0, w1);
+                    }
                     slot.soft_dirty = true;
                 }
             }
@@ -425,7 +436,7 @@ impl AddrSpace {
                 !self.pages.get(p.raw()).is_some_and(|s| {
                     s.is_committed()
                         && s.prot == Protection::ReadWrite
-                        && s.alias_of.is_none()
+                        && s.alias_of().is_none()
                         && !s.soft_dirty
                 })
             })
@@ -450,8 +461,10 @@ impl AddrSpace {
     /// `Ok(None)` for a mapped readable page with no backing (reads as
     /// zeroes — zero is never a heap pointer).
     ///
-    /// This is the sweep's fast path: one lookup per page instead of one
-    /// per word.
+    /// One lookup per page instead of one per word: the bulk read of
+    /// scanners that look at every word (MarkUs's transitive mark, the
+    /// MTE stub). The MineSweeper sweep reads through
+    /// [`AddrSpace::scan_heap_words`] instead.
     ///
     /// # Errors
     ///
@@ -464,13 +477,47 @@ impl AddrSpace {
         if slot.prot == Protection::None {
             return Err(MemError::Protected(page.base()));
         }
-        match slot.alias_of {
+        match slot.alias_of() {
             None => Ok(slot.data.as_deref()),
             Some(frame) => match self.pages.get(frame) {
                 Some(s) => Ok(s.data.as_deref()),
                 None => Err(MemError::Unmapped(page.base())),
             },
         }
+    }
+
+    /// Word contents and heap-word map of a whole page, for the sweep:
+    /// `Ok(Some((words, map)))` for a committed readable page, `Ok(None)`
+    /// for a mapped readable page with no backing (reads as zeroes, and
+    /// zero is never a heap pointer). An alias reads its frame's words
+    /// and map.
+    ///
+    /// The first read of a committed page builds its map:
+    /// `classify(words, lo, hi)` must return the map of `words` against
+    /// the heap segment `[lo, hi)`. From then on the page keeps the map
+    /// exact through [`AddrSpace::write_word`], [`AddrSpace::fill_zero`]
+    /// and [`AddrSpace::decommit`] (which empties it), so later reads
+    /// cost no classification; unmapping the page drops it. Pages no
+    /// sweep reads never carry a map.
+    ///
+    /// # Errors
+    ///
+    /// [`MemError::Unmapped`] or [`MemError::Protected`].
+    pub fn scan_heap_words(
+        &mut self,
+        page: PageIdx,
+        classify: impl FnOnce(&[u64; 512], u64, u64) -> HeapMap,
+    ) -> Result<Option<(&[u64; 512], &HeapMap)>, MemError> {
+        let storage = self.resolve_storage(page.raw(), page.base())?;
+        // A page of a pristine leaf has no slot here: it is uncommitted.
+        let Some(slot) = self.pages.get_mut(storage) else { return Ok(None) };
+        let Some(words) = slot.data.as_deref() else { return Ok(None) };
+        let map = slot.heap.get_or_insert_with(|| {
+            let heap = Segment::Heap;
+            let (lo, hi) = (self.layout.segment_base(heap), self.layout.segment_end(heap));
+            Box::new(classify(words, lo.raw(), hi.raw()))
+        });
+        Ok(Some((words, map)))
     }
 
     /// Demand-commits a mapped, readable page as an actual read access

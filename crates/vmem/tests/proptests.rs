@@ -13,12 +13,16 @@
 //!   a 512-page leaf boundary and a far leaf, for every operation and query,
 //!   and keeps a full leaf exactly where a page has left the pristine state
 //!   since its leaf was last empty (`table_matches_btreemap_model`).
+//! * A page's heap-word map equals a brute-force classification of its
+//!   words after every operation, and only pages a sweep has read since
+//!   they were mapped carry one (`heap_word_maps_stay_exact`).
 
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use vmem::{
-    Addr, AddrSpace, MemError, MemStats, PageIdx, PageRange, Protection, PAGE_SIZE, WORD_SIZE,
+    Addr, AddrSpace, HeapMap, MemError, MemStats, PageIdx, PageRange, Protection, Segment,
+    PAGE_SIZE, WORD_SIZE,
 };
 
 /// Operations the state machine may apply to a small heap region.
@@ -605,5 +609,174 @@ proptest! {
             );
         }
         prop_assert_eq!(space.committed_runs(page_range(all)), runs_by_page(&model, all.0, all.1));
+    }
+}
+
+/// Pages of the heap-word-map test window.
+const MAP_PAGES: u8 = 6;
+
+/// One operation of the heap-word-map test on the window's pages.
+#[derive(Clone, Debug)]
+enum MOp {
+    Map { at: u8, count: u8 },
+    Unmap { at: u8, count: u8 },
+    Commit { at: u8, count: u8 },
+    Decommit { at: u8, count: u8 },
+    Protect { at: u8, count: u8, none: bool },
+    Alias { va: u8, frame: u8 },
+    /// Writes a value of class `class % 4` (zero, heap address, junk,
+    /// heap boundary) to word `word` of page `at`.
+    Write { at: u8, word: u16, class: u8, seed: u64 },
+    /// Zero-fills `len` words from word `word` of page `at`, possibly
+    /// running into the next pages.
+    Zero { at: u8, word: u16, len: u16 },
+    /// The sweep's read: `scan_heap_words`.
+    Sweep { at: u8 },
+}
+
+fn mop_strategy() -> impl Strategy<Value = MOp> {
+    let run = || (0u8..MAP_PAGES, 1u8..3);
+    prop_oneof![
+        3 => run().prop_map(|(at, count)| MOp::Map { at, count }),
+        1 => run().prop_map(|(at, count)| MOp::Unmap { at, count }),
+        1 => run().prop_map(|(at, count)| MOp::Commit { at, count }),
+        1 => run().prop_map(|(at, count)| MOp::Decommit { at, count }),
+        1 => (0u8..MAP_PAGES, 1u8..3, any::<bool>())
+            .prop_map(|(at, count, none)| MOp::Protect { at, count, none }),
+        1 => (0u8..MAP_PAGES, 0u8..MAP_PAGES).prop_map(|(va, frame)| MOp::Alias { va, frame }),
+        8 => (0u8..MAP_PAGES, 0u16..512, any::<u8>(), any::<u64>())
+            .prop_map(|(at, word, class, seed)| MOp::Write { at, word, class, seed }),
+        2 => (0u8..MAP_PAGES, 0u16..512, 1u16..700)
+            .prop_map(|(at, word, len)| MOp::Zero { at, word, len }),
+        3 => (0u8..MAP_PAGES).prop_map(|at| MOp::Sweep { at }),
+    ]
+}
+
+/// The heap-word map of `words` by brute force, one word at a time.
+fn classify(words: &[u64; 512], lo: u64, hi: u64) -> HeapMap {
+    let mut map = HeapMap::default();
+    for (i, &w) in words.iter().enumerate() {
+        if lo <= w && w < hi {
+            map.0[i / 64] |= 1 << (i % 64);
+        }
+    }
+    map
+}
+
+/// Reads `page` the sweep's way. Returns the result (words and map
+/// compared as equal or not) and whether the read built the map.
+fn sweep_read(space: &mut AddrSpace, page: PageIdx) -> (Result<Option<bool>, MemError>, bool) {
+    let layout = *space.layout();
+    let (lo, hi) = (layout.segment_base(Segment::Heap).raw(), layout.segment_end(Segment::Heap).raw());
+    let mut built = false;
+    let r = space.scan_heap_words(page, |words, lo, hi| {
+        built = true;
+        classify(words, lo, hi)
+    });
+    (r.map(|read| read.map(|(words, map)| *map == classify(words, lo, hi))), built)
+}
+
+/// Runs `ops` and checks every swept page's map after each one.
+fn check_heap_maps(ops: &[MOp]) -> Result<(), TestCaseError> {
+    let mut space = AddrSpace::new();
+    let base = space.reserve_heap(MAP_PAGES as u64 + 2);
+    let page = |at: u8| base.page().raw() + at as u64;
+    let range = |at: u8, count: u8| PageRange::new(PageIdx::new(page(at)), count as u64);
+    let (lo, hi) = {
+        let l = space.layout();
+        (l.segment_base(Segment::Heap).raw(), l.segment_end(Segment::Heap).raw())
+    };
+    // Storage pages a sweep has read since they were mapped: exactly the
+    // pages that must carry a map.
+    let mut swept: BTreeSet<u64> = BTreeSet::new();
+    for op in ops {
+        match *op {
+            MOp::Map { at, count } => {
+                let _ = space.map(PageIdx::new(page(at)).base(), count as u64);
+            }
+            MOp::Unmap { at, count } => {
+                if space.unmap(range(at, count)).is_ok() {
+                    for p in range(at, count).iter() {
+                        swept.remove(&p.raw());
+                    }
+                }
+            }
+            MOp::Commit { at, count } => {
+                let _ = space.commit(range(at, count));
+            }
+            MOp::Decommit { at, count } => {
+                // A decommitted page keeps its map, emptied.
+                let _ = space.decommit(range(at, count));
+            }
+            MOp::Protect { at, count, none } => {
+                let prot = if none { Protection::None } else { Protection::ReadWrite };
+                let _ = space.protect(range(at, count), prot);
+            }
+            MOp::Alias { va, frame } => {
+                let _ = space.map_alias(PageIdx::new(page(va)).base(), PageIdx::new(page(frame)));
+            }
+            MOp::Write { at, word, class, seed } => {
+                let value = match class % 4 {
+                    0 => 0,
+                    1 => lo + seed % (1 << 30),
+                    2 => seed >> 24,
+                    _ => [lo - 8, lo, hi - 8, hi][seed as usize % 4],
+                };
+                let addr = PageIdx::new(page(at)).base().add_bytes(word as u64 * 8);
+                let _ = space.write_word(addr, value);
+            }
+            MOp::Zero { at, word, len } => {
+                let addr = PageIdx::new(page(at)).base().add_bytes(word as u64 * 8);
+                let _ = space.fill_zero(addr, len as u64 * 8);
+            }
+            MOp::Sweep { at } => {
+                let p = PageIdx::new(page(at));
+                let storage = space.alias_target(p.base()).unwrap_or(p).raw();
+                let (read, built) = sweep_read(&mut space, p);
+                if let Ok(Some(exact)) = read {
+                    prop_assert!(exact, "map of page {} is not its words' map", at);
+                    prop_assert_eq!(built, !swept.contains(&storage), "page {}", at);
+                    swept.insert(storage);
+                } else {
+                    prop_assert!(!built, "no map for a page with no words");
+                }
+            }
+        }
+        // Every swept page that is still readable shows an exact map,
+        // without building one (an uncommitted one reads as no words). A
+        // slot that is an alias itself (an alias whose frame was unmapped
+        // and remapped as an alias resolves to that slot) cannot be read
+        // by its own index: that read resolves one level further.
+        for &p in &swept {
+            if space.alias_target(PageIdx::new(p).base()).is_some() {
+                continue;
+            }
+            let (read, built) = sweep_read(&mut space, PageIdx::new(p));
+            prop_assert!(!built, "swept page {:#x} lost its map after {:?}", p, op);
+            if let Ok(Some(exact)) = read {
+                prop_assert!(exact, "page {:#x} after {:?}", p, op);
+            }
+        }
+    }
+    // No other page carries a map: a sweep read builds one for every
+    // committed, readable page outside `swept`.
+    for at in 0..MAP_PAGES {
+        let p = PageIdx::new(page(at));
+        if space.alias_target(p.base()).is_none() && !swept.contains(&p.raw()) {
+            let (read, built) = sweep_read(&mut space, p);
+            if let Ok(Some(exact)) = read {
+                prop_assert!(exact && built, "page {} carries a map no sweep built", at);
+            }
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn heap_word_maps_stay_exact(ops in proptest::collection::vec(mop_strategy(), 1..100)) {
+        check_heap_maps(&ops)?;
     }
 }

@@ -156,7 +156,7 @@ stage_kernel_gate() {
         || { cat "$smoke_dir/bench.txt"; echo "clean run must pass the gate"; exit 1; }
     for key in dirty_pct incremental_d5 incremental_filtered_d5 words_per_sec \
         forensics_off forensics_sampled_s8 forensics_full simd_serial swar_serial \
-        scalar_serial simd_vs_scalar tier_ratio_floor; do
+        scalar_serial indexed_serial simd_vs_scalar tier_ratio_floor; do
         grep -q "$key" "$smoke_dir/bench.json" \
             || { echo "bench JSON missing $key"; exit 1; }
     done
@@ -282,7 +282,9 @@ stage_doc_modules() {
     # out-slot lists (one edge block per holder), and those of the shadow
     # map's two-level directory (a radix of 4 KiB nodes), and those of the
     # telemetry concurrency machinery and second SLO judge (one thread, one
-    # counter type, `ms-report --slo` the only judge). Each name carries a
+    # counter type, `ms-report --slo` the only judge), and those of the
+    # scan kernel's per-survivor visit loop (the kernel returns a page's
+    # heap-word map and the sweep walks it). Each name carries a
     # one-letter bracket class so this line does not match itself.
     # jalloc's own jemalloc "arena" wording is not on the list.
     local orphans='Arena[I]d|Arena[P]ool|Arena[B]ackend|Sweep[S]cheduler|Sched[P]olicy'
@@ -299,6 +301,7 @@ stage_doc_modules() {
     orphans+='|Owned[C]ounter|owned_[c]ounter|Watch[d]og|emit_[v]iolations|Slo[V]iolation'
     orphans+='|slo_[v]iolation|Slo[R]ecord|Ring[S]ink|set_slo_[p]olicy|set_cost_[l]edger'
     orphans+='|MsStats::quarantine_[p]ermille'
+    orphans+='|for_each_in_[r]ange|scan_[w]ords|scan_[t]ail|scan_[s]war|scan_[a]vx2|scan_[s]se2'
     if git grep -nE "$orphans" -- crates src tests examples scripts DESIGN.md README.md; then
         echo "orphan references to deleted names (listed above)"
         missing=1
