@@ -681,6 +681,8 @@ impl<D: Defence + ?Sized> Sim<D> {
         self.space.layout().segment_base(Segment::Stack) + r as u64 * 8
     }
 
+    /// Drops root `r`'s reference to its owner. The slot's word is left
+    /// for the caller, which overwrites it straight away.
     fn clear_root(&mut self, r: u32) {
         if let Some(old_base) = self.root_owner[r as usize].take() {
             let old = self.edges[r].target;
@@ -692,8 +694,6 @@ impl<D: Defence + ?Sized> Sim<D> {
             // drain). The engine leaves it uncharged.
             self.sys.drop_ref(&mut self.space, old_base, &self.cost);
         }
-        // The slot itself is overwritten by the caller (or zeroed here).
-        self.space.write_word(self.root_addr(r), 0).expect("stack is mapped");
     }
 
     // ---- free ------------------------------------------------------------

@@ -30,6 +30,13 @@
 //!   [`HeapMap`] of the words that hold heap addresses, kept exact by every
 //!   later write, zero-fill and decommit, so the next read visits only
 //!   those words. Pages no sweep reads carry none.
+//! * Every access through a page's words ([`AddrSpace::read_word`],
+//!   [`AddrSpace::write_word`], [`AddrSpace::fill_zero`],
+//!   [`AddrSpace::scan_heap_words`], [`AddrSpace::touch_page`]) walks the
+//!   page table once: the protection and alias checks, a demand commit
+//!   and the update of the word, its heap-word bit and the soft-dirty bit
+//!   all act on the page slot that walk reaches. Only an alias looks up
+//!   its frame as well.
 //!
 //! # Example
 //!

@@ -43,7 +43,6 @@ pub struct AddrSpace {
     layout: Layout,
     pages: PageTable,
     heap_cursor: Addr,
-    stats: MemStats,
 }
 
 impl AddrSpace {
@@ -60,7 +59,6 @@ impl AddrSpace {
             layout,
             pages: PageTable::default(),
             heap_cursor: layout.segment_base(Segment::Heap),
-            stats: MemStats::default(),
         };
         for seg in [Segment::Globals, Segment::Stack] {
             space
@@ -77,17 +75,17 @@ impl AddrSpace {
 
     /// Statistics snapshot.
     pub fn stats(&self) -> &MemStats {
-        &self.stats
+        &self.pages.stats
     }
 
     /// Current resident set size in bytes.
     pub fn rss_bytes(&self) -> u64 {
-        self.stats.rss_bytes()
+        self.pages.stats.rss_bytes()
     }
 
     /// Currently mapped virtual memory in bytes.
     pub fn mapped_bytes(&self) -> u64 {
-        self.stats.mapped_bytes()
+        self.pages.stats.mapped_bytes()
     }
 
     /// Reserves `pages` pages of fresh heap virtual address space and
@@ -132,8 +130,8 @@ impl AddrSpace {
         for p in range.iter() {
             self.pages.insert(p.raw(), PageSlot::new());
         }
-        self.stats.mapped_pages += pages;
-        self.stats.maps += 1;
+        self.pages.stats.mapped_pages += pages;
+        self.pages.stats.maps += 1;
         Ok(())
     }
 
@@ -152,11 +150,11 @@ impl AddrSpace {
         for p in range.iter() {
             let slot = self.pages.remove(p.raw()).expect("checked above");
             if slot.is_committed() {
-                self.stats.on_decommit();
+                self.pages.stats.on_decommit();
             }
         }
-        self.stats.mapped_pages -= range.page_count();
-        self.stats.unmaps += 1;
+        self.pages.stats.mapped_pages -= range.page_count();
+        self.pages.stats.unmaps += 1;
         Ok(())
     }
 
@@ -169,10 +167,7 @@ impl AddrSpace {
     /// before the faulting one remain committed.
     pub fn commit(&mut self, range: PageRange) -> Result<(), MemError> {
         for p in range.iter() {
-            let (_, fresh) = self.pages.commit(p.raw()).ok_or(MemError::Unmapped(p.base()))?;
-            if fresh {
-                self.stats.on_commit(false);
-            }
+            self.pages.commit(p.raw()).ok_or(MemError::Unmapped(p.base()))?;
         }
         Ok(())
     }
@@ -192,7 +187,7 @@ impl AddrSpace {
     pub fn decommit(&mut self, range: PageRange) -> Result<(), MemError> {
         for p in range.iter() {
             if self.pages.decommit(p.raw()).ok_or(MemError::Unmapped(p.base()))? {
-                self.stats.on_decommit();
+                self.pages.stats.on_decommit();
             }
         }
         Ok(())
@@ -217,7 +212,7 @@ impl AddrSpace {
         for p in range.iter() {
             self.pages.protect(p.raw(), prot).expect("checked above");
         }
-        self.stats.protects += 1;
+        self.pages.stats.protects += 1;
         Ok(())
     }
 
@@ -244,33 +239,14 @@ impl AddrSpace {
             return Err(MemError::Unmapped(frame.base()));
         }
         self.pages.insert(va.page().raw(), PageSlot::new_alias(frame.raw()));
-        self.stats.mapped_pages += 1;
-        self.stats.maps += 1;
+        self.pages.stats.mapped_pages += 1;
+        self.pages.stats.maps += 1;
         Ok(())
     }
 
     /// The frame an alias page resolves to, if `addr` lies on an alias.
     pub fn alias_target(&self, addr: Addr) -> Option<PageIdx> {
         self.pages.get(addr.page().raw())?.alias_of().map(PageIdx::new)
-    }
-
-    /// Resolves `page` to its storage page, honouring (one level of)
-    /// aliasing and the *addressed* page's protection.
-    fn resolve_storage(&self, page: u64, fault_at: Addr) -> Result<u64, MemError> {
-        let slot = self.pages.get(page).ok_or(MemError::Unmapped(fault_at))?;
-        if slot.prot == Protection::None {
-            return Err(MemError::Protected(fault_at));
-        }
-        match slot.alias_of() {
-            None => Ok(page),
-            Some(frame) => {
-                if self.pages.contains(frame) {
-                    Ok(frame)
-                } else {
-                    Err(MemError::Unmapped(fault_at))
-                }
-            }
-        }
     }
 
     /// Whether the page containing `addr` is mapped.
@@ -297,36 +273,10 @@ impl AddrSpace {
     /// [`MemError::Misaligned`], [`MemError::Unmapped`] or
     /// [`MemError::Protected`].
     pub fn read_word(&mut self, addr: Addr) -> Result<u64, MemError> {
-        if !addr.is_aligned(WORD_SIZE as u64) {
-            return Err(MemError::Misaligned(addr));
-        }
-        let storage = self.resolve_storage(addr.page().raw(), addr)?;
-        let (slot, fresh) = self.pages.commit(storage).expect("resolved");
-        if fresh {
-            self.stats.on_commit(true);
-        }
-        Ok(slot.data.as_ref().expect("just committed")[addr.word_in_page()])
-    }
-
-    /// Reads the aligned word at `addr` without any side effect: an
-    /// uncommitted mapped page reads as zero and stays uncommitted.
-    ///
-    /// This is the access the parallel one-shot sweeper uses from multiple
-    /// threads (`&self`); zero is never a heap pointer, so treating unbacked
-    /// pages as zero is exactly the "exclude purged pages from the sweep"
-    /// behaviour of the commit/decommit extent hooks (§4.5).
-    ///
-    /// # Errors
-    ///
-    /// [`MemError::Misaligned`], [`MemError::Unmapped`] or
-    /// [`MemError::Protected`].
-    pub fn peek_word(&self, addr: Addr) -> Result<u64, MemError> {
-        if !addr.is_aligned(WORD_SIZE as u64) {
-            return Err(MemError::Misaligned(addr));
-        }
-        let storage = self.resolve_storage(addr.page().raw(), addr)?;
-        let slot = self.pages.get(storage).expect("resolved");
-        Ok(slot.data.as_ref().map_or(0, |d| d[addr.word_in_page()]))
+        check_aligned(addr)?;
+        self.pages.access(addr, true, |slot, word| {
+            slot.and_then(|slot| slot.data.as_ref()).expect("committed")[word]
+        })
     }
 
     /// Writes the aligned word at `addr`, demand-committing the page and
@@ -339,21 +289,16 @@ impl AddrSpace {
     /// [`MemError::Misaligned`], [`MemError::Unmapped`] or
     /// [`MemError::Protected`].
     pub fn write_word(&mut self, addr: Addr, value: u64) -> Result<(), MemError> {
-        if !addr.is_aligned(WORD_SIZE as u64) {
-            return Err(MemError::Misaligned(addr));
-        }
-        let storage = self.resolve_storage(addr.page().raw(), addr)?;
-        let (slot, fresh) = self.pages.commit(storage).expect("resolved");
-        if fresh {
-            self.stats.on_commit(true);
-        }
-        let word = addr.word_in_page();
-        slot.data.as_mut().expect("just committed")[word] = value;
-        if let Some(map) = slot.heap.as_deref_mut() {
-            map.set(word, self.layout.heap_contains(Addr::new(value)));
-        }
-        slot.soft_dirty = true;
-        Ok(())
+        check_aligned(addr)?;
+        let layout = &self.layout;
+        self.pages.access(addr, true, move |slot, word| {
+            let slot = slot.expect("a committing access has a slot");
+            slot.data.as_mut().expect("committed")[word] = value;
+            if let Some(map) = slot.heap.as_deref_mut() {
+                map.set(word, layout.heap_contains(Addr::new(value)));
+            }
+            slot.soft_dirty = true;
+        })
     }
 
     /// Zero-fills `[addr, addr + len)` (word aligned/sized), as
@@ -377,19 +322,17 @@ impl AddrSpace {
         while cur < end {
             let page_end = cur.page().next().base();
             let chunk_end = if page_end < end { page_end } else { end };
-            let storage = self.resolve_storage(cur.page().raw(), cur)?;
-            // A pristine page has no slot to update: it is uncommitted.
-            if let Some(slot) = self.pages.get_mut(storage) {
-                if let Some(data) = slot.data.as_mut() {
-                    let w0 = cur.word_in_page();
-                    let w1 = w0 + ((chunk_end - cur) / WORD_SIZE as u64) as usize;
-                    data[w0..w1].fill(0);
-                    if let Some(map) = slot.heap.as_deref_mut() {
-                        map.clear_range(w0, w1);
-                    }
-                    slot.soft_dirty = true;
+            // An uncommitted page, whether or not it has a slot, already
+            // reads as zero.
+            self.pages.access(cur, false, |slot, w0| {
+                let Some(slot) = slot.filter(|slot| slot.is_committed()) else { return };
+                let w1 = w0 + ((chunk_end - cur) / WORD_SIZE as u64) as usize;
+                slot.data.as_mut().expect("committed")[w0..w1].fill(0);
+                if let Some(map) = slot.heap.as_deref_mut() {
+                    map.clear_range(w0, w1);
                 }
-            }
+                slot.soft_dirty = true;
+            })?;
             cur = chunk_end;
         }
         Ok(())
@@ -508,16 +451,15 @@ impl AddrSpace {
         page: PageIdx,
         classify: impl FnOnce(&[u64; 512], u64, u64) -> HeapMap,
     ) -> Result<Option<(&[u64; 512], &HeapMap)>, MemError> {
-        let storage = self.resolve_storage(page.raw(), page.base())?;
+        let heap = Segment::Heap;
+        let (lo, hi) = (self.layout.segment_base(heap), self.layout.segment_end(heap));
         // A page of a pristine leaf has no slot here: it is uncommitted.
-        let Some(slot) = self.pages.get_mut(storage) else { return Ok(None) };
-        let Some(words) = slot.data.as_deref() else { return Ok(None) };
-        let map = slot.heap.get_or_insert_with(|| {
-            let heap = Segment::Heap;
-            let (lo, hi) = (self.layout.segment_base(heap), self.layout.segment_end(heap));
-            Box::new(classify(words, lo.raw(), hi.raw()))
-        });
-        Ok(Some((words, map)))
+        self.pages.access(page.base(), false, |slot, _| {
+            let PageSlot { data, heap, .. } = slot?;
+            let words = data.as_deref()?;
+            let map = heap.get_or_insert_with(|| Box::new(classify(words, lo.raw(), hi.raw())));
+            Some((words, &**map))
+        })
     }
 
     /// Demand-commits a mapped, readable page as an actual read access
@@ -528,11 +470,7 @@ impl AddrSpace {
     ///
     /// [`MemError::Unmapped`] or [`MemError::Protected`].
     pub fn touch_page(&mut self, page: PageIdx) -> Result<(), MemError> {
-        let storage = self.resolve_storage(page.raw(), page.base())?;
-        if self.pages.commit(storage).expect("resolved").1 {
-            self.stats.on_commit(true);
-        }
-        Ok(())
+        self.pages.access(page.base(), true, |_, _| ())
     }
 
     /// Number of committed pages in `range`. The sweep cost model charges
@@ -570,6 +508,14 @@ impl Default for AddrSpace {
     }
 }
 
+/// `Misaligned(addr)` unless `addr` is word aligned.
+fn check_aligned(addr: Addr) -> Result<(), MemError> {
+    if !addr.is_aligned(WORD_SIZE as u64) {
+        return Err(MemError::Misaligned(addr));
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -596,7 +542,6 @@ mod tests {
         let mut space = AddrSpace::new();
         assert_eq!(space.page_table_leaves(), (0, 36));
         let globals = space.layout().segment_base(Segment::Globals);
-        assert_eq!(space.peek_word(globals).unwrap(), 0);
         assert!(matches!(space.scan_page(globals.page()), Ok(None)));
         assert_eq!(space.snapshot_soft_dirty(PageRange::spanning(globals, 8192)).len(), 2);
         assert!(space.committed_runs(PageRange::new(globals.page(), 16 * 1024)).is_empty());
@@ -641,7 +586,6 @@ mod tests {
         let a = space.reserve_heap(1); // reserved but never mapped
         assert_eq!(space.read_word(a), Err(MemError::Unmapped(a)));
         assert_eq!(space.write_word(a, 1), Err(MemError::Unmapped(a)));
-        assert_eq!(space.peek_word(a), Err(MemError::Unmapped(a)));
     }
 
     #[test]
@@ -667,14 +611,6 @@ mod tests {
     }
 
     #[test]
-    fn peek_does_not_commit() {
-        let mut space = AddrSpace::new();
-        let a = heap_page(&mut space);
-        assert_eq!(space.peek_word(a).unwrap(), 0);
-        assert_eq!(space.rss_bytes(), 0, "peek must not demand-commit");
-    }
-
-    #[test]
     fn decommit_discards_contents_and_rss() {
         let mut space = AddrSpace::new();
         let a = heap_page(&mut space);
@@ -693,7 +629,6 @@ mod tests {
         space.protect(range, Protection::None).unwrap();
         assert_eq!(space.read_word(a), Err(MemError::Protected(a)));
         assert_eq!(space.write_word(a, 1), Err(MemError::Protected(a)));
-        assert_eq!(space.peek_word(a), Err(MemError::Protected(a)));
         space.protect(range, Protection::ReadWrite).unwrap();
         assert_eq!(space.read_word(a).unwrap(), 0);
     }

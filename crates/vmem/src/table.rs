@@ -16,20 +16,27 @@
 //!   leaves the pristine state: a commit, a protection change, a
 //!   soft-dirty bit or an alias mapping. A full leaf is never demoted.
 //!
-//! Looking up a page of a full leaf is one directory load and one slot
-//! load, with no branch on the pristine case ahead of them; only a miss
-//! in the directory looks at `plain`. The vectors grow only when a page
-//! is mapped, so their length follows the highest mapped page: 24 bytes
-//! per 2 MiB of VA below it. A leaf of either kind is freed as soon as
-//! its last page is unmapped, so allocators that never reuse VA
-//! (FFmalloc's one-time allocation) cannot grow the table without bound.
-//! Range walks skip pristine leaves (nothing in them is committed or
-//! soft-dirty) and full leaves with nothing committed without looking at
-//! their slots.
+//! A word access resolves its page in one walk ([`PageTable::access`]):
+//! a directory load and a slot load, then the page's protection and alias
+//! checks, after which the access acts on the slot the walk holds. Only a
+//! miss in the directory looks at `plain`, and only an alias walks again,
+//! to its frame. The uncommon cases (a pristine leaf, an alias, a page to
+//! commit) continue out of line from the storage page the walk found.
+//!
+//! The vectors grow only when a page is mapped, so their length follows
+//! the highest mapped page: 24 bytes per 2 MiB of VA below it. A leaf of
+//! either kind is freed as soon as its last page is unmapped, so
+//! allocators that never reuse VA (FFmalloc's one-time allocation) cannot
+//! grow the table without bound. Range walks skip pristine leaves
+//! (nothing in them is committed or soft-dirty) and full leaves with
+//! nothing committed without looking at their slots.
 
 use std::fmt;
 
+use crate::addr::Addr;
+use crate::error::MemError;
 use crate::page::{PageSlot, Protection};
+use crate::stats::MemStats;
 
 const LEAF_BITS: u32 = 9;
 
@@ -102,14 +109,18 @@ fn spans(start: u64, end: u64) -> impl Iterator<Item = (usize, usize, usize)> {
 
 /// Mapped pages keyed by page index.
 ///
-/// State changes go through [`PageTable::commit`], [`PageTable::decommit`],
+/// Word accesses go through [`PageTable::access`], and state changes
+/// through [`PageTable::commit`], [`PageTable::decommit`],
 /// [`PageTable::protect`], [`PageTable::insert`] and
-/// [`PageTable::remove`], which keep each leaf's counters in step and
-/// promote a pristine leaf when a page leaves the pristine state;
-/// [`PageTable::get_mut`] is for word and soft-dirty updates of pages
-/// that already left it.
+/// [`PageTable::remove`]; all of them keep each leaf's counters in step
+/// and promote a pristine leaf when a page leaves the pristine state.
+/// [`PageTable::get_mut`] is for soft-dirty updates of pages that already
+/// left it.
 #[derive(Default)]
 pub(crate) struct PageTable {
+    /// The space's statistics: the table counts the commits it makes,
+    /// and [`crate::AddrSpace`] counts the rest.
+    pub(crate) stats: MemStats,
     /// Full leaves by directory index.
     dir: Vec<Option<Leaf>>,
     /// Pristine leaves by directory index; never set where `dir` is.
@@ -144,30 +155,120 @@ impl PageTable {
     }
 
     /// The slot of `page` for an update a pristine page never needs
-    /// (zeroing committed words, clearing soft-dirty bits): `None` if
-    /// `page` is unmapped or lies in a pristine leaf.
+    /// (clearing soft-dirty bits): `None` if `page` is unmapped or lies in
+    /// a pristine leaf.
     pub(crate) fn get_mut(&mut self, page: u64) -> Option<&mut PageSlot> {
         let (idx, s) = split(page);
         self.leaf_mut(idx)?.slots[s].as_mut()
     }
 
-    /// The full leaf holding the mapped `page`, promoting a pristine leaf
-    /// first, and `page`'s slot index in it. `None` if `page` is unmapped.
-    #[inline]
-    fn full_leaf(&mut self, page: u64) -> Option<(&mut Leaf, usize)> {
+    /// Runs `access` on the storage slot of an access to `at`, found in
+    /// one walk: the page's own slot, or its frame's if it is an alias
+    /// (only an alias pays a second lookup). The *addressed* page's
+    /// protection applies; the frame's does not. `access` also gets the
+    /// index of `at`'s word in the page.
+    ///
+    /// With `commit` the slot is committed first (see
+    /// [`PageSlot::commit`]), promoting a pristine leaf, and a fresh commit
+    /// counts as a demand commit. Without, a page of a pristine leaf has
+    /// no slot: `access` gets `None`, as the page is uncommitted and holds
+    /// no words.
+    ///
+    /// The common case (a page of a full leaf, read-write, no alias, and
+    /// committed if the access commits) runs `access` inline. Every other
+    /// case leaves the walk with its storage page for the one call to
+    /// [`PageTable::access_rest`], whose arguments fit in registers as
+    /// long as `access` holds at most two words: the accessor then neither
+    /// saves registers nor spills `access` on the common path.
+    ///
+    /// # Errors
+    ///
+    /// [`MemError::Unmapped`] if the page or its frame is unmapped,
+    /// [`MemError::Protected`] if the page is [`Protection::None`], both
+    /// at `at`.
+    #[inline(always)]
+    pub(crate) fn access<'a, R>(
+        &'a mut self,
+        at: Addr,
+        commit: bool,
+        access: impl FnOnce(Option<&'a mut PageSlot>, usize) -> R,
+    ) -> Result<R, MemError> {
+        let page = at.page().raw();
         let (idx, s) = split(page);
-        if self.leaf(idx).is_none() {
-            self.promote_at(idx, s)?;
-        }
-        Some((self.leaf_mut(idx)?, s))
+        let storage = 'rest: {
+            let Some(leaf) = self.leaf(idx) else {
+                // A page of a pristine leaf is read-write and no alias.
+                break 'rest page;
+            };
+            let slot = leaf.slots[s].as_ref().ok_or(MemError::Unmapped(at))?;
+            if slot.prot == Protection::None {
+                return Err(MemError::Protected(at));
+            }
+            if let Some(frame) = slot.alias_of() {
+                break 'rest frame;
+            }
+            if commit && !slot.is_committed() {
+                break 'rest page;
+            }
+            // The same leaf and slot again: these loads fold into the
+            // walk above.
+            let leaf = self.leaf_mut(idx).expect("looked up above");
+            return Ok(access(leaf.slots[s].as_mut(), at.word_in_page()));
+        };
+        self.access_rest(storage, commit, at, access)
     }
 
-    /// Promotes leaf `idx` if its slot `s` holds a mapped pristine page;
-    /// `None` if it holds no page.
+    /// The out-of-line rest of [`PageTable::access`]: runs `access` on the
+    /// slot of the storage page the walk found, after a commit if
+    /// `commit`. `Unmapped(at)` if that page is unmapped.
     #[cold]
     #[inline(never)]
-    fn promote_at(&mut self, idx: usize, s: usize) -> Option<()> {
-        self.plain(idx)?.has(s).then(|| self.promote(idx))
+    fn access_rest<'a, R>(
+        &'a mut self,
+        storage: u64,
+        commit: bool,
+        at: Addr,
+        access: impl FnOnce(Option<&'a mut PageSlot>, usize) -> R,
+    ) -> Result<R, MemError> {
+        let slot = self.own_slot(storage, commit, true).ok_or(MemError::Unmapped(at))?;
+        Ok(access(slot, at.word_in_page()))
+    }
+
+    /// Commits `page` (see [`PageSlot::commit`]), with no protection or
+    /// alias check, and counts a fresh commit as an explicit one. `None`
+    /// if `page` is unmapped.
+    pub(crate) fn commit(&mut self, page: u64) -> Option<()> {
+        self.own_slot(page, true, false).map(|_| ())
+    }
+
+    /// The slot of `page`, committed first if `commit`, with a fresh
+    /// commit counted as a demand commit if `on_demand` and an explicit
+    /// one if not; `Some(None)` for a page of a pristine leaf when not
+    /// committing, and `None` if `page` is unmapped. No protection or
+    /// alias check.
+    fn own_slot(
+        &mut self,
+        page: u64,
+        commit: bool,
+        on_demand: bool,
+    ) -> Option<Option<&mut PageSlot>> {
+        let (idx, s) = split(page);
+        if self.leaf(idx).is_none() {
+            if !self.plain(idx)?.has(s) {
+                return None;
+            }
+            if !commit {
+                return Some(None);
+            }
+            self.promote(idx);
+        }
+        let leaf = self.dir.get_mut(idx)?.as_mut()?;
+        let slot = leaf.slots[s].as_mut()?;
+        if commit && slot.commit() {
+            leaf.committed += 1;
+            self.stats.on_commit(on_demand);
+        }
+        Some(Some(slot))
     }
 
     /// Replaces leaf `idx`, pristine or absent, by a full leaf holding the
@@ -230,17 +331,6 @@ impl PageTable {
         Some(PageSlot::new())
     }
 
-    /// Commits `page` (see [`PageSlot::commit`]): the slot, and whether it
-    /// was newly committed. `None` if `page` is unmapped.
-    #[inline]
-    pub(crate) fn commit(&mut self, page: u64) -> Option<(&mut PageSlot, bool)> {
-        let (leaf, s) = self.full_leaf(page)?;
-        let slot = leaf.slots[s].as_mut()?;
-        let fresh = slot.commit();
-        leaf.committed += u32::from(fresh);
-        Some((slot, fresh))
-    }
-
     /// Decommits `page` (see [`PageSlot::decommit`]): whether it was
     /// committed before. `None` if `page` is unmapped. A pristine page is
     /// uncommitted already, so its leaf stays pristine.
@@ -258,8 +348,11 @@ impl PageTable {
     /// `None` if `page` is unmapped.
     pub(crate) fn protect(&mut self, page: u64, prot: Protection) -> Option<()> {
         if self.get(page)?.prot != prot {
-            let (leaf, s) = self.full_leaf(page)?;
-            let slot = leaf.slots[s].as_mut()?;
+            let (idx, s) = split(page);
+            if self.leaf(idx).is_none() {
+                self.promote(idx);
+            }
+            let slot = self.leaf_mut(idx)?.slots[s].as_mut()?;
             slot.prot = prot;
             slot.soft_dirty = true;
         }
@@ -367,6 +460,7 @@ impl fmt::Debug for PageTable {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let (full, pristine) = self.leaves();
         f.debug_struct("PageTable")
+            .field("stats", &self.stats)
             .field("dir_len", &self.dir.len())
             .field("full_leaves", &full)
             .field("pristine_leaves", &pristine)
@@ -377,6 +471,7 @@ impl fmt::Debug for PageTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::addr::PageIdx;
 
     #[test]
     fn spans_split_at_leaf_boundaries() {
@@ -392,9 +487,10 @@ mod tests {
             t.insert(page, PageSlot::new());
         }
         assert_eq!(t.leaves(), (0, 2), "fresh pages leave both leaves pristine");
-        assert!(t.commit(511).unwrap().1);
-        assert!(!t.commit(511).unwrap().1, "second commit is a no-op");
-        assert!(t.commit(512).unwrap().1);
+        t.commit(511).unwrap();
+        t.commit(511).unwrap();
+        assert_eq!(t.stats.explicit_commits, 1, "second commit is a no-op");
+        t.commit(512).unwrap();
         assert_eq!(t.committed_counter_sum(), 2);
         assert_eq!(t.committed_runs(0, 2048), vec![(511, 2)]);
         assert_eq!(t.committed_in(0, 2048), 2);
@@ -428,6 +524,10 @@ mod tests {
         assert_eq!(t.protect(3, Protection::ReadWrite), Some(()));
         assert_eq!(t.protect(4, Protection::None), None, "unmapped");
         assert!(t.commit(4).is_none(), "unmapped");
+        let at = |page| PageIdx::new(page).base();
+        let words = |slot: Option<&mut PageSlot>, _| slot.map(|s| s.is_committed());
+        assert_eq!(t.access(at(3), false, words), Ok(None), "no slot to access");
+        assert_eq!(t.access(at(4), true, words), Err(MemError::Unmapped(at(4))));
         assert_eq!(t.iter_committed().count() + t.values_mut().count(), 0);
         assert_eq!(t.committed_in(0, 512), 0);
         assert!(t.committed_runs(0, 512).is_empty());
@@ -437,7 +537,7 @@ mod tests {
     #[test]
     fn a_leaf_is_promoted_at_its_first_non_pristine_page() {
         let promoted: [fn(&mut PageTable); 3] = [
-            |t| assert!(t.commit(2).unwrap().1),
+            |t| t.commit(2).unwrap(),
             |t| t.protect(2, Protection::None).unwrap(),
             |t| t.insert(4, PageSlot::new_alias(0)),
         ];

@@ -284,7 +284,9 @@ stage_doc_modules() {
     # telemetry concurrency machinery and second SLO judge (one thread, one
     # counter type, `ms-report --slo` the only judge), and those of the
     # scan kernel's per-survivor visit loop (the kernel returns a page's
-    # heap-word map and the sweep walks it). Each name carries a
+    # heap-word map and the sweep walks it), and those of vmem's two-walk
+    # access path and its side-effect-free word read (one resolver walks
+    # each access once). Each name carries a
     # one-letter bracket class so this line does not match itself.
     # jalloc's own jemalloc "arena" wording is not on the list.
     local orphans='Arena[I]d|Arena[P]ool|Arena[B]ackend|Sweep[S]cheduler|Sched[P]olicy'
@@ -302,6 +304,7 @@ stage_doc_modules() {
     orphans+='|slo_[v]iolation|Slo[R]ecord|Ring[S]ink|set_slo_[p]olicy|set_cost_[l]edger'
     orphans+='|MsStats::quarantine_[p]ermille'
     orphans+='|for_each_in_[r]ange|scan_[w]ords|scan_[t]ail|scan_[s]war|scan_[a]vx2|scan_[s]se2'
+    orphans+='|resolve_[s]torage|peek_[w]ord'
     if git grep -nE "$orphans" -- crates src tests examples scripts DESIGN.md README.md; then
         echo "orphan references to deleted names (listed above)"
         missing=1
